@@ -88,7 +88,6 @@ pub struct Tournament {
     seed0: u64,
     max_ops: u64,
     threads: usize,
-    lanes: usize,
 }
 
 impl Tournament {
@@ -101,7 +100,6 @@ impl Tournament {
             seed0: 0,
             max_ops: 100_000,
             threads: 1,
-            lanes: 1,
         }
     }
 
@@ -132,13 +130,6 @@ impl Tournament {
         self
     }
 
-    /// Sets the sweep's pipelining lane width. Adversarial schedules
-    /// run lanes sequentially, so this too never affects results.
-    pub fn lanes(mut self, lanes: usize) -> Self {
-        self.lanes = lanes.max(1);
-        self
-    }
-
     /// Scores a single point under an explicit point seed and trial
     /// count — the primitive both searches are built from.
     pub fn score_at(&self, point: StrategyPoint, point_seed: u64, trials: u64) -> StrategyScore {
@@ -149,7 +140,6 @@ impl Tournament {
             .trials(trials)
             .seed_fn(move |t| trial_seed(point_seed, t, salts::STRATEGY))
             .threads(self.threads)
-            .lanes(self.lanes)
             .reports();
         let mut sum = 0u64;
         let mut worst = 0usize;

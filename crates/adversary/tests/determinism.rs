@@ -1,58 +1,39 @@
 //! The tournament's determinism contract: results are a pure function
 //! of `(family, n, trials, seed0, max_ops)` — byte-identical at every
-//! worker-thread count and lane width, for both the grid sweep and the
-//! beam search. This is the adversary-plane edition of the engine's
+//! worker-thread count, for both the grid sweep and the beam search.
+//! This is the adversary-plane edition of the engine's
 //! serial-vs-parallel suite (`crates/bench/tests/determinism.rs`).
 
 use nc_adversary::{StrategyFamily, Tournament};
 
-fn tournament(threads: usize, lanes: usize) -> Tournament {
+fn tournament(threads: usize) -> Tournament {
     Tournament::new(6)
         .trials(4)
         .seed0(11)
         .max_ops(40_000)
         .threads(threads)
-        .lanes(lanes)
 }
 
 #[test]
 fn sweep_is_bitwise_identical_serial_vs_parallel() {
     let family = StrategyFamily::standard();
-    let reference = tournament(1, 1).sweep(&family);
+    let reference = tournament(1).sweep(&family);
     for threads in [2usize, 4] {
         assert_eq!(
             reference,
-            tournament(threads, 1).sweep(&family),
+            tournament(threads).sweep(&family),
             "sweep diverged at {threads} workers"
         );
     }
 }
 
 #[test]
-fn sweep_is_bitwise_identical_across_lane_widths() {
-    // Adversarial schedules run lanes sequentially in the engine, but
-    // the knob must still be inert — this pins that contract from the
-    // tournament's side.
-    let family = StrategyFamily::standard();
-    let reference = tournament(1, 1).sweep(&family);
-    for lanes in [2usize, 4, 7] {
-        for threads in [1usize, 4] {
-            assert_eq!(
-                reference,
-                tournament(threads, lanes).sweep(&family),
-                "sweep diverged at {threads} workers × {lanes} lanes"
-            );
-        }
-    }
-}
-
-#[test]
 fn beam_is_bitwise_identical_serial_vs_parallel() {
     let family = StrategyFamily::standard();
-    let reference = tournament(1, 1).beam(&family, 3, 4);
+    let reference = tournament(1).beam(&family, 3, 4);
     assert_eq!(
         reference,
-        tournament(4, 2).beam(&family, 3, 4),
+        tournament(4).beam(&family, 3, 4),
         "beam search diverged between serial and 4 workers"
     );
     // Refined leaders carry the deeper trial count.
@@ -68,7 +49,7 @@ fn adaptive_family_dominates_oblivious_baseline() {
     // strategy forces at least as many rounds as the oblivious
     // baseline. (BENCH_adversary.json records the same comparison at
     // full scale for every n.)
-    let result = tournament(0, 1).sweep(&StrategyFamily::standard());
+    let result = tournament(0).sweep(&StrategyFamily::standard());
     let oblivious = result.oblivious().expect("family includes the baseline");
     let worst = result.worst_adaptive().expect("family has adaptive points");
     assert!(

@@ -8,9 +8,9 @@
 //! Usage:
 //! `cargo run --release -p nc-bench --bin bench_engine [-- --trials 3000 --min-speedup 1.6 --out BENCH_engine.json]`
 //!
-//! `--smoke` runs the reduced CI tripwire: n = 100 only, few trials, no
-//! scaling/reset sections, output to `BENCH_engine.smoke.json` (so a CI
-//! run never clobbers the committed record) — same `--min-speedup` gate.
+//! `--probe [--n N]` prints the heap, tree and dense cells at one size
+//! (the queue cut behind [`nc_sched::select::TREE_MIN_N`]) without
+//! writing anything or gating.
 //!
 //! Workload: the acceptance configuration — Figure 1 point, `n = 100`
 //! (plus 1000 and 10000 for the scaling picture), `U(0, 2)` noise,
@@ -18,38 +18,23 @@
 //! included, exactly like `fig1::point`). Every number is a best-of-R
 //! measurement to shrug off scheduler noise.
 //!
-//! Per n, seven single-thread cells: the naive baseline; the sequential
-//! per-event engine (scratch reuse, auto queue, `event_batch(1)`); the
-//! same with the queue forced to heap and to tree (the queue ablation
-//! backing [`nc_sched::select::TREE_MIN_N`]); the per-event engine on
-//! the `DenseRaceMemory` plane (the memory-plane ablation in
-//! isolation); the **batched** execution core at a forced micro-batch
-//! (`BATCH_ABLATION_K`) on the growable `SimMemory`
-//! plane; and the batched core on the dense plane — the fully
-//! stride-specialized fast path (`RacePlane` scatter/gather). A
-//! `--lanes`-wide pipelined cell (K trials in lockstep — still one
-//! thread) rounds out the lane-interleave ablation behind
-//! [`nc_bench::PIPELINE_LANES`]. The headline "optimized" number is the
-//! best single-thread cell.
+//! Per n, five single-thread cells: the naive baseline; the sequential
+//! engine (scratch reuse, auto queue); the same with the queue forced to
+//! heap and to tree (the queue ablation backing
+//! [`nc_sched::select::TREE_MIN_N`]); and the engine on the
+//! `DenseRaceMemory` plane (the memory-plane ablation). The headline
+//! "optimized" number is the better of the sequential and dense cells.
 
 use std::io::Write as _;
 use std::time::Instant;
 
-use nc_bench::{arg, experiments::fig1, flag, PIPELINE_LANES};
+use nc_bench::{arg, experiments::fig1, flag};
 use nc_engine::baseline::run_noisy_baseline;
 use nc_engine::sim::Sim;
 use nc_engine::{setup, DenseRaceMemory, Limits, QueuePolicy};
 use nc_sched::{Noise, TimingModel};
 
 const REPEATS: usize = 3;
-
-/// Micro-batch size for the batched-core ablation cells. The engine's
-/// measured default is `DEFAULT_EVENT_BATCH = 1` (batching off — see
-/// its docs), so the columns force a representative K to keep the
-/// batched core's cost/benefit on the record: a loss at n = 100, a win
-/// at n = 10000 (where `QueuePolicy::Auto` also re-biases to the heap,
-/// `TREE_MIN_N_BATCHED`).
-const BATCH_ABLATION_K: usize = 16;
 
 fn timing() -> TimingModel {
     TimingModel::figure1(Noise::Uniform { lo: 0.0, hi: 2.0 })
@@ -81,18 +66,14 @@ fn bench_naive(n: usize, trials: u64) -> (f64, u64) {
     })
 }
 
-/// Sequential optimized engine with a chosen queue policy and
-/// micro-batch size: one reused `SimRun` handle (scratch +
-/// monomorphized lean instance) per cell. `batch = 1` is the legacy
-/// per-event loop; `batch > 1` routes through the batched execution
-/// core (`step_batch`).
-fn bench_sequential(n: usize, trials: u64, policy: QueuePolicy, batch: usize) -> (f64, u64) {
+/// Sequential optimized engine with a chosen queue policy: one reused
+/// `SimRun` handle (scratch + monomorphized lean instance) per cell.
+fn bench_sequential(n: usize, trials: u64, policy: QueuePolicy) -> (f64, u64) {
     let mut sim = Sim::new(setup::Algorithm::Lean)
         .inputs(setup::half_and_half(n))
         .timing(timing())
         .limits(Limits::first_decision())
         .queue_policy(policy)
-        .event_batch(batch)
         .build();
     best_of(|| {
         let mut events = 0;
@@ -103,18 +84,14 @@ fn bench_sequential(n: usize, trials: u64, policy: QueuePolicy, batch: usize) ->
     })
 }
 
-/// The dense memory-plane cells: the sequential engine with the word
-/// store swapped to the preallocated `DenseRaceMemory`. At `batch = 1`
-/// this isolates the plane alone (the original cache ablation); at the
-/// default batch it is the fully specialized fast path — batched core +
-/// `RacePlane` direct stride-2 addressing.
-fn bench_dense(n: usize, trials: u64, batch: usize) -> (f64, u64) {
+/// The dense memory-plane cell: the sequential engine with the word
+/// store swapped to the preallocated `DenseRaceMemory`.
+fn bench_dense(n: usize, trials: u64) -> (f64, u64) {
     let mut sim = Sim::new(setup::Algorithm::Lean)
         .inputs(setup::half_and_half(n))
         .timing(timing())
         .limits(Limits::first_decision())
         .memory_backend(DenseRaceMemory::new())
-        .event_batch(batch)
         .build();
     best_of(|| {
         let mut events = 0;
@@ -160,115 +137,61 @@ fn bench_reset_strategy(prefix: usize, trials: usize) -> (f64, f64) {
     (run(true), run(false))
 }
 
-/// The full optimized stack: pipelined lanes, auto queue, default
-/// (per-event) micro-batch. Run on one worker so the number stays a
-/// single-thread measurement.
-fn bench_pipelined(n: usize, trials: u64, lanes: usize) -> (f64, u64) {
-    best_of(|| {
-        Sim::new(setup::Algorithm::Lean)
-            .inputs(setup::half_and_half(n))
-            .timing(timing())
-            .limits(Limits::first_decision())
-            .trials(trials)
-            .seed0(0)
-            .seed_stride(1)
-            .threads(1)
-            .lanes(lanes)
-            .map(|report| report.total_ops)
-            .iter()
-            .sum()
-    })
-}
-
 fn main() {
-    let smoke = flag("smoke");
-    let trials: u64 = arg("trials", if smoke { 300 } else { 2000 });
-    // The pipelined column is the lane-interleave ablation; 4 lanes by
-    // default regardless of the production PIPELINE_LANES setting, so
-    // the K > 1 trade stays measured on every record.
-    let lanes: usize = arg("lanes", 4);
+    let trials: u64 = arg("trials", 2000);
     let min_speedup: f64 = arg("min-speedup", 1.6);
-    let out: String = arg(
-        "out",
-        if smoke {
-            "BENCH_engine.smoke.json".to_string()
-        } else {
-            "BENCH_engine.json".to_string()
-        },
-    );
+    let out: String = arg("out", "BENCH_engine.json".to_string());
     let cores = std::thread::available_parallelism()
         .map(|c| c.get())
         .unwrap_or(1);
 
-    // `--probe [--n N]`: the K × queue tuning sweep behind
-    // DEFAULT_EVENT_BATCH and the batched TREE_MIN_N crossover
-    // measurement — prints cells, writes nothing, skips the gate.
+    // `--probe [--n N]`: the heap / tree / dense cells at one size — the
+    // measurement behind TREE_MIN_N — printed, nothing written, no gate.
     if flag("probe") {
         let n: usize = arg("n", 100);
         let t = (trials / (n as u64 / 100).max(1)).max(20);
         eprintln!("probe: n = {n}, {t} trials/cell, best-of-{REPEATS}");
         for policy in [QueuePolicy::Heap, QueuePolicy::Tree] {
-            for k in [1usize, 2, 4, 8, 16, 32, 64] {
-                let (s, ev) = bench_sequential(n, t, policy, k);
-                eprintln!("  {policy:?} K={k}: {:.3e} ev/s", ev as f64 / s);
-            }
+            let (s, ev) = bench_sequential(n, t, policy);
+            eprintln!("  {policy:?}: {:.3e} ev/s", ev as f64 / s);
         }
-        for k in [1usize, 2, 4, 8, 16, 32, 64] {
-            let (s, ev) = bench_dense(n, t, k);
-            eprintln!("  Dense K={k}: {:.3e} ev/s", ev as f64 / s);
-        }
+        let (s, ev) = bench_dense(n, t);
+        eprintln!("  Dense: {:.3e} ev/s", ev as f64 / s);
         return;
     }
 
-    // Single-thread cells (the pipelined bench pins its TrialSet to one
-    // worker explicitly).
-    let ns: &[usize] = if smoke { &[100] } else { &[100, 1000, 10_000] };
+    // Single-thread cells.
     let mut single = String::new();
     let mut speedup_n100 = 0.0;
-    for (i, &n) in ns.iter().enumerate() {
+    for (i, &n) in [100usize, 1000, 10_000].iter().enumerate() {
         let t = (trials / (n as u64 / 100).max(1)).max(20);
         let (naive_s, naive_ev) = bench_naive(n, t);
-        let (seq_s, seq_ev) = bench_sequential(n, t, QueuePolicy::Auto, 1);
-        let (heap_s, _) = bench_sequential(n, t, QueuePolicy::Heap, 1);
-        let (tree_s, _) = bench_sequential(n, t, QueuePolicy::Tree, 1);
-        let (dense_s, dense_ev) = bench_dense(n, t, 1);
-        let (batched_s, batched_ev) = bench_sequential(n, t, QueuePolicy::Auto, BATCH_ABLATION_K);
-        let (stride_s, stride_ev) = bench_dense(n, t, BATCH_ABLATION_K);
-        let (pipe_s, pipe_ev) = bench_pipelined(n, t, lanes);
+        let (seq_s, seq_ev) = bench_sequential(n, t, QueuePolicy::Auto);
+        let (heap_s, _) = bench_sequential(n, t, QueuePolicy::Heap);
+        let (tree_s, _) = bench_sequential(n, t, QueuePolicy::Tree);
+        let (dense_s, dense_ev) = bench_dense(n, t);
         assert_eq!(naive_ev, seq_ev, "engines diverged at n = {n}");
         assert_eq!(naive_ev, dense_ev, "dense backend diverged at n = {n}");
-        assert_eq!(naive_ev, batched_ev, "batched core diverged at n = {n}");
-        assert_eq!(naive_ev, stride_ev, "stride fast path diverged at n = {n}");
-        assert_eq!(naive_ev, pipe_ev, "pipelined engine diverged at n = {n}");
         let naive_eps = naive_ev as f64 / naive_s;
         let seq_eps = seq_ev as f64 / seq_s;
         let heap_eps = naive_ev as f64 / heap_s;
         let tree_eps = naive_ev as f64 / tree_s;
         let dense_eps = dense_ev as f64 / dense_s;
-        let batched_eps = batched_ev as f64 / batched_s;
-        let stride_eps = stride_ev as f64 / stride_s;
-        let pipe_eps = pipe_ev as f64 / pipe_s;
-        // The headline is the best single-thread configuration the
-        // builder can be asked for: per-event sequential, the dense
-        // memory plane, the batched core (either plane), or the K-lane
-        // pipelined interleave.
-        let best_eps = seq_eps
-            .max(dense_eps)
-            .max(batched_eps)
-            .max(stride_eps)
-            .max(pipe_eps);
+        // The headline is the better of the two word-store planes the
+        // builder offers.
+        let best_eps = seq_eps.max(dense_eps);
         let speedup = best_eps / naive_eps;
         if n == 100 {
             speedup_n100 = speedup;
         }
         eprintln!(
-            "n={n}: naive {naive_eps:.3e} ev/s, sequential {seq_eps:.3e} (heap {heap_eps:.3e}, tree {tree_eps:.3e}), dense {dense_eps:.3e}, batched(K={BATCH_ABLATION_K}) {batched_eps:.3e}, stride-specialized {stride_eps:.3e}, pipelined x{lanes} {pipe_eps:.3e} ev/s, speedup {speedup:.2}x"
+            "n={n}: naive {naive_eps:.3e} ev/s, sequential {seq_eps:.3e} (heap {heap_eps:.3e}, tree {tree_eps:.3e}), dense {dense_eps:.3e} ev/s, speedup {speedup:.2}x"
         );
         if i > 0 {
             single.push(',');
         }
         single.push_str(&format!(
-            "\n    {{\"n\": {n}, \"trials\": {t}, \"events_per_trial\": {:.1}, \"naive_events_per_sec\": {naive_eps:.1}, \"heap_events_per_sec\": {heap_eps:.1}, \"tree_events_per_sec\": {tree_eps:.1}, \"dense_memory_events_per_sec\": {dense_eps:.1}, \"batched_events_per_sec\": {batched_eps:.1}, \"specialized_stride_events_per_sec\": {stride_eps:.1}, \"pipelined_{lanes}lane_events_per_sec\": {pipe_eps:.1}, \"optimized_events_per_sec\": {best_eps:.1}, \"speedup\": {speedup:.3}, \"speedup_sequential\": {:.3}}}",
+            "\n    {{\"n\": {n}, \"trials\": {t}, \"events_per_trial\": {:.1}, \"naive_events_per_sec\": {naive_eps:.1}, \"heap_events_per_sec\": {heap_eps:.1}, \"tree_events_per_sec\": {tree_eps:.1}, \"dense_memory_events_per_sec\": {dense_eps:.1}, \"optimized_events_per_sec\": {best_eps:.1}, \"speedup\": {speedup:.3}, \"speedup_sequential\": {:.3}}}",
             naive_ev as f64 / t as f64,
             seq_eps / naive_eps
         ));
@@ -279,41 +202,39 @@ fn main() {
     // is explicitly marked host-limited (a multi-core re-measurement
     // then shows up as a diff instead of silently overwriting).
     let mut scaling = String::new();
-    if !smoke {
-        let sweep_trials = trials.max(500);
-        let mut base_time = 0.0;
-        let mut threads_list: Vec<usize> = vec![1];
-        let mut w = 2;
-        while w <= cores {
-            threads_list.push(w);
-            w *= 2;
+    let sweep_trials = trials.max(500);
+    let mut base_time = 0.0;
+    let mut threads_list: Vec<usize> = vec![1];
+    let mut w = 2;
+    while w <= cores {
+        threads_list.push(w);
+        w *= 2;
+    }
+    if *threads_list.last().unwrap() != cores {
+        threads_list.push(cores);
+    }
+    for (i, &threads) in threads_list.iter().enumerate() {
+        let (secs, _) = best_of(|| {
+            let p = fig1::point(
+                Noise::Uniform { lo: 0.0, hi: 2.0 },
+                100,
+                sweep_trials,
+                1,
+                threads,
+            );
+            p.rounds.count()
+        });
+        if threads == 1 {
+            base_time = secs;
         }
-        if *threads_list.last().unwrap() != cores {
-            threads_list.push(cores);
+        let scale = base_time / secs;
+        eprintln!("fig1 point, {threads} worker(s): {secs:.3} s ({scale:.2}x vs 1 worker)");
+        if i > 0 {
+            scaling.push(',');
         }
-        for (i, &threads) in threads_list.iter().enumerate() {
-            let (secs, _) = best_of(|| {
-                let p = fig1::point(
-                    Noise::Uniform { lo: 0.0, hi: 2.0 },
-                    100,
-                    sweep_trials,
-                    1,
-                    threads,
-                );
-                p.rounds.count()
-            });
-            if threads == 1 {
-                base_time = secs;
-            }
-            let scale = base_time / secs;
-            eprintln!("fig1 point, {threads} worker(s): {secs:.3} s ({scale:.2}x vs 1 worker)");
-            if i > 0 {
-                scaling.push(',');
-            }
-            scaling.push_str(&format!(
-                "\n      {{\"threads\": {threads}, \"seconds\": {secs:.4}, \"speedup_vs_1\": {scale:.3}}}"
-            ));
-        }
+        scaling.push_str(&format!(
+            "\n      {{\"threads\": {threads}, \"seconds\": {secs:.4}, \"speedup_vs_1\": {scale:.3}}}"
+        ));
     }
     let host_limited = cores == 1;
 
@@ -321,27 +242,24 @@ fn main() {
     // semantics vs the old clear+geometric-regrow, on a raw replay of
     // the per-trial write pattern (see SimMemory::reset docs).
     let mut reset_cells = String::new();
-    if !smoke {
-        for (i, &prefix) in [64usize, 1024].iter().enumerate() {
-            let reps = 2_000_000 / prefix;
-            let (fill_s, clear_s) = bench_reset_strategy(prefix, reps);
-            eprintln!(
-                "reset strategy, {prefix}-word prefix: fill(0)-in-place {fill_s:.4}s vs clear+regrow {clear_s:.4}s ({:.2}x)",
-                clear_s / fill_s
-            );
-            if i > 0 {
-                reset_cells.push(',');
-            }
-            reset_cells.push_str(&format!(
-                "\n    {{\"prefix_words\": {prefix}, \"trials\": {reps}, \"fill_in_place_secs\": {fill_s:.4}, \"clear_regrow_secs\": {clear_s:.4}, \"fill_speedup\": {:.3}}}",
-                clear_s / fill_s
-            ));
+    for (i, &prefix) in [64usize, 1024].iter().enumerate() {
+        let reps = 2_000_000 / prefix;
+        let (fill_s, clear_s) = bench_reset_strategy(prefix, reps);
+        eprintln!(
+            "reset strategy, {prefix}-word prefix: fill(0)-in-place {fill_s:.4}s vs clear+regrow {clear_s:.4}s ({:.2}x)",
+            clear_s / fill_s
+        );
+        if i > 0 {
+            reset_cells.push(',');
         }
+        reset_cells.push_str(&format!(
+            "\n    {{\"prefix_words\": {prefix}, \"trials\": {reps}, \"fill_in_place_secs\": {fill_s:.4}, \"clear_regrow_secs\": {clear_s:.4}, \"fill_speedup\": {:.3}}}",
+            clear_s / fill_s
+        ));
     }
 
-    let scaling_close = if scaling.is_empty() { "" } else { "\n    " };
     let json = format!(
-        "{{\n  \"workload\": \"fig1 point: n procs, U(0,2) noise, first-decision cutoff, full trial incl. instance setup\",\n  \"baseline\": \"naive BinaryHeap driver (nc_engine::baseline, seed implementation)\",\n  \"optimized\": \"SoA scratch engine, auto queue (heap < TREE_MIN_N <= tree); best of per-event sequential (PIPELINE_LANES={PIPELINE_LANES}), the DenseRaceMemory plane, the batched core (forced K={BATCH_ABLATION_K}, either plane), and the {lanes}-lane pipelined ablation, one thread\",\n  \"host_cores\": {cores},\n  \"smoke\": {smoke},\n  \"trials_n100\": {trials},\n  \"single_thread\": [{single}\n  ],\n  \"speedup_n100\": {speedup_n100:.3},\n  \"sweep_scaling_n100\": {{\n    \"host_limited\": {host_limited},\n    \"rows\": [{scaling}{scaling_close}]\n  }},\n  \"reset_fill_vs_clear\": [{reset_cells}\n  ],\n  \"notes\": \"Numbers from `cargo run --release -p nc-bench --bin bench_engine`; best-of-{REPEATS} wall time per cell. speedup_sequential isolates the per-event engine without batching or trial pipelining; heap/tree columns are the per-event queue ablation behind TREE_MIN_N; dense_memory is the DenseRaceMemory word-store-plane ablation alone (Sim::memory_backend, event_batch(1)); batched is the micro-batched execution core (forced K={BATCH_ABLATION_K}; the engine default is K=1, batching off, per DEFAULT_EVENT_BATCH's measured docs) on the growable SimMemory plane; specialized_stride is the batched core on the dense plane (the RacePlane scatter/gather fast path); the pipelined column is the K-lane lockstep interleave; reset_fill_vs_clear records why SimMemory::reset ships fill(0)-in-place. sweep_scaling_n100.host_limited = true means the host had 1 core, so the scaling rows carry no parallel-speedup information. On the 1-core reference VM the interleave LOSES (K working sets overflow the VM's cache), so PIPELINE_LANES defaults to 1 there; re-measure --lanes 2..8 on hardware with real per-core cache.\"\n}}\n"
+        "{{\n  \"workload\": \"fig1 point: n procs, U(0,2) noise, first-decision cutoff, full trial incl. instance setup\",\n  \"baseline\": \"naive BinaryHeap driver (nc_engine::baseline, seed implementation)\",\n  \"optimized\": \"SoA scratch engine, auto queue (heap < TREE_MIN_N <= tree); best of the default SimMemory plane and the DenseRaceMemory plane, one thread\",\n  \"host_cores\": {cores},\n  \"trials_n100\": {trials},\n  \"single_thread\": [{single}\n  ],\n  \"speedup_n100\": {speedup_n100:.3},\n  \"sweep_scaling_n100\": {{\n    \"host_limited\": {host_limited},\n    \"rows\": [{scaling}\n    ]\n  }},\n  \"reset_fill_vs_clear\": [{reset_cells}\n  ],\n  \"notes\": \"Numbers from `cargo run --release -p nc-bench --bin bench_engine`; best-of-{REPEATS} wall time per cell. speedup_sequential is the default SimMemory plane alone; heap/tree columns are the queue ablation behind TREE_MIN_N; dense_memory is the DenseRaceMemory word-store plane (Sim::memory_backend); reset_fill_vs_clear records why SimMemory::reset ships fill(0)-in-place. sweep_scaling_n100.host_limited = true means the host had 1 core, so the scaling rows carry no parallel-speedup information.\"\n}}\n"
     );
     let mut file = std::fs::File::create(&out).expect("create output file");
     file.write_all(json.as_bytes()).expect("write json");

@@ -9,13 +9,10 @@
 //! with `n` to keep the event budget laptop-sized (tunable).
 //!
 //! Each point is one [`nc_engine::sim::TrialSet`] sweep: monomorphized
-//! lean trials fan out across the sweep's own worker count, each worker
-//! advancing [`crate::PIPELINE_LANES`] trials in lockstep (software
-//! pipelining; 1 lane — plain sequential trials — on the reference VM,
-//! where the interleave measures as a loss). Per-trial seeds derive
-//! from the trial index alone and lanes share no state, so the sweep is
-//! **bit-for-bit identical** at every `threads` setting and every lane
-//! width (pinned by the determinism regression tests).
+//! lean trials fan out across the sweep's own worker count. Per-trial
+//! seeds derive from the trial index alone, so the sweep is
+//! **bit-for-bit identical** at every `threads` setting (pinned by the
+//! determinism regression tests).
 
 use nc_engine::sim::Sim;
 use nc_engine::{setup, Algorithm, Limits};

@@ -18,7 +18,7 @@
 //! committed golden CSVs (`tests/golden_repro.rs`).
 //!
 //! Engine-driven trial sweeps go through [`nc_engine::sim::TrialSet`]
-//! (which owns scratch pooling, lane pipelining, and worker fan-out);
+//! (which owns scratch pooling and worker fan-out);
 //! the [`par_trials`] / [`par_trial_chunks`] helpers here cover the
 //! non-engine sweeps (renewal races, message-passing runs). In both,
 //! **parallelism is per-call state**: every sweep takes its own worker
@@ -39,7 +39,7 @@ pub mod table;
 
 pub use table::Table;
 
-pub use nc_engine::sim::{par_spans, resolve_threads, PIPELINE_LANES};
+pub use nc_engine::sim::{par_spans, resolve_threads};
 
 /// Runs `trials` independent trial computations across `threads`
 /// workers (0 = all cores), returning the results **in trial order**.

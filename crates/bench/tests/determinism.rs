@@ -111,46 +111,6 @@ fn builder_lean_fast_path_matches_baseline_boxed_instances() {
 }
 
 #[test]
-fn pipelined_sweep_is_bitwise_identical_across_lane_widths() {
-    // The software-pipelined sweep (K trials interleaved per worker)
-    // must be invisible in the results: full RunReports identical for
-    // every lane width, including the non-interleaved width 1 — and
-    // that at several worker counts, so pipelining composes with the
-    // thread-fan-out contract.
-    let timing = TimingModel::figure1(Noise::Uniform { lo: 0.0, hi: 2.0 });
-    let inputs = setup::half_and_half(12);
-    let sweep = |threads: usize, lanes: usize| -> Vec<nc_engine::RunReport> {
-        Sim::new(setup::Algorithm::Lean)
-            .inputs(inputs.clone())
-            .timing(timing.clone())
-            .limits(Limits::first_decision())
-            .trials(48)
-            .seed0(7000)
-            .seed_stride(11)
-            .threads(threads)
-            .lanes(lanes)
-            .reports()
-    };
-    let reference = sweep(1, 1);
-    for threads in [1usize, 4] {
-        for lanes in [1usize, 2, 4, 7] {
-            assert_eq!(
-                sweep(threads, lanes),
-                reference,
-                "sweep diverged at {threads} workers × {lanes} lanes"
-            );
-        }
-    }
-    // And the reference itself matches the serial baseline engine.
-    for (t, report) in reference.iter().enumerate() {
-        let seed = 7000 + t as u64 * 11;
-        let mut inst = setup::build(setup::Algorithm::Lean, &inputs, seed);
-        let naive = run_noisy_baseline(&mut inst, &timing, seed, Limits::first_decision());
-        assert_eq!(*report, naive, "trial {t}");
-    }
-}
-
-#[test]
 fn concurrent_sweeps_with_different_worker_counts_do_not_interfere() {
     // The scenario that forced the old process-global thread knob to be
     // mutex-serialized: two sweeps running at the same time with

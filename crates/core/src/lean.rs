@@ -11,15 +11,12 @@
 //! implements the unoptimized algorithm; [`crate::skipping`] implements
 //! the warned-against variant for the ablation experiment.
 //!
-//! Internally the state machine is a packed, table-driven [`LeanHot`]:
+//! Internally the state machine is a packed, table-driven `LeanHot`:
 //! the four-operation round is encoded as two four-entry offset tables
 //! (address = `base + 2·round + bias[phase] + pref_weight[phase]·pref`)
 //! and a branchless phase/preference/round update, so the per-operation
 //! step compiles to straight-line arithmetic with no `Option` plumbing
-//! and no unpredictable phase match. The engine's batched executor
-//! borrows this representation wholesale via
-//! [`ProtocolCore::lean_hot`] to keep K in-flight processes' hot state
-//! in one contiguous array.
+//! and no unpredictable phase match.
 
 use std::fmt;
 
@@ -54,16 +51,12 @@ const NEXT_PHASE: [u8; 4] = [PH_READ_A1, PH_WRITE, PH_READ_PREV_RIVAL, PH_READ_A
 /// Packed hot-path state of one lean-consensus process: the entire
 /// per-operation step as table lookups and conditional moves.
 ///
-/// This is the representation [`LeanConsensus`] runs on, and the one the
-/// engine's batched executor checks out via [`ProtocolCore::lean_hot`] /
-/// [`ProtocolCore::lean_hot_restore`] so K processes' state lives in one
-/// dense array while a micro-batch is in flight. Invariants the packed
-/// form maintains (and callers must not break, which is why the fields
-/// are private): `phase ≤ 4`, `pref ∈ {0, 1}`, `round ≥ 1`, and the
-/// address of every pending operation is `≥ base` (the phase-3 read of
-/// round `r` targets `2(r-1) + (1-p) ≥ 0`).
+/// This is the representation [`LeanConsensus`] runs on. Invariants the
+/// packed form maintains: `phase ≤ 4`, `pref ∈ {0, 1}`, `round ≥ 1`,
+/// and the address of every pending operation is `≥ base` (the phase-3
+/// read of round `r` targets `2(r-1) + (1-p) ≥ 0`).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct LeanHot {
+struct LeanHot {
     /// Shared-memory operations completed so far.
     ops: u64,
     /// Current round `r ≥ 1`.
@@ -99,7 +92,7 @@ impl LeanHot {
     /// never writes anything else. Must not be called on a decided
     /// process.
     #[inline(always)]
-    pub fn op_addr(&self) -> (usize, bool) {
+    fn op_addr(&self) -> (usize, bool) {
         let p = self.phase as usize;
         debug_assert!(p < PH_DONE as usize, "op_addr on a decided process");
         let off = 2 * self.round as i64 + ADDR_BIAS[p] + ADDR_PREF[p] * i64::from(self.pref);
@@ -114,7 +107,7 @@ impl LeanHot {
     /// conditional move keyed on the phase index, so the engine's hot
     /// loop carries no unpredictable phase branch.
     #[inline(always)]
-    pub fn advance(&mut self, read_value: Word) -> bool {
+    fn advance(&mut self, read_value: Word) -> bool {
         debug_assert!(self.phase < PH_DONE, "advance called on a decided process");
         let p = self.phase;
         let set = (read_value != 0) as u8;
@@ -140,25 +133,25 @@ impl LeanHot {
 
     /// Whether this process has decided.
     #[inline(always)]
-    pub fn is_decided(&self) -> bool {
+    fn is_decided(&self) -> bool {
         self.phase == PH_DONE
     }
 
     /// Current round (the decision round once decided).
     #[inline(always)]
-    pub fn round(&self) -> usize {
+    fn round(&self) -> usize {
         self.round as usize
     }
 
     /// Current preference (the decision value once decided).
     #[inline(always)]
-    pub fn preference(&self) -> Bit {
+    fn preference(&self) -> Bit {
         Bit::from_word(Word::from(self.pref))
     }
 
     /// Shared-memory operations completed so far.
     #[inline(always)]
-    pub fn ops_completed(&self) -> u64 {
+    fn ops_completed(&self) -> u64 {
         self.ops
     }
 }
@@ -269,15 +262,6 @@ impl ProtocolCore for LeanConsensus {
 
     fn ops_completed(&self) -> u64 {
         self.hot.ops_completed()
-    }
-
-    fn lean_hot(&self) -> Option<LeanHot> {
-        Some(self.hot)
-    }
-
-    fn lean_hot_restore(&mut self, hot: LeanHot) {
-        debug_assert_eq!(hot.base, self.hot.base, "lean_hot_restore layout mismatch");
-        self.hot = hot;
     }
 }
 
@@ -522,58 +506,7 @@ mod tests {
     }
 
     #[test]
-    fn lean_hot_checkout_matches_in_place_stepping() {
-        // The engine's batched executor checks the packed state out with
-        // lean_hot(), drives it directly against the memory words via
-        // op_addr()/advance(), and restores it with lean_hot_restore().
-        // Pin that external drive to the in-place status()/advance()
-        // protocol, op for op, over a nontrivial multi-process run.
-        let inputs = [Bit::Zero, Bit::One, Bit::One, Bit::Zero, Bit::One];
-        let (mut mem_a, _, mut procs_a) = setup(&inputs);
-        let (mut mem_b, _, mut procs_b) = setup(&inputs);
-        for step_no in 0..400 {
-            let pid = (step_no * 7 + step_no / 3) % inputs.len();
-            let a = &mut procs_a[pid];
-            if let Status::Pending(op) = a.status() {
-                let observed = mem_a.exec(op);
-                a.advance_status(observed);
-            }
-            let b = &mut procs_b[pid];
-            let mut hot = b.lean_hot().expect("lean exports hot state");
-            if !hot.is_decided() {
-                let (offset, is_write) = hot.op_addr();
-                let addr = Addr::new(offset);
-                let v = if is_write {
-                    mem_b.write(addr, Bit::One.word());
-                    0
-                } else {
-                    mem_b.read(addr)
-                };
-                let decided = hot.advance(v);
-                assert_eq!(decided, hot.is_decided());
-            }
-            b.lean_hot_restore(hot);
-            assert_eq!(
-                procs_a[pid].status(),
-                procs_b[pid].status(),
-                "step {step_no}"
-            );
-            assert_eq!(procs_a[pid].round(), procs_b[pid].round());
-            assert_eq!(procs_a[pid].preference(), procs_b[pid].preference());
-            assert_eq!(procs_a[pid].ops_completed(), procs_b[pid].ops_completed());
-            for off in 0..32 {
-                let addr = nc_memory::Addr::new(off);
-                assert_eq!(mem_a.peek(addr), mem_b.peek(addr), "addr {off}");
-            }
-        }
-        assert!(
-            procs_a.iter().any(|p| p.status().decision().is_some()),
-            "exercise must reach decisions"
-        );
-    }
-
-    #[test]
-    fn lean_hot_addressing_matches_status_ops() {
+    fn packed_addressing_matches_status_ops() {
         // op_addr()'s table-driven stride-2 addressing must agree with
         // the Op surfaced by status() in every phase, for layouts at
         // nonzero bases too.
@@ -586,8 +519,7 @@ mod tests {
                 let Status::Pending(op) = p.status() else {
                     break;
                 };
-                let hot = p.lean_hot().unwrap();
-                let (offset, is_write) = hot.op_addr();
+                let (offset, is_write) = p.hot.op_addr();
                 match op {
                     Op::Read(a) => {
                         assert!(!is_write);

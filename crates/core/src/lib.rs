@@ -86,7 +86,7 @@ pub mod threaded;
 
 pub use bounded::BoundedLean;
 pub use id::IdConsensus;
-pub use lean::{LeanConsensus, LeanHot};
+pub use lean::LeanConsensus;
 pub use protocol::{run_random_interleave, run_round_robin, step, Protocol, ProtocolCore, Status};
 pub use randomized::RandomizedLean;
 pub use skipping::SkippingLean;

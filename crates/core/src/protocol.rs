@@ -117,35 +117,6 @@ pub trait ProtocolCore: fmt::Debug {
 
     /// Total shared-memory operations this machine has completed.
     fn ops_completed(&self) -> u64;
-
-    /// Checks out this machine's packed lean-consensus hot state
-    /// ([`crate::LeanHot`]), if it has one.
-    ///
-    /// The discrete-event engine's batched executor drives K processes
-    /// at a time from one contiguous array of packed states instead of
-    /// dispatching into each protocol object per event. A protocol that
-    /// returns `Some` promises that driving the returned
-    /// [`LeanHot`](crate::LeanHot) via
-    /// [`LeanHot::op_addr`](crate::LeanHot::op_addr) /
-    /// [`LeanHot::advance`](crate::LeanHot::advance) performs exactly the
-    /// operations `status()`/`advance` would, and that
-    /// [`ProtocolCore::lean_hot_restore`] makes the object
-    /// indistinguishable from having been stepped in place. The default
-    /// (`None`) routes the protocol through the engine's per-event
-    /// loops.
-    #[inline]
-    fn lean_hot(&self) -> Option<crate::LeanHot> {
-        None
-    }
-
-    /// Restores state previously checked out with
-    /// [`ProtocolCore::lean_hot`] (advanced zero or more steps by an
-    /// external driver). No-op by default; drivers only call it when
-    /// `lean_hot()` returned `Some`.
-    #[inline]
-    fn lean_hot_restore(&mut self, hot: crate::LeanHot) {
-        let _ = hot;
-    }
 }
 
 /// A consensus protocol runnable against the word-store plane `M`.
@@ -215,14 +186,6 @@ impl<P: ProtocolCore + ?Sized> ProtocolCore for Box<P> {
 
     fn ops_completed(&self) -> u64 {
         (**self).ops_completed()
-    }
-
-    fn lean_hot(&self) -> Option<crate::LeanHot> {
-        (**self).lean_hot()
-    }
-
-    fn lean_hot_restore(&mut self, hot: crate::LeanHot) {
-        (**self).lean_hot_restore(hot)
     }
 }
 

@@ -7,8 +7,8 @@
 //! [`MemStore`]) and deterministic value-fault injection
 //! ([`sim::Sim::value_faults`]) — then either run seeds one at a time
 //! through a reusable [`sim::SimRun`] handle or sweep thousands of
-//! trials through a [`sim::TrialSet`] (which owns scratch pooling,
-//! lockstep trial pipelining, and per-call worker fan-out):
+//! trials through a [`sim::TrialSet`] (which owns scratch pooling and
+//! per-call worker fan-out):
 //!
 //! * [`sim::Sim::timing`] — the noisy-scheduling model (§3.1):
 //!   operation times follow `S'_ij = Δ_i0 + Σ (Δ_ij + X_ij + H_ij)`
@@ -32,8 +32,8 @@
 //! safety lemmas checkable via [`report::RunReport::check_safety`].
 //!
 //! Beneath the builder sit the public drive internals
-//! ([`noisy::drive_noisy`], [`noisy::drive_noisy_batch`],
-//! [`adversarial::drive_adversarial`], [`hybrid::drive_hybrid`]);
+//! ([`noisy::drive_noisy`], [`adversarial::drive_adversarial`],
+//! [`hybrid::drive_hybrid`]);
 //! `tests/sim_equivalence.rs` pins the builder bit-for-bit against
 //! them. (The pre-builder `run_*` wrappers, deprecated since the `Sim`
 //! redesign, are gone — see the migration table in

@@ -17,7 +17,7 @@
 //! # Throughput design
 //!
 //! Figure 1 alone needs up to 10 000 trials per point, so this loop is
-//! the workspace's hottest code. Five optimizations over the naive
+//! the workspace's hottest code. Four optimizations over the naive
 //! driver (kept verbatim in [`crate::baseline`] and pinned equal by the
 //! equivalence tests):
 //!
@@ -48,32 +48,6 @@
 //!    hoisting the distribution match and parameter validation out of
 //!    the per-event path. Each process owns its stream, so batching
 //!    cannot change any consumed value.
-//! 5. **Software-pipelined trial interleaving ([`drive_noisy_batch`])** —
-//!    a worker advances K independent trials in lockstep, one event
-//!    each per turn. The trials share no state, so their queue walks
-//!    and protocol steps form K independent dependency chains the core
-//!    can overlap: while one lane's queue pop waits on a cache miss,
-//!    the other lanes' work fills the pipeline. Per-trial results are
-//!    bit-identical to sequential execution by construction.
-//! 6. **Batched execution core** — when every protocol in the instance
-//!    exposes its [`nc_core::LeanHot`] lane, the driver pops
-//!    *micro-batches* of up to K schedule-safe events per queue
-//!    round-trip instead of one: a horizon rule proves which prefix of
-//!    the queue must execute before any in-flight successor can
-//!    intervene, the K packed state machines then step back-to-back
-//!    (branchless table-driven round advance, direct dense-plane
-//!    addressing when the store exposes a [`nc_memory::RacePlane`]),
-//!    and the successors scatter back in one re-key
-//!    ([`nc_sched::SimQueue::insert_batch`]). Batching changes only how
-//!    the schedule is *driven*, never the schedule itself — see
-//!    `step_batch` for the argument, and the batched differential
-//!    matrix in `tests/soa_equivalence.rs` for the pin. K is
-//!    [`EngineScratch::set_event_batch`] / `Sim::event_batch`; the
-//!    default is [`DEFAULT_EVENT_BATCH`] = 1 — per-event — because on
-//!    the reference VM the selector's pop + insert queue traffic beats
-//!    the hold re-key only from n ≳ 8000 (measured K-selection guidance
-//!    in the constant's docs; under `Auto`, batching also moves the
-//!    queue cut to [`nc_sched::select::TREE_MIN_N_BATCHED`]).
 //!
 //! The common-case loop (`loop_fast`, taken when there is no crash
 //! adversary, no history recording, and no random failures) executes
@@ -81,13 +55,12 @@
 //! (monomorphizable) call per event instead of the naive driver's four
 //! virtual dispatches — and carries no per-event `Option` checks at
 //! all. Everything else takes `loop_general`. Equal inputs produce
-//! bit-identical reports on either path, with either queue, at any
-//! pipeline width.
+//! bit-identical reports on either path, with either queue.
 
 use rand::rngs::SmallRng;
 
-use nc_core::{LeanHot, Protocol, Status};
-use nc_memory::{Addr, Bit, Event, MemStore, Op, OpKind, RacePlane, Word};
+use nc_core::{Protocol, Status};
+use nc_memory::{Event, MemStore, Op, OpKind};
 use nc_sched::adversary::{CrashAdversary, ProcView};
 use nc_sched::queue::Event as QueuedEvent;
 use nc_sched::rng::salts;
@@ -103,40 +76,6 @@ use crate::setup::Instance;
 /// so 16 amortizes the dispatch well without over-drawing much for
 /// processes that stop early.
 pub const NOISE_BATCH: usize = 16;
-
-/// Events each pipeline lane executes before [`drive_noisy_batch`]
-/// rotates to the next lane.
-///
-/// The granularity trade: rotating every event maximizes chain overlap
-/// but destroys the per-lane locality (queue top in L1, protocol state
-/// in registers) that the sequential loop exploits — measured 30-45%
-/// *slower* than sequential on the reference VM. Bursts amortize the
-/// lane switch and keep intra-lane locality while the lanes' working
-/// sets still interleave in cache over the run.
-pub const PIPELINE_BURST: u32 = 64;
-
-/// Default micro-batch size K for the batched execution core
-/// ([`EngineScratch::set_event_batch`], `Sim::event_batch`): **1** —
-/// batching is off by default, a measured choice.
-///
-/// The batched selector must replace the hold re-key (one in-place
-/// root replacement per event) with a pop + insert per event, and on
-/// the reference VM that queue traffic costs more than the batch's
-/// straight-line execution wins back: `bench_engine --probe` measures
-/// forced K ∈ {2..64} at 15-21M events/s against ~25M for the
-/// per-event loop at n = 100, on every queue and both memory planes.
-///
-/// K > 1 starts paying once heap holds get deep enough that pop +
-/// insert stops being the bottleneck: at n = 8192 the probe measures
-/// the batched heap ~17% *faster* than the per-event heap (11.5M vs
-/// 9.8M events/s at K = 16). Guidance: keep the default below a few
-/// thousand processes; try K = 4..16 at n ≳ 8000 (with
-/// [`QueuePolicy::Auto`], batching also re-biases the queue cut — see
-/// [`nc_sched::select::TREE_MIN_N_BATCHED`]). The batch is cut early
-/// whenever the schedule requires it (`step_batch`'s horizon rule), so
-/// K is an upper bound, not a promise, and any K produces bit-identical
-/// reports (pinned by the `soa_equivalence` batched matrix).
-pub const DEFAULT_EVENT_BATCH: usize = 1;
 
 /// The per-event scalars of one process, packed to 32 bytes so two
 /// processes share a cache line (the old array-of-structs `ProcState`
@@ -311,53 +250,6 @@ impl ProcSoA {
         h.clock += timing.delay.delta(pid, op_index) + x;
         h.clock
     }
-
-    /// The time [`ProcSoA::hold_advance`] *would* move `pid`'s clock to,
-    /// **without** consuming anything — the batched selector's horizon
-    /// probe.
-    ///
-    /// Refills the noise stripe exactly like [`ProcSoA::next_noise`]
-    /// when it is empty (so the value peeked here is the value a later
-    /// `hold_advance` consumes), but leaves the cursor, the operation
-    /// index, and the clock untouched. Refilling early is unobservable:
-    /// each process owns its stream, so *when* a stripe refills cannot
-    /// change which values it yields.
-    #[inline]
-    fn peek_succ_time(&mut self, pid: usize, timing: &TimingModel, noise: &Noise) -> f64 {
-        let base = pid * NOISE_BATCH;
-        let h = &mut self.hot[pid];
-        if h.buf_pos == h.buf_len {
-            let fill = h.next_fill as usize;
-            noise.fill(
-                &mut self.rng_noise[pid],
-                &mut self.noise_buf[base..base + fill],
-            );
-            h.buf_pos = 0;
-            h.buf_len = fill as u8;
-            h.next_fill = (h.next_fill * 2).min(NOISE_BATCH as u8);
-        }
-        let x = self.noise_buf[base + h.buf_pos as usize];
-        // Same shape as `hold_advance`'s `clock += delta + x` (delta and
-        // x are summed first), so the peeked time is bit-identical to
-        // the successor time the execution will schedule.
-        h.clock + (timing.delay.delta(pid, h.next_op) + x)
-    }
-
-    /// Commits the hold bookkeeping for a successor whose time was
-    /// already computed by [`ProcSoA::peek_succ_time`] in this batch:
-    /// counts the op, consumes the peeked noise value (the peek
-    /// guaranteed the stripe cursor is in range), and jumps the clock
-    /// to the peeked time. Bit-identical to [`ProcSoA::hold_advance`]
-    /// — the peek evaluated the same `clock + (delta + x)` expression —
-    /// minus the recomputation of the delay and the noise sample.
-    #[inline]
-    fn hold_commit(&mut self, pid: usize, succ_time: f64) {
-        let h = &mut self.hot[pid];
-        h.ops += 1;
-        h.next_op += 1;
-        h.buf_pos += 1;
-        h.clock = succ_time;
-    }
 }
 
 /// Reusable engine working memory: the struct-of-arrays process state
@@ -366,9 +258,9 @@ impl ProcSoA {
 ///
 /// Constructing these per trial is pure allocator churn at sweep scale;
 /// a [`crate::sim::SimRun`] keeps one `EngineScratch` (and a
-/// [`crate::sim::TrialSet`] keeps one per worker, or one per pipeline
-/// lane) and reuses it for every trial. Reuse never leaks state between
-/// trials: every field is re-seeded from the trial's own seed.
+/// [`crate::sim::TrialSet`] keeps one per worker span) and reuses it for
+/// every trial. Reuse never leaks state between trials: every field is
+/// re-seeded from the trial's own seed.
 ///
 /// The queue implementation is chosen per run by the scratch's
 /// [`QueuePolicy`] (default [`QueuePolicy::Auto`]: heap at small `n`,
@@ -376,43 +268,13 @@ impl ProcSoA {
 /// [`EngineScratch::with_queue`] for differential tests and ablations
 /// (the builder exposes this as [`crate::sim::Sim::queue_policy`]).
 /// The choice never affects results.
+#[derive(Default)]
 pub struct EngineScratch {
     soa: ProcSoA,
     heap: EventQueue,
     tree: EventTree,
     policy: QueuePolicy,
     decision_rounds: Vec<Option<usize>>,
-    /// Micro-batch size K for the batched execution core (see the
-    /// module docs); 1 forces the legacy per-event fast loop.
-    batch: usize,
-    /// Checked-out per-process [`LeanHot`] lanes while the batched loop
-    /// owns them (empty between runs).
-    lean_hot: Vec<LeanHot>,
-    /// Staging for the events accepted into the current micro-batch.
-    stage_events: Vec<QueuedEvent>,
-    /// Staging for the successor events the batch scatters back.
-    stage_succs: Vec<QueuedEvent>,
-    /// Staging for the successor times peeked during batch selection
-    /// (parallel to `stage_events`), so execution commits the already
-    /// computed time instead of re-deriving delay + noise.
-    stage_succ_times: Vec<f64>,
-}
-
-impl Default for EngineScratch {
-    fn default() -> Self {
-        EngineScratch {
-            soa: ProcSoA::default(),
-            heap: EventQueue::new(),
-            tree: EventTree::new(),
-            policy: QueuePolicy::default(),
-            decision_rounds: Vec::new(),
-            batch: DEFAULT_EVENT_BATCH,
-            lean_hot: Vec::new(),
-            stage_events: Vec::new(),
-            stage_succs: Vec::new(),
-            stage_succ_times: Vec::new(),
-        }
-    }
 }
 
 impl std::fmt::Debug for EngineScratch {
@@ -451,20 +313,6 @@ impl EngineScratch {
         self.policy = policy;
     }
 
-    /// The micro-batch size K the batched execution core targets
-    /// (default [`DEFAULT_EVENT_BATCH`]).
-    pub fn event_batch(&self) -> usize {
-        self.batch
-    }
-
-    /// Sets the micro-batch size K (clamped to at least 1; `1` disables
-    /// batching and takes the legacy per-event fast loop). Purely a
-    /// performance knob: every K produces bit-identical reports, pinned
-    /// by the batched equivalence suite.
-    pub fn set_event_batch(&mut self, k: usize) {
-        self.batch = k.max(1);
-    }
-
     /// Re-seeds every buffer for a fresh `n`-process trial.
     fn reset(&mut self, n: usize, seed: u64, timing: &TimingModel) {
         self.soa.reset(n, seed, timing);
@@ -501,50 +349,6 @@ pub fn drive_noisy<M: MemStore, P: Protocol<M>>(
     crash: Option<&mut dyn CrashAdversary>,
     history: Option<&mut Vec<Event>>,
 ) -> RunReport {
-    let plan = BatchPlan::Fixed(scratch.batch);
-    drive_noisy_inner(scratch, inst, timing, seed, limits, crash, history, plan)
-}
-
-/// [`drive_noisy`] with a caller-supplied micro-batch plan: `plan` is
-/// consulted before every micro-batch and returns the target K for that
-/// batch (clamped to at least 1).
-///
-/// This is the batched core's adversarial test hook — the equivalence
-/// suite drives runs with *randomly varying* K and checks the reports
-/// are bit-identical to sequential execution. It is not a tuning
-/// interface; use [`EngineScratch::set_event_batch`] (or
-/// `Sim::event_batch`) for that.
-pub fn drive_noisy_with_batch_plan<M: MemStore, P: Protocol<M>>(
-    scratch: &mut EngineScratch,
-    inst: &mut Instance<P, M>,
-    timing: &TimingModel,
-    seed: u64,
-    limits: Limits,
-    plan: &mut dyn FnMut() -> usize,
-) -> RunReport {
-    drive_noisy_inner(
-        scratch,
-        inst,
-        timing,
-        seed,
-        limits,
-        None,
-        None,
-        BatchPlan::Dyn(plan),
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn drive_noisy_inner<M: MemStore, P: Protocol<M>>(
-    scratch: &mut EngineScratch,
-    inst: &mut Instance<P, M>,
-    timing: &TimingModel,
-    seed: u64,
-    limits: Limits,
-    crash: Option<&mut dyn CrashAdversary>,
-    history: Option<&mut Vec<Event>>,
-    mut plan: BatchPlan<'_>,
-) -> RunReport {
     let n = inst.procs.len();
     scratch.reset(n, seed, timing);
     // Batched draws need one distribution for all op kinds; with
@@ -569,25 +373,13 @@ fn drive_noisy_inner<M: MemStore, P: Protocol<M>>(
         tree,
         policy,
         decision_rounds,
-        lean_hot,
-        stage_events,
-        stage_succs,
-        stage_succ_times,
-        ..
     } = scratch;
-    let mut stage = Stage {
-        lean_hot,
-        events: stage_events,
-        succs: stage_succs,
-        succ_times: stage_succ_times,
-    };
-    let out = match policy.kind_for_batch(n, plan.queue_bias()) {
+    let out = match policy.kind_for(n) {
         QueueKind::Heap => {
             heap.prepare(n);
             drive(
                 soa,
                 decision_rounds,
-                &mut stage,
                 heap,
                 inst,
                 timing,
@@ -596,7 +388,6 @@ fn drive_noisy_inner<M: MemStore, P: Protocol<M>>(
                 limits,
                 crash,
                 history,
-                &mut plan,
             )
         }
         QueueKind::Tree => {
@@ -604,7 +395,6 @@ fn drive_noisy_inner<M: MemStore, P: Protocol<M>>(
             drive(
                 soa,
                 decision_rounds,
-                &mut stage,
                 tree,
                 inst,
                 timing,
@@ -613,222 +403,10 @@ fn drive_noisy_inner<M: MemStore, P: Protocol<M>>(
                 limits,
                 crash,
                 history,
-                &mut plan,
             )
         }
     };
     assemble_report(soa, decision_rounds, inst, out)
-}
-
-/// Runs K independent trials in lockstep on one thread — the
-/// software-pipelined trial interleave (see the module docs) behind
-/// [`crate::sim::TrialSet`]'s `lanes` knob.
-///
-/// Lane `i` runs `insts[i]` with `seeds[i]` through `scratches[i]`;
-/// every turn advances each unfinished lane by exactly one event, so
-/// the K lanes' dependency chains overlap in the core's pipeline.
-/// Returns the lanes' reports in order. Each report is **bit-identical**
-/// to what [`drive_noisy`] would produce for that lane alone — lanes
-/// share no state, so interleaving cannot affect results (pinned by the
-/// equivalence suite).
-///
-/// Configurations outside the fast path (per-kind noise distributions
-/// or random halting failures) fall back to running the lanes
-/// sequentially through the general driver, preserving the same
-/// per-lane results.
-///
-/// # Panics
-///
-/// Panics if the three slices differ in length.
-pub fn drive_noisy_batch<M: MemStore, P: Protocol<M>>(
-    scratches: &mut [EngineScratch],
-    insts: &mut [Instance<P, M>],
-    timing: &TimingModel,
-    seeds: &[u64],
-    limits: Limits,
-) -> Vec<RunReport> {
-    let k = insts.len();
-    assert_eq!(scratches.len(), k, "one scratch per lane");
-    assert_eq!(seeds.len(), k, "one seed per lane");
-    let fast_eligible = matches!(timing.failures, FailureModel::None);
-    let Some(noise) = timing
-        .noise
-        .uniform_kind()
-        .copied()
-        .filter(|_| fast_eligible)
-    else {
-        return scratches
-            .iter_mut()
-            .zip(insts.iter_mut())
-            .zip(seeds)
-            .map(|((s, i), &seed)| drive_noisy(s, i, timing, seed, limits, None, None))
-            .collect();
-    };
-
-    struct Lane {
-        kind: QueueKind,
-        seq: u64,
-        out: LoopOut,
-        done: bool,
-        /// Whether this lane runs the batched core (lean-hot protocols
-        /// with a batch size above 1) instead of per-event stepping.
-        hot: bool,
-    }
-    let mut lanes: Vec<Lane> = Vec::with_capacity(k);
-    for i in 0..k {
-        let n = insts[i].procs.len();
-        scratches[i].reset(n, seeds[i], timing);
-        let kind = scratches[i].policy.kind_for_batch(n, scratches[i].batch);
-        let EngineScratch {
-            soa,
-            heap,
-            tree,
-            lean_hot,
-            batch,
-            ..
-        } = &mut scratches[i];
-        let seq = match kind {
-            QueueKind::Heap => {
-                heap.prepare(n);
-                prime(soa, heap, &mut insts[i], timing, Some(&noise))
-            }
-            QueueKind::Tree => {
-                tree.prepare(n);
-                prime(soa, tree, &mut insts[i], timing, Some(&noise))
-            }
-        };
-        let hot = *batch > 1 && load_lean_hot(lean_hot, &insts[i]);
-        lanes.push(Lane {
-            kind,
-            seq,
-            out: LoopOut::default(),
-            done: false,
-            hot,
-        });
-    }
-
-    // Lockstep advance: a burst of events per unfinished lane per
-    // turn. Burst granularity keeps each lane's queue top and protocol
-    // state hot across consecutive events (single-event interleave
-    // measured ~30-45% slower on the reference VM — switching lanes
-    // every event throws away exactly the locality the sequential loop
-    // lives on), while still rotating lanes often enough that their
-    // independent miss chains overlap in the memory subsystem. The
-    // per-lane queue-kind branch is perfectly predictable (it never
-    // changes within a run).
-    let mut live = k;
-    while live > 0 {
-        for i in 0..k {
-            let lane = &mut lanes[i];
-            if lane.done {
-                continue;
-            }
-            let EngineScratch {
-                soa,
-                heap,
-                tree,
-                decision_rounds,
-                lean_hot,
-                stage_events,
-                stage_succs,
-                stage_succ_times,
-                batch,
-                ..
-            } = &mut scratches[i];
-            let mut more = true;
-            if lane.hot {
-                // Batched lane: burst granularity is measured in
-                // executed events (ops delta), so batched and per-event
-                // lanes rotate at the same cadence.
-                let kmax = *batch;
-                let mut stage = Stage {
-                    lean_hot,
-                    events: stage_events,
-                    succs: stage_succs,
-                    succ_times: stage_succ_times,
-                };
-                let start_ops = lane.out.total_ops;
-                while more && lane.out.total_ops - start_ops < u64::from(PIPELINE_BURST) {
-                    more = match lane.kind {
-                        QueueKind::Heap => step_batch(
-                            soa,
-                            decision_rounds,
-                            &mut stage,
-                            heap,
-                            &mut insts[i],
-                            timing,
-                            &noise,
-                            &mut lane.seq,
-                            limits,
-                            kmax,
-                            &mut lane.out,
-                        ),
-                        QueueKind::Tree => step_batch(
-                            soa,
-                            decision_rounds,
-                            &mut stage,
-                            tree,
-                            &mut insts[i],
-                            timing,
-                            &noise,
-                            &mut lane.seq,
-                            limits,
-                            kmax,
-                            &mut lane.out,
-                        ),
-                    };
-                }
-            } else {
-                for _ in 0..PIPELINE_BURST {
-                    more = match lane.kind {
-                        QueueKind::Heap => step_fast(
-                            soa,
-                            decision_rounds,
-                            heap,
-                            &mut insts[i],
-                            timing,
-                            &noise,
-                            &mut lane.seq,
-                            limits,
-                            &mut lane.out,
-                        ),
-                        QueueKind::Tree => step_fast(
-                            soa,
-                            decision_rounds,
-                            tree,
-                            &mut insts[i],
-                            timing,
-                            &noise,
-                            &mut lane.seq,
-                            limits,
-                            &mut lane.out,
-                        ),
-                    };
-                    if !more {
-                        break;
-                    }
-                }
-            }
-            if !more {
-                if lane.hot {
-                    restore_lean_hot(lean_hot, &mut insts[i]);
-                }
-                lane.done = true;
-                live -= 1;
-            }
-        }
-    }
-
-    (0..k)
-        .map(|i| {
-            assemble_report(
-                &scratches[i].soa,
-                &scratches[i].decision_rounds,
-                &insts[i],
-                std::mem::take(&mut lanes[i].out),
-            )
-        })
-        .collect()
 }
 
 /// What a driver loop observed; the caller folds it into a `RunReport`.
@@ -839,87 +417,6 @@ struct LoopOut {
     first_decision_round: Option<usize>,
     first_decision_time: Option<f64>,
     outcome: Option<RunOutcome>,
-}
-
-/// How the driver picks the target micro-batch size K before each
-/// micro-batch of the batched loop.
-enum BatchPlan<'a> {
-    /// The same K every batch ([`EngineScratch::event_batch`]); `1`
-    /// disables batching and takes the legacy per-event loop.
-    Fixed(usize),
-    /// Ask a closure before every batch — the equivalence suite's
-    /// random-K adversary ([`drive_noisy_with_batch_plan`]).
-    Dyn(&'a mut dyn FnMut() -> usize),
-}
-
-impl BatchPlan<'_> {
-    /// Target size for the next micro-batch (at least 1).
-    #[inline]
-    fn next(&mut self) -> usize {
-        match self {
-            BatchPlan::Fixed(k) => *k,
-            BatchPlan::Dyn(f) => f().max(1),
-        }
-    }
-
-    /// Whether this plan ever asks for batches above size 1.
-    fn wants_batching(&self) -> bool {
-        !matches!(self, BatchPlan::Fixed(0 | 1))
-    }
-
-    /// The batch size [`QueuePolicy::kind_for_batch`] should bias the
-    /// auto queue cut with. A dynamic plan counts as batched — the
-    /// choice only affects speed, never results, so any bias is sound.
-    fn queue_bias(&self) -> usize {
-        match self {
-            BatchPlan::Fixed(k) => *k,
-            BatchPlan::Dyn(_) => 2,
-        }
-    }
-}
-
-/// The batched core's staging buffers (owned by [`EngineScratch`],
-/// borrowed for one run), grouped so the loop plumbing stays readable.
-struct Stage<'a> {
-    /// Checked-out per-process [`LeanHot`] lanes (pid-indexed).
-    lean_hot: &'a mut Vec<LeanHot>,
-    /// Events accepted into the current micro-batch, in pop order.
-    events: &'a mut Vec<QueuedEvent>,
-    /// Successor events to scatter back, in execution order (the last
-    /// event's successor is held out for the re-key shortcut).
-    succs: &'a mut Vec<QueuedEvent>,
-    /// Peeked successor time per accepted event (parallel to `events`):
-    /// the exact time [`ProcSoA::hold_commit`] jumps the clock to.
-    succ_times: &'a mut Vec<f64>,
-}
-
-/// Checks out every process's [`LeanHot`] lane into `out` (pid-indexed).
-/// Returns `false` — leaving `out` in an unspecified state — if any
-/// process is not a lean-consensus instance, in which case the caller
-/// must fall back to the generic loop.
-fn load_lean_hot<M: MemStore, P: Protocol<M>>(
-    out: &mut Vec<LeanHot>,
-    inst: &Instance<P, M>,
-) -> bool {
-    out.clear();
-    out.reserve(inst.procs.len());
-    for p in &inst.procs {
-        match p.lean_hot() {
-            Some(h) => out.push(h),
-            None => return false,
-        }
-    }
-    true
-}
-
-/// Writes the checked-out [`LeanHot`] lanes back into the protocol
-/// objects, making them indistinguishable from having been stepped in
-/// place. Must run before [`assemble_report`] (which reads the procs'
-/// decisions and rounds).
-fn restore_lean_hot<M: MemStore, P: Protocol<M>>(lean_hot: &[LeanHot], inst: &mut Instance<P, M>) {
-    for (p, h) in inst.procs.iter_mut().zip(lean_hot) {
-        p.lean_hot_restore(*h);
-    }
 }
 
 /// Primes the queue with each process's first operation; returns the
@@ -955,7 +452,6 @@ fn prime<M: MemStore, P: Protocol<M>, Q: SimQueue>(
 fn drive<M: MemStore, P: Protocol<M>, Q: SimQueue>(
     soa: &mut ProcSoA,
     decision_rounds: &mut [Option<usize>],
-    stage: &mut Stage<'_>,
     queue: &mut Q,
     inst: &mut Instance<P, M>,
     timing: &TimingModel,
@@ -964,42 +460,19 @@ fn drive<M: MemStore, P: Protocol<M>, Q: SimQueue>(
     limits: Limits,
     crash: Option<&mut dyn CrashAdversary>,
     history: Option<&mut Vec<Event>>,
-    plan: &mut BatchPlan<'_>,
 ) -> LoopOut {
     let seq = prime(soa, queue, inst, timing, batch.as_ref());
     match (fast_eligible, batch) {
-        (true, Some(noise)) => {
-            // The batched core additionally needs the protocols to
-            // expose their lean hot lanes (only `LeanConsensus` does);
-            // anything else keeps the per-event fast loop.
-            if plan.wants_batching() && load_lean_hot(stage.lean_hot, inst) {
-                let out = loop_batched(
-                    soa,
-                    decision_rounds,
-                    stage,
-                    queue,
-                    inst,
-                    timing,
-                    &noise,
-                    seq,
-                    limits,
-                    plan,
-                );
-                restore_lean_hot(stage.lean_hot, inst);
-                out
-            } else {
-                loop_fast(
-                    soa,
-                    decision_rounds,
-                    queue,
-                    inst,
-                    timing,
-                    &noise,
-                    seq,
-                    limits,
-                )
-            }
-        }
+        (true, Some(noise)) => loop_fast(
+            soa,
+            decision_rounds,
+            queue,
+            inst,
+            timing,
+            &noise,
+            seq,
+            limits,
+        ),
         (_, batch) => loop_general(
             soa,
             decision_rounds,
@@ -1047,7 +520,10 @@ fn assemble_report<M: MemStore, P: Protocol<M>>(
 }
 
 /// The specialized hot loop: no failures, no crash adversary, no
-/// history, batched single-distribution noise.
+/// history, batched single-distribution noise. Each turn executes the
+/// earliest queued operation and reschedules or retires its process,
+/// until the queue empties, the op cap hits, or the first-decision
+/// cutoff fires.
 #[allow(clippy::too_many_arguments)]
 fn loop_fast<M: MemStore, P: Protocol<M>, Q: SimQueue>(
     soa: &mut ProcSoA,
@@ -1060,387 +536,50 @@ fn loop_fast<M: MemStore, P: Protocol<M>, Q: SimQueue>(
     limits: Limits,
 ) -> LoopOut {
     let mut out = LoopOut::default();
-    while step_fast(
-        soa,
-        decision_rounds,
-        queue,
-        inst,
-        timing,
-        noise,
-        &mut seq,
-        limits,
-        &mut out,
-    ) {}
-    out
-}
-
-/// One fast-path event: execute the earliest queued operation and
-/// reschedule or retire its process. Returns `false` when the run is
-/// over (queue empty, op cap, or first-decision cutoff).
-///
-/// This is the unit the pipelined batch runner interleaves across
-/// lanes; [`loop_fast`] is exactly this in a `while`, so sequential and
-/// interleaved execution are the same code path.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn step_fast<M: MemStore, P: Protocol<M>, Q: SimQueue>(
-    soa: &mut ProcSoA,
-    decision_rounds: &mut [Option<usize>],
-    queue: &mut Q,
-    inst: &mut Instance<P, M>,
-    timing: &TimingModel,
-    noise: &Noise,
-    seq: &mut u64,
-    limits: Limits,
-    out: &mut LoopOut,
-) -> bool {
-    let Some(top) = queue.first() else {
-        return false;
-    };
-    if out.total_ops >= limits.max_ops {
-        out.outcome = Some(RunOutcome::OpCapReached);
-        return false;
-    }
-    let pid = top.pid() as usize;
-    let time = top.time();
-    out.sim_time = time;
-
-    // Execute exactly one operation of `pid`, fused: the protocol
-    // performs its own pending operation against the memory and hands
-    // back the next status in one (monomorphized) call.
-    let status = inst.procs[pid].step_status(&mut inst.mem);
-    out.total_ops += 1;
-
-    match status {
-        Status::Decided(_) => {
-            queue.pop_first();
-            let h = &mut soa.hot[pid];
-            h.ops += 1;
-            h.decided = true;
-            let round = inst.procs[pid].round();
-            decision_rounds[pid] = Some(round);
-            if out.first_decision_round.is_none() {
-                out.first_decision_round = Some(round);
-                out.first_decision_time = Some(time);
-                if limits.stop_at_first_decision {
-                    out.outcome = Some(RunOutcome::FirstDecision);
-                    return false;
-                }
-            }
+    while let Some(top) = queue.first() {
+        if out.total_ops >= limits.max_ops {
+            out.outcome = Some(RunOutcome::OpCapReached);
+            break;
         }
-        Status::Pending(_) => {
-            // The hold operation: reschedule the same process in place.
-            // (`pending` stays stale here on purpose: the fused step
-            // never reads it, and the noise is batched so the next op's
-            // kind is not needed either.)
-            let clock = soa.hold_advance(pid, timing, noise);
-            *seq += 1;
-            queue.reschedule_first(QueuedEvent::new(clock, *seq, pid as u32));
-        }
-    }
-    true
-}
+        let pid = top.pid() as usize;
+        let time = top.time();
+        out.sim_time = time;
 
-/// The batched hot loop: same eligibility as [`loop_fast`] plus
-/// lean-hot protocols, executing micro-batches of up to K events per
-/// queue round-trip (see [`step_batch`]).
-#[allow(clippy::too_many_arguments)]
-fn loop_batched<M: MemStore, P: Protocol<M>, Q: SimQueue>(
-    soa: &mut ProcSoA,
-    decision_rounds: &mut [Option<usize>],
-    stage: &mut Stage<'_>,
-    queue: &mut Q,
-    inst: &mut Instance<P, M>,
-    timing: &TimingModel,
-    noise: &Noise,
-    mut seq: u64,
-    limits: Limits,
-    plan: &mut BatchPlan<'_>,
-) -> LoopOut {
-    let mut out = LoopOut::default();
-    while step_batch(
-        soa,
-        decision_rounds,
-        stage,
-        queue,
-        inst,
-        timing,
-        noise,
-        &mut seq,
-        limits,
-        plan.next(),
-        &mut out,
-    ) {}
-    out
-}
-
-/// One micro-batch: select up to `kmax` schedule-safe events off the
-/// queue, execute them back-to-back against the memory, then scatter
-/// the successors back. Returns `false` when the run is over.
-///
-/// # Why this cannot change the executed schedule
-///
-/// Sequential execution pops the global minimum event, executes it,
-/// inserts the (single) successor, and repeats. Batching is sound iff
-/// the accepted events would have been popped in exactly this order
-/// with the successors present. The selector maintains a **horizon**:
-/// the minimum, over events already accepted, of the exact time each
-/// one's successor will be scheduled at ([`ProcSoA::peek_succ_time`] —
-/// exact because the hold invariant gives every pid at most one queued
-/// event, so each accepted pid executes exactly once per batch and its
-/// successor consumes precisely the peeked noise value). The next
-/// queued event is accepted only while its time is `<= horizon`; the
-/// tie (`==`) is safe because a queued event always carries a smaller
-/// sequence number than any not-yet-created successor, so the total
-/// event order breaks the tie in the queued event's favor. Peeking may
-/// refill a process's noise stripe early, which is unobservable: the
-/// streams are per-process, so refill timing cannot change the values
-/// any process consumes.
-///
-/// Decisions mid-batch only shorten the horizon (the decided process's
-/// phantom successor never materializes), which can only cut the batch
-/// early — never reorder it. On a first-decision cutoff the queue is
-/// abandoned un-scattered: queue contents are re-prepared per trial and
-/// never observed by reports.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn step_batch<M: MemStore, P: Protocol<M>, Q: SimQueue>(
-    soa: &mut ProcSoA,
-    decision_rounds: &mut [Option<usize>],
-    stage: &mut Stage<'_>,
-    queue: &mut Q,
-    inst: &mut Instance<P, M>,
-    timing: &TimingModel,
-    noise: &Noise,
-    seq: &mut u64,
-    limits: Limits,
-    kmax: usize,
-    out: &mut LoopOut,
-) -> bool {
-    let Some(first) = queue.first() else {
-        return false;
-    };
-    if out.total_ops >= limits.max_ops {
-        out.outcome = Some(RunOutcome::OpCapReached);
-        return false;
-    }
-    // Clamp the batch to the remaining op budget so the cap fires on
-    // exactly the same event as the sequential loop.
-    let budget = usize::try_from(limits.max_ops - out.total_ops).unwrap_or(usize::MAX);
-    let kmax = kmax.max(1).min(budget);
-
-    // --- Select: gather a schedule-safe run of events. -------------
-    stage.events.clear();
-    stage.succs.clear();
-    stage.succ_times.clear();
-    let mut addr_hi = 0usize;
-    // Whether the most recently accepted event is still sitting in the
-    // queue (peeked but not popped) — drives the scatter shortcut.
-    let mut last_in_queue = true;
-
-    stage.events.push(first);
-    let pid = first.pid() as usize;
-    let mut horizon = soa.peek_succ_time(pid, timing, noise);
-    stage.succ_times.push(horizon);
-    addr_hi = addr_hi.max(stage.lean_hot[pid].op_addr().0);
-
-    while stage.events.len() < kmax {
-        // Pop the accepted event to expose the next candidate.
-        queue.pop_first();
-        last_in_queue = false;
-        match queue.first() {
-            Some(next) if next.time() <= horizon => {
-                stage.events.push(next);
-                last_in_queue = true;
-                let pid = next.pid() as usize;
-                let t = soa.peek_succ_time(pid, timing, noise);
-                stage.succ_times.push(t);
-                horizon = horizon.min(t);
-                addr_hi = addr_hi.max(stage.lean_hot[pid].op_addr().0);
-            }
-            _ => break,
-        }
-    }
-
-    // --- Execute: step the K state machines back-to-back. ----------
-    // Memory operations run strictly in event order either way; the
-    // plane lane merely replaces K dispatched `read`/`write` calls with
-    // direct indexed access (plus one deferred counter flush), and is
-    // taken only when every address the batch can touch is inside the
-    // dense prefix. (`addr_hi` is exact: each pid executes once, at the
-    // address staged above.)
-    let use_plane = match inst.mem.race_plane() {
-        Some(plane) => addr_hi < plane.words.len(),
-        None => false,
-    };
-    let outcome = if use_plane {
-        let RacePlane { words, hi, ops } = inst.mem.race_plane().expect("checked above");
-        let mut io = PlaneIo {
-            words,
-            hi: 0,
-            ops: 0,
-        };
-        let r = exec_batch(soa, decision_rounds, stage, seq, limits, &mut io, out);
-        // Flush unconditionally — the executed prefix of a stopped
-        // batch still happened.
-        *hi = (*hi).max(io.hi);
-        *ops += io.ops;
-        r
-    } else {
-        let mut io = MemIo(&mut inst.mem);
-        exec_batch(soa, decision_rounds, stage, seq, limits, &mut io, out)
-    };
-
-    if outcome.stopped {
-        // First-decision cutoff: the queue is abandoned (see above).
-        return false;
-    }
-
-    // --- Scatter: re-key the queue with the successors. ------------
-    queue.insert_batch(stage.succs);
-    // The last accepted event is still the queue minimum if present:
-    // every scattered successor's time is >= horizon >= its time, and
-    // the time tie goes to it (smaller sequence number). So its slot
-    // can absorb its own successor via the hold re-key.
-    match (outcome.last_succ, last_in_queue) {
-        (Some(s), true) => queue.reschedule_first(s),
-        (Some(s), false) => queue.insert(s),
-        (None, true) => {
-            // Last event decided; retire its queue entry.
-            queue.pop_first();
-        }
-        (None, false) => {}
-    }
-    true
-}
-
-/// What [`exec_batch`] tells [`step_batch`] about how the batch ended.
-struct StepOutcome {
-    /// The run hit its first-decision cutoff mid-batch; abandon the
-    /// queue without scattering.
-    stopped: bool,
-    /// The last accepted event's successor, held out of the scatter
-    /// staging so it can reuse the hold re-key (`None` if the last
-    /// event's process decided).
-    last_succ: Option<QueuedEvent>,
-}
-
-/// The memory lane [`exec_batch`] is monomorphized over: per-op
-/// [`MemStore`] dispatch, or direct dense-plane access.
-///
-/// Writes always store [`Bit::One`] — the only batched protocol is lean
-/// consensus, whose every write marks a racing-array cell (pinned by
-/// `LeanHot`'s addressing tests).
-trait BatchIo {
-    fn read(&mut self, addr: usize) -> Word;
-    fn write(&mut self, addr: usize);
-}
-
-/// Per-op lane: every access goes through the store's own methods
-/// (counts ops, grows, etc. exactly like the sequential loop).
-struct MemIo<'a, M: MemStore>(&'a mut M);
-
-impl<M: MemStore> BatchIo for MemIo<'_, M> {
-    #[inline]
-    fn read(&mut self, addr: usize) -> Word {
-        self.0.read(Addr::new(addr))
-    }
-
-    #[inline]
-    fn write(&mut self, addr: usize) {
-        self.0.write(Addr::new(addr), Bit::One.word());
-    }
-}
-
-/// Dense-plane lane: direct indexed access to the store's backing
-/// words, with the op count and footprint high-water mark accumulated
-/// locally and flushed once per batch (per the [`RacePlane`] contract —
-/// the flushed state is exactly what K per-op calls would have left).
-struct PlaneIo<'a> {
-    words: &'a mut [Word],
-    hi: usize,
-    ops: u64,
-}
-
-impl BatchIo for PlaneIo<'_> {
-    #[inline]
-    fn read(&mut self, addr: usize) -> Word {
-        self.ops += 1;
-        self.words[addr]
-    }
-
-    #[inline]
-    fn write(&mut self, addr: usize) {
-        self.ops += 1;
-        self.words[addr] = Bit::One.word();
-        self.hi = self.hi.max(addr + 1);
-    }
-}
-
-/// Executes the staged micro-batch: for each accepted event in order,
-/// one lean-hot protocol step against `io`, then the same bookkeeping
-/// as [`step_fast`] (decision accounting or hold advance + successor
-/// staging).
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn exec_batch<IO: BatchIo>(
-    soa: &mut ProcSoA,
-    decision_rounds: &mut [Option<usize>],
-    stage: &mut Stage<'_>,
-    seq: &mut u64,
-    limits: Limits,
-    io: &mut IO,
-    out: &mut LoopOut,
-) -> StepOutcome {
-    let mut last_succ = None;
-    let last = stage.events.len() - 1;
-    for (i, ev) in stage.events.iter().enumerate() {
-        let pid = ev.pid() as usize;
-        out.sim_time = ev.time();
-        let lh = &mut stage.lean_hot[pid];
-        let (addr, is_write) = lh.op_addr();
-        let value = if is_write {
-            io.write(addr);
-            0
-        } else {
-            io.read(addr)
-        };
-        let decided = lh.advance(value);
+        // Execute exactly one operation of `pid`, fused: the protocol
+        // performs its own pending operation against the memory and hands
+        // back the next status in one (monomorphized) call.
+        let status = inst.procs[pid].step_status(&mut inst.mem);
         out.total_ops += 1;
 
-        if decided {
-            let h = &mut soa.hot[pid];
-            h.ops += 1;
-            h.decided = true;
-            let round = lh.round();
-            decision_rounds[pid] = Some(round);
-            if out.first_decision_round.is_none() {
-                out.first_decision_round = Some(round);
-                out.first_decision_time = Some(ev.time());
-                if limits.stop_at_first_decision {
-                    out.outcome = Some(RunOutcome::FirstDecision);
-                    return StepOutcome {
-                        stopped: true,
-                        last_succ: None,
-                    };
+        match status {
+            Status::Decided(_) => {
+                queue.pop_first();
+                let h = &mut soa.hot[pid];
+                h.ops += 1;
+                h.decided = true;
+                let round = inst.procs[pid].round();
+                decision_rounds[pid] = Some(round);
+                if out.first_decision_round.is_none() {
+                    out.first_decision_round = Some(round);
+                    out.first_decision_time = Some(time);
+                    if limits.stop_at_first_decision {
+                        out.outcome = Some(RunOutcome::FirstDecision);
+                        break;
+                    }
                 }
             }
-        } else {
-            let clock = stage.succ_times[i];
-            soa.hold_commit(pid, clock);
-            *seq += 1;
-            let s = QueuedEvent::new(clock, *seq, pid as u32);
-            if i == last {
-                last_succ = Some(s);
-            } else {
-                stage.succs.push(s);
+            Status::Pending(_) => {
+                // The hold operation: reschedule the same process in place.
+                // (`pending` stays stale here on purpose: the fused step
+                // never reads it, and the noise is batched so the next op's
+                // kind is not needed either.)
+                let clock = soa.hold_advance(pid, timing, noise);
+                seq += 1;
+                queue.reschedule_first(QueuedEvent::new(clock, seq, pid as u32));
             }
         }
     }
-    StepOutcome {
-        stopped: false,
-        last_succ,
-    }
+    out
 }
 
 /// The fully general loop: random failures, adaptive crash adversaries,
@@ -1890,8 +1029,16 @@ mod tests {
     #[test]
     fn queue_choice_does_not_change_reports() {
         // Heap, tree, and auto must produce the identical report for
-        // identical trials (the event order is total).
-        for (n, seed) in [(1usize, 1u64), (7, 2), (40, 3), (129, 4)] {
+        // identical trials (the event order is total), for every limit
+        // shape: run to completion, first-decision cutoff, op cap.
+        for (n, seed, limits) in [
+            (1usize, 1u64, Limits::run_to_completion()),
+            (7, 2, Limits::run_to_completion()),
+            (40, 3, Limits::run_to_completion()),
+            (129, 4, Limits::run_to_completion()),
+            (40, 3, Limits::first_decision()),
+            (100, 4, Limits::run_to_completion().with_max_ops(1000)),
+        ] {
             let inputs = setup::half_and_half(n);
             let mut reports = Vec::new();
             for policy in [QueuePolicy::Heap, QueuePolicy::Tree, QueuePolicy::Auto] {
@@ -1902,11 +1049,11 @@ mod tests {
                     &mut inst,
                     &exp_timing(),
                     seed,
-                    Limits::run_to_completion(),
+                    limits,
                 ));
             }
-            assert_eq!(reports[0], reports[1], "heap vs tree, n={n}");
-            assert_eq!(reports[0], reports[2], "heap vs auto, n={n}");
+            assert_eq!(reports[0], reports[1], "heap vs tree, n={n} {limits:?}");
+            assert_eq!(reports[0], reports[2], "heap vs auto, n={n} {limits:?}");
         }
     }
 
@@ -1932,148 +1079,9 @@ mod tests {
     }
 
     #[test]
-    fn batch_lanes_match_sequential_runs() {
-        // The pipelined interleave must be invisible: every lane's
-        // report equals its sequential run, at several widths and with
-        // heterogeneous lane sizes.
-        let timing = TimingModel::figure1(Noise::Uniform { lo: 0.0, hi: 2.0 });
-        for k in [1usize, 2, 4, 5] {
-            let mut scratches: Vec<EngineScratch> = (0..k).map(|_| EngineScratch::new()).collect();
-            let mut insts: Vec<_> = (0..k)
-                .map(|i| {
-                    setup::build(
-                        Algorithm::Lean,
-                        &setup::half_and_half(4 + 7 * i),
-                        50 + i as u64,
-                    )
-                })
-                .collect();
-            let seeds: Vec<u64> = (0..k as u64).map(|i| 50 + i).collect();
-            let batch = drive_noisy_batch(
-                &mut scratches,
-                &mut insts,
-                &timing,
-                &seeds,
-                Limits::run_to_completion(),
-            );
-            for (i, report) in batch.iter().enumerate() {
-                let mut inst =
-                    setup::build(Algorithm::Lean, &setup::half_and_half(4 + 7 * i), seeds[i]);
-                let solo = run_noisy(&mut inst, &timing, seeds[i], Limits::run_to_completion());
-                assert_eq!(*report, solo, "k={k} lane {i}");
-            }
-        }
-    }
-
-    #[test]
-    fn batch_general_fallback_matches_sequential_runs() {
-        // Random failures force the sequential fallback; reports must
-        // still match lane by lane.
-        let timing = TimingModel::figure1(Noise::Exponential { mean: 1.0 })
-            .with_failures(FailureModel::Random { per_op: 0.05 });
-        let k = 3;
-        let inputs = setup::half_and_half(6);
-        let mut scratches: Vec<EngineScratch> = (0..k).map(|_| EngineScratch::new()).collect();
-        let mut insts: Vec<_> = (0..k)
-            .map(|i| setup::build(Algorithm::Lean, &inputs, i as u64))
-            .collect();
-        let seeds: Vec<u64> = (0..k as u64).collect();
-        let batch = drive_noisy_batch(
-            &mut scratches,
-            &mut insts,
-            &timing,
-            &seeds,
-            Limits::run_to_completion(),
-        );
-        for (i, report) in batch.iter().enumerate() {
-            let mut inst = setup::build(Algorithm::Lean, &inputs, seeds[i]);
-            let solo = run_noisy(&mut inst, &timing, seeds[i], Limits::run_to_completion());
-            assert_eq!(*report, solo, "lane {i}");
-        }
-    }
-
-    #[test]
-    fn batch_first_decision_cutoff_per_lane() {
-        let timing = TimingModel::figure1(Noise::Uniform { lo: 0.0, hi: 2.0 });
-        let k = 4;
-        let inputs = setup::half_and_half(20);
-        let mut scratches: Vec<EngineScratch> = (0..k).map(|_| EngineScratch::new()).collect();
-        let mut insts: Vec<_> = (0..k)
-            .map(|i| setup::build(Algorithm::Lean, &inputs, 100 + i as u64))
-            .collect();
-        let seeds: Vec<u64> = (0..k as u64).map(|i| 100 + i).collect();
-        let batch = drive_noisy_batch(
-            &mut scratches,
-            &mut insts,
-            &timing,
-            &seeds,
-            Limits::first_decision(),
-        );
-        for (i, report) in batch.iter().enumerate() {
-            assert_eq!(report.outcome, RunOutcome::FirstDecision, "lane {i}");
-            let mut inst = setup::build(Algorithm::Lean, &inputs, seeds[i]);
-            let solo = run_noisy(&mut inst, &timing, seeds[i], Limits::first_decision());
-            assert_eq!(*report, solo, "lane {i}");
-        }
-    }
-
-    #[test]
-    fn batched_core_matches_per_event_loop() {
-        // K = 1 takes the legacy per-event fast loop; every other K
-        // routes through the batched core. Reports must be identical
-        // across K, with either forced queue, for every limit shape.
-        // (The cross-scenario matrix lives in tests/soa_equivalence.rs.)
-        let timing = TimingModel::figure1(Noise::Uniform { lo: 0.0, hi: 2.0 });
-        for (n, seed, limits) in [
-            (1usize, 1u64, Limits::run_to_completion()),
-            (12, 2, Limits::run_to_completion()),
-            (40, 3, Limits::first_decision()),
-            (100, 4, Limits::run_to_completion().with_max_ops(1000)),
-        ] {
-            let inputs = setup::half_and_half(n);
-            let mut reference = None;
-            for k in [1usize, 2, 4, 8, 64] {
-                for policy in [QueuePolicy::Heap, QueuePolicy::Tree] {
-                    let mut scratch = EngineScratch::with_queue(policy);
-                    scratch.set_event_batch(k);
-                    let mut inst = setup::build(Algorithm::Lean, &inputs, seed);
-                    let report = run_noisy_scratch(&mut scratch, &mut inst, &timing, seed, limits);
-                    let reference = reference.get_or_insert(report.clone());
-                    assert_eq!(*reference, report, "n={n} k={k} {policy:?}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn adversarial_batch_plan_matches_sequential() {
-        // A plan that changes K before every micro-batch (including
-        // zeros, which clamp to 1) must still be invisible.
-        let timing = exp_timing();
-        let inputs = setup::half_and_half(24);
-        let limits = Limits::run_to_completion();
-        let mut inst_seq = setup::build(Algorithm::Lean, &inputs, 7);
-        let sequential = run_noisy(&mut inst_seq, &timing, 7, limits);
-
-        let mut state = 0x9E37_79B9_7F4A_7C15u64;
-        let mut plan = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state % 9) as usize
-        };
-        let mut scratch = EngineScratch::new();
-        let mut inst = setup::build(Algorithm::Lean, &inputs, 7);
-        let batched =
-            drive_noisy_with_batch_plan(&mut scratch, &mut inst, &timing, 7, limits, &mut plan);
-        assert_eq!(batched, sequential);
-    }
-
-    #[test]
-    fn batched_dense_plane_matches_batched_sim_memory() {
-        // The PlaneIo lane (direct dense-word access) and the MemIo
-        // lane (per-op dispatch) must leave identical reports and
-        // identical memory observables.
+    fn dense_plane_matches_sim_memory() {
+        // The dense word store and the growable one must leave identical
+        // reports and identical memory observables.
         let timing = TimingModel::figure1(Noise::Uniform { lo: 0.0, hi: 2.0 });
         let inputs = setup::half_and_half(32);
         for seed in 0..4 {

@@ -29,15 +29,15 @@
 //! the monomorphized `Instance<LeanConsensus>` fast path (rebuilt in
 //! place for [`Algorithm::Lean`] under a noisy schedule — no allocation
 //! per run), and the history buffer. [`TrialSet`] additionally owns the
-//! sweep machinery: per-worker scratch pooling, K-lane lockstep
-//! pipelining, and the thread fan-out — **parallelism is per-call
-//! state**, not a process-global knob, so two sweeps with different
-//! worker counts can run concurrently without interfering.
+//! sweep machinery: per-worker scratch pooling and the thread fan-out —
+//! **parallelism is per-call state**, not a process-global knob, so two
+//! sweeps with different worker counts can run concurrently without
+//! interfering.
 //!
 //! Determinism: a trial's report is a pure function of
 //! `(configuration, seed)` — bit-for-bit identical at every thread
-//! count and lane width, and identical to the deprecated `run_*` entry
-//! points (pinned by `tests/sim_equivalence.rs`).
+//! count, and identical to a direct call into the drive internal the
+//! builder wraps (pinned by `tests/sim_equivalence.rs`).
 //!
 //! # Example: one Figure 1 data point
 //!
@@ -76,21 +76,6 @@ use crate::noisy::{self, EngineScratch};
 use crate::report::{Limits, RunReport};
 use crate::setup::{self, Algorithm, Instance};
 use crate::{adversarial, hybrid};
-
-/// Pipeline lanes a [`TrialSet`] interleaves per worker by default.
-///
-/// Interleaving K > 1 independent trials multiplies the per-worker
-/// working set by K in exchange for overlapping the lanes' cache-miss
-/// chains. On the 1-core reference VM that trade **loses** at every
-/// measured scale (2 lanes: −8% at n = 1000, −25% at n = 10000; see
-/// `BENCH_engine.json`'s pipelined column), because the VM's cache is
-/// too small to hold even two lanes' state, so the default is 1
-/// (sequential trials, zero overhead — `bench_engine` asserts the
-/// K > 1 path stays bit-identical). Raise it via [`TrialSet::lanes`] on
-/// hardware with enough private cache per core for K working sets;
-/// re-measure with
-/// `cargo run --release -p nc-bench --bin bench_engine -- --lanes K`.
-pub const PIPELINE_LANES: usize = 1;
 
 /// A factory producing a fresh crash adversary for a run with the given
 /// seed (adversaries are stateful, so a reusable handle needs one per
@@ -136,19 +121,6 @@ struct SimConfig<M: MemStore = SimMemory> {
     crash: Option<CrashFactory>,
     record_history: bool,
     mem: M,
-    batch: usize,
-}
-
-impl<M: MemStore> SimConfig<M> {
-    /// Whether the K-lane lockstep batch driver may serve this
-    /// configuration (monomorphized lean under a noisy schedule, no
-    /// per-run adversary or history hooks).
-    fn lean_batch_eligible(&self) -> bool {
-        self.algorithm == Algorithm::Lean
-            && matches!(self.schedule, Schedule::Noisy(_))
-            && self.crash.is_none()
-            && !self.record_history
-    }
 }
 
 /// Typed builder for a simulation: algorithm + inputs + schedule +
@@ -168,7 +140,6 @@ pub struct Sim<M: MemStore = SimMemory> {
     crash: Option<CrashFactory>,
     record_history: bool,
     mem: M,
-    batch: usize,
 }
 
 impl<M: MemStore> std::fmt::Debug for Sim<M> {
@@ -198,7 +169,6 @@ impl Sim {
             crash: None,
             record_history: false,
             mem: SimMemory::new(),
-            batch: noisy::DEFAULT_EVENT_BATCH,
         }
     }
 }
@@ -229,7 +199,6 @@ impl<M: MemStore> Sim<M> {
             crash: self.crash,
             record_history: self.record_history,
             mem,
-            batch: self.batch,
         }
     }
 
@@ -243,8 +212,8 @@ impl<M: MemStore> Sim<M> {
     /// supported under every schedule. Each trial derives its own fault
     /// stream from the run seed (via `nc_sched::rng::trial_seed` with
     /// the dedicated fault salt), so runs stay pure functions of their
-    /// seed at any thread count or lane width; setup writes (sentinels)
-    /// are never faulted.
+    /// seed at any thread count; setup writes (sentinels) are never
+    /// faulted.
     ///
     /// Wraps the plane configured so far — call it *after*
     /// [`Sim::memory_backend`] (a later `memory_backend` call would
@@ -356,19 +325,6 @@ impl<M: MemStore> Sim<M> {
         self
     }
 
-    /// Sets the batched execution core's micro-batch size K (clamped to
-    /// at least 1). The default is [`noisy::DEFAULT_EVENT_BATCH`] = 1 —
-    /// batching **off**, the per-event loop — which is the measured
-    /// right call below a few thousand processes; K = 4..16 measures
-    /// faster from n ≳ 8000 (see the constant's docs for the numbers
-    /// and `bench_engine --probe` to re-measure). Purely a performance
-    /// knob: every K produces bit-identical reports (pinned by the
-    /// batched equivalence matrix), exactly like [`Sim::queue_policy`].
-    pub fn event_batch(mut self, k: usize) -> Self {
-        self.batch = k.max(1);
-        self
-    }
-
     /// Validates the configuration and returns a reusable [`SimRun`]
     /// handle.
     ///
@@ -450,7 +406,6 @@ impl<M: MemStore> Sim<M> {
             crash: self.crash,
             record_history: self.record_history,
             mem: self.mem,
-            batch: self.batch,
         }
     }
 }
@@ -476,10 +431,8 @@ struct Lane<M: MemStore> {
 
 impl<M: MemStore> Lane<M> {
     fn new(cfg: &SimConfig<M>) -> Self {
-        let mut scratch = EngineScratch::with_queue(cfg.queue);
-        scratch.set_event_batch(cfg.batch);
         Lane {
-            scratch,
+            scratch: EngineScratch::with_queue(cfg.queue),
             lean: None,
             boxed: None,
             last: LastInstance::None,
@@ -500,9 +453,6 @@ fn crash_opt(
     }
 }
 
-/// Executes one run of `cfg` with the given seed through `lane`'s
-/// reusable state. The single dispatch point all public entry paths
-/// share.
 /// Derives the seed for a run's value-fault stream
 /// ([`MemStore::reseed`]) from the run seed: independent of every
 /// `(seed, pid, salt)` engine stream and of the protocol coins, by the
@@ -511,6 +461,9 @@ fn fault_seed(seed: u64) -> u64 {
     trial_seed(seed, 0, salts::VALUE_FAULTS)
 }
 
+/// Executes one run of `cfg` with the given seed through `lane`'s
+/// reusable state. The single dispatch point all public entry paths
+/// share.
 fn run_one<M: MemStore>(
     cfg: &SimConfig<M>,
     lane: &mut Lane<M>,
@@ -743,18 +696,16 @@ impl SeedPlan {
 }
 
 /// A sweep of independent trials over one simulation configuration,
-/// owning scratch pooling, lockstep trial pipelining, and the worker
-/// fan-out.
+/// owning scratch pooling and the worker fan-out.
 ///
 /// Trial `t` runs with seed [`TrialSet::seed0`]` + t * `[`stride`] (or
 /// a custom [`TrialSet::seed_fn`]); results come back **in trial
 /// order**. Parallelism is per-call state: [`TrialSet::threads`] picks
 /// this sweep's worker count (0 = all cores) without touching any
-/// process-global knob, and [`TrialSet::lanes`] picks the per-worker
-/// software-pipelining width for the monomorphized lean fast path.
-/// Neither affects any result — the sweep is bit-for-bit identical at
-/// every `(threads, lanes)` setting, because each trial is a pure
-/// function of its seed (pinned by the determinism regression tests).
+/// process-global knob. It never affects any result — the sweep is
+/// bit-for-bit identical at every `threads` setting, because each trial
+/// is a pure function of its seed (pinned by the determinism regression
+/// tests).
 ///
 /// [`stride`]: TrialSet::seed_stride
 #[must_use = "a TrialSet does nothing until mapped"]
@@ -763,7 +714,6 @@ pub struct TrialSet<M: MemStore = SimMemory> {
     trials: u64,
     seeds: SeedPlan,
     threads: usize,
-    lanes: usize,
 }
 
 impl<M: MemStore> std::fmt::Debug for TrialSet<M> {
@@ -773,7 +723,6 @@ impl<M: MemStore> std::fmt::Debug for TrialSet<M> {
             .field("n", &self.cfg.inputs.len())
             .field("trials", &self.trials)
             .field("threads", &self.threads)
-            .field("lanes", &self.lanes)
             .finish()
     }
 }
@@ -796,7 +745,6 @@ impl<M: MemStore> TrialSet<M> {
                 stride: 1,
             },
             threads: 0,
-            lanes: PIPELINE_LANES,
         }
     }
 
@@ -854,16 +802,6 @@ impl<M: MemStore> TrialSet<M> {
         self
     }
 
-    /// Sets the software-pipelining width: each worker advances up to
-    /// `lanes` trials in lockstep through the batch driver (lean +
-    /// noisy configurations only; others run lanes sequentially).
-    /// Purely a performance knob — see [`PIPELINE_LANES`] for the
-    /// measured trade. Default [`PIPELINE_LANES`].
-    pub fn lanes(mut self, lanes: usize) -> Self {
-        self.lanes = lanes.max(1);
-        self
-    }
-
     /// Runs every trial and maps its report through `f`, returning the
     /// results in trial order.
     pub fn map<T, F>(self, f: F) -> Vec<T>
@@ -876,11 +814,8 @@ impl<M: MemStore> TrialSet<M> {
             trials,
             seeds,
             threads,
-            lanes,
         } = self;
-        par_spans(threads, trials, |lo, hi| {
-            run_span(&cfg, lo, hi, lanes, &seeds, &f)
-        })
+        par_spans(threads, trials, |lo, hi| run_span(&cfg, lo, hi, &seeds, &f))
     }
 
     /// Runs every trial and returns the raw reports in trial order.
@@ -947,80 +882,22 @@ where
     parts.into_iter().flat_map(|(_, out)| out).collect()
 }
 
-/// Runs trials `lo..hi` on the current thread, through the lockstep
-/// batch driver when the configuration allows it and `lanes > 1`.
+/// Runs trials `lo..hi` on the current thread through one reused
+/// [`Lane`].
 fn run_span<M: MemStore, T, F>(
     cfg: &SimConfig<M>,
     lo: u64,
     hi: u64,
-    lanes: usize,
     seeds: &SeedPlan,
     f: &F,
 ) -> Vec<T>
 where
     F: Fn(RunReport) -> T,
 {
-    if lanes > 1 && cfg.lean_batch_eligible() {
-        return run_span_batch(cfg, lo, hi, lanes, seeds, f);
-    }
     let mut lane = Lane::new(cfg);
     (lo..hi)
         .map(|t| f(run_one(cfg, &mut lane, seeds.seed_of(t), None)))
         .collect()
-}
-
-/// The software-pipelined span: advance up to `lanes` monomorphized
-/// lean trials in lockstep (see [`noisy::drive_noisy_batch`]'s docs for
-/// the mechanism; per-trial results are bit-identical to sequential
-/// execution by construction).
-fn run_span_batch<M: MemStore, T, F>(
-    cfg: &SimConfig<M>,
-    lo: u64,
-    hi: u64,
-    lanes: usize,
-    seeds: &SeedPlan,
-    f: &F,
-) -> Vec<T>
-where
-    F: Fn(RunReport) -> T,
-{
-    let Schedule::Noisy(timing) = &cfg.schedule else {
-        unreachable!("batch span requires the noisy schedule");
-    };
-    let width = lanes.min((hi - lo) as usize);
-    let mut scratches: Vec<EngineScratch> = (0..width)
-        .map(|_| {
-            let mut s = EngineScratch::with_queue(cfg.queue);
-            s.set_event_batch(cfg.batch);
-            s
-        })
-        .collect();
-    let mut insts: Vec<Instance<LeanConsensus, M>> = (0..width)
-        .map(|_| setup::build_lean_in(&cfg.inputs, cfg.mem.clone()))
-        .collect();
-    let mut lane_seeds = vec![0u64; width];
-    let mut out = Vec::with_capacity((hi - lo) as usize);
-    let mut t = lo;
-    while t < hi {
-        let g = ((hi - t) as usize).min(width);
-        for (j, seed) in lane_seeds[..g].iter_mut().enumerate() {
-            *seed = seeds.seed_of(t + j as u64);
-        }
-        for (inst, &seed) in insts[..g].iter_mut().zip(&lane_seeds[..g]) {
-            inst.rebuild(&cfg.inputs);
-            inst.mem.reseed(fault_seed(seed));
-        }
-        let reports = noisy::drive_noisy_batch(
-            &mut scratches[..g],
-            &mut insts[..g],
-            timing,
-            &lane_seeds[..g],
-            cfg.limits,
-        );
-        out.extend(reports.into_iter().map(f));
-        t += g as u64;
-    }
-    out
 }
 
 #[cfg(test)]
@@ -1167,7 +1044,7 @@ mod tests {
     #[test]
     fn trials_are_pure_functions_of_their_seed() {
         let inputs = setup::half_and_half(10);
-        let sweep = |threads: usize, lanes: usize| {
+        let sweep = |threads: usize| {
             Sim::new(Algorithm::Lean)
                 .inputs(inputs.clone())
                 .timing(exp_timing())
@@ -1176,13 +1053,12 @@ mod tests {
                 .seed0(100)
                 .seed_stride(13)
                 .threads(threads)
-                .lanes(lanes)
                 .reports()
         };
-        let reference = sweep(1, 1);
+        let reference = sweep(1);
         assert_eq!(reference.len(), 24);
-        for (threads, lanes) in [(1, 2), (1, 4), (2, 1), (4, 3), (0, 2)] {
-            assert_eq!(sweep(threads, lanes), reference, "{threads} × {lanes}");
+        for threads in [2, 4, 0] {
+            assert_eq!(sweep(threads), reference, "{threads} threads");
         }
         // And the affine seeds match per-seed SimRun calls.
         let mut sim = Sim::new(Algorithm::Lean)

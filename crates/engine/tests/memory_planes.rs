@@ -3,14 +3,14 @@
 //! [`nc_memory::MemStore`] backend must produce **byte identical**
 //! [`nc_engine::RunReport`]s — [`SimMemory`] (the default),
 //! [`DenseRaceMemory`], and a disarmed/empty [`FaultyMemory`] wrapper —
-//! across algorithms × schedules × queue policies × lane widths.
+//! across algorithms × schedules × queue policies × thread counts.
 //! (`tests/soa_equivalence.rs` additionally pins the dense backend to
 //! the naive oracle under `--features baseline`, closing the chain
 //! `baseline == SimMemory == DenseRaceMemory`.)
 //!
 //! With faults *enabled*, the requirement becomes determinism: a
 //! faulted run is a pure function of its seed — bit-identical fault
-//! streams at every thread count and lane width.
+//! streams at every thread count.
 
 use nc_engine::sim::Sim;
 use nc_engine::{setup, Algorithm, Limits, QueuePolicy, RunReport};
@@ -158,12 +158,12 @@ fn fault_free_backends_agree_on_other_schedules() {
     assert_eq!(hybrid(false), hybrid(true), "hybrid schedule");
 }
 
-/// Lane widths and backends compose: a dense-backend `TrialSet` sweep is
-/// bit-identical at every `(threads, lanes)` and to per-seed runs.
+/// Thread counts and backends compose: a dense-backend `TrialSet` sweep
+/// is bit-identical at every `threads` setting and to the plain sweep.
 #[test]
-fn dense_backend_sweeps_are_invariant_across_lanes_and_threads() {
+fn dense_backend_sweeps_are_invariant_across_threads() {
     let inputs = setup::half_and_half(9);
-    let sweep = |threads: usize, lanes: usize| {
+    let sweep = |threads: usize| {
         Sim::new(Algorithm::Lean)
             .inputs(inputs.clone())
             .timing(exp_timing())
@@ -173,12 +173,11 @@ fn dense_backend_sweeps_are_invariant_across_lanes_and_threads() {
             .seed0(400)
             .seed_stride(7)
             .threads(threads)
-            .lanes(lanes)
             .reports()
     };
-    let reference = sweep(1, 1);
-    for (threads, lanes) in [(1, 2), (1, 4), (1, 7), (2, 1), (4, 3), (0, 2)] {
-        assert_eq!(sweep(threads, lanes), reference, "{threads} × {lanes}");
+    let reference = sweep(1);
+    for threads in [2, 4, 0] {
+        assert_eq!(sweep(threads), reference, "{threads} threads");
     }
     // And the plain-backend sweep is the same sweep.
     let plain = Sim::new(Algorithm::Lean)
@@ -201,12 +200,12 @@ fn lossy_spec() -> FaultSpec {
 }
 
 /// Value-fault determinism: same seed ⇒ byte-identical reports (the
-/// whole fault stream included) at 1 vs 4 threads and across lane
-/// widths; different seeds genuinely vary the faults.
+/// whole fault stream included) at 1 vs 4 threads; different seeds
+/// genuinely vary the faults.
 #[test]
 fn value_faults_are_a_pure_function_of_the_seed() {
     let inputs = setup::half_and_half(8);
-    let sweep = |threads: usize, lanes: usize| {
+    let sweep = |threads: usize| {
         Sim::new(Algorithm::Lean)
             .inputs(inputs.clone())
             .timing(exp_timing())
@@ -216,15 +215,14 @@ fn value_faults_are_a_pure_function_of_the_seed() {
             .seed0(70)
             .seed_stride(3)
             .threads(threads)
-            .lanes(lanes)
             .reports()
     };
-    let reference = sweep(1, 1);
-    for (threads, lanes) in [(4, 1), (1, 4), (4, 3), (0, 2)] {
+    let reference = sweep(1);
+    for threads in [4, 0] {
         assert_eq!(
-            sweep(threads, lanes),
+            sweep(threads),
             reference,
-            "fault stream diverged at {threads} threads × {lanes} lanes"
+            "fault stream diverged at {threads} threads"
         );
     }
     // Per-seed SimRun calls see the identical faulted executions.

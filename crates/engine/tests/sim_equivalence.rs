@@ -3,9 +3,9 @@
 //! identical** [`nc_engine::RunReport`]s (exact `f64` equality
 //! included) to a direct call into the drive internal it wraps
 //! ([`drive_noisy`], [`drive_adversarial`], [`drive_hybrid`]), across
-//! the matrix algorithms × failure models × queue policies × lane
-//! widths × history recording — plus the adversarial and hybrid
-//! schedules and the crash-adversary hooks.
+//! the matrix algorithms × failure models × queue policies × history
+//! recording — plus `TrialSet` sweeps, the adversarial and hybrid
+//! schedules, and the crash-adversary hooks.
 //!
 //! Together with `tests/soa_equivalence.rs` (internals vs the naive
 //! oracle, `--features baseline`) this closes the chain
@@ -113,44 +113,38 @@ fn noisy_builder_matches_internals_across_the_matrix() {
     }
 }
 
-/// Lane widths × queue policies: `TrialSet` sweeps (which pick the
-/// lockstep batch driver for eligible configs) vs per-seed reference runs.
+/// Queue policies: `TrialSet` sweeps (span-pooled scratch, the lean
+/// instance rebuilt in place) vs per-seed reference runs.
 #[test]
-fn trialset_lanes_match_internal_sequential_runs() {
+fn trialset_matches_internal_sequential_runs() {
     for alg in [Algorithm::Lean, Algorithm::Randomized] {
         for policy in QUEUES {
-            for lanes in [1usize, 2, 4, 7] {
-                let inputs = setup::half_and_half(9);
-                let timing = TimingModel::figure1(Noise::Uniform { lo: 0.0, hi: 2.0 });
-                let reports = Sim::new(alg)
-                    .inputs(inputs.clone())
-                    .timing(timing.clone())
-                    .limits(Limits::first_decision())
-                    .queue_policy(policy)
-                    .trials(13)
-                    .seed0(400)
-                    .seed_stride(7)
-                    .threads(1)
-                    .lanes(lanes)
-                    .reports();
-                for (t, report) in reports.iter().enumerate() {
-                    let seed = 400 + 7 * t as u64;
-                    let mut scratch = EngineScratch::with_queue(policy);
-                    let mut inst = setup::build(alg, &inputs, seed);
-                    let legacy = drive_noisy(
-                        &mut scratch,
-                        &mut inst,
-                        &timing,
-                        seed,
-                        Limits::first_decision(),
-                        None,
-                        None,
-                    );
-                    assert_eq!(
-                        *report, legacy,
-                        "{alg:?} × {policy:?} × {lanes} lanes, trial {t}"
-                    );
-                }
+            let inputs = setup::half_and_half(9);
+            let timing = TimingModel::figure1(Noise::Uniform { lo: 0.0, hi: 2.0 });
+            let reports = Sim::new(alg)
+                .inputs(inputs.clone())
+                .timing(timing.clone())
+                .limits(Limits::first_decision())
+                .queue_policy(policy)
+                .trials(13)
+                .seed0(400)
+                .seed_stride(7)
+                .threads(1)
+                .reports();
+            for (t, report) in reports.iter().enumerate() {
+                let seed = 400 + 7 * t as u64;
+                let mut scratch = EngineScratch::with_queue(policy);
+                let mut inst = setup::build(alg, &inputs, seed);
+                let legacy = drive_noisy(
+                    &mut scratch,
+                    &mut inst,
+                    &timing,
+                    seed,
+                    Limits::first_decision(),
+                    None,
+                    None,
+                );
+                assert_eq!(*report, legacy, "{alg:?} × {policy:?}, trial {t}");
             }
         }
     }

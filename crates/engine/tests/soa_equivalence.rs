@@ -1,5 +1,5 @@
 //! The SoA engine's oracle-pinning suite: the optimized driver (SoA
-//! scratch, either queue, any pipeline width) must produce **byte
+//! scratch, either queue, any memory plane) must produce **byte
 //! identical** [`nc_engine::RunReport`]s to the naive BinaryHeap
 //! baseline (`nc_engine::baseline`, the untouched seed implementation)
 //! across the full scenario matrix — algorithms × noise distributions ×
@@ -18,17 +18,13 @@
 // baseline == drive internals == builder stays closed.
 
 use nc_engine::baseline::{run_noisy_baseline, run_noisy_with_baseline};
-use nc_engine::noisy::{drive_noisy, drive_noisy_batch, drive_noisy_with_batch_plan};
+use nc_engine::noisy::drive_noisy;
 use nc_engine::sim::Sim;
 use nc_engine::{setup, Algorithm, EngineScratch, Limits, QueuePolicy, RunReport};
 use nc_memory::{Bit, DenseRaceMemory, FaultyMemory, SimMemory};
 use nc_sched::adversary::{CrashAdversary, CrashScript, LeaderKiller};
 use nc_sched::{DelayPolicy, FailureModel, Noise, StartTimes, TimingModel};
 use proptest::prelude::*;
-
-/// Micro-batch sizes the batched-core matrix forces (1 = the legacy
-/// per-event loop, the others route through `step_batch`).
-const BATCHES: [usize; 4] = [1, 4, 8, 64];
 
 const QUEUES: [QueuePolicy; 3] = [QueuePolicy::Heap, QueuePolicy::Tree, QueuePolicy::Auto];
 
@@ -108,9 +104,14 @@ fn algorithms_by_noise_by_queue_match_oracle() {
 /// loop's stale-event drain and the failure-RNG stream order).
 #[test]
 fn random_failures_by_queue_match_oracle() {
-    for per_op in [0.01, 0.2, 0.9] {
-        let timing = TimingModel::figure1(Noise::Exponential { mean: 1.0 })
-            .with_failures(FailureModel::Random { per_op });
+    let exponential = Noise::Exponential { mean: 1.0 };
+    for (noise, per_op) in [
+        (exponential, 0.01),
+        (exponential, 0.2),
+        (exponential, 0.9),
+        (Noise::Uniform { lo: 0.0, hi: 2.0 }, 0.05),
+    ] {
+        let timing = TimingModel::figure1(noise).with_failures(FailureModel::Random { per_op });
         for policy in QUEUES {
             for seed in 0..3 {
                 assert_matches_oracle(
@@ -238,7 +239,7 @@ fn auto_policy_above_tree_threshold_matches_oracle() {
 /// Alternative word-store planes against the oracle: the builder on
 /// `DenseRaceMemory` (and on disarmed `FaultyMemory` wrappers) must
 /// match the naive `SimMemory` baseline bit for bit across algorithms ×
-/// queues × lane widths — closing the memory-plane chain
+/// queues — closing the memory-plane chain
 /// `baseline == SimMemory == DenseRaceMemory` end to end.
 /// (`tests/memory_planes.rs` carries the oracle-free half of this
 /// matrix so it also runs without `--features baseline`.)
@@ -247,260 +248,39 @@ fn dense_backend_matches_oracle_across_matrix() {
     let timing = TimingModel::figure1(Noise::Uniform { lo: 0.0, hi: 2.0 });
     for alg in algorithms() {
         for policy in QUEUES {
-            for lanes in [1usize, 3] {
-                let inputs = setup::half_and_half(7);
-                let reports = Sim::new(alg)
-                    .inputs(inputs.clone())
-                    .timing(timing.clone())
-                    .queue_policy(policy)
-                    .memory_backend(DenseRaceMemory::new())
-                    .trials(4)
-                    .seed0(60)
-                    .seed_stride(5)
-                    .threads(1)
-                    .lanes(lanes)
-                    .reports();
-                let wrapped = Sim::new(alg)
-                    .inputs(inputs.clone())
-                    .timing(timing.clone())
-                    .queue_policy(policy)
-                    .memory_backend(FaultyMemory::pass_through(SimMemory::new()))
-                    .trials(4)
-                    .seed0(60)
-                    .seed_stride(5)
-                    .threads(1)
-                    .lanes(lanes)
-                    .reports();
-                for (t, report) in reports.iter().enumerate() {
-                    let seed = 60 + 5 * t as u64;
-                    let mut inst = setup::build(alg, &inputs, seed);
-                    let oracle =
-                        run_noisy_baseline(&mut inst, &timing, seed, Limits::run_to_completion());
-                    assert_eq!(
-                        *report, oracle,
-                        "dense vs oracle: {alg:?} × {policy:?} × {lanes} lanes, trial {t}"
-                    );
-                    assert_eq!(
-                        wrapped[t], oracle,
-                        "faulty-off vs oracle: {alg:?} × {policy:?} × {lanes} lanes, trial {t}"
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// Determinism across pipeline widths: a sweep's reports are identical
-/// whether trials run one at a time or interleaved K-wide, for several
-/// K — and equal to the oracle's, trial by trial.
-#[test]
-fn pipelined_widths_match_sequential_and_oracle() {
-    let timing = TimingModel::figure1(Noise::Uniform { lo: 0.0, hi: 2.0 });
-    let inputs = setup::half_and_half(10);
-    let trials: u64 = 12;
-    let seed_of = |t: u64| 900 + t * 13;
-
-    let sweep = |width: usize| -> Vec<RunReport> {
-        let mut out = Vec::new();
-        let mut scratches: Vec<EngineScratch> = (0..width).map(|_| EngineScratch::new()).collect();
-        let mut t = 0;
-        while t < trials {
-            let g = ((trials - t) as usize).min(width);
-            let seeds: Vec<u64> = (0..g as u64).map(|j| seed_of(t + j)).collect();
-            let mut insts: Vec<_> = seeds
-                .iter()
-                .map(|&s| setup::build(Algorithm::Lean, &inputs, s))
-                .collect();
-            out.extend(drive_noisy_batch(
-                &mut scratches[..g],
-                &mut insts,
-                &timing,
-                &seeds,
-                Limits::first_decision(),
-            ));
-            t += g as u64;
-        }
-        out
-    };
-
-    let sequential = sweep(1);
-    for width in [2usize, 3, 4, 7] {
-        assert_eq!(sweep(width), sequential, "width {width} diverged");
-    }
-    for (t, report) in sequential.iter().enumerate() {
-        let seed = seed_of(t as u64);
-        let mut inst = setup::build(Algorithm::Lean, &inputs, seed);
-        let oracle = run_noisy_baseline(&mut inst, &timing, seed, Limits::first_decision());
-        assert_eq!(*report, oracle, "trial {t} diverged from oracle");
-    }
-}
-
-/// Drives `(alg, inputs, timing, seed, limits)` under `policy` with a
-/// forced micro-batch size `k` and asserts the report equals the
-/// baseline's.
-fn assert_batch_matches_oracle(
-    alg: Algorithm,
-    inputs: &[Bit],
-    timing: &TimingModel,
-    seed: u64,
-    limits: Limits,
-    policy: QueuePolicy,
-    k: usize,
-) {
-    let mut scratch = EngineScratch::with_queue(policy);
-    scratch.set_event_batch(k);
-    let mut inst_opt = setup::build(alg, inputs, seed);
-    let mut inst_ref = setup::build(alg, inputs, seed);
-    let optimized = drive_noisy(
-        &mut scratch,
-        &mut inst_opt,
-        timing,
-        seed,
-        limits,
-        None,
-        None,
-    );
-    let oracle = run_noisy_baseline(&mut inst_ref, timing, seed, limits);
-    assert_eq!(
-        optimized, oracle,
-        "{alg:?} × {timing:?} × seed {seed} × {policy:?} × K={k}"
-    );
-}
-
-/// The batched-vs-sequential differential matrix (the batched core may
-/// change only how the schedule is *driven*, never the schedule):
-/// algorithms × noise × queues × K ∈ {1, 4, 8, 64}, run to completion
-/// and to first decision, every cell pinned to the naive oracle.
-/// Non-lean algorithms take the `load_lean_hot` fallback, which must be
-/// equally invisible at every K.
-#[test]
-fn batched_k_matrix_matches_oracle() {
-    let noises = [
-        Noise::Uniform { lo: 0.0, hi: 2.0 },
-        Noise::Exponential { mean: 1.0 },
-    ];
-    for alg in algorithms() {
-        for noise in noises {
-            let timing = TimingModel::figure1(noise);
-            for policy in QUEUES {
-                for k in BATCHES {
-                    for seed in 0..2 {
-                        assert_batch_matches_oracle(
-                            alg,
-                            &setup::half_and_half(8),
-                            &timing,
-                            seed,
-                            Limits::run_to_completion(),
-                            policy,
-                            k,
-                        );
-                    }
-                    // Mid-batch early stop: the batch cut at the first
-                    // decision must not leak extra steps into the report.
-                    assert_batch_matches_oracle(
-                        alg,
-                        &setup::alternating(10),
-                        &timing,
-                        1,
-                        Limits::first_decision(),
-                        policy,
-                        k,
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// Crash adversaries and random failures force the general (non-lean)
-/// loop, which ignores the batch knob — K must be inert there, with
-/// histories identical event by event.
-#[test]
-fn batched_k_with_crashes_and_failures_matches_oracle() {
-    let crash_timing = TimingModel::figure1(Noise::Exponential { mean: 1.0 });
-    let failure_timing = TimingModel::figure1(Noise::Uniform { lo: 0.0, hi: 2.0 })
-        .with_failures(FailureModel::Random { per_op: 0.05 });
-    for policy in QUEUES {
-        for k in BATCHES {
-            for seed in 0..2 {
-                // Scripted + adaptive crashes, history compared.
-                let inputs = setup::half_and_half(6);
-                let mut scratch = EngineScratch::with_queue(policy);
-                scratch.set_event_batch(k);
-                let mut inst_opt = setup::build(Algorithm::Lean, &inputs, seed);
-                let mut inst_ref = setup::build(Algorithm::Lean, &inputs, seed);
-                let mut crash_opt = LeaderKiller::new(3, 2);
-                let mut crash_ref = LeaderKiller::new(3, 2);
-                let mut hist_opt = Vec::new();
-                let mut hist_ref = Vec::new();
-                let optimized = drive_noisy(
-                    &mut scratch,
-                    &mut inst_opt,
-                    &crash_timing,
-                    seed,
-                    Limits::run_to_completion(),
-                    Some(&mut crash_opt),
-                    Some(&mut hist_opt),
-                );
-                let oracle = run_noisy_with_baseline(
-                    &mut inst_ref,
-                    &crash_timing,
-                    seed,
-                    Limits::run_to_completion(),
-                    Some(&mut crash_ref),
-                    Some(&mut hist_ref),
-                );
-                assert_eq!(
-                    optimized, oracle,
-                    "crash × {policy:?} × seed {seed} × K={k}"
-                );
-                assert_eq!(
-                    hist_opt, hist_ref,
-                    "history diverged, {policy:?} seed {seed} K={k}"
-                );
-                // Random halting failures (fast loop disabled).
-                assert_batch_matches_oracle(
-                    Algorithm::Lean,
-                    &setup::half_and_half(8),
-                    &failure_timing,
-                    seed,
-                    Limits::run_to_completion(),
-                    policy,
-                    k,
-                );
-            }
-        }
-    }
-}
-
-/// The builder-level `Sim::event_batch` knob over the stride-specialized
-/// dense plane: every K must match the oracle trial for trial, at lane
-/// widths that route through both `run_one` and `run_span_batch`.
-#[test]
-fn event_batch_knob_on_dense_plane_matches_oracle() {
-    let timing = TimingModel::figure1(Noise::Uniform { lo: 0.0, hi: 2.0 });
-    let inputs = setup::half_and_half(12);
-    for k in BATCHES {
-        for lanes in [1usize, 3] {
-            let reports = Sim::new(Algorithm::Lean)
+            let inputs = setup::half_and_half(7);
+            let reports = Sim::new(alg)
                 .inputs(inputs.clone())
                 .timing(timing.clone())
+                .queue_policy(policy)
                 .memory_backend(DenseRaceMemory::new())
-                .event_batch(k)
                 .trials(4)
-                .seed0(7)
-                .seed_stride(11)
+                .seed0(60)
+                .seed_stride(5)
                 .threads(1)
-                .lanes(lanes)
+                .reports();
+            let wrapped = Sim::new(alg)
+                .inputs(inputs.clone())
+                .timing(timing.clone())
+                .queue_policy(policy)
+                .memory_backend(FaultyMemory::pass_through(SimMemory::new()))
+                .trials(4)
+                .seed0(60)
+                .seed_stride(5)
+                .threads(1)
                 .reports();
             for (t, report) in reports.iter().enumerate() {
-                let seed = 7 + 11 * t as u64;
-                let mut inst = setup::build(Algorithm::Lean, &inputs, seed);
+                let seed = 60 + 5 * t as u64;
+                let mut inst = setup::build(alg, &inputs, seed);
                 let oracle =
                     run_noisy_baseline(&mut inst, &timing, seed, Limits::run_to_completion());
                 assert_eq!(
                     *report, oracle,
-                    "dense plane × K={k} × {lanes} lanes, trial {t}"
+                    "dense vs oracle: {alg:?} × {policy:?}, trial {t}"
+                );
+                assert_eq!(
+                    wrapped[t], oracle,
+                    "faulty-off vs oracle: {alg:?} × {policy:?}, trial {t}"
                 );
             }
         }
@@ -510,13 +290,10 @@ fn event_batch_knob_on_dense_plane_matches_oracle() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Changing K *mid-run* — an adversarial plan that hands the driver
-    /// a different batch size before every batch, including zeros — must
-    /// produce a `RunReport` identical to the sequential oracle's,
-    /// including `max_round`.
+    /// Random process counts and seeds: the optimized driver's
+    /// `RunReport` must equal the oracle's, `max_round` included.
     #[test]
-    fn random_mid_run_batch_plan_matches_oracle(
-        ks in proptest::collection::vec(0usize..96, 1..24),
+    fn random_n_and_seed_match_oracle(
         seed in 0u64..1000,
         n in 1usize..36,
     ) {
@@ -525,23 +302,18 @@ proptest! {
         let mut inst_ref = setup::build(Algorithm::Lean, &inputs, seed);
         let oracle = run_noisy_baseline(&mut inst_ref, &timing, seed, Limits::run_to_completion());
 
-        let mut i = 0usize;
-        let mut plan = move || {
-            let k = ks[i % ks.len()];
-            i += 1;
-            k
-        };
         let mut scratch = EngineScratch::new();
         let mut inst = setup::build(Algorithm::Lean, &inputs, seed);
-        let batched = drive_noisy_with_batch_plan(
+        let optimized = drive_noisy(
             &mut scratch,
             &mut inst,
             &timing,
             seed,
             Limits::run_to_completion(),
-            &mut plan,
+            None,
+            None,
         );
-        prop_assert_eq!(batched.max_round, oracle.max_round, "max_round diverged");
-        prop_assert_eq!(batched, oracle);
+        prop_assert_eq!(optimized.max_round, oracle.max_round, "max_round diverged");
+        prop_assert_eq!(optimized, oracle);
     }
 }

@@ -151,19 +151,6 @@ impl MemStore for DenseRaceMemory {
     fn footprint_words(&self) -> usize {
         self.hi
     }
-
-    #[inline]
-    fn race_plane(&mut self) -> Option<crate::store::RacePlane<'_>> {
-        // The whole point of this backend: a faithful preallocated
-        // array, so batched callers may address the prefix directly
-        // (they fall back to per-op `read`/`write` — and its `grow_to`
-        // slow path — for any batch that would reach past it).
-        Some(crate::store::RacePlane {
-            words: &mut self.words,
-            hi: &mut self.hi,
-            ops: &mut self.ops_executed,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -218,53 +205,6 @@ mod tests {
         assert_eq!(mem.ops_executed(), 3);
         assert_eq!(mem.peek(Addr::new(0)), 1);
         assert_eq!(mem.ops_executed(), 3, "peek must not count");
-    }
-
-    #[test]
-    fn race_plane_access_is_indistinguishable_from_per_op_calls() {
-        // Drive the same op sequence through the MemStore methods and
-        // through the RacePlane window (following its contract), then
-        // compare every observable: values, op count, footprint.
-        let mut per_op = DenseRaceMemory::with_rounds(8);
-        let mut planar = DenseRaceMemory::with_rounds(8);
-        let script: Vec<(usize, Option<Word>)> = (0..40)
-            .map(|i| (i * 7 % 17, if i % 3 == 0 { Some(i as Word) } else { None }))
-            .collect();
-        for &(idx, write) in &script {
-            let addr = Addr::new(idx);
-            let expect = match write {
-                Some(v) => {
-                    per_op.write(addr, v);
-                    None
-                }
-                None => Some(per_op.read(addr)),
-            };
-            let plane = planar.race_plane().expect("dense store exposes its plane");
-            assert!(idx < plane.words.len(), "script stays in the prefix");
-            *plane.ops += 1;
-            match write {
-                Some(v) => {
-                    plane.words[idx] = v;
-                    *plane.hi = (*plane.hi).max(idx + 1);
-                }
-                None => assert_eq!(Some(plane.words[idx]), expect),
-            }
-        }
-        assert_eq!(per_op.ops_executed(), planar.ops_executed());
-        assert_eq!(per_op.footprint_words(), planar.footprint_words());
-        for idx in 0..32 {
-            let addr = Addr::new(idx);
-            assert_eq!(per_op.peek(addr), planar.peek(addr), "word {idx}");
-        }
-    }
-
-    #[test]
-    fn only_the_dense_backend_exposes_a_race_plane() {
-        assert!(DenseRaceMemory::new().race_plane().is_some());
-        assert!(SimMemory::new().race_plane().is_none());
-        assert!(crate::FaultyMemory::pass_through(DenseRaceMemory::new())
-            .race_plane()
-            .is_none());
     }
 
     proptest! {

@@ -27,7 +27,7 @@
 //! trial seed via [`MemStore::reseed`] (the engine calls it once per
 //! trial, after setup writes like sentinels — initial state is never
 //! faulted). Same seed ⇒ byte-identical fault decisions, at any thread
-//! count or lane width. Before `reseed` arms it — and always with an
+//! count. Before `reseed` arms it — and always with an
 //! empty spec — the wrapper is a transparent pass-through, pinned
 //! observationally identical to its inner store by the engine's
 //! equivalence suites.

@@ -73,5 +73,5 @@ pub use faulty::{FaultSpec, FaultyMemory};
 pub use history::{check_register_semantics, check_register_semantics_from, Event, HistoryError};
 pub use layout::{RaceLayout, Region};
 pub use sim::SimMemory;
-pub use store::{MemStore, RacePlane};
+pub use store::MemStore;
 pub use types::{Addr, Bit, Op, OpKind, Pid, Word};

@@ -24,31 +24,6 @@ use std::fmt;
 use crate::layout::Region;
 use crate::types::{Addr, Op, Word};
 
-/// A direct mutable window onto a dense, faithful word plane — the
-/// compile-time-specialized fast lane for [`crate::RaceLayout`]-strided
-/// access (see [`MemStore::race_plane`]).
-///
-/// # Contract for callers
-///
-/// The view bypasses [`MemStore::read`]/[`MemStore::write`], so the
-/// caller must leave the store indistinguishable from having made the
-/// equivalent per-op calls:
-///
-/// * only touch indices `< words.len()` (no growth through the plane);
-/// * bump `*ops` by one per logical read or write performed;
-/// * after writing index `i`, ensure `*hi ≥ i + 1` (the footprint
-///   high-water mark);
-/// * store exactly the words the per-op path would have stored.
-#[derive(Debug)]
-pub struct RacePlane<'a> {
-    /// The backing words, zero-initialised beyond the high-water mark.
-    pub words: &'a mut [Word],
-    /// The store's footprint high-water mark (max written index + 1).
-    pub hi: &'a mut usize,
-    /// The store's [`MemStore::ops_executed`] counter.
-    pub ops: &'a mut u64,
-}
-
 /// A flat, conceptually unbounded, zero-initialised space of atomic
 /// read/write registers under interleaving semantics.
 ///
@@ -135,22 +110,6 @@ pub trait MemStore: fmt::Debug + Clone + Send + Sync {
     /// of the space the executions actually consumed (persists across
     /// [`MemStore::reset`], by the in-place-zeroing contract).
     fn footprint_words(&self) -> usize;
-
-    /// A direct window onto the store's dense backing words, if the
-    /// store is a faithful preallocated array ([`crate::DenseRaceMemory`]).
-    ///
-    /// The engine's batched executor uses this to turn a micro-batch of
-    /// protocol operations into straight-line indexed loads/stores —
-    /// provided every address in the batch falls inside
-    /// `words.len()` — instead of K dispatched `read`/`write` calls.
-    /// Stores that inject faults, grow lazily, or otherwise do work per
-    /// operation must return `None` (the default) so every operation
-    /// keeps flowing through [`MemStore::read`]/[`MemStore::write`];
-    /// see [`RacePlane`] for the caller-side contract.
-    #[inline]
-    fn race_plane(&mut self) -> Option<RacePlane<'_>> {
-        None
-    }
 }
 
 #[cfg(test)]

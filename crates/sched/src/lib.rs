@@ -39,7 +39,6 @@
 #![forbid(unsafe_code)]
 
 pub mod adversary;
-pub mod calendar;
 pub mod hybrid;
 pub mod noise;
 pub mod queue;
@@ -49,7 +48,6 @@ pub mod timing;
 pub mod tree;
 
 pub use adversary::{Adversary, CrashAdversary, ProcView};
-pub use calendar::CalendarQueue;
 pub use hybrid::{HybridPolicy, HybridSpec, HybridView};
 pub use noise::{Noise, OpNoise};
 pub use queue::{Event as QueuedEvent, EventQueue};

@@ -44,22 +44,6 @@ use crate::tree::EventTree;
 /// new hardware by running `cargo bench -p nc-bench --bench event_queue`.
 pub const TREE_MIN_N: usize = 4096;
 
-/// The [`QueuePolicy::Auto`] crossover used instead of [`TREE_MIN_N`]
-/// when the engine drives the queue through its **batched** core
-/// (micro-batch K > 1).
-///
-/// Batched selection replaces the heap's hold re-key (one root
-/// replacement) with pop + insert per event; the tree pays a full
-/// root-to-leaf replay per pop that its deduplicated
-/// [`SimQueue::insert_batch`] scatter cannot win back. Measured on the
-/// reference VM (`bench_engine --probe`): with K ∈ {4, 16} the heap
-/// beats the tree at *every* probed size (n = 100 through 8192 — e.g.
-/// 11.5M vs 7.9M events/s at n = 8192, K = 16), so the batched
-/// crossover sits beyond the measured range and this cut is a
-/// conservative extrapolation. Any choice is still result-identical;
-/// this only picks the faster plane.
-pub const TREE_MIN_N_BATCHED: usize = 16_384;
-
 /// Which queue implementation a simulation run should use.
 ///
 /// The default (`Auto`) applies the [`TREE_MIN_N`] size heuristic per
@@ -89,34 +73,13 @@ pub enum QueueKind {
 }
 
 impl QueuePolicy {
-    /// Resolves the policy for a run with `n` processes driven by the
-    /// per-event loop.
+    /// Resolves the policy for a run with `n` processes: `Auto` cuts
+    /// over from the heap to the tree at [`TREE_MIN_N`].
     #[inline]
     pub fn kind_for(self, n: usize) -> QueueKind {
-        self.kind_for_batch(n, 1)
-    }
-
-    /// Resolves the policy for a run with `n` processes and engine
-    /// micro-batch size `batch`: `Auto` cuts over to the tree at
-    /// [`TREE_MIN_N`] per-event (`batch <= 1`) and at the much higher
-    /// [`TREE_MIN_N_BATCHED`] under the batched core (see the constants'
-    /// docs for the measurements).
-    #[inline]
-    pub fn kind_for_batch(self, n: usize, batch: usize) -> QueueKind {
         match self {
-            QueuePolicy::Auto => {
-                let cut = if batch > 1 {
-                    TREE_MIN_N_BATCHED
-                } else {
-                    TREE_MIN_N
-                };
-                if n >= cut {
-                    QueueKind::Tree
-                } else {
-                    QueueKind::Heap
-                }
-            }
-            QueuePolicy::Heap => QueueKind::Heap,
+            QueuePolicy::Auto if n >= TREE_MIN_N => QueueKind::Tree,
+            QueuePolicy::Auto | QueuePolicy::Heap => QueueKind::Heap,
             QueuePolicy::Tree => QueueKind::Tree,
         }
     }
@@ -154,32 +117,6 @@ pub trait SimQueue {
     /// Replaces the earliest event with `ev` — the hold operation. `ev`
     /// must carry the same pid as the current first event.
     fn reschedule_first(&mut self, ev: Event);
-
-    /// Removes up to `max` earliest events in pop order, appending them
-    /// to `out`. Exactly equivalent to calling [`SimQueue::pop_first`]
-    /// `max` times (stopping when the queue empties) — the batched
-    /// engine core uses it to drain a micro-batch in one call.
-    #[inline]
-    fn pop_first_batch(&mut self, out: &mut Vec<Event>, max: usize) {
-        for _ in 0..max {
-            match self.pop_first() {
-                Some(ev) => out.push(ev),
-                None => break,
-            }
-        }
-    }
-
-    /// Inserts a whole batch of events, exactly equivalent to
-    /// [`SimQueue::insert`] on each in order. Implementations may share
-    /// internal recomputation across the batch (the tournament tree
-    /// recomputes each dirty ancestor block once per level instead of
-    /// once per event).
-    #[inline]
-    fn insert_batch(&mut self, evs: &[Event]) {
-        for &ev in evs {
-            self.insert(ev);
-        }
-    }
 }
 
 impl SimQueue for EventQueue {
@@ -237,13 +174,6 @@ impl SimQueue for EventTree {
         // remove.
         self.set(ev);
     }
-
-    #[inline]
-    fn insert_batch(&mut self, evs: &[Event]) {
-        // Shared-ancestor scatter: one reduction per dirty block per
-        // level (see `EventTree::set_batch`).
-        self.set_batch(evs);
-    }
 }
 
 #[cfg(test)]
@@ -256,34 +186,6 @@ mod tests {
         assert_eq!(QueuePolicy::Auto.kind_for(TREE_MIN_N - 1), QueueKind::Heap);
         assert_eq!(QueuePolicy::Auto.kind_for(TREE_MIN_N), QueueKind::Tree);
         assert_eq!(QueuePolicy::Auto.kind_for(usize::MAX), QueueKind::Tree);
-    }
-
-    #[test]
-    fn auto_policy_uses_the_batched_crossover_when_batching() {
-        for batch in [2, 16, 64] {
-            assert_eq!(
-                QueuePolicy::Auto.kind_for_batch(TREE_MIN_N, batch),
-                QueueKind::Heap,
-                "batched K={batch} keeps the heap at the per-event cut"
-            );
-            assert_eq!(
-                QueuePolicy::Auto.kind_for_batch(TREE_MIN_N_BATCHED, batch),
-                QueueKind::Tree
-            );
-        }
-        // K <= 1 is the per-event loop: the original cut applies.
-        for batch in [0, 1] {
-            assert_eq!(
-                QueuePolicy::Auto.kind_for_batch(TREE_MIN_N, batch),
-                QueueKind::Tree
-            );
-        }
-        // Forced policies ignore the batch size too.
-        assert_eq!(
-            QueuePolicy::Heap.kind_for_batch(usize::MAX, 64),
-            QueueKind::Heap
-        );
-        assert_eq!(QueuePolicy::Tree.kind_for_batch(0, 64), QueueKind::Tree);
     }
 
     #[test]
@@ -328,78 +230,5 @@ mod tests {
         let mut heap = EventQueue::new();
         let mut tree = EventTree::new();
         assert_eq!(run(&mut heap), run(&mut tree));
-    }
-
-    /// The batch primitives are exactly their singleton equivalents on
-    /// both implementations, for every batch size the engine uses.
-    #[test]
-    fn batch_primitives_match_singleton_ops() {
-        fn run<Q: SimQueue>(q: &mut Q, k: usize, batched: bool) -> Vec<(u64, u32)> {
-            q.prepare(16);
-            let mut seq = 0u64;
-            let starts: Vec<Event> = (0..16u32)
-                .map(|pid| {
-                    let e = Event::new(pid as f64 * 0.43, seq, pid);
-                    seq += 1;
-                    e
-                })
-                .collect();
-            if batched {
-                q.insert_batch(&starts);
-            } else {
-                for &e in &starts {
-                    q.insert(e);
-                }
-            }
-            let mut log = Vec::new();
-            let mut popped = Vec::new();
-            for round in 0..40 {
-                popped.clear();
-                if batched {
-                    q.pop_first_batch(&mut popped, k);
-                } else {
-                    for _ in 0..k {
-                        match q.pop_first() {
-                            Some(e) => popped.push(e),
-                            None => break,
-                        }
-                    }
-                }
-                log.extend(popped.iter().map(|e| (e.seq(), e.pid())));
-                let succs: Vec<Event> = popped
-                    .iter()
-                    .map(|e| {
-                        let inc = 0.2 + ((round * 31) as f64 * 0.617).fract();
-                        let s = Event::new(e.time() + inc, seq, e.pid());
-                        seq += 1;
-                        s
-                    })
-                    .collect();
-                // Stop reinserting near the end so the queue drains.
-                if round < 30 {
-                    if batched {
-                        q.insert_batch(&succs);
-                    } else {
-                        for &s in &succs {
-                            q.insert(s);
-                        }
-                    }
-                }
-            }
-            while let Some(e) = q.pop_first() {
-                log.push((e.seq(), e.pid()));
-            }
-            log
-        }
-        for k in [1usize, 3, 4, 8, 16, 64] {
-            let mut heap_a = EventQueue::new();
-            let mut heap_b = EventQueue::new();
-            let mut tree_a = EventTree::new();
-            let mut tree_b = EventTree::new();
-            let reference = run(&mut heap_a, k, false);
-            assert_eq!(run(&mut heap_b, k, true), reference, "heap k={k}");
-            assert_eq!(run(&mut tree_a, k, false), reference, "tree loop k={k}");
-            assert_eq!(run(&mut tree_b, k, true), reference, "tree batch k={k}");
-        }
     }
 }

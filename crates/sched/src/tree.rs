@@ -1,5 +1,5 @@
-//! A branchless **tournament tree** over per-process event slots — an
-//! alternative event queue kept for benchmarking and future hardware.
+//! A branchless **tournament tree** over per-process event slots — the
+//! engine's event queue at large `n`.
 //!
 //! Motivation: comparison-based queues spend much of the simulation hot
 //! loop in **branch mispredicts** — every comparison on random event
@@ -17,15 +17,16 @@
 //!   `cmp`+`select` chains the compiler lowers without a single
 //!   data-dependent branch. Peek reads the root.
 //!
-//! **Measured outcome** (see `nc-bench`'s `event_queue` bench and
-//! `BENCH_engine.json`): on the current reference machine the zero-
+//! **Measured outcome** (see `nc-bench`'s `event_queue` bench and the
+//! `heap_events_per_sec` / `tree_events_per_sec` columns of
+//! `BENCH_engine.json`): while the heap fits hot cache, the zero-
 //! mispredict property does not pay for the `u128::min` dependency
 //! chains — each select is a multi-µop `cmp`/`sbb`/`cmov` sequence with
 //! ~4-6 cycle latency, serialized along the reduction — and the 4-ary
-//! tournament-select heap ([`crate::queue::EventQueue`]) wins, so the
-//! engine uses the heap. The tree is kept (fully tested, differentially
-//! pinned to the heap) because the trade flips on wider cores or with
-//! SIMD `min`, and as the measurement record for that decision.
+//! tournament-select heap ([`crate::queue::EventQueue`]) wins. Once the
+//! heap walk gets deep, the tree's fixed reduction catches up, so
+//! [`crate::select::QueuePolicy::Auto`] picks the tree from
+//! [`crate::select::TREE_MIN_N`] processes up and the heap below.
 //!
 //! Determinism: `min` over total integer keys is exact — the pop
 //! sequence is identical to every other queue in this crate (pinned by
@@ -74,8 +75,6 @@ pub struct EventTree {
     /// of the one below; the last level is a single root.
     levels: Vec<Vec<u128>>,
     len: usize,
-    /// Reusable dirty-index buffer for [`EventTree::set_batch`].
-    scratch: Vec<usize>,
 }
 
 /// Balanced 16-wide `min` reduction of one block: latency depth 4 (vs 15
@@ -163,51 +162,6 @@ impl EventTree {
             self.len += 1;
         }
         self.update(pid, ev.key());
-    }
-
-    /// Inserts or reschedules a whole batch of events, equivalent to
-    /// [`EventTree::set`] on each in order (last write per pid wins).
-    ///
-    /// Sharing is the point: the batched engine core scatters K
-    /// successor events at once, and events close in time land in
-    /// neighbouring leaf blocks, so each dirty ancestor block is
-    /// recomputed **once per level** instead of once per event — for a
-    /// K-event batch inside one 16-leaf block that is `depth` reductions
-    /// instead of `K · depth`.
-    pub fn set_batch(&mut self, evs: &[Event]) {
-        match evs {
-            [] => return,
-            [ev] => {
-                self.set(*ev);
-                return;
-            }
-            _ => {}
-        }
-        let mut dirty = std::mem::take(&mut self.scratch);
-        dirty.clear();
-        for ev in evs {
-            let pid = ev.pid() as usize;
-            debug_assert!(pid < self.levels[0].len(), "pid {pid} out of range");
-            if self.levels[0][pid] == EMPTY {
-                self.len += 1;
-            }
-            self.levels[0][pid] = ev.key();
-            dirty.push(pid);
-        }
-        for l in 0..self.levels.len() - 1 {
-            for idx in dirty.iter_mut() {
-                *idx >>= ARITY_LOG2;
-            }
-            dirty.sort_unstable();
-            dirty.dedup();
-            let (lo, hi) = self.levels.split_at_mut(l + 1);
-            let level = &lo[l];
-            for &parent in &dirty {
-                let block = parent << ARITY_LOG2;
-                hi[0][parent] = block_min(&level[block..block + ARITY]);
-            }
-        }
-        self.scratch = dirty;
     }
 
     /// Removes the event of `pid`, if present.
@@ -374,42 +328,6 @@ mod tests {
             let heap_rest: Vec<Event> = std::iter::from_fn(|| heap.pop()).collect();
             let tree_rest: Vec<Event> = std::iter::from_fn(|| tree.pop()).collect();
             prop_assert_eq!(heap_rest, tree_rest);
-        }
-
-        /// set_batch is exactly a loop of set, for any batch shape
-        /// (singletons, duplicates, cross-block spreads, reschedules).
-        #[test]
-        fn set_batch_matches_set_loop(
-            n in 1usize..300,
-            batches in proptest::collection::vec(
-                proptest::collection::vec((0usize..300, 0.0f64..100.0), 0..24),
-                1..12,
-            ),
-        ) {
-            let mut batched = EventTree::new();
-            batched.reset(n);
-            let mut looped = EventTree::new();
-            looped.reset(n);
-            let mut seq = 0u64;
-            for batch in &batches {
-                let evs: Vec<Event> = batch
-                    .iter()
-                    .map(|&(pid, t)| {
-                        let e = Event::new(t, seq, (pid % n) as u32);
-                        seq += 1;
-                        e
-                    })
-                    .collect();
-                for &e in &evs {
-                    looped.set(e);
-                }
-                batched.set_batch(&evs);
-                prop_assert_eq!(batched.len(), looped.len());
-                prop_assert_eq!(batched.peek(), looped.peek());
-            }
-            let a: Vec<Event> = std::iter::from_fn(|| batched.pop()).collect();
-            let b: Vec<Event> = std::iter::from_fn(|| looped.pop()).collect();
-            prop_assert_eq!(a, b);
         }
 
         /// Arbitrary set/remove traffic keeps the root exact.

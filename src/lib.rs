@@ -65,7 +65,7 @@
 //! println!("first decision at round {:?}", report.first_decision_round);
 //!
 //! // A 200-trial sweep across 2 worker threads — bit-identical at any
-//! // worker count or lane width.
+//! // worker count.
 //! let rounds = Sim::new(Algorithm::Lean)
 //!     .inputs(inputs)
 //!     .timing(TimingModel::figure1(Noise::Uniform { lo: 0.0, hi: 2.0 }))
