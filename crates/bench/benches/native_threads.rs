@@ -10,15 +10,14 @@ use std::sync::Arc;
 
 fn decide(threads: usize) {
     let consensus = Arc::new(NativeConsensus::new());
-    crossbeam::scope(|s| {
+    std::thread::scope(|s| {
         for i in 0..threads {
             let c = Arc::clone(&consensus);
-            s.spawn(move |_| {
+            s.spawn(move || {
                 c.propose(Bit::from(i % 2 == 0)).expect("round limit");
             });
         }
-    })
-    .unwrap();
+    });
 }
 
 fn bench_native(c: &mut Criterion) {

@@ -8,9 +8,9 @@
 //! Usage:
 //! `cargo run --release -p nc-bench --bin bench_engine [-- --trials 3000 --min-speedup 1.6 --out BENCH_engine.json]`
 //!
-//! `--probe [--n N]` prints the heap, tree and dense cells at one size
-//! (the queue cut behind [`nc_sched::select::TREE_MIN_N`]) without
-//! writing anything or gating.
+//! `--probe [--n N]` prints the heap and tree cells at one size (the
+//! queue cut behind [`nc_sched::select::TREE_MIN_N`]) without writing
+//! anything or gating.
 //!
 //! Workload: the acceptance configuration — Figure 1 point, `n = 100`
 //! (plus 1000 and 10000 for the scaling picture), `U(0, 2)` noise,
@@ -18,12 +18,10 @@
 //! included, exactly like `fig1::point`). Every number is a best-of-R
 //! measurement to shrug off scheduler noise.
 //!
-//! Per n, five single-thread cells: the naive baseline; the sequential
-//! engine (scratch reuse, auto queue); the same with the queue forced to
-//! heap and to tree (the queue ablation backing
-//! [`nc_sched::select::TREE_MIN_N`]); and the engine on the
-//! `DenseRaceMemory` plane (the memory-plane ablation). The headline
-//! "optimized" number is the better of the sequential and dense cells.
+//! Per n, four single-thread cells: the naive baseline; the sequential
+//! engine (scratch reuse, auto queue), which is the headline
+//! "optimized" number; and the same with the queue forced to heap and
+//! to tree (the queue ablation backing [`nc_sched::select::TREE_MIN_N`]).
 
 use std::io::Write as _;
 use std::time::Instant;
@@ -31,7 +29,7 @@ use std::time::Instant;
 use nc_bench::{arg, experiments::fig1, flag};
 use nc_engine::baseline::run_noisy_baseline;
 use nc_engine::sim::Sim;
-use nc_engine::{setup, DenseRaceMemory, Limits, QueuePolicy};
+use nc_engine::{setup, Limits, QueuePolicy};
 use nc_sched::{Noise, TimingModel};
 
 const REPEATS: usize = 3;
@@ -74,24 +72,6 @@ fn bench_sequential(n: usize, trials: u64, policy: QueuePolicy) -> (f64, u64) {
         .timing(timing())
         .limits(Limits::first_decision())
         .queue_policy(policy)
-        .build();
-    best_of(|| {
-        let mut events = 0;
-        for seed in 0..trials {
-            events += sim.run(seed).total_ops;
-        }
-        events
-    })
-}
-
-/// The dense memory-plane cell: the sequential engine with the word
-/// store swapped to the preallocated `DenseRaceMemory`.
-fn bench_dense(n: usize, trials: u64) -> (f64, u64) {
-    let mut sim = Sim::new(setup::Algorithm::Lean)
-        .inputs(setup::half_and_half(n))
-        .timing(timing())
-        .limits(Limits::first_decision())
-        .memory_backend(DenseRaceMemory::new())
         .build();
     best_of(|| {
         let mut events = 0;
@@ -145,7 +125,7 @@ fn main() {
         .map(|c| c.get())
         .unwrap_or(1);
 
-    // `--probe [--n N]`: the heap / tree / dense cells at one size — the
+    // `--probe [--n N]`: the heap / tree cells at one size — the
     // measurement behind TREE_MIN_N — printed, nothing written, no gate.
     if flag("probe") {
         let n: usize = arg("n", 100);
@@ -155,8 +135,6 @@ fn main() {
             let (s, ev) = bench_sequential(n, t, policy);
             eprintln!("  {policy:?}: {:.3e} ev/s", ev as f64 / s);
         }
-        let (s, ev) = bench_dense(n, t);
-        eprintln!("  Dense: {:.3e} ev/s", ev as f64 / s);
         return;
     }
 
@@ -169,31 +147,24 @@ fn main() {
         let (seq_s, seq_ev) = bench_sequential(n, t, QueuePolicy::Auto);
         let (heap_s, _) = bench_sequential(n, t, QueuePolicy::Heap);
         let (tree_s, _) = bench_sequential(n, t, QueuePolicy::Tree);
-        let (dense_s, dense_ev) = bench_dense(n, t);
         assert_eq!(naive_ev, seq_ev, "engines diverged at n = {n}");
-        assert_eq!(naive_ev, dense_ev, "dense backend diverged at n = {n}");
         let naive_eps = naive_ev as f64 / naive_s;
         let seq_eps = seq_ev as f64 / seq_s;
         let heap_eps = naive_ev as f64 / heap_s;
         let tree_eps = naive_ev as f64 / tree_s;
-        let dense_eps = dense_ev as f64 / dense_s;
-        // The headline is the better of the two word-store planes the
-        // builder offers.
-        let best_eps = seq_eps.max(dense_eps);
-        let speedup = best_eps / naive_eps;
+        let speedup = seq_eps / naive_eps;
         if n == 100 {
             speedup_n100 = speedup;
         }
         eprintln!(
-            "n={n}: naive {naive_eps:.3e} ev/s, sequential {seq_eps:.3e} (heap {heap_eps:.3e}, tree {tree_eps:.3e}), dense {dense_eps:.3e} ev/s, speedup {speedup:.2}x"
+            "n={n}: naive {naive_eps:.3e} ev/s, sequential {seq_eps:.3e} (heap {heap_eps:.3e}, tree {tree_eps:.3e}) ev/s, speedup {speedup:.2}x"
         );
         if i > 0 {
             single.push(',');
         }
         single.push_str(&format!(
-            "\n    {{\"n\": {n}, \"trials\": {t}, \"events_per_trial\": {:.1}, \"naive_events_per_sec\": {naive_eps:.1}, \"heap_events_per_sec\": {heap_eps:.1}, \"tree_events_per_sec\": {tree_eps:.1}, \"dense_memory_events_per_sec\": {dense_eps:.1}, \"optimized_events_per_sec\": {best_eps:.1}, \"speedup\": {speedup:.3}, \"speedup_sequential\": {:.3}}}",
+            "\n    {{\"n\": {n}, \"trials\": {t}, \"events_per_trial\": {:.1}, \"naive_events_per_sec\": {naive_eps:.1}, \"heap_events_per_sec\": {heap_eps:.1}, \"tree_events_per_sec\": {tree_eps:.1}, \"optimized_events_per_sec\": {seq_eps:.1}, \"speedup\": {speedup:.3}}}",
             naive_ev as f64 / t as f64,
-            seq_eps / naive_eps
         ));
     }
 
@@ -259,7 +230,7 @@ fn main() {
     }
 
     let json = format!(
-        "{{\n  \"workload\": \"fig1 point: n procs, U(0,2) noise, first-decision cutoff, full trial incl. instance setup\",\n  \"baseline\": \"naive BinaryHeap driver (nc_engine::baseline, seed implementation)\",\n  \"optimized\": \"SoA scratch engine, auto queue (heap < TREE_MIN_N <= tree); best of the default SimMemory plane and the DenseRaceMemory plane, one thread\",\n  \"host_cores\": {cores},\n  \"trials_n100\": {trials},\n  \"single_thread\": [{single}\n  ],\n  \"speedup_n100\": {speedup_n100:.3},\n  \"sweep_scaling_n100\": {{\n    \"host_limited\": {host_limited},\n    \"rows\": [{scaling}\n    ]\n  }},\n  \"reset_fill_vs_clear\": [{reset_cells}\n  ],\n  \"notes\": \"Numbers from `cargo run --release -p nc-bench --bin bench_engine`; best-of-{REPEATS} wall time per cell. speedup_sequential is the default SimMemory plane alone; heap/tree columns are the queue ablation behind TREE_MIN_N; dense_memory is the DenseRaceMemory word-store plane (Sim::memory_backend); reset_fill_vs_clear records why SimMemory::reset ships fill(0)-in-place. sweep_scaling_n100.host_limited = true means the host had 1 core, so the scaling rows carry no parallel-speedup information.\"\n}}\n"
+        "{{\n  \"workload\": \"fig1 point: n procs, U(0,2) noise, first-decision cutoff, full trial incl. instance setup\",\n  \"baseline\": \"naive BinaryHeap driver (nc_engine::baseline, seed implementation)\",\n  \"optimized\": \"SoA scratch engine, auto queue (heap < TREE_MIN_N <= tree), one thread\",\n  \"host_cores\": {cores},\n  \"trials_n100\": {trials},\n  \"single_thread\": [{single}\n  ],\n  \"speedup_n100\": {speedup_n100:.3},\n  \"sweep_scaling_n100\": {{\n    \"host_limited\": {host_limited},\n    \"rows\": [{scaling}\n    ]\n  }},\n  \"reset_fill_vs_clear\": [{reset_cells}\n  ],\n  \"notes\": \"Numbers from `cargo run --release -p nc-bench --bin bench_engine`; best-of-{REPEATS} wall time per cell. heap/tree columns are the queue ablation behind TREE_MIN_N; reset_fill_vs_clear records why SimMemory::reset ships fill(0)-in-place. sweep_scaling_n100.host_limited = true means the host had 1 core, so the scaling rows carry no parallel-speedup information.\"\n}}\n"
     );
     let mut file = std::fs::File::create(&out).expect("create output file");
     file.write_all(json.as_bytes()).expect("write json");

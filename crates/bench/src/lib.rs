@@ -114,17 +114,32 @@ pub fn flag(key: &str) -> bool {
     std::env::args().any(|a| a == want)
 }
 
-/// Parses `--key value` style arguments; returns the value for `key`.
+/// Parses `--key value` style arguments; returns the value for `key`,
+/// or `default` when the flag is absent.
+///
+/// A flag whose value is missing or does not parse ends the process
+/// with status 2 and a message naming the flag and the value.
 pub fn arg<T: std::str::FromStr>(key: &str, default: T) -> T {
     let args: Vec<String> = std::env::args().collect();
-    for i in 0..args.len() {
-        if args[i] == format!("--{key}") {
-            if let Some(v) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                return v;
-            }
-        }
+    parse_arg(&args, key, default).unwrap_or_else(|msg| {
+        eprintln!("{msg}");
+        std::process::exit(2);
+    })
+}
+
+/// [`arg`] over an explicit argument list: `Ok(default)` when `--key`
+/// is absent, the parsed value after its first occurrence otherwise.
+fn parse_arg<T: std::str::FromStr>(args: &[String], key: &str, default: T) -> Result<T, String> {
+    let flag = format!("--{key}");
+    let Some(i) = args.iter().position(|a| *a == flag) else {
+        return Ok(default);
+    };
+    match args.get(i + 1) {
+        None => Err(format!("{flag}: missing value")),
+        Some(v) => v
+            .parse()
+            .map_err(|_| format!("{flag}: cannot parse value {v:?}")),
     }
-    default
 }
 
 #[cfg(test)]
@@ -156,6 +171,25 @@ mod tests {
     #[test]
     fn arg_returns_default_without_flag() {
         assert_eq!(arg("definitely-not-passed", 42u64), 42);
+    }
+
+    fn argv(args: &[&str]) -> Vec<String> {
+        args.iter().map(|a| a.to_string()).collect()
+    }
+
+    #[test]
+    fn parse_arg_covers_absent_valid_unparsable_and_missing_values() {
+        let args = argv(&["bench", "--trials", "50", "--min-speedup", "1,2", "--seed"]);
+        assert_eq!(parse_arg(&args, "out", 7u64), Ok(7));
+        assert_eq!(parse_arg(&args, "trials", 0u64), Ok(50));
+        assert_eq!(
+            parse_arg(&args, "min-speedup", 1.6f64),
+            Err("--min-speedup: cannot parse value \"1,2\"".to_string())
+        );
+        assert_eq!(
+            parse_arg(&args, "seed", 0u64),
+            Err("--seed: missing value".to_string())
+        );
     }
 
     #[test]

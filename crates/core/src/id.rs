@@ -160,17 +160,16 @@ mod tests {
         for trial in 0..20u32 {
             let obj = IdConsensus::new(32);
             let proposers: Vec<u32> = (0..6).map(|i| (i * 5 + trial) % 32).collect();
-            let winners: Vec<u32> = crossbeam::scope(|s| {
+            let winners: Vec<u32> = std::thread::scope(|s| {
                 let handles: Vec<_> = proposers
                     .iter()
                     .map(|&id| {
                         let obj = &obj;
-                        s.spawn(move |_| obj.propose(id).unwrap())
+                        s.spawn(move || obj.propose(id).unwrap())
                     })
                     .collect();
                 handles.into_iter().map(|h| h.join().unwrap()).collect()
-            })
-            .unwrap();
+            });
             let w = winners[0];
             assert!(
                 winners.iter().all(|&x| x == w),

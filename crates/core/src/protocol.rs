@@ -91,7 +91,7 @@ pub trait ProtocolCore: fmt::Debug {
     ///
     /// Semantically redundant, but load-bearing for throughput: the
     /// discrete-event engine holds protocols as `Box<dyn Protocol>`, and
-    /// its general loop needs the post-advance status after every
+    /// its shared step loop needs the post-advance status after every
     /// operation. Through the provided method both calls resolve behind
     /// a single virtual dispatch (and inline into each other on the
     /// concrete type), instead of two separate vtable round-trips per

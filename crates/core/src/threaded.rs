@@ -226,19 +226,18 @@ mod tests {
     fn concurrent_threads_agree() {
         for trial in 0..25 {
             let c = NativeConsensus::new();
-            let decisions: Vec<Decision> = crossbeam::scope(|s| {
+            let decisions: Vec<Decision> = std::thread::scope(|s| {
                 let handles: Vec<_> = (0..8)
                     .map(|i| {
                         let c = &c;
-                        s.spawn(move |_| {
+                        s.spawn(move || {
                             let input = Bit::from((i + trial) % 2 == 0);
                             c.propose(input).expect("round limit hit")
                         })
                     })
                     .collect();
                 handles.into_iter().map(|h| h.join().unwrap()).collect()
-            })
-            .unwrap();
+            });
             let v = decisions[0].value;
             assert!(
                 decisions.iter().all(|d| d.value == v),
@@ -254,16 +253,15 @@ mod tests {
     #[test]
     fn concurrent_unanimous_inputs_cost_8_ops() {
         let c = NativeConsensus::new();
-        let decisions: Vec<Decision> = crossbeam::scope(|s| {
+        let decisions: Vec<Decision> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..6)
                 .map(|_| {
                     let c = &c;
-                    s.spawn(move |_| c.propose(Bit::One).unwrap())
+                    s.spawn(move || c.propose(Bit::One).unwrap())
                 })
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
-        })
-        .unwrap();
+        });
         for d in decisions {
             assert_eq!(d.value, Bit::One);
             assert_eq!(d.ops, 8, "Lemma 3: unanimous inputs cost exactly 8 ops");

@@ -6,10 +6,11 @@
 //! lets an [`nc_sched::CrashAdversary`] kill processes adaptively.
 //! It is the workhorse behind the property-based safety suite.
 
-use nc_core::{Protocol, Status};
+use nc_core::Protocol;
 use nc_memory::MemStore;
-use nc_sched::adversary::{Adversary, CrashAdversary, ProcView};
+use nc_sched::adversary::{Adversary, CrashAdversary};
 
+use crate::drive::{self, Pick, Procs};
 use crate::report::{Limits, RunOutcome, RunReport};
 use crate::setup::Instance;
 
@@ -36,95 +37,23 @@ pub fn drive_adversarial<M: MemStore, P: Protocol<M>>(
     crash: &mut dyn CrashAdversary,
     limits: Limits,
 ) -> RunReport {
-    let n = inst.procs.len();
-    let mut halted = vec![false; n];
-    let mut decided = vec![false; n];
-    let mut decision_rounds: Vec<Option<usize>> = vec![None; n];
-    let mut op_counts = vec![0u64; n];
-    let mut total_ops = 0u64;
-    let mut first_decision_round = None;
-    let mut outcome: Option<RunOutcome> = None;
+    drive::run(inst, &mut Untimed(adversary), limits, Some(crash), None)
+}
 
-    loop {
-        if (0..n).all(|i| decided[i] || halted[i]) {
-            break;
-        }
-        if total_ops >= limits.max_ops {
-            outcome = Some(RunOutcome::OpCapReached);
-            break;
-        }
+/// An untimed schedule: the adversary names every step.
+struct Untimed<'a>(&'a mut dyn Adversary);
 
-        let enabled: Vec<bool> = (0..n).map(|i| !decided[i] && !halted[i]).collect();
-        let rounds: Vec<usize> = inst.procs.iter().map(|p| p.round()).collect();
-        let view = ProcView {
-            enabled: &enabled,
-            round: &rounds,
-            steps: &op_counts,
-        };
-        let Some(pid) = adversary.next(view) else {
-            outcome = Some(RunOutcome::ScheduleExhausted);
-            break;
-        };
+impl Pick for Untimed<'_> {
+    fn pick(&mut self, procs: &Procs) -> Result<(usize, Option<f64>), RunOutcome> {
+        let pid = self
+            .0
+            .next(procs.view())
+            .ok_or(RunOutcome::ScheduleExhausted)?;
         assert!(
-            enabled.get(pid).copied().unwrap_or(false),
+            procs.enabled.get(pid).copied().unwrap_or(false),
             "adversary chose disabled process {pid}"
         );
-
-        let Status::Pending(op) = inst.procs[pid].status() else {
-            unreachable!("enabled process must be pending")
-        };
-        let observed = inst.mem.exec(op);
-        inst.procs[pid].advance(observed);
-        total_ops += 1;
-        op_counts[pid] += 1;
-
-        if let Status::Decided(_) = inst.procs[pid].status() {
-            decided[pid] = true;
-            let round = inst.procs[pid].round();
-            decision_rounds[pid] = Some(round);
-            if first_decision_round.is_none() {
-                first_decision_round = Some(round);
-                if limits.stop_at_first_decision {
-                    outcome = Some(RunOutcome::FirstDecision);
-                    break;
-                }
-            }
-        }
-
-        // Adaptive crashes.
-        let enabled: Vec<bool> = (0..n).map(|i| !decided[i] && !halted[i]).collect();
-        let rounds: Vec<usize> = inst.procs.iter().map(|p| p.round()).collect();
-        for v in crash.crash_now(ProcView {
-            enabled: &enabled,
-            round: &rounds,
-            steps: &op_counts,
-        }) {
-            if v < n && !decided[v] {
-                halted[v] = true;
-            }
-        }
-    }
-
-    let outcome = outcome.unwrap_or_else(|| {
-        if decided.iter().any(|&d| d) {
-            RunOutcome::AllDecided
-        } else {
-            RunOutcome::AllHalted
-        }
-    });
-
-    RunReport {
-        n,
-        outcome,
-        decisions: inst.procs.iter().map(|p| p.status().decision()).collect(),
-        decision_rounds,
-        ops: op_counts,
-        halted,
-        first_decision_round,
-        first_decision_time: None,
-        total_ops,
-        sim_time: 0.0,
-        max_round: inst.procs.iter().map(|p| p.round()).max().unwrap_or(0),
+        Ok((pid, None))
     }
 }
 

@@ -9,11 +9,11 @@
 //! operations, *whatever* the policy does; the test suite and experiment
 //! E5 check exactly that bound.
 
-use nc_core::{Protocol, Status};
-use nc_memory::MemStore;
-use nc_memory::Op;
+use nc_core::Protocol;
+use nc_memory::{MemStore, Op};
 use nc_sched::hybrid::{HybridPolicy, HybridSpec, HybridView};
 
+use crate::drive::{self, Pick, Procs};
 use crate::report::{Limits, RunOutcome, RunReport};
 use crate::setup::Instance;
 
@@ -40,47 +40,44 @@ pub fn drive_hybrid<M: MemStore, P: Protocol<M>>(
         "spec is for {} processes, instance has {n}",
         spec.len()
     );
+    let mut uniprocessor = Uniprocessor {
+        spec,
+        policy,
+        current: None,
+        used_in_quantum: 0,
+        ever_scheduled: vec![false; n],
+        pending_write: vec![false; n],
+    };
+    drive::run(inst, &mut uniprocessor, limits, None, None)
+}
 
-    let mut decided = vec![false; n];
-    let mut decision_rounds: Vec<Option<usize>> = vec![None; n];
-    let mut op_counts = vec![0u64; n];
-    let mut total_ops = 0u64;
-    let mut first_decision_round = None;
-    let mut outcome: Option<RunOutcome> = None;
+/// The hybrid schedule: the running process's progress through its
+/// quantum, and the pending-write flags the policy's view shows.
+struct Uniprocessor<'a> {
+    spec: &'a HybridSpec,
+    policy: &'a mut dyn HybridPolicy,
+    current: Option<usize>,
+    used_in_quantum: u32,
+    ever_scheduled: Vec<bool>,
+    pending_write: Vec<bool>,
+}
 
-    let mut current: Option<usize> = None;
-    let mut used_in_quantum: u32 = 0;
-    let mut ever_scheduled = vec![false; n];
-
-    loop {
-        let runnable: Vec<bool> = (0..n).map(|i| !decided[i]).collect();
-        if runnable.iter().all(|&r| !r) {
-            break;
-        }
-        if total_ops >= limits.max_ops {
-            outcome = Some(RunOutcome::OpCapReached);
-            break;
-        }
-
-        let legal = spec.legal_next(current, used_in_quantum, &runnable);
+impl Pick for Uniprocessor<'_> {
+    fn pick(&mut self, procs: &Procs) -> Result<(usize, Option<f64>), RunOutcome> {
+        let legal = self
+            .spec
+            .legal_next(self.current, self.used_in_quantum, &procs.enabled);
         assert!(!legal.is_empty(), "runnable processes but no legal move");
-
-        let rounds: Vec<usize> = inst.procs.iter().map(|p| p.round()).collect();
-        let pending_write: Vec<bool> = inst
-            .procs
-            .iter()
-            .map(|p| matches!(p.status(), Status::Pending(Op::Write(_, _))))
-            .collect();
-        let Some(pick) = policy.pick(HybridView {
-            current,
-            legal: &legal,
-            round: &rounds,
-            steps: &op_counts,
-            pending_write: &pending_write,
-        }) else {
-            outcome = Some(RunOutcome::ScheduleExhausted);
-            break;
-        };
+        let pick = self
+            .policy
+            .pick(HybridView {
+                current: self.current,
+                legal: &legal,
+                round: &procs.rounds,
+                steps: &procs.steps,
+                pending_write: &self.pending_write,
+            })
+            .ok_or(RunOutcome::ScheduleExhausted)?;
         assert!(
             legal.contains(&pick),
             "policy picked illegal process {pick} (legal: {legal:?})"
@@ -88,49 +85,22 @@ pub fn drive_hybrid<M: MemStore, P: Protocol<M>>(
 
         // Context switch bookkeeping: a newly scheduled process begins a
         // quantum (its first scheduling may start mid-quantum, §3.2).
-        if current != Some(pick) {
-            used_in_quantum = spec.used_at_schedule(pick, !ever_scheduled[pick]);
-            ever_scheduled[pick] = true;
-            current = Some(pick);
+        if self.current != Some(pick) {
+            self.used_in_quantum = self.spec.used_at_schedule(pick, !self.ever_scheduled[pick]);
+            self.ever_scheduled[pick] = true;
+            self.current = Some(pick);
         }
-
-        let Status::Pending(op) = inst.procs[pick].status() else {
-            unreachable!("legal process must be pending")
-        };
-        let observed = inst.mem.exec(op);
-        inst.procs[pick].advance(observed);
-        total_ops += 1;
-        op_counts[pick] += 1;
-        used_in_quantum += 1;
-
-        if let Status::Decided(_) = inst.procs[pick].status() {
-            decided[pick] = true;
-            let round = inst.procs[pick].round();
-            decision_rounds[pick] = Some(round);
-            if first_decision_round.is_none() {
-                first_decision_round = Some(round);
-                if limits.stop_at_first_decision {
-                    outcome = Some(RunOutcome::FirstDecision);
-                    break;
-                }
-            }
-        }
+        self.used_in_quantum += 1;
+        Ok((pick, None))
     }
 
-    let outcome = outcome.unwrap_or(RunOutcome::AllDecided);
+    fn pending(&mut self, pid: usize, op: Op) -> bool {
+        self.pending_write[pid] = matches!(op, Op::Write(_, _));
+        true
+    }
 
-    RunReport {
-        n,
-        outcome,
-        decisions: inst.procs.iter().map(|p| p.status().decision()).collect(),
-        decision_rounds,
-        ops: op_counts,
-        halted: vec![false; n],
-        first_decision_round,
-        first_decision_time: None,
-        total_ops,
-        sim_time: 0.0,
-        max_round: inst.procs.iter().map(|p| p.round()).max().unwrap_or(0),
+    fn decided(&mut self, pid: usize) {
+        self.pending_write[pid] = false;
     }
 }
 

@@ -2,13 +2,11 @@
 //!
 //! The front door is [`sim::Sim`] — one typed builder covering every
 //! execution model from the paper. Pick an [`Algorithm`] and inputs,
-//! pick a schedule, layer options — including the word-store plane the
-//! run executes against ([`sim::Sim::memory_backend`], any
-//! [`MemStore`]) and deterministic value-fault injection
-//! ([`sim::Sim::value_faults`]) — then either run seeds one at a time
-//! through a reusable [`sim::SimRun`] handle or sweep thousands of
-//! trials through a [`sim::TrialSet`] (which owns scratch pooling and
-//! per-call worker fan-out):
+//! pick a schedule, layer options — including deterministic value-fault
+//! injection into the word store ([`sim::Sim::value_faults`]) — then
+//! either run seeds one at a time through a reusable [`sim::SimRun`]
+//! handle or sweep thousands of trials through a [`sim::TrialSet`]
+//! (which owns scratch pooling and per-call worker fan-out):
 //!
 //! * [`sim::Sim::timing`] — the noisy-scheduling model (§3.1):
 //!   operation times follow `S'_ij = Δ_i0 + Σ (Δ_ij + X_ij + H_ij)`
@@ -33,11 +31,13 @@
 //!
 //! Beneath the builder sit the public drive internals
 //! ([`noisy::drive_noisy`], [`adversarial::drive_adversarial`],
-//! [`hybrid::drive_hybrid`]);
-//! `tests/sim_equivalence.rs` pins the builder bit-for-bit against
-//! them. (The pre-builder `run_*` wrappers, deprecated since the `Sim`
-//! redesign, are gone — see the migration table in
-//! `docs/engine-internals.md`.)
+//! [`hybrid::drive_hybrid`]); each schedule only picks the next process,
+//! and one shared step loop does the rest (executing, recording,
+//! deciding, cutoffs, crashes, the report) — the noisy model's
+//! common-case `loop_fast` aside. `tests/sim_equivalence.rs` pins the
+//! builder bit-for-bit against them. (The pre-builder `run_*` wrappers,
+//! deprecated since the `Sim` redesign, are gone — see the migration
+//! table in `docs/engine-internals.md`.)
 //!
 //! # Example: one Figure 1 data point
 //!
@@ -85,6 +85,7 @@ pub mod adversarial;
 #[cfg(any(test, feature = "baseline"))]
 #[path = "noisy_baseline.rs"]
 pub mod baseline;
+mod drive;
 pub mod hybrid;
 pub mod noisy;
 pub mod report;
@@ -100,7 +101,6 @@ pub use sim::{Sim, SimRun, TrialSet};
 // nc-sched directly.
 pub use nc_sched::select::{QueueKind, QueuePolicy};
 
-// Re-exported so engine callers can pick a memory plane
-// ([`sim::Sim::memory_backend`]) or describe value faults
+// Re-exported so engine callers can describe value faults
 // ([`sim::Sim::value_faults`]) without importing nc-memory directly.
-pub use nc_memory::{DenseRaceMemory, FaultSpec, FaultyMemory, MemStore};
+pub use nc_memory::{FaultSpec, FaultyMemory, MemStore};

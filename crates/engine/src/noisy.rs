@@ -31,17 +31,16 @@
 //!    The event order is total, so the choice cannot change results.
 //! 2. **Struct-of-arrays process state (`ProcSoA`)** — the per-event
 //!    scalars (event-time accumulator, operation index, noise-buffer
-//!    cursor, halt/decide flags) are packed into one 32-byte `Hot`
-//!    lane per process, an 8× denser stride than the old 256-byte
-//!    `ProcState`; the cold state (cached pending op, RNG streams, the
-//!    pre-drawn noise buffer) lives in separate arrays touched only on
-//!    refills and in the general loop. Random-order execution over
-//!    `hot` touches one cache line per two processes instead of one
-//!    line per process.
+//!    cursor, decide flag) are packed into one 32-byte `Hot` lane per
+//!    process, an 8× denser stride than the old 256-byte `ProcState`;
+//!    the cold state (RNG streams, the pre-drawn noise buffer) lives in
+//!    separate arrays touched only on refills and failure draws.
+//!    Random-order execution over `hot` touches one cache line per two
+//!    processes instead of one line per process.
 //! 3. **Reusable [`EngineScratch`]** — per-process state, RNG streams,
 //!    both queues, and the bookkeeping vectors are allocated once and
-//!    re-seeded across trials, so a sweep's steady state allocates only
-//!    its `RunReport`s.
+//!    re-seeded across trials, so a fast-loop sweep's steady state
+//!    allocates only its `RunReport`s.
 //! 4. **Batched noise draws** — when reads and writes share one noise
 //!    distribution (every Figure 1 configuration), each process draws
 //!    up to [`NOISE_BATCH`] delays per RNG-dispatch instead of one,
@@ -50,23 +49,26 @@
 //!    cannot change any consumed value.
 //!
 //! The common-case loop (`loop_fast`, taken when there is no crash
-//! adversary, no history recording, and no random failures) executes
-//! each event through the fused [`Protocol::step_status`] — one
-//! (monomorphizable) call per event instead of the naive driver's four
-//! virtual dispatches — and carries no per-event `Option` checks at
-//! all. Everything else takes `loop_general`. Equal inputs produce
-//! bit-identical reports on either path, with either queue.
+//! adversary, no history recording, no random failures, and one noise
+//! distribution for reads and writes) executes each event through the
+//! fused [`Protocol::step_status`] — one (monomorphizable) call per
+//! event instead of the naive driver's four virtual dispatches — and
+//! carries no per-event `Option` checks at all. Everything else runs
+//! the step loop every schedule shares (`drive.rs`), with the event
+//! queue picking each step. Equal inputs produce bit-identical reports
+//! on either path, with either queue.
 
 use rand::rngs::SmallRng;
 
 use nc_core::{Protocol, Status};
-use nc_memory::{Event, MemStore, Op, OpKind};
-use nc_sched::adversary::{CrashAdversary, ProcView};
+use nc_memory::{Event, MemStore, Op};
+use nc_sched::adversary::CrashAdversary;
 use nc_sched::queue::Event as QueuedEvent;
 use nc_sched::rng::salts;
 use nc_sched::select::{QueueKind, QueuePolicy, SimQueue};
 use nc_sched::{stream_rng, EventQueue, EventTree, FailureModel, Noise, TimingModel};
 
+use crate::drive::{self, Pick, Procs};
 use crate::report::{Limits, RunOutcome, RunReport};
 use crate::setup::Instance;
 
@@ -104,7 +106,6 @@ struct Hot {
     /// first-decision run at large `n`) don't pay for a full batch up
     /// front.
     next_fill: u8,
-    halted: bool,
     decided: bool,
 }
 
@@ -132,25 +133,20 @@ impl Hot {
             buf_pos: 0,
             buf_len: 0,
             next_fill: 2,
-            halted: false,
             decided: false,
         }
     }
 }
 
 /// Struct-of-arrays process state: the [`Hot`] per-event lanes plus the
-/// cold arrays (cached pending ops, RNG streams, pre-drawn noise
-/// stripes) that only refills and the general loop touch.
+/// cold arrays (RNG streams, pre-drawn noise stripes) that only refills
+/// and failure draws touch.
 ///
 /// All arrays are indexed by pid; `noise_buf` is flattened with a
 /// [`NOISE_BATCH`] stride per process.
 #[derive(Default)]
 struct ProcSoA {
     hot: Vec<Hot>,
-    /// The operation each process's queued event will execute. Valid
-    /// whenever the process has an event in the queue; caching it here
-    /// saves a virtual `status()` call per event in the general loop.
-    pending: Vec<Op>,
     rng_noise: Vec<SmallRng>,
     rng_failure: Vec<SmallRng>,
     /// Pre-drawn noise delays; process `pid`'s stripe is
@@ -181,7 +177,6 @@ impl ProcSoA {
             }
         } else {
             self.hot.clear();
-            self.pending.clear();
             self.rng_noise.clear();
             self.rng_failure.clear();
             self.hot.reserve(n);
@@ -189,8 +184,6 @@ impl ProcSoA {
                 let mut rng_start = stream_rng(seed, pid as u64, salts::START);
                 self.hot
                     .push(Hot::new(timing.start_for(pid, &mut rng_start)));
-                // Placeholder until the priming pass caches the real op.
-                self.pending.push(Op::Read(nc_memory::Addr::new(0)));
                 self.rng_noise
                     .push(stream_rng(seed, pid as u64, salts::NOISE));
                 self.rng_failure
@@ -303,16 +296,6 @@ impl EngineScratch {
         }
     }
 
-    /// The queue policy this scratch applies per run.
-    pub fn queue_policy(&self) -> QueuePolicy {
-        self.policy
-    }
-
-    /// Replaces the queue policy (takes effect on the next run).
-    pub fn set_queue_policy(&mut self, policy: QueuePolicy) {
-        self.policy = policy;
-    }
-
     /// Re-seeds every buffer for a fresh `n`-process trial.
     fn reset(&mut self, n: usize, seed: u64, timing: &TimingModel) {
         self.soa.reset(n, seed, timing);
@@ -329,9 +312,10 @@ impl EngineScratch {
 /// `seed` drives the noise, failure, and start-time streams (independent
 /// of the instance's protocol-coin streams, which were fixed at build
 /// time). The crash adversary, if any, is consulted after every executed
-/// operation with the current [`ProcView`]; returned pids halt
-/// immediately. If `history` is `Some`, every executed operation is
-/// appended as an [`Event`] (time, pid, op, observed value) suitable for
+/// operation with the current [`nc_sched::adversary::ProcView`];
+/// returned pids halt immediately. If `history` is `Some`, every
+/// executed operation is appended as an [`Event`] (time, pid, op,
+/// observed value) suitable for
 /// [`nc_memory::check_register_semantics_from`]. Returns when all
 /// processes have decided or halted, when the first decision happens (if
 /// `limits.stop_at_first_decision`), or when the operation budget runs
@@ -351,22 +335,6 @@ pub fn drive_noisy<M: MemStore, P: Protocol<M>>(
 ) -> RunReport {
     let n = inst.procs.len();
     scratch.reset(n, seed, timing);
-    // Batched draws need one distribution for all op kinds; with
-    // per-kind distributions the next draw depends on the next op's
-    // kind, so fall back to per-event sampling.
-    let batch: Option<Noise> = timing.noise.uniform_kind().copied();
-
-    // Dispatch: the overwhelmingly common sweep configuration — no
-    // crash adversary, no history recording, no random failures, one
-    // noise distribution for both op kinds — gets a specialized loop
-    // with no per-event Option checks, no failure draws, and no
-    // stale-event filtering (without crashes or failures, a queued
-    // process can only leave the queue by deciding, so no event is ever
-    // stale). Everything else takes the general loop. Both produce
-    // bit-identical results (pinned by the equivalence tests), with
-    // either queue implementation.
-    let fast_eligible =
-        crash.is_none() && history.is_none() && matches!(timing.failures, FailureModel::None);
     let EngineScratch {
         soa,
         heap,
@@ -374,7 +342,7 @@ pub fn drive_noisy<M: MemStore, P: Protocol<M>>(
         policy,
         decision_rounds,
     } = scratch;
-    let out = match policy.kind_for(n) {
+    match policy.kind_for(n) {
         QueueKind::Heap => {
             heap.prepare(n);
             drive(
@@ -383,8 +351,6 @@ pub fn drive_noisy<M: MemStore, P: Protocol<M>>(
                 heap,
                 inst,
                 timing,
-                batch,
-                fast_eligible,
                 limits,
                 crash,
                 history,
@@ -398,53 +364,12 @@ pub fn drive_noisy<M: MemStore, P: Protocol<M>>(
                 tree,
                 inst,
                 timing,
-                batch,
-                fast_eligible,
                 limits,
                 crash,
                 history,
             )
         }
-    };
-    assemble_report(soa, decision_rounds, inst, out)
-}
-
-/// What a driver loop observed; the caller folds it into a `RunReport`.
-#[derive(Default)]
-struct LoopOut {
-    total_ops: u64,
-    sim_time: f64,
-    first_decision_round: Option<usize>,
-    first_decision_time: Option<f64>,
-    outcome: Option<RunOutcome>,
-}
-
-/// Primes the queue with each process's first operation; returns the
-/// last used sequence number.
-fn prime<M: MemStore, P: Protocol<M>, Q: SimQueue>(
-    soa: &mut ProcSoA,
-    queue: &mut Q,
-    inst: &mut Instance<P, M>,
-    timing: &TimingModel,
-    batch: Option<&Noise>,
-) -> u64 {
-    let mut seq = 0u64;
-    for pid in 0..inst.procs.len() {
-        let Status::Pending(op) = inst.procs[pid].status() else {
-            continue;
-        };
-        soa.pending[pid] = op;
-        match draw_increment(soa, pid, timing, batch, op.kind()) {
-            None => soa.hot[pid].halted = true, // H_i1 = ∞: the op never occurs
-            Some(inc) => {
-                let h = &mut soa.hot[pid];
-                h.clock += inc;
-                seq += 1;
-                queue.insert(QueuedEvent::new(h.clock, seq, pid as u32));
-            }
-        }
     }
-    seq
 }
 
 /// Primes the queue and runs the appropriate loop to completion.
@@ -455,48 +380,145 @@ fn drive<M: MemStore, P: Protocol<M>, Q: SimQueue>(
     queue: &mut Q,
     inst: &mut Instance<P, M>,
     timing: &TimingModel,
-    batch: Option<Noise>,
-    fast_eligible: bool,
     limits: Limits,
     crash: Option<&mut dyn CrashAdversary>,
     history: Option<&mut Vec<Event>>,
-) -> LoopOut {
-    let seq = prime(soa, queue, inst, timing, batch.as_ref());
-    match (fast_eligible, batch) {
-        (true, Some(noise)) => loop_fast(
-            soa,
-            decision_rounds,
-            queue,
-            inst,
-            timing,
-            &noise,
-            seq,
-            limits,
-        ),
-        (_, batch) => loop_general(
-            soa,
-            decision_rounds,
-            queue,
-            inst,
-            timing,
-            batch.as_ref(),
-            seq,
-            limits,
-            crash,
-            history,
-        ),
+) -> RunReport {
+    // Batched draws need one distribution for all op kinds; with
+    // per-kind distributions the next draw depends on the next op's
+    // kind, so fall back to per-event sampling.
+    let batch: Option<Noise> = timing.noise.uniform_kind().copied();
+    let mut timed = Timed {
+        soa,
+        queue,
+        timing,
+        batch: batch.as_ref(),
+        seq: 0,
+        stepping: false,
+    };
+    // Dispatch: the overwhelmingly common sweep configuration — no
+    // crash adversary, no history recording, no random failures, one
+    // noise distribution for both op kinds — gets a specialized loop
+    // with no per-event Option checks, no failure draws, and no
+    // stale-event filtering (without crashes or failures, a queued
+    // process can only leave the queue by deciding, so no event is ever
+    // stale). Everything else takes the shared step loop. Both produce
+    // bit-identical results (pinned by the equivalence tests), with
+    // either queue implementation.
+    let fast =
+        crash.is_none() && history.is_none() && matches!(timing.failures, FailureModel::None);
+    let Some(noise) = batch.filter(|_| fast) else {
+        return drive::run(inst, &mut timed, limits, crash, history);
+    };
+    for (pid, p) in inst.procs.iter().enumerate() {
+        if let Status::Pending(op) = p.status() {
+            timed.pending(pid, op);
+        }
+    }
+    let seq = timed.seq;
+    let out = loop_fast(
+        soa,
+        decision_rounds,
+        queue,
+        inst,
+        timing,
+        &noise,
+        seq,
+        limits,
+    );
+    assemble_report(soa, decision_rounds, inst, out)
+}
+
+/// What [`loop_fast`] observed; [`assemble_report`] folds it into a
+/// `RunReport`.
+#[derive(Default)]
+struct LoopOut {
+    total_ops: u64,
+    sim_time: f64,
+    first_decision_round: Option<usize>,
+    first_decision_time: Option<f64>,
+    outcome: Option<RunOutcome>,
+}
+
+/// The noisy schedule: an event queue orders the steps by the times
+/// the timing model draws for them.
+struct Timed<'a, Q> {
+    soa: &'a mut ProcSoA,
+    queue: &'a mut Q,
+    timing: &'a TimingModel,
+    /// The one noise distribution for both op kinds, drawn in batches.
+    batch: Option<&'a Noise>,
+    /// Last used event sequence number (the tie-breaker).
+    seq: u64,
+    /// The queue's first event is the process being stepped: its next
+    /// event replaces it in place.
+    stepping: bool,
+}
+
+impl<Q: SimQueue> Pick for Timed<'_, Q> {
+    fn pick(&mut self, procs: &Procs) -> Result<(usize, Option<f64>), RunOutcome> {
+        loop {
+            let top = self
+                .queue
+                .first()
+                .expect("every live process has a queued event");
+            let pid = top.pid() as usize;
+            if procs.enabled[pid] {
+                self.stepping = true;
+                return Ok((pid, Some(top.time())));
+            }
+            // Stale events exist only under a crash adversary (a queued
+            // process halted out from under its event); drain them.
+            self.queue.pop_first();
+        }
+    }
+
+    /// Draws `Δ_ij + X_ij + H_ij` for the next operation of `pid` and
+    /// queues it, consuming the failure stream first and the noise
+    /// stream second (matching the naive driver's stream order exactly).
+    fn pending(&mut self, pid: usize, op: Op) -> bool {
+        let stepping = std::mem::take(&mut self.stepping);
+        let soa = &mut *self.soa;
+        let op_index = soa.hot[pid].next_op;
+        soa.hot[pid].next_op += 1;
+        if self.timing.failures.halts(&mut soa.rng_failure[pid]) {
+            // H_ij = ∞: the op never occurs.
+            if stepping {
+                self.queue.pop_first();
+            }
+            return false;
+        }
+        let x = match self.batch {
+            Some(noise) => soa.next_noise(pid, noise),
+            None => self.timing.noise.sample(op.kind(), &mut soa.rng_noise[pid]),
+        };
+        let h = &mut soa.hot[pid];
+        h.clock += self.timing.delay.delta(pid, op_index) + x;
+        self.seq += 1;
+        let event = QueuedEvent::new(h.clock, self.seq, pid as u32);
+        if stepping {
+            self.queue.reschedule_first(event);
+        } else {
+            self.queue.insert(event);
+        }
+        true
+    }
+
+    fn decided(&mut self, _pid: usize) {
+        self.stepping = false;
+        self.queue.pop_first();
     }
 }
 
-/// Folds a finished run into a `RunReport`.
+/// Folds a finished [`loop_fast`] run into a `RunReport`.
 fn assemble_report<M: MemStore, P: Protocol<M>>(
     soa: &ProcSoA,
     decision_rounds: &[Option<usize>],
     inst: &Instance<P, M>,
     out: LoopOut,
 ) -> RunReport {
-    // Runs that were not cut off ended because every process decided or
-    // halted (directly, or by the event queue draining of halted procs).
+    // Runs that were not cut off ended because every process decided
+    // (the fast loop never halts a process).
     let outcome = out.outcome.unwrap_or_else(|| {
         if soa.hot.iter().any(|h| h.decided) {
             RunOutcome::AllDecided
@@ -510,7 +532,7 @@ fn assemble_report<M: MemStore, P: Protocol<M>>(
         decisions: inst.procs.iter().map(|p| p.status().decision()).collect(),
         decision_rounds: decision_rounds.to_vec(),
         ops: soa.hot.iter().map(|h| h.ops).collect(),
-        halted: soa.hot.iter().map(|h| h.halted).collect(),
+        halted: vec![false; inst.procs.len()],
         first_decision_round: out.first_decision_round,
         first_decision_time: out.first_decision_time,
         total_ops: out.total_ops,
@@ -580,159 +602,6 @@ fn loop_fast<M: MemStore, P: Protocol<M>, Q: SimQueue>(
         }
     }
     out
-}
-
-/// The fully general loop: random failures, adaptive crash adversaries,
-/// history recording, per-kind noise.
-#[allow(clippy::too_many_arguments)]
-fn loop_general<M: MemStore, P: Protocol<M>, Q: SimQueue>(
-    soa: &mut ProcSoA,
-    decision_rounds: &mut [Option<usize>],
-    queue: &mut Q,
-    inst: &mut Instance<P, M>,
-    timing: &TimingModel,
-    batch: Option<&Noise>,
-    mut seq: u64,
-    limits: Limits,
-    mut crash: Option<&mut dyn CrashAdversary>,
-    mut history: Option<&mut Vec<Event>>,
-) -> LoopOut {
-    let mut out = LoopOut::default();
-    // Processes that are neither decided nor halted; when it reaches 0
-    // the run is over. (A counter, not a per-operation scan: the scan
-    // would make the driver O(n) per event.)
-    let mut live_undecided = soa.hot.iter().filter(|h| !h.halted).count();
-
-    'main: while let Some(top) = queue.first() {
-        let pid = top.pid() as usize;
-        let time = top.time();
-        {
-            // Stale events exist only under a crash adversary (a queued
-            // process halted out from under its event); drain them.
-            let h = &soa.hot[pid];
-            if h.halted || h.decided {
-                queue.pop_first();
-                continue;
-            }
-        }
-        if out.total_ops >= limits.max_ops {
-            out.outcome = Some(RunOutcome::OpCapReached);
-            break;
-        }
-        out.sim_time = time;
-
-        // Execute exactly one operation of `pid`.
-        let op = soa.pending[pid];
-        let observed = inst.mem.exec(op);
-        if let Some(h) = history.as_deref_mut() {
-            h.push(Event {
-                time,
-                pid: nc_memory::Pid::new(pid as u32),
-                op,
-                observed,
-            });
-        }
-        let status = inst.procs[pid].advance_status(observed);
-        out.total_ops += 1;
-        soa.hot[pid].ops += 1;
-
-        match status {
-            Status::Decided(_) => {
-                queue.pop_first();
-                soa.hot[pid].decided = true;
-                live_undecided -= 1;
-                let round = inst.procs[pid].round();
-                decision_rounds[pid] = Some(round);
-                if out.first_decision_round.is_none() {
-                    out.first_decision_round = Some(round);
-                    out.first_decision_time = Some(time);
-                    if limits.stop_at_first_decision {
-                        out.outcome = Some(RunOutcome::FirstDecision);
-                        break 'main;
-                    }
-                }
-            }
-            Status::Pending(next_op) => {
-                soa.pending[pid] = next_op;
-                match draw_increment(soa, pid, timing, batch, next_op.kind()) {
-                    None => {
-                        soa.hot[pid].halted = true; // H_ij = ∞: the op never occurs
-                        queue.pop_first();
-                        live_undecided -= 1;
-                    }
-                    Some(inc) => {
-                        let h = &mut soa.hot[pid];
-                        h.clock += inc;
-                        seq += 1;
-                        queue.reschedule_first(QueuedEvent::new(h.clock, seq, pid as u32));
-                    }
-                }
-            }
-        }
-
-        // Adaptive crashes (skipped entirely without an adversary: the
-        // view construction is O(n) and would dominate large-n sweeps).
-        if let Some(crash) = crash.as_deref_mut() {
-            live_undecided -= apply_crashes(crash, inst, soa);
-        }
-
-        if live_undecided == 0 {
-            break;
-        }
-    }
-    out
-}
-
-/// Draws `Δ_ij + X_ij + H_ij` for the next operation of process `pid`,
-/// consuming the failure stream first and the noise stream second
-/// (matching the naive driver's stream order exactly). `None` means the
-/// process halts (`H_ij = ∞`).
-#[inline]
-fn draw_increment(
-    soa: &mut ProcSoA,
-    pid: usize,
-    timing: &TimingModel,
-    batch: Option<&Noise>,
-    kind: OpKind,
-) -> Option<f64> {
-    let op_index = soa.hot[pid].next_op;
-    soa.hot[pid].next_op += 1;
-    if timing.failures.halts(&mut soa.rng_failure[pid]) {
-        return None;
-    }
-    let x = match batch {
-        Some(noise) => soa.next_noise(pid, noise),
-        None => timing.noise.sample(kind, &mut soa.rng_noise[pid]),
-    };
-    Some(timing.delay.delta(pid, op_index) + x)
-}
-
-/// Applies adaptive crashes; returns how many live undecided processes
-/// were halted.
-fn apply_crashes<M: MemStore, P: Protocol<M>>(
-    crash: &mut dyn CrashAdversary,
-    inst: &Instance<P, M>,
-    soa: &mut ProcSoA,
-) -> usize {
-    let enabled: Vec<bool> = soa.hot.iter().map(|h| !h.halted && !h.decided).collect();
-    if !enabled.iter().any(|&e| e) {
-        return 0;
-    }
-    let rounds: Vec<usize> = inst.procs.iter().map(|p| p.round()).collect();
-    let steps: Vec<u64> = soa.hot.iter().map(|h| h.ops).collect();
-    let victims = crash.crash_now(ProcView {
-        enabled: &enabled,
-        round: &rounds,
-        steps: &steps,
-    });
-    let mut newly_halted = 0;
-    for v in victims {
-        if v < soa.hot.len() && !soa.hot[v].halted && !soa.hot[v].decided {
-            soa.hot[v].halted = true;
-            newly_halted += 1;
-        }
-    }
-    newly_halted
 }
 
 #[cfg(test)]
@@ -1054,75 +923,6 @@ mod tests {
             }
             assert_eq!(reports[0], reports[1], "heap vs tree, n={n} {limits:?}");
             assert_eq!(reports[0], reports[2], "heap vs auto, n={n} {limits:?}");
-        }
-    }
-
-    #[test]
-    fn one_scratch_switches_queue_policies_between_trials() {
-        let inputs = setup::half_and_half(12);
-        let mut scratch = EngineScratch::new();
-        let mut reference = None;
-        for policy in [QueuePolicy::Tree, QueuePolicy::Heap, QueuePolicy::Auto] {
-            scratch.set_queue_policy(policy);
-            assert_eq!(scratch.queue_policy(), policy);
-            let mut inst = setup::build(Algorithm::Lean, &inputs, 11);
-            let report = run_noisy_scratch(
-                &mut scratch,
-                &mut inst,
-                &exp_timing(),
-                11,
-                Limits::run_to_completion(),
-            );
-            let reference = reference.get_or_insert(report.clone());
-            assert_eq!(*reference, report, "{policy:?}");
-        }
-    }
-
-    #[test]
-    fn dense_plane_matches_sim_memory() {
-        // The dense word store and the growable one must leave identical
-        // reports and identical memory observables.
-        let timing = TimingModel::figure1(Noise::Uniform { lo: 0.0, hi: 2.0 });
-        let inputs = setup::half_and_half(32);
-        for seed in 0..4 {
-            let mut scratch_a = EngineScratch::new();
-            let mut scratch_b = EngineScratch::new();
-            let mut dense = setup::build_lean_in(&inputs, nc_memory::DenseRaceMemory::new());
-            let mut sparse = setup::build_lean_in(&inputs, nc_memory::SimMemory::new());
-            let a = drive_noisy(
-                &mut scratch_a,
-                &mut dense,
-                &timing,
-                seed,
-                Limits::run_to_completion(),
-                None,
-                None,
-            );
-            let b = drive_noisy(
-                &mut scratch_b,
-                &mut sparse,
-                &timing,
-                seed,
-                Limits::run_to_completion(),
-                None,
-                None,
-            );
-            assert_eq!(a, b, "seed {seed}");
-            assert_eq!(
-                nc_memory::MemStore::ops_executed(&dense.mem),
-                nc_memory::MemStore::ops_executed(&sparse.mem),
-                "seed {seed}"
-            );
-            // (footprints are not compared: SimMemory's is geometrically
-            // padded, the dense store's is the exact high-water mark.)
-            for w in 0..nc_memory::MemStore::footprint_words(&dense.mem) {
-                let addr = nc_memory::Addr::new(w);
-                assert_eq!(
-                    nc_memory::MemStore::peek(&dense.mem, addr),
-                    nc_memory::MemStore::peek(&sparse.mem, addr),
-                    "seed {seed} word {w}"
-                );
-            }
         }
     }
 

@@ -15,10 +15,9 @@
 //!   or [`Sim::hybrid`] (the quantum + priority uniprocessor, §3.2/§7),
 //! * layer options on top: [`Sim::faults`], [`Sim::crash_adversary`],
 //!   [`Sim::record_history`], [`Sim::limits`], [`Sim::queue_policy`],
-//!   [`Sim::memory_backend`] (the word-store plane the run executes
-//!   against — any [`MemStore`], e.g. `DenseRaceMemory`), and
-//!   [`Sim::value_faults`] (deterministic seeded stuck-at/drop/bit-flip
-//!   value faults via `FaultyMemory`),
+//!   and [`Sim::value_faults`] (deterministic seeded
+//!   stuck-at/drop/bit-flip value faults, by wrapping the default
+//!   `SimMemory` word store in `FaultyMemory`),
 //! * [`Sim::build`] a reusable [`SimRun`] handle and call
 //!   [`SimRun::run`] per seed, or go straight to a sweep with
 //!   [`Sim::trials`].
@@ -27,7 +26,7 @@
 //!
 //! The handle owns every piece of reusable state: an [`EngineScratch`],
 //! the monomorphized `Instance<LeanConsensus>` fast path (rebuilt in
-//! place for [`Algorithm::Lean`] under a noisy schedule — no allocation
+//! place for [`Algorithm::Lean`] under every schedule — no allocation
 //! per run), and the history buffer. [`TrialSet`] additionally owns the
 //! sweep machinery: per-worker scratch pooling and the thread fan-out —
 //! **parallelism is per-call state**, not a process-global knob, so two
@@ -175,20 +174,9 @@ impl Sim {
 
 impl<M: MemStore> Sim<M> {
     /// Swaps the word-store plane every run executes against, keeping
-    /// the rest of the configuration. `mem` is the prototype each
-    /// lane/worker clones and resets, so pass a fresh store (e.g.
-    /// [`nc_memory::DenseRaceMemory::new()`]).
-    ///
-    /// Backends are observationally identical when fault-free — reports
-    /// are bit-for-bit the same on every plane (pinned by the engine's
-    /// equivalence suites) — so this is a performance/instrumentation
-    /// knob, exactly like [`Sim::queue_policy`].
-    ///
-    /// This **replaces** the current plane wholesale, including any
-    /// fault wrapper a previous [`Sim::value_faults`] call installed —
-    /// to combine them, pick the backend first and layer faults on
-    /// top: `.memory_backend(DenseRaceMemory::new()).value_faults(..)`.
-    pub fn memory_backend<M2: MemStore>(self, mem: M2) -> Sim<M2> {
+    /// the rest of the configuration; [`Sim::value_faults`] is its one
+    /// caller.
+    fn memory_backend<M2: MemStore>(self, mem: M2) -> Sim<M2> {
         Sim {
             algorithm: self.algorithm,
             inputs: self.inputs,
@@ -213,12 +201,8 @@ impl<M: MemStore> Sim<M> {
     /// stream from the run seed (via `nc_sched::rng::trial_seed` with
     /// the dedicated fault salt), so runs stay pure functions of their
     /// seed at any thread count; setup writes (sentinels) are never
-    /// faulted.
-    ///
-    /// Wraps the plane configured so far — call it *after*
-    /// [`Sim::memory_backend`] (a later `memory_backend` call would
-    /// replace the wrapper, faults included). Stacking `value_faults`
-    /// composes: each layer injects an independent seeded stream.
+    /// faulted. Stacking `value_faults` composes: each layer injects an
+    /// independent seeded stream.
     pub fn value_faults(self, spec: FaultSpec) -> Sim<FaultyMemory<M>> {
         let inner = self.mem.clone();
         self.memory_backend(FaultyMemory::new(inner, spec))
@@ -470,81 +454,58 @@ fn run_one<M: MemStore>(
     seed: u64,
     history: Option<&mut Vec<Event>>,
 ) -> RunReport {
+    if cfg.algorithm == Algorithm::Lean {
+        // The monomorphized instance: the protocol inlines into the
+        // step loops, and the instance is rebuilt in place (lean is
+        // deterministic, so the build ignores the seed). Bit-identical
+        // to the boxed build — pinned by tests/sim_equivalence.rs.
+        lane.last = LastInstance::Lean;
+        let inst = match &mut lane.lean {
+            Some(inst) => {
+                inst.rebuild(&cfg.inputs);
+                inst
+            }
+            slot => slot.insert(setup::build_lean_in(&cfg.inputs, cfg.mem.clone())),
+        };
+        run_on(cfg, &mut lane.scratch, inst, seed, history)
+    } else {
+        lane.last = LastInstance::Boxed;
+        let inst = lane.boxed.insert(setup::build_in(
+            cfg.algorithm,
+            &cfg.inputs,
+            seed,
+            cfg.mem.clone(),
+        ));
+        run_on(cfg, &mut lane.scratch, inst, seed, history)
+    }
+}
+
+/// Runs the freshly built `inst` under `cfg`'s schedule.
+fn run_on<M: MemStore, P: Protocol<M>>(
+    cfg: &SimConfig<M>,
+    scratch: &mut EngineScratch,
+    inst: &mut Instance<P, M>,
+    seed: u64,
+    history: Option<&mut Vec<Event>>,
+) -> RunReport {
+    inst.mem.reseed(fault_seed(seed));
+    let mut crash = cfg.crash.as_ref().map(|make| make(seed));
+    let crash = crash_opt(&mut crash);
     match &cfg.schedule {
         Schedule::Noisy(timing) => {
-            let mut crash = cfg.crash.as_ref().map(|make| make(seed));
-            if cfg.algorithm == Algorithm::Lean {
-                // The monomorphized fast path: the protocol inlines
-                // into the event loop, and the instance is rebuilt in
-                // place (lean is deterministic, so the build ignores
-                // the seed). Bit-identical to the boxed build — pinned
-                // by tests/sim_equivalence.rs.
-                lane.last = LastInstance::Lean;
-                let inst = match &mut lane.lean {
-                    Some(inst) => {
-                        inst.rebuild(&cfg.inputs);
-                        inst
-                    }
-                    slot => slot.insert(setup::build_lean_in(&cfg.inputs, cfg.mem.clone())),
-                };
-                inst.mem.reseed(fault_seed(seed));
-                noisy::drive_noisy(
-                    &mut lane.scratch,
-                    inst,
-                    timing,
-                    seed,
-                    cfg.limits,
-                    crash_opt(&mut crash),
-                    history,
-                )
-            } else {
-                lane.last = LastInstance::Boxed;
-                let inst = lane.boxed.insert(setup::build_in(
-                    cfg.algorithm,
-                    &cfg.inputs,
-                    seed,
-                    cfg.mem.clone(),
-                ));
-                inst.mem.reseed(fault_seed(seed));
-                noisy::drive_noisy(
-                    &mut lane.scratch,
-                    inst,
-                    timing,
-                    seed,
-                    cfg.limits,
-                    crash_opt(&mut crash),
-                    history,
-                )
-            }
+            noisy::drive_noisy(scratch, inst, timing, seed, cfg.limits, crash, history)
         }
         Schedule::Adversarial(make_adv) => {
             let mut adv = make_adv(seed);
-            lane.last = LastInstance::Boxed;
-            let inst = lane.boxed.insert(setup::build_in(
-                cfg.algorithm,
-                &cfg.inputs,
-                seed,
-                cfg.mem.clone(),
-            ));
-            inst.mem.reseed(fault_seed(seed));
-            match &cfg.crash {
-                Some(make_crash) => {
-                    let mut crash = make_crash(seed);
-                    adversarial::drive_adversarial(inst, &mut *adv, &mut *crash, cfg.limits)
-                }
-                None => adversarial::drive_adversarial(inst, &mut *adv, &mut NoCrashes, cfg.limits),
-            }
+            adversarial::drive_adversarial(
+                inst,
+                &mut *adv,
+                crash.unwrap_or(&mut NoCrashes),
+                cfg.limits,
+            )
         }
         Schedule::Hybrid(spec, make_policy) => {
             let mut policy = make_policy(seed);
-            lane.last = LastInstance::Boxed;
-            let inst = lane.boxed.insert(setup::build_in(
-                cfg.algorithm,
-                &cfg.inputs,
-                seed,
-                cfg.mem.clone(),
-            ));
-            inst.mem.reseed(fault_seed(seed));
             hybrid::drive_hybrid(inst, spec, &mut *policy, cfg.limits)
         }
     }
@@ -668,12 +629,6 @@ impl<M: MemStore> SimRun<M> {
                 .as_ref()
                 .map(|inst| inst.procs.iter().map(|p| p.round()).collect()),
         }
-    }
-
-    /// Converts this handle into a `trials`-run sweep over the same
-    /// configuration.
-    pub fn into_trials(self, trials: u64) -> TrialSet<M> {
-        TrialSet::new(self.cfg, trials)
     }
 }
 

@@ -1,20 +1,21 @@
-//! Memory-plane pinning suite: the word-store backend behind a run is a
-//! pure performance/instrumentation knob. With faults disabled, every
-//! [`nc_memory::MemStore`] backend must produce **byte identical**
-//! [`nc_engine::RunReport`]s — [`SimMemory`] (the default),
-//! [`DenseRaceMemory`], and a disarmed/empty [`FaultyMemory`] wrapper —
-//! across algorithms × schedules × queue policies × thread counts.
-//! (`tests/soa_equivalence.rs` additionally pins the dense backend to
-//! the naive oracle under `--features baseline`, closing the chain
-//! `baseline == SimMemory == DenseRaceMemory`.)
+//! Memory-plane pinning suite: with faults disabled, the value-fault
+//! wrapper is a pure pass-through. A run on the default [`SimMemory`]
+//! word store and the same run inside an empty-spec [`FaultyMemory`]
+//! must produce **byte identical** [`nc_engine::RunReport`]s across
+//! algorithms × schedules × queue policies. (`tests/soa_equivalence.rs`
+//! additionally pins the wrapped plane to the naive oracle under
+//! `--features baseline`.)
 //!
 //! With faults *enabled*, the requirement becomes determinism: a
 //! faulted run is a pure function of its seed — bit-identical fault
 //! streams at every thread count.
+//!
+//! [`SimMemory`]: nc_memory::SimMemory
+//! [`FaultyMemory`]: nc_memory::FaultyMemory
 
 use nc_engine::sim::Sim;
 use nc_engine::{setup, Algorithm, Limits, QueuePolicy, RunReport};
-use nc_memory::{Addr, Bit, DenseRaceMemory, FaultSpec, FaultyMemory, MemStore, SimMemory};
+use nc_memory::{Addr, Bit, FaultSpec};
 use nc_sched::adversary::{LeaderKiller, RandomInterleave, RoundRobin};
 use nc_sched::hybrid::{HybridSpec, WritePreemptor};
 use nc_sched::{stream_rng, FailureModel, Noise, TimingModel};
@@ -35,60 +36,33 @@ fn exp_timing() -> TimingModel {
     TimingModel::figure1(Noise::Exponential { mean: 1.0 })
 }
 
-/// One noisy-schedule run of `alg` on the backend `mem`.
-fn run_noisy_on<M: MemStore>(
-    alg: Algorithm,
-    mem: M,
-    policy: QueuePolicy,
-    failures: FailureModel,
-    seed: u64,
-) -> RunReport {
-    Sim::new(alg)
-        .inputs(setup::half_and_half(8))
-        .timing(exp_timing())
-        .faults(failures)
-        .queue_policy(policy)
-        .memory_backend(mem)
-        .build()
-        .run(seed)
+/// Runs `sim` with `seed` on the default plane and inside an empty-spec
+/// fault wrapper; returns both reports.
+fn plain_and_wrapped(sim: impl Fn() -> Sim, seed: u64) -> (RunReport, RunReport) {
+    let plain = sim().build().run(seed);
+    let wrapped = sim().value_faults(FaultSpec::new()).build().run(seed);
+    (plain, wrapped)
 }
 
 /// The headline matrix: algorithms × failure models × queue policies,
-/// `SimMemory` vs `DenseRaceMemory` vs pass-through `FaultyMemory` over
-/// each.
+/// `SimMemory` vs a pass-through `FaultyMemory` over it.
 #[test]
 fn fault_free_backends_agree_across_the_noisy_matrix() {
     for alg in algorithms() {
         for failures in [FailureModel::None, FailureModel::Random { per_op: 0.05 }] {
             for policy in QUEUES {
                 for seed in 0..3 {
-                    let reference = run_noisy_on(alg, SimMemory::new(), policy, failures, seed);
-                    let dense = run_noisy_on(alg, DenseRaceMemory::new(), policy, failures, seed);
+                    let sim = || {
+                        Sim::new(alg)
+                            .inputs(setup::half_and_half(8))
+                            .timing(exp_timing())
+                            .faults(failures)
+                            .queue_policy(policy)
+                    };
+                    let (plain, wrapped) = plain_and_wrapped(sim, seed);
                     assert_eq!(
-                        reference, dense,
-                        "dense: {alg:?} × {failures:?} × {policy:?} × seed {seed}"
-                    );
-                    let wrapped_sim = run_noisy_on(
-                        alg,
-                        FaultyMemory::pass_through(SimMemory::new()),
-                        policy,
-                        failures,
-                        seed,
-                    );
-                    assert_eq!(
-                        reference, wrapped_sim,
-                        "faulty(sim): {alg:?} × {failures:?} × {policy:?} × seed {seed}"
-                    );
-                    let wrapped_dense = run_noisy_on(
-                        alg,
-                        FaultyMemory::pass_through(DenseRaceMemory::new()),
-                        policy,
-                        failures,
-                        seed,
-                    );
-                    assert_eq!(
-                        reference, wrapped_dense,
-                        "faulty(dense): {alg:?} × {failures:?} × {policy:?} × seed {seed}"
+                        plain, wrapped,
+                        "{alg:?} × {failures:?} × {policy:?} × seed {seed}"
                     );
                 }
             }
@@ -96,100 +70,28 @@ fn fault_free_backends_agree_across_the_noisy_matrix() {
     }
 }
 
-/// A tiny dense prefix forces mid-run growth (every algorithm's regions
-/// overflow four words immediately): growth must be invisible too.
-#[test]
-fn dense_growth_path_is_invisible() {
-    for alg in algorithms() {
-        for seed in 0..2 {
-            let reference = run_noisy_on(
-                alg,
-                SimMemory::new(),
-                QueuePolicy::Auto,
-                FailureModel::None,
-                seed,
-            );
-            let dense = run_noisy_on(
-                alg,
-                DenseRaceMemory::with_rounds(1),
-                QueuePolicy::Auto,
-                FailureModel::None,
-                seed,
-            );
-            assert_eq!(reference, dense, "{alg:?} seed {seed}");
-        }
-    }
-}
-
-/// Backends agree under the adversarial and hybrid schedules as well.
+/// The wrapper is a pass-through under the adversarial and hybrid
+/// schedules as well.
 #[test]
 fn fault_free_backends_agree_on_other_schedules() {
     for alg in algorithms() {
-        let inputs = setup::half_and_half(4);
-        let adversarial = |mem: DenseRaceMemory, dense: bool| {
-            let sim = Sim::new(alg)
-                .inputs(inputs.clone())
+        let sim = || {
+            Sim::new(alg)
+                .inputs(setup::half_and_half(4))
                 .adversary(|seed| RandomInterleave::new(stream_rng(seed, 0, 4)))
-                .limits(Limits::run_to_completion().with_max_ops(100_000));
-            if dense {
-                sim.memory_backend(mem).build().run(5)
-            } else {
-                sim.build().run(5)
-            }
+                .limits(Limits::run_to_completion().with_max_ops(100_000))
         };
-        assert_eq!(
-            adversarial(DenseRaceMemory::new(), false),
-            adversarial(DenseRaceMemory::new(), true),
-            "adversarial {alg:?}"
-        );
+        let (plain, wrapped) = plain_and_wrapped(sim, 5);
+        assert_eq!(plain, wrapped, "adversarial {alg:?}");
     }
     // Hybrid (lean only: the quantum bound is the interesting case).
-    let inputs = setup::alternating(4);
-    let hybrid = |dense: bool| {
-        let sim = Sim::new(Algorithm::Lean)
-            .inputs(inputs.clone())
-            .hybrid(HybridSpec::uniform(4, 8), |_| WritePreemptor);
-        if dense {
-            sim.memory_backend(DenseRaceMemory::new()).build().run(0)
-        } else {
-            sim.build().run(0)
-        }
-    };
-    assert_eq!(hybrid(false), hybrid(true), "hybrid schedule");
-}
-
-/// Thread counts and backends compose: a dense-backend `TrialSet` sweep
-/// is bit-identical at every `threads` setting and to the plain sweep.
-#[test]
-fn dense_backend_sweeps_are_invariant_across_threads() {
-    let inputs = setup::half_and_half(9);
-    let sweep = |threads: usize| {
+    let sim = || {
         Sim::new(Algorithm::Lean)
-            .inputs(inputs.clone())
-            .timing(exp_timing())
-            .limits(Limits::first_decision())
-            .memory_backend(DenseRaceMemory::new())
-            .trials(13)
-            .seed0(400)
-            .seed_stride(7)
-            .threads(threads)
-            .reports()
+            .inputs(setup::alternating(4))
+            .hybrid(HybridSpec::uniform(4, 8), |_| WritePreemptor)
     };
-    let reference = sweep(1);
-    for threads in [2, 4, 0] {
-        assert_eq!(sweep(threads), reference, "{threads} threads");
-    }
-    // And the plain-backend sweep is the same sweep.
-    let plain = Sim::new(Algorithm::Lean)
-        .inputs(inputs.clone())
-        .timing(exp_timing())
-        .limits(Limits::first_decision())
-        .trials(13)
-        .seed0(400)
-        .seed_stride(7)
-        .threads(1)
-        .reports();
-    assert_eq!(plain, reference, "dense vs plain sweep");
+    let (plain, wrapped) = plain_and_wrapped(sim, 0);
+    assert_eq!(plain, wrapped, "hybrid schedule");
 }
 
 fn lossy_spec() -> FaultSpec {
@@ -263,7 +165,6 @@ fn stuck_sentinel_registers_change_outcomes_deterministically() {
             .inputs(setup::half_and_half(6))
             .timing(exp_timing())
             .limits(Limits::run_to_completion().with_max_ops(100_000))
-            .memory_backend(DenseRaceMemory::new())
             .value_faults(spec.clone())
             .build()
             .run(seed)

@@ -11,7 +11,12 @@
 //! oracle, `--features baseline`) this closes the chain
 //! `baseline == drive internals == builder`, so neither the API
 //! cutover nor the deletion of the deprecated `run_*` wrappers can
-//! move a single golden CSV.
+//! move a single golden CSV. `drive_adversarial` and `drive_hybrid`
+//! are thin wrappers over the step loop the builder also runs, so for
+//! those schedules this suite pins the builder's own plumbing
+//! (factories, crash threading, the monomorphized lean instance);
+//! `tests/cross_model.rs` ties the adversarial schedule to the noisy
+//! one by replay.
 
 use nc_engine::adversarial::drive_adversarial;
 use nc_engine::hybrid::drive_hybrid;

@@ -1,9 +1,10 @@
 //! The SoA engine's oracle-pinning suite: the optimized driver (SoA
-//! scratch, either queue, any memory plane) must produce **byte
-//! identical** [`nc_engine::RunReport`]s to the naive BinaryHeap
-//! baseline (`nc_engine::baseline`, the untouched seed implementation)
-//! across the full scenario matrix — algorithms × noise distributions ×
-//! crash adversaries × failure models × both queue implementations.
+//! scratch, either queue, with or without an empty fault wrapper) must
+//! produce **byte identical** [`nc_engine::RunReport`]s to the naive
+//! BinaryHeap baseline (`nc_engine::baseline`, the untouched seed
+//! implementation) across the full scenario matrix — algorithms × noise
+//! distributions × crash adversaries × failure models × both queue
+//! implementations.
 //!
 //! Runs only with the `baseline` feature (which compiles the oracle
 //! into the library): `cargo test -p nc-engine --features baseline`.
@@ -21,7 +22,7 @@ use nc_engine::baseline::{run_noisy_baseline, run_noisy_with_baseline};
 use nc_engine::noisy::drive_noisy;
 use nc_engine::sim::Sim;
 use nc_engine::{setup, Algorithm, EngineScratch, Limits, QueuePolicy, RunReport};
-use nc_memory::{Bit, DenseRaceMemory, FaultyMemory, SimMemory};
+use nc_memory::{Bit, FaultSpec};
 use nc_sched::adversary::{CrashAdversary, CrashScript, LeaderKiller};
 use nc_sched::{DelayPolicy, FailureModel, Noise, StartTimes, TimingModel};
 use proptest::prelude::*;
@@ -177,8 +178,8 @@ fn crash_adversaries_by_queue_match_oracle() {
 }
 
 /// Per-kind noise (batching disabled), adversarial delay policies, and
-/// non-default start times — the general loop's sampling paths — across
-/// both queues.
+/// non-default start times — the shared step loop's sampling paths —
+/// across both queues.
 #[test]
 fn general_loop_configs_by_queue_match_oracle() {
     let configs = [
@@ -236,50 +237,34 @@ fn auto_policy_above_tree_threshold_matches_oracle() {
     assert!(report.first_decision_round.is_some());
 }
 
-/// Alternative word-store planes against the oracle: the builder on
-/// `DenseRaceMemory` (and on disarmed `FaultyMemory` wrappers) must
-/// match the naive `SimMemory` baseline bit for bit across algorithms ×
-/// queues — closing the memory-plane chain
-/// `baseline == SimMemory == DenseRaceMemory` end to end.
-/// (`tests/memory_planes.rs` carries the oracle-free half of this
-/// matrix so it also runs without `--features baseline`.)
+/// The value-fault wrapper against the oracle: the builder on an
+/// empty-spec `FaultyMemory` must match the naive `SimMemory` baseline
+/// bit for bit across algorithms × queues. (`tests/memory_planes.rs`
+/// carries the oracle-free half of this matrix so it also runs without
+/// `--features baseline`.)
 #[test]
-fn dense_backend_matches_oracle_across_matrix() {
+fn fault_free_wrapper_matches_oracle_across_matrix() {
     let timing = TimingModel::figure1(Noise::Uniform { lo: 0.0, hi: 2.0 });
     for alg in algorithms() {
         for policy in QUEUES {
             let inputs = setup::half_and_half(7);
-            let reports = Sim::new(alg)
-                .inputs(inputs.clone())
-                .timing(timing.clone())
-                .queue_policy(policy)
-                .memory_backend(DenseRaceMemory::new())
-                .trials(4)
-                .seed0(60)
-                .seed_stride(5)
-                .threads(1)
-                .reports();
             let wrapped = Sim::new(alg)
                 .inputs(inputs.clone())
                 .timing(timing.clone())
                 .queue_policy(policy)
-                .memory_backend(FaultyMemory::pass_through(SimMemory::new()))
+                .value_faults(FaultSpec::new())
                 .trials(4)
                 .seed0(60)
                 .seed_stride(5)
                 .threads(1)
                 .reports();
-            for (t, report) in reports.iter().enumerate() {
+            for (t, report) in wrapped.iter().enumerate() {
                 let seed = 60 + 5 * t as u64;
                 let mut inst = setup::build(alg, &inputs, seed);
                 let oracle =
                     run_noisy_baseline(&mut inst, &timing, seed, Limits::run_to_completion());
                 assert_eq!(
                     *report, oracle,
-                    "dense vs oracle: {alg:?} × {policy:?}, trial {t}"
-                );
-                assert_eq!(
-                    wrapped[t], oracle,
                     "faulty-off vs oracle: {alg:?} × {policy:?}, trial {t}"
                 );
             }

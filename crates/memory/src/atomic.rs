@@ -228,17 +228,16 @@ mod tests {
         let a = SegArray::new();
         let threads = 8;
         let per_thread = 500;
-        crossbeam::scope(|s| {
+        std::thread::scope(|s| {
             for t in 0..threads {
                 let a = &a;
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for i in 0..per_thread {
                         a.store(t * per_thread + i, 1);
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         for idx in 0..threads * per_thread {
             assert_eq!(a.load(idx), 1, "register {idx} lost its write");
         }
@@ -251,8 +250,8 @@ mod tests {
     fn concurrent_reader_sees_monotone_flag() {
         for _ in 0..20 {
             let a = SegArray::with_max_segments(1);
-            crossbeam::scope(|s| {
-                let reader = s.spawn(|_| {
+            std::thread::scope(|s| {
+                let reader = s.spawn(|| {
                     let mut seen_one = false;
                     for _ in 0..10_000 {
                         let v = a.load(7);
@@ -265,12 +264,11 @@ mod tests {
                         }
                     }
                 });
-                s.spawn(|_| {
+                s.spawn(|| {
                     a.store(7, 1);
                 });
                 reader.join().unwrap();
-            })
-            .unwrap();
+            });
         }
     }
 }

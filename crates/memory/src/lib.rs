@@ -19,9 +19,6 @@
 //!   address space with region allocation, used by the discrete-event
 //!   engine. All locations behave as atomic read/write registers under the
 //!   interleaving semantics. The default [`MemStore`] plane.
-//! * [`dense`] — [`DenseRaceMemory`], a preallocated fixed-stride plane
-//!   specialized to [`RaceLayout`]'s per-round lanes (the execution-core
-//!   cache ablation backend).
 //! * [`faulty`] — [`FaultyMemory`], a composable wrapper injecting
 //!   deterministic seeded value faults (stuck-at registers, write drops,
 //!   read bit-flips) described by a [`FaultSpec`].
@@ -59,7 +56,6 @@
 #![forbid(unsafe_code)]
 
 pub mod atomic;
-pub mod dense;
 pub mod faulty;
 pub mod history;
 pub mod layout;
@@ -68,7 +64,6 @@ pub mod store;
 pub mod types;
 
 pub use atomic::SegArray;
-pub use dense::DenseRaceMemory;
 pub use faulty::{FaultSpec, FaultyMemory};
 pub use history::{check_register_semantics, check_register_semantics_from, Event, HistoryError};
 pub use layout::{RaceLayout, Region};

@@ -9,15 +9,14 @@
 //! | Backend | Module | Plane |
 //! |---------|--------|-------|
 //! | [`crate::SimMemory`] | [`crate::sim`] | growable flat array, lazy zeroing (the default) |
-//! | [`crate::DenseRaceMemory`] | [`crate::dense`] | preallocated dense array specialized to [`crate::RaceLayout`]'s fixed per-round stride |
 //! | [`crate::FaultyMemory<M>`] | [`crate::faulty`] | any backend, wrapped with deterministic seeded value faults |
 //!
 //! Drivers are **generic** (monomorphized) over `M: MemStore`, never
 //! `dyn`, so the per-event read/write on the engine's hot path compiles
-//! down to the backend's concrete code. With faults disabled, every
-//! backend is observationally identical: same reads, same operation
-//! counts, bit-for-bit identical run reports (pinned by the engine's
-//! equivalence suites).
+//! down to the backend's concrete code. With faults disabled, the
+//! wrapper is observationally identical to its inner store: same reads,
+//! same operation counts, bit-for-bit identical run reports (pinned by
+//! the engine's equivalence suites).
 
 use std::fmt;
 
@@ -115,7 +114,7 @@ pub trait MemStore: fmt::Debug + Clone + Send + Sync {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DenseRaceMemory, FaultyMemory, SimMemory};
+    use crate::{FaultyMemory, SimMemory};
 
     fn exercise<M: MemStore>(mut mem: M) {
         assert_eq!(mem.read(Addr::new(1000)), 0);
@@ -137,8 +136,6 @@ mod tests {
     #[test]
     fn every_backend_satisfies_the_generic_contract() {
         exercise(SimMemory::new());
-        exercise(DenseRaceMemory::new());
         exercise(FaultyMemory::pass_through(SimMemory::new()));
-        exercise(FaultyMemory::pass_through(DenseRaceMemory::new()));
     }
 }

@@ -5,17 +5,26 @@
 //!
 //! This is the end-to-end link between the word-store layer and the
 //! [`nc_memory::history`] checker: if a backend ever deviated from
-//! last-write-wins (a growth bug in `DenseRaceMemory`, a stale word
-//! surviving a fill-in-place reset), the recorded history would fail
-//! `check_register_semantics` — and the differential assertions here
-//! would catch the plane whose history diverged.
+//! last-write-wins (a growth bug, a stale word surviving a fill-in-place
+//! reset, a fault wrapper leaking through with an empty spec), the
+//! recorded history would fail `check_register_semantics` — and the
+//! differential assertions here would catch the plane whose history
+//! diverged.
 
 use proptest::prelude::*;
 
 use nc_memory::{
-    check_register_semantics, check_register_semantics_from, Addr, DenseRaceMemory, Event,
+    check_register_semantics, check_register_semantics_from, Addr, Event, FaultyMemory,
     HistoryError, MemStore, Op, Pid, SimMemory, Word,
 };
+
+/// The second plane: an armed fault wrapper with an empty spec, which
+/// must stay a transparent pass-through.
+fn armed_pass_through() -> FaultyMemory<SimMemory> {
+    let mut mem = FaultyMemory::pass_through(SimMemory::new());
+    mem.reseed(7);
+    mem
+}
 
 /// Executes `ops` serially against `mem`, recording each as an [`Event`]
 /// with strictly increasing times.
@@ -64,12 +73,12 @@ proptest! {
     #[test]
     fn serial_histories_are_accepted_on_every_plane(ops in op_strategy()) {
         let mut sim = SimMemory::new();
-        let mut dense = DenseRaceMemory::with_rounds(2); // tiny: force growth
+        let mut wrapped = armed_pass_through();
         let hist_sim = record(&mut sim, &ops);
-        let hist_dense = record(&mut dense, &ops);
-        prop_assert_eq!(&hist_sim, &hist_dense, "planes observed different values");
+        let hist_wrapped = record(&mut wrapped, &ops);
+        prop_assert_eq!(&hist_sim, &hist_wrapped, "planes observed different values");
         prop_assert!(check_register_semantics(&hist_sim).is_ok());
-        prop_assert!(check_register_semantics(&hist_dense).is_ok());
+        prop_assert!(check_register_semantics(&hist_wrapped).is_ok());
     }
 
     /// A seeded violation (one read's observation flipped) is rejected
@@ -78,18 +87,18 @@ proptest! {
     #[test]
     fn seeded_violations_are_rejected_identically(ops in op_strategy(), k in 0usize..50) {
         let mut sim = SimMemory::new();
-        let mut dense = DenseRaceMemory::new();
+        let mut wrapped = armed_pass_through();
         let mut hist_sim = record(&mut sim, &ops);
-        let mut hist_dense = record(&mut dense, &ops);
+        let mut hist_wrapped = record(&mut wrapped, &ops);
         let c1 = corrupt_kth_read(&mut hist_sim, k);
-        let c2 = corrupt_kth_read(&mut hist_dense, k);
+        let c2 = corrupt_kth_read(&mut hist_wrapped, k);
         prop_assert_eq!(c1, c2);
         if let Some(idx) = c1 {
             let e_sim = check_register_semantics(&hist_sim)
                 .expect_err("corrupted read must be rejected (sim)");
-            let e_dense = check_register_semantics(&hist_dense)
-                .expect_err("corrupted read must be rejected (dense)");
-            prop_assert_eq!(&e_sim, &e_dense, "planes rejected differently");
+            let e_wrapped = check_register_semantics(&hist_wrapped)
+                .expect_err("corrupted read must be rejected (wrapped)");
+            prop_assert_eq!(&e_sim, &e_wrapped, "planes rejected differently");
             match e_sim {
                 HistoryError::StaleRead { index, .. } => prop_assert!(index <= idx),
                 other => prop_assert!(false, "unexpected error {other:?}"),
@@ -103,14 +112,14 @@ proptest! {
     #[test]
     fn histories_after_reset_stay_clean(first in op_strategy(), second in op_strategy()) {
         let mut sim = SimMemory::new();
-        let mut dense = DenseRaceMemory::with_rounds(2);
+        let mut wrapped = armed_pass_through();
         let _ = record(&mut sim, &first);
-        let _ = record(&mut dense, &first);
+        let _ = record(&mut wrapped, &first);
         MemStore::reset(&mut sim);
-        MemStore::reset(&mut dense);
+        MemStore::reset(&mut wrapped);
         let hist_sim = record(&mut sim, &second);
-        let hist_dense = record(&mut dense, &second);
-        prop_assert_eq!(&hist_sim, &hist_dense);
+        let hist_wrapped = record(&mut wrapped, &second);
+        prop_assert_eq!(&hist_sim, &hist_wrapped);
         prop_assert!(check_register_semantics(&hist_sim).is_ok());
     }
 
@@ -122,15 +131,15 @@ proptest! {
         initial.insert(Addr::new(0), 1 as Word);
         initial.insert(Addr::new(1), 1 as Word);
         let mut sim = SimMemory::new();
-        let mut dense = DenseRaceMemory::new();
+        let mut wrapped = armed_pass_through();
         for (addr, val) in &initial {
             sim.write(*addr, *val);
-            MemStore::write(&mut dense, *addr, *val);
+            MemStore::write(&mut wrapped, *addr, *val);
         }
         let hist_sim = record(&mut sim, &ops);
-        let hist_dense = record(&mut dense, &ops);
-        prop_assert_eq!(&hist_sim, &hist_dense);
+        let hist_wrapped = record(&mut wrapped, &ops);
+        prop_assert_eq!(&hist_sim, &hist_wrapped);
         prop_assert!(check_register_semantics_from(&hist_sim, &initial).is_ok());
-        prop_assert!(check_register_semantics_from(&hist_dense, &initial).is_ok());
+        prop_assert!(check_register_semantics_from(&hist_wrapped, &initial).is_ok());
     }
 }

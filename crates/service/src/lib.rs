@@ -269,24 +269,6 @@ impl ServiceConfig {
             segment_records: journal::DEFAULT_SEGMENT_RECORDS,
         }
     }
-
-    /// Replaces the service seed (builder-style).
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Replaces the timing model (builder-style).
-    pub fn with_timing(mut self, timing: TimingModel) -> Self {
-        self.timing = timing;
-        self
-    }
-
-    /// Replaces the per-instance limits (builder-style).
-    pub fn with_limits(mut self, limits: Limits) -> Self {
-        self.limits = limits;
-        self
-    }
 }
 
 /// The immutable record of one decided instance — the unit of the

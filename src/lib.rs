@@ -97,8 +97,7 @@ pub use nc_core::{
 };
 pub use nc_engine::{Limits, RunOutcome, RunReport, Sim, SimRun, TrialSet};
 pub use nc_memory::{
-    DenseRaceMemory, FaultSpec, FaultyMemory, MemStore, Op, Pid, RaceLayout, SegArray, SimMemory,
-    Word,
+    FaultSpec, FaultyMemory, MemStore, Op, Pid, RaceLayout, SegArray, SimMemory, Word,
 };
 pub use nc_sched::{Noise, TimingModel};
 pub use nc_service::{CommitFact, InstanceStatus, NcService, ServiceConfig};

@@ -10,9 +10,9 @@
 use std::collections::HashMap;
 
 use noisy_consensus::engine::setup::{self, Algorithm};
-use noisy_consensus::engine::RunOutcome;
+use noisy_consensus::engine::{Limits, RunOutcome};
 use noisy_consensus::memory::{check_register_semantics_from, Bit, RaceLayout};
-use noisy_consensus::sched::adversary::RandomInterleave;
+use noisy_consensus::sched::adversary::{LeaderKiller, RandomInterleave, Script};
 use noisy_consensus::sched::hybrid::{HybridSpec, RandomHybrid};
 use noisy_consensus::sched::{stream_rng, Noise, TimingModel};
 use noisy_consensus::Sim;
@@ -92,6 +92,69 @@ fn recorded_histories_satisfy_register_semantics_for_all_algorithms() {
         check_register_semantics_from(sim.history(), &initial)
             .unwrap_or_else(|e| panic!("{alg:?}: {e}"));
     }
+}
+
+#[test]
+fn adversarial_replay_of_a_noisy_schedule_reproduces_its_report() {
+    // Both schedules run the same step loop; only the pick differs. A
+    // scripted adversary replaying a noisy run's pid sequence (no
+    // random failures, the same crash adversary) must therefore
+    // reproduce every untimed field of its report. The naive oracle
+    // pins the noisy side, so this pins the adversarial side too.
+    let inputs = setup::half_and_half(6);
+    let mut runs_with_crashes = 0;
+    for alg in all_algorithms() {
+        for limits in [Limits::run_to_completion(), Limits::first_decision()] {
+            for crashes in [false, true] {
+                let with_crashes = |sim: Sim| {
+                    if crashes {
+                        sim.crash_adversary(|_| LeaderKiller::new(2, 1))
+                    } else {
+                        sim
+                    }
+                };
+                for seed in 0..3 {
+                    let mut noisy = with_crashes(
+                        Sim::new(alg)
+                            .inputs(inputs.clone())
+                            .timing(TimingModel::figure1(Noise::Exponential { mean: 1.0 }))
+                            .limits(limits)
+                            .record_history(),
+                    )
+                    .build();
+                    let timed = noisy.run(seed);
+                    let pids: Vec<usize> = noisy.history().iter().map(|e| e.pid.index()).collect();
+                    let replayed = with_crashes(
+                        Sim::new(alg)
+                            .inputs(inputs.clone())
+                            .adversary(move |_| Script::new(pids.clone()))
+                            .limits(limits),
+                    )
+                    .build()
+                    .run(seed);
+                    let untimed = |r: &noisy_consensus::RunReport| {
+                        (
+                            r.outcome,
+                            r.decisions.clone(),
+                            r.decision_rounds.clone(),
+                            r.ops.clone(),
+                            r.halted.clone(),
+                            r.first_decision_round,
+                            r.total_ops,
+                            r.max_round,
+                        )
+                    };
+                    assert_eq!(
+                        untimed(&replayed),
+                        untimed(&timed),
+                        "{alg:?} × {limits:?} × crashes={crashes} × seed {seed}"
+                    );
+                    runs_with_crashes += usize::from(timed.halted.contains(&true));
+                }
+            }
+        }
+    }
+    assert!(runs_with_crashes > 0, "the crash adversary never fired");
 }
 
 #[test]

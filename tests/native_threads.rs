@@ -11,19 +11,18 @@ fn stress_agreement_many_trials() {
     for trial in 0..50u64 {
         let threads = 2 + (trial as usize % 7);
         let consensus = Arc::new(NativeConsensus::new());
-        let decisions: Vec<_> = crossbeam::scope(|s| {
+        let decisions: Vec<_> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..threads)
                 .map(|i| {
                     let c = Arc::clone(&consensus);
-                    s.spawn(move |_| {
+                    s.spawn(move || {
                         c.propose(Bit::from((i as u64 + trial).is_multiple_of(2)))
                             .expect("round limit")
                     })
                 })
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
-        })
-        .unwrap();
+        });
 
         let v = decisions[0].value;
         assert!(
@@ -43,11 +42,11 @@ fn native_decisions_are_fast_in_practice() {
     // (64 rounds) — the point is it never drifts toward the round limit.
     for trial in 0..20u64 {
         let consensus = Arc::new(NativeConsensus::new());
-        let max_round: usize = crossbeam::scope(|s| {
+        let max_round: usize = std::thread::scope(|s| {
             let handles: Vec<_> = (0..8)
                 .map(|i| {
                     let c = Arc::clone(&consensus);
-                    s.spawn(move |_| c.propose(Bit::from(i % 2 == 0)).unwrap().round)
+                    s.spawn(move || c.propose(Bit::from(i % 2 == 0)).unwrap().round)
                 })
                 .collect();
             handles
@@ -55,8 +54,7 @@ fn native_decisions_are_fast_in_practice() {
                 .map(|h| h.join().unwrap())
                 .max()
                 .unwrap()
-        })
-        .unwrap();
+        });
         assert!(max_round <= 64, "trial {trial}: round {max_round}");
     }
 }
@@ -65,16 +63,15 @@ fn native_decisions_are_fast_in_practice() {
 fn unanimous_native_runs_cost_exactly_8_ops() {
     for input in Bit::BOTH {
         let consensus = Arc::new(NativeConsensus::new());
-        let all_ops: Vec<u64> = crossbeam::scope(|s| {
+        let all_ops: Vec<u64> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..6)
                 .map(|_| {
                     let c = Arc::clone(&consensus);
-                    s.spawn(move |_| c.propose(input).unwrap().ops)
+                    s.spawn(move || c.propose(input).unwrap().ops)
                 })
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
-        })
-        .unwrap();
+        });
         assert!(all_ops.iter().all(|&o| o == 8), "{all_ops:?}");
     }
 }
@@ -88,16 +85,15 @@ fn late_joiners_adopt_earlier_decision() {
     for _ in 0..2 {
         assert_eq!(consensus.propose(Bit::Zero).unwrap().value, first.value);
     }
-    let late: Vec<Bit> = crossbeam::scope(|s| {
+    let late: Vec<Bit> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..4)
             .map(|_| {
                 let c = Arc::clone(&consensus);
-                s.spawn(move |_| c.propose(Bit::Zero).unwrap().value)
+                s.spawn(move || c.propose(Bit::Zero).unwrap().value)
             })
             .collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
-    })
-    .unwrap();
+    });
     assert!(late.iter().all(|&v| v == first.value), "{late:?}");
 }
 
@@ -108,10 +104,10 @@ fn many_consensus_objects_in_parallel() {
     // footnote 2 mentions (a tree of binary consensus objects).
     let objects: Vec<Arc<NativeConsensus>> =
         (0..32).map(|_| Arc::new(NativeConsensus::new())).collect();
-    crossbeam::scope(|s| {
+    std::thread::scope(|s| {
         for t in 0..4u64 {
             let objects: Vec<_> = objects.iter().map(Arc::clone).collect();
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for (k, obj) in objects.iter().enumerate() {
                     let _ = obj
                         .propose(Bit::from((k as u64 + t).is_multiple_of(2)))
@@ -119,8 +115,7 @@ fn many_consensus_objects_in_parallel() {
                 }
             });
         }
-    })
-    .unwrap();
+    });
     // All objects settled; re-proposing returns the settled value and
     // never flips.
     for obj in &objects {
