@@ -116,17 +116,30 @@ fn io_err(path: &Path, source: std::io::Error) -> JournalError {
     }
 }
 
-/// CRC-64/XZ (reflected, poly `0x42F0E1EBA9EA3693`), bitwise — no
-/// table, no dependency; 24 bytes per record keeps it off any hot
-/// path's critical distance.
+/// CRC-64/XZ lookup table: entry `b` is byte `b` pushed through the
+/// reflected polynomial `0x42F0E1EBA9EA3693` bit by bit.
+const CRC64_TABLE: [u64; 256] = {
+    let mut table = [0u64; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u64;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (0xC96C_5795_D787_0F42 & (crc & 1).wrapping_neg());
+            bit += 1;
+        }
+        table[i] = crc;
+        i += 1;
+    }
+    table
+};
+
+/// CRC-64/XZ (reflected, poly `0x42F0E1EBA9EA3693`), one table lookup
+/// per byte — no dependency.
 pub fn crc64(bytes: &[u8]) -> u64 {
     let mut crc = !0u64;
     for &b in bytes {
-        crc ^= u64::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xC96C_5795_D787_0F42 & mask);
-        }
+        crc = CRC64_TABLE[((crc ^ u64::from(b)) & 0xFF) as usize] ^ (crc >> 8);
     }
     !crc
 }
@@ -336,8 +349,9 @@ impl JournalReader {
 }
 
 /// Write side: appends fixed-width records, rolling segments at
-/// `segment_records`. Writes go straight to the file (no buffering),
-/// so a dropped service leaves at worst one torn final record.
+/// `segment_records`. Each call writes straight to the file, one
+/// `write_all` per segment it touches (no buffering across calls), so
+/// a dropped service leaves at worst one torn final record.
 #[derive(Debug)]
 pub struct JournalWriter {
     dir: PathBuf,
@@ -345,6 +359,8 @@ pub struct JournalWriter {
     segment: u64,
     in_segment: usize,
     file: File,
+    /// Encoding scratch, reused across calls.
+    buf: Vec<u8>,
 }
 
 impl JournalWriter {
@@ -401,6 +417,7 @@ impl JournalWriter {
                 segment: replay.next_segment,
                 in_segment: replay.in_segment,
                 file,
+                buf: Vec::new(),
             },
             replay.facts,
         ))
@@ -409,21 +426,42 @@ impl JournalWriter {
     /// Appends one fact, rolling to a new segment first if the current
     /// one is full.
     pub fn append(&mut self, fact: &CommitFact) -> Result<(), JournalError> {
-        if self.in_segment == self.segment_records {
-            self.segment += 1;
-            self.in_segment = 0;
-            let path = self.dir.join(segment_name(self.segment));
-            let mut file = File::create(&path).map_err(|e| io_err(&path, e))?;
-            file.write_all(&segment_header(self.segment))
-                .map_err(|e| io_err(&path, e))?;
-            self.file = file;
+        self.append_batch(std::slice::from_ref(fact))
+    }
+
+    /// Appends `facts` in order with one `write_all` per segment they
+    /// touch. Segments roll lazily — the next file is created only when
+    /// a record needs it — so the files are byte-identical to one
+    /// [`append`](Self::append) per fact, and an empty batch writes
+    /// nothing. After an error the facts up to some prefix may be on
+    /// disk; the writer should not be appended to again.
+    pub fn append_batch(&mut self, facts: &[CommitFact]) -> Result<(), JournalError> {
+        let mut rest = facts;
+        while !rest.is_empty() {
+            if self.in_segment == self.segment_records {
+                self.segment += 1;
+                self.in_segment = 0;
+                self.file = File::create(self.dir.join(segment_name(self.segment)))
+                    .map_err(|e| self.segment_err(e))?;
+                self.buf.extend_from_slice(&segment_header(self.segment));
+            }
+            let take = rest.len().min(self.segment_records - self.in_segment);
+            for fact in &rest[..take] {
+                self.buf.extend_from_slice(&encode_record(fact));
+            }
+            let written = self.file.write_all(&self.buf);
+            self.buf.clear();
+            written.map_err(|e| self.segment_err(e))?;
+            self.in_segment += take;
+            rest = &rest[take..];
         }
-        let path = self.dir.join(segment_name(self.segment));
-        self.file
-            .write_all(&encode_record(fact))
-            .map_err(|e| io_err(&path, e))?;
-        self.in_segment += 1;
         Ok(())
+    }
+
+    /// An I/O error on the current segment (its path is formatted only
+    /// here, on failure).
+    fn segment_err(&self, source: std::io::Error) -> JournalError {
+        io_err(&self.dir.join(segment_name(self.segment)), source)
     }
 
     /// Total facts durable across all segments.
@@ -516,6 +554,58 @@ mod tests {
         let replay = JournalReader::replay(&dir.0).unwrap();
         assert_eq!(replay.facts, facts);
         assert!(!replay.torn_tail);
+    }
+
+    /// Every file under `dir`, name -> bytes, sorted by name.
+    fn files(dir: &Path) -> Vec<(String, Vec<u8>)> {
+        let mut out: Vec<_> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| {
+                let path = e.unwrap().path();
+                let name = path.file_name().unwrap().to_string_lossy().into_owned();
+                (name, std::fs::read(&path).unwrap())
+            })
+            .collect();
+        out.sort();
+        out
+    }
+
+    #[test]
+    fn batches_write_the_bytes_of_per_record_appends() {
+        let facts: Vec<CommitFact> = (0..40).map(fact).collect();
+        for cap in [1usize, 3, 256] {
+            let single = TempDir::new(&format!("single-{cap}"));
+            let batched = TempDir::new(&format!("batched-{cap}"));
+            {
+                let (mut w, _) = JournalWriter::open(&single.0, cap).unwrap();
+                for f in &facts {
+                    w.append(f).unwrap();
+                }
+            }
+            let mut empty_after_full = 0;
+            {
+                let (mut w, _) = JournalWriter::open(&batched.0, cap).unwrap();
+                let mut rest = &facts[..];
+                for split in [0, 1, 2, 3, 4, 7, usize::MAX] {
+                    let (batch, tail) = rest.split_at(split.min(rest.len()));
+                    w.append_batch(batch).unwrap();
+                    rest = tail;
+                    if !w.is_empty() && w.len() % cap as u64 == 0 {
+                        // A full segment: an empty batch must not roll.
+                        w.append_batch(&[]).unwrap();
+                        assert!(!batched.0.join(segment_name(w.segments())).exists());
+                        empty_after_full += 1;
+                    }
+                }
+                assert_eq!(w.len(), facts.len() as u64);
+            }
+            assert!(
+                cap == 256 || empty_after_full > 0,
+                "cap {cap}: no full segment"
+            );
+            assert_eq!(files(&single.0), files(&batched.0), "cap {cap}");
+            assert_eq!(JournalReader::replay(&batched.0).unwrap().facts, facts);
+        }
     }
 
     #[test]

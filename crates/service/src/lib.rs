@@ -11,7 +11,10 @@
 //!   and [`NcService::drain_completions`] hands back every commit
 //!   fact decided since the last drain — no busy-stepping. The
 //!   synchronous [`NcService::propose`] / [`NcService::status`] pair
-//!   remains for callers that apply proposals immediately.
+//!   remains for callers that apply proposals immediately. Both doors
+//!   go through one admission rule over one instance map: an instance
+//!   is open while its applied proposals plus undrained ring entries
+//!   number fewer than `procs`.
 //! * **Sharded instance table.** Instances are sharded by id
 //!   (`id % shards`). Every instance derives its run seed as
 //!   `trial_seed(service_seed, id, salts::SERVICE)` — the REQUIRED
@@ -22,15 +25,17 @@
 //!   [`nc_engine::sim::SimRun`] handle and drives its ready queue
 //!   through it ([`SimRun::run_with_inputs`]).
 //!   [`NcService::run_ready`] first drains the submission rings in
-//!   deterministic id order, then optionally fans independent shards
-//!   across worker threads.
+//!   deterministic id order, then fans independent shards across
+//!   worker threads; the calling thread drains the first chunk itself.
 //! * **Durable commit journals.** Deciding an instance appends an
 //!   immutable [`CommitFact`] to the shard's append-only journal —
 //!   and, when a `journal_dir` is configured, to the shard's on-disk
-//!   [`journal`] segments *before* the fact is published. The byte
-//!   format is deterministic: a service killed mid-batch and reopened
-//!   from its journal directory produces journals and a reduced log
-//!   **byte-identical** to an uninterrupted run (pinned by
+//!   [`journal`] segments *before* the fact is published. Each shard
+//!   writes its whole batch in one group commit
+//!   ([`JournalWriter::append_batch`]: one write per segment touched).
+//!   The byte format is deterministic: a service killed mid-batch and
+//!   reopened from its journal directory produces journals and a
+//!   reduced log **byte-identical** to an uninterrupted run (pinned by
 //!   `tests/persistence.rs`).
 //! * **Instance retention.** [`Retention`] bounds how many decided
 //!   instances stay resident in the table; evicted ids keep answering
@@ -67,6 +72,7 @@
 //! assert_eq!(svc.drain_completions().len(), 4);
 //! ```
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
 
@@ -405,6 +411,41 @@ impl std::fmt::Display for ServiceError {
 
 impl std::error::Error for ServiceError {}
 
+/// One resident instance in the table.
+enum Slot {
+    /// Collecting proposals: `inputs` applied so far, plus `ring`
+    /// submissions not yet drained from the shard's ring.
+    Open { inputs: Vec<Bit>, ring: usize },
+    /// Fully proposed, waiting on its shard's next batch.
+    Queued,
+    /// Decided and still resident.
+    Decided(CommitFact),
+}
+
+impl Slot {
+    /// Applies one proposal to an admitted (open) slot and returns how
+    /// many it now holds; the `need`-th closes the slot to `Queued` and
+    /// moves its inputs onto `ready`.
+    fn apply(
+        &mut self,
+        id: u64,
+        value: Bit,
+        need: usize,
+        ready: &mut VecDeque<(u64, Vec<Bit>)>,
+    ) -> usize {
+        let Slot::Open { inputs, .. } = self else {
+            unreachable!("proposals are applied to admitted instances only");
+        };
+        inputs.push(value);
+        let got = inputs.len();
+        if got == need {
+            ready.push_back((id, std::mem::take(inputs)));
+            *self = Slot::Queued;
+        }
+        got
+    }
+}
+
 /// One shard: a pooled engine handle, the submission ring and ready
 /// queue it drains, and the append-only journal (in-memory always, on
 /// disk when configured) it feeds.
@@ -412,7 +453,7 @@ struct Shard {
     runner: SimRun,
     /// Non-blocking front door: `(id, value)` submissions awaiting the
     /// next [`NcService::run_ready`] drain.
-    submissions: VecDeque<(u64, Bit)>,
+    submissions: Vec<(u64, Bit)>,
     ready: VecDeque<(u64, Vec<Bit>)>,
     journal: Vec<CommitFact>,
     /// Journal prefix already reflected in the instance table.
@@ -434,7 +475,7 @@ impl Shard {
                 .timing(cfg.timing.clone())
                 .limits(cfg.limits)
                 .build(),
-            submissions: VecDeque::new(),
+            submissions: Vec::new(),
             ready: VecDeque::new(),
             journal: replayed,
             synced,
@@ -445,31 +486,27 @@ impl Shard {
     }
 
     /// Decides every queued instance through the pooled handle,
-    /// appending one commit fact each — to disk first when a journal
-    /// writer is attached. Returns facts appended.
-    fn drain(&mut self) -> usize {
-        let drained = self.ready.len();
+    /// appending one commit fact each, then writes the batch to disk
+    /// in one group commit when a journal writer is attached.
+    fn drain(&mut self) {
+        let start = self.journal.len();
         while let Some((id, inputs)) = self.ready.pop_front() {
             let seed = trial_seed(self.seed, id, salts::SERVICE);
             let report = self.runner.run_with_inputs(seed, &inputs);
-            let fact = CommitFact {
+            self.journal.push(CommitFact {
                 id,
                 value: report.agreement_value(),
                 round: report.first_decision_round.unwrap_or(0),
                 ops: report.total_ops,
-            };
-            if let Some(writer) = &mut self.writer {
-                if let Err(e) = writer.append(&fact) {
-                    if self.io_error.is_none() {
-                        self.io_error = Some(e);
-                    }
-                    // Do not publish a fact that is not durable.
-                    break;
-                }
-            }
-            self.journal.push(fact);
+            });
         }
-        drained
+        if let Some(writer) = &mut self.writer {
+            if let Err(e) = writer.append_batch(&self.journal[start..]) {
+                // Publish none of a batch that may not be durable.
+                self.journal.truncate(start);
+                self.io_error.get_or_insert(e);
+            }
+        }
     }
 }
 
@@ -477,15 +514,11 @@ impl Shard {
 /// architecture; [`ServiceConfig`] for the knobs.
 pub struct NcService {
     cfg: ServiceConfig,
-    table: HashMap<u64, InstanceStatus>,
-    /// Proposals buffered for still-accepting instances (drained into
-    /// the shard ready queue on the final proposal).
-    pending_inputs: HashMap<u64, Vec<Bit>>,
+    /// Every resident instance: open, queued, or decided.
+    instances: HashMap<u64, Slot>,
     /// Compact journal index for evicted instances:
     /// `id -> (value, round)`.
     evicted: HashMap<u64, (Option<Bit>, u32)>,
-    /// Proposals sitting in submission rings, per instance.
-    ring_got: HashMap<u64, usize>,
     /// Facts decided since the last [`NcService::drain_completions`].
     completions: Vec<CommitFact>,
     tracker: ResidencyTracker,
@@ -535,10 +568,8 @@ impl NcService {
         }
         let mut svc = NcService {
             cfg,
-            table: HashMap::new(),
-            pending_inputs: HashMap::new(),
+            instances: HashMap::new(),
             evicted: HashMap::new(),
-            ring_got: HashMap::new(),
             completions: Vec::new(),
             tracker: ResidencyTracker::new(Retention::KeepAll),
             shards,
@@ -575,16 +606,29 @@ impl NcService {
         trial_seed(self.cfg.seed, id, salts::SERVICE)
     }
 
-    /// How many proposals instance `id` has effectively collected
-    /// (table plus not-yet-drained ring entries), or `None` if it is
-    /// closed (queued, decided, or evicted).
-    fn effective_got(&self, id: u64) -> Option<usize> {
-        let ring = self.ring_got.get(&id).copied().unwrap_or(0);
-        match self.table.get(&id) {
-            None if self.evicted.contains_key(&id) => None,
-            None => Some(ring),
-            Some(InstanceStatus::Accepting { got, .. }) => Some(got + ring),
-            Some(_) => None,
+    /// The one admission rule both front doors share: instance `id`'s
+    /// open slot (created on first contact), or `InstanceClosed` when it
+    /// is queued, decided, or evicted — or when its applied proposals
+    /// plus undrained ring entries already complete it.
+    fn admit<'a>(
+        instances: &'a mut HashMap<u64, Slot>,
+        evicted: &HashMap<u64, (Option<Bit>, u32)>,
+        id: u64,
+        need: usize,
+    ) -> Result<&'a mut Slot, ServiceError> {
+        let slot = match instances.entry(id) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(_) if evicted.contains_key(&id) => {
+                return Err(ServiceError::InstanceClosed { id });
+            }
+            Entry::Vacant(e) => e.insert(Slot::Open {
+                inputs: Vec::with_capacity(need),
+                ring: 0,
+            }),
+        };
+        match slot {
+            Slot::Open { inputs, ring } if inputs.len() + *ring < need => Ok(slot),
+            _ => Err(ServiceError::InstanceClosed { id }),
         }
     }
 
@@ -594,33 +638,14 @@ impl NcService {
     /// instance — or one whose ring submissions already complete it —
     /// is refused (single-shot).
     pub fn propose(&mut self, id: u64, value: Bit) -> Result<ProposeOutcome, ServiceError> {
-        let need = self.cfg.procs;
-        match self.effective_got(id) {
-            Some(got) if got < need => {}
-            _ => return Err(ServiceError::InstanceClosed { id }),
-        }
-        let shard = (id % self.cfg.shards as u64) as usize;
-        let entry = self
-            .table
-            .entry(id)
-            .or_insert(InstanceStatus::Accepting { got: 0, need });
-        let InstanceStatus::Accepting { got, .. } = entry else {
-            return Err(ServiceError::InstanceClosed { id });
-        };
-        *got += 1;
-        let got = *got;
-        self.pending_inputs
-            .entry(id)
-            .or_insert_with(|| Vec::with_capacity(need))
-            .push(value);
-        if got == need {
-            let inputs = self.pending_inputs.remove(&id).expect("buffered above");
-            self.table.insert(id, InstanceStatus::Queued);
-            self.shards[shard].ready.push_back((id, inputs));
-            Ok(ProposeOutcome::Ready { shard })
+        let (need, shard) = (self.cfg.procs, self.shard_of(id));
+        let slot = Self::admit(&mut self.instances, &self.evicted, id, need)?;
+        let got = slot.apply(id, value, need, &mut self.shards[shard].ready);
+        Ok(if got == need {
+            ProposeOutcome::Ready { shard }
         } else {
-            Ok(ProposeOutcome::Accepted { got, need })
-        }
+            ProposeOutcome::Accepted { got, need }
+        })
     }
 
     /// Enqueues one proposal for instance `id` on its shard's
@@ -629,14 +654,12 @@ impl NcService {
     /// [`NcService::poll`]. Refused exactly when [`NcService::propose`]
     /// would be, counting ring entries, so a drain can never reject.
     pub fn submit(&mut self, id: u64, value: Bit) -> Result<Ticket, ServiceError> {
-        let need = self.cfg.procs;
-        match self.effective_got(id) {
-            Some(got) if got < need => {}
-            _ => return Err(ServiceError::InstanceClosed { id }),
+        let (need, shard) = (self.cfg.procs, self.shard_of(id));
+        let slot = Self::admit(&mut self.instances, &self.evicted, id, need)?;
+        if let Slot::Open { ring, .. } = slot {
+            *ring += 1;
         }
-        let shard = (id % self.cfg.shards as u64) as usize;
-        self.shards[shard].submissions.push_back((id, value));
-        *self.ring_got.entry(id).or_insert(0) += 1;
+        self.shards[shard].submissions.push((id, value));
         Ok(Ticket { id, shard })
     }
 
@@ -646,30 +669,19 @@ impl NcService {
     /// [`NcService::poll`]'s job).
     pub fn status(&self, id: u64) -> InstanceStatus {
         let need = self.cfg.procs;
-        let ring = self.ring_got.get(&id).copied().unwrap_or(0);
-        match self.table.get(&id) {
-            Some(InstanceStatus::Accepting { got, .. }) => {
-                let got = got + ring;
-                if got >= need {
-                    InstanceStatus::Queued
-                } else {
-                    InstanceStatus::Accepting { got, need }
+        match self.instances.get(&id) {
+            Some(Slot::Open { inputs, ring }) if inputs.len() + ring < need => {
+                InstanceStatus::Accepting {
+                    got: inputs.len() + ring,
+                    need,
                 }
             }
-            Some(status) => *status,
-            None => {
-                if let Some(&(decided, round)) = self.evicted.get(&id) {
-                    InstanceStatus::Evicted { decided, round }
-                } else if ring > 0 {
-                    if ring >= need {
-                        InstanceStatus::Queued
-                    } else {
-                        InstanceStatus::Accepting { got: ring, need }
-                    }
-                } else {
-                    InstanceStatus::Unknown
-                }
-            }
+            Some(Slot::Open { .. } | Slot::Queued) => InstanceStatus::Queued,
+            Some(Slot::Decided(fact)) => InstanceStatus::Decided(*fact),
+            None => match self.evicted.get(&id) {
+                Some(&(decided, round)) => InstanceStatus::Evicted { decided, round },
+                None => InstanceStatus::Unknown,
+            },
         }
     }
 
@@ -695,12 +707,12 @@ impl NcService {
     /// Publishes one fact: table entry, completion buffer, retention
     /// bookkeeping, and any eviction it forces.
     fn publish(&mut self, fact: CommitFact) {
-        self.table.insert(fact.id, InstanceStatus::Decided(fact));
+        self.instances.insert(fact.id, Slot::Decided(fact));
         self.completions.push(fact);
         let mut evict = VecDeque::new();
         self.tracker.admit(fact.id, &mut evict);
         while let Some(victim) = evict.pop_front() {
-            let Some(InstanceStatus::Decided(f)) = self.table.remove(&victim) else {
+            let Some(Slot::Decided(f)) = self.instances.remove(&victim) else {
                 unreachable!("tracker admits only decided instances");
             };
             self.evicted.insert(victim, (f.value, f.round as u32));
@@ -708,58 +720,56 @@ impl NcService {
     }
 
     /// Decides every ready instance, fanning independent shards over up
-    /// to `threads` workers (`0` and `1` both mean serial). Submission
-    /// rings are drained first, in deterministic id order. Returns the
-    /// newly appended commit facts in canonical order (by shard, then
-    /// ready-queue order) — the same facts regardless of `threads`.
+    /// to `threads` workers, the calling thread included (`0` and `1`
+    /// both mean serial; `k` workers spawn `k - 1` threads). Submission
+    /// rings are drained first, in deterministic id order, after any
+    /// proposals already applied by [`NcService::propose`]. Each shard
+    /// then decides its ready queue and writes the batch to its
+    /// on-disk journal in one group commit before anything is
+    /// published. Returns the newly appended commit facts in canonical
+    /// order (by shard, then ready-queue order) — the same facts
+    /// regardless of `threads`.
     ///
     /// # Panics
     ///
-    /// Panics if a configured on-disk journal fails to append (the
-    /// fact was not published; the service is not usable past a
-    /// half-written batch).
+    /// Panics if a configured on-disk journal fails to append (none of
+    /// that shard's batch is published; the service is not usable past
+    /// a half-written batch).
     pub fn run_ready(&mut self, threads: usize) -> Vec<CommitFact> {
-        // Drain the submission rings in id order (stable, so multiple
+        // Drain each submission ring in id order (stable, so multiple
         // proposals for one instance keep their submission order) —
         // the batch an instance runs in is then a pure function of the
         // submitted set, not of ring interleaving.
-        let mut pending: Vec<(u64, Bit)> = Vec::new();
+        let need = self.cfg.procs;
         for shard in self.shards.iter_mut() {
-            pending.extend(shard.submissions.drain(..));
-        }
-        pending.sort_by_key(|&(id, _)| id);
-        for (id, value) in pending {
-            match self.ring_got.get_mut(&id) {
-                Some(n) if *n > 1 => *n -= 1,
-                _ => {
-                    self.ring_got.remove(&id);
+            shard.submissions.sort_by_key(|&(id, _)| id);
+            for (id, value) in shard.submissions.drain(..) {
+                let slot = self
+                    .instances
+                    .get_mut(&id)
+                    .expect("ring entries are admitted at submit time");
+                if let Slot::Open { ring, .. } = slot {
+                    *ring -= 1;
                 }
+                slot.apply(id, value, need, &mut shard.ready);
             }
-            self.propose(id, value)
-                .expect("ring entries are validated at submit time");
         }
 
-        let workers = threads.max(1).min(self.shards.len());
-        if workers <= 1 {
-            for shard in self.shards.iter_mut() {
-                shard.drain();
+        let per = self
+            .shards
+            .len()
+            .div_ceil(threads.clamp(1, self.shards.len()));
+        std::thread::scope(|scope| {
+            let mut chunks = self.shards.chunks_mut(per);
+            let own = chunks.next().unwrap_or_default();
+            let handles: Vec<_> = chunks
+                .map(|chunk| scope.spawn(move || chunk.iter_mut().for_each(Shard::drain)))
+                .collect();
+            own.iter_mut().for_each(Shard::drain);
+            for handle in handles {
+                handle.join().expect("shard worker panicked");
             }
-        } else {
-            let per = self.shards.len().div_ceil(workers);
-            std::thread::scope(|scope| {
-                let mut handles = Vec::new();
-                for chunk in self.shards.chunks_mut(per) {
-                    handles.push(scope.spawn(move || {
-                        for shard in chunk {
-                            shard.drain();
-                        }
-                    }));
-                }
-                for handle in handles {
-                    handle.join().expect("shard worker panicked");
-                }
-            });
-        }
+        });
         // Serial post-pass: surface journal failures, then publish the
         // new facts into the table (evicting under the retention
         // policy — facts are durable by now).
@@ -799,9 +809,9 @@ impl NcService {
     pub fn resident_decided(&self) -> usize {
         match self.cfg.retention {
             Retention::KeepAll => self
-                .table
+                .instances
                 .values()
-                .filter(|s| matches!(s, InstanceStatus::Decided(_)))
+                .filter(|s| matches!(s, Slot::Decided(_)))
                 .count(),
             _ => self.tracker.resident(),
         }
@@ -997,6 +1007,51 @@ mod tests {
         a.run_ready(1);
         b.run_ready(1);
         assert_eq!(a.reduced_log(), b.reduced_log());
+    }
+
+    #[test]
+    fn mixed_front_doors_apply_proposals_before_ring_entries() {
+        // `propose` applies at once while `submit` waits in the ring
+        // until `run_ready`, so on one instance the proposed values take
+        // the first process slots and the submitted ones follow them.
+        let (id, need) = (4, 5);
+        let [a, b, c, d, e] = [Bit::One, Bit::Zero, Bit::One, Bit::One, Bit::Zero];
+        let mut mixed = NcService::new(cfg(need, 1, 11));
+        mixed.submit(id, a).unwrap();
+        assert_eq!(mixed.status(id), InstanceStatus::Accepting { got: 1, need });
+        // `Accepted { got }` counts applied proposals; `status` adds
+        // the ring entries.
+        assert_eq!(
+            mixed.propose(id, b),
+            Ok(ProposeOutcome::Accepted { got: 1, need })
+        );
+        assert_eq!(mixed.status(id), InstanceStatus::Accepting { got: 2, need });
+        mixed.submit(id, c).unwrap();
+        assert_eq!(
+            mixed.propose(id, d),
+            Ok(ProposeOutcome::Accepted { got: 2, need })
+        );
+        assert_eq!(mixed.status(id), InstanceStatus::Accepting { got: 4, need });
+        mixed.submit(id, e).unwrap();
+        assert_eq!(mixed.status(id), InstanceStatus::Queued);
+        assert_eq!(
+            mixed.propose(id, a),
+            Err(ServiceError::InstanceClosed { id })
+        );
+        let fresh = mixed.run_ready(1);
+        assert_eq!(fresh.len(), 1);
+        let proposed_in = |order: [Bit; 5]| {
+            let mut svc = NcService::new(cfg(need, 1, 11));
+            for v in order {
+                svc.propose(id, v).unwrap();
+            }
+            svc.run_ready(1)[0]
+        };
+        // Each door keeps its own call order. For this id, ring entries
+        // first or either door reversed would also decide differently.
+        assert_eq!(fresh[0], proposed_in([b, d, a, c, e]));
+        // Applied in call order, the same values decide differently.
+        assert_ne!(fresh[0], proposed_in([a, b, c, d, e]));
     }
 
     #[test]

@@ -16,7 +16,9 @@
 
 use std::path::{Path, PathBuf};
 
-use nc_service::{loadgen, InstanceStatus, NcService, Retention, ServiceConfig};
+use nc_service::{
+    loadgen, InstanceStatus, JournalReader, NcService, Retention, ServiceConfig, ServiceError,
+};
 use proptest::prelude::*;
 
 const SEED: u64 = 41;
@@ -218,6 +220,52 @@ fn retention_applies_across_reopen() {
     for id in 7..10u64 {
         assert!(matches!(svc.status(id), InstanceStatus::Decided(_)));
     }
+}
+
+#[test]
+fn failed_write_publishes_no_undurable_fact() {
+    // One shard, two records per segment: the batch of 5 fills
+    // segment 0, then the roll to segment 1 fails because its path is
+    // a directory.
+    let straight = TempDir::new("io-straight");
+    let broken = TempDir::new("io-broken");
+    let shard_dir = broken.0.join("shard-0");
+    let blocker = shard_dir.join("seg-00000001.log");
+    let mut svc = NcService::new(cfg(1, &broken.0, 2));
+    std::fs::create_dir_all(&blocker).unwrap();
+    for id in 0..5 {
+        for value in loadgen::proposals_for(id, PROCS) {
+            svc.submit(id, value).unwrap();
+        }
+    }
+    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| svc.run_ready(1)));
+    assert!(run.is_err(), "a failed journal write must panic run_ready");
+    std::fs::remove_dir(&blocker).unwrap();
+    let durable = JournalReader::replay(&shard_dir).unwrap().facts;
+    assert_eq!(durable.len(), 2, "segment 0 was written before the roll");
+    for fact in svc.commit_log(0) {
+        assert!(
+            durable.contains(fact),
+            "fact {fact:?} published but not durable"
+        );
+    }
+    drop(svc);
+
+    // Reopen and resubmit everything: the run heals to the bytes of an
+    // uninterrupted one.
+    let mut svc = NcService::new(cfg(1, &broken.0, 2));
+    for id in 0..5 {
+        for value in loadgen::proposals_for(id, PROCS) {
+            match svc.submit(id, value) {
+                Ok(_) | Err(ServiceError::InstanceClosed { .. }) => {}
+            }
+        }
+    }
+    svc.run_ready(1);
+    let mut want = NcService::new(cfg(1, &straight.0, 2));
+    feed(&mut want, 0..5, 1);
+    assert_eq!(svc.reduced_log(), want.reduced_log());
+    assert_eq!(journal_bytes(&straight.0), journal_bytes(&broken.0));
 }
 
 /// The final (highest-index) segment file under `shard_dir`.
