@@ -29,8 +29,8 @@ use std::fmt;
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 
-use nc_core::{Protocol, ProtocolCore, Status};
-use nc_memory::{Bit, MemStore, Word};
+use nc_core::{Protocol, Status};
+use nc_memory::{Bit, Word};
 
 use crate::adopt::{AcOutcome, AdoptCommit, SubStatus};
 use crate::conciliator::Conciliator;
@@ -103,9 +103,7 @@ impl BackupConsensus {
     }
 }
 
-impl<M: MemStore> Protocol<M> for BackupConsensus {}
-
-impl ProtocolCore for BackupConsensus {
+impl Protocol for BackupConsensus {
     fn status(&self) -> Status {
         match &self.phase {
             Phase::Adopt(ac) => match ac.status() {

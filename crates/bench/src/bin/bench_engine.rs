@@ -82,41 +82,6 @@ fn bench_sequential(n: usize, trials: u64, policy: QueuePolicy) -> (f64, u64) {
     })
 }
 
-/// The `SimMemory::reset` strategy micro-bench behind the shipped
-/// fill(0)-in-place semantics: replay a trial-sweep write pattern
-/// against a raw word vector reset either by `fill(0)` (keeping `len`)
-/// or by the old `clear()` + geometric regrow. Returns
-/// `(fill_secs, clear_secs)` for `prefix` words/trial.
-fn bench_reset_strategy(prefix: usize, trials: usize) -> (f64, f64) {
-    fn write(words: &mut Vec<u64>, idx: usize, val: u64) {
-        if idx >= words.len() {
-            let new_len = (idx + 1).max(words.len() * 2).max(16);
-            words.resize(new_len, 0);
-        }
-        words[idx] = val;
-    }
-    let run = |fill_in_place: bool| -> f64 {
-        let mut words: Vec<u64> = Vec::new();
-        let mut acc = 0u64;
-        let (secs, _) = best_of(|| {
-            for _ in 0..trials {
-                if fill_in_place {
-                    words.fill(0);
-                } else {
-                    words.clear();
-                }
-                for idx in 0..prefix {
-                    write(&mut words, idx, idx as u64);
-                    acc = acc.wrapping_add(words[idx / 2]);
-                }
-            }
-            acc
-        });
-        secs
-    };
-    (run(true), run(false))
-}
-
 fn main() {
     let trials: u64 = arg("trials", 2000);
     let min_speedup: f64 = arg("min-speedup", 1.6);
@@ -209,28 +174,8 @@ fn main() {
     }
     let host_limited = cores == 1;
 
-    // SimMemory::reset strategy record: the shipped fill(0)-in-place
-    // semantics vs the old clear+geometric-regrow, on a raw replay of
-    // the per-trial write pattern (see SimMemory::reset docs).
-    let mut reset_cells = String::new();
-    for (i, &prefix) in [64usize, 1024].iter().enumerate() {
-        let reps = 2_000_000 / prefix;
-        let (fill_s, clear_s) = bench_reset_strategy(prefix, reps);
-        eprintln!(
-            "reset strategy, {prefix}-word prefix: fill(0)-in-place {fill_s:.4}s vs clear+regrow {clear_s:.4}s ({:.2}x)",
-            clear_s / fill_s
-        );
-        if i > 0 {
-            reset_cells.push(',');
-        }
-        reset_cells.push_str(&format!(
-            "\n    {{\"prefix_words\": {prefix}, \"trials\": {reps}, \"fill_in_place_secs\": {fill_s:.4}, \"clear_regrow_secs\": {clear_s:.4}, \"fill_speedup\": {:.3}}}",
-            clear_s / fill_s
-        ));
-    }
-
     let json = format!(
-        "{{\n  \"workload\": \"fig1 point: n procs, U(0,2) noise, first-decision cutoff, full trial incl. instance setup\",\n  \"baseline\": \"naive BinaryHeap driver (nc_engine::baseline, seed implementation)\",\n  \"optimized\": \"SoA scratch engine, auto queue (heap < TREE_MIN_N <= tree), one thread\",\n  \"host_cores\": {cores},\n  \"trials_n100\": {trials},\n  \"single_thread\": [{single}\n  ],\n  \"speedup_n100\": {speedup_n100:.3},\n  \"sweep_scaling_n100\": {{\n    \"host_limited\": {host_limited},\n    \"rows\": [{scaling}\n    ]\n  }},\n  \"reset_fill_vs_clear\": [{reset_cells}\n  ],\n  \"notes\": \"Numbers from `cargo run --release -p nc-bench --bin bench_engine`; best-of-{REPEATS} wall time per cell. heap/tree columns are the queue ablation behind TREE_MIN_N; reset_fill_vs_clear records why SimMemory::reset ships fill(0)-in-place. sweep_scaling_n100.host_limited = true means the host had 1 core, so the scaling rows carry no parallel-speedup information.\"\n}}\n"
+        "{{\n  \"workload\": \"fig1 point: n procs, U(0,2) noise, first-decision cutoff, full trial incl. instance setup\",\n  \"baseline\": \"naive BinaryHeap driver (nc_engine::baseline, seed implementation)\",\n  \"optimized\": \"SoA scratch engine, auto queue (heap < TREE_MIN_N <= tree), one thread\",\n  \"host_cores\": {cores},\n  \"trials_n100\": {trials},\n  \"single_thread\": [{single}\n  ],\n  \"speedup_n100\": {speedup_n100:.3},\n  \"sweep_scaling_n100\": {{\n    \"host_limited\": {host_limited},\n    \"rows\": [{scaling}\n    ]\n  }},\n  \"notes\": \"Numbers from `cargo run --release -p nc-bench --bin bench_engine`; best-of-{REPEATS} wall time per cell. heap/tree columns are the queue ablation behind TREE_MIN_N. sweep_scaling_n100.host_limited = true means the host had 1 core, so the scaling rows carry no parallel-speedup information.\"\n}}\n"
     );
     let mut file = std::fs::File::create(&out).expect("create output file");
     file.write_all(json.as_bytes()).expect("write json");

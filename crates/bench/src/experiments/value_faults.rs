@@ -10,8 +10,8 @@
 //! such noise can make consensus strictly *easier* in some models.
 //! lean-consensus was never designed for value faults — its safety
 //! proof (§5) assumes faithful registers — so this scenario measures
-//! where it actually sits on that axis, with the engine's deterministic
-//! [`nc_memory::FaultyMemory`] plane:
+//! where it actually sits on that axis, with the word store's
+//! deterministic value-fault plane ([`nc_memory::SimMemory::set_faults`]):
 //!
 //! * **ε sweep** — each read's low bit flips with probability ε
 //!   (Fraigniaud–Natale's binary channel; our registers hold bits).

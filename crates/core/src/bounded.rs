@@ -23,10 +23,10 @@
 
 use std::fmt;
 
-use nc_memory::{Bit, MemStore, RaceLayout, Word};
+use nc_memory::{Bit, RaceLayout, Word};
 
 use crate::lean::LeanConsensus;
-use crate::protocol::{Protocol, ProtocolCore, Status};
+use crate::protocol::{Protocol, Status};
 
 /// Suggested `r_max` for `n` processes: `(⌈log₂(n+1)⌉ + 2)²`, clamped to
 /// at least 9.
@@ -56,7 +56,7 @@ pub struct BoundedLean<B, F> {
 
 impl<B, F> BoundedLean<B, F>
 where
-    B: ProtocolCore,
+    B: Protocol,
     F: FnOnce(Bit) -> B,
 {
     /// Creates the combined protocol for one process.
@@ -106,21 +106,12 @@ where
     }
 }
 
-/// The combined protocol runs on whatever plane its components run on
-/// (the default fused step is correct across the seam: it executes
-/// whichever sub-machine is active).
-impl<M, B, F> Protocol<M> for BoundedLean<B, F>
+/// The default fused step is correct across the seam: it executes
+/// whichever sub-machine is active.
+impl<B, F> Protocol for BoundedLean<B, F>
 where
-    M: MemStore,
-    B: Protocol<M>,
+    B: Protocol,
     F: FnOnce(Bit) -> B + Send,
-{
-}
-
-impl<B, F> ProtocolCore for BoundedLean<B, F>
-where
-    B: ProtocolCore,
-    F: FnOnce(Bit) -> B,
 {
     fn status(&self) -> Status {
         match &self.backup {
@@ -194,9 +185,7 @@ mod tests {
         }
     }
 
-    impl<M: MemStore> Protocol<M> for EchoBackup {}
-
-    impl ProtocolCore for EchoBackup {
+    impl Protocol for EchoBackup {
         fn status(&self) -> Status {
             if self.done {
                 Status::Decided(self.input)

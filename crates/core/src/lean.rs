@@ -20,9 +20,9 @@
 
 use std::fmt;
 
-use nc_memory::{Addr, Bit, MemStore, Op, RaceLayout, Word};
+use nc_memory::{Addr, Bit, Op, RaceLayout, SimMemory, Word};
 
-use crate::protocol::{Protocol, ProtocolCore, Status};
+use crate::protocol::{Protocol, Status};
 
 /// Phase indices for [`LeanHot`]: where a process is inside its
 /// four-operation round.
@@ -166,7 +166,7 @@ impl LeanHot {
 /// # Example
 ///
 /// ```
-/// use nc_core::{step, LeanConsensus, ProtocolCore};
+/// use nc_core::{step, LeanConsensus, Protocol};
 /// use nc_memory::{Bit, RaceLayout, SimMemory};
 ///
 /// let mut mem = SimMemory::new();
@@ -208,7 +208,7 @@ impl LeanConsensus {
     /// The round in which this process decided, if it has.
     ///
     /// A process decides during its current round, so this equals
-    /// [`ProtocolCore::round`] after decision.
+    /// [`Protocol::round`] after decision.
     pub fn decision_round(&self) -> Option<usize> {
         self.hot.is_decided().then_some(self.hot.round())
     }
@@ -219,7 +219,7 @@ impl LeanConsensus {
     }
 }
 
-impl ProtocolCore for LeanConsensus {
+impl Protocol for LeanConsensus {
     fn status(&self) -> Status {
         if self.hot.is_decided() {
             return Status::Decided(self.hot.preference());
@@ -263,20 +263,16 @@ impl ProtocolCore for LeanConsensus {
     fn ops_completed(&self) -> u64 {
         self.hot.ops_completed()
     }
-}
 
-impl<M: MemStore> Protocol<M> for LeanConsensus {
     /// The fused fast path: decode the pending operation from the packed
     /// tables, perform it directly against the word store, and advance in
     /// one branchless step — instead of the `status()` → `exec` →
     /// `advance` → `status()` round-trip (three phase matches and an
-    /// `Op` encode/decode). Generic over the word-store plane, so the
-    /// memory's concrete `read`/`write` inline straight into the step.
-    /// Bit-identical behavior by construction: the packed step performs
-    /// exactly the operation `status()` surfaces and produces exactly
-    /// the state `advance` would (pinned by the protocol tests and the
-    /// engine's baseline-equivalence suite).
-    fn step_status(&mut self, mem: &mut M) -> Status {
+    /// `Op` encode/decode). Bit-identical behavior by construction: the
+    /// packed step performs exactly the operation `status()` surfaces
+    /// and produces exactly the state `advance` would (pinned by the
+    /// protocol tests and the engine's baseline-equivalence suite).
+    fn step_status(&mut self, mem: &mut SimMemory) -> Status {
         if self.hot.is_decided() {
             return Status::Decided(self.hot.preference());
         }

@@ -20,13 +20,12 @@
 //!
 //! # What this crate provides
 //!
-//! * [`ProtocolCore`] / [`Protocol`] — the step-machine interface every
-//!   protocol in the workspace implements: expose the pending
-//!   shared-memory [`Op`], consume its result ([`ProtocolCore`]), and
-//!   step fused against any [`nc_memory::MemStore`] word-store plane
-//!   ([`Protocol<M>`], defaulting to `SimMemory`). One implementation
-//!   runs unchanged under the discrete-event engine (on any memory
-//!   backend), the hybrid uniprocessor driver, and native threads.
+//! * [`Protocol`] — the step-machine interface every protocol in the
+//!   workspace implements: expose the pending shared-memory [`Op`],
+//!   consume its result, and step fused against the
+//!   [`nc_memory::SimMemory`] word store. One implementation runs
+//!   unchanged under the discrete-event engine, the hybrid
+//!   uniprocessor driver, and native threads.
 //! * [`LeanConsensus`] — the paper's algorithm, operation-exact.
 //! * [`SkippingLean`] — the "optimized" variant §4 warns against
 //!   (skips provably redundant operations), kept for the ablation
@@ -87,7 +86,7 @@ pub mod threaded;
 pub use bounded::BoundedLean;
 pub use id::IdConsensus;
 pub use lean::LeanConsensus;
-pub use protocol::{run_random_interleave, run_round_robin, step, Protocol, ProtocolCore, Status};
+pub use protocol::{run_random_interleave, run_round_robin, step, Protocol, Status};
 pub use randomized::RandomizedLean;
 pub use skipping::SkippingLean;
 pub use threaded::{Decision, NativeConsensus, RoundLimitError};

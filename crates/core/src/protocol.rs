@@ -3,7 +3,7 @@
 //! Every consensus protocol in this workspace is an explicit state
 //! machine over shared-memory operations: it *surfaces* the operation it
 //! wants to perform next ([`Status::Pending`]) and is *resumed* with the
-//! operation's result ([`ProtocolCore::advance`]). The machine never touches
+//! operation's result ([`Protocol::advance`]). The machine never touches
 //! memory itself.
 //!
 //! This inversion is what lets a single protocol implementation run,
@@ -19,7 +19,7 @@
 
 use std::fmt;
 
-use nc_memory::{Bit, MemStore, Op, SimMemory, Word};
+use nc_memory::{Bit, Op, SimMemory, Word};
 
 /// What a protocol instance wants to do next.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -49,14 +49,13 @@ impl fmt::Display for Status {
     }
 }
 
-/// The memory-independent surface of a consensus protocol state
-/// machine: surfacing pending operations, consuming their results, and
-/// reporting progress.
+/// A consensus protocol state machine: surfacing pending operations,
+/// consuming their results, and reporting progress.
 ///
 /// # Contract
 ///
-/// * [`ProtocolCore::status`] is pure: calling it repeatedly without an
-///   intervening [`ProtocolCore::advance`] returns the same value.
+/// * [`Protocol::status`] is pure: calling it repeatedly without an
+///   intervening [`Protocol::advance`] returns the same value.
 /// * After `status()` returns [`Status::Pending`]`(Op::Read(a))`, the
 ///   driver must execute the read and call `advance(Some(value))`.
 /// * After `status()` returns [`Status::Pending`]`(Op::Write(..))`, the
@@ -64,14 +63,14 @@ impl fmt::Display for Status {
 /// * Once `status()` returns [`Status::Decided`], the machine is final:
 ///   `advance` must not be called again.
 ///
-/// This trait never touches memory itself, so it is implemented exactly
-/// once per protocol; the memory-plane-generic [`Protocol`] subtrait
-/// (usually a one-line blanket over all [`MemStore`]s) adds the fused
-/// stepping entry point drivers use.
-///
 /// `Debug` is a supertrait so heterogeneous collections of protocols
-/// (e.g. `Vec<Box<dyn Protocol>>`) stay debuggable.
-pub trait ProtocolCore: fmt::Debug {
+/// (e.g. `Vec<Box<dyn Protocol>>`) stay debuggable. `Send` is a
+/// supertrait so engine handles caching a `Box<dyn Protocol>` (e.g.
+/// `nc_engine::sim::SimRun`) can migrate across worker threads —
+/// `nc_service` fans pooled per-shard handles out this way. Every
+/// in-tree protocol is plain data plus a seeded RNG, so the bound costs
+/// nothing.
+pub trait Protocol: fmt::Debug + Send {
     /// The machine's current pending operation or final decision.
     fn status(&self) -> Status;
 
@@ -86,8 +85,8 @@ pub trait ProtocolCore: fmt::Debug {
     /// bugs, not recoverable conditions.
     fn advance(&mut self, read_value: Option<Word>);
 
-    /// [`ProtocolCore::advance`] followed by [`ProtocolCore::status`],
-    /// as one call.
+    /// [`Protocol::advance`] followed by [`Protocol::status`], as one
+    /// call.
     ///
     /// Semantically redundant, but load-bearing for throughput: the
     /// discrete-event engine holds protocols as `Box<dyn Protocol>`, and
@@ -99,7 +98,7 @@ pub trait ProtocolCore: fmt::Debug {
     ///
     /// # Panics
     ///
-    /// Same contract as [`ProtocolCore::advance`].
+    /// Same contract as [`Protocol::advance`].
     #[inline]
     fn advance_status(&mut self, read_value: Option<Word>) -> Status {
         self.advance(read_value);
@@ -117,33 +116,13 @@ pub trait ProtocolCore: fmt::Debug {
 
     /// Total shared-memory operations this machine has completed.
     fn ops_completed(&self) -> u64;
-}
 
-/// A consensus protocol runnable against the word-store plane `M`.
-///
-/// `M` defaults to [`SimMemory`], so `P: Protocol` and
-/// `Box<dyn Protocol>` keep meaning what they always did; drivers that
-/// are generic over the plane take `P: Protocol<M>` and stay fully
-/// monomorphized — the memory's concrete `read`/`write` inline into the
-/// protocol's fused step, which inlines into the event loop, with no
-/// `dyn` anywhere on the path.
-///
-/// Most protocols implement this with an empty body over every plane
-/// (`impl<M: MemStore> Protocol<M> for X {}`), inheriting the provided
-/// [`Protocol::step_status`].
-///
-/// `Send` is a supertrait so engine handles caching a
-/// `Box<dyn Protocol<M>>` (e.g. `nc_engine::sim::SimRun`) can migrate
-/// across worker threads — `nc_service` fans pooled per-shard handles
-/// out this way. Every in-tree protocol is plain data plus a seeded
-/// RNG, so the bound costs nothing.
-pub trait Protocol<M: MemStore = SimMemory>: ProtocolCore + Send {
     /// Executes this machine's pending operation directly against `mem`
     /// and returns the post-operation status; on an already-decided
     /// machine, returns the decision without touching memory.
     ///
-    /// Semantically this IS `status()` + [`MemStore::exec`] +
-    /// [`ProtocolCore::advance_status`], and the provided implementation
+    /// Semantically this IS `status()` + [`SimMemory::exec`] +
+    /// [`Protocol::advance_status`], and the provided implementation
     /// is exactly that. It exists as a trait method so protocols can
     /// fuse the three (one state match instead of three, no `Op`
     /// encode/decode round-trip) — on the engine's hot path that fusion
@@ -152,7 +131,7 @@ pub trait Protocol<M: MemStore = SimMemory>: ProtocolCore + Send {
     /// return the identical status; the engine's baseline-equivalence
     /// suite pins this.
     #[inline]
-    fn step_status(&mut self, mem: &mut M) -> Status {
+    fn step_status(&mut self, mem: &mut SimMemory) -> Status {
         match self.status() {
             Status::Pending(op) => {
                 let observed = mem.exec(op);
@@ -163,7 +142,7 @@ pub trait Protocol<M: MemStore = SimMemory>: ProtocolCore + Send {
     }
 }
 
-impl<P: ProtocolCore + ?Sized> ProtocolCore for Box<P> {
+impl<P: Protocol + ?Sized> Protocol for Box<P> {
     fn status(&self) -> Status {
         (**self).status()
     }
@@ -187,10 +166,8 @@ impl<P: ProtocolCore + ?Sized> ProtocolCore for Box<P> {
     fn ops_completed(&self) -> u64 {
         (**self).ops_completed()
     }
-}
 
-impl<M: MemStore, P: Protocol<M> + ?Sized> Protocol<M> for Box<P> {
-    fn step_status(&mut self, mem: &mut M) -> Status {
+    fn step_status(&mut self, mem: &mut SimMemory) -> Status {
         (**self).step_status(mem)
     }
 }
@@ -200,8 +177,8 @@ impl<M: MemStore, P: Protocol<M> + ?Sized> Protocol<M> for Box<P> {
 /// decided, returns the decision without touching memory.
 ///
 /// This is the minimal driver, used by unit tests, doc examples, and the
-/// larger drivers in `nc-engine`. Generic over the word-store plane.
-pub fn step<M: MemStore, P: Protocol<M> + ?Sized>(proc_: &mut P, mem: &mut M) -> Option<Bit> {
+/// larger drivers in `nc-engine`.
+pub fn step<P: Protocol + ?Sized>(proc_: &mut P, mem: &mut SimMemory) -> Option<Bit> {
     match proc_.status() {
         Status::Decided(b) => Some(b),
         Status::Pending(op) => {
@@ -218,9 +195,9 @@ pub fn step<M: MemStore, P: Protocol<M> + ?Sized>(proc_: &mut P, mem: &mut M) ->
 ///
 /// Round-robin is close to the worst schedule for lean-consensus (nobody
 /// pulls ahead), so this helper doubles as a stress driver in tests.
-pub fn run_round_robin<M: MemStore, P: Protocol<M>>(
+pub fn run_round_robin<P: Protocol>(
     procs: &mut [P],
-    mem: &mut M,
+    mem: &mut SimMemory,
     max_steps: u64,
 ) -> Option<Vec<Bit>> {
     let mut steps = 0u64;
@@ -253,9 +230,9 @@ pub fn run_round_robin<M: MemStore, P: Protocol<M>>(
 /// Random interleaving is the discrete analogue of exponential noise, so
 /// unlike [`run_round_robin`] it terminates lean-consensus with
 /// probability 1 even on split inputs.
-pub fn run_random_interleave<M: MemStore, P: Protocol<M>>(
+pub fn run_random_interleave<P: Protocol>(
     procs: &mut [P],
-    mem: &mut M,
+    mem: &mut SimMemory,
     seed: u64,
     max_steps: u64,
 ) -> Option<Vec<Bit>> {
@@ -301,9 +278,7 @@ mod tests {
         }
     }
 
-    impl<M: MemStore> Protocol<M> for Toy {}
-
-    impl ProtocolCore for Toy {
+    impl Protocol for Toy {
         fn status(&self) -> Status {
             match self.state {
                 0 => Status::Pending(Op::Read(Addr::new(0))),
@@ -370,8 +345,7 @@ mod tests {
         /// Never decides.
         #[derive(Debug)]
         struct Forever;
-        impl<M: MemStore> Protocol<M> for Forever {}
-        impl ProtocolCore for Forever {
+        impl Protocol for Forever {
             fn status(&self) -> Status {
                 Status::Pending(Op::Read(Addr::new(0)))
             }

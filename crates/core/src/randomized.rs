@@ -38,9 +38,9 @@ use std::fmt;
 use rand::rngs::SmallRng;
 use rand::RngExt;
 
-use nc_memory::{Bit, MemStore, Op, RaceLayout, Word};
+use nc_memory::{Bit, Op, RaceLayout, Word};
 
-use crate::protocol::{Protocol, ProtocolCore, Status};
+use crate::protocol::{Protocol, Status};
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum Phase {
@@ -100,9 +100,7 @@ impl RandomizedLean {
     }
 }
 
-impl<M: MemStore> Protocol<M> for RandomizedLean {}
-
-impl ProtocolCore for RandomizedLean {
+impl Protocol for RandomizedLean {
     fn status(&self) -> Status {
         let one: Word = Bit::One.word();
         match self.phase {

@@ -19,9 +19,9 @@
 
 use std::fmt;
 
-use nc_memory::{Bit, MemStore, Op, RaceLayout, Word};
+use nc_memory::{Bit, Op, RaceLayout, Word};
 
-use crate::protocol::{Protocol, ProtocolCore, Status};
+use crate::protocol::{Protocol, Status};
 
 /// Where a process is inside its (up to four-operation) round.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -127,9 +127,7 @@ impl SkippingLean {
     }
 }
 
-impl<M: MemStore> Protocol<M> for SkippingLean {}
-
-impl ProtocolCore for SkippingLean {
+impl Protocol for SkippingLean {
     fn status(&self) -> Status {
         let one: Word = Bit::One.word();
         match self.phase {

@@ -19,7 +19,7 @@ use std::fmt;
 use nc_memory::{Bit, Op, RaceLayout, SegArray};
 
 use crate::lean::LeanConsensus;
-use crate::protocol::{ProtocolCore, Status};
+use crate::protocol::{Protocol, Status};
 
 /// Default round limit for native runs. Real schedulers decide races in
 /// a handful of rounds (Θ(log n) expected); 4096 rounds is astronomically

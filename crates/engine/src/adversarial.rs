@@ -7,7 +7,6 @@
 //! It is the workhorse behind the property-based safety suite.
 
 use nc_core::Protocol;
-use nc_memory::MemStore;
 use nc_sched::adversary::{Adversary, CrashAdversary};
 
 use crate::drive::{self, Pick, Procs};
@@ -31,8 +30,8 @@ use crate::setup::Instance;
 ///
 /// Panics if the adversary names a disabled process (an adversary
 /// implementation bug).
-pub fn drive_adversarial<M: MemStore, P: Protocol<M>>(
-    inst: &mut Instance<P, M>,
+pub fn drive_adversarial<P: Protocol>(
+    inst: &mut Instance<P>,
     adversary: &mut dyn Adversary,
     crash: &mut dyn CrashAdversary,
     limits: Limits,

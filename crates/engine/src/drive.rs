@@ -9,7 +9,7 @@
 //! the report — and asks a [`Pick`] for the choice itself.
 
 use nc_core::{Protocol, Status};
-use nc_memory::{Event, MemStore, Op, Pid};
+use nc_memory::{Event, Op, Pid};
 use nc_sched::adversary::{CrashAdversary, ProcView};
 
 use crate::report::{Limits, RunOutcome, RunReport};
@@ -72,8 +72,8 @@ pub(crate) trait Pick {
 /// process `schedule` picks. `crash`, if any, is consulted after every
 /// step while a process is enabled; `history`, if any, receives every
 /// executed operation (at time 0 under untimed schedules).
-pub(crate) fn run<M: MemStore, P: Protocol<M>>(
-    inst: &mut Instance<P, M>,
+pub(crate) fn run<P: Protocol>(
+    inst: &mut Instance<P>,
     schedule: &mut dyn Pick,
     limits: Limits,
     mut crash: Option<&mut dyn CrashAdversary>,

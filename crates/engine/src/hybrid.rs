@@ -10,7 +10,7 @@
 //! E5 check exactly that bound.
 
 use nc_core::Protocol;
-use nc_memory::{MemStore, Op};
+use nc_memory::Op;
 use nc_sched::hybrid::{HybridPolicy, HybridSpec, HybridView};
 
 use crate::drive::{self, Pick, Procs};
@@ -27,8 +27,8 @@ use crate::setup::Instance;
 ///
 /// Panics if `spec` is sized for a different process count than the
 /// instance, or if the policy picks an illegal process.
-pub fn drive_hybrid<M: MemStore, P: Protocol<M>>(
-    inst: &mut Instance<P, M>,
+pub fn drive_hybrid<P: Protocol>(
+    inst: &mut Instance<P>,
     spec: &HybridSpec,
     policy: &mut dyn HybridPolicy,
     limits: Limits,

@@ -103,4 +103,4 @@ pub use nc_sched::select::{QueueKind, QueuePolicy};
 
 // Re-exported so engine callers can describe value faults
 // ([`sim::Sim::value_faults`]) without importing nc-memory directly.
-pub use nc_memory::{FaultSpec, FaultyMemory, MemStore};
+pub use nc_memory::FaultSpec;

@@ -61,7 +61,7 @@
 use rand::rngs::SmallRng;
 
 use nc_core::{Protocol, Status};
-use nc_memory::{Event, MemStore, Op};
+use nc_memory::{Event, Op};
 use nc_sched::adversary::CrashAdversary;
 use nc_sched::queue::Event as QueuedEvent;
 use nc_sched::rng::salts;
@@ -324,9 +324,9 @@ impl EngineScratch {
 /// Prefer [`crate::sim::Sim`] — this is the internal the builder (and
 /// the equivalence suites pinning it) drive; it is exported so those
 /// suites can compare the two layers directly.
-pub fn drive_noisy<M: MemStore, P: Protocol<M>>(
+pub fn drive_noisy<P: Protocol>(
     scratch: &mut EngineScratch,
-    inst: &mut Instance<P, M>,
+    inst: &mut Instance<P>,
     timing: &TimingModel,
     seed: u64,
     limits: Limits,
@@ -374,11 +374,11 @@ pub fn drive_noisy<M: MemStore, P: Protocol<M>>(
 
 /// Primes the queue and runs the appropriate loop to completion.
 #[allow(clippy::too_many_arguments)]
-fn drive<M: MemStore, P: Protocol<M>, Q: SimQueue>(
+fn drive<P: Protocol, Q: SimQueue>(
     soa: &mut ProcSoA,
     decision_rounds: &mut [Option<usize>],
     queue: &mut Q,
-    inst: &mut Instance<P, M>,
+    inst: &mut Instance<P>,
     timing: &TimingModel,
     limits: Limits,
     crash: Option<&mut dyn CrashAdversary>,
@@ -511,10 +511,10 @@ impl<Q: SimQueue> Pick for Timed<'_, Q> {
 }
 
 /// Folds a finished [`loop_fast`] run into a `RunReport`.
-fn assemble_report<M: MemStore, P: Protocol<M>>(
+fn assemble_report<P: Protocol>(
     soa: &ProcSoA,
     decision_rounds: &[Option<usize>],
-    inst: &Instance<P, M>,
+    inst: &Instance<P>,
     out: LoopOut,
 ) -> RunReport {
     // Runs that were not cut off ended because every process decided
@@ -547,11 +547,11 @@ fn assemble_report<M: MemStore, P: Protocol<M>>(
 /// until the queue empties, the op cap hits, or the first-decision
 /// cutoff fires.
 #[allow(clippy::too_many_arguments)]
-fn loop_fast<M: MemStore, P: Protocol<M>, Q: SimQueue>(
+fn loop_fast<P: Protocol, Q: SimQueue>(
     soa: &mut ProcSoA,
     decision_rounds: &mut [Option<usize>],
     queue: &mut Q,
-    inst: &mut Instance<P, M>,
+    inst: &mut Instance<P>,
     timing: &TimingModel,
     noise: &Noise,
     mut seq: u64,

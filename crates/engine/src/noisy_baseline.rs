@@ -17,7 +17,7 @@ use std::collections::BinaryHeap;
 
 use rand::rngs::SmallRng;
 
-use nc_core::{ProtocolCore as _, Status};
+use nc_core::{Protocol as _, Status};
 use nc_memory::Event;
 use nc_sched::adversary::{CrashAdversary, ProcView};
 use nc_sched::rng::salts;

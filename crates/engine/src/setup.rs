@@ -9,7 +9,7 @@ use rand::rngs::SmallRng;
 
 use nc_backup::{BackupConsensus, BackupLayout};
 use nc_core::{BoundedLean, LeanConsensus, Protocol, RandomizedLean, SkippingLean};
-use nc_memory::{Bit, MemStore, RaceLayout, SimMemory};
+use nc_memory::{Bit, RaceLayout, SimMemory};
 use nc_sched::rng::salts;
 use nc_sched::stream_rng;
 
@@ -50,22 +50,17 @@ impl Algorithm {
 
 /// A ready-to-run set of processes over one shared memory.
 ///
-/// Generic over the protocol representation **and** the word-store
-/// plane: the default `Box<dyn Protocol>` over [`SimMemory`] lets the
-/// harness swap algorithms by name, while concrete parameters (e.g.
-/// [`Instance<LeanConsensus>`] from [`build_lean`], or any
-/// [`MemStore`] backend via [`build_in`]) monomorphize the drivers —
-/// the protocol's fused step and the memory's `read`/`write` inline
-/// straight into the engine's event loop with no virtual dispatch,
-/// which is worth a large constant factor on sweep workloads.
+/// Generic over the protocol representation: the default
+/// `Box<dyn Protocol>` lets the harness swap algorithms by name, while
+/// a concrete parameter ([`Instance<LeanConsensus>`] from
+/// [`build_lean`]) monomorphizes the drivers — the protocol's fused
+/// step and the memory's `read`/`write` inline straight into the
+/// engine's event loop with no virtual dispatch, which is worth a large
+/// constant factor on sweep workloads.
 #[derive(Debug)]
-pub struct Instance<P = Box<dyn Protocol>, M = SimMemory>
-where
-    P: Protocol<M>,
-    M: MemStore,
-{
+pub struct Instance<P = Box<dyn Protocol>> {
     /// The shared memory, sentinels installed.
-    pub mem: M,
+    pub mem: SimMemory,
     /// One protocol state machine per process.
     pub procs: Vec<P>,
     /// The inputs the processes were created with.
@@ -74,18 +69,19 @@ where
     pub algorithm: Algorithm,
 }
 
-impl<P: Protocol<M>, M: MemStore> Instance<P, M> {
+impl<P: Protocol> Instance<P> {
     /// Number of processes.
     pub fn n(&self) -> usize {
         self.procs.len()
     }
 }
 
-impl<M: MemStore> Instance<LeanConsensus, M> {
+impl Instance<LeanConsensus> {
     /// Re-initializes this instance in place for a fresh trial with
     /// `inputs` — equivalent to [`build_lean`] but reusing every
     /// allocation (memory words, process vector, inputs vector), so a
-    /// sweep's steady state builds instances allocation-free.
+    /// sweep's steady state builds instances allocation-free. The
+    /// memory's value-fault spec, if any, stays set and disarmed.
     pub fn rebuild(&mut self, inputs: &[Bit]) {
         assert!(!inputs.is_empty(), "need at least one process");
         self.mem.reset();
@@ -108,44 +104,24 @@ impl<M: MemStore> Instance<LeanConsensus, M> {
 ///
 /// Panics if `inputs` is empty.
 pub fn build(algorithm: Algorithm, inputs: &[Bit], seed: u64) -> Instance {
-    build_in(algorithm, inputs, seed, SimMemory::new())
-}
-
-/// [`build`] on an explicit word-store plane: the same wiring, with the
-/// boxed protocols and the instance monomorphized over `M`.
-///
-/// `mem` is reset first, so passing a reused or prototype store is
-/// fine; fault-injecting stores ([`nc_memory::FaultyMemory`]) come back
-/// disarmed — the driver arms them per trial via
-/// [`MemStore::reseed`] after this function's setup writes.
-///
-/// # Panics
-///
-/// Panics if `inputs` is empty.
-pub fn build_in<M: MemStore>(
-    algorithm: Algorithm,
-    inputs: &[Bit],
-    seed: u64,
-    mut mem: M,
-) -> Instance<Box<dyn Protocol<M>>, M> {
     assert!(!inputs.is_empty(), "need at least one process");
     let n = inputs.len();
-    mem.reset();
+    let mut mem = SimMemory::new();
     let coin = |pid: usize| -> SmallRng { stream_rng(seed, pid as u64, salts::COIN) };
 
-    let procs: Vec<Box<dyn Protocol<M>>> = match algorithm {
+    let procs: Vec<Box<dyn Protocol>> = match algorithm {
         Algorithm::Lean => {
             let layout = race_layout(&mut mem);
             inputs
                 .iter()
-                .map(|&b| Box::new(LeanConsensus::new(layout, b)) as Box<dyn Protocol<M>>)
+                .map(|&b| Box::new(LeanConsensus::new(layout, b)) as Box<dyn Protocol>)
                 .collect()
         }
         Algorithm::Skipping => {
             let layout = race_layout(&mut mem);
             inputs
                 .iter()
-                .map(|&b| Box::new(SkippingLean::new(layout, b)) as Box<dyn Protocol<M>>)
+                .map(|&b| Box::new(SkippingLean::new(layout, b)) as Box<dyn Protocol>)
                 .collect()
         }
         Algorithm::Randomized => {
@@ -154,7 +130,7 @@ pub fn build_in<M: MemStore>(
                 .iter()
                 .enumerate()
                 .map(|(pid, &b)| {
-                    Box::new(RandomizedLean::new(layout, b, coin(pid))) as Box<dyn Protocol<M>>
+                    Box::new(RandomizedLean::new(layout, b, coin(pid))) as Box<dyn Protocol>
                 })
                 .collect()
         }
@@ -176,7 +152,7 @@ pub fn build_in<M: MemStore>(
                         BackupConsensus::new(backup_layout, pid, pref, rng)
                     })
                         as Box<dyn FnOnce(Bit) -> BackupConsensus + Send>;
-                    Box::new(BoundedLean::new(lean_layout, b, r_max, make)) as Box<dyn Protocol<M>>
+                    Box::new(BoundedLean::new(lean_layout, b, r_max, make)) as Box<dyn Protocol>
                 })
                 .collect()
         }
@@ -187,8 +163,7 @@ pub fn build_in<M: MemStore>(
                 .iter()
                 .enumerate()
                 .map(|(pid, &b)| {
-                    Box::new(BackupConsensus::new(layout, pid, b, coin(pid)))
-                        as Box<dyn Protocol<M>>
+                    Box::new(BackupConsensus::new(layout, pid, b, coin(pid))) as Box<dyn Protocol>
                 })
                 .collect()
         }
@@ -215,18 +190,8 @@ pub fn build_in<M: MemStore>(
 ///
 /// Panics if `inputs` is empty.
 pub fn build_lean(inputs: &[Bit]) -> Instance<LeanConsensus> {
-    build_lean_in(inputs, SimMemory::new())
-}
-
-/// [`build_lean`] on an explicit word-store plane (`mem` is reset
-/// first), for the monomorphized fast path over alternative backends.
-///
-/// # Panics
-///
-/// Panics if `inputs` is empty.
-pub fn build_lean_in<M: MemStore>(inputs: &[Bit], mut mem: M) -> Instance<LeanConsensus, M> {
     assert!(!inputs.is_empty(), "need at least one process");
-    mem.reset();
+    let mut mem = SimMemory::new();
     let layout = race_layout(&mut mem);
     Instance {
         mem,
@@ -239,7 +204,7 @@ pub fn build_lean_in<M: MemStore>(inputs: &[Bit], mut mem: M) -> Instance<LeanCo
     }
 }
 
-fn race_layout<M: MemStore>(mem: &mut M) -> RaceLayout {
+fn race_layout(mem: &mut SimMemory) -> RaceLayout {
     let layout = RaceLayout::at_base(0);
     layout.install_sentinels(mem);
     layout

@@ -1,17 +1,17 @@
-//! Memory-plane pinning suite: with faults disabled, the value-fault
-//! wrapper is a pure pass-through. A run on the default [`SimMemory`]
-//! word store and the same run inside an empty-spec [`FaultyMemory`]
-//! must produce **byte identical** [`nc_engine::RunReport`]s across
-//! algorithms × schedules × queue policies. (`tests/soa_equivalence.rs`
-//! additionally pins the wrapped plane to the naive oracle under
+//! Value-fault pinning suite: with an empty spec, the word store's
+//! fault plane is a pure pass-through. A run on a plain [`SimMemory`]
+//! and the same run with an armed empty [`FaultSpec`] must produce
+//! **byte identical** [`nc_engine::RunReport`]s across algorithms ×
+//! schedules × queue policies. (`tests/soa_equivalence.rs` additionally
+//! pins the empty-spec store to the naive oracle under
 //! `--features baseline`.)
 //!
 //! With faults *enabled*, the requirement becomes determinism: a
 //! faulted run is a pure function of its seed — bit-identical fault
-//! streams at every thread count.
+//! streams at every thread count, pinned to a fixed hash on every path
+//! that arms them.
 //!
 //! [`SimMemory`]: nc_memory::SimMemory
-//! [`FaultyMemory`]: nc_memory::FaultyMemory
 
 use nc_engine::sim::Sim;
 use nc_engine::{setup, Algorithm, Limits, QueuePolicy, RunReport};
@@ -36,8 +36,8 @@ fn exp_timing() -> TimingModel {
     TimingModel::figure1(Noise::Exponential { mean: 1.0 })
 }
 
-/// Runs `sim` with `seed` on the default plane and inside an empty-spec
-/// fault wrapper; returns both reports.
+/// Runs `sim` with `seed` without value faults and with an empty spec;
+/// returns both reports.
 fn plain_and_wrapped(sim: impl Fn() -> Sim, seed: u64) -> (RunReport, RunReport) {
     let plain = sim().build().run(seed);
     let wrapped = sim().value_faults(FaultSpec::new()).build().run(seed);
@@ -45,7 +45,7 @@ fn plain_and_wrapped(sim: impl Fn() -> Sim, seed: u64) -> (RunReport, RunReport)
 }
 
 /// The headline matrix: algorithms × failure models × queue policies,
-/// `SimMemory` vs a pass-through `FaultyMemory` over it.
+/// a plain `SimMemory` vs one with an armed empty spec.
 #[test]
 fn fault_free_backends_agree_across_the_noisy_matrix() {
     for alg in algorithms() {
@@ -70,7 +70,7 @@ fn fault_free_backends_agree_across_the_noisy_matrix() {
     }
 }
 
-/// The wrapper is a pass-through under the adversarial and hybrid
+/// The empty spec is a pass-through under the adversarial and hybrid
 /// schedules as well.
 #[test]
 fn fault_free_backends_agree_on_other_schedules() {
@@ -150,8 +150,8 @@ fn value_faults_are_a_pure_function_of_the_seed() {
     assert_ne!(clean, reference, "the lossy spec changed nothing");
 }
 
-/// Stuck-at faults bypass the stochastic stream entirely and compose
-/// with any backend; sentinels installed at setup are not faulted.
+/// Stuck-at faults bypass the stochastic stream entirely; sentinels
+/// installed at setup are not faulted.
 #[test]
 fn stuck_sentinel_registers_change_outcomes_deterministically() {
     // Stick both round-1 frontier slots (addresses 2 and 3 for the
@@ -207,4 +207,84 @@ fn value_faults_compose_with_crash_adversaries() {
             .run(8)
     };
     assert_eq!(run(), run());
+}
+
+/// Folds `bytes` into a running FNV-1a (64-bit) hash.
+fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    hash
+}
+
+/// Folds the observable shape of one report into `hash`.
+fn fold_report(hash: u64, report: &RunReport) -> u64 {
+    let mut hash = fnv1a(hash, format!("{:?}", report.outcome).as_bytes());
+    hash = fnv1a(hash, &report.total_ops.to_le_bytes());
+    for d in &report.decisions {
+        hash = fnv1a(hash, &[d.map_or(2, |b| b.word() as u8)]);
+    }
+    hash = fnv1a(hash, &(report.max_round as u64).to_le_bytes());
+    for ops in &report.ops {
+        hash = fnv1a(hash, &ops.to_le_bytes());
+    }
+    hash
+}
+
+/// Pins the value-fault streams themselves, on every path that arms
+/// them: the boxed algorithms as well as the lean fast path, under all
+/// three schedules, with stuck registers (addresses 4 and 5 are the
+/// round-2 slots of the race layout at base 0), write drops and read
+/// flips all active at once. Any change to when a fault coin is drawn
+/// — or to which runs get the spec at all — moves the hash.
+#[test]
+fn value_fault_streams_are_pinned() {
+    let spec = || {
+        FaultSpec::new()
+            .read_flip(0.05)
+            .write_drop(0.05)
+            .stuck_at(Addr::new(4), Bit::One)
+            .stuck_at(Addr::new(5), Bit::Zero)
+    };
+    let capped = Limits::run_to_completion().with_max_ops(20_000);
+    let mut hash = 0xCBF2_9CE4_8422_2325_u64;
+    for alg in algorithms() {
+        let noisy = || {
+            Sim::new(alg)
+                .inputs(setup::half_and_half(6))
+                .timing(exp_timing())
+                .limits(capped)
+        };
+        let clean = noisy().trials(8).seed0(40).threads(1).reports();
+        let faulted = noisy()
+            .value_faults(spec())
+            .trials(8)
+            .seed0(40)
+            .threads(1)
+            .reports();
+        assert_ne!(clean, faulted, "{alg:?}: the spec changed nothing");
+        hash = faulted.iter().fold(hash, fold_report);
+    }
+    for alg in algorithms() {
+        let mut sim = Sim::new(alg)
+            .inputs(setup::half_and_half(4))
+            .adversary(|seed| RandomInterleave::new(stream_rng(seed, 0, 4)))
+            .limits(capped)
+            .value_faults(spec())
+            .build();
+        for seed in 0..4 {
+            hash = fold_report(hash, &sim.run(seed));
+        }
+    }
+    let mut sim = Sim::new(Algorithm::Lean)
+        .inputs(setup::alternating(4))
+        .hybrid(HybridSpec::uniform(4, 8), |_| WritePreemptor)
+        .limits(capped)
+        .value_faults(spec())
+        .build();
+    for seed in 0..4 {
+        hash = fold_report(hash, &sim.run(seed));
+    }
+    assert_eq!(hash, 0x91FA_31AE_8DCE_5F2F, "value-fault stream moved");
 }

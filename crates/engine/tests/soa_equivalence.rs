@@ -1,5 +1,5 @@
 //! The SoA engine's oracle-pinning suite: the optimized driver (SoA
-//! scratch, either queue, with or without an empty fault wrapper) must
+//! scratch, either queue, with or without an empty value-fault spec) must
 //! produce **byte identical** [`nc_engine::RunReport`]s to the naive
 //! BinaryHeap baseline (`nc_engine::baseline`, the untouched seed
 //! implementation) across the full scenario matrix — algorithms × noise
@@ -237,8 +237,8 @@ fn auto_policy_above_tree_threshold_matches_oracle() {
     assert!(report.first_decision_round.is_some());
 }
 
-/// The value-fault wrapper against the oracle: the builder on an
-/// empty-spec `FaultyMemory` must match the naive `SimMemory` baseline
+/// The value-fault plane against the oracle: the builder with an
+/// armed empty spec must match the naive `SimMemory` baseline
 /// bit for bit across algorithms × queues. (`tests/memory_planes.rs`
 /// carries the oracle-free half of this matrix so it also runs without
 /// `--features baseline`.)

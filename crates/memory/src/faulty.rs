@@ -1,15 +1,14 @@
-//! [`FaultyMemory`] — deterministic, seeded value-fault injection over
-//! any [`MemStore`].
+//! Deterministic, seeded value faults for [`SimMemory`]: the
+//! [`FaultSpec`] describing them and the plane that injects them.
 //!
 //! The paper's noise lives in the *schedule* (when operations happen);
 //! related work puts it in the *values* instead: Fraigniaud–Natale's
 //! noisy-communication model flips each transmitted bit with
 //! probability ε, and Clementi et al. show such noise can make
-//! consensus strictly easier. `FaultyMemory` is the instrument for
-//! measuring where lean-consensus sits on that axis: a composable
-//! wrapper that perturbs the **values** protocols observe while the
-//! engine's schedule stays untouched, so every run remains a pure
-//! function of its seed.
+//! consensus strictly easier. Value faults are the instrument for
+//! measuring where lean-consensus sits on that axis: they perturb the
+//! **values** protocols observe while the engine's schedule stays
+//! untouched, so every run remains a pure function of its seed.
 //!
 //! Three fault families, all configured by a [`FaultSpec`]:
 //!
@@ -23,31 +22,29 @@
 //!   racing arrays store bits, so flipping bit 0 is exactly their
 //!   model).
 //!
-//! Determinism: faults draw from a private stream derived from the
-//! trial seed via [`MemStore::reseed`] (the engine calls it once per
-//! trial, after setup writes like sentinels — initial state is never
-//! faulted). Same seed ⇒ byte-identical fault decisions, at any thread
-//! count. Before `reseed` arms it — and always with an
-//! empty spec — the wrapper is a transparent pass-through, pinned
-//! observationally identical to its inner store by the engine's
-//! equivalence suites.
+//! A memory gets its spec once through [`SimMemory::set_faults`]; the
+//! engine arms it per trial with [`SimMemory::arm_faults`], after setup
+//! writes like sentinels (initial state is never faulted), and
+//! [`SimMemory::reset`] disarms it. Faults draw from a private stream
+//! derived from the arming seed, so the same seed gives byte-identical
+//! fault decisions at any thread count. Disarmed — and always with an
+//! empty spec — the memory behaves exactly as a fault-free one, pinned
+//! by the engine's equivalence suites.
+//!
+//! [`SimMemory`]: crate::SimMemory
+//! [`SimMemory::set_faults`]: crate::SimMemory::set_faults
+//! [`SimMemory::arm_faults`]: crate::SimMemory::arm_faults
+//! [`SimMemory::reset`]: crate::SimMemory::reset
 
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 
-use crate::layout::Region;
-use crate::store::MemStore;
 use crate::types::{Addr, Bit, Word};
 
-/// Salt folded into the trial seed for the fault stream, so it can
+/// Salt folded into the arming seed for the fault stream, so it can
 /// never collide with the engine's `(seed, pid, salt)` streams (which
 /// use small salts and a different pre-mix).
 const FAULT_STREAM_SALT: u64 = 0xFA_17_5E_ED_0B_AD_B1_75;
-
-/// Salt for the seed handed down to a wrapped inner plane on
-/// [`MemStore::reseed`], so stacked `FaultyMemory` layers derive
-/// distinct, uncorrelated fault streams from one trial seed.
-const NESTED_RESEED_SALT: u64 = 0x0DD5_7ACC_ED13_A7E5;
 
 /// SplitMix64 finalizer (local copy: `nc-memory` sits below `nc-sched`
 /// in the crate graph, so it cannot use `nc_sched::rng`).
@@ -123,63 +120,33 @@ impl FaultSpec {
     }
 }
 
-/// A [`MemStore`] wrapper injecting the deterministic value faults of a
-/// [`FaultSpec`] into an inner store. See the [module docs](self).
+/// The fault state of a [`crate::SimMemory`] that has been given a
+/// [`FaultSpec`]: the spec, its seeded stream, and the injection count.
 #[derive(Clone, Debug)]
-pub struct FaultyMemory<M> {
-    inner: M,
+pub(crate) struct FaultPlane {
     spec: FaultSpec,
     rng: SmallRng,
-    /// Armed by [`MemStore::reseed`]; disarmed by [`MemStore::reset`].
-    /// While disarmed the wrapper is a transparent pass-through, so
-    /// setup writes (sentinels, layout installation) are never faulted.
-    armed: bool,
-    ops_executed: u64,
-    /// Writes dropped and reads flipped since the last reseed, for
-    /// experiment diagnostics.
-    faults_injected: u64,
+    /// Writes dropped and reads flipped since the last arming.
+    pub(crate) injected: u64,
 }
 
-impl<M: MemStore> FaultyMemory<M> {
-    /// Wraps `inner` with the faults of `spec` (armed per trial by
-    /// [`MemStore::reseed`]).
-    pub fn new(inner: M, spec: FaultSpec) -> Self {
-        FaultyMemory {
-            inner,
+impl FaultPlane {
+    pub(crate) fn new(spec: FaultSpec) -> Self {
+        FaultPlane {
             spec,
             rng: SmallRng::seed_from_u64(0),
-            armed: false,
-            ops_executed: 0,
-            faults_injected: 0,
+            injected: 0,
         }
     }
 
-    /// Wraps `inner` with an empty spec — observationally the identity,
-    /// used by differential tests.
-    pub fn pass_through(inner: M) -> Self {
-        Self::new(inner, FaultSpec::new())
-    }
-
-    /// The fault specification this wrapper applies.
-    pub fn spec(&self) -> &FaultSpec {
-        &self.spec
-    }
-
-    /// The wrapped store.
-    pub fn inner(&self) -> &M {
-        &self.inner
-    }
-
-    /// Stochastic faults (dropped writes + flipped reads) injected
-    /// since the last [`MemStore::reseed`]. Stuck-at masking is not
-    /// counted (it is not an event — the register is simply broken).
-    pub fn faults_injected(&self) -> u64 {
-        self.faults_injected
+    /// Re-derives the fault stream from `seed` for the coming run.
+    pub(crate) fn arm(&mut self, seed: u64) {
+        self.rng = SmallRng::seed_from_u64(splitmix64(seed ^ FAULT_STREAM_SALT));
+        self.injected = 0;
     }
 
     /// The stuck value for `addr`, if that register is stuck. Last
     /// declaration wins, matching the setter order.
-    #[inline]
     fn stuck_value(&self, addr: Addr) -> Option<Word> {
         self.spec
             .stuck
@@ -188,83 +155,37 @@ impl<M: MemStore> FaultyMemory<M> {
             .find(|(a, _)| *a == addr)
             .map(|(_, b)| b.word())
     }
-}
 
-impl<M: MemStore> MemStore for FaultyMemory<M> {
-    #[inline]
-    fn read(&mut self, addr: Addr) -> Word {
-        self.ops_executed += 1;
-        if self.armed {
-            // A stuck register is broken hardware: its fixed bit short-
-            // circuits both the underlying cell and the ε channel noise
-            // (symmetric with the write path, which absorbs the write
-            // before the δ draw).
-            if let Some(stuck) = self.stuck_value(addr) {
-                return stuck;
-            }
+    /// What a read of `addr` observes when the register holds `stored`.
+    pub(crate) fn read(&mut self, addr: Addr, stored: Word) -> Word {
+        // A stuck register is broken hardware: its fixed bit short-
+        // circuits both the stored word and the ε channel noise
+        // (symmetric with the write path, which absorbs the write
+        // before the δ draw).
+        if let Some(stuck) = self.stuck_value(addr) {
+            return stuck;
         }
-        // Delegate to the inner *read* (not peek) so stacked fault
-        // planes apply their own read faults.
-        let mut v = self.inner.read(addr);
         // Drawing only when ε > 0 keeps the stream aligned with the
         // spec (deterministic either way: the draw sequence is a pure
         // function of the executed op sequence and the spec).
-        if self.armed && self.spec.read_flip > 0.0 && self.rng.random::<f64>() < self.spec.read_flip
-        {
-            v ^= 1;
-            self.faults_injected += 1;
+        if self.spec.read_flip > 0.0 && self.rng.random::<f64>() < self.spec.read_flip {
+            self.injected += 1;
+            return stored ^ 1;
         }
-        v
+        stored
     }
 
-    #[inline]
-    fn write(&mut self, addr: Addr, value: Word) {
-        self.ops_executed += 1;
-        if self.armed {
-            if self.stuck_value(addr).is_some() {
-                return; // a stuck register absorbs the write
-            }
-            if self.spec.write_drop > 0.0 && self.rng.random::<f64>() < self.spec.write_drop {
-                self.faults_injected += 1;
-                return;
-            }
+    /// Whether a write to `addr` is lost: absorbed by a stuck register,
+    /// or dropped with probability δ.
+    pub(crate) fn loses_write(&mut self, addr: Addr) -> bool {
+        if self.stuck_value(addr).is_some() {
+            return true;
         }
-        self.inner.write(addr, value);
-    }
-
-    fn alloc(&mut self, len: usize) -> Region {
-        self.inner.alloc(len)
-    }
-
-    fn reset(&mut self) {
-        self.inner.reset();
-        self.armed = false;
-        self.ops_executed = 0;
-        self.faults_injected = 0;
-    }
-
-    fn reseed(&mut self, seed: u64) {
-        // Arm any wrapped fault plane first, on a salted seed of its
-        // own, so stacked wrappers inject independent streams (a no-op
-        // for faithful inner stores).
-        self.inner.reseed(splitmix64(seed ^ NESTED_RESEED_SALT));
-        self.rng = SmallRng::seed_from_u64(splitmix64(seed ^ FAULT_STREAM_SALT));
-        self.armed = true;
-        self.faults_injected = 0;
-    }
-
-    fn ops_executed(&self) -> u64 {
-        self.ops_executed
-    }
-
-    fn peek(&self, addr: Addr) -> Word {
-        // The true stored value: peek is a diagnostic view, so neither
-        // stuck masking nor flips apply.
-        self.inner.peek(addr)
-    }
-
-    fn footprint_words(&self) -> usize {
-        self.inner.footprint_words()
+        if self.spec.write_drop > 0.0 && self.rng.random::<f64>() < self.spec.write_drop {
+            self.injected += 1;
+            return true;
+        }
+        false
     }
 }
 
@@ -274,29 +195,30 @@ mod tests {
     use crate::sim::SimMemory;
     use crate::types::Op;
 
+    /// A memory carrying `spec`, disarmed.
+    fn faulty(spec: FaultSpec) -> SimMemory {
+        let mut mem = SimMemory::new();
+        mem.set_faults(spec);
+        mem
+    }
+
     #[test]
     fn disarmed_wrapper_is_transparent() {
-        let mut faulty = FaultyMemory::new(
-            SimMemory::new(),
-            FaultSpec::new().read_flip(1.0).write_drop(1.0),
-        );
+        let mut faulty = faulty(FaultSpec::new().read_flip(1.0).write_drop(1.0));
         let mut plain = SimMemory::new();
         for i in 0..20usize {
             faulty.write(Addr::new(i % 7), i as Word);
             plain.write(Addr::new(i % 7), i as Word);
             assert_eq!(faulty.read(Addr::new(i % 5)), plain.read(Addr::new(i % 5)));
         }
-        assert_eq!(
-            MemStore::ops_executed(&faulty),
-            MemStore::ops_executed(&plain)
-        );
+        assert_eq!(faulty.ops_executed(), plain.ops_executed());
         assert_eq!(faulty.faults_injected(), 0);
     }
 
     #[test]
     fn empty_spec_is_transparent_even_when_armed() {
-        let mut faulty = FaultyMemory::pass_through(SimMemory::new());
-        faulty.reseed(42);
+        let mut faulty = faulty(FaultSpec::new());
+        faulty.arm_faults(42);
         let mut plain = SimMemory::new();
         for i in 0..50usize {
             faulty.write(Addr::new(i), 1);
@@ -311,10 +233,10 @@ mod tests {
         let spec = FaultSpec::new()
             .stuck_at(Addr::new(1), Bit::One)
             .stuck_at(Addr::new(2), Bit::Zero);
-        let mut mem = FaultyMemory::new(SimMemory::new(), spec);
+        let mut mem = faulty(spec);
         // Before arming, writes land normally.
         mem.write(Addr::new(2), 9);
-        mem.reseed(7);
+        mem.arm_faults(7);
         assert_eq!(mem.read(Addr::new(1)), 1, "stuck-at-one reads 1");
         assert_eq!(mem.read(Addr::new(2)), 0, "stuck-at-zero masks the 9");
         assert_eq!(mem.peek(Addr::new(2)), 9, "peek sees the true word");
@@ -330,8 +252,8 @@ mod tests {
         let spec = FaultSpec::new()
             .stuck_at(Addr::new(1), Bit::One)
             .read_flip(1.0);
-        let mut mem = FaultyMemory::new(SimMemory::new(), spec);
-        mem.reseed(3);
+        let mut mem = faulty(spec);
+        mem.arm_faults(3);
         for _ in 0..8 {
             assert_eq!(mem.read(Addr::new(1)), 1, "stuck bit must not flip");
         }
@@ -339,35 +261,24 @@ mod tests {
     }
 
     #[test]
-    fn stacked_wrappers_arm_and_inject_independently() {
-        // Composition: the inner plane drops every write, the outer
-        // flips every read — one reseed must arm both layers.
-        let inner = FaultyMemory::new(SimMemory::new(), FaultSpec::new().write_drop(1.0));
-        let mut mem = FaultyMemory::new(inner, FaultSpec::new().read_flip(1.0));
-        mem.reseed(5);
-        mem.write(Addr::new(0), 1); // dropped by the inner plane
-        assert_eq!(mem.peek(Addr::new(0)), 0, "inner wrapper must be armed");
-        assert_eq!(mem.read(Addr::new(0)), 1, "outer flip applies on top");
-    }
-
-    #[test]
     fn certain_write_drop_loses_every_write() {
-        let mut mem = FaultyMemory::new(SimMemory::new(), FaultSpec::new().write_drop(1.0));
-        mem.reseed(1);
+        let mut mem = faulty(FaultSpec::new().write_drop(1.0));
+        mem.arm_faults(1);
         mem.write(Addr::new(0), 5);
         assert_eq!(mem.read(Addr::new(0)), 0);
+        assert_eq!(mem.ops_executed(), 2, "dropped writes still count");
         assert_eq!(
-            MemStore::ops_executed(&mem),
-            2,
-            "dropped writes still count"
+            mem.footprint_words(),
+            0,
+            "dropped writes never grow the store"
         );
         assert_eq!(mem.faults_injected(), 1);
     }
 
     #[test]
     fn certain_read_flip_inverts_the_low_bit() {
-        let mut mem = FaultyMemory::new(SimMemory::new(), FaultSpec::new().read_flip(1.0));
-        mem.reseed(1);
+        let mut mem = faulty(FaultSpec::new().read_flip(1.0));
+        mem.arm_faults(1);
         mem.write(Addr::new(0), 1);
         assert_eq!(mem.read(Addr::new(0)), 0);
         assert_eq!(mem.read(Addr::new(3)), 1, "flipped zero reads as one");
@@ -376,11 +287,8 @@ mod tests {
     #[test]
     fn same_seed_same_fault_stream() {
         let run = |seed: u64| -> Vec<Word> {
-            let mut mem = FaultyMemory::new(
-                SimMemory::new(),
-                FaultSpec::new().read_flip(0.3).write_drop(0.3),
-            );
-            mem.reseed(seed);
+            let mut mem = faulty(FaultSpec::new().read_flip(0.3).write_drop(0.3));
+            mem.arm_faults(seed);
             let mut out = Vec::new();
             for i in 0..200usize {
                 mem.write(Addr::new(i % 11), 1);
@@ -395,13 +303,13 @@ mod tests {
 
     #[test]
     fn reset_disarms_and_clears_counters() {
-        let mut mem = FaultyMemory::new(SimMemory::new(), FaultSpec::new().write_drop(1.0));
-        mem.reseed(3);
+        let mut mem = faulty(FaultSpec::new().write_drop(1.0));
+        mem.arm_faults(3);
         mem.write(Addr::new(0), 5); // dropped
         assert_eq!(mem.faults_injected(), 1);
-        MemStore::reset(&mut mem);
+        mem.reset();
         assert_eq!(mem.faults_injected(), 0);
-        assert_eq!(MemStore::ops_executed(&mem), 0);
+        assert_eq!(mem.ops_executed(), 0);
         mem.write(Addr::new(0), 5); // disarmed: lands
         assert_eq!(mem.exec(Op::Read(Addr::new(0))), Some(5));
     }
@@ -412,9 +320,8 @@ mod tests {
         assert!(FaultSpec::new().read_flip(0.1).any());
         assert!(FaultSpec::new().write_drop(0.1).any());
         assert!(FaultSpec::new().stuck_at(Addr::new(0), Bit::Zero).any());
-        let mem = FaultyMemory::new(SimMemory::new(), FaultSpec::new().read_flip(0.5));
-        assert_eq!(mem.spec().read_flip, 0.5);
-        assert_eq!(mem.inner().footprint_words(), 0);
+        assert_eq!(FaultSpec::new().read_flip(0.5).read_flip, 0.5);
+        assert_eq!(faulty(FaultSpec::new().read_flip(0.5)).footprint_words(), 0);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! lean-consensus and a backup protocol side by side in one memory, each
 //! inside its own region.
 
-use crate::store::MemStore;
+use crate::sim::SimMemory;
 use crate::types::{Addr, Bit, Word};
 
 /// A contiguous, exclusively-owned range of register addresses.
@@ -145,13 +145,12 @@ impl RaceLayout {
         2 * (max_round + 1)
     }
 
-    /// Writes the paper's read-only sentinels `a0[0] = a1[0] = 1` into
-    /// any word-store plane.
+    /// Writes the paper's read-only sentinels `a0[0] = a1[0] = 1`.
     ///
     /// This models initial state, not protocol steps; it runs before
-    /// the trial's [`MemStore::reseed`], so fault-injecting stores
-    /// never perturb it.
-    pub fn install_sentinels<M: MemStore>(self, mem: &mut M) {
+    /// the trial's [`SimMemory::arm_faults`], so value faults never
+    /// perturb it.
+    pub fn install_sentinels(self, mem: &mut SimMemory) {
         let one: Word = Bit::One.word();
         mem.write(self.slot(Bit::Zero, 0), one);
         mem.write(self.slot(Bit::One, 0), one);
@@ -161,7 +160,6 @@ impl RaceLayout {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::SimMemory;
     use proptest::prelude::*;
 
     #[test]

@@ -12,16 +12,13 @@
 //! * [`types`] — the vocabulary: process ids ([`Pid`]), addresses
 //!   ([`Addr`]), register values ([`Word`]), binary preferences ([`Bit`]),
 //!   and pending operations ([`Op`]).
-//! * [`store`] — [`MemStore`], the pluggable word-store interface every
-//!   simulated memory plane implements; drivers and protocols are
-//!   generic (monomorphized) over it.
-//! * [`sim`] — [`SimMemory`], a growable, zero-initialised simulated
-//!   address space with region allocation, used by the discrete-event
-//!   engine. All locations behave as atomic read/write registers under the
-//!   interleaving semantics. The default [`MemStore`] plane.
-//! * [`faulty`] — [`FaultyMemory`], a composable wrapper injecting
-//!   deterministic seeded value faults (stuck-at registers, write drops,
-//!   read bit-flips) described by a [`FaultSpec`].
+//! * [`sim`] — [`SimMemory`], the one word store: a growable,
+//!   zero-initialised simulated address space with region allocation,
+//!   used by the discrete-event engine. All locations behave as atomic
+//!   read/write registers under the interleaving semantics.
+//! * [`faulty`] — [`FaultSpec`], deterministic seeded value faults
+//!   (stuck-at registers, write drops, read bit-flips) that a
+//!   [`SimMemory`] injects once given a spec and armed.
 //! * [`history`] — recorded operation histories ([`Event`]) and a checker
 //!   ([`check_register_semantics`]) that validates a history against the
 //!   sequential register specification (every read returns the most recent
@@ -60,13 +57,11 @@ pub mod faulty;
 pub mod history;
 pub mod layout;
 pub mod sim;
-pub mod store;
 pub mod types;
 
 pub use atomic::SegArray;
-pub use faulty::{FaultSpec, FaultyMemory};
+pub use faulty::FaultSpec;
 pub use history::{check_register_semantics, check_register_semantics_from, Event, HistoryError};
 pub use layout::{RaceLayout, Region};
 pub use sim::SimMemory;
-pub use store::MemStore;
 pub use types::{Addr, Bit, Op, OpKind, Pid, Word};

@@ -7,9 +7,16 @@
 //! interior synchronisation — atomicity is a property of the engine's
 //! serial execution, which the [`crate::history`] checker can verify after
 //! the fact.
+//!
+//! `SimMemory` is the only word store, and value faults ([`FaultSpec`])
+//! are an optional plane inside it. The plane is off by default, given
+//! once with [`SimMemory::set_faults`], armed per trial with
+//! [`SimMemory::arm_faults`] after the setup writes, and disarmed by
+//! [`SimMemory::reset`]. A fault-free access pays one predictable
+//! branch on the armed flag.
 
+use crate::faulty::{FaultPlane, FaultSpec};
 use crate::layout::Region;
-use crate::store::MemStore;
 use crate::types::{Addr, Op, Word};
 
 /// A growable, zero-initialised flat address space of atomic registers.
@@ -21,6 +28,9 @@ use crate::types::{Addr, Op, Word};
 /// * [`SimMemory::alloc`] hands out disjoint [`Region`]s so several
 ///   protocol instances (e.g. lean-consensus plus its §8 backup) can share
 ///   one memory without address collisions.
+/// * Armed value faults ([`SimMemory::set_faults`]) may make reads and
+///   writes deviate from the stored words, deterministically per arming
+///   seed; [`SimMemory::peek`] always returns the stored word.
 ///
 /// # Example
 ///
@@ -39,6 +49,11 @@ pub struct SimMemory {
     words: Vec<Word>,
     next_region: usize,
     ops_executed: u64,
+    /// Whether `faults` applies to accesses: set by
+    /// [`SimMemory::arm_faults`], cleared by [`SimMemory::reset`], so
+    /// setup writes (sentinels, layouts) are never faulted.
+    armed: bool,
+    faults: Option<Box<FaultPlane>>,
 }
 
 impl SimMemory {
@@ -53,28 +68,55 @@ impl SimMemory {
     pub fn with_capacity(words: usize) -> Self {
         SimMemory {
             words: Vec::with_capacity(words),
-            next_region: 0,
-            ops_executed: 0,
+            ..Self::default()
         }
     }
 
     /// Returns the memory to its pristine observable state — all
-    /// registers read zero, no regions allocated, operation counter
-    /// cleared — while keeping the backing storage, so trial sweeps can
-    /// reuse one memory without reallocating.
+    /// registers read zero, no regions allocated, operation and fault
+    /// counters cleared, value faults disarmed (the spec stays) — while
+    /// keeping the backing storage, so trial sweeps can reuse one memory
+    /// without reallocating.
     ///
     /// Zeroing happens **in place** (`fill(0)` over the used storage,
-    /// keeping `len`): measured ~2x faster across a trial sweep than
-    /// the old clear-then-regrow-geometrically scheme, because the next
-    /// trial's writes never re-enter the grow branch (see
-    /// `BENCH_engine.json`'s `reset_fill_vs_clear` record). This is the
-    /// [`MemStore::reset`] contract; a consequence is that
+    /// keeping `len`), so the next trial's writes never re-enter the
+    /// grow branch; a consequence is that
     /// [`SimMemory::footprint_words`] persists across resets as a
     /// high-water mark.
     pub fn reset(&mut self) {
         self.words.fill(0);
         self.next_region = 0;
         self.ops_executed = 0;
+        self.armed = false;
+        if let Some(faults) = &mut self.faults {
+            faults.injected = 0;
+        }
+    }
+
+    /// Gives this memory the value faults of `spec`, replacing any
+    /// earlier spec. The faults stay disarmed until
+    /// [`SimMemory::arm_faults`].
+    pub fn set_faults(&mut self, spec: FaultSpec) {
+        self.faults = Some(Box::new(FaultPlane::new(spec)));
+        self.armed = false;
+    }
+
+    /// Arms the value faults for the coming run, deriving their stream
+    /// from `seed` and clearing [`SimMemory::faults_injected`]. Call it
+    /// after the setup writes, so initial state is never faulted. A
+    /// no-op on a memory without a spec.
+    pub fn arm_faults(&mut self, seed: u64) {
+        if let Some(faults) = &mut self.faults {
+            faults.arm(seed);
+            self.armed = true;
+        }
+    }
+
+    /// Stochastic faults (dropped writes + flipped reads) injected since
+    /// the last [`SimMemory::arm_faults`]. Stuck-at masking is not
+    /// counted (it is not an event — the register is simply broken).
+    pub fn faults_injected(&self) -> u64 {
+        self.faults.as_ref().map_or(0, |faults| faults.injected)
     }
 
     /// Reserves a fresh region of `len` registers, disjoint from every
@@ -91,16 +133,26 @@ impl SimMemory {
         region
     }
 
-    /// Atomically reads the register at `addr`.
+    /// Atomically reads the register at `addr`, counting one operation.
+    #[inline]
     pub fn read(&mut self, addr: Addr) -> Word {
         self.ops_executed += 1;
-        self.words.get(addr.offset()).copied().unwrap_or(0)
+        let word = self.peek(addr);
+        if self.armed {
+            return self.faulted_read(addr, word);
+        }
+        word
     }
 
-    /// Atomically writes `value` to the register at `addr`, growing the
-    /// backing storage if needed.
+    /// Atomically writes `value` to the register at `addr`, counting one
+    /// operation and growing the backing storage if needed. A write lost
+    /// to an armed fault still counts, but never grows the storage.
+    #[inline]
     pub fn write(&mut self, addr: Addr, value: Word) {
         self.ops_executed += 1;
+        if self.armed && self.loses_write(addr) {
+            return;
+        }
         let idx = addr.offset();
         if idx >= self.words.len() {
             // Grow geometrically so long races don't reallocate per round.
@@ -110,8 +162,25 @@ impl SimMemory {
         self.words[idx] = value;
     }
 
+    // The fault paths stay out of line: only armed runs reach them, so
+    // the fault-free access keeps its one branch on `armed`.
+    #[cold]
+    fn faulted_read(&mut self, addr: Addr, word: Word) -> Word {
+        self.faults
+            .as_mut()
+            .map_or(word, |faults| faults.read(addr, word))
+    }
+
+    #[cold]
+    fn loses_write(&mut self, addr: Addr) -> bool {
+        self.faults
+            .as_mut()
+            .is_some_and(|faults| faults.loses_write(addr))
+    }
+
     /// Executes one operation under interleaving semantics, returning the
     /// value read (for reads) or `None` (for writes).
+    #[inline]
     pub fn exec(&mut self, op: Op) -> Option<Word> {
         match op {
             Op::Read(addr) => Some(self.read(addr)),
@@ -122,9 +191,10 @@ impl SimMemory {
         }
     }
 
-    /// Returns the current value at `addr` **without** counting it as an
-    /// operation. For assertions and metrics only — protocols must go
-    /// through [`SimMemory::exec`].
+    /// Returns the stored word at `addr` **without** counting it as an
+    /// operation and without value faults. For assertions and metrics
+    /// only — protocols must go through [`SimMemory::exec`].
+    #[inline]
     pub fn peek(&self, addr: Addr) -> Word {
         self.words.get(addr.offset()).copied().unwrap_or(0)
     }
@@ -143,50 +213,40 @@ impl SimMemory {
     }
 }
 
-/// `SimMemory` is the default word-store plane: the [`MemStore`] methods
-/// delegate to the inherent ones above.
-impl MemStore for SimMemory {
-    #[inline]
-    fn read(&mut self, addr: Addr) -> Word {
-        SimMemory::read(self, addr)
-    }
-
-    #[inline]
-    fn write(&mut self, addr: Addr, value: Word) {
-        SimMemory::write(self, addr, value)
-    }
-
-    #[inline]
-    fn exec(&mut self, op: Op) -> Option<Word> {
-        SimMemory::exec(self, op)
-    }
-
-    fn alloc(&mut self, len: usize) -> Region {
-        SimMemory::alloc(self, len)
-    }
-
-    fn reset(&mut self) {
-        SimMemory::reset(self)
-    }
-
-    fn ops_executed(&self) -> u64 {
-        SimMemory::ops_executed(self)
-    }
-
-    fn peek(&self, addr: Addr) -> Word {
-        SimMemory::peek(self, addr)
-    }
-
-    fn footprint_words(&self) -> usize {
-        SimMemory::footprint_words(self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::types::Bit;
     use proptest::prelude::*;
+
+    /// The store contract: zero-initialised, every read/write/exec
+    /// counts one operation (peek does not), disjoint regions, and a
+    /// reset back to the pristine state.
+    fn exercise(mut mem: SimMemory) {
+        assert_eq!(mem.read(Addr::new(1000)), 0);
+        mem.write(Addr::new(3), 7);
+        assert_eq!(mem.exec(Op::Read(Addr::new(3))), Some(7));
+        assert_eq!(mem.exec(Op::Write(Addr::new(3), 9)), None);
+        assert_eq!(mem.read(Addr::new(3)), 9);
+        assert_eq!(mem.peek(Addr::new(3)), 9);
+        assert_eq!(mem.ops_executed(), 5);
+        let r1 = mem.alloc(4);
+        let r2 = mem.alloc(4);
+        assert_eq!(r1.base().plus(4), r2.base());
+        mem.reset();
+        assert_eq!(mem.ops_executed(), 0);
+        assert_eq!(mem.read(Addr::new(3)), 0);
+        assert_eq!(mem.alloc(4).base(), r1.base());
+    }
+
+    #[test]
+    fn plain_and_armed_stores_meet_the_contract() {
+        exercise(SimMemory::new());
+        let mut armed = SimMemory::new();
+        armed.set_faults(FaultSpec::new());
+        armed.arm_faults(7);
+        exercise(armed);
+    }
 
     #[test]
     fn fresh_memory_reads_zero_everywhere() {

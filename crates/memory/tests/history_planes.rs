@@ -1,34 +1,36 @@
 //! Cross-plane atomicity-checker properties: serial executions recorded
-//! against **any** [`MemStore`] backend satisfy the sequential register
-//! specification, seeded violations are rejected, and the checker's
-//! verdict is identical whichever plane produced the history.
+//! against a plain [`SimMemory`] and against one with an armed empty
+//! value-fault spec satisfy the sequential register specification,
+//! seeded violations are rejected, and the checker's verdict is
+//! identical whichever store produced the history.
 //!
-//! This is the end-to-end link between the word-store layer and the
-//! [`nc_memory::history`] checker: if a backend ever deviated from
+//! This is the end-to-end link between the word store and the
+//! [`nc_memory::history`] checker: if the store ever deviated from
 //! last-write-wins (a growth bug, a stale word surviving a fill-in-place
-//! reset, a fault wrapper leaking through with an empty spec), the
+//! reset, the fault plane leaking through with an empty spec), the
 //! recorded history would fail `check_register_semantics` — and the
-//! differential assertions here would catch the plane whose history
+//! differential assertions here would catch the store whose history
 //! diverged.
 
 use proptest::prelude::*;
 
 use nc_memory::{
-    check_register_semantics, check_register_semantics_from, Addr, Event, FaultyMemory,
-    HistoryError, MemStore, Op, Pid, SimMemory, Word,
+    check_register_semantics, check_register_semantics_from, Addr, Event, FaultSpec, HistoryError,
+    Op, Pid, SimMemory, Word,
 };
 
-/// The second plane: an armed fault wrapper with an empty spec, which
-/// must stay a transparent pass-through.
-fn armed_pass_through() -> FaultyMemory<SimMemory> {
-    let mut mem = FaultyMemory::pass_through(SimMemory::new());
-    mem.reseed(7);
+/// The second plane: a store with an armed empty fault spec, which must
+/// stay transparent.
+fn armed_pass_through() -> SimMemory {
+    let mut mem = SimMemory::new();
+    mem.set_faults(FaultSpec::new());
+    mem.arm_faults(7);
     mem
 }
 
 /// Executes `ops` serially against `mem`, recording each as an [`Event`]
 /// with strictly increasing times.
-fn record<M: MemStore>(mem: &mut M, ops: &[(bool, usize, u64)]) -> Vec<Event> {
+fn record(mem: &mut SimMemory, ops: &[(bool, usize, u64)]) -> Vec<Event> {
     ops.iter()
         .enumerate()
         .map(|(i, &(is_read, off, val))| {
@@ -115,8 +117,8 @@ proptest! {
         let mut wrapped = armed_pass_through();
         let _ = record(&mut sim, &first);
         let _ = record(&mut wrapped, &first);
-        MemStore::reset(&mut sim);
-        MemStore::reset(&mut wrapped);
+        sim.reset();
+        wrapped.reset();
         let hist_sim = record(&mut sim, &second);
         let hist_wrapped = record(&mut wrapped, &second);
         prop_assert_eq!(&hist_sim, &hist_wrapped);
@@ -134,7 +136,7 @@ proptest! {
         let mut wrapped = armed_pass_through();
         for (addr, val) in &initial {
             sim.write(*addr, *val);
-            MemStore::write(&mut wrapped, *addr, *val);
+            wrapped.write(*addr, *val);
         }
         let hist_sim = record(&mut sim, &ops);
         let hist_wrapped = record(&mut wrapped, &ops);

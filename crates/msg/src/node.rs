@@ -37,7 +37,7 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use nc_core::{LeanConsensus, ProtocolCore, Status};
+use nc_core::{LeanConsensus, Protocol, Status};
 use nc_memory::{Addr, Bit, Op, SimMemory, Word};
 
 use crate::proto::{OpId, Payload, Stamp};

@@ -93,8 +93,9 @@ pub mod salts {
     pub const ADVERSARY: u64 = 4;
     /// Protocol-local coins (randomized baseline, backup shared coin).
     pub const COIN: u64 = 5;
-    /// Value-fault injection streams (`nc_memory::FaultyMemory`,
-    /// armed per trial by the engine through `MemStore::reseed`).
+    /// Value-fault injection streams (the `nc_memory::SimMemory` fault
+    /// plane, armed per trial by the engine through
+    /// `SimMemory::arm_faults`).
     pub const VALUE_FAULTS: u64 = 6;
     /// Network-fault injection (`nc_msg` message loss / duplication),
     /// salted independently of the delay-noise stream so arming faults

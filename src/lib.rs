@@ -15,7 +15,7 @@
 //! | Module | Crate | Contents |
 //! |--------|-------|----------|
 //! | [`core`] | `nc-core` | lean-consensus + variants, [`core::Protocol`], native runner |
-//! | [`memory`] | `nc-memory` | pluggable [`MemStore`] word-store planes, atomic arrays, history checker |
+//! | [`memory`] | `nc-memory` | the [`SimMemory`] word store with seeded value faults, atomic arrays, history checker |
 //! | [`sched`] | `nc-sched` | noise distributions, timing model, adversaries, hybrid scheduling |
 //! | [`engine`] | `nc-engine` | noisy / adversarial / hybrid drivers, run reports |
 //! | [`backup`] | `nc-backup` | bounded-space randomized backup consensus (§8) |
@@ -92,12 +92,10 @@ pub use nc_theory as theory;
 
 pub use nc_adversary::{BudgetedAdversary, StrategyFamily, StrategyPoint, Tournament};
 pub use nc_core::{
-    Bit, BoundedLean, Decision, LeanConsensus, NativeConsensus, Protocol, ProtocolCore,
-    RandomizedLean, RoundLimitError, SkippingLean, Status,
+    Bit, BoundedLean, Decision, LeanConsensus, NativeConsensus, Protocol, RandomizedLean,
+    RoundLimitError, SkippingLean, Status,
 };
 pub use nc_engine::{Limits, RunOutcome, RunReport, Sim, SimRun, TrialSet};
-pub use nc_memory::{
-    FaultSpec, FaultyMemory, MemStore, Op, Pid, RaceLayout, SegArray, SimMemory, Word,
-};
+pub use nc_memory::{FaultSpec, Op, Pid, RaceLayout, SegArray, SimMemory, Word};
 pub use nc_sched::{Noise, TimingModel};
 pub use nc_service::{CommitFact, InstanceStatus, NcService, ServiceConfig};
