@@ -1,8 +1,8 @@
 //! One message-passing node: replica + ABD client + lean-consensus.
 //!
-//! The node hosts a replica of every register (a map from address to the
-//! highest-stamped value it has seen), an ABD client executing one
-//! emulated register operation at a time, and an unchanged
+//! The node hosts a replica of every register (the highest-stamped value
+//! it has seen per address, in a `Vec` sorted by address), an ABD client
+//! executing one emulated register operation at a time, and an unchanged
 //! [`nc_core::LeanConsensus`] step machine. Whenever the lean machine
 //! surfaces a pending [`nc_memory::Op`], the client turns it into the
 //! two-phase ABD exchange; when the quorum answers, the machine is
@@ -125,28 +125,47 @@ impl SharedPlane {
 /// The node's replica state: private, or a shared plane.
 #[derive(Debug)]
 enum ReplicaStore {
-    /// A private ordered map (ordered so gossip's entry drip is
-    /// deterministic — `HashMap` iteration order is randomized per
-    /// process and would break run reproducibility).
-    Private(BTreeMap<Addr, (Stamp, Word)>),
+    /// A private replica: `(address, stamp, value)` entries sorted by
+    /// address, so lookups binary-search and gossip's drip (entry
+    /// `k % len`) walks them in address order — a pure function of the
+    /// replica's contents, as run reproducibility needs. It holds one
+    /// entry per address it has seen, so any [`Addr`] a caller passes
+    /// costs one entry, not an array reaching up to that address.
+    Private(Vec<(Addr, Stamp, Word)>),
     /// A plane shared with other nodes.
     Shared(Rc<RefCell<SharedPlane>>),
+}
+
+/// Index of `addr`'s entry in a sorted private replica, inserting
+/// `(addr, Stamp::ZERO, 0)` there first if it has none. A put whose
+/// stamp loses still leaves that entry behind, and gossip's drip
+/// counts it.
+fn entry_index(entries: &mut Vec<(Addr, Stamp, Word)>, addr: Addr) -> usize {
+    entries
+        .binary_search_by_key(&addr, |e| e.0)
+        .unwrap_or_else(|i| {
+            entries.insert(i, (addr, Stamp::ZERO, 0));
+            i
+        })
 }
 
 impl ReplicaStore {
     fn get(&mut self, addr: Addr) -> (Stamp, Word) {
         match self {
-            ReplicaStore::Private(map) => map.get(&addr).copied().unwrap_or((Stamp::ZERO, 0)),
+            ReplicaStore::Private(entries) => match entries.binary_search_by_key(&addr, |e| e.0) {
+                Ok(i) => (entries[i].1, entries[i].2),
+                Err(_) => (Stamp::ZERO, 0),
+            },
             ReplicaStore::Shared(plane) => plane.borrow_mut().get(addr),
         }
     }
 
     fn put(&mut self, addr: Addr, stamp: Stamp, value: Word) {
         match self {
-            ReplicaStore::Private(map) => {
-                let entry = map.entry(addr).or_insert((Stamp::ZERO, 0));
-                if stamp > entry.0 {
-                    *entry = (stamp, value);
+            ReplicaStore::Private(entries) => {
+                let i = entry_index(entries, addr);
+                if stamp > entries[i].1 {
+                    entries[i] = (addr, stamp, value);
                 }
             }
             ReplicaStore::Shared(plane) => plane.borrow_mut().put(addr, stamp, value),
@@ -155,15 +174,8 @@ impl ReplicaStore {
 
     fn nth_entry(&mut self, k: usize) -> Option<(Addr, Stamp, Word)> {
         match self {
-            ReplicaStore::Private(map) => {
-                if map.is_empty() {
-                    return None;
-                }
-                let idx = k % map.len();
-                map.iter()
-                    .nth(idx)
-                    .map(|(&addr, &(stamp, value))| (addr, stamp, value))
-            }
+            ReplicaStore::Private(entries) if entries.is_empty() => None,
+            ReplicaStore::Private(entries) => Some(entries[k % entries.len()]),
             ReplicaStore::Shared(plane) => plane.borrow_mut().nth_entry(k),
         }
     }
@@ -299,9 +311,10 @@ impl Node {
     /// Any `n ≥ 1` is supported: the quorum mask keeps an inline `u128`
     /// fast path for n ≤ 128 and spills to a heap-backed bitset above.
     pub fn new(id: u32, n: u32, input: Bit, sentinels: &[(Addr, Word)]) -> Self {
-        let mut replica = BTreeMap::new();
+        let mut replica = Vec::with_capacity(sentinels.len());
         for &(addr, value) in sentinels {
-            replica.insert(addr, (Stamp::ZERO.next_for(0), value));
+            let i = entry_index(&mut replica, addr);
+            replica[i] = (addr, Stamp::ZERO.next_for(0), value);
         }
         Self::with_store(id, n, input, ReplicaStore::Private(replica))
     }
@@ -835,6 +848,31 @@ mod tests {
             .filter(|o| matches!(o.payload, Payload::Ack { .. }))
             .count();
         assert_eq!(acks, 2);
+    }
+
+    #[test]
+    fn losing_puts_still_leave_an_entry_for_gossip() {
+        // ReadBack phases write back zero stamps. The replica keeps each
+        // such address at the zero stamp, in address order, and gossip's
+        // drip (entry k mod len) counts it.
+        let mut node = Node::new(0, 2, Bit::Zero, &[]);
+        let mut out = Vec::new();
+        let op = OpId { node: 1, seq: 1 };
+        for addr in [Addr::new(9), Addr::new(5)] {
+            let put = Payload::Put {
+                op,
+                addr,
+                stamp: Stamp::ZERO,
+                value: 0,
+            };
+            node.on_message(put, &mut out);
+        }
+        let drip: Vec<_> = (0..3).map(|k| node.replica.nth_entry(k)).collect();
+        let (five, nine) = (
+            Some((Addr::new(5), Stamp::ZERO, 0)),
+            Some((Addr::new(9), Stamp::ZERO, 0)),
+        );
+        assert_eq!(drip, vec![five, nine, five]);
     }
 
     #[test]

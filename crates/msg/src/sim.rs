@@ -23,13 +23,24 @@
 //! per-recipient unicast delays (the default, matching E13), or a single
 //! shared broadcast delay per send — the Clementi–Natale-style broadcast
 //! model E17 compares against.
-
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+//!
+//! Pending events — deliveries, retry timers and gossip ticks — wait in
+//! the engine's [`EventQueue`], a 4-ary heap of 16-byte integer keys
+//! `(time, seq, slot)`; the event bodies sit in a slab the `slot` field
+//! indexes, so sifts never move them. Every event takes a fresh `seq`
+//! when it is scheduled, so no two keys tie and the pop order is exactly
+//! `(time by total_cmp, seq)`, whatever the slot — the order the
+//! pre-fault oracle in `tests/net_faults.rs` implements with a plain
+//! `BinaryHeap`. Equal times are common under two-point, constant or
+//! geometric delays, so `seq` is part of the behaviour: a unicast copy
+//! takes its `seq` before the cut and loss checks, and each duplicate,
+//! retry timer and gossip tick takes its own (pinned by
+//! `fault_streams_are_pinned` in the same file).
 
 use nc_memory::{Bit, RaceLayout, Word};
+use nc_sched::queue::MAX_PID;
 use nc_sched::rng::salts;
-use nc_sched::{stream_rng, Noise};
+use nc_sched::{stream_rng, EventQueue, Noise, QueuedEvent};
 use rand::RngExt;
 
 use crate::faults::{NetFaultError, NetFaultSpec, RecoverySpec};
@@ -139,9 +150,11 @@ impl MsgConfig {
     }
 
     /// Checks the whole configuration, returning the first problem
-    /// found: a zero-node deployment, a crash plan that would destroy
-    /// the majority quorum, or a degenerate partition shape
-    /// ([`NetFaultSpec::validate`]).
+    /// found: a zero-node deployment, an `inputs` vector whose length is
+    /// not `n`, a crash plan that would destroy the majority quorum, a
+    /// degenerate partition shape ([`NetFaultSpec::validate`]), or — when
+    /// the faults arm the recovery plane — a retry timeout or backoff
+    /// that is not finite and positive.
     ///
     /// [`run_message_passing`] calls this eagerly, so a config error
     /// surfaces at the entry point instead of panicking (or silently
@@ -150,6 +163,12 @@ impl MsgConfig {
     pub fn validate(&self) -> Result<(), MsgConfigError> {
         if self.n == 0 {
             return Err(MsgConfigError::NoNodes);
+        }
+        if self.inputs.len() != self.n {
+            return Err(MsgConfigError::InputsLength {
+                inputs: self.inputs.len(),
+                n: self.n,
+            });
         }
         // Count *distinct* in-range node ids: a plan may legitimately
         // list the same node twice (first entry wins; rest are no-ops).
@@ -170,6 +189,16 @@ impl MsgConfig {
         self.faults
             .validate(self.n)
             .map_err(MsgConfigError::Faults)?;
+        if self.faults.needs_recovery() {
+            for (field, value) in [
+                ("timeout_mult", self.recovery.timeout_mult),
+                ("backoff", self.recovery.backoff),
+            ] {
+                if !(value.is_finite() && value > 0.0) {
+                    return Err(MsgConfigError::StalledRetry { field, value });
+                }
+            }
+        }
         Ok(())
     }
 }
@@ -179,6 +208,13 @@ impl MsgConfig {
 pub enum MsgConfigError {
     /// `n == 0`: there is nothing to run.
     NoNodes,
+    /// `inputs` does not hold exactly one input per node.
+    InputsLength {
+        /// Length of [`MsgConfig::inputs`].
+        inputs: usize,
+        /// Deployment size.
+        n: usize,
+    },
     /// The crash plan kills a majority of distinct nodes — the ABD
     /// emulation requires `f < n/2`, so the run would block forever by
     /// construction.
@@ -190,17 +226,35 @@ pub enum MsgConfigError {
     },
     /// The fault plane holds a degenerate partition shape.
     Faults(NetFaultError),
+    /// The faults arm the retry timers, but a [`RecoverySpec`] field
+    /// that sets their gaps is not finite and positive: a timer would
+    /// re-fire at the instant it fired, and the clock would never
+    /// advance.
+    StalledRetry {
+        /// The field: `"timeout_mult"` or `"backoff"`.
+        field: &'static str,
+        /// Its value.
+        value: f64,
+    },
 }
 
 impl std::fmt::Display for MsgConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             MsgConfigError::NoNodes => write!(f, "need at least one node"),
+            MsgConfigError::InputsLength { inputs, n } => {
+                write!(f, "{inputs} inputs for {n} nodes (need one per node)")
+            }
             MsgConfigError::MajorityCrash { crashed, n } => write!(
                 f,
                 "crashing {crashed} of {n} nodes would destroy the majority quorum"
             ),
             MsgConfigError::Faults(e) => write!(f, "{e}"),
+            MsgConfigError::StalledRetry { field, value } => write!(
+                f,
+                "recovery {field} = {value} must be finite and positive when faults are armed, \
+                 or a retry timer re-fires without advancing the clock"
+            ),
         }
     }
 }
@@ -265,30 +319,44 @@ enum Event {
     GossipTick { node: u32 },
 }
 
-#[derive(Debug)]
-struct Scheduled {
-    time: f64,
-    seq: u64,
-    event: Event,
+/// The pending events of one run: `(time, seq, slot)` keys in an
+/// [`EventQueue`] (the key's `pid` field carries the slot), and the
+/// bodies in `bodies`, a slab recycled through the `free` list. Callers
+/// pass a fresh `seq` to every push, so the slot never decides the pop
+/// order (see the module docs).
+#[derive(Debug, Default)]
+struct Agenda {
+    queue: EventQueue,
+    bodies: Vec<Event>,
+    free: Vec<u32>,
 }
 
-impl PartialEq for Scheduled {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
+impl Agenda {
+    /// Schedules `event` at `time` with tie-break key `seq`.
+    fn push(&mut self, time: f64, seq: u64, event: Event) {
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.bodies[slot as usize] = event;
+                slot
+            }
+            None => {
+                assert!(
+                    self.bodies.len() <= MAX_PID as usize,
+                    "event slab full: a slot must fit the key's pid field (max {MAX_PID})"
+                );
+                self.bodies.push(event);
+                (self.bodies.len() - 1) as u32
+            }
+        };
+        self.queue.push(QueuedEvent::new(time, seq, slot));
     }
-}
-impl Eq for Scheduled {}
-impl PartialOrd for Scheduled {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Scheduled {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .time
-            .total_cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
+
+    /// Removes the earliest event, returning its time and body.
+    fn pop(&mut self) -> Option<(f64, Event)> {
+        let key = self.queue.pop()?;
+        let slot = key.pid();
+        self.free.push(slot);
+        Some((key.time(), self.bodies[slot as usize]))
     }
 }
 
@@ -300,7 +368,7 @@ fn arm_timer(
     nodes: &[Node],
     alive: &[bool],
     armed_epoch: &mut [u64],
-    queue: &mut BinaryHeap<Scheduled>,
+    queue: &mut Agenda,
     seq: &mut u64,
     clock: f64,
     timeout0: f64,
@@ -308,15 +376,15 @@ fn arm_timer(
     if alive[i] && nodes[i].awaiting() && armed_epoch[i] != nodes[i].epoch() {
         armed_epoch[i] = nodes[i].epoch();
         *seq += 1;
-        queue.push(Scheduled {
-            time: clock + timeout0,
-            seq: *seq,
-            event: Event::Timeout {
+        queue.push(
+            clock + timeout0,
+            *seq,
+            Event::Timeout {
                 node: i as u32,
                 epoch: armed_epoch[i],
                 attempt: 0,
             },
-        });
+        );
     }
 }
 
@@ -333,11 +401,13 @@ fn arm_timer(
 /// # Panics
 ///
 /// Panics if [`MsgConfig::validate`] rejects the configuration —
-/// `cfg.n == 0`, a crash schedule killing a majority of **distinct**
-/// nodes (the ABD emulation requires `f < n/2`; a run configured to
-/// violate that would block forever by construction), or a degenerate
-/// partition shape that would silently cut nothing. Call `validate`
-/// first to handle these as recoverable errors instead.
+/// `cfg.n == 0`, an `inputs` length other than `n`, a crash schedule
+/// killing a majority of **distinct** nodes (the ABD emulation requires
+/// `f < n/2`; a run configured to violate that would block forever by
+/// construction), a degenerate partition shape that would silently cut
+/// nothing, or retry timers armed with a gap that cannot advance the
+/// clock. Call `validate` first to handle these as recoverable errors
+/// instead.
 pub fn run_message_passing(cfg: &MsgConfig, seed: u64) -> MsgReport {
     if let Err(e) = cfg.validate() {
         panic!("{e}");
@@ -371,7 +441,7 @@ pub fn run_message_passing(cfg: &MsgConfig, seed: u64) -> MsgReport {
     let mut fault_rng = stream_rng(seed, 0, salts::NET_FAULTS);
     let mut gossip_rng = stream_rng(seed, 0, salts::GOSSIP);
 
-    let mut queue: BinaryHeap<Scheduled> = BinaryHeap::new();
+    let mut queue = Agenda::default();
     let mut seq = 0u64;
     let mut clock = 0.0f64;
     let mut sent = 0u64;
@@ -409,11 +479,11 @@ pub fn run_message_passing(cfg: &MsgConfig, seed: u64) -> MsgReport {
             for node in 0..cfg.n as u32 {
                 let jitter: f64 = gossip_rng.random();
                 seq += 1;
-                queue.push(Scheduled {
-                    time: gossip_interval * (1.0 + jitter),
+                queue.push(
+                    gossip_interval * (1.0 + jitter),
                     seq,
-                    event: Event::GossipTick { node },
-                });
+                    Event::GossipTick { node },
+                );
             }
         }
     }
@@ -451,25 +521,25 @@ pub fn run_message_passing(cfg: &MsgConfig, seed: u64) -> MsgReport {
                         continue;
                     }
                     seq += 1;
-                    queue.push(Scheduled {
-                        time: clock + delay,
+                    queue.push(
+                        clock + delay,
                         seq,
-                        event: Event::Msg {
+                        Event::Msg {
                             to,
                             payload: out.payload,
                         },
-                    });
+                    );
                     if dup_all {
                         duplicated += 1;
                         seq += 1;
-                        queue.push(Scheduled {
-                            time: clock + dup_delay,
+                        queue.push(
+                            clock + dup_delay,
                             seq,
-                            event: Event::Msg {
+                            Event::Msg {
                                 to,
                                 payload: out.payload,
                             },
-                        });
+                        );
                     }
                 }
                 continue;
@@ -490,26 +560,26 @@ pub fn run_message_passing(cfg: &MsgConfig, seed: u64) -> MsgReport {
                     lost += 1;
                     continue;
                 }
-                queue.push(Scheduled {
-                    time: clock + delay,
+                queue.push(
+                    clock + delay,
                     seq,
-                    event: Event::Msg {
+                    Event::Msg {
                         to,
                         payload: out.payload,
                     },
-                });
+                );
                 if cfg.faults.duplicate > 0.0 && fault_rng.random::<f64>() < cfg.faults.duplicate {
                     duplicated += 1;
                     let dup_delay = cfg.delay.sample(&mut fault_rng);
                     seq += 1;
-                    queue.push(Scheduled {
-                        time: clock + dup_delay,
+                    queue.push(
+                        clock + dup_delay,
                         seq,
-                        event: Event::Msg {
+                        Event::Msg {
                             to,
                             payload: out.payload,
                         },
-                    });
+                    );
                 }
             }
         }
@@ -520,16 +590,16 @@ pub fn run_message_passing(cfg: &MsgConfig, seed: u64) -> MsgReport {
         if all_live_decided {
             break;
         }
-        let Some(next) = queue.pop() else {
+        let Some((time, event)) = queue.pop() else {
             break; // network drained without progress (crash-heavy run)
         };
         if events >= cfg.max_deliveries {
             break;
         }
         events += 1;
-        clock = next.time;
+        clock = time;
 
-        match next.event {
+        match event {
             Event::Msg { to, payload } => {
                 deliveries += 1;
                 // Crash plan: crash nodes whose delivery count arrived.
@@ -578,15 +648,15 @@ pub fn run_message_passing(cfg: &MsgConfig, seed: u64) -> MsgReport {
                     let exp = (attempt + 1).min(cfg.recovery.max_backoff_exp);
                     let backoff = timeout0 * cfg.recovery.backoff.powi(exp as i32);
                     seq += 1;
-                    queue.push(Scheduled {
-                        time: clock + backoff,
+                    queue.push(
+                        clock + backoff,
                         seq,
-                        event: Event::Timeout {
+                        Event::Timeout {
                             node,
                             epoch,
                             attempt: attempt + 1,
                         },
-                    });
+                    );
                 }
             }
             Event::GossipTick { node } => {
@@ -596,11 +666,11 @@ pub fn run_message_passing(cfg: &MsgConfig, seed: u64) -> MsgReport {
                     gossip_sent += 1;
                     let jitter: f64 = gossip_rng.random();
                     seq += 1;
-                    queue.push(Scheduled {
-                        time: clock + gossip_interval * (0.75 + 0.5 * jitter),
+                    queue.push(
+                        clock + gossip_interval * (0.75 + 0.5 * jitter),
                         seq,
-                        event: Event::GossipTick { node },
-                    });
+                        Event::GossipTick { node },
+                    );
                 }
             }
         }
@@ -800,6 +870,100 @@ mod tests {
                 crate::NetFaultError::EmptyWindow { .. }
             ))
         ));
+    }
+
+    #[test]
+    fn validate_rejects_inputs_of_the_wrong_length() {
+        let mut short = MsgConfig::new(5, Noise::Exponential { mean: 1.0 });
+        short.inputs.truncate(3);
+        assert_eq!(
+            short.validate(),
+            Err(MsgConfigError::InputsLength { inputs: 3, n: 5 })
+        );
+        let mut long = MsgConfig::new(3, Noise::Exponential { mean: 1.0 });
+        long.inputs = vec![Bit::One; 5];
+        assert_eq!(
+            long.validate(),
+            Err(MsgConfigError::InputsLength { inputs: 5, n: 3 })
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "3 inputs for 5 nodes")]
+    fn short_inputs_are_rejected_at_the_entry_point() {
+        let mut cfg = MsgConfig::new(5, Noise::Exponential { mean: 1.0 });
+        cfg.inputs.truncate(3);
+        run_message_passing(&cfg, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "5 inputs for 3 nodes")]
+    fn long_inputs_are_rejected_at_the_entry_point() {
+        let mut cfg = MsgConfig::new(3, Noise::Exponential { mean: 1.0 });
+        cfg.inputs = vec![Bit::Zero; 5];
+        run_message_passing(&cfg, 0);
+    }
+
+    /// Five nodes under 5% loss, which arms the retry timers.
+    fn lossy_with(recovery: RecoverySpec) -> MsgConfig {
+        MsgConfig::new(5, Noise::Exponential { mean: 1.0 })
+            .with_faults(NetFaultSpec::none().with_loss(0.05))
+            .with_recovery(recovery)
+    }
+
+    #[test]
+    #[should_panic(expected = "recovery timeout_mult = 0 must be finite and positive")]
+    fn a_timeout_that_cannot_advance_the_clock_is_rejected() {
+        // A fault-free run arms no timers and never reads the field.
+        let clean =
+            MsgConfig::new(5, Noise::Exponential { mean: 1.0 }).with_recovery(RecoverySpec {
+                timeout_mult: 0.0,
+                ..RecoverySpec::default()
+            });
+        assert_eq!(clean.validate(), Ok(()));
+        for bad in [-2.0, f64::NAN, f64::INFINITY, 0.0] {
+            let cfg = lossy_with(RecoverySpec {
+                timeout_mult: bad,
+                ..RecoverySpec::default()
+            });
+            assert!(
+                matches!(
+                    cfg.validate(),
+                    Err(MsgConfigError::StalledRetry { field: "timeout_mult", value })
+                        if value.to_bits() == bad.to_bits()
+                ),
+                "timeout_mult {bad}"
+            );
+        }
+        let cfg = lossy_with(RecoverySpec {
+            timeout_mult: 0.0,
+            ..RecoverySpec::default()
+        });
+        run_message_passing(&cfg, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "recovery backoff = 0 must be finite and positive")]
+    fn a_backoff_that_cannot_advance_the_clock_is_rejected() {
+        for bad in [-1.5, f64::NAN, f64::NEG_INFINITY, 0.0] {
+            let cfg = lossy_with(RecoverySpec {
+                backoff: bad,
+                ..RecoverySpec::default()
+            });
+            assert!(
+                matches!(
+                    cfg.validate(),
+                    Err(MsgConfigError::StalledRetry { field: "backoff", value })
+                        if value.to_bits() == bad.to_bits()
+                ),
+                "backoff {bad}"
+            );
+        }
+        let cfg = lossy_with(RecoverySpec {
+            backoff: 0.0,
+            ..RecoverySpec::default()
+        });
+        run_message_passing(&cfg, 0);
     }
 
     #[test]

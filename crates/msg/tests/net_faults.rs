@@ -9,13 +9,15 @@
 //! field for field across the Figure 1 noise suite — proving that arming
 //! the fault machinery costs the pristine path nothing, byte for byte.
 //! The committed E13 golden CSVs pin the same property end-to-end.
+//! Faulted runs, which the oracle cannot follow, are pinned by one hash
+//! in [`fault_streams_are_pinned`].
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use nc_memory::{Bit, RaceLayout, Word};
 use nc_msg::node::{Dest, Node, Outgoing};
-use nc_msg::sim::{run_message_passing, Channel, MsgConfig, Outcome};
+use nc_msg::sim::{run_message_passing, Channel, MsgConfig, MsgReport, Outcome};
 use nc_msg::{NetFaultSpec, Payload, RecoverySpec};
 use nc_sched::rng::salts;
 use nc_sched::{stream_rng, Noise};
@@ -303,4 +305,107 @@ fn faulty_runs_are_deterministic_in_cfg_and_seed() {
     let ta: Vec<Option<u64>> = a.decide_times.iter().map(|t| t.map(f64::to_bits)).collect();
     let tb: Vec<Option<u64>> = b.decide_times.iter().map(|t| t.map(f64::to_bits)).collect();
     assert_eq!(ta, tb);
+}
+
+// ---------------------------------------------------------------------
+// Faulty-path event order.
+// ---------------------------------------------------------------------
+
+/// Folds `bytes` into a running FNV-1a (64-bit) hash.
+fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    hash
+}
+
+/// Folds every field of `report` into `hash`, floats by their bits.
+fn fold_report(mut hash: u64, report: &MsgReport) -> u64 {
+    for d in &report.decisions {
+        hash = fnv1a(hash, &[d.map_or(2, |b| b.word() as u8)]);
+    }
+    for &r in &report.rounds {
+        hash = fnv1a(hash, &(r as u64).to_le_bytes());
+    }
+    for ops in &report.ops {
+        hash = fnv1a(hash, &ops.to_le_bytes());
+    }
+    for count in [
+        report.deliveries,
+        report.sent,
+        report.sim_time.to_bits(),
+        report.retries,
+        report.gossip,
+        report.lost,
+        report.duplicated,
+        report.cut,
+    ] {
+        hash = fnv1a(hash, &count.to_le_bytes());
+    }
+    hash = fnv1a(hash, format!("{:?}", report.outcome).as_bytes());
+    for t in &report.decide_times {
+        hash = fnv1a(hash, &t.map_or(u64::MAX, f64::to_bits).to_le_bytes());
+    }
+    hash
+}
+
+/// Pins the event order of faulted runs, where retry timers, gossip
+/// ticks and duplicates share the queue with deliveries. Integer-valued
+/// delays make equal event times common, so the insertion sequence
+/// decides most of the order; a short timeout makes the timers fire
+/// often. The oracle tests above cover only fault-free runs, which
+/// schedule no timers and no gossip. Any change to which event gets
+/// which tie-break key — or to when a coin or delay is drawn — moves
+/// the hash.
+#[test]
+fn fault_streams_are_pinned() {
+    let recovery = RecoverySpec {
+        timeout_mult: 2.0,
+        ..RecoverySpec::default()
+    };
+    let shapes = [
+        (Channel::Unicast, NetFaultSpec::none().with_loss(0.2)),
+        (
+            Channel::Unicast,
+            NetFaultSpec::none().with_loss(0.1).with_duplication(0.2),
+        ),
+        (
+            Channel::Unicast,
+            NetFaultSpec::none()
+                .with_loss(0.1)
+                .with_partition(3.0, 30.0, vec![0, 1]),
+        ),
+        (Channel::Broadcast, NetFaultSpec::none().with_loss(0.2)),
+    ];
+    let mut configs = Vec::new();
+    for delay in [
+        Noise::TwoPoint { lo: 1.0, hi: 2.0 },
+        Noise::Constant { value: 1.0 },
+        Noise::Geometric { p: 0.5 },
+    ] {
+        for (channel, faults) in &shapes {
+            let mut cfg = MsgConfig::new(5, delay)
+                .with_channel(*channel)
+                .with_faults(faults.clone())
+                .with_recovery(recovery);
+            cfg.max_deliveries = 200_000;
+            configs.push(cfg);
+        }
+    }
+    // The benchmark's `msg_loss5` configuration.
+    configs.push(
+        MsgConfig::new(5, Noise::Exponential { mean: 1.0 })
+            .with_faults(NetFaultSpec::none().with_loss(0.05))
+            .with_recovery(RecoverySpec::default()),
+    );
+    let mut hash = 0xCBF2_9CE4_8422_2325_u64;
+    for cfg in &configs {
+        for seed in 0..20u64 {
+            let report = run_message_passing(cfg, seed);
+            assert_eq!(report.outcome, Outcome::Decided, "{cfg:?} seed {seed}");
+            hash = fold_report(hash, &report);
+        }
+    }
+    assert_eq!(hash, 0xB210_D4BD_2FB1_4D42, "faulted event order moved");
 }
