@@ -42,8 +42,7 @@
 //! a full pool-cycle behind, which requires a geometrically unlikely run
 //! of coin failures (probability `≤ (1-δ)^rounds`). This is the
 //! documented engineering stand-in for the truly bounded construction of
-//! Aspnes '93, whose counter-folding machinery is out of scope here (see
-//! DESIGN.md, "Substitutions").
+//! Aspnes '93, whose counter-folding machinery is out of scope here.
 //!
 //! # Example
 //!

@@ -1,6 +1,7 @@
-//! One module per experiment in DESIGN.md's per-experiment index; each
-//! module also registers itself in [`crate::scenario::REGISTRY`], which
-//! is what the `repro` binary and the golden/determinism tests drive.
+//! One module per experiment in the catalogue (`docs/experiments.md`);
+//! each module also registers itself in [`crate::scenario::REGISTRY`],
+//! which is what the `repro` binary and the golden/determinism tests
+//! drive.
 //!
 //! | Module | Exp | Paper artifact |
 //! |--------|-----|----------------|

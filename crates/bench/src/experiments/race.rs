@@ -14,7 +14,7 @@ use crate::par_trials;
 use crate::scenario::{Preset, Scenario, Spec};
 use crate::table::{f2, f3, fstable, Table};
 
-/// Registry entry: E8 (the with-failures leg covers what DESIGN.md's
+/// Registry entry: E8 (the with-failures leg covers what the experiment
 /// index once split out as E12).
 #[derive(Clone, Copy, Debug)]
 pub struct RenewalRace;

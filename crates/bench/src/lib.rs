@@ -1,7 +1,7 @@
 //! Experiment harness for the `noisy-consensus` workspace.
 //!
-//! Each experiment in DESIGN.md's per-experiment index (E1–E14) is a
-//! module in [`experiments`] that registers itself as a
+//! Each experiment in the catalogue (`docs/experiments.md`, E1–E20) is
+//! a module in [`experiments`] that registers itself as a
 //! [`scenario::Scenario`]: a static descriptor (id, paper artifact,
 //! output CSVs, full-scale and smoke presets) plus a preset-driven
 //! runner returning [`Table`]s. The single `repro` binary drives the

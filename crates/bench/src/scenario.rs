@@ -66,7 +66,8 @@ impl Preset {
 /// The static descriptor of a registered scenario.
 #[derive(Clone, Copy, Debug)]
 pub struct Spec {
-    /// Experiment id from DESIGN.md's index (`"E1"`, …, `"E14"`).
+    /// Experiment id from the catalogue (`"E1"`, …, `"E20"`; see
+    /// `docs/experiments.md`).
     pub id: &'static str,
     /// One-line scenario title (the tables carry their own long titles).
     pub title: &'static str,
@@ -141,9 +142,8 @@ pub trait Scenario: Sync {
 }
 
 /// Every registered scenario, in experiment-id order. (E12 was folded
-/// into E8's failure variant in DESIGN.md, and E18 — rumor-spreading
-/// consensus — is still open in ROADMAP.md, hence 18 entries for
-/// E1–E20.)
+/// into E8's failure variant, and E18 — rumor-spreading consensus — is
+/// still open in ROADMAP.md, hence 18 entries for E1–E20.)
 pub const REGISTRY: &[&dyn Scenario] = &[
     &fig1::Fig1,
     &validity::ValidityCost,

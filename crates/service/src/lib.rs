@@ -27,6 +27,10 @@
 //!   [`NcService::run_ready`] first drains the submission rings in
 //!   deterministic id order, then fans independent shards across
 //!   worker threads; the calling thread drains the first chunk itself.
+//!   A worker is added only per full [`FANOUT_MIN_PROPOSALS`] (100)
+//!   ready proposals: a thread spawn costs 27–48 µs on a 2-core host,
+//!   several five-process instances' worth, so small open-loop batches
+//!   run on the calling thread and a large burst still fans out.
 //! * **Durable commit journals.** Deciding an instance appends an
 //!   immutable [`CommitFact`] to the shard's append-only journal —
 //!   and, when a `journal_dir` is configured, to the shard's on-disk
@@ -510,6 +514,47 @@ impl Shard {
     }
 }
 
+/// Ready proposals each [`NcService::run_ready`] worker must have: a
+/// batch of `p` proposals runs on at most `p / FANOUT_MIN_PROPOSALS`
+/// workers (at least one, the calling thread).
+///
+/// Measured on a 2-core Intel Xeon VM (rustc 1.95). A
+/// `std::thread::scope` spawn and join of an empty closure has a median
+/// of 27–48 µs (5 000 calls per session, 15 sessions), against 4–8 µs
+/// of engine and journal time per five-process instance. The table
+/// gives `run_ready`'s serial median ÷ its 2-worker median, over 300
+/// calls per cell, with 2 shards, 5 processes and the on-disk journal
+/// on; a value above 1 means the fan-out wins:
+///
+/// | ready instances per shard | sessions | median | range | won |
+/// |---|---|---|---|---|
+/// | 8  | 9  | 0.84 | 0.78–0.93 | 0 |
+/// | 12 | 12 | 0.92 | 0.77–1.10 | 1 |
+/// | 16 | 15 | 0.86 | 0.74–1.04 | 2 |
+/// | 20 | 15 | 1.08 | 0.83–1.29 | 10 |
+/// | 24 | 15 | 1.08 | 0.74–1.32 | 10 |
+/// | 32 | 12 | 1.12 | 0.83–1.49 | 8 |
+/// | 48 | 6  | 1.19 | 1.09–1.42 | 6 |
+/// | 64 | 12 | 1.25 | 0.91–1.54 | 10 |
+///
+/// The median crosses 1 between 16 and 20 instances per shard, so each
+/// worker needs 100 proposals (20 five-process instances). Single
+/// sessions scatter around the crossover because the spawn cost moves
+/// from session to session.
+pub const FANOUT_MIN_PROPOSALS: usize = 100;
+
+/// How many workers [`NcService::run_ready`] uses for a batch of
+/// `ready_proposals` over `shards` shards: up to `threads` (`0` means
+/// one), at most one per shard, and one per full
+/// [`FANOUT_MIN_PROPOSALS`] proposals, so a batch too small to pay for
+/// a thread spawn stays on the calling thread.
+fn fanout_workers(threads: usize, shards: usize, ready_proposals: usize) -> usize {
+    threads
+        .max(1)
+        .min(shards)
+        .min((ready_proposals / FANOUT_MIN_PROPOSALS).max(1))
+}
+
 /// The sharded multi-shot instance manager. See the crate docs for the
 /// architecture; [`ServiceConfig`] for the knobs.
 pub struct NcService {
@@ -721,14 +766,19 @@ impl NcService {
 
     /// Decides every ready instance, fanning independent shards over up
     /// to `threads` workers, the calling thread included (`0` and `1`
-    /// both mean serial; `k` workers spawn `k - 1` threads). Submission
-    /// rings are drained first, in deterministic id order, after any
-    /// proposals already applied by [`NcService::propose`]. Each shard
-    /// then decides its ready queue and writes the batch to its
-    /// on-disk journal in one group commit before anything is
+    /// both mean serial). Submission rings are drained first, in
+    /// deterministic id order, after any proposals already applied by
+    /// [`NcService::propose`]. The worker count then comes from the
+    /// batch: `min(threads.max(1), shards, max(1, p / F))` for `p`
+    /// ready proposals (ready instances × `procs`) and
+    /// `F` = [`FANOUT_MIN_PROPOSALS`]. `k` workers spawn `k - 1`
+    /// threads, and a spawn costs 27–48 µs on a 2-core host, so a batch
+    /// under `2F` proposals is drained by the calling thread alone.
+    /// Each shard then decides its ready queue and writes the batch to
+    /// its on-disk journal in one group commit before anything is
     /// published. Returns the newly appended commit facts in canonical
     /// order (by shard, then ready-queue order) — the same facts
-    /// regardless of `threads`.
+    /// regardless of `threads` or of the worker count.
     ///
     /// # Panics
     ///
@@ -755,10 +805,8 @@ impl NcService {
             }
         }
 
-        let per = self
-            .shards
-            .len()
-            .div_ceil(threads.clamp(1, self.shards.len()));
+        let workers = fanout_workers(threads, self.shards.len(), need * self.queued());
+        let per = self.shards.len().div_ceil(workers);
         std::thread::scope(|scope| {
             let mut chunks = self.shards.chunks_mut(per);
             let own = chunks.next().unwrap_or_default();
@@ -926,6 +974,26 @@ mod tests {
         assert_eq!((built.procs, built.shards, built.seed), (3, 4, 9));
         assert_eq!(built.retention, Retention::DecidedCap(2));
         assert!(built.journal.is_none());
+    }
+
+    #[test]
+    fn fanout_rule_edges() {
+        let f = FANOUT_MIN_PROPOSALS;
+        let big = 100 * f;
+        // Empty and sub-constant batches stay on the calling thread.
+        assert_eq!(fanout_workers(4, 4, 0), 1);
+        assert_eq!(fanout_workers(4, 4, f - 1), 1);
+        // Each worker needs a full constant: `f` is one, `2f` two.
+        assert_eq!(fanout_workers(4, 4, f), 1);
+        assert_eq!(fanout_workers(4, 4, 2 * f - 1), 1);
+        assert_eq!(fanout_workers(4, 4, 2 * f), 2);
+        assert_eq!(fanout_workers(4, 4, 3 * f), 3);
+        // `threads` 0 and 1 are serial whatever the batch.
+        assert_eq!(fanout_workers(0, 4, big), 1);
+        assert_eq!(fanout_workers(1, 4, big), 1);
+        // Never more workers than shards, nor than threads.
+        assert_eq!(fanout_workers(8, 2, big), 2);
+        assert_eq!(fanout_workers(3, 4, big), 3);
     }
 
     #[test]

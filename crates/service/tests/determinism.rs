@@ -1,7 +1,8 @@
 //! The service-layer determinism contract:
 //!
 //! * per-shard commit journals do not depend on how many worker threads
-//!   drained the shards (1-vs-4 threads, byte-identical),
+//!   drained the shards (1-vs-4 threads, byte-identical, on batches
+//!   large enough that `run_ready` really fans out),
 //! * the canonical reduced commit log does not depend on the shard
 //!   count either (1-vs-2-vs-4 shards, byte-identical),
 //! * and the REQUIRED `trial_seed` per-instance seed derivation never
@@ -10,16 +11,26 @@
 
 use nc_memory::Bit;
 use nc_sched::rng::{salts, trial_seed};
-use nc_service::{loadgen, InstanceStatus, NcService, ServiceConfig};
+use nc_service::{loadgen, InstanceStatus, NcService, ServiceConfig, FANOUT_MIN_PROPOSALS};
 use proptest::prelude::*;
 
 const SEED: u64 = 40;
-const INSTANCES: u64 = 24;
 const PROCS: usize = 5;
 
+/// Instances whose proposals reach `workers` × `FANOUT_MIN_PROPOSALS`:
+/// the smallest batch `run_ready` fans over `workers` workers.
+const fn fans_over(workers: usize) -> u64 {
+    (workers * FANOUT_MIN_PROPOSALS).div_ceil(PROCS) as u64
+}
+
+/// The thread axes' batch: it fans over 4 workers, and the remainder
+/// batch of `INSTANCES - FANNED` over 2.
+const FANNED: u64 = fans_over(4);
+const INSTANCES: u64 = FANNED + fans_over(2);
+
 /// Builds a service, feeds it the deterministic loadgen proposal
-/// stream, and decides everything with `threads` workers, batching
-/// `batch` instances between `run_ready` calls.
+/// stream, and decides everything with up to `threads` workers,
+/// batching `batch` instances between `run_ready` calls.
 fn run_service(shards: usize, threads: usize, batch: u64) -> NcService {
     let cfg = ServiceConfig::builder()
         .procs(PROCS)
@@ -45,8 +56,8 @@ fn run_service(shards: usize, threads: usize, batch: u64) -> NcService {
 
 #[test]
 fn commit_logs_identical_1_vs_4_threads() {
-    let serial = run_service(4, 1, 6);
-    let fanned = run_service(4, 4, 6);
+    let serial = run_service(4, 1, FANNED);
+    let fanned = run_service(4, 4, FANNED);
     for s in 0..4 {
         assert_eq!(
             serial.commit_log_bytes(s),
@@ -82,7 +93,7 @@ fn batch_size_does_not_change_the_logs() {
 
 #[test]
 fn every_instance_is_reported_decided() {
-    let svc = run_service(4, 4, 8);
+    let svc = run_service(4, 4, FANNED);
     for id in 0..INSTANCES {
         assert!(
             matches!(svc.status(id), InstanceStatus::Decided(_)),

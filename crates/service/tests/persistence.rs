@@ -4,7 +4,11 @@
 //! * a service killed mid-run and reopened from its `journal_dir`
 //!   continues to a reduced commit log — and to on-disk segment files —
 //!   **byte-identical** to an uninterrupted run, across shard counts
-//!   (1/2/4) and worker-thread counts (1 vs 4),
+//!   (1/2/4) and worker-thread counts (1 vs 4, on batches large enough
+//!   that `run_ready` really fans out),
+//! * a failed journal write, on the calling thread's shard or on a
+//!   spawned worker's, publishes no fact that is not durable, and a
+//!   reopen heals the run to the uninterrupted bytes,
 //! * a torn final record (a crash mid-append) is truncated away on
 //!   reopen, its instance becomes re-runnable, and re-running it
 //!   restores the identical bytes,
@@ -18,12 +22,24 @@ use std::path::{Path, PathBuf};
 
 use nc_service::{
     loadgen, InstanceStatus, JournalReader, NcService, Retention, ServiceConfig, ServiceError,
+    FANOUT_MIN_PROPOSALS,
 };
 use proptest::prelude::*;
 
 const SEED: u64 = 41;
 const PROCS: usize = 5;
 const INSTANCES: u64 = 24;
+
+/// Instances whose proposals reach `workers` × `FANOUT_MIN_PROPOSALS`:
+/// the smallest batch `run_ready` fans over `workers` workers.
+const fn fans_over(workers: usize) -> u64 {
+    (workers * FANOUT_MIN_PROPOSALS).div_ceil(PROCS) as u64
+}
+
+/// The thread axis's stream: batches of `fans_over(4)`, then a
+/// remainder that fans over 2 workers.
+const AXIS_BATCH: u64 = fans_over(4);
+const AXIS_INSTANCES: u64 = AXIS_BATCH + fans_over(2);
 
 struct TempDir(PathBuf);
 
@@ -87,25 +103,35 @@ fn journal_bytes(dir: &Path) -> Vec<(String, Vec<u8>)> {
     out
 }
 
-/// The uninterrupted reference: all instances decided in batches of 6.
-fn uninterrupted(shards: usize, threads: usize, dir: &Path, segment_records: usize) -> String {
+/// The uninterrupted reference: instances `0..instances` decided in
+/// batches of `batch`.
+fn uninterrupted(
+    shards: usize,
+    threads: usize,
+    dir: &Path,
+    segment_records: usize,
+    instances: u64,
+    batch: u64,
+) -> String {
     let mut svc = NcService::new(cfg(shards, dir, segment_records));
-    for batch in 0..INSTANCES / 6 {
-        feed(&mut svc, batch * 6..(batch + 1) * 6, threads);
+    for start in (0..instances).step_by(batch as usize) {
+        feed(&mut svc, start..(start + batch).min(instances), threads);
     }
-    assert_eq!(svc.decided() as u64, INSTANCES);
+    assert_eq!(svc.decided() as u64, instances);
     svc.reduced_log()
 }
 
-/// Kill-and-reopen: decide `kill_after` instances, drop the service
-/// (in-flight ring submissions die with it, as in a real crash),
-/// reopen from the same dir, re-submit everything not yet durable, and
-/// finish. Returns the final reduced log.
+/// Kill-and-reopen over instances `0..instances`: decide the first
+/// `kill_after` in one batch, drop the service (in-flight ring
+/// submissions die with it, as in a real crash), reopen from the same
+/// dir, re-submit everything not yet durable, and finish. Returns the
+/// final reduced log.
 fn killed_and_reopened(
     shards: usize,
     threads: usize,
     dir: &Path,
     segment_records: usize,
+    instances: u64,
     kill_after: u64,
 ) -> String {
     {
@@ -124,25 +150,30 @@ fn killed_and_reopened(
         kill_after,
         "replay lost or invented facts"
     );
-    for id in 0..INSTANCES {
+    for id in 0..instances {
         match svc.status(id) {
             InstanceStatus::Decided(_) | InstanceStatus::Evicted { .. } => {}
             InstanceStatus::Unknown => feed(&mut svc, id..id + 1, threads),
             other => panic!("instance {id} replayed to {other:?}"),
         }
     }
-    assert_eq!(svc.decided() as u64, INSTANCES);
+    assert_eq!(svc.decided() as u64, instances);
     svc.reduced_log()
 }
 
 #[test]
 fn kill_and_reopen_is_byte_identical_across_shards_and_threads() {
+    // The first batch of either run fans over every shard at 4
+    // threads; the kill point is off the batch boundaries and, on most
+    // shards, off the segment boundaries.
+    let kill_after = AXIS_BATCH + 3;
     for shards in [1usize, 2, 4] {
         for threads in [1usize, 4] {
             let straight = TempDir::new(&format!("straight-{shards}-{threads}"));
             let killed = TempDir::new(&format!("killed-{shards}-{threads}"));
-            let want = uninterrupted(shards, threads, &straight.0, 4);
-            let got = killed_and_reopened(shards, threads, &killed.0, 4, 13);
+            let want = uninterrupted(shards, threads, &straight.0, 4, AXIS_INSTANCES, AXIS_BATCH);
+            let got =
+                killed_and_reopened(shards, threads, &killed.0, 4, AXIS_INSTANCES, kill_after);
             assert_eq!(
                 want, got,
                 "reduced log diverged (shards={shards}, threads={threads})"
@@ -163,9 +194,9 @@ fn reduced_log_is_invariant_to_segment_capacity() {
     let a = TempDir::new("cap-1");
     let b = TempDir::new("cap-7");
     let c = TempDir::new("cap-big");
-    let log = uninterrupted(2, 1, &a.0, 1);
-    assert_eq!(log, uninterrupted(2, 1, &b.0, 7));
-    assert_eq!(log, uninterrupted(2, 1, &c.0, 1024));
+    let log = uninterrupted(2, 1, &a.0, 1, INSTANCES, 6);
+    assert_eq!(log, uninterrupted(2, 1, &b.0, 7, INSTANCES, 6));
+    assert_eq!(log, uninterrupted(2, 1, &c.0, 1024, INSTANCES, 6));
 }
 
 #[test]
@@ -222,50 +253,64 @@ fn retention_applies_across_reopen() {
     }
 }
 
-#[test]
-fn failed_write_publishes_no_undurable_fact() {
-    // One shard, two records per segment: the batch of 5 fills
-    // segment 0, then the roll to segment 1 fails because its path is
-    // a directory.
-    let straight = TempDir::new("io-straight");
-    let broken = TempDir::new("io-broken");
-    let shard_dir = broken.0.join("shard-0");
+/// Blocks shard `blocked`'s roll to segment 1 (two records per segment)
+/// with a directory, then decides `0..instances` in one
+/// `run_ready(threads)`: it must panic without publishing a fact that
+/// is not durable. Reopening and resubmitting everything must then heal
+/// the run to the bytes of an uninterrupted one.
+fn failed_write_heals(shards: usize, threads: usize, blocked: usize, instances: u64) {
+    let straight = TempDir::new(&format!("io-straight-{shards}"));
+    let broken = TempDir::new(&format!("io-broken-{shards}"));
+    let shard_dir = broken.0.join(format!("shard-{blocked}"));
     let blocker = shard_dir.join("seg-00000001.log");
-    let mut svc = NcService::new(cfg(1, &broken.0, 2));
+    let mut svc = NcService::new(cfg(shards, &broken.0, 2));
     std::fs::create_dir_all(&blocker).unwrap();
-    for id in 0..5 {
+    for id in 0..instances {
         for value in loadgen::proposals_for(id, PROCS) {
             svc.submit(id, value).unwrap();
         }
     }
-    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| svc.run_ready(1)));
+    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| svc.run_ready(threads)));
     assert!(run.is_err(), "a failed journal write must panic run_ready");
     std::fs::remove_dir(&blocker).unwrap();
     let durable = JournalReader::replay(&shard_dir).unwrap().facts;
     assert_eq!(durable.len(), 2, "segment 0 was written before the roll");
-    for fact in svc.commit_log(0) {
+    for fact in svc.commit_log(blocked) {
         assert!(
             durable.contains(fact),
             "fact {fact:?} published but not durable"
         );
     }
+    assert!(svc.drain_completions().is_empty(), "a fact was published");
     drop(svc);
 
-    // Reopen and resubmit everything: the run heals to the bytes of an
-    // uninterrupted one.
-    let mut svc = NcService::new(cfg(1, &broken.0, 2));
-    for id in 0..5 {
+    let mut svc = NcService::new(cfg(shards, &broken.0, 2));
+    for id in 0..instances {
         for value in loadgen::proposals_for(id, PROCS) {
             match svc.submit(id, value) {
                 Ok(_) | Err(ServiceError::InstanceClosed { .. }) => {}
             }
         }
     }
-    svc.run_ready(1);
-    let mut want = NcService::new(cfg(1, &straight.0, 2));
-    feed(&mut want, 0..5, 1);
+    svc.run_ready(threads);
+    let mut want = NcService::new(cfg(shards, &straight.0, 2));
+    feed(&mut want, 0..instances, threads);
     assert_eq!(svc.reduced_log(), want.reduced_log());
     assert_eq!(journal_bytes(&straight.0), journal_bytes(&broken.0));
+}
+
+#[test]
+fn failed_write_publishes_no_undurable_fact() {
+    // One shard: the batch of 5 fills segment 0, then the roll fails.
+    failed_write_heals(1, 1, 0, 5);
+}
+
+#[test]
+fn failed_write_on_a_helper_drained_shard_publishes_nothing() {
+    // A batch `run_ready(2)` fans over two workers: shard 1 is the
+    // spawned worker's chunk, whose error travels back to the serial
+    // post-pass.
+    failed_write_heals(2, 2, 1, fans_over(2));
 }
 
 /// The final (highest-index) segment file under `shard_dir`.
@@ -292,8 +337,8 @@ proptest! {
     ) {
         let straight = TempDir::new("prop-straight");
         let killed = TempDir::new("prop-killed");
-        let want = uninterrupted(shards, 1, &straight.0, segment_records);
-        let got = killed_and_reopened(shards, 1, &killed.0, segment_records, kill_after);
+        let want = uninterrupted(shards, 1, &straight.0, segment_records, INSTANCES, 6);
+        let got = killed_and_reopened(shards, 1, &killed.0, segment_records, INSTANCES, kill_after);
         prop_assert_eq!(want, got);
         prop_assert_eq!(journal_bytes(&straight.0), journal_bytes(&killed.0));
     }
