@@ -17,8 +17,8 @@
 //!   recovery time: how long after heal the slowest minority node takes
 //!   to decide.
 //! * **mixed-deployment sweep** — a subset of nodes serves replica
-//!   duties out of one shared `nc_memory` plane (`SharedPlane`), under
-//!   loss, quantifying how bridging shared memory into the quorum
+//!   duties out of one shared replica (`nc_msg::node::SharedPlane`),
+//!   under loss, quantifying how putting shared memory into the quorum
 //!   changes traffic.
 //!
 //! Everything is deterministic in `(preset, seed)`: per-trial seeds come

@@ -3,14 +3,15 @@
 //!
 //! Every prior scenario decides *one* instance per trial; this one
 //! drives the service front door: `instances` single-shot instances
-//! (the load generator's deterministic proposal vectors) proposed into
-//! a sharded table, batched through the pooled per-shard engine
-//! handles, and reduced to the canonical commit log. The sweep runs
-//! the *same* request stream at shard counts 1, 2, and 4 and reports,
-//! per shard count, the decide rate, mean decide round, mean op count,
-//! and an FNV-1a fingerprint of the reduced commit log — the sharding
-//! invariance is visible in the CSV itself (one identical fingerprint
-//! column), and pinned byte-for-byte by the smoke golden.
+//! (the load generator's deterministic proposal vectors) submitted
+//! into a sharded table, batched through the pooled per-shard engine
+//! handles, drained as commit facts, and reduced to the canonical
+//! commit log. The sweep runs the *same* request stream at shard
+//! counts 1, 2, and 4 and reports, per shard count, the decide rate,
+//! mean decide round, mean op count, and an FNV-1a fingerprint of the
+//! reduced commit log — the sharding invariance is visible in the CSV
+//! itself (one identical fingerprint column), and pinned byte-for-byte
+//! by the smoke golden.
 //!
 //! Per-instance seeds use the REQUIRED
 //! `trial_seed(seed, id, salts::SERVICE)` derivation (inside
@@ -18,7 +19,7 @@
 //! at every shard count and worker count; no wall-clock quantity is
 //! reported (throughput and latency live in `bench_service`).
 
-use nc_service::{loadgen, CommitFact, NcService, ServiceConfig};
+use nc_service::{loadgen, NcService, ServiceConfig};
 
 use crate::scenario::{Preset, Scenario, Spec};
 use crate::table::{f2, f3, Table};
@@ -94,10 +95,11 @@ pub fn run_shard_sweep(instances: u64, procs: usize, seed: u64, threads: usize) 
         let mut svc = NcService::new(cfg);
         for id in 0..instances {
             for value in loadgen::proposals_for(id, procs) {
-                svc.propose(id, value).expect("fresh instance ids");
+                svc.submit(id, value).expect("fresh instance ids");
             }
         }
-        let facts: Vec<CommitFact> = svc.run_ready(threads);
+        svc.run_ready(threads);
+        let facts = svc.drain_completions();
         assert_eq!(facts.len() as u64, instances, "every instance must close");
         let decided = facts.iter().filter(|f| f.value.is_some()).count();
         let mean_round =

@@ -21,7 +21,7 @@
 //!   [`nc_core::LeanConsensus`] step machine driving it. Quorums count
 //!   **distinct** replicas, phases are resendable, and a subset of nodes
 //!   can serve replica duties out of a shared [`node::SharedPlane`]
-//!   (bridging `nc_memory` for mixed deployments).
+//!   (one replica held in common, for mixed deployments).
 //! * [`faults`] — the deterministic network-fault plane: seeded message
 //!   loss, duplication, and timed partition schedules
 //!   ([`faults::NetFaultSpec`]), with retry/timeout and gossip tuning

@@ -26,19 +26,18 @@
 //!   highest-stamp rule — after a partition heals, the minority side
 //!   catches up instead of stalling.
 //!
-//! Nodes may also share a memory plane ([`SharedPlane`], a bridge to
-//! [`nc_memory::SimMemory`]): plane members serve replica duties out of
-//! one common store, modelling mixed shared-memory/message deployments.
+//! Nodes may also share a memory plane ([`SharedPlane`], one replica
+//! held in common): plane members serve replica duties out of one
+//! store, modelling mixed shared-memory/message deployments.
 //! Merging replicas is safe — replica state is a join-semilattice under
 //! highest-stamp-wins, and a shared replica is simply the join of its
 //! members' private states.
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use nc_core::{LeanConsensus, Protocol, Status};
-use nc_memory::{Addr, Bit, Op, SimMemory, Word};
+use nc_memory::{Addr, Bit, Op, Word};
 
 use crate::proto::{OpId, Payload, Stamp};
 
@@ -64,20 +63,20 @@ pub struct Outgoing {
     pub payload: Payload,
 }
 
-/// A word store shared by a subset of nodes: the bridge between the
-/// message-passing world and the engine's `nc_memory` planes.
+/// A replica shared by a subset of nodes, modelling a mixed
+/// shared-memory/message deployment.
 ///
-/// Values live in a [`SimMemory`] (reads of never-written addresses
-/// return 0, exactly like a private replica's default entry); stamps
-/// live alongside in an ordered map. Plane members hand out and absorb
-/// `(stamp, value)` pairs through the same highest-stamp-wins rule as
-/// private replicas, so a `Put` applied by one member is instantly
-/// visible to every member — the plane is the join of its members'
-/// replicas, which the ABD emulation tolerates by construction.
+/// It stores the same `(address, stamp, value)` entries, sorted by
+/// address, as a private replica. Plane members hand out and absorb
+/// `(stamp, value)` pairs through the same highest-stamp-wins rule, so
+/// a `Put` applied by one member is instantly visible to every member —
+/// the plane is the join of its members' replicas, which the ABD
+/// emulation tolerates by construction. One rule differs: a put whose
+/// stamp loses leaves no entry behind here, while a private replica
+/// keeps a `(Stamp::ZERO, 0)` entry that gossip's drip counts.
 #[derive(Debug)]
 pub struct SharedPlane {
-    mem: SimMemory,
-    stamps: BTreeMap<Addr, Stamp>,
+    entries: Vec<(Addr, Stamp, Word)>,
 }
 
 impl SharedPlane {
@@ -85,8 +84,7 @@ impl SharedPlane {
     /// as [`Node::new`]).
     pub fn new(sentinels: &[(Addr, Word)]) -> Rc<RefCell<Self>> {
         let mut plane = SharedPlane {
-            mem: SimMemory::new(),
-            stamps: BTreeMap::new(),
+            entries: Vec::with_capacity(sentinels.len()),
         };
         for &(addr, value) in sentinels {
             plane.put(addr, Stamp::ZERO.next_for(0), value);
@@ -94,31 +92,12 @@ impl SharedPlane {
         Rc::new(RefCell::new(plane))
     }
 
-    fn get(&mut self, addr: Addr) -> (Stamp, Word) {
-        let stamp = self.stamps.get(&addr).copied().unwrap_or(Stamp::ZERO);
-        (stamp, self.mem.read(addr))
-    }
-
     fn put(&mut self, addr: Addr, stamp: Stamp, value: Word) {
-        let current = self.stamps.get(&addr).copied().unwrap_or(Stamp::ZERO);
-        if stamp > current {
-            self.stamps.insert(addr, stamp);
-            self.mem.write(addr, value);
+        match self.entries.binary_search_by_key(&addr, |e| e.0) {
+            Ok(i) if stamp > self.entries[i].1 => self.entries[i] = (addr, stamp, value),
+            Err(i) if stamp > Stamp::ZERO => self.entries.insert(i, (addr, stamp, value)),
+            _ => {}
         }
-    }
-
-    fn nth_entry(&mut self, k: usize) -> Option<(Addr, Stamp, Word)> {
-        if self.stamps.is_empty() {
-            return None;
-        }
-        let idx = k % self.stamps.len();
-        let (&addr, &stamp) = self.stamps.iter().nth(idx)?;
-        Some((addr, stamp, self.mem.read(addr)))
-    }
-
-    /// Words touched in the backing [`SimMemory`] (bridge introspection).
-    pub fn footprint_words(&self) -> usize {
-        self.mem.footprint_words()
     }
 }
 
@@ -149,14 +128,26 @@ fn entry_index(entries: &mut Vec<(Addr, Stamp, Word)>, addr: Addr) -> usize {
         })
 }
 
+/// `addr`'s `(stamp, value)` in sorted `entries`; `(Stamp::ZERO, 0)`
+/// when it has no entry.
+fn lookup(entries: &[(Addr, Stamp, Word)], addr: Addr) -> (Stamp, Word) {
+    match entries.binary_search_by_key(&addr, |e| e.0) {
+        Ok(i) => (entries[i].1, entries[i].2),
+        Err(_) => (Stamp::ZERO, 0),
+    }
+}
+
+/// Gossip's drip: entry `k % len` of sorted `entries`, or `None` when
+/// there are none.
+fn nth_entry(entries: &[(Addr, Stamp, Word)], k: usize) -> Option<(Addr, Stamp, Word)> {
+    (!entries.is_empty()).then(|| entries[k % entries.len()])
+}
+
 impl ReplicaStore {
-    fn get(&mut self, addr: Addr) -> (Stamp, Word) {
+    fn get(&self, addr: Addr) -> (Stamp, Word) {
         match self {
-            ReplicaStore::Private(entries) => match entries.binary_search_by_key(&addr, |e| e.0) {
-                Ok(i) => (entries[i].1, entries[i].2),
-                Err(_) => (Stamp::ZERO, 0),
-            },
-            ReplicaStore::Shared(plane) => plane.borrow_mut().get(addr),
+            ReplicaStore::Private(entries) => lookup(entries, addr),
+            ReplicaStore::Shared(plane) => lookup(&plane.borrow().entries, addr),
         }
     }
 
@@ -172,11 +163,10 @@ impl ReplicaStore {
         }
     }
 
-    fn nth_entry(&mut self, k: usize) -> Option<(Addr, Stamp, Word)> {
+    fn nth_entry(&self, k: usize) -> Option<(Addr, Stamp, Word)> {
         match self {
-            ReplicaStore::Private(entries) if entries.is_empty() => None,
-            ReplicaStore::Private(entries) => Some(entries[k % entries.len()]),
-            ReplicaStore::Shared(plane) => plane.borrow_mut().nth_entry(k),
+            ReplicaStore::Private(entries) => nth_entry(entries, k),
+            ReplicaStore::Shared(plane) => nth_entry(&plane.borrow().entries, k),
         }
     }
 }
@@ -805,7 +795,10 @@ mod tests {
                 decisions.iter().all(|&d| d == decisions[0]),
                 "scramble {scramble}: {decisions:?}"
             );
-            assert!(plane.borrow().footprint_words() > 0, "plane was exercised");
+            assert!(
+                plane.borrow().entries.len() > sentinels().len(),
+                "members wrote through the plane"
+            );
         }
     }
 
@@ -852,27 +845,34 @@ mod tests {
 
     #[test]
     fn losing_puts_still_leave_an_entry_for_gossip() {
-        // ReadBack phases write back zero stamps. The replica keeps each
-        // such address at the zero stamp, in address order, and gossip's
-        // drip (entry k mod len) counts it.
-        let mut node = Node::new(0, 2, Bit::Zero, &[]);
-        let mut out = Vec::new();
-        let op = OpId { node: 1, seq: 1 };
-        for addr in [Addr::new(9), Addr::new(5)] {
-            let put = Payload::Put {
-                op,
-                addr,
-                stamp: Stamp::ZERO,
-                value: 0,
-            };
-            node.on_message(put, &mut out);
+        // ReadBack phases write back zero stamps. A private replica
+        // keeps each such address at the zero stamp, in address order,
+        // and gossip's drip (entry k mod len) counts it; a shared plane
+        // keeps no entry for a put that loses, so its drip stays empty.
+        let five = Some((Addr::new(5), Stamp::ZERO, 0));
+        let nine = Some((Addr::new(9), Stamp::ZERO, 0));
+        let nodes = [
+            (Node::new(0, 2, Bit::Zero, &[]), vec![five, nine, five]),
+            (
+                Node::new_shared(0, 2, Bit::Zero, SharedPlane::new(&[])),
+                vec![None; 3],
+            ),
+        ];
+        for (mut node, want) in nodes {
+            let mut out = Vec::new();
+            let op = OpId { node: 1, seq: 1 };
+            for addr in [Addr::new(9), Addr::new(5)] {
+                let put = Payload::Put {
+                    op,
+                    addr,
+                    stamp: Stamp::ZERO,
+                    value: 0,
+                };
+                node.on_message(put, &mut out);
+            }
+            let drip: Vec<_> = (0..3).map(|k| node.replica.nth_entry(k)).collect();
+            assert_eq!(drip, want);
         }
-        let drip: Vec<_> = (0..3).map(|k| node.replica.nth_entry(k)).collect();
-        let (five, nine) = (
-            Some((Addr::new(5), Stamp::ZERO, 0)),
-            Some((Addr::new(9), Stamp::ZERO, 0)),
-        );
-        assert_eq!(drip, vec![five, nine, five]);
     }
 
     #[test]

@@ -87,7 +87,7 @@ pub struct MsgConfig {
     /// Broadcast expansion model (default: unicast).
     pub channel: Channel,
     /// Nodes whose replica duties are served out of one shared
-    /// [`SharedPlane`] (the bridge to `nc_memory`): a mixed
+    /// [`SharedPlane`] (one replica held in common): a mixed
     /// shared-memory/message deployment. `None` or empty = all private.
     pub shared_plane: Option<Vec<u32>>,
 }

@@ -78,9 +78,11 @@ pub enum JournalError {
     },
     /// A segment's bytes contradict the format somewhere *before* the
     /// torn-tail position (bad magic, wrong index, interior CRC
-    /// mismatch). Torn tails are recovered, never reported here.
+    /// mismatch), or a service's journal does not fit the config it is
+    /// reopened with (see [`crate::NcService::open`]). Torn tails are
+    /// recovered, never reported here.
     Corrupt {
-        /// The offending segment file.
+        /// The offending segment file, shard directory, or journal root.
         path: PathBuf,
         /// What was wrong with it.
         detail: String,
@@ -94,7 +96,7 @@ impl std::fmt::Display for JournalError {
                 write!(f, "journal I/O error at {}: {source}", path.display())
             }
             JournalError::Corrupt { path, detail } => {
-                write!(f, "corrupt journal segment {}: {detail}", path.display())
+                write!(f, "corrupt journal at {}: {detail}", path.display())
             }
         }
     }

@@ -5,16 +5,15 @@
 //! production means millions of concurrent single-shot instances
 //! decided behind one front door. This crate is that front door:
 //!
-//! * **Front door.** [`NcService::submit`] enqueues one proposal into
-//!   a per-shard submission ring and returns a [`Ticket`];
-//!   [`NcService::poll`] answers where the ticket's instance stands
-//!   and [`NcService::drain_completions`] hands back every commit
-//!   fact decided since the last drain — no busy-stepping. The
-//!   synchronous [`NcService::propose`] / [`NcService::status`] pair
-//!   remains for callers that apply proposals immediately. Both doors
-//!   go through one admission rule over one instance map: an instance
-//!   is open while its applied proposals plus undrained ring entries
-//!   number fewer than `procs`.
+//! * **Front door.** [`NcService::submit`] records one proposal on
+//!   its instance and returns a [`Ticket`]; [`NcService::poll`]
+//!   answers where the ticket's instance stands and
+//!   [`NcService::drain_completions`] hands back every commit fact
+//!   decided since the last drain — no busy-stepping. An instance is
+//!   open while it holds fewer than `procs` proposals; the `procs`-th
+//!   queues it on its shard's ready list. [`NcService::status`]
+//!   answers the same question by id, for ids that have no ticket
+//!   (such as those replayed from a journal).
 //! * **Sharded instance table.** Instances are sharded by id
 //!   (`id % shards`). Every instance derives its run seed as
 //!   `trial_seed(service_seed, id, salts::SERVICE)` — the REQUIRED
@@ -22,11 +21,11 @@
 //!   stream that depends only on the service seed and the instance id,
 //!   never on sharding or arrival order.
 //! * **Batched stepping.** Each shard owns one reusable
-//!   [`nc_engine::sim::SimRun`] handle and drives its ready queue
+//!   [`nc_engine::sim::SimRun`] handle and drives its ready list
 //!   through it ([`SimRun::run_with_inputs`]).
-//!   [`NcService::run_ready`] first drains the submission rings in
-//!   deterministic id order, then fans independent shards across
-//!   worker threads; the calling thread drains the first chunk itself.
+//!   [`NcService::run_ready`] fans independent shards across worker
+//!   threads, and each shard decides its ready list in id order; the
+//!   calling thread drains the first chunk itself.
 //!   A worker is added only per full [`FANOUT_MIN_PROPOSALS`] (100)
 //!   ready proposals: a thread spawn costs 27–48 µs on a 2-core host,
 //!   several five-process instances' worth, so small open-loop batches
@@ -348,8 +347,7 @@ pub enum InstanceStatus {
     /// Never heard of it (distinct from [`InstanceStatus::Evicted`]:
     /// an unknown id has no durable fact).
     Unknown,
-    /// Collecting proposals: `got` of `need` arrived (submitted but
-    /// not-yet-drained ring entries are counted).
+    /// Collecting proposals: `got` of `need` submitted.
     Accepting {
         /// Proposals received so far.
         got: usize,
@@ -372,31 +370,12 @@ pub enum InstanceStatus {
     },
 }
 
-/// What [`NcService::propose`] did with the proposal.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum ProposeOutcome {
-    /// Recorded; the instance still needs more proposals.
-    Accepted {
-        /// Proposals received so far.
-        got: usize,
-        /// Proposals required.
-        need: usize,
-    },
-    /// This proposal completed the instance: it is now queued on
-    /// `shard`, to be decided by the next [`NcService::run_ready`].
-    Ready {
-        /// The shard the instance was queued on.
-        shard: usize,
-    },
-}
-
-/// Why [`NcService::propose`] or [`NcService::submit`] refused a
-/// proposal.
+/// Why [`NcService::submit`] refused a proposal.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ServiceError {
-    /// The instance already collected all its proposals (counting
-    /// not-yet-drained submissions) — it is queued, decided, or
-    /// evicted; a single-shot instance never reopens.
+    /// The instance already collected all its proposals — it is
+    /// queued, decided, or evicted; a single-shot instance never
+    /// reopens.
     InstanceClosed {
         /// The refused instance.
         id: u64,
@@ -417,48 +396,22 @@ impl std::error::Error for ServiceError {}
 
 /// One resident instance in the table.
 enum Slot {
-    /// Collecting proposals: `inputs` applied so far, plus `ring`
-    /// submissions not yet drained from the shard's ring.
-    Open { inputs: Vec<Bit>, ring: usize },
+    /// Collecting proposals, in submission order.
+    Open(Vec<Bit>),
     /// Fully proposed, waiting on its shard's next batch.
     Queued,
     /// Decided and still resident.
     Decided(CommitFact),
 }
 
-impl Slot {
-    /// Applies one proposal to an admitted (open) slot and returns how
-    /// many it now holds; the `need`-th closes the slot to `Queued` and
-    /// moves its inputs onto `ready`.
-    fn apply(
-        &mut self,
-        id: u64,
-        value: Bit,
-        need: usize,
-        ready: &mut VecDeque<(u64, Vec<Bit>)>,
-    ) -> usize {
-        let Slot::Open { inputs, .. } = self else {
-            unreachable!("proposals are applied to admitted instances only");
-        };
-        inputs.push(value);
-        let got = inputs.len();
-        if got == need {
-            ready.push_back((id, std::mem::take(inputs)));
-            *self = Slot::Queued;
-        }
-        got
-    }
-}
-
-/// One shard: a pooled engine handle, the submission ring and ready
-/// queue it drains, and the append-only journal (in-memory always, on
-/// disk when configured) it feeds.
+/// One shard: a pooled engine handle, the ready list it drains, and
+/// the append-only journal (in-memory always, on disk when configured)
+/// it feeds.
 struct Shard {
     runner: SimRun,
-    /// Non-blocking front door: `(id, value)` submissions awaiting the
-    /// next [`NcService::run_ready`] drain.
-    submissions: Vec<(u64, Bit)>,
-    ready: VecDeque<(u64, Vec<Bit>)>,
+    /// Fully proposed instances and their inputs, in completion order
+    /// until [`Shard::drain`] sorts them by id.
+    ready: Vec<(u64, Vec<Bit>)>,
     journal: Vec<CommitFact>,
     /// Journal prefix already reflected in the instance table.
     synced: usize,
@@ -479,8 +432,7 @@ impl Shard {
                 .timing(cfg.timing.clone())
                 .limits(cfg.limits)
                 .build(),
-            submissions: Vec::new(),
-            ready: VecDeque::new(),
+            ready: Vec::new(),
             journal: replayed,
             synced,
             writer,
@@ -489,12 +441,16 @@ impl Shard {
         }
     }
 
-    /// Decides every queued instance through the pooled handle,
-    /// appending one commit fact each, then writes the batch to disk
-    /// in one group commit when a journal writer is attached.
+    /// Decides every ready instance through the pooled handle in id
+    /// order, appending one commit fact each, then writes the batch to
+    /// disk in one group commit when a journal writer is attached.
+    /// The sort makes a batch's journal order a pure function of the
+    /// ready set, not of the order proposals arrived in; ids in one
+    /// list are unique, so an unstable sort is exact.
     fn drain(&mut self) {
         let start = self.journal.len();
-        while let Some((id, inputs)) = self.ready.pop_front() {
+        self.ready.sort_unstable_by_key(|&(id, _)| id);
+        for (id, inputs) in self.ready.drain(..) {
             let seed = trial_seed(self.seed, id, salts::SERVICE);
             let report = self.runner.run_with_inputs(seed, &inputs);
             self.journal.push(CommitFact {
@@ -566,6 +522,8 @@ pub struct NcService {
     evicted: HashMap<u64, (Option<Bit>, u32)>,
     /// Facts decided since the last [`NcService::drain_completions`].
     completions: Vec<CommitFact>,
+    /// Proposals submitted since the last [`NcService::run_ready`].
+    pending: usize,
     tracker: ResidencyTracker,
     shards: Vec<Shard>,
 }
@@ -593,12 +551,30 @@ impl NcService {
     /// and its instance simply runs again, reproducing the identical
     /// fact.
     ///
+    /// A journal written with more shards than `cfg.shards` is refused
+    /// as [`JournalError::Corrupt`], naming the first shard directory
+    /// this config would not replay: reopening it would drop that
+    /// directory's facts and let their instances decide a second time.
+    /// Growing the shard count loses nothing and is allowed. Replayed
+    /// facts holding two facts for one id are refused the same way.
+    ///
     /// # Panics
     ///
     /// Panics if `cfg.procs == 0` or `cfg.shards == 0`.
     pub fn open(cfg: ServiceConfig) -> Result<Self, JournalError> {
         assert!(cfg.procs >= 1, "need at least one process per instance");
         assert!(cfg.shards >= 1, "need at least one shard");
+        if let Some(spec) = &cfg.journal {
+            // Every open creates all its shard directories, so a journal
+            // written by more shards always holds this one.
+            let beyond = spec.dir.join(format!("shard-{}", cfg.shards));
+            if beyond.exists() {
+                return Err(JournalError::Corrupt {
+                    path: beyond,
+                    detail: format!("written by more than {} shards", cfg.shards),
+                });
+            }
+        }
         let mut shards = Vec::with_capacity(cfg.shards);
         for s in 0..cfg.shards {
             let (writer, replayed) = match &cfg.journal {
@@ -611,24 +587,32 @@ impl NcService {
             };
             shards.push(Shard::new(&cfg, writer, replayed));
         }
-        let mut svc = NcService {
-            cfg,
-            instances: HashMap::new(),
-            evicted: HashMap::new(),
-            completions: Vec::new(),
-            tracker: ResidencyTracker::new(Retention::KeepAll),
-            shards,
-        };
-        svc.tracker = ResidencyTracker::new(svc.cfg.retention);
         // Publish replayed facts in canonical id order — the replayed
         // resident set is then a pure function of the durable facts,
         // independent of how the original run batched them.
-        let mut replayed: Vec<CommitFact> = svc
-            .shards
+        let mut replayed: Vec<CommitFact> = shards
             .iter()
             .flat_map(|s| s.journal.iter().copied())
             .collect();
         replayed.sort_unstable_by_key(|f| f.id);
+        if let (Some(spec), Some(twice)) = (
+            &cfg.journal,
+            replayed.windows(2).find(|w| w[0].id == w[1].id),
+        ) {
+            return Err(JournalError::Corrupt {
+                path: spec.dir.clone(),
+                detail: format!("two commit facts for instance {}", twice[0].id),
+            });
+        }
+        let mut svc = NcService {
+            tracker: ResidencyTracker::new(cfg.retention),
+            cfg,
+            instances: HashMap::new(),
+            evicted: HashMap::new(),
+            completions: Vec::new(),
+            pending: 0,
+            shards,
+        };
         for fact in replayed {
             svc.publish(fact);
         }
@@ -651,77 +635,44 @@ impl NcService {
         trial_seed(self.cfg.seed, id, salts::SERVICE)
     }
 
-    /// The one admission rule both front doors share: instance `id`'s
-    /// open slot (created on first contact), or `InstanceClosed` when it
-    /// is queued, decided, or evicted — or when its applied proposals
-    /// plus undrained ring entries already complete it.
-    fn admit<'a>(
-        instances: &'a mut HashMap<u64, Slot>,
-        evicted: &HashMap<u64, (Option<Bit>, u32)>,
-        id: u64,
-        need: usize,
-    ) -> Result<&'a mut Slot, ServiceError> {
-        let slot = match instances.entry(id) {
-            Entry::Occupied(e) => e.into_mut(),
-            Entry::Vacant(_) if evicted.contains_key(&id) => {
-                return Err(ServiceError::InstanceClosed { id });
-            }
-            Entry::Vacant(e) => e.insert(Slot::Open {
-                inputs: Vec::with_capacity(need),
-                ring: 0,
-            }),
-        };
-        match slot {
-            Slot::Open { inputs, ring } if inputs.len() + *ring < need => Ok(slot),
-            _ => Err(ServiceError::InstanceClosed { id }),
-        }
-    }
-
-    /// Feeds one proposal into instance `id`, applied immediately. The
-    /// `procs`-th proposal makes the instance ready and queues it on
-    /// its shard; proposing into a queued, decided, or evicted
-    /// instance — or one whose ring submissions already complete it —
-    /// is refused (single-shot).
-    pub fn propose(&mut self, id: u64, value: Bit) -> Result<ProposeOutcome, ServiceError> {
-        let (need, shard) = (self.cfg.procs, self.shard_of(id));
-        let slot = Self::admit(&mut self.instances, &self.evicted, id, need)?;
-        let got = slot.apply(id, value, need, &mut self.shards[shard].ready);
-        Ok(if got == need {
-            ProposeOutcome::Ready { shard }
-        } else {
-            ProposeOutcome::Accepted { got, need }
-        })
-    }
-
-    /// Enqueues one proposal for instance `id` on its shard's
-    /// submission ring — the non-blocking front door. The proposal is
-    /// applied by the next [`NcService::run_ready`]; track it with
-    /// [`NcService::poll`]. Refused exactly when [`NcService::propose`]
-    /// would be, counting ring entries, so a drain can never reject.
+    /// Records one proposal for instance `id` — the one front door —
+    /// and returns a [`Ticket`] to [`NcService::poll`] it with. The
+    /// instance's proposals become its processes' inputs in submission
+    /// order; the `procs`-th queues it on its shard for the next
+    /// [`NcService::run_ready`]. Submitting to a queued, decided, or
+    /// evicted instance is refused (single-shot).
     pub fn submit(&mut self, id: u64, value: Bit) -> Result<Ticket, ServiceError> {
         let (need, shard) = (self.cfg.procs, self.shard_of(id));
-        let slot = Self::admit(&mut self.instances, &self.evicted, id, need)?;
-        if let Slot::Open { ring, .. } = slot {
-            *ring += 1;
+        let slot = match self.instances.entry(id) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(_) if self.evicted.contains_key(&id) => {
+                return Err(ServiceError::InstanceClosed { id });
+            }
+            Entry::Vacant(e) => e.insert(Slot::Open(Vec::with_capacity(need))),
+        };
+        let Slot::Open(inputs) = slot else {
+            return Err(ServiceError::InstanceClosed { id });
+        };
+        inputs.push(value);
+        if inputs.len() == need {
+            self.shards[shard].ready.push((id, std::mem::take(inputs)));
+            *slot = Slot::Queued;
         }
-        self.shards[shard].submissions.push((id, value));
+        self.pending += 1;
         Ok(Ticket { id, shard })
     }
 
-    /// Where instance `id` stands. Counts not-yet-drained ring
-    /// submissions, answers evicted ids from the journal index, and —
-    /// being `&self` — never refreshes LRU recency (that is
-    /// [`NcService::poll`]'s job).
+    /// Where instance `id` stands, looked up by id: the answer for ids
+    /// without a [`Ticket`], such as those replayed from a journal.
+    /// Answers evicted ids from the journal index and — being `&self` —
+    /// never refreshes LRU recency (that is [`NcService::poll`]'s job).
     pub fn status(&self, id: u64) -> InstanceStatus {
-        let need = self.cfg.procs;
         match self.instances.get(&id) {
-            Some(Slot::Open { inputs, ring }) if inputs.len() + ring < need => {
-                InstanceStatus::Accepting {
-                    got: inputs.len() + ring,
-                    need,
-                }
-            }
-            Some(Slot::Open { .. } | Slot::Queued) => InstanceStatus::Queued,
+            Some(Slot::Open(inputs)) => InstanceStatus::Accepting {
+                got: inputs.len(),
+                need: self.cfg.procs,
+            },
+            Some(Slot::Queued) => InstanceStatus::Queued,
             Some(Slot::Decided(fact)) => InstanceStatus::Decided(*fact),
             None => match self.evicted.get(&id) {
                 Some(&(decided, round)) => InstanceStatus::Evicted { decided, round },
@@ -742,9 +693,9 @@ impl NcService {
         status
     }
 
-    /// Every commit fact decided since the last drain (or since the
-    /// service opened), in decide order. The non-blocking counterpart
-    /// to capturing [`NcService::run_ready`]'s return value.
+    /// Every commit fact published since the last drain, in publish
+    /// order: replayed facts by id when the service opens, then each
+    /// [`NcService::run_ready`]'s by shard, then id.
     pub fn drain_completions(&mut self) -> Vec<CommitFact> {
         std::mem::take(&mut self.completions)
     }
@@ -766,18 +717,17 @@ impl NcService {
 
     /// Decides every ready instance, fanning independent shards over up
     /// to `threads` workers, the calling thread included (`0` and `1`
-    /// both mean serial). Submission rings are drained first, in
-    /// deterministic id order, after any proposals already applied by
-    /// [`NcService::propose`]. The worker count then comes from the
-    /// batch: `min(threads.max(1), shards, max(1, p / F))` for `p`
-    /// ready proposals (ready instances × `procs`) and
+    /// both mean serial). The worker count comes from the batch:
+    /// `min(threads.max(1), shards, max(1, p / F))` for `p` ready
+    /// proposals (ready instances × `procs`) and
     /// `F` = [`FANOUT_MIN_PROPOSALS`]. `k` workers spawn `k - 1`
     /// threads, and a spawn costs 27–48 µs on a 2-core host, so a batch
     /// under `2F` proposals is drained by the calling thread alone.
-    /// Each shard then decides its ready queue and writes the batch to
-    /// its on-disk journal in one group commit before anything is
-    /// published. Returns the newly appended commit facts in canonical
-    /// order (by shard, then ready-queue order) — the same facts
+    /// Each shard decides its ready list in id order and writes the
+    /// batch to its on-disk journal in one group commit before anything
+    /// is published. The new facts go to
+    /// [`NcService::drain_completions`] and are also returned, in the
+    /// same canonical order (by shard, then id) — the same facts
     /// regardless of `threads` or of the worker count.
     ///
     /// # Panics
@@ -786,26 +736,9 @@ impl NcService {
     /// that shard's batch is published; the service is not usable past
     /// a half-written batch).
     pub fn run_ready(&mut self, threads: usize) -> Vec<CommitFact> {
-        // Drain each submission ring in id order (stable, so multiple
-        // proposals for one instance keep their submission order) —
-        // the batch an instance runs in is then a pure function of the
-        // submitted set, not of ring interleaving.
-        let need = self.cfg.procs;
-        for shard in self.shards.iter_mut() {
-            shard.submissions.sort_by_key(|&(id, _)| id);
-            for (id, value) in shard.submissions.drain(..) {
-                let slot = self
-                    .instances
-                    .get_mut(&id)
-                    .expect("ring entries are admitted at submit time");
-                if let Slot::Open { ring, .. } = slot {
-                    *ring -= 1;
-                }
-                slot.apply(id, value, need, &mut shard.ready);
-            }
-        }
-
-        let workers = fanout_workers(threads, self.shards.len(), need * self.queued());
+        self.pending = 0;
+        let ready: usize = self.shards.iter().map(|s| s.ready.len()).sum();
+        let workers = fanout_workers(threads, self.shards.len(), self.cfg.procs * ready);
         let per = self.shards.len().div_ceil(workers);
         std::thread::scope(|scope| {
             let mut chunks = self.shards.chunks_mut(per);
@@ -841,15 +774,9 @@ impl NcService {
         fresh
     }
 
-    /// Instances queued and not yet decided, across all shards
-    /// (not-yet-drained ring submissions are not counted).
-    pub fn queued(&self) -> usize {
-        self.shards.iter().map(|s| s.ready.len()).sum()
-    }
-
-    /// Proposals sitting in submission rings, across all shards.
+    /// Proposals submitted since the last [`NcService::run_ready`].
     pub fn submitted_pending(&self) -> usize {
-        self.shards.iter().map(|s| s.submissions.len()).sum()
+        self.pending
     }
 
     /// Decided instances currently resident in the table (equals
@@ -934,7 +861,7 @@ mod tests {
     fn fill(svc: &mut NcService, id: u64) {
         let procs = svc.config().procs;
         for p in 0..procs {
-            svc.propose(id, Bit::from((id + p as u64).is_multiple_of(2)))
+            svc.submit(id, Bit::from((id + p as u64).is_multiple_of(2)))
                 .unwrap();
         }
     }
@@ -1000,19 +927,14 @@ mod tests {
     fn front_door_lifecycle() {
         let mut svc = NcService::new(cfg(3, 2, 5));
         assert_eq!(svc.status(9), InstanceStatus::Unknown);
-        assert_eq!(
-            svc.propose(9, Bit::One),
-            Ok(ProposeOutcome::Accepted { got: 1, need: 3 })
-        );
+        assert_eq!(svc.submit(9, Bit::One).map(|t| t.shard()), Ok(1));
         assert_eq!(svc.status(9), InstanceStatus::Accepting { got: 1, need: 3 });
-        svc.propose(9, Bit::Zero).unwrap();
-        assert_eq!(
-            svc.propose(9, Bit::One),
-            Ok(ProposeOutcome::Ready { shard: 1 })
-        );
+        svc.submit(9, Bit::Zero).unwrap();
+        assert_eq!(svc.status(9), InstanceStatus::Accepting { got: 2, need: 3 });
+        svc.submit(9, Bit::One).unwrap();
         assert_eq!(svc.status(9), InstanceStatus::Queued);
         assert_eq!(
-            svc.propose(9, Bit::One),
+            svc.submit(9, Bit::One),
             Err(ServiceError::InstanceClosed { id: 9 })
         );
         let fresh = svc.run_ready(1);
@@ -1026,7 +948,7 @@ mod tests {
         assert!(fact.round >= 1);
         assert!(fact.ops >= 1);
         assert_eq!(
-            svc.propose(9, Bit::Zero),
+            svc.submit(9, Bit::Zero),
             Err(ServiceError::InstanceClosed { id: 9 })
         );
     }
@@ -1039,14 +961,10 @@ mod tests {
         assert_eq!(svc.poll(t), InstanceStatus::Accepting { got: 1, need: 3 });
         svc.submit(4, Bit::Zero).unwrap();
         let t3 = svc.submit(4, Bit::One).unwrap();
-        // Ring entries count: the instance is effectively closed now.
+        // The third proposal closes the instance before any run_ready.
         assert_eq!(svc.poll(t3), InstanceStatus::Queued);
         assert_eq!(
             svc.submit(4, Bit::One),
-            Err(ServiceError::InstanceClosed { id: 4 })
-        );
-        assert_eq!(
-            svc.propose(4, Bit::One),
             Err(ServiceError::InstanceClosed { id: 4 })
         );
         assert_eq!(svc.submitted_pending(), 3);
@@ -1060,72 +978,10 @@ mod tests {
     }
 
     #[test]
-    fn submit_and_propose_agree_on_the_facts() {
-        // The same request stream through the synchronous and the
-        // ring front door must produce the identical reduced log.
-        let mut a = NcService::new(cfg(3, 2, 8));
-        let mut b = NcService::new(cfg(3, 2, 8));
-        for id in 0..6u64 {
-            for p in 0..3 {
-                let v = Bit::from((id + p) % 2 == 0);
-                a.propose(id, v).unwrap();
-                b.submit(id, v).unwrap();
-            }
-        }
-        a.run_ready(1);
-        b.run_ready(1);
-        assert_eq!(a.reduced_log(), b.reduced_log());
-    }
-
-    #[test]
-    fn mixed_front_doors_apply_proposals_before_ring_entries() {
-        // `propose` applies at once while `submit` waits in the ring
-        // until `run_ready`, so on one instance the proposed values take
-        // the first process slots and the submitted ones follow them.
-        let (id, need) = (4, 5);
-        let [a, b, c, d, e] = [Bit::One, Bit::Zero, Bit::One, Bit::One, Bit::Zero];
-        let mut mixed = NcService::new(cfg(need, 1, 11));
-        mixed.submit(id, a).unwrap();
-        assert_eq!(mixed.status(id), InstanceStatus::Accepting { got: 1, need });
-        // `Accepted { got }` counts applied proposals; `status` adds
-        // the ring entries.
-        assert_eq!(
-            mixed.propose(id, b),
-            Ok(ProposeOutcome::Accepted { got: 1, need })
-        );
-        assert_eq!(mixed.status(id), InstanceStatus::Accepting { got: 2, need });
-        mixed.submit(id, c).unwrap();
-        assert_eq!(
-            mixed.propose(id, d),
-            Ok(ProposeOutcome::Accepted { got: 2, need })
-        );
-        assert_eq!(mixed.status(id), InstanceStatus::Accepting { got: 4, need });
-        mixed.submit(id, e).unwrap();
-        assert_eq!(mixed.status(id), InstanceStatus::Queued);
-        assert_eq!(
-            mixed.propose(id, a),
-            Err(ServiceError::InstanceClosed { id })
-        );
-        let fresh = mixed.run_ready(1);
-        assert_eq!(fresh.len(), 1);
-        let proposed_in = |order: [Bit; 5]| {
-            let mut svc = NcService::new(cfg(need, 1, 11));
-            for v in order {
-                svc.propose(id, v).unwrap();
-            }
-            svc.run_ready(1)[0]
-        };
-        // Each door keeps its own call order. For this id, ring entries
-        // first or either door reversed would also decide differently.
-        assert_eq!(fresh[0], proposed_in([b, d, a, c, e]));
-        // Applied in call order, the same values decide differently.
-        assert_ne!(fresh[0], proposed_in([a, b, c, d, e]));
-    }
-
-    #[test]
-    fn ring_drain_order_is_id_sorted_within_a_batch() {
-        // Submit in reverse id order: the per-shard journals must
-        // still come out id-sorted, because the ring drain sorts.
+    fn ready_list_is_decided_in_id_order() {
+        // Complete the instances in reverse id order: the shard journal
+        // must still come out id-sorted, because each batch sorts its
+        // ready list before deciding it.
         let mut svc = NcService::new(cfg(2, 1, 3));
         for id in (0..5u64).rev() {
             svc.submit(id, Bit::One).unwrap();
@@ -1142,8 +998,8 @@ mod tests {
         // must commit 1, an all-zeros instance 0.
         let mut svc = NcService::new(cfg(4, 2, 3));
         for _ in 0..4 {
-            svc.propose(0, Bit::Zero).unwrap();
-            svc.propose(1, Bit::One).unwrap();
+            svc.submit(0, Bit::Zero).unwrap();
+            svc.submit(1, Bit::One).unwrap();
         }
         svc.run_ready(1);
         let mut facts: Vec<CommitFact> = (0..2)
@@ -1256,10 +1112,6 @@ mod tests {
                     assert_eq!(round as usize, fact.round);
                     // Evicted is closed for proposals, like Decided.
                     assert_eq!(
-                        svc.propose(id, Bit::One),
-                        Err(ServiceError::InstanceClosed { id })
-                    );
-                    assert_eq!(
                         svc.submit(id, Bit::One),
                         Err(ServiceError::InstanceClosed { id })
                     );
@@ -1311,6 +1163,6 @@ mod tests {
         svc.run_ready(1);
         assert!(matches!(svc.status(0), InstanceStatus::Evicted { .. }));
         assert_eq!(svc.status(99), InstanceStatus::Unknown);
-        assert!(svc.propose(99, Bit::One).is_ok(), "unknown ids stay open");
+        assert!(svc.submit(99, Bit::One).is_ok(), "unknown ids stay open");
     }
 }

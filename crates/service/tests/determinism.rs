@@ -44,7 +44,7 @@ fn run_service(shards: usize, threads: usize, batch: u64) -> NcService {
         let until = (submitted + batch).min(INSTANCES);
         while submitted < until {
             for value in loadgen::proposals_for(submitted, PROCS) {
-                svc.propose(submitted, value).unwrap();
+                svc.submit(submitted, value).unwrap();
             }
             submitted += 1;
         }

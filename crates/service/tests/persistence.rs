@@ -13,7 +13,10 @@
 //!   reopen, its instance becomes re-runnable, and re-running it
 //!   restores the identical bytes,
 //! * replay repopulates `status()` for every durable fact, and the
-//!   retention policy applies across the reopen.
+//!   retention policy applies across the reopen,
+//! * a reopen that would drop durable facts (fewer shards than the
+//!   journal was written with) or replay two facts for one instance is
+//!   refused with a `JournalError`, never opened.
 //!
 //! Proptests sweep the segment capacity (so kill points land on and
 //! around segment boundaries) and the torn-tail cut length.
@@ -21,8 +24,8 @@
 use std::path::{Path, PathBuf};
 
 use nc_service::{
-    loadgen, InstanceStatus, JournalReader, NcService, Retention, ServiceConfig, ServiceError,
-    FANOUT_MIN_PROPOSALS,
+    loadgen, InstanceStatus, JournalError, JournalReader, JournalWriter, NcService, Retention,
+    ServiceConfig, ServiceError, FANOUT_MIN_PROPOSALS,
 };
 use proptest::prelude::*;
 
@@ -122,10 +125,10 @@ fn uninterrupted(
 }
 
 /// Kill-and-reopen over instances `0..instances`: decide the first
-/// `kill_after` in one batch, drop the service (in-flight ring
-/// submissions die with it, as in a real crash), reopen from the same
-/// dir, re-submit everything not yet durable, and finish. Returns the
-/// final reduced log.
+/// `kill_after` in one batch, drop the service (proposals submitted but
+/// not yet decided die with it, as in a real crash), reopen from the
+/// same dir, re-submit everything not yet durable, and finish. Returns
+/// the final reduced log.
 fn killed_and_reopened(
     shards: usize,
     threads: usize,
@@ -250,6 +253,67 @@ fn retention_applies_across_reopen() {
     }
     for id in 7..10u64 {
         assert!(matches!(svc.status(id), InstanceStatus::Decided(_)));
+    }
+}
+
+#[test]
+fn reopening_with_fewer_shards_is_refused() {
+    let dir = TempDir::new("fewer-shards");
+    {
+        let mut svc = NcService::new(cfg(2, &dir.0, 4));
+        feed(&mut svc, 0..4, 1);
+    }
+    // One shard would replay only `shard-0`, losing ids 1 and 3, and
+    // let them decide a second time.
+    match NcService::open(cfg(1, &dir.0, 4)) {
+        Err(JournalError::Corrupt { path, .. }) => assert_eq!(path, dir.0.join("shard-1")),
+        other => panic!(
+            "a reopen with fewer shards must be refused, got {:?}",
+            other.map(|svc| svc.decided())
+        ),
+    }
+    // The refusal wrote nothing, and growing the shard count loses
+    // nothing; after growing, the old count is the fewer one.
+    let log = NcService::new(cfg(2, &dir.0, 4)).reduced_log();
+    let grown = NcService::new(cfg(3, &dir.0, 4));
+    assert_eq!(grown.decided(), 4);
+    assert_eq!(grown.reduced_log(), log);
+    for id in 0..4 {
+        assert!(matches!(grown.status(id), InstanceStatus::Decided(_)));
+    }
+    drop(grown);
+    assert!(NcService::open(cfg(2, &dir.0, 4)).is_err());
+}
+
+#[test]
+fn two_replayed_facts_for_one_id_are_refused() {
+    let dir = TempDir::new("twice");
+    {
+        let mut svc = NcService::new(cfg(2, &dir.0, 4));
+        feed(&mut svc, 0..4, 1);
+    }
+    // File shard 1's first fact in shard 0's journal as well.
+    let fact = JournalReader::replay(&dir.0.join("shard-1")).unwrap().facts[0];
+    let (mut writer, _) = JournalWriter::open(&dir.0.join("shard-0"), 4).unwrap();
+    writer.append(&fact).unwrap();
+    drop(writer);
+    for retention in [Retention::KeepAll, Retention::DecidedCap(1)] {
+        let mut reopen = cfg(2, &dir.0, 4);
+        reopen.retention = retention;
+        match NcService::open(reopen) {
+            Err(JournalError::Corrupt { path, detail }) => {
+                assert_eq!(path, dir.0);
+                assert!(
+                    detail.contains(&format!("instance {}", fact.id)),
+                    "{detail}"
+                );
+            }
+            other => panic!(
+                "two facts for instance {} must be refused ({retention:?}), got {:?}",
+                fact.id,
+                other.map(|svc| svc.decided())
+            ),
+        }
     }
 }
 
