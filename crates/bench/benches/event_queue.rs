@@ -10,7 +10,6 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use nc_sched::queue::{Event, EventQueue};
-use nc_sched::tree::EventTree;
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 use std::collections::BinaryHeap;
@@ -75,26 +74,6 @@ fn bench_hold(c: &mut Criterion) {
                 black_box(new_top.time())
             });
         });
-
-        group.bench_with_input(
-            BenchmarkId::from_parameter("tournament_tree"),
-            &n,
-            |b, &n| {
-                let mut rng = SmallRng::seed_from_u64(7);
-                let mut q = EventTree::new();
-                q.reset(n);
-                for pid in 0..n {
-                    q.set(Event::new(rng.random::<f64>(), pid as u64, pid as u32));
-                }
-                let mut seq = n as u64;
-                b.iter(|| {
-                    let top = q.peek().unwrap();
-                    seq += 1;
-                    q.set(Event::new(top.time() + rng.random::<f64>(), seq, top.pid()));
-                    black_box(q.peek().unwrap().time())
-                });
-            },
-        );
 
         group.finish();
     }

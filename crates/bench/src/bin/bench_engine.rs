@@ -8,28 +8,23 @@
 //! Usage:
 //! `cargo run --release -p nc-bench --bin bench_engine [-- --trials 3000 --min-speedup 1.6 --out BENCH_engine.json]`
 //!
-//! `--probe [--n N]` prints the heap and tree cells at one size (the
-//! queue cut behind [`nc_sched::select::TREE_MIN_N`]) without writing
-//! anything or gating.
-//!
 //! Workload: the acceptance configuration — Figure 1 point, `n = 100`
 //! (plus 1000 and 10000 for the scaling picture), `U(0, 2)` noise,
 //! first-decision cutoff, one full trial per iteration (instance setup
 //! included, exactly like `fig1::point`). Every number is a best-of-R
 //! measurement to shrug off scheduler noise.
 //!
-//! Per n, four single-thread cells: the naive baseline; the sequential
-//! engine (scratch reuse, auto queue), which is the headline
-//! "optimized" number; and the same with the queue forced to heap and
-//! to tree (the queue ablation backing [`nc_sched::select::TREE_MIN_N`]).
+//! Per n, two single-thread cells: the naive baseline, and the
+//! sequential engine (scratch reuse, the 4-ary event heap), which is the
+//! headline "optimized" number.
 
 use std::io::Write as _;
 use std::time::Instant;
 
-use nc_bench::{arg, experiments::fig1, flag};
+use nc_bench::{arg, experiments::fig1};
 use nc_engine::baseline::run_noisy_baseline;
 use nc_engine::sim::Sim;
-use nc_engine::{setup, Limits, QueuePolicy};
+use nc_engine::{setup, Limits};
 use nc_sched::{Noise, TimingModel};
 
 const REPEATS: usize = 3;
@@ -64,14 +59,13 @@ fn bench_naive(n: usize, trials: u64) -> (f64, u64) {
     })
 }
 
-/// Sequential optimized engine with a chosen queue policy: one reused
-/// `SimRun` handle (scratch + monomorphized lean instance) per cell.
-fn bench_sequential(n: usize, trials: u64, policy: QueuePolicy) -> (f64, u64) {
+/// Sequential optimized engine: one reused `SimRun` handle (scratch +
+/// monomorphized lean instance) per cell.
+fn bench_sequential(n: usize, trials: u64) -> (f64, u64) {
     let mut sim = Sim::new(setup::Algorithm::Lean)
         .inputs(setup::half_and_half(n))
         .timing(timing())
         .limits(Limits::first_decision())
-        .queue_policy(policy)
         .build();
     best_of(|| {
         let mut events = 0;
@@ -90,45 +84,28 @@ fn main() {
         .map(|c| c.get())
         .unwrap_or(1);
 
-    // `--probe [--n N]`: the heap / tree cells at one size — the
-    // measurement behind TREE_MIN_N — printed, nothing written, no gate.
-    if flag("probe") {
-        let n: usize = arg("n", 100);
-        let t = (trials / (n as u64 / 100).max(1)).max(20);
-        eprintln!("probe: n = {n}, {t} trials/cell, best-of-{REPEATS}");
-        for policy in [QueuePolicy::Heap, QueuePolicy::Tree] {
-            let (s, ev) = bench_sequential(n, t, policy);
-            eprintln!("  {policy:?}: {:.3e} ev/s", ev as f64 / s);
-        }
-        return;
-    }
-
     // Single-thread cells.
     let mut single = String::new();
     let mut speedup_n100 = 0.0;
     for (i, &n) in [100usize, 1000, 10_000].iter().enumerate() {
         let t = (trials / (n as u64 / 100).max(1)).max(20);
         let (naive_s, naive_ev) = bench_naive(n, t);
-        let (seq_s, seq_ev) = bench_sequential(n, t, QueuePolicy::Auto);
-        let (heap_s, _) = bench_sequential(n, t, QueuePolicy::Heap);
-        let (tree_s, _) = bench_sequential(n, t, QueuePolicy::Tree);
+        let (seq_s, seq_ev) = bench_sequential(n, t);
         assert_eq!(naive_ev, seq_ev, "engines diverged at n = {n}");
         let naive_eps = naive_ev as f64 / naive_s;
         let seq_eps = seq_ev as f64 / seq_s;
-        let heap_eps = naive_ev as f64 / heap_s;
-        let tree_eps = naive_ev as f64 / tree_s;
         let speedup = seq_eps / naive_eps;
         if n == 100 {
             speedup_n100 = speedup;
         }
         eprintln!(
-            "n={n}: naive {naive_eps:.3e} ev/s, sequential {seq_eps:.3e} (heap {heap_eps:.3e}, tree {tree_eps:.3e}) ev/s, speedup {speedup:.2}x"
+            "n={n}: naive {naive_eps:.3e} ev/s, sequential {seq_eps:.3e} ev/s, speedup {speedup:.2}x"
         );
         if i > 0 {
             single.push(',');
         }
         single.push_str(&format!(
-            "\n    {{\"n\": {n}, \"trials\": {t}, \"events_per_trial\": {:.1}, \"naive_events_per_sec\": {naive_eps:.1}, \"heap_events_per_sec\": {heap_eps:.1}, \"tree_events_per_sec\": {tree_eps:.1}, \"optimized_events_per_sec\": {seq_eps:.1}, \"speedup\": {speedup:.3}}}",
+            "\n    {{\"n\": {n}, \"trials\": {t}, \"events_per_trial\": {:.1}, \"naive_events_per_sec\": {naive_eps:.1}, \"optimized_events_per_sec\": {seq_eps:.1}, \"speedup\": {speedup:.3}}}",
             naive_ev as f64 / t as f64,
         ));
     }
@@ -175,7 +152,7 @@ fn main() {
     let host_limited = cores == 1;
 
     let json = format!(
-        "{{\n  \"workload\": \"fig1 point: n procs, U(0,2) noise, first-decision cutoff, full trial incl. instance setup\",\n  \"baseline\": \"naive BinaryHeap driver (nc_engine::baseline, seed implementation)\",\n  \"optimized\": \"SoA scratch engine, auto queue (heap < TREE_MIN_N <= tree), one thread\",\n  \"host_cores\": {cores},\n  \"trials_n100\": {trials},\n  \"single_thread\": [{single}\n  ],\n  \"speedup_n100\": {speedup_n100:.3},\n  \"sweep_scaling_n100\": {{\n    \"host_limited\": {host_limited},\n    \"rows\": [{scaling}\n    ]\n  }},\n  \"notes\": \"Numbers from `cargo run --release -p nc-bench --bin bench_engine`; best-of-{REPEATS} wall time per cell. heap/tree columns are the queue ablation behind TREE_MIN_N. sweep_scaling_n100.host_limited = true means the host had 1 core, so the scaling rows carry no parallel-speedup information.\"\n}}\n"
+        "{{\n  \"workload\": \"fig1 point: n procs, U(0,2) noise, first-decision cutoff, full trial incl. instance setup\",\n  \"baseline\": \"naive BinaryHeap driver (nc_engine::baseline, seed implementation)\",\n  \"optimized\": \"SoA scratch engine, 4-ary event heap, one thread\",\n  \"host_cores\": {cores},\n  \"trials_n100\": {trials},\n  \"single_thread\": [{single}\n  ],\n  \"speedup_n100\": {speedup_n100:.3},\n  \"sweep_scaling_n100\": {{\n    \"host_limited\": {host_limited},\n    \"rows\": [{scaling}\n    ]\n  }},\n  \"notes\": \"Numbers from `cargo run --release -p nc-bench --bin bench_engine`; best-of-{REPEATS} wall time per cell. sweep_scaling_n100.host_limited = true means the host had 1 core, so the scaling rows carry no parallel-speedup information.\"\n}}\n"
     );
     let mut file = std::fs::File::create(&out).expect("create output file");
     file.write_all(json.as_bytes()).expect("write json");

@@ -97,10 +97,6 @@ pub use report::{Limits, RunOutcome, RunReport};
 pub use setup::{build, half_and_half, Algorithm, Instance};
 pub use sim::{Sim, SimRun, TrialSet};
 
-// Re-exported so engine callers can pick a queue without importing
-// nc-sched directly.
-pub use nc_sched::select::{QueueKind, QueuePolicy};
-
 // Re-exported so engine callers can describe value faults
 // ([`sim::Sim::value_faults`]) without importing nc-memory directly.
 pub use nc_memory::FaultSpec;

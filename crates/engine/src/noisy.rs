@@ -21,14 +21,15 @@
 //! driver (kept verbatim in [`crate::baseline`] and pinned equal by the
 //! equivalence tests):
 //!
-//! 1. **Swappable event queue behind a size heuristic** — the common
-//!    case pops one event and pushes exactly one successor for the same
-//!    process (the "hold" operation). The loops are generic over
-//!    [`nc_sched::SimQueue`]; [`nc_sched::QueuePolicy::Auto`] picks the
-//!    4-ary tournament-select heap ([`nc_sched::EventQueue`]) below
-//!    [`nc_sched::select::TREE_MIN_N`] processes and the branchless
-//!    pid-indexed tournament tree ([`nc_sched::EventTree`]) above it.
-//!    The event order is total, so the choice cannot change results.
+//! 1. **An in-place hold on a 4-ary heap** — the common case pops one
+//!    event and pushes exactly one successor for the same process (the
+//!    "hold" operation). The loops run on the 4-ary tournament-select
+//!    heap ([`nc_sched::EventQueue`]), whose
+//!    [`replace_top`](nc_sched::EventQueue::replace_top) does the hold
+//!    as one root-to-leaf walk with branchless child selection. The
+//!    event order is total, so any correct queue gives the same run;
+//!    no other queue measured reliably faster (`docs/engine-internals.md`,
+//!    "Event queue").
 //! 2. **Struct-of-arrays process state (`ProcSoA`)** — the per-event
 //!    scalars (event-time accumulator, operation index, noise-buffer
 //!    cursor, decide flag) are packed into one 32-byte `Hot` lane per
@@ -38,7 +39,7 @@
 //!    Random-order execution over `hot` touches one cache line per two
 //!    processes instead of one line per process.
 //! 3. **Reusable [`EngineScratch`]** — per-process state, RNG streams,
-//!    both queues, and the bookkeeping vectors are allocated once and
+//!    the event queue, and the bookkeeping vectors are allocated once and
 //!    re-seeded across trials, so a fast-loop sweep's steady state
 //!    allocates only its `RunReport`s.
 //! 4. **Batched noise draws** — when reads and writes share one noise
@@ -56,7 +57,7 @@
 //! carries no per-event `Option` checks at all. Everything else runs
 //! the step loop every schedule shares (`drive.rs`), with the event
 //! queue picking each step. Equal inputs produce bit-identical reports
-//! on either path, with either queue.
+//! on either path.
 
 use rand::rngs::SmallRng;
 
@@ -65,8 +66,7 @@ use nc_memory::{Event, Op};
 use nc_sched::adversary::CrashAdversary;
 use nc_sched::queue::Event as QueuedEvent;
 use nc_sched::rng::salts;
-use nc_sched::select::{QueueKind, QueuePolicy, SimQueue};
-use nc_sched::{stream_rng, EventQueue, EventTree, FailureModel, Noise, TimingModel};
+use nc_sched::{stream_rng, EventQueue, FailureModel, Noise, TimingModel};
 
 use crate::drive::{self, Pick, Procs};
 use crate::report::{Limits, RunOutcome, RunReport};
@@ -246,27 +246,18 @@ impl ProcSoA {
 }
 
 /// Reusable engine working memory: the struct-of-arrays process state
-/// (with its RNG streams), both event-queue implementations, and the
-/// per-run bookkeeping vectors.
+/// (with its RNG streams), the event queue, and the per-run bookkeeping
+/// vectors.
 ///
 /// Constructing these per trial is pure allocator churn at sweep scale;
 /// a [`crate::sim::SimRun`] keeps one `EngineScratch` (and a
 /// [`crate::sim::TrialSet`] keeps one per worker span) and reuses it for
 /// every trial. Reuse never leaks state between trials: every field is
-/// re-seeded from the trial's own seed.
-///
-/// The queue implementation is chosen per run by the scratch's
-/// [`QueuePolicy`] (default [`QueuePolicy::Auto`]: heap at small `n`,
-/// branchless tree at large `n`); force one with
-/// [`EngineScratch::with_queue`] for differential tests and ablations
-/// (the builder exposes this as [`crate::sim::Sim::queue_policy`]).
-/// The choice never affects results.
+/// re-seeded from the trial's own seed, and the queue is cleared.
 #[derive(Default)]
 pub struct EngineScratch {
     soa: ProcSoA,
-    heap: EventQueue,
-    tree: EventTree,
-    policy: QueuePolicy,
+    queue: EventQueue,
     decision_rounds: Vec<Option<usize>>,
 }
 
@@ -274,31 +265,21 @@ impl std::fmt::Debug for EngineScratch {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EngineScratch")
             .field("capacity", &self.soa.hot.capacity())
-            .field("policy", &self.policy)
             .finish()
     }
 }
 
 impl EngineScratch {
-    /// An empty scratch with the default ([`QueuePolicy::Auto`]) queue
-    /// selection; buffers grow to the first trial's size and are reused
-    /// from then on.
+    /// An empty scratch; buffers grow to the first trial's size and are
+    /// reused from then on.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// An empty scratch with a fixed queue policy (differential tests,
-    /// ablations, hand-tuned deployments).
-    pub fn with_queue(policy: QueuePolicy) -> Self {
-        EngineScratch {
-            policy,
-            ..Self::default()
-        }
     }
 
     /// Re-seeds every buffer for a fresh `n`-process trial.
     fn reset(&mut self, n: usize, seed: u64, timing: &TimingModel) {
         self.soa.reset(n, seed, timing);
+        self.queue.clear();
         self.decision_rounds.clear();
         self.decision_rounds.resize(n, None);
     }
@@ -333,57 +314,12 @@ pub fn drive_noisy<P: Protocol>(
     crash: Option<&mut dyn CrashAdversary>,
     history: Option<&mut Vec<Event>>,
 ) -> RunReport {
-    let n = inst.procs.len();
-    scratch.reset(n, seed, timing);
+    scratch.reset(inst.procs.len(), seed, timing);
     let EngineScratch {
         soa,
-        heap,
-        tree,
-        policy,
+        queue,
         decision_rounds,
     } = scratch;
-    match policy.kind_for(n) {
-        QueueKind::Heap => {
-            heap.prepare(n);
-            drive(
-                soa,
-                decision_rounds,
-                heap,
-                inst,
-                timing,
-                limits,
-                crash,
-                history,
-            )
-        }
-        QueueKind::Tree => {
-            tree.prepare(n);
-            drive(
-                soa,
-                decision_rounds,
-                tree,
-                inst,
-                timing,
-                limits,
-                crash,
-                history,
-            )
-        }
-    }
-}
-
-/// Primes the queue and runs the appropriate loop to completion.
-#[allow(clippy::too_many_arguments)]
-fn drive<P: Protocol, Q: SimQueue>(
-    soa: &mut ProcSoA,
-    decision_rounds: &mut [Option<usize>],
-    queue: &mut Q,
-    inst: &mut Instance<P>,
-    timing: &TimingModel,
-    limits: Limits,
-    crash: Option<&mut dyn CrashAdversary>,
-    history: Option<&mut Vec<Event>>,
-) -> RunReport {
     // Batched draws need one distribution for all op kinds; with
     // per-kind distributions the next draw depends on the next op's
     // kind, so fall back to per-event sampling.
@@ -403,8 +339,7 @@ fn drive<P: Protocol, Q: SimQueue>(
     // stale-event filtering (without crashes or failures, a queued
     // process can only leave the queue by deciding, so no event is ever
     // stale). Everything else takes the shared step loop. Both produce
-    // bit-identical results (pinned by the equivalence tests), with
-    // either queue implementation.
+    // bit-identical results (pinned by the equivalence tests).
     let fast =
         crash.is_none() && history.is_none() && matches!(timing.failures, FailureModel::None);
     let Some(noise) = batch.filter(|_| fast) else {
@@ -442,9 +377,9 @@ struct LoopOut {
 
 /// The noisy schedule: an event queue orders the steps by the times
 /// the timing model draws for them.
-struct Timed<'a, Q> {
+struct Timed<'a> {
     soa: &'a mut ProcSoA,
-    queue: &'a mut Q,
+    queue: &'a mut EventQueue,
     timing: &'a TimingModel,
     /// The one noise distribution for both op kinds, drawn in batches.
     batch: Option<&'a Noise>,
@@ -455,12 +390,12 @@ struct Timed<'a, Q> {
     stepping: bool,
 }
 
-impl<Q: SimQueue> Pick for Timed<'_, Q> {
+impl Pick for Timed<'_> {
     fn pick(&mut self, procs: &Procs) -> Result<(usize, Option<f64>), RunOutcome> {
         loop {
-            let top = self
+            let top = *self
                 .queue
-                .first()
+                .peek()
                 .expect("every live process has a queued event");
             let pid = top.pid() as usize;
             if procs.enabled[pid] {
@@ -469,7 +404,7 @@ impl<Q: SimQueue> Pick for Timed<'_, Q> {
             }
             // Stale events exist only under a crash adversary (a queued
             // process halted out from under its event); drain them.
-            self.queue.pop_first();
+            self.queue.pop();
         }
     }
 
@@ -484,7 +419,7 @@ impl<Q: SimQueue> Pick for Timed<'_, Q> {
         if self.timing.failures.halts(&mut soa.rng_failure[pid]) {
             // H_ij = ∞: the op never occurs.
             if stepping {
-                self.queue.pop_first();
+                self.queue.pop();
             }
             return false;
         }
@@ -497,16 +432,16 @@ impl<Q: SimQueue> Pick for Timed<'_, Q> {
         self.seq += 1;
         let event = QueuedEvent::new(h.clock, self.seq, pid as u32);
         if stepping {
-            self.queue.reschedule_first(event);
+            self.queue.replace_top(event);
         } else {
-            self.queue.insert(event);
+            self.queue.push(event);
         }
         true
     }
 
     fn decided(&mut self, _pid: usize) {
         self.stepping = false;
-        self.queue.pop_first();
+        self.queue.pop();
     }
 }
 
@@ -547,10 +482,10 @@ fn assemble_report<P: Protocol>(
 /// until the queue empties, the op cap hits, or the first-decision
 /// cutoff fires.
 #[allow(clippy::too_many_arguments)]
-fn loop_fast<P: Protocol, Q: SimQueue>(
+fn loop_fast<P: Protocol>(
     soa: &mut ProcSoA,
     decision_rounds: &mut [Option<usize>],
-    queue: &mut Q,
+    queue: &mut EventQueue,
     inst: &mut Instance<P>,
     timing: &TimingModel,
     noise: &Noise,
@@ -558,7 +493,7 @@ fn loop_fast<P: Protocol, Q: SimQueue>(
     limits: Limits,
 ) -> LoopOut {
     let mut out = LoopOut::default();
-    while let Some(top) = queue.first() {
+    while let Some(&top) = queue.peek() {
         if out.total_ops >= limits.max_ops {
             out.outcome = Some(RunOutcome::OpCapReached);
             break;
@@ -575,7 +510,7 @@ fn loop_fast<P: Protocol, Q: SimQueue>(
 
         match status {
             Status::Decided(_) => {
-                queue.pop_first();
+                queue.pop();
                 let h = &mut soa.hot[pid];
                 h.ops += 1;
                 h.decided = true;
@@ -597,7 +532,7 @@ fn loop_fast<P: Protocol, Q: SimQueue>(
                 // kind is not needed either.)
                 let clock = soa.hold_advance(pid, timing, noise);
                 seq += 1;
-                queue.reschedule_first(QueuedEvent::new(clock, seq, pid as u32));
+                queue.replace_top(QueuedEvent::new(clock, seq, pid as u32));
             }
         }
     }
@@ -895,42 +830,11 @@ mod tests {
         }
     }
 
-    #[test]
-    fn queue_choice_does_not_change_reports() {
-        // Heap, tree, and auto must produce the identical report for
-        // identical trials (the event order is total), for every limit
-        // shape: run to completion, first-decision cutoff, op cap.
-        for (n, seed, limits) in [
-            (1usize, 1u64, Limits::run_to_completion()),
-            (7, 2, Limits::run_to_completion()),
-            (40, 3, Limits::run_to_completion()),
-            (129, 4, Limits::run_to_completion()),
-            (40, 3, Limits::first_decision()),
-            (100, 4, Limits::run_to_completion().with_max_ops(1000)),
-        ] {
-            let inputs = setup::half_and_half(n);
-            let mut reports = Vec::new();
-            for policy in [QueuePolicy::Heap, QueuePolicy::Tree, QueuePolicy::Auto] {
-                let mut scratch = EngineScratch::with_queue(policy);
-                let mut inst = setup::build(Algorithm::Lean, &inputs, seed);
-                reports.push(run_noisy_scratch(
-                    &mut scratch,
-                    &mut inst,
-                    &exp_timing(),
-                    seed,
-                    limits,
-                ));
-            }
-            assert_eq!(reports[0], reports[1], "heap vs tree, n={n} {limits:?}");
-            assert_eq!(reports[0], reports[2], "heap vs auto, n={n} {limits:?}");
-        }
-    }
-
     /// The optimized engine must be **bit-for-bit identical** to the
     /// naive BinaryHeap baseline: same streams consumed in the same
     /// per-process order, same (unique) event order, so same reports.
-    /// (The full scenario-matrix differential suite, including both
-    /// forced queues, lives in `tests/soa_equivalence.rs`.)
+    /// (The full scenario-matrix differential suite lives in
+    /// `tests/soa_equivalence.rs`.)
     mod baseline_equivalence {
         use super::*;
         use crate::baseline::{run_noisy_baseline, run_noisy_with_baseline};

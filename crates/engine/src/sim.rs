@@ -14,10 +14,9 @@
 //!   §3.1), [`Sim::adversary`] (a fully adversarial untimed scheduler),
 //!   or [`Sim::hybrid`] (the quantum + priority uniprocessor, §3.2/§7),
 //! * layer options on top: [`Sim::faults`], [`Sim::crash_adversary`],
-//!   [`Sim::record_history`], [`Sim::limits`], [`Sim::queue_policy`],
-//!   and [`Sim::value_faults`] (deterministic seeded
-//!   stuck-at/drop/bit-flip value faults, injected by the `SimMemory`
-//!   word store's fault plane),
+//!   [`Sim::record_history`], [`Sim::limits`], and [`Sim::value_faults`]
+//!   (deterministic seeded stuck-at/drop/bit-flip value faults, injected
+//!   by the `SimMemory` word store's fault plane),
 //! * [`Sim::build`] a reusable [`SimRun`] handle and call
 //!   [`SimRun::run`] per seed, or go straight to a sweep with
 //!   [`Sim::trials`].
@@ -66,8 +65,8 @@ use nc_core::{LeanConsensus, Protocol};
 use nc_memory::{Bit, Event, FaultSpec, SimMemory};
 use nc_sched::adversary::{Adversary, CrashAdversary, NoCrashes};
 use nc_sched::hybrid::{HybridPolicy, HybridSpec};
+use nc_sched::queue::MAX_PID;
 use nc_sched::rng::{salts, trial_seed};
-use nc_sched::select::QueuePolicy;
 use nc_sched::{FailureModel, TimingModel};
 
 use crate::noisy::{self, EngineScratch};
@@ -114,7 +113,6 @@ struct SimConfig {
     inputs: Vec<Bit>,
     schedule: Schedule,
     limits: Limits,
-    queue: QueuePolicy,
     crash: Option<CrashFactory>,
     record_history: bool,
     value_faults: Option<FaultSpec>,
@@ -143,7 +141,6 @@ pub struct Sim {
     schedule: Option<Schedule>,
     faults: Option<FailureModel>,
     limits: Limits,
-    queue: QueuePolicy,
     crash: Option<CrashFactory>,
     record_history: bool,
     value_faults: Option<FaultSpec>,
@@ -156,7 +153,6 @@ impl std::fmt::Debug for Sim {
             .field("n", &self.inputs.len())
             .field("schedule", &self.schedule.as_ref().map(Schedule::name))
             .field("limits", &self.limits)
-            .field("queue", &self.queue)
             .finish()
     }
 }
@@ -171,7 +167,6 @@ impl Sim {
             schedule: None,
             faults: None,
             limits: Limits::default(),
-            queue: QueuePolicy::default(),
             crash: None,
             record_history: false,
             value_faults: None,
@@ -289,14 +284,6 @@ impl Sim {
         self
     }
 
-    /// Forces an event-queue policy (defaults to [`QueuePolicy::Auto`]:
-    /// heap at small `n`, branchless tree at large `n`). The choice
-    /// never affects results.
-    pub fn queue_policy(mut self, queue: QueuePolicy) -> Self {
-        self.queue = queue;
-        self
-    }
-
     /// Validates the configuration and returns a reusable [`SimRun`]
     /// handle.
     ///
@@ -306,15 +293,17 @@ impl Sim {
     /// option conflicts with the schedule ([`Sim::faults`] or
     /// [`Sim::record_history`] without [`Sim::timing`],
     /// [`Sim::crash_adversary`] with [`Sim::hybrid`], or a hybrid spec
-    /// sized for a different process count).
+    /// sized for a different process count). Under [`Sim::timing`] it
+    /// also panics for more than `MAX_PID + 1` = 2^24 processes, the
+    /// most the noisy schedule's event key can name
+    /// ([`nc_sched::queue::MAX_PID`]).
     pub fn build(self) -> SimRun {
         // The config is built straight into the handle: building it
         // first and moving it in measured ~10% slower on a Figure 1
         // handle.
-        let queue = self.queue;
         SimRun {
             cfg: self.into_config(),
-            lane: Lane::new(queue),
+            lane: Lane::default(),
             history: Vec::new(),
         }
     }
@@ -363,6 +352,15 @@ impl Sim {
                 "crash_adversary() is not supported under the hybrid schedule"
             );
         }
+        if let Schedule::Noisy(_) = &schedule {
+            assert!(
+                self.inputs.len() <= MAX_PID as usize + 1,
+                "the noisy schedule names at most MAX_PID + 1 = {} processes \
+                 in its event key, inputs have {}",
+                MAX_PID as usize + 1,
+                self.inputs.len()
+            );
+        }
         if let Schedule::Hybrid(spec, _) = &schedule {
             assert_eq!(
                 spec.len(),
@@ -377,7 +375,6 @@ impl Sim {
             inputs: self.inputs,
             schedule,
             limits: self.limits,
-            queue: self.queue,
             crash: self.crash,
             record_history: self.record_history,
             value_faults: self.value_faults,
@@ -386,8 +383,9 @@ impl Sim {
 }
 
 /// Which instance the last run used (for [`SimRun::memory`]).
-#[derive(Clone, Copy, PartialEq, Eq)]
+#[derive(Clone, Copy, PartialEq, Eq, Default)]
 enum LastInstance {
+    #[default]
     None,
     Lean,
     Boxed,
@@ -397,22 +395,12 @@ enum LastInstance {
 /// caches (the monomorphized lean instance is rebuilt in place across
 /// runs; other algorithms rebuild a boxed instance per run, keeping the
 /// last one for inspection).
+#[derive(Default)]
 struct Lane {
     scratch: EngineScratch,
     lean: Option<Instance<LeanConsensus>>,
     boxed: Option<Instance>,
     last: LastInstance,
-}
-
-impl Lane {
-    fn new(queue: QueuePolicy) -> Self {
-        Lane {
-            scratch: EngineScratch::with_queue(queue),
-            lean: None,
-            boxed: None,
-            last: LastInstance::None,
-        }
-    }
 }
 
 /// Reborrows an owned optional crash adversary as the
@@ -835,7 +823,7 @@ fn run_span<T, F>(cfg: &SimConfig, lo: u64, hi: u64, seeds: &SeedPlan, f: &F) ->
 where
     F: Fn(RunReport) -> T,
 {
-    let mut lane = Lane::new(cfg.queue);
+    let mut lane = Lane::default();
     (lo..hi)
         .map(|t| f(run_one(cfg, &mut lane, seeds.seed_of(t), None)))
         .collect()
@@ -1092,6 +1080,16 @@ mod tests {
             .inputs(setup::half_and_half(2))
             .adversary(|_| RoundRobin::new())
             .faults(FailureModel::Random { per_op: 0.1 })
+            .build();
+    }
+
+    #[test]
+    #[should_panic(expected = "names at most MAX_PID + 1 = 16777216 processes")]
+    fn noisy_schedule_refuses_more_processes_than_its_event_key_names() {
+        // Pid 2^24 would read back from the event key as pid 0.
+        let _ = Sim::new(Algorithm::Lean)
+            .inputs(vec![Bit::Zero; MAX_PID as usize + 2])
+            .timing(exp_timing())
             .build();
     }
 

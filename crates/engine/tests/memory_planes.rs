@@ -2,7 +2,7 @@
 //! fault plane is a pure pass-through. A run on a plain [`SimMemory`]
 //! and the same run with an armed empty [`FaultSpec`] must produce
 //! **byte identical** [`nc_engine::RunReport`]s across algorithms ×
-//! schedules × queue policies. (`tests/soa_equivalence.rs` additionally
+//! schedules × failure models. (`tests/soa_equivalence.rs` additionally
 //! pins the empty-spec store to the naive oracle under
 //! `--features baseline`.)
 //!
@@ -14,13 +14,11 @@
 //! [`SimMemory`]: nc_memory::SimMemory
 
 use nc_engine::sim::Sim;
-use nc_engine::{setup, Algorithm, Limits, QueuePolicy, RunReport};
+use nc_engine::{setup, Algorithm, Limits, RunReport};
 use nc_memory::{Addr, Bit, FaultSpec};
 use nc_sched::adversary::{LeaderKiller, RandomInterleave, RoundRobin};
 use nc_sched::hybrid::{HybridSpec, WritePreemptor};
 use nc_sched::{stream_rng, FailureModel, Noise, TimingModel};
-
-const QUEUES: [QueuePolicy; 3] = [QueuePolicy::Heap, QueuePolicy::Tree, QueuePolicy::Auto];
 
 fn algorithms() -> [Algorithm; 5] {
     [
@@ -44,27 +42,21 @@ fn plain_and_wrapped(sim: impl Fn() -> Sim, seed: u64) -> (RunReport, RunReport)
     (plain, wrapped)
 }
 
-/// The headline matrix: algorithms × failure models × queue policies,
-/// a plain `SimMemory` vs one with an armed empty spec.
+/// The headline matrix: algorithms × failure models, a plain
+/// `SimMemory` vs one with an armed empty spec.
 #[test]
 fn fault_free_backends_agree_across_the_noisy_matrix() {
     for alg in algorithms() {
         for failures in [FailureModel::None, FailureModel::Random { per_op: 0.05 }] {
-            for policy in QUEUES {
-                for seed in 0..3 {
-                    let sim = || {
-                        Sim::new(alg)
-                            .inputs(setup::half_and_half(8))
-                            .timing(exp_timing())
-                            .faults(failures)
-                            .queue_policy(policy)
-                    };
-                    let (plain, wrapped) = plain_and_wrapped(sim, seed);
-                    assert_eq!(
-                        plain, wrapped,
-                        "{alg:?} × {failures:?} × {policy:?} × seed {seed}"
-                    );
-                }
+            for seed in 0..3 {
+                let sim = || {
+                    Sim::new(alg)
+                        .inputs(setup::half_and_half(8))
+                        .timing(exp_timing())
+                        .faults(failures)
+                };
+                let (plain, wrapped) = plain_and_wrapped(sim, seed);
+                assert_eq!(plain, wrapped, "{alg:?} × {failures:?} × seed {seed}");
             }
         }
     }

@@ -3,8 +3,8 @@
 //! identical** [`nc_engine::RunReport`]s (exact `f64` equality
 //! included) to a direct call into the drive internal it wraps
 //! ([`drive_noisy`], [`drive_adversarial`], [`drive_hybrid`]), across
-//! the matrix algorithms × failure models × queue policies × history
-//! recording — plus `TrialSet` sweeps, the adversarial and hybrid
+//! the matrix algorithms × failure models × history recording — plus
+//! `TrialSet` sweeps, the adversarial and hybrid
 //! schedules, and the crash-adversary hooks.
 //!
 //! Together with `tests/soa_equivalence.rs` (internals vs the naive
@@ -22,15 +22,13 @@ use nc_engine::adversarial::drive_adversarial;
 use nc_engine::hybrid::drive_hybrid;
 use nc_engine::noisy::drive_noisy;
 use nc_engine::sim::Sim;
-use nc_engine::{setup, Algorithm, EngineScratch, Limits, QueuePolicy, RunReport};
+use nc_engine::{setup, Algorithm, EngineScratch, Limits, RunReport};
 use nc_sched::adversary::{
     Adversary, CrashAdversary, CrashScript, LeaderKiller, NoCrashes, RandomInterleave, RoundRobin,
     Script,
 };
 use nc_sched::hybrid::{BenignHybrid, HybridSpec, RandomHybrid, WritePreemptor};
 use nc_sched::{stream_rng, FailureModel, Noise, TimingModel};
-
-const QUEUES: [QueuePolicy; 3] = [QueuePolicy::Heap, QueuePolicy::Tree, QueuePolicy::Auto];
 
 fn algorithms() -> [Algorithm; 5] {
     [
@@ -59,58 +57,52 @@ fn reference_noisy(
     timing: &TimingModel,
     seed: u64,
     limits: Limits,
-    policy: QueuePolicy,
     history: Option<&mut Vec<nc_memory::Event>>,
 ) -> RunReport {
-    let mut scratch = EngineScratch::with_queue(policy);
+    let mut scratch = EngineScratch::new();
     let mut inst = setup::build(alg, inputs, seed);
     drive_noisy(&mut scratch, &mut inst, timing, seed, limits, None, history)
 }
 
-/// The headline matrix: algorithms × failure models × queue policies ×
-/// history recording, one `SimRun` reused across seeds vs fresh
-/// reference runs.
+/// The headline matrix: algorithms × failure models × history
+/// recording, one `SimRun` reused across seeds vs fresh reference runs.
 #[test]
 fn noisy_builder_matches_internals_across_the_matrix() {
     for alg in algorithms() {
         for failures in failure_models() {
-            for policy in QUEUES {
-                for record in [false, true] {
-                    let inputs = setup::half_and_half(8);
-                    let timing = exp_timing();
-                    let mut sim = Sim::new(alg)
-                        .inputs(inputs.clone())
-                        .timing(timing.clone())
-                        .faults(failures)
-                        .queue_policy(policy);
+            for record in [false, true] {
+                let inputs = setup::half_and_half(8);
+                let timing = exp_timing();
+                let mut sim = Sim::new(alg)
+                    .inputs(inputs.clone())
+                    .timing(timing.clone())
+                    .faults(failures);
+                if record {
+                    sim = sim.record_history();
+                }
+                let mut sim = sim.build();
+                let timing = timing.with_failures(failures);
+                for seed in 0..3 {
+                    let built = sim.run(seed);
+                    let mut legacy_history = Vec::new();
+                    let legacy = reference_noisy(
+                        alg,
+                        &inputs,
+                        &timing,
+                        seed,
+                        Limits::run_to_completion(),
+                        record.then_some(&mut legacy_history),
+                    );
+                    assert_eq!(
+                        built, legacy,
+                        "{alg:?} × {failures:?} × history={record} × seed {seed}"
+                    );
                     if record {
-                        sim = sim.record_history();
-                    }
-                    let mut sim = sim.build();
-                    let timing = timing.with_failures(failures);
-                    for seed in 0..3 {
-                        let built = sim.run(seed);
-                        let mut legacy_history = Vec::new();
-                        let legacy = reference_noisy(
-                            alg,
-                            &inputs,
-                            &timing,
-                            seed,
-                            Limits::run_to_completion(),
-                            policy,
-                            record.then_some(&mut legacy_history),
-                        );
                         assert_eq!(
-                            built, legacy,
-                            "{alg:?} × {failures:?} × {policy:?} × history={record} × seed {seed}"
+                            sim.history(),
+                            legacy_history.as_slice(),
+                            "histories diverged: {alg:?} seed {seed}"
                         );
-                        if record {
-                            assert_eq!(
-                                sim.history(),
-                                legacy_history.as_slice(),
-                                "histories diverged: {alg:?} seed {seed}"
-                            );
-                        }
                     }
                 }
             }
@@ -118,39 +110,36 @@ fn noisy_builder_matches_internals_across_the_matrix() {
     }
 }
 
-/// Queue policies: `TrialSet` sweeps (span-pooled scratch, the lean
-/// instance rebuilt in place) vs per-seed reference runs.
+/// `TrialSet` sweeps (span-pooled scratch, the lean instance rebuilt in
+/// place) vs per-seed reference runs.
 #[test]
 fn trialset_matches_internal_sequential_runs() {
     for alg in [Algorithm::Lean, Algorithm::Randomized] {
-        for policy in QUEUES {
-            let inputs = setup::half_and_half(9);
-            let timing = TimingModel::figure1(Noise::Uniform { lo: 0.0, hi: 2.0 });
-            let reports = Sim::new(alg)
-                .inputs(inputs.clone())
-                .timing(timing.clone())
-                .limits(Limits::first_decision())
-                .queue_policy(policy)
-                .trials(13)
-                .seed0(400)
-                .seed_stride(7)
-                .threads(1)
-                .reports();
-            for (t, report) in reports.iter().enumerate() {
-                let seed = 400 + 7 * t as u64;
-                let mut scratch = EngineScratch::with_queue(policy);
-                let mut inst = setup::build(alg, &inputs, seed);
-                let legacy = drive_noisy(
-                    &mut scratch,
-                    &mut inst,
-                    &timing,
-                    seed,
-                    Limits::first_decision(),
-                    None,
-                    None,
-                );
-                assert_eq!(*report, legacy, "{alg:?} × {policy:?}, trial {t}");
-            }
+        let inputs = setup::half_and_half(9);
+        let timing = TimingModel::figure1(Noise::Uniform { lo: 0.0, hi: 2.0 });
+        let reports = Sim::new(alg)
+            .inputs(inputs.clone())
+            .timing(timing.clone())
+            .limits(Limits::first_decision())
+            .trials(13)
+            .seed0(400)
+            .seed_stride(7)
+            .threads(1)
+            .reports();
+        for (t, report) in reports.iter().enumerate() {
+            let seed = 400 + 7 * t as u64;
+            let mut scratch = EngineScratch::new();
+            let mut inst = setup::build(alg, &inputs, seed);
+            let legacy = drive_noisy(
+                &mut scratch,
+                &mut inst,
+                &timing,
+                seed,
+                Limits::first_decision(),
+                None,
+                None,
+            );
+            assert_eq!(*report, legacy, "{alg:?}, trial {t}");
         }
     }
 }
@@ -165,33 +154,30 @@ fn crash_adversaries_match_internals() {
         || Box::new(CrashScript::new(vec![(0, 2), (3, 5)])),
     ];
     for make in adversaries {
-        for policy in QUEUES {
-            let inputs = setup::half_and_half(6);
-            let mut sim = Sim::new(Algorithm::Lean)
-                .inputs(inputs.clone())
-                .timing(exp_timing())
-                .queue_policy(policy)
-                .crash_adversary(move |_| make())
-                .record_history()
-                .build();
-            for seed in 0..3 {
-                let built = sim.run(seed);
-                let mut crash = make();
-                let mut history = Vec::new();
-                let mut scratch = EngineScratch::with_queue(policy);
-                let mut inst = setup::build(Algorithm::Lean, &inputs, seed);
-                let legacy = drive_noisy(
-                    &mut scratch,
-                    &mut inst,
-                    &exp_timing(),
-                    seed,
-                    Limits::run_to_completion(),
-                    Some(crash.as_mut()),
-                    Some(&mut history),
-                );
-                assert_eq!(built, legacy, "{policy:?} seed {seed}");
-                assert_eq!(sim.history(), history.as_slice(), "{policy:?} seed {seed}");
-            }
+        let inputs = setup::half_and_half(6);
+        let mut sim = Sim::new(Algorithm::Lean)
+            .inputs(inputs.clone())
+            .timing(exp_timing())
+            .crash_adversary(move |_| make())
+            .record_history()
+            .build();
+        for seed in 0..3 {
+            let built = sim.run(seed);
+            let mut crash = make();
+            let mut history = Vec::new();
+            let mut scratch = EngineScratch::new();
+            let mut inst = setup::build(Algorithm::Lean, &inputs, seed);
+            let legacy = drive_noisy(
+                &mut scratch,
+                &mut inst,
+                &exp_timing(),
+                seed,
+                Limits::run_to_completion(),
+                Some(crash.as_mut()),
+                Some(&mut history),
+            );
+            assert_eq!(built, legacy, "seed {seed}");
+            assert_eq!(sim.history(), history.as_slice(), "seed {seed}");
         }
     }
 }

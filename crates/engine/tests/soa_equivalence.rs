@@ -1,10 +1,9 @@
 //! The SoA engine's oracle-pinning suite: the optimized driver (SoA
-//! scratch, either queue, with or without an empty value-fault spec) must
-//! produce **byte identical** [`nc_engine::RunReport`]s to the naive
-//! BinaryHeap baseline (`nc_engine::baseline`, the untouched seed
-//! implementation) across the full scenario matrix — algorithms × noise
-//! distributions × crash adversaries × failure models × both queue
-//! implementations.
+//! scratch, with or without an empty value-fault spec) must produce
+//! **byte identical** [`nc_engine::RunReport`]s to the naive BinaryHeap
+//! baseline (`nc_engine::baseline`, the untouched seed implementation)
+//! across the full scenario matrix — algorithms × noise distributions ×
+//! crash adversaries × failure models × delay policies.
 //!
 //! Runs only with the `baseline` feature (which compiles the oracle
 //! into the library): `cargo test -p nc-engine --features baseline`.
@@ -21,13 +20,11 @@
 use nc_engine::baseline::{run_noisy_baseline, run_noisy_with_baseline};
 use nc_engine::noisy::drive_noisy;
 use nc_engine::sim::Sim;
-use nc_engine::{setup, Algorithm, EngineScratch, Limits, QueuePolicy, RunReport};
+use nc_engine::{setup, Algorithm, EngineScratch, Limits, RunReport};
 use nc_memory::{Bit, FaultSpec};
 use nc_sched::adversary::{CrashAdversary, CrashScript, LeaderKiller};
 use nc_sched::{DelayPolicy, FailureModel, Noise, StartTimes, TimingModel};
 use proptest::prelude::*;
-
-const QUEUES: [QueuePolicy; 3] = [QueuePolicy::Heap, QueuePolicy::Tree, QueuePolicy::Auto];
 
 fn algorithms() -> [Algorithm; 5] {
     [
@@ -40,16 +37,15 @@ fn algorithms() -> [Algorithm; 5] {
 }
 
 /// Runs `(alg, inputs, timing, seed, limits)` through the optimized
-/// engine under `policy` and asserts the report equals the baseline's.
+/// engine and asserts the report equals the baseline's.
 fn assert_matches_oracle(
     alg: Algorithm,
     inputs: &[Bit],
     timing: &TimingModel,
     seed: u64,
     limits: Limits,
-    policy: QueuePolicy,
 ) -> RunReport {
-    let mut scratch = EngineScratch::with_queue(policy);
+    let mut scratch = EngineScratch::new();
     let mut inst_opt = setup::build(alg, inputs, seed);
     let mut inst_ref = setup::build(alg, inputs, seed);
     let optimized = drive_noisy(
@@ -62,47 +58,39 @@ fn assert_matches_oracle(
         None,
     );
     let oracle = run_noisy_baseline(&mut inst_ref, timing, seed, limits);
-    assert_eq!(
-        optimized, oracle,
-        "{alg:?} × {timing:?} × seed {seed} × {policy:?}"
-    );
+    assert_eq!(optimized, oracle, "{alg:?} × {timing:?} × seed {seed}");
     optimized
 }
 
 /// The headline matrix: every algorithm × every Figure 1 noise
-/// distribution × both queues (plus auto), run to completion and to
-/// first decision.
+/// distribution, run to completion and to first decision.
 #[test]
 fn algorithms_by_noise_by_queue_match_oracle() {
     for alg in algorithms() {
         for (_, noise) in Noise::figure1_suite() {
             let timing = TimingModel::figure1(noise);
-            for policy in QUEUES {
-                for seed in 0..2 {
-                    assert_matches_oracle(
-                        alg,
-                        &setup::half_and_half(8),
-                        &timing,
-                        seed,
-                        Limits::run_to_completion(),
-                        policy,
-                    );
-                    assert_matches_oracle(
-                        alg,
-                        &setup::alternating(6),
-                        &timing,
-                        seed,
-                        Limits::first_decision(),
-                        policy,
-                    );
-                }
+            for seed in 0..2 {
+                assert_matches_oracle(
+                    alg,
+                    &setup::half_and_half(8),
+                    &timing,
+                    seed,
+                    Limits::run_to_completion(),
+                );
+                assert_matches_oracle(
+                    alg,
+                    &setup::alternating(6),
+                    &timing,
+                    seed,
+                    Limits::first_decision(),
+                );
             }
         }
     }
 }
 
-/// Random halting failures across both queues (exercises the general
-/// loop's stale-event drain and the failure-RNG stream order).
+/// Random halting failures (exercises the general loop's stale-event
+/// drain and the failure-RNG stream order).
 #[test]
 fn random_failures_by_queue_match_oracle() {
     let exponential = Noise::Exponential { mean: 1.0 };
@@ -113,23 +101,20 @@ fn random_failures_by_queue_match_oracle() {
         (Noise::Uniform { lo: 0.0, hi: 2.0 }, 0.05),
     ] {
         let timing = TimingModel::figure1(noise).with_failures(FailureModel::Random { per_op });
-        for policy in QUEUES {
-            for seed in 0..3 {
-                assert_matches_oracle(
-                    Algorithm::Lean,
-                    &setup::half_and_half(8),
-                    &timing,
-                    seed,
-                    Limits::run_to_completion(),
-                    policy,
-                );
-            }
+        for seed in 0..3 {
+            assert_matches_oracle(
+                Algorithm::Lean,
+                &setup::half_and_half(8),
+                &timing,
+                seed,
+                Limits::run_to_completion(),
+            );
         }
     }
 }
 
-/// Adaptive and scripted crash adversaries across both queues, with
-/// histories compared event by event.
+/// Adaptive and scripted crash adversaries, with histories compared
+/// event by event.
 #[test]
 fn crash_adversaries_by_queue_match_oracle() {
     let timing = TimingModel::figure1(Noise::Exponential { mean: 1.0 });
@@ -140,46 +125,40 @@ fn crash_adversaries_by_queue_match_oracle() {
         || Box::new(CrashScript::new(vec![(1, 3)])),
     ];
     for make in adversaries {
-        for policy in QUEUES {
-            for seed in 0..3 {
-                let inputs = setup::half_and_half(6);
-                let mut scratch = EngineScratch::with_queue(policy);
-                let mut inst_opt = setup::build(Algorithm::Lean, &inputs, seed);
-                let mut inst_ref = setup::build(Algorithm::Lean, &inputs, seed);
-                let mut crash_opt = make();
-                let mut crash_ref = make();
-                let mut hist_opt = Vec::new();
-                let mut hist_ref = Vec::new();
-                let optimized = drive_noisy(
-                    &mut scratch,
-                    &mut inst_opt,
-                    &timing,
-                    seed,
-                    Limits::run_to_completion(),
-                    Some(crash_opt.as_mut()),
-                    Some(&mut hist_opt),
-                );
-                let oracle = run_noisy_with_baseline(
-                    &mut inst_ref,
-                    &timing,
-                    seed,
-                    Limits::run_to_completion(),
-                    Some(crash_ref.as_mut()),
-                    Some(&mut hist_ref),
-                );
-                assert_eq!(optimized, oracle, "crash × {policy:?} × seed {seed}");
-                assert_eq!(
-                    hist_opt, hist_ref,
-                    "history diverged, {policy:?} seed {seed}"
-                );
-            }
+        for seed in 0..3 {
+            let inputs = setup::half_and_half(6);
+            let mut scratch = EngineScratch::new();
+            let mut inst_opt = setup::build(Algorithm::Lean, &inputs, seed);
+            let mut inst_ref = setup::build(Algorithm::Lean, &inputs, seed);
+            let mut crash_opt = make();
+            let mut crash_ref = make();
+            let mut hist_opt = Vec::new();
+            let mut hist_ref = Vec::new();
+            let optimized = drive_noisy(
+                &mut scratch,
+                &mut inst_opt,
+                &timing,
+                seed,
+                Limits::run_to_completion(),
+                Some(crash_opt.as_mut()),
+                Some(&mut hist_opt),
+            );
+            let oracle = run_noisy_with_baseline(
+                &mut inst_ref,
+                &timing,
+                seed,
+                Limits::run_to_completion(),
+                Some(crash_ref.as_mut()),
+                Some(&mut hist_ref),
+            );
+            assert_eq!(optimized, oracle, "crash × seed {seed}");
+            assert_eq!(hist_opt, hist_ref, "history diverged, seed {seed}");
         }
     }
 }
 
 /// Per-kind noise (batching disabled), adversarial delay policies, and
-/// non-default start times — the shared step loop's sampling paths —
-/// across both queues.
+/// non-default start times — the shared step loop's sampling paths.
 #[test]
 fn general_loop_configs_by_queue_match_oracle() {
     let configs = [
@@ -205,69 +184,60 @@ fn general_loop_configs_by_queue_match_oracle() {
             .with_delay(DelayPolicy::SaveAndSpend { m: 0.5, period: 4 }),
     ];
     for timing in &configs {
-        for policy in QUEUES {
-            for seed in 0..2 {
-                assert_matches_oracle(
-                    Algorithm::Lean,
-                    &setup::half_and_half(9),
-                    timing,
-                    seed,
-                    Limits::run_to_completion(),
-                    policy,
-                );
-            }
+        for seed in 0..2 {
+            assert_matches_oracle(
+                Algorithm::Lean,
+                &setup::half_and_half(9),
+                timing,
+                seed,
+                Limits::run_to_completion(),
+            );
         }
     }
 }
 
-/// A run big enough that `QueuePolicy::Auto` actually selects the tree
-/// (n ≥ TREE_MIN_N) stays pinned to the oracle.
+/// Large first-decision runs stay pinned to the oracle, at the sizes
+/// where the engine once switched to a second queue (n = 4096) and
+/// perfbench's by-hand `fig1_n8192` workload.
 #[test]
-fn auto_policy_above_tree_threshold_matches_oracle() {
-    let n = nc_sched::select::TREE_MIN_N;
+fn large_n_matches_oracle() {
     let timing = TimingModel::figure1(Noise::Uniform { lo: 0.0, hi: 2.0 });
-    let report = assert_matches_oracle(
-        Algorithm::Lean,
-        &setup::half_and_half(n),
-        &timing,
-        1,
-        Limits::first_decision(),
-        QueuePolicy::Auto,
-    );
-    assert!(report.first_decision_round.is_some());
+    for n in [4096, 8192] {
+        let report = assert_matches_oracle(
+            Algorithm::Lean,
+            &setup::half_and_half(n),
+            &timing,
+            1,
+            Limits::first_decision(),
+        );
+        assert!(report.first_decision_round.is_some(), "n = {n}");
+    }
 }
 
 /// The value-fault plane against the oracle: the builder with an
 /// armed empty spec must match the naive `SimMemory` baseline
-/// bit for bit across algorithms × queues. (`tests/memory_planes.rs`
+/// bit for bit across algorithms. (`tests/memory_planes.rs`
 /// carries the oracle-free half of this matrix so it also runs without
 /// `--features baseline`.)
 #[test]
 fn fault_free_wrapper_matches_oracle_across_matrix() {
     let timing = TimingModel::figure1(Noise::Uniform { lo: 0.0, hi: 2.0 });
     for alg in algorithms() {
-        for policy in QUEUES {
-            let inputs = setup::half_and_half(7);
-            let wrapped = Sim::new(alg)
-                .inputs(inputs.clone())
-                .timing(timing.clone())
-                .queue_policy(policy)
-                .value_faults(FaultSpec::new())
-                .trials(4)
-                .seed0(60)
-                .seed_stride(5)
-                .threads(1)
-                .reports();
-            for (t, report) in wrapped.iter().enumerate() {
-                let seed = 60 + 5 * t as u64;
-                let mut inst = setup::build(alg, &inputs, seed);
-                let oracle =
-                    run_noisy_baseline(&mut inst, &timing, seed, Limits::run_to_completion());
-                assert_eq!(
-                    *report, oracle,
-                    "faulty-off vs oracle: {alg:?} × {policy:?}, trial {t}"
-                );
-            }
+        let inputs = setup::half_and_half(7);
+        let wrapped = Sim::new(alg)
+            .inputs(inputs.clone())
+            .timing(timing.clone())
+            .value_faults(FaultSpec::new())
+            .trials(4)
+            .seed0(60)
+            .seed_stride(5)
+            .threads(1)
+            .reports();
+        for (t, report) in wrapped.iter().enumerate() {
+            let seed = 60 + 5 * t as u64;
+            let mut inst = setup::build(alg, &inputs, seed);
+            let oracle = run_noisy_baseline(&mut inst, &timing, seed, Limits::run_to_completion());
+            assert_eq!(*report, oracle, "faulty-off vs oracle: {alg:?}, trial {t}");
         }
     }
 }

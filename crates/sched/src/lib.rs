@@ -52,6 +52,6 @@ pub use hybrid::{HybridPolicy, HybridSpec, HybridView};
 pub use noise::{Noise, OpNoise};
 pub use queue::{Event as QueuedEvent, EventQueue};
 pub use rng::stream_rng;
-pub use select::{QueueKind, QueuePolicy, SimQueue};
 pub use timing::{DelayPolicy, FailureModel, StartTimes, TimingModel};
+// Engine-free: perfbench's `sched.hold_ns` times it at large n.
 pub use tree::EventTree;

@@ -85,8 +85,10 @@ impl Event {
     /// # Panics
     ///
     /// Debug-asserts `pid <= MAX_PID` and `seq <= MAX_SEQ`; in release
-    /// builds out-of-range values would corrupt tie-breaking, and no
-    /// workload in this workspace approaches either limit.
+    /// builds out-of-range values would corrupt tie-breaking. Callers
+    /// bound the pid themselves: `nc_engine`'s `Sim` refuses a noisy run
+    /// of more than `MAX_PID + 1` processes, and `nc_msg` asserts its
+    /// slot bound.
     #[inline]
     pub fn new(time: f64, seq: u64, pid: u32) -> Self {
         debug_assert!(pid <= MAX_PID, "pid {pid} exceeds {MAX_PID}");

@@ -1,5 +1,10 @@
-//! A branchless **tournament tree** over per-process event slots — the
-//! engine's event queue at large `n`.
+//! A branchless **tournament tree** over per-process event slots.
+//!
+//! Engine-free: the engine runs on the 4-ary heap
+//! ([`crate::queue::EventQueue`]) at every `n`. perfbench's
+//! `sched.hold_ns` is the tree's only user; it times the tree's hold at
+//! the process counts where [`crate::select::QueuePolicy::Auto`] picks
+//! it.
 //!
 //! Motivation: comparison-based queues spend much of the simulation hot
 //! loop in **branch mispredicts** — every comparison on random event
@@ -10,23 +15,20 @@
 //!   sort key `(mapped time, seq, pid)` — and its **low 24 bits are the
 //!   pid**. So `min` over the `u128` keys is simultaneously the
 //!   earliest event *and* its owner: no index bookkeeping at all.
-//! * The engine holds at most one event per process, so the tree's
+//! * A hold queue keeps at most one event per process, so the tree's
 //!   leaves are a **fixed pid-indexed array** (`u128::MAX` = no event).
 //! * Internal nodes store the min of a 16-slot block. Updating a leaf
 //!   recomputes one balanced 16-wide `min` reduction per level — pure
 //!   `cmp`+`select` chains the compiler lowers without a single
 //!   data-dependent branch. Peek reads the root.
 //!
-//! **Measured outcome** (see `nc-bench`'s `event_queue` bench and the
-//! `heap_events_per_sec` / `tree_events_per_sec` columns of
-//! `BENCH_engine.json`): while the heap fits hot cache, the zero-
-//! mispredict property does not pay for the `u128::min` dependency
+//! **Measured outcome:** while the heap fits hot cache, the
+//! zero-mispredict property does not pay for the `u128::min` dependency
 //! chains — each select is a multi-µop `cmp`/`sbb`/`cmov` sequence with
 //! ~4-6 cycle latency, serialized along the reduction — and the 4-ary
-//! tournament-select heap ([`crate::queue::EventQueue`]) wins. Once the
-//! heap walk gets deep, the tree's fixed reduction catches up, so
-//! [`crate::select::QueuePolicy::Auto`] picks the tree from
-//! [`crate::select::TREE_MIN_N`] processes up and the heap below.
+//! tournament-select heap wins. End to end on the 2-core reference host
+//! the tree never won by a margin that held across repeated
+//! measurements at larger `n` either, so the engine dropped it.
 //!
 //! Determinism: `min` over total integer keys is exact — the pop
 //! sequence is identical to every other queue in this crate (pinned by
@@ -71,7 +73,7 @@ const EMPTY: u128 = u128::MAX;
 #[derive(Debug, Default)]
 pub struct EventTree {
     /// `levels[0]` = pid-indexed leaf keys (padded with [`EMPTY`] to a
-    /// multiple of [`ARITY`]); each higher level holds the 8-block mins
+    /// multiple of [`ARITY`]); each higher level holds the 16-block mins
     /// of the one below; the last level is a single root.
     levels: Vec<Vec<u128>>,
     len: usize,
@@ -151,8 +153,8 @@ impl EventTree {
         }
     }
 
-    /// Inserts or reschedules the event of `ev.pid()` — the engine's
-    /// branchless hold operation: one leaf write plus one 8-wide `min`
+    /// Inserts or reschedules the event of `ev.pid()` — the branchless
+    /// hold operation: one leaf write plus one 16-wide `min`
     /// reduction per level.
     #[inline]
     pub fn set(&mut self, ev: Event) {
@@ -185,9 +187,9 @@ impl EventTree {
     }
 
     /// Writes `key` at leaf `idx` and recomputes the block min on every
-    /// level above. The fixed-width reduction is the whole point: eight
-    /// loads and seven `u128::min`s per level, no data-dependent
-    /// branches anywhere.
+    /// level above. The fixed-width reduction is the whole point:
+    /// sixteen loads and fifteen `u128::min`s per level, no
+    /// data-dependent branches anywhere.
     #[inline]
     fn update(&mut self, mut idx: usize, key: u128) {
         self.levels[0][idx] = key;
