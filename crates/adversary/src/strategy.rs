@@ -148,9 +148,9 @@ impl StrategyFamily {
         }
     }
 
-    /// The standard tournament grid used by scenario E16 and
-    /// `bench_adversary`: 2 budget schedules × 4 rules × 2 triggers =
-    /// 16 adaptive points plus the oblivious baseline.
+    /// The standard tournament grid used by scenario E16: 2 budget
+    /// schedules × 4 rules × 2 triggers = 16 adaptive points plus the
+    /// oblivious baseline.
     ///
     /// Budgets stay modest by design — `PerRound` income large enough
     /// to override *every* pick would emulate `AntiLeader` and never

@@ -47,8 +47,8 @@ fn beam_is_bitwise_identical_serial_vs_parallel() {
 fn adaptive_family_dominates_oblivious_baseline() {
     // The acceptance property at test scale: the strongest adaptive
     // strategy forces at least as many rounds as the oblivious
-    // baseline. (BENCH_adversary.json records the same comparison at
-    // full scale for every n.)
+    // baseline. (Scenario E16 asserts the same comparison at every n
+    // up to its max-n.)
     let result = tournament(0).sweep(&StrategyFamily::standard());
     let oblivious = result.oblivious().expect("family includes the baseline");
     let worst = result.worst_adaptive().expect("family has adaptive points");

@@ -15,9 +15,9 @@
 //! round next to the strongest adaptive strategy's label and score, and
 //! closes with a `fit_log2` row over the worst-adaptive means: the
 //! empirically worst searched strategy still grows like O(log n), which
-//! is the paper's claim under adaptive scheduling (§10). The
-//! `bench_adversary` binary records the same comparison as a tracked
-//! JSON artifact.
+//! is the paper's claim under adaptive scheduling (§10). The runner
+//! asserts at every `n` that the worst adaptive strategy forces at least
+//! the oblivious baseline's mean round, the whole point of searching.
 
 use nc_adversary::{StrategyFamily, Tournament};
 use nc_sched::rng::{salts, trial_seed};
@@ -94,6 +94,13 @@ pub fn run_search(max_n: usize, trials: u64, cap: u64, seed0: u64, threads: usiz
         let worst = result
             .worst_adaptive()
             .expect("standard family has adaptive points");
+        assert!(
+            worst.mean_round >= oblivious.mean_round,
+            "n = {n}: searched adaptive {} ({}) scored below oblivious ({})",
+            worst.label,
+            worst.mean_round,
+            oblivious.mean_round
+        );
         points.push((n as f64, worst.mean_round));
         table.push(vec![
             n.to_string(),

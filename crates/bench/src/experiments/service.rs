@@ -17,7 +17,8 @@
 //! `trial_seed(seed, id, salts::SERVICE)` derivation (inside
 //! `nc_service`), so the table is a pure function of `(preset, seed)`
 //! at every shard count and worker count; no wall-clock quantity is
-//! reported (throughput and latency live in `bench_service`).
+//! reported (throughput and latency live in perfbench's `svc_journal`
+//! workload).
 
 use nc_service::{loadgen, NcService, ServiceConfig};
 

@@ -25,9 +25,7 @@
 //! count, there is no process-global thread knob, and results are
 //! bit-for-bit identical at every worker count.
 //!
-//! Criterion benchmarks (native-thread latency, component throughput,
-//! Figure 1 point cost) live under `benches/`; the engine perf gate is
-//! the separate `bench_engine` binary.
+//! The engine perf gate is the separate `bench_engine` binary.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

@@ -90,7 +90,6 @@ pub mod loadgen;
 pub mod retention;
 
 pub use journal::{JournalError, JournalReader, JournalWriter};
-pub use loadgen::{drive_open_loop, LoadReport, LoadSpec};
 pub use retention::Retention;
 
 use retention::ResidencyTracker;
