@@ -51,7 +51,8 @@ const NEXT_PHASE: [u8; 4] = [PH_READ_A1, PH_WRITE, PH_READ_PREV_RIVAL, PH_READ_A
 /// Packed hot-path state of one lean-consensus process: the entire
 /// per-operation step as table lookups and conditional moves.
 ///
-/// This is the representation [`LeanConsensus`] runs on. Invariants the
+/// This is the representation [`LeanConsensus`] runs on; the race
+/// plane's base comes from the instance's [`RaceLayout`]. Invariants the
 /// packed form maintains: `phase ≤ 4`, `pref ∈ {0, 1}`, `round ≥ 1`,
 /// and the address of every pending operation is `≥ base` (the phase-3
 /// read of round `r` targets `2(r-1) + (1-p) ≥ 0`).
@@ -61,9 +62,6 @@ struct LeanHot {
     ops: u64,
     /// Current round `r ≥ 1`.
     round: u64,
-    /// First word of the interleaved `a0`/`a1` plane (the
-    /// [`RaceLayout`] base offset).
-    base: usize,
     /// `PH_*` phase index; `4` means decided.
     phase: u8,
     /// Value observed in `a0[r]` by phase 0, consulted by phase 1.
@@ -73,30 +71,30 @@ struct LeanHot {
 }
 
 impl LeanHot {
-    /// Fresh state at round 1 for a process with the given input,
-    /// addressing a race plane rooted at word offset `base`.
-    fn fresh(base: usize, input: Bit) -> Self {
+    /// Fresh state at round 1 for a process with the given input.
+    fn fresh(input: Bit) -> Self {
         LeanHot {
             ops: 0,
             round: 1,
-            base,
             phase: PH_READ_A0,
             a0_set: 0,
             pref: input.index() as u8,
         }
     }
 
-    /// The pending operation as `(word offset, is_write)`.
+    /// The pending operation as `(word offset, is_write)` in the race
+    /// plane `layout` places.
     ///
     /// Writes always store `1` ([`Bit::One`] as a word) — the protocol
     /// never writes anything else. Must not be called on a decided
     /// process.
     #[inline(always)]
-    fn op_addr(&self) -> (usize, bool) {
+    fn op_addr(&self, layout: RaceLayout) -> (usize, bool) {
         let p = self.phase as usize;
         debug_assert!(p < PH_DONE as usize, "op_addr on a decided process");
+        let base = layout.slot(Bit::Zero, 0).offset() as i64;
         let off = 2 * self.round as i64 + ADDR_BIAS[p] + ADDR_PREF[p] * i64::from(self.pref);
-        ((self.base as i64 + off) as usize, self.phase == PH_WRITE)
+        ((base + off) as usize, self.phase == PH_WRITE)
     }
 
     /// Consumes the result of the pending operation (`0` for the write)
@@ -196,7 +194,7 @@ impl LeanConsensus {
         LeanConsensus {
             layout,
             input,
-            hot: LeanHot::fresh(layout.slot(Bit::Zero, 0).offset(), input),
+            hot: LeanHot::fresh(input),
         }
     }
 
@@ -224,7 +222,7 @@ impl Protocol for LeanConsensus {
         if self.hot.is_decided() {
             return Status::Decided(self.hot.preference());
         }
-        let (offset, is_write) = self.hot.op_addr();
+        let (offset, is_write) = self.hot.op_addr(self.layout);
         let addr = Addr::new(offset);
         Status::Pending(if is_write {
             Op::Write(addr, Bit::One.word())
@@ -276,7 +274,7 @@ impl Protocol for LeanConsensus {
         if self.hot.is_decided() {
             return Status::Decided(self.hot.preference());
         }
-        let (offset, is_write) = self.hot.op_addr();
+        let (offset, is_write) = self.hot.op_addr(self.layout);
         let addr = Addr::new(offset);
         let v = if is_write {
             mem.write(addr, Bit::One.word());
@@ -515,7 +513,7 @@ mod tests {
                 let Status::Pending(op) = p.status() else {
                     break;
                 };
-                let (offset, is_write) = p.hot.op_addr();
+                let (offset, is_write) = p.hot.op_addr(layout);
                 match op {
                     Op::Read(a) => {
                         assert!(!is_write);

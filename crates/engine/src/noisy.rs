@@ -17,7 +17,7 @@
 //! # Throughput design
 //!
 //! Figure 1 alone needs up to 10 000 trials per point, so this loop is
-//! the workspace's hottest code. Four optimizations over the naive
+//! the workspace's hottest code. Three optimizations over the naive
 //! driver (kept verbatim in [`crate::baseline`] and pinned equal by the
 //! equivalence tests):
 //!
@@ -31,61 +31,48 @@
 //!    no other queue measured reliably faster (`docs/engine-internals.md`,
 //!    "Event queue").
 //! 2. **Struct-of-arrays process state (`ProcSoA`)** — the per-event
-//!    scalars (event-time accumulator, operation index, noise-buffer
-//!    cursor, decide flag) are packed into one 32-byte `Hot` lane per
-//!    process, an 8× denser stride than the old 256-byte `ProcState`;
-//!    the cold state (RNG streams, the pre-drawn noise buffer) lives in
-//!    separate arrays touched only on refills and failure draws.
-//!    Random-order execution over `hot` touches one cache line per two
-//!    processes instead of one line per process.
+//!    scalars (event-time accumulator, operation index) are packed into
+//!    one 16-byte `Hot` lane per process, a 16× denser stride than the
+//!    old 256-byte `ProcState`; the RNG streams live in separate arrays,
+//!    and the failure stream is allocated only when a failure model
+//!    draws from it. Each event draws its noise delay `X_ij` from the
+//!    process's own stream when it is scheduled, so the values consumed
+//!    are exactly the naive driver's.
 //! 3. **Reusable [`EngineScratch`]** — per-process state, RNG streams,
 //!    the event queue, and the bookkeeping vectors are allocated once and
 //!    re-seeded across trials, so a fast-loop sweep's steady state
 //!    allocates only its `RunReport`s.
-//! 4. **Batched noise draws** — when reads and writes share one noise
-//!    distribution (every Figure 1 configuration), each process draws
-//!    up to [`NOISE_BATCH`] delays per RNG-dispatch instead of one,
-//!    hoisting the distribution match and parameter validation out of
-//!    the per-event path. Each process owns its stream, so batching
-//!    cannot change any consumed value.
 //!
 //! The common-case loop (`loop_fast`, taken when there is no crash
-//! adversary, no history recording, no random failures, and one noise
-//! distribution for reads and writes) executes each event through the
-//! fused [`Protocol::step_status`] — one (monomorphizable) call per
-//! event instead of the naive driver's four virtual dispatches — and
-//! carries no per-event `Option` checks at all. Everything else runs
-//! the step loop every schedule shares (`drive.rs`), with the event
-//! queue picking each step. Equal inputs produce bit-identical reports
-//! on either path.
+//! adversary, no history recording and no random failures) executes
+//! each event through the fused [`Protocol::step_status`] — one
+//! (monomorphizable) call per event instead of the naive driver's four
+//! virtual dispatches — and carries no per-event `Option` checks at all.
+//! Everything else runs the step loop every schedule shares
+//! (`drive.rs`), with the event queue picking each step. Equal inputs
+//! produce bit-identical reports on either path.
 
 use rand::rngs::SmallRng;
 
 use nc_core::{Protocol, Status};
-use nc_memory::{Event, Op};
+use nc_memory::{Event, Op, OpKind};
 use nc_sched::adversary::CrashAdversary;
 use nc_sched::queue::Event as QueuedEvent;
 use nc_sched::rng::salts;
-use nc_sched::{stream_rng, EventQueue, FailureModel, Noise, TimingModel};
+use nc_sched::{stream_rng, EventQueue, FailureModel, TimingModel};
 
 use crate::drive::{self, Pick, Procs};
 use crate::report::{Limits, RunOutcome, RunReport};
 use crate::setup::Instance;
 
-/// Noise samples drawn per batched RNG refill (per process).
-///
-/// Figure 1's first-decision runs execute ~20-40 operations per process,
-/// so 16 amortizes the dispatch well without over-drawing much for
-/// processes that stop early.
+/// Length of the buffer perfbench's `sched.noise_ns_per_draw` fills
+/// with one [`nc_sched::Noise::fill`] call. The engine itself draws one
+/// delay per event.
 pub const NOISE_BATCH: usize = 16;
 
-/// The per-event scalars of one process, packed to 32 bytes so two
+/// The per-event scalars of one process, packed to 16 bytes so four
 /// processes share a cache line (the old array-of-structs `ProcState`
 /// strode 256 bytes per process — see the module docs).
-///
-/// `repr(C)` pins the layout; the const assertion below keeps the size
-/// honest if fields change.
-#[repr(C)]
 #[derive(Clone, Copy, Debug)]
 struct Hot {
     /// Time at which the previous operation completed (or the start
@@ -94,152 +81,52 @@ struct Hot {
     clock: f64,
     /// 1-based index of the next operation.
     next_op: u64,
-    /// Operations executed so far (reported as `RunReport::ops`).
-    ops: u64,
-    /// Next unconsumed index into this process's noise-buffer stripe;
-    /// `buf_pos == buf_len` means empty.
-    buf_pos: u8,
-    /// Valid prefix length of the stripe.
-    buf_len: u8,
-    /// Next refill size: ramps 2 → 4 → … → [`NOISE_BATCH`], so processes
-    /// that execute only a few operations (every process, in a
-    /// first-decision run at large `n`) don't pay for a full batch up
-    /// front.
-    next_fill: u8,
-    decided: bool,
 }
 
-const _: () = assert!(
-    std::mem::size_of::<Hot>() == 32,
-    "Hot must stay 2-per-cache-line"
-);
-
-// The u8 cursor fields cap the tunable batch size: `buf_len` holds up
-// to NOISE_BATCH and the refill ramp computes `next_fill * 2` before
-// clamping, so doubling the largest value must still fit in u8.
-const _: () = assert!(
-    NOISE_BATCH * 2 <= u8::MAX as usize,
-    "NOISE_BATCH must fit the u8 cursor fields (including the 2x refill ramp)"
-);
-
-impl Hot {
-    /// Fresh per-trial state with the given start time.
-    #[inline]
-    fn new(clock: f64) -> Self {
-        Hot {
-            clock,
-            next_op: 1,
-            ops: 0,
-            buf_pos: 0,
-            buf_len: 0,
-            next_fill: 2,
-            decided: false,
-        }
-    }
-}
-
-/// Struct-of-arrays process state: the [`Hot`] per-event lanes plus the
-/// cold arrays (RNG streams, pre-drawn noise stripes) that only refills
-/// and failure draws touch.
-///
-/// All arrays are indexed by pid; `noise_buf` is flattened with a
-/// [`NOISE_BATCH`] stride per process.
+/// Struct-of-arrays process state: the [`Hot`] per-event lanes plus
+/// each process's RNG streams, all indexed by pid.
 #[derive(Default)]
 struct ProcSoA {
     hot: Vec<Hot>,
     rng_noise: Vec<SmallRng>,
+    /// Empty when the timing model has no failures: nothing draws
+    /// from it then.
     rng_failure: Vec<SmallRng>,
-    /// Pre-drawn noise delays; process `pid`'s stripe is
-    /// `noise_buf[pid * NOISE_BATCH ..][..NOISE_BATCH]`, valid between
-    /// its `buf_pos` and `buf_len` cursors.
-    noise_buf: Vec<f64>,
 }
 
 impl ProcSoA {
-    /// Re-seeds every array for a fresh `n`-process trial.
-    ///
-    /// When the arrays already hold `n` lanes they are re-seeded in
-    /// place (the common sweep case), skipping reconstruction of the
-    /// noise stripes; the failure stream is only re-derived when the
-    /// timing model can actually consume it. Neither shortcut is
-    /// observable: streams are keyed by `(seed, pid, salt)` alone, and
-    /// stripe contents are dead until the cursor fields say otherwise.
+    /// Re-seeds every array for a fresh `n`-process trial. Streams are
+    /// keyed by `(seed, pid, salt)` alone, so reusing the allocations is
+    /// not observable.
     fn reset(&mut self, n: usize, seed: u64, timing: &TimingModel) {
-        let need_failure_rng = !matches!(timing.failures, FailureModel::None);
-        if self.hot.len() == n {
-            for pid in 0..n {
-                let mut rng_start = stream_rng(seed, pid as u64, salts::START);
-                self.hot[pid] = Hot::new(timing.start_for(pid, &mut rng_start));
-                self.rng_noise[pid] = stream_rng(seed, pid as u64, salts::NOISE);
-                if need_failure_rng {
-                    self.rng_failure[pid] = stream_rng(seed, pid as u64, salts::FAILURE);
-                }
-            }
-        } else {
-            self.hot.clear();
-            self.rng_noise.clear();
-            self.rng_failure.clear();
-            self.hot.reserve(n);
-            for pid in 0..n {
-                let mut rng_start = stream_rng(seed, pid as u64, salts::START);
-                self.hot
-                    .push(Hot::new(timing.start_for(pid, &mut rng_start)));
-                self.rng_noise
-                    .push(stream_rng(seed, pid as u64, salts::NOISE));
+        let failures = !matches!(timing.failures, FailureModel::None);
+        self.hot.clear();
+        self.rng_noise.clear();
+        self.rng_failure.clear();
+        for pid in 0..n {
+            let mut rng_start = stream_rng(seed, pid as u64, salts::START);
+            self.hot.push(Hot {
+                clock: timing.start_for(pid, &mut rng_start),
+                next_op: 1,
+            });
+            self.rng_noise
+                .push(stream_rng(seed, pid as u64, salts::NOISE));
+            if failures {
                 self.rng_failure
                     .push(stream_rng(seed, pid as u64, salts::FAILURE));
             }
-            self.noise_buf.clear();
-            self.noise_buf.resize(n * NOISE_BATCH, 0.0);
         }
     }
 
-    /// Next batched noise delay for `pid`, refilling from the process's
-    /// own stream when its stripe is spent.
+    /// Advances `pid`'s clock past its next operation, of kind `kind`,
+    /// by `Δ_ij + X_ij`, drawing `X_ij` from the process's own noise
+    /// stream, and returns the new clock.
     #[inline]
-    fn next_noise(&mut self, pid: usize, noise: &Noise) -> f64 {
+    fn advance(&mut self, pid: usize, kind: OpKind, timing: &TimingModel) -> f64 {
         let h = &mut self.hot[pid];
-        let base = pid * NOISE_BATCH;
-        if h.buf_pos == h.buf_len {
-            let fill = h.next_fill as usize;
-            noise.fill(
-                &mut self.rng_noise[pid],
-                &mut self.noise_buf[base..base + fill],
-            );
-            h.buf_pos = 0;
-            h.buf_len = fill as u8;
-            h.next_fill = (h.next_fill * 2).min(NOISE_BATCH as u8);
-        }
-        let x = self.noise_buf[base + h.buf_pos as usize];
-        h.buf_pos += 1;
-        x
-    }
-
-    /// The fast path's hold bookkeeping fused into one call: counts the
-    /// executed op, consumes the next batched noise delay, advances the
-    /// process clock, and returns it. One `hot[pid]` bounds check on
-    /// the non-refill path (the disjoint-field borrows of the stripe
-    /// and RNG arrays cost nothing) — this is the per-event state
-    /// touch, so it's kept deliberately tight.
-    #[inline]
-    fn hold_advance(&mut self, pid: usize, timing: &TimingModel, noise: &Noise) -> f64 {
-        let base = pid * NOISE_BATCH;
-        let h = &mut self.hot[pid];
-        h.ops += 1;
         let op_index = h.next_op;
         h.next_op += 1;
-        if h.buf_pos == h.buf_len {
-            let fill = h.next_fill as usize;
-            noise.fill(
-                &mut self.rng_noise[pid],
-                &mut self.noise_buf[base..base + fill],
-            );
-            h.buf_pos = 0;
-            h.buf_len = fill as u8;
-            h.next_fill = (h.next_fill * 2).min(NOISE_BATCH as u8);
-        }
-        let x = self.noise_buf[base + h.buf_pos as usize];
-        h.buf_pos += 1;
+        let x = timing.noise.sample(kind, &mut self.rng_noise[pid]);
         h.clock += timing.delay.delta(pid, op_index) + x;
         h.clock
     }
@@ -320,48 +207,34 @@ pub fn drive_noisy<P: Protocol>(
         queue,
         decision_rounds,
     } = scratch;
-    // Batched draws need one distribution for all op kinds; with
-    // per-kind distributions the next draw depends on the next op's
-    // kind, so fall back to per-event sampling.
-    let batch: Option<Noise> = timing.noise.uniform_kind().copied();
     let mut timed = Timed {
         soa,
         queue,
         timing,
-        batch: batch.as_ref(),
         seq: 0,
         stepping: false,
     };
     // Dispatch: the overwhelmingly common sweep configuration — no
-    // crash adversary, no history recording, no random failures, one
-    // noise distribution for both op kinds — gets a specialized loop
-    // with no per-event Option checks, no failure draws, and no
-    // stale-event filtering (without crashes or failures, a queued
-    // process can only leave the queue by deciding, so no event is ever
-    // stale). Everything else takes the shared step loop. Both produce
-    // bit-identical results (pinned by the equivalence tests).
+    // crash adversary, no history recording, no random failures — gets
+    // a specialized loop with no per-event Option checks, no failure
+    // draws, and no stale-event filtering (without crashes or failures,
+    // a queued process can only leave the queue by deciding, so no
+    // event is ever stale). Everything else takes the shared step loop.
+    // Both produce bit-identical results (pinned by the equivalence
+    // tests).
     let fast =
         crash.is_none() && history.is_none() && matches!(timing.failures, FailureModel::None);
-    let Some(noise) = batch.filter(|_| fast) else {
+    if !fast {
         return drive::run(inst, &mut timed, limits, crash, history);
-    };
+    }
     for (pid, p) in inst.procs.iter().enumerate() {
         if let Status::Pending(op) = p.status() {
             timed.pending(pid, op);
         }
     }
     let seq = timed.seq;
-    let out = loop_fast(
-        soa,
-        decision_rounds,
-        queue,
-        inst,
-        timing,
-        &noise,
-        seq,
-        limits,
-    );
-    assemble_report(soa, decision_rounds, inst, out)
+    let out = loop_fast(soa, decision_rounds, queue, inst, timing, seq, limits);
+    assemble_report(decision_rounds, inst, out)
 }
 
 /// What [`loop_fast`] observed; [`assemble_report`] folds it into a
@@ -381,8 +254,6 @@ struct Timed<'a> {
     soa: &'a mut ProcSoA,
     queue: &'a mut EventQueue,
     timing: &'a TimingModel,
-    /// The one noise distribution for both op kinds, drawn in batches.
-    batch: Option<&'a Noise>,
     /// Last used event sequence number (the tie-breaker).
     seq: u64,
     /// The queue's first event is the process being stepped: its next
@@ -411,26 +282,24 @@ impl Pick for Timed<'_> {
     /// Draws `Δ_ij + X_ij + H_ij` for the next operation of `pid` and
     /// queues it, consuming the failure stream first and the noise
     /// stream second (matching the naive driver's stream order exactly).
+    /// An empty failure stream means the timing model never halts.
     fn pending(&mut self, pid: usize, op: Op) -> bool {
         let stepping = std::mem::take(&mut self.stepping);
-        let soa = &mut *self.soa;
-        let op_index = soa.hot[pid].next_op;
-        soa.hot[pid].next_op += 1;
-        if self.timing.failures.halts(&mut soa.rng_failure[pid]) {
+        let halts = self
+            .soa
+            .rng_failure
+            .get_mut(pid)
+            .is_some_and(|rng| self.timing.failures.halts(rng));
+        if halts {
             // H_ij = ∞: the op never occurs.
             if stepping {
                 self.queue.pop();
             }
             return false;
         }
-        let x = match self.batch {
-            Some(noise) => soa.next_noise(pid, noise),
-            None => self.timing.noise.sample(op.kind(), &mut soa.rng_noise[pid]),
-        };
-        let h = &mut soa.hot[pid];
-        h.clock += self.timing.delay.delta(pid, op_index) + x;
+        let clock = self.soa.advance(pid, op.kind(), self.timing);
         self.seq += 1;
-        let event = QueuedEvent::new(h.clock, self.seq, pid as u32);
+        let event = QueuedEvent::new(clock, self.seq, pid as u32);
         if stepping {
             self.queue.replace_top(event);
         } else {
@@ -445,9 +314,9 @@ impl Pick for Timed<'_> {
     }
 }
 
-/// Folds a finished [`loop_fast`] run into a `RunReport`.
+/// Folds a finished [`loop_fast`] run into a `RunReport`, the way
+/// `drive::run` builds one.
 fn assemble_report<P: Protocol>(
-    soa: &ProcSoA,
     decision_rounds: &[Option<usize>],
     inst: &Instance<P>,
     out: LoopOut,
@@ -455,7 +324,7 @@ fn assemble_report<P: Protocol>(
     // Runs that were not cut off ended because every process decided
     // (the fast loop never halts a process).
     let outcome = out.outcome.unwrap_or_else(|| {
-        if soa.hot.iter().any(|h| h.decided) {
+        if decision_rounds.iter().any(Option::is_some) {
             RunOutcome::AllDecided
         } else {
             RunOutcome::AllHalted
@@ -466,7 +335,7 @@ fn assemble_report<P: Protocol>(
         outcome,
         decisions: inst.procs.iter().map(|p| p.status().decision()).collect(),
         decision_rounds: decision_rounds.to_vec(),
-        ops: soa.hot.iter().map(|h| h.ops).collect(),
+        ops: inst.procs.iter().map(|p| p.ops_completed()).collect(),
         halted: vec![false; inst.procs.len()],
         first_decision_round: out.first_decision_round,
         first_decision_time: out.first_decision_time,
@@ -477,18 +346,15 @@ fn assemble_report<P: Protocol>(
 }
 
 /// The specialized hot loop: no failures, no crash adversary, no
-/// history, batched single-distribution noise. Each turn executes the
-/// earliest queued operation and reschedules or retires its process,
-/// until the queue empties, the op cap hits, or the first-decision
-/// cutoff fires.
-#[allow(clippy::too_many_arguments)]
+/// history. Each turn executes the earliest queued operation and
+/// reschedules or retires its process, until the queue empties, the op
+/// cap hits, or the first-decision cutoff fires.
 fn loop_fast<P: Protocol>(
     soa: &mut ProcSoA,
     decision_rounds: &mut [Option<usize>],
     queue: &mut EventQueue,
     inst: &mut Instance<P>,
     timing: &TimingModel,
-    noise: &Noise,
     mut seq: u64,
     limits: Limits,
 ) -> LoopOut {
@@ -511,9 +377,6 @@ fn loop_fast<P: Protocol>(
         match status {
             Status::Decided(_) => {
                 queue.pop();
-                let h = &mut soa.hot[pid];
-                h.ops += 1;
-                h.decided = true;
                 let round = inst.procs[pid].round();
                 decision_rounds[pid] = Some(round);
                 if out.first_decision_round.is_none() {
@@ -525,12 +388,9 @@ fn loop_fast<P: Protocol>(
                     }
                 }
             }
-            Status::Pending(_) => {
+            Status::Pending(op) => {
                 // The hold operation: reschedule the same process in place.
-                // (`pending` stays stale here on purpose: the fused step
-                // never reads it, and the noise is batched so the next op's
-                // kind is not needed either.)
-                let clock = soa.hold_advance(pid, timing, noise);
+                let clock = soa.advance(pid, op.kind(), timing);
                 seq += 1;
                 queue.replace_top(QueuedEvent::new(clock, seq, pid as u32));
             }
@@ -797,8 +657,17 @@ mod tests {
     #[test]
     fn scratch_reuse_is_stateless_across_trials() {
         // Interleave very different trials through one scratch and check
-        // each against a fresh-scratch run.
+        // each against a fresh-scratch run. The last four share one n:
+        // the failure streams come and go with the failure model, and
+        // per-kind noise takes the fast loop.
         let mut scratch = EngineScratch::new();
+        let per_kind = TimingModel {
+            noise: nc_sched::OpNoise::per_kind(
+                Noise::Exponential { mean: 1.0 },
+                Noise::Uniform { lo: 0.0, hi: 2.0 },
+            ),
+            ..exp_timing()
+        };
         let configs: Vec<(usize, u64, TimingModel)> = vec![
             (1, 7, exp_timing()),
             (
@@ -813,6 +682,14 @@ mod tests {
             ),
             (16, 9, TimingModel::figure1(Noise::Geometric { p: 0.5 })),
             (2, 5, exp_timing()),
+            (8, 11, exp_timing()),
+            (
+                8,
+                12,
+                exp_timing().with_failures(FailureModel::Random { per_op: 0.1 }),
+            ),
+            (8, 13, exp_timing()),
+            (8, 14, per_kind),
         ];
         for (n, seed, timing) in configs {
             let inputs = setup::half_and_half(n);
@@ -894,8 +771,8 @@ mod tests {
 
         #[test]
         fn with_per_kind_noise_and_delays() {
-            // Per-kind distributions disable the batch path; adversarial
-            // delays exercise DelayPolicy. Both must still match.
+            // Per-kind distributions draw by the next op's kind;
+            // adversarial delays exercise DelayPolicy. Both must match.
             let timing = TimingModel {
                 start: StartTimes::dithered(),
                 delay: DelayPolicy::Periodic {

@@ -7,7 +7,8 @@
 //! stream, and one `Noise::sample` dispatch per event. It is **not**
 //! compiled into normal builds — only under `cfg(test)` (for the
 //! equivalence suite pinning the optimized engine to it bit-for-bit) and
-//! under the `baseline` feature (for `nc-bench`'s speedup benches).
+//! under the `baseline` feature (for the speedup gate of `nc-bench`'s
+//! `bench_engine`).
 //!
 //! Keep this file boring. Its value is being obviously correct and
 //! obviously naive.

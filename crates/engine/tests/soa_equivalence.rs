@@ -157,8 +157,9 @@ fn crash_adversaries_by_queue_match_oracle() {
     }
 }
 
-/// Per-kind noise (batching disabled), adversarial delay policies, and
-/// non-default start times — the shared step loop's sampling paths.
+/// Per-kind noise, adversarial delay policies, and non-default start
+/// times. None turns on failures, crashes or history, so all run the
+/// fast loop, which draws each delay by the next operation's kind.
 #[test]
 fn general_loop_configs_by_queue_match_oracle() {
     let configs = [

@@ -223,65 +223,13 @@ impl Noise {
     /// Draws `out.len()` delays into `out`, identical to calling
     /// [`Noise::sample`] once per slot in order.
     ///
-    /// The engine's hot loop uses this to batch draws per process: the
-    /// variant dispatch and parameter validation happen once per batch
-    /// instead of once per event, while the consumed value sequence — and
-    /// therefore every simulation result — is exactly the same, because
-    /// each process draws from its own private stream.
-    ///
     /// # Panics
     ///
     /// Panics if the distribution's parameters are invalid (same rules
     /// as [`Noise::sample`]).
     pub fn fill<R: Rng>(&self, rng: &mut R, out: &mut [f64]) {
-        match *self {
-            Noise::Exponential { mean } => {
-                assert!(mean > 0.0, "exponential mean must be positive");
-                for slot in out {
-                    *slot = sample_exponential(rng, mean);
-                }
-            }
-            Noise::DelayedExponential { delay, mean } => {
-                assert!(delay >= 0.0, "delay must be non-negative");
-                assert!(mean > 0.0, "exponential mean must be positive");
-                for slot in out {
-                    *slot = delay + sample_exponential(rng, mean);
-                }
-            }
-            Noise::Uniform { lo, hi } => {
-                assert!(lo >= 0.0 && hi > lo, "uniform needs 0 <= lo < hi");
-                let span = hi - lo;
-                for slot in out {
-                    *slot = lo + span * rng.random::<f64>();
-                }
-            }
-            Noise::TwoPoint { lo, hi } => {
-                assert!(
-                    lo >= 0.0 && hi >= 0.0,
-                    "two-point values must be non-negative"
-                );
-                for slot in out {
-                    *slot = if rng.random::<bool>() { hi } else { lo };
-                }
-            }
-            Noise::Geometric { p } => {
-                assert!(p > 0.0 && p < 1.0, "geometric p must be in (0,1)");
-                for slot in out {
-                    *slot = sample_geometric(rng, p);
-                }
-            }
-            Noise::Constant { value } => {
-                assert!(value >= 0.0, "constant delay must be non-negative");
-                out.fill(value);
-            }
-            // Rejection (TruncatedNormal) and heavy-tail clamping
-            // (Pathological) have per-sample control flow anyway; reuse
-            // the scalar sampler to keep one source of truth.
-            Noise::TruncatedNormal { .. } | Noise::Pathological { .. } => {
-                for slot in out {
-                    *slot = self.sample(rng);
-                }
-            }
+        for slot in out {
+            *slot = self.sample(rng);
         }
     }
 
@@ -404,19 +352,6 @@ impl OpNoise {
     /// Whether either per-type distribution is degenerate.
     pub fn is_degenerate(&self) -> bool {
         self.read.is_degenerate() || self.write.is_degenerate()
-    }
-
-    /// The single distribution applied to **all** operation kinds, if
-    /// reads and writes share one (the common case, and the condition
-    /// for the engine's batched-draw fast path: with per-kind
-    /// distributions the next draw depends on the next operation's kind,
-    /// which is not known in advance).
-    pub fn uniform_kind(&self) -> Option<&Noise> {
-        if self.read == self.write {
-            Some(&self.read)
-        } else {
-            None
-        }
     }
 }
 
@@ -708,17 +643,6 @@ mod tests {
             noise.fill(&mut b, &mut batched[103..]);
             assert_eq!(sequential, batched, "{noise}");
         }
-    }
-
-    #[test]
-    fn uniform_kind_detects_shared_distribution() {
-        let same = OpNoise::same(Noise::Exponential { mean: 1.0 });
-        assert_eq!(same.uniform_kind(), Some(&Noise::Exponential { mean: 1.0 }));
-        let split = OpNoise::per_kind(
-            Noise::Exponential { mean: 1.0 },
-            Noise::Uniform { lo: 0.0, hi: 1.0 },
-        );
-        assert_eq!(split.uniform_kind(), None);
     }
 
     #[test]

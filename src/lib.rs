@@ -99,3 +99,8 @@ pub use nc_engine::{Limits, RunOutcome, RunReport, Sim, SimRun, TrialSet};
 pub use nc_memory::{FaultSpec, Op, Pid, RaceLayout, SegArray, SimMemory, Word};
 pub use nc_sched::{Noise, TimingModel};
 pub use nc_service::{CommitFact, InstanceStatus, NcService, ServiceConfig};
+
+// Compiles and runs the README's Rust blocks as doctests.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;
