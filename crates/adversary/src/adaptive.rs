@@ -13,7 +13,7 @@
 use rand::rngs::SmallRng;
 use rand::RngExt;
 
-use nc_sched::adversary::{Adversary, CrashAdversary, ProcView};
+use nc_sched::adversary::{Adversary, ProcView};
 use nc_sched::rng::salts;
 use nc_sched::stream_rng;
 
@@ -149,165 +149,6 @@ impl Adversary for BudgetedAdversary {
             }
         }
         Some(pick)
-    }
-}
-
-/// Leader-lane targeting: earns `per_round` tokens per frontier round
-/// and spends them stalling the leader whenever its lead reaches
-/// `trigger_lead` rounds.
-#[derive(Clone, Debug)]
-pub struct LeaderLaneStaller {
-    inner: BudgetedAdversary,
-}
-
-impl LeaderLaneStaller {
-    /// Creates the staller for one run.
-    pub fn new(run_seed: u64, per_round: u64, trigger_lead: u32) -> Self {
-        LeaderLaneStaller {
-            inner: BudgetedAdversary::new(
-                StrategyPoint {
-                    budget: Some(BudgetSchedule::PerRound(per_round)),
-                    rule: TargetRule::StallLeader,
-                    trigger: trigger_lead,
-                },
-                run_seed,
-            ),
-        }
-    }
-
-    /// Tokens spent so far.
-    pub fn spent(&self) -> u64 {
-        self.inner.spent()
-    }
-}
-
-impl Adversary for LeaderLaneStaller {
-    fn next(&mut self, view: ProcView<'_>) -> Option<usize> {
-        self.inner.next(view)
-    }
-}
-
-/// Near-decision spending: hoards a one-time budget of `budget` tokens
-/// and dumps them only when the race leader is within `window`
-/// operations of its round's decisive read.
-#[derive(Clone, Debug)]
-pub struct NearDecisionSpender {
-    inner: BudgetedAdversary,
-}
-
-impl NearDecisionSpender {
-    /// Creates the spender for one run.
-    pub fn new(run_seed: u64, budget: u64, window: u32) -> Self {
-        NearDecisionSpender {
-            inner: BudgetedAdversary::new(
-                StrategyPoint {
-                    budget: Some(BudgetSchedule::Constant(budget)),
-                    rule: TargetRule::NearDecision,
-                    trigger: window,
-                },
-                run_seed,
-            ),
-        }
-    }
-
-    /// Tokens spent so far.
-    pub fn spent(&self) -> u64 {
-        self.inner.spent()
-    }
-}
-
-impl Adversary for NearDecisionSpender {
-    fn next(&mut self, view: ProcView<'_>) -> Option<usize> {
-        self.inner.next(view)
-    }
-}
-
-/// Round-boundary ambush: earns `per_round` tokens per frontier round
-/// and spends them stalling the leader during the first `window`
-/// operations of each of its rounds — interference concentrated on
-/// phase transitions.
-#[derive(Clone, Debug)]
-pub struct RoundBoundaryAmbush {
-    inner: BudgetedAdversary,
-}
-
-impl RoundBoundaryAmbush {
-    /// Creates the ambusher for one run.
-    pub fn new(run_seed: u64, per_round: u64, window: u32) -> Self {
-        RoundBoundaryAmbush {
-            inner: BudgetedAdversary::new(
-                StrategyPoint {
-                    budget: Some(BudgetSchedule::PerRound(per_round)),
-                    rule: TargetRule::RoundBoundary,
-                    trigger: window,
-                },
-                run_seed,
-            ),
-        }
-    }
-
-    /// Tokens spent so far.
-    pub fn spent(&self) -> u64 {
-        self.inner.spent()
-    }
-}
-
-impl Adversary for RoundBoundaryAmbush {
-    fn next(&mut self, view: ProcView<'_>) -> Option<usize> {
-        self.inner.next(view)
-    }
-}
-
-/// The adaptive crash adversary: kills the current front-runner at
-/// phase transitions — each time the race frontier advances to a round
-/// nobody had reached before, the process that got there first is
-/// crashed, up to a budget of `f` crashes.
-///
-/// This is [`nc_sched::adversary::LeaderKiller`]'s §10 strategy keyed
-/// to round *transitions* rather than a standing lead: the crash lands
-/// exactly when a new phase begins, before the leader can bank progress
-/// in it.
-#[derive(Clone, Debug)]
-pub struct FrontRunnerCrasher {
-    budget: usize,
-    seen_frontier: usize,
-    crashed: Vec<usize>,
-}
-
-impl FrontRunnerCrasher {
-    /// Creates a crasher allowed `budget` kills.
-    pub fn new(budget: usize) -> Self {
-        FrontRunnerCrasher {
-            budget,
-            seen_frontier: 0,
-            crashed: Vec::new(),
-        }
-    }
-
-    /// Ids crashed so far, in crash order.
-    pub fn crashed(&self) -> &[usize] {
-        &self.crashed
-    }
-}
-
-impl CrashAdversary for FrontRunnerCrasher {
-    fn crash_now(&mut self, view: ProcView<'_>) -> Vec<usize> {
-        let Some(leader) = view.leader() else {
-            return Vec::new();
-        };
-        let round = view.round[leader];
-        if round <= self.seen_frontier {
-            return Vec::new();
-        }
-        // A new frontier round: record it even when out of budget, so a
-        // later refill semantics change couldn't double-kill one round.
-        self.seen_frontier = round;
-        if self.budget == 0 || view.lead() == 0 {
-            return Vec::new();
-        }
-        self.budget -= 1;
-        self.crashed.push(leader);
-        vec![leader]
     }
 }
 
@@ -459,34 +300,5 @@ mod tests {
         let mid_round = [14, 4];
         let v = view(&enabled, &round, &mid_round);
         assert_eq!(adv.intervene(&v, 0), None);
-    }
-
-    #[test]
-    fn front_runner_crasher_kills_at_phase_transition() {
-        let mut adv = FrontRunnerCrasher::new(1);
-        let enabled = [true, true, true];
-        let steps = [4, 4, 4];
-        // Everyone in round 1: the initial frontier is recorded, nobody
-        // leads, nobody dies.
-        let r1 = [1, 1, 1];
-        assert!(adv.crash_now(view(&enabled, &r1, &steps)).is_empty());
-        // Process 2 enters round 2 first: crash it.
-        let r2 = [1, 1, 2];
-        assert_eq!(adv.crash_now(view(&enabled, &r2, &steps)), vec![2]);
-        assert_eq!(adv.crashed(), &[2]);
-        // Budget exhausted: the next transition is free.
-        let r3 = [3, 1, 2];
-        assert!(adv.crash_now(view(&enabled, &r3, &steps)).is_empty());
-    }
-
-    #[test]
-    fn front_runner_crasher_one_kill_per_frontier_round() {
-        let mut adv = FrontRunnerCrasher::new(10);
-        let enabled = [true, true];
-        let steps = [8, 4];
-        let r2 = [2, 1];
-        assert_eq!(adv.crash_now(view(&enabled, &r2, &steps)), vec![0]);
-        // Same frontier re-observed: no second kill.
-        assert!(adv.crash_now(view(&enabled, &r2, &steps)).is_empty());
     }
 }

@@ -5,11 +5,12 @@
 //! against the worst case is only as tight as the strongest adversary
 //! anyone has actually fielded. This crate fields them:
 //!
-//! * [`adaptive`] — budget-limited schedule adversaries that *react* to
-//!   the observed race ([`nc_sched::adversary::ProcView`]): stall the
-//!   current leader's lane, hoard noise budget and dump it when a
-//!   process is about to decide, ambush round boundaries — plus a crash
-//!   adversary that kills the front-runner at phase transitions.
+//! * [`adaptive`] — [`BudgetedAdversary`], the budget-limited schedule
+//!   adversary that *reacts* to the observed race
+//!   ([`nc_sched::adversary::ProcView`]): stall the current leader's
+//!   lane, hoard noise budget and dump it when a process is about to
+//!   decide, ambush round boundaries, or step the most-behind process
+//!   whenever the lead is large, as its [`StrategyPoint`] says.
 //! * [`strategy`] — the parameterized [`StrategyFamily`]: budget
 //!   schedule × target-selection rule × trigger threshold, each point
 //!   deterministic from a seed via [`nc_sched::rng::trial_seed`] with
@@ -34,9 +35,6 @@ pub mod adaptive;
 pub mod strategy;
 pub mod tournament;
 
-pub use adaptive::{
-    BudgetedAdversary, FrontRunnerCrasher, LeaderLaneStaller, NearDecisionSpender,
-    RoundBoundaryAmbush,
-};
+pub use adaptive::BudgetedAdversary;
 pub use strategy::{BudgetSchedule, StrategyFamily, StrategyPoint, TargetRule};
 pub use tournament::{StrategyScore, Tournament, TournamentResult};

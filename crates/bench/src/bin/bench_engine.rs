@@ -152,7 +152,7 @@ fn main() {
     let host_limited = cores == 1;
 
     let json = format!(
-        "{{\n  \"workload\": \"fig1 point: n procs, U(0,2) noise, first-decision cutoff, full trial incl. instance setup\",\n  \"baseline\": \"naive BinaryHeap driver (nc_engine::baseline, seed implementation)\",\n  \"optimized\": \"SoA scratch engine, 4-ary event heap, one thread\",\n  \"host_cores\": {cores},\n  \"trials_n100\": {trials},\n  \"single_thread\": [{single}\n  ],\n  \"speedup_n100\": {speedup_n100:.3},\n  \"sweep_scaling_n100\": {{\n    \"host_limited\": {host_limited},\n    \"rows\": [{scaling}\n    ]\n  }},\n  \"notes\": \"Numbers from `cargo run --release -p nc-bench --bin bench_engine`; best-of-{REPEATS} wall time per cell. sweep_scaling_n100.host_limited = true means the host had 1 core, so the scaling rows carry no parallel-speedup information.\"\n}}\n"
+        "{{\n  \"workload\": \"fig1 point: n procs, U(0,2) noise, first-decision cutoff, full trial incl. instance setup\",\n  \"baseline\": \"naive BinaryHeap driver (nc_engine::baseline, seed implementation)\",\n  \"optimized\": \"engine scratch holding only the event queue and per-process RNG streams, 4-ary event heap, one thread\",\n  \"host_cores\": {cores},\n  \"trials_n100\": {trials},\n  \"single_thread\": [{single}\n  ],\n  \"speedup_n100\": {speedup_n100:.3},\n  \"sweep_scaling_n100\": {{\n    \"host_limited\": {host_limited},\n    \"rows\": [{scaling}\n    ]\n  }},\n  \"notes\": \"Numbers from `cargo run --release -p nc-bench --bin bench_engine`; best-of-{REPEATS} wall time per cell. sweep_scaling_n100.host_limited = true means the host had 1 core, so the scaling rows carry no parallel-speedup information.\"\n}}\n"
     );
     let mut file = std::fs::File::create(&out).expect("create output file");
     file.write_all(json.as_bytes()).expect("write json");

@@ -183,7 +183,6 @@ impl LeanHot {
 #[derive(Clone, Debug)]
 pub struct LeanConsensus {
     layout: RaceLayout,
-    input: Bit,
     hot: LeanHot,
 }
 
@@ -193,14 +192,8 @@ impl LeanConsensus {
     pub fn new(layout: RaceLayout, input: Bit) -> Self {
         LeanConsensus {
             layout,
-            input,
             hot: LeanHot::fresh(input),
         }
-    }
-
-    /// The input bit this process started with.
-    pub fn input(&self) -> Bit {
-        self.input
     }
 
     /// The round in which this process decided, if it has.
@@ -534,7 +527,6 @@ mod tests {
     fn input_accessor_and_display() {
         let (_, layout, _) = setup(&[]);
         let p = LeanConsensus::new(layout, Bit::One);
-        assert_eq!(p.input(), Bit::One);
         assert_eq!(p.layout(), layout);
         assert!(p.to_string().contains("round=1"));
         assert_eq!(p.decision_round(), None);

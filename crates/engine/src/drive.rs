@@ -5,11 +5,13 @@
 //! adversary the safety lemmas assume (§5), and the quantum + priority
 //! uniprocessor of Theorem 14 (§3.2, §7). [`run`] owns everything after
 //! that choice — executing the operation, recording history, advancing
-//! the protocol, counting, deciding, both cutoffs, adaptive crashes and
-//! the report — and asks a [`Pick`] for the choice itself.
+//! the protocol, counting, deciding, both cutoffs and adaptive crashes —
+//! and asks a [`Pick`] for the choice itself. [`report`] builds the
+//! `RunReport` for it and for the noisy model's `loop_fast`, taking what
+//! the protocols already hold from them.
 
 use nc_core::{Protocol, Status};
-use nc_memory::{Event, Op, Pid};
+use nc_memory::{Bit, Event, Op, Pid};
 use nc_sched::adversary::{CrashAdversary, ProcView};
 
 use crate::report::{Limits, RunOutcome, RunReport};
@@ -53,11 +55,12 @@ pub(crate) trait Pick {
     /// processes may be picked.
     fn pick(&mut self, procs: &Procs) -> Result<(usize, Option<f64>), RunOutcome>;
 
-    /// `pid` now has `op` pending: at the start of the run, and after
-    /// each of its steps that did not decide. Returning `false` halts
-    /// the process (the noisy model's `H = ∞`).
-    fn pending(&mut self, pid: usize, op: Op) -> bool {
-        let _ = (pid, op);
+    /// `pid` now has `op` pending, its operation number `op_index`
+    /// (1-based): at the start of the run, and after each of its steps
+    /// that did not decide. Returning `false` halts the process (the
+    /// noisy model's `H = ∞`).
+    fn pending(&mut self, pid: usize, op: Op, op_index: u64) -> bool {
+        let _ = (pid, op, op_index);
         true
     }
 
@@ -92,34 +95,28 @@ pub(crate) fn run<P: Protocol>(
             unreachable!("processes start undecided")
         };
         procs.pending.push(op);
-        if !schedule.pending(pid, op) {
+        if !schedule.pending(pid, op, 1) {
             procs.halt(pid);
         }
     }
     // Processes that are neither decided nor halted (a counter, not a
     // per-step scan: the scan would make the loop O(n) per step).
     let mut live = procs.enabled.iter().filter(|&&e| e).count();
-    let mut decision_rounds: Vec<Option<usize>> = vec![None; n];
-    let (mut total_ops, mut sim_time) = (0u64, 0.0);
-    let (mut first_decision_round, mut first_decision_time) = (None, None);
+    let mut end = Ending::default();
 
-    let outcome = loop {
+    end.cutoff = loop {
         if live == 0 {
-            break if decision_rounds.iter().any(Option::is_some) {
-                RunOutcome::AllDecided
-            } else {
-                RunOutcome::AllHalted
-            };
+            break None;
         }
-        if total_ops >= limits.max_ops {
-            break RunOutcome::OpCapReached;
+        if end.total_ops >= limits.max_ops {
+            break Some(RunOutcome::OpCapReached);
         }
         let (pid, time) = match schedule.pick(&procs) {
             Ok(next) => next,
-            Err(outcome) => break outcome,
+            Err(outcome) => break Some(outcome),
         };
         if let Some(time) = time {
-            sim_time = time;
+            end.sim_time = time;
         }
 
         // Execute exactly one operation of `pid`.
@@ -134,7 +131,7 @@ pub(crate) fn run<P: Protocol>(
             });
         }
         let status = inst.procs[pid].advance_status(observed);
-        total_ops += 1;
+        end.total_ops += 1;
         procs.steps[pid] += 1;
         procs.rounds[pid] = inst.procs[pid].round();
 
@@ -143,19 +140,17 @@ pub(crate) fn run<P: Protocol>(
                 schedule.decided(pid);
                 procs.enabled[pid] = false;
                 live -= 1;
-                let round = procs.rounds[pid];
-                decision_rounds[pid] = Some(round);
-                if first_decision_round.is_none() {
-                    first_decision_round = Some(round);
-                    first_decision_time = time;
+                if end.first_decision_round.is_none() {
+                    end.first_decision_round = Some(procs.rounds[pid]);
+                    end.first_decision_time = time;
                     if limits.stop_at_first_decision {
-                        break RunOutcome::FirstDecision;
+                        break Some(RunOutcome::FirstDecision);
                     }
                 }
             }
             Status::Pending(next) => {
                 procs.pending[pid] = next;
-                if !schedule.pending(pid, next) {
+                if !schedule.pending(pid, next, procs.steps[pid] + 1) {
                     procs.halt(pid);
                     live -= 1;
                 }
@@ -172,18 +167,49 @@ pub(crate) fn run<P: Protocol>(
             }
         }
     };
+    report(inst, end, procs.halted)
+}
 
+/// How a run ended, as the step loop that ran it saw it; [`report`]
+/// adds what the protocols hold.
+#[derive(Default)]
+pub(crate) struct Ending {
+    /// The outcome of a cutoff, or of a schedule that ended the run;
+    /// `None` when every process decided or halted.
+    pub(crate) cutoff: Option<RunOutcome>,
+    pub(crate) total_ops: u64,
+    pub(crate) sim_time: f64,
+    pub(crate) first_decision_round: Option<usize>,
+    pub(crate) first_decision_time: Option<f64>,
+}
+
+/// The report of a run that ended as `end` says, with the per-process
+/// `halted` flags. Decisions, decision rounds, operation counts and
+/// rounds come from the protocols: a process's round stops changing
+/// once it decides, so it is still its decision round.
+pub(crate) fn report<P: Protocol>(inst: &Instance<P>, end: Ending, halted: Vec<bool>) -> RunReport {
+    let decisions: Vec<Option<Bit>> = inst.procs.iter().map(|p| p.status().decision()).collect();
+    let outcome = match end.cutoff {
+        Some(cutoff) => cutoff,
+        None if decisions.iter().any(Option::is_some) => RunOutcome::AllDecided,
+        None => RunOutcome::AllHalted,
+    };
     RunReport {
-        n,
+        n: inst.procs.len(),
         outcome,
-        decisions: inst.procs.iter().map(|p| p.status().decision()).collect(),
-        decision_rounds,
-        ops: procs.steps,
-        halted: procs.halted,
-        first_decision_round,
-        first_decision_time,
-        total_ops,
-        sim_time,
-        max_round: procs.rounds.iter().copied().max().unwrap_or(0),
+        decision_rounds: inst
+            .procs
+            .iter()
+            .zip(&decisions)
+            .map(|(p, d)| d.map(|_| p.round()))
+            .collect(),
+        decisions,
+        ops: inst.procs.iter().map(|p| p.ops_completed()).collect(),
+        halted,
+        first_decision_round: end.first_decision_round,
+        first_decision_time: end.first_decision_time,
+        total_ops: end.total_ops,
+        sim_time: end.sim_time,
+        max_round: inst.procs.iter().map(|p| p.round()).max().unwrap_or(0),
     }
 }

@@ -94,7 +94,7 @@ impl Pick for Uniprocessor<'_> {
         Ok((pick, None))
     }
 
-    fn pending(&mut self, pid: usize, op: Op) -> bool {
+    fn pending(&mut self, pid: usize, op: Op, _op_index: u64) -> bool {
         self.pending_write[pid] = matches!(op, Op::Write(_, _));
         true
     }

@@ -12,10 +12,11 @@
 //!   operation times follow `S'_ij = Δ_i0 + Σ (Δ_ij + X_ij + H_ij)`
 //!   from an [`nc_sched::TimingModel`]; an event queue executes
 //!   operations in time order (the interleaving model). Supports random
-//!   halting failures ([`sim::Sim::faults`]), adaptive crash
-//!   adversaries (§10, [`sim::Sim::crash_adversary`]), first-decision
-//!   early exit (what Figure 1 measures), and history recording for the
-//!   register-semantics checker ([`sim::Sim::record_history`]).
+//!   halting failures ([`nc_sched::TimingModel::with_failures`]),
+//!   adaptive crash adversaries (§10, [`sim::Sim::crash_adversary`]),
+//!   first-decision early exit (what Figure 1 measures), and history
+//!   recording for the register-semantics checker
+//!   ([`sim::Sim::record_history`]).
 //! * [`sim::Sim::adversary`] — a fully adversarial untimed scheduler
 //!   ([`nc_sched::Adversary`] picks every step), used to exercise the
 //!   safety properties that must hold under *any* schedule.

@@ -30,18 +30,20 @@
 //!    event order is total, so any correct queue gives the same run;
 //!    no other queue measured reliably faster (`docs/engine-internals.md`,
 //!    "Event queue").
-//! 2. **Struct-of-arrays process state (`ProcSoA`)** — the per-event
-//!    scalars (event-time accumulator, operation index) are packed into
-//!    one 16-byte `Hot` lane per process, a 16× denser stride than the
-//!    old 256-byte `ProcState`; the RNG streams live in separate arrays,
-//!    and the failure stream is allocated only when a failure model
-//!    draws from it. Each event draws its noise delay `X_ij` from the
-//!    process's own stream when it is scheduled, so the values consumed
-//!    are exactly the naive driver's.
-//! 3. **Reusable [`EngineScratch`]** — per-process state, RNG streams,
-//!    the event queue, and the bookkeeping vectors are allocated once and
-//!    re-seeded across trials, so a fast-loop sweep's steady state
-//!    allocates only its `RunReport`s.
+//! 2. **Each per-process fact kept once** — a process's clock is the
+//!    time of its queued event (the event key round-trips the `f64`
+//!    exactly), the index of its next operation is one more than its
+//!    operations executed, and its decision round is the protocol's
+//!    [`Protocol::round`] once it has decided. Beside the queue the
+//!    engine keeps only each process's noise stream, plus a failure
+//!    stream when a failure model draws from it. Each event draws its
+//!    noise delay `X_ij` from the process's own stream when it is
+//!    scheduled, so the values consumed are exactly the naive driver's.
+//!    A lean process on the fast path costs 64 bytes besides its queued
+//!    event: the 32-byte noise stream and the 32-byte `LeanConsensus`.
+//! 3. **Reusable [`EngineScratch`]** — the event queue and the RNG
+//!    streams are allocated once and re-seeded across trials, so a
+//!    fast-loop sweep's steady state allocates only its `RunReport`s.
 //!
 //! The common-case loop (`loop_fast`, taken when there is no crash
 //! adversary, no history recording and no random failures) executes
@@ -61,7 +63,7 @@ use nc_sched::queue::Event as QueuedEvent;
 use nc_sched::rng::salts;
 use nc_sched::{stream_rng, EventQueue, FailureModel, TimingModel};
 
-use crate::drive::{self, Pick, Procs};
+use crate::drive::{self, Ending, Pick, Procs};
 use crate::report::{Limits, RunOutcome, RunReport};
 use crate::setup::Instance;
 
@@ -70,88 +72,27 @@ use crate::setup::Instance;
 /// delay per event.
 pub const NOISE_BATCH: usize = 16;
 
-/// The per-event scalars of one process, packed to 16 bytes so four
-/// processes share a cache line (the old array-of-structs `ProcState`
-/// strode 256 bytes per process — see the module docs).
-#[derive(Clone, Copy, Debug)]
-struct Hot {
-    /// Time at which the previous operation completed (or the start
-    /// time before the first operation) — the next-event key
-    /// accumulator.
-    clock: f64,
-    /// 1-based index of the next operation.
-    next_op: u64,
-}
-
-/// Struct-of-arrays process state: the [`Hot`] per-event lanes plus
-/// each process's RNG streams, all indexed by pid.
+/// Reusable engine working memory: the event queue and each process's
+/// noise and failure streams.
+///
+/// Constructing these per trial is pure allocator churn at sweep scale;
+/// a [`crate::sim::SimRun`] keeps one `EngineScratch` (and a
+/// [`crate::sim::TrialSet`] keeps one per worker span) and reuses it for
+/// every trial. Reuse never leaks state between trials: every stream is
+/// re-seeded from the trial's own seed, and the queue is cleared.
 #[derive(Default)]
-struct ProcSoA {
-    hot: Vec<Hot>,
+pub struct EngineScratch {
+    queue: EventQueue,
     rng_noise: Vec<SmallRng>,
     /// Empty when the timing model has no failures: nothing draws
     /// from it then.
     rng_failure: Vec<SmallRng>,
 }
 
-impl ProcSoA {
-    /// Re-seeds every array for a fresh `n`-process trial. Streams are
-    /// keyed by `(seed, pid, salt)` alone, so reusing the allocations is
-    /// not observable.
-    fn reset(&mut self, n: usize, seed: u64, timing: &TimingModel) {
-        let failures = !matches!(timing.failures, FailureModel::None);
-        self.hot.clear();
-        self.rng_noise.clear();
-        self.rng_failure.clear();
-        for pid in 0..n {
-            let mut rng_start = stream_rng(seed, pid as u64, salts::START);
-            self.hot.push(Hot {
-                clock: timing.start_for(pid, &mut rng_start),
-                next_op: 1,
-            });
-            self.rng_noise
-                .push(stream_rng(seed, pid as u64, salts::NOISE));
-            if failures {
-                self.rng_failure
-                    .push(stream_rng(seed, pid as u64, salts::FAILURE));
-            }
-        }
-    }
-
-    /// Advances `pid`'s clock past its next operation, of kind `kind`,
-    /// by `Δ_ij + X_ij`, drawing `X_ij` from the process's own noise
-    /// stream, and returns the new clock.
-    #[inline]
-    fn advance(&mut self, pid: usize, kind: OpKind, timing: &TimingModel) -> f64 {
-        let h = &mut self.hot[pid];
-        let op_index = h.next_op;
-        h.next_op += 1;
-        let x = timing.noise.sample(kind, &mut self.rng_noise[pid]);
-        h.clock += timing.delay.delta(pid, op_index) + x;
-        h.clock
-    }
-}
-
-/// Reusable engine working memory: the struct-of-arrays process state
-/// (with its RNG streams), the event queue, and the per-run bookkeeping
-/// vectors.
-///
-/// Constructing these per trial is pure allocator churn at sweep scale;
-/// a [`crate::sim::SimRun`] keeps one `EngineScratch` (and a
-/// [`crate::sim::TrialSet`] keeps one per worker span) and reuses it for
-/// every trial. Reuse never leaks state between trials: every field is
-/// re-seeded from the trial's own seed, and the queue is cleared.
-#[derive(Default)]
-pub struct EngineScratch {
-    soa: ProcSoA,
-    queue: EventQueue,
-    decision_rounds: Vec<Option<usize>>,
-}
-
 impl std::fmt::Debug for EngineScratch {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EngineScratch")
-            .field("capacity", &self.soa.hot.capacity())
+            .field("capacity", &self.rng_noise.capacity())
             .finish()
     }
 }
@@ -163,13 +104,40 @@ impl EngineScratch {
         Self::default()
     }
 
-    /// Re-seeds every buffer for a fresh `n`-process trial.
+    /// Re-seeds every stream for a fresh `n`-process trial. Streams are
+    /// keyed by `(seed, pid, salt)` alone, so reusing the allocations is
+    /// not observable.
     fn reset(&mut self, n: usize, seed: u64, timing: &TimingModel) {
-        self.soa.reset(n, seed, timing);
+        let failures = !matches!(timing.failures, FailureModel::None);
         self.queue.clear();
-        self.decision_rounds.clear();
-        self.decision_rounds.resize(n, None);
+        self.rng_noise.clear();
+        self.rng_failure.clear();
+        for pid in 0..n {
+            self.rng_noise
+                .push(stream_rng(seed, pid as u64, salts::NOISE));
+            if failures {
+                self.rng_failure
+                    .push(stream_rng(seed, pid as u64, salts::FAILURE));
+            }
+        }
     }
+}
+
+/// The time of `pid`'s operation number `op_index` (1-based), of kind
+/// `kind`, when its previous operation (or its start) happened at
+/// `clock`: `clock + (Δ_ij + X_ij)`, drawing `X_ij` from the process's
+/// own noise stream `rng`.
+#[inline]
+fn next_time(
+    timing: &TimingModel,
+    rng: &mut SmallRng,
+    pid: usize,
+    op_index: u64,
+    kind: OpKind,
+    clock: f64,
+) -> f64 {
+    let x = timing.noise.sample(kind, rng);
+    clock + (timing.delay.delta(pid, op_index) + x)
 }
 
 /// The fully general single-trial driver beneath the [`crate::sim`]
@@ -203,14 +171,16 @@ pub fn drive_noisy<P: Protocol>(
 ) -> RunReport {
     scratch.reset(inst.procs.len(), seed, timing);
     let EngineScratch {
-        soa,
         queue,
-        decision_rounds,
+        rng_noise,
+        rng_failure,
     } = scratch;
     let mut timed = Timed {
-        soa,
         queue,
+        rng_noise,
+        rng_failure,
         timing,
+        seed,
         seq: 0,
         stepping: false,
     };
@@ -229,31 +199,24 @@ pub fn drive_noisy<P: Protocol>(
     }
     for (pid, p) in inst.procs.iter().enumerate() {
         if let Status::Pending(op) = p.status() {
-            timed.pending(pid, op);
+            timed.pending(pid, op, 1);
         }
     }
     let seq = timed.seq;
-    let out = loop_fast(soa, decision_rounds, queue, inst, timing, seq, limits);
-    assemble_report(decision_rounds, inst, out)
-}
-
-/// What [`loop_fast`] observed; [`assemble_report`] folds it into a
-/// `RunReport`.
-#[derive(Default)]
-struct LoopOut {
-    total_ops: u64,
-    sim_time: f64,
-    first_decision_round: Option<usize>,
-    first_decision_time: Option<f64>,
-    outcome: Option<RunOutcome>,
+    let ending = loop_fast(rng_noise, queue, inst, timing, seq, limits);
+    drive::report(inst, ending, vec![false; inst.procs.len()])
 }
 
 /// The noisy schedule: an event queue orders the steps by the times
 /// the timing model draws for them.
 struct Timed<'a> {
-    soa: &'a mut ProcSoA,
     queue: &'a mut EventQueue,
+    rng_noise: &'a mut [SmallRng],
+    /// Empty when the timing model never halts.
+    rng_failure: &'a mut [SmallRng],
     timing: &'a TimingModel,
+    /// The run seed, which keys each process's start-time stream.
+    seed: u64,
     /// Last used event sequence number (the tie-breaker).
     seq: u64,
     /// The queue's first event is the process being stepped: its next
@@ -279,14 +242,15 @@ impl Pick for Timed<'_> {
         }
     }
 
-    /// Draws `Δ_ij + X_ij + H_ij` for the next operation of `pid` and
-    /// queues it, consuming the failure stream first and the noise
-    /// stream second (matching the naive driver's stream order exactly).
-    /// An empty failure stream means the timing model never halts.
-    fn pending(&mut self, pid: usize, op: Op) -> bool {
+    /// Draws `Δ_ij + X_ij + H_ij` for `pid`'s operation number
+    /// `op_index` and queues it that long after the stepped event (or,
+    /// before the first operation, after the start time the process's
+    /// own stream draws), consuming the failure stream first and the
+    /// noise stream second (matching the naive driver's stream order
+    /// exactly).
+    fn pending(&mut self, pid: usize, op: Op, op_index: u64) -> bool {
         let stepping = std::mem::take(&mut self.stepping);
         let halts = self
-            .soa
             .rng_failure
             .get_mut(pid)
             .is_some_and(|rng| self.timing.failures.halts(rng));
@@ -297,9 +261,19 @@ impl Pick for Timed<'_> {
             }
             return false;
         }
-        let clock = self.soa.advance(pid, op.kind(), self.timing);
+        let clock = if stepping {
+            self.queue
+                .peek()
+                .expect("the stepped event is queued")
+                .time()
+        } else {
+            let mut rng_start = stream_rng(self.seed, pid as u64, salts::START);
+            self.timing.start_for(pid, &mut rng_start)
+        };
+        let rng = &mut self.rng_noise[pid];
+        let time = next_time(self.timing, rng, pid, op_index, op.kind(), clock);
         self.seq += 1;
-        let event = QueuedEvent::new(clock, self.seq, pid as u32);
+        let event = QueuedEvent::new(time, self.seq, pid as u32);
         if stepping {
             self.queue.replace_top(event);
         } else {
@@ -314,89 +288,57 @@ impl Pick for Timed<'_> {
     }
 }
 
-/// Folds a finished [`loop_fast`] run into a `RunReport`, the way
-/// `drive::run` builds one.
-fn assemble_report<P: Protocol>(
-    decision_rounds: &[Option<usize>],
-    inst: &Instance<P>,
-    out: LoopOut,
-) -> RunReport {
-    // Runs that were not cut off ended because every process decided
-    // (the fast loop never halts a process).
-    let outcome = out.outcome.unwrap_or_else(|| {
-        if decision_rounds.iter().any(Option::is_some) {
-            RunOutcome::AllDecided
-        } else {
-            RunOutcome::AllHalted
-        }
-    });
-    RunReport {
-        n: inst.procs.len(),
-        outcome,
-        decisions: inst.procs.iter().map(|p| p.status().decision()).collect(),
-        decision_rounds: decision_rounds.to_vec(),
-        ops: inst.procs.iter().map(|p| p.ops_completed()).collect(),
-        halted: vec![false; inst.procs.len()],
-        first_decision_round: out.first_decision_round,
-        first_decision_time: out.first_decision_time,
-        total_ops: out.total_ops,
-        sim_time: out.sim_time,
-        max_round: inst.procs.iter().map(|p| p.round()).max().unwrap_or(0),
-    }
-}
-
 /// The specialized hot loop: no failures, no crash adversary, no
 /// history. Each turn executes the earliest queued operation and
 /// reschedules or retires its process, until the queue empties, the op
 /// cap hits, or the first-decision cutoff fires.
 fn loop_fast<P: Protocol>(
-    soa: &mut ProcSoA,
-    decision_rounds: &mut [Option<usize>],
+    rng_noise: &mut [SmallRng],
     queue: &mut EventQueue,
     inst: &mut Instance<P>,
     timing: &TimingModel,
     mut seq: u64,
     limits: Limits,
-) -> LoopOut {
-    let mut out = LoopOut::default();
+) -> Ending {
+    let mut end = Ending::default();
     while let Some(&top) = queue.peek() {
-        if out.total_ops >= limits.max_ops {
-            out.outcome = Some(RunOutcome::OpCapReached);
+        if end.total_ops >= limits.max_ops {
+            end.cutoff = Some(RunOutcome::OpCapReached);
             break;
         }
         let pid = top.pid() as usize;
         let time = top.time();
-        out.sim_time = time;
+        end.sim_time = time;
 
         // Execute exactly one operation of `pid`, fused: the protocol
         // performs its own pending operation against the memory and hands
         // back the next status in one (monomorphized) call.
-        let status = inst.procs[pid].step_status(&mut inst.mem);
-        out.total_ops += 1;
+        let p = &mut inst.procs[pid];
+        let status = p.step_status(&mut inst.mem);
+        end.total_ops += 1;
 
         match status {
             Status::Decided(_) => {
                 queue.pop();
-                let round = inst.procs[pid].round();
-                decision_rounds[pid] = Some(round);
-                if out.first_decision_round.is_none() {
-                    out.first_decision_round = Some(round);
-                    out.first_decision_time = Some(time);
+                if end.first_decision_round.is_none() {
+                    end.first_decision_round = Some(p.round());
+                    end.first_decision_time = Some(time);
                     if limits.stop_at_first_decision {
-                        out.outcome = Some(RunOutcome::FirstDecision);
+                        end.cutoff = Some(RunOutcome::FirstDecision);
                         break;
                     }
                 }
             }
             Status::Pending(op) => {
                 // The hold operation: reschedule the same process in place.
-                let clock = soa.advance(pid, op.kind(), timing);
+                let op_index = p.ops_completed() + 1;
+                let next = next_time(timing, &mut rng_noise[pid], pid, op_index, op.kind(), time);
                 seq += 1;
-                queue.replace_top(QueuedEvent::new(clock, seq, pid as u32));
+                queue.replace_top(QueuedEvent::new(next, seq, pid as u32));
             }
         }
     }
-    out
+    end
 }
 
 #[cfg(test)]

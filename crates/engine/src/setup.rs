@@ -63,10 +63,6 @@ pub struct Instance<P = Box<dyn Protocol>> {
     pub mem: SimMemory,
     /// One protocol state machine per process.
     pub procs: Vec<P>,
-    /// The inputs the processes were created with.
-    pub inputs: Vec<Bit>,
-    /// Which algorithm was instantiated.
-    pub algorithm: Algorithm,
 }
 
 impl<P: Protocol> Instance<P> {
@@ -79,9 +75,9 @@ impl<P: Protocol> Instance<P> {
 impl Instance<LeanConsensus> {
     /// Re-initializes this instance in place for a fresh trial with
     /// `inputs` — equivalent to [`build_lean`] but reusing every
-    /// allocation (memory words, process vector, inputs vector), so a
-    /// sweep's steady state builds instances allocation-free. The
-    /// memory's value-fault spec, if any, stays set and disarmed.
+    /// allocation (memory words, process vector), so a sweep's steady
+    /// state builds instances allocation-free. The memory's value-fault
+    /// spec, if any, stays set and disarmed.
     pub fn rebuild(&mut self, inputs: &[Bit]) {
         assert!(!inputs.is_empty(), "need at least one process");
         self.mem.reset();
@@ -89,8 +85,6 @@ impl Instance<LeanConsensus> {
         self.procs.clear();
         self.procs
             .extend(inputs.iter().map(|&b| LeanConsensus::new(layout, b)));
-        self.inputs.clear();
-        self.inputs.extend_from_slice(inputs);
     }
 }
 
@@ -169,12 +163,7 @@ pub fn build(algorithm: Algorithm, inputs: &[Bit], seed: u64) -> Instance {
         }
     };
 
-    Instance {
-        mem,
-        procs,
-        inputs: inputs.to_vec(),
-        algorithm,
-    }
+    Instance { mem, procs }
 }
 
 /// Builds a **monomorphized** lean-consensus instance: the same
@@ -199,8 +188,6 @@ pub fn build_lean(inputs: &[Bit]) -> Instance<LeanConsensus> {
             .iter()
             .map(|&b| LeanConsensus::new(layout, b))
             .collect(),
-        inputs: inputs.to_vec(),
-        algorithm: Algorithm::Lean,
     }
 }
 

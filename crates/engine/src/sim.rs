@@ -13,10 +13,12 @@
 //! * pick exactly one **schedule** — [`Sim::timing`] (the noisy model,
 //!   §3.1), [`Sim::adversary`] (a fully adversarial untimed scheduler),
 //!   or [`Sim::hybrid`] (the quantum + priority uniprocessor, §3.2/§7),
-//! * layer options on top: [`Sim::faults`], [`Sim::crash_adversary`],
+//! * layer options on top: [`Sim::crash_adversary`],
 //!   [`Sim::record_history`], [`Sim::limits`], and [`Sim::value_faults`]
 //!   (deterministic seeded stuck-at/drop/bit-flip value faults, injected
-//!   by the `SimMemory` word store's fault plane),
+//!   by the `SimMemory` word store's fault plane); random halting
+//!   failures are part of the timing model
+//!   ([`TimingModel::with_failures`]),
 //! * [`Sim::build`] a reusable [`SimRun`] handle and call
 //!   [`SimRun::run`] per seed, or go straight to a sweep with
 //!   [`Sim::trials`].
@@ -67,7 +69,7 @@ use nc_sched::adversary::{Adversary, CrashAdversary, NoCrashes};
 use nc_sched::hybrid::{HybridPolicy, HybridSpec};
 use nc_sched::queue::MAX_PID;
 use nc_sched::rng::{salts, trial_seed};
-use nc_sched::{FailureModel, TimingModel};
+use nc_sched::TimingModel;
 
 use crate::noisy::{self, EngineScratch};
 use crate::report::{Limits, RunReport};
@@ -139,7 +141,6 @@ pub struct Sim {
     algorithm: Algorithm,
     inputs: Vec<Bit>,
     schedule: Option<Schedule>,
-    faults: Option<FailureModel>,
     limits: Limits,
     crash: Option<CrashFactory>,
     record_history: bool,
@@ -165,7 +166,6 @@ impl Sim {
             algorithm,
             inputs: Vec::new(),
             schedule: None,
-            faults: None,
             limits: Limits::default(),
             crash: None,
             record_history: false,
@@ -179,13 +179,13 @@ impl Sim {
     /// plane ([`SimMemory::set_faults`]). A second call replaces the
     /// spec; specs do not stack.
     ///
-    /// Unlike [`Sim::faults`] (random *halting*, part of the timing
-    /// model), value faults perturb what protocols **observe** and are
-    /// supported under every schedule. Each trial derives its own fault
-    /// stream from the run seed (via `nc_sched::rng::trial_seed` with
-    /// the dedicated fault salt), so runs stay pure functions of their
-    /// seed at any thread count; setup writes (sentinels) are never
-    /// faulted.
+    /// Unlike random *halting* (part of the timing model,
+    /// [`TimingModel::with_failures`]), value faults perturb what
+    /// protocols **observe** and are supported under every schedule.
+    /// Each trial derives its own fault stream from the run seed (via
+    /// `nc_sched::rng::trial_seed` with the dedicated fault salt), so
+    /// runs stay pure functions of their seed at any thread count;
+    /// setup writes (sentinels) are never faulted.
     pub fn value_faults(mut self, spec: FaultSpec) -> Self {
         self.value_faults = Some(spec);
         self
@@ -245,14 +245,6 @@ impl Sim {
         self
     }
 
-    /// Adds random halting failures (§3.1.2) to the noisy schedule —
-    /// sugar for building the [`TimingModel`] with
-    /// [`TimingModel::with_failures`]. Requires [`Sim::timing`].
-    pub fn faults(mut self, failures: FailureModel) -> Self {
-        self.faults = Some(failures);
-        self
-    }
-
     /// Attaches an adaptive crash adversary (§10). `make` builds a
     /// fresh adversary for each run from the run's seed; returned pids
     /// halt immediately. Supported under noisy and adversarial
@@ -290,8 +282,8 @@ impl Sim {
     /// # Panics
     ///
     /// Panics if inputs are empty, no schedule was selected, or an
-    /// option conflicts with the schedule ([`Sim::faults`] or
-    /// [`Sim::record_history`] without [`Sim::timing`],
+    /// option conflicts with the schedule ([`Sim::record_history`]
+    /// without [`Sim::timing`],
     /// [`Sim::crash_adversary`] with [`Sim::hybrid`], or a hybrid spec
     /// sized for a different process count). Under [`Sim::timing`] it
     /// also panics for more than `MAX_PID + 1` = 2^24 processes, the
@@ -332,14 +324,6 @@ impl Sim {
         let schedule = self
             .schedule
             .expect("Sim needs a schedule: call timing(), adversary(), or hybrid()");
-        let schedule = match (schedule, self.faults) {
-            (Schedule::Noisy(t), Some(f)) => Schedule::Noisy(t.with_failures(f)),
-            (s, Some(_)) => panic!(
-                "faults() requires the noisy schedule (timing()), not {}",
-                s.name()
-            ),
-            (s, None) => s,
-        };
         if self.record_history {
             assert!(
                 matches!(schedule, Schedule::Noisy(_)),
@@ -382,25 +366,16 @@ impl Sim {
     }
 }
 
-/// Which instance the last run used (for [`SimRun::memory`]).
-#[derive(Clone, Copy, PartialEq, Eq, Default)]
-enum LastInstance {
-    #[default]
-    None,
-    Lean,
-    Boxed,
-}
-
 /// One worker's reusable state: the engine scratch plus the instance
-/// caches (the monomorphized lean instance is rebuilt in place across
-/// runs; other algorithms rebuild a boxed instance per run, keeping the
-/// last one for inspection).
+/// cache of its one algorithm (the monomorphized lean instance is
+/// rebuilt in place across runs; other algorithms rebuild a boxed
+/// instance per run, keeping the last one for inspection). At most one
+/// of `lean` and `boxed` is ever filled.
 #[derive(Default)]
 struct Lane {
     scratch: EngineScratch,
     lean: Option<Instance<LeanConsensus>>,
     boxed: Option<Instance>,
-    last: LastInstance,
 }
 
 /// Reborrows an owned optional crash adversary as the
@@ -438,7 +413,6 @@ fn run_one(
         // step loops, and the instance is rebuilt in place (lean is
         // deterministic, so the build ignores the seed). Bit-identical
         // to the boxed build — pinned by tests/sim_equivalence.rs.
-        lane.last = LastInstance::Lean;
         let inst = match &mut lane.lean {
             Some(inst) => {
                 inst.rebuild(&cfg.inputs);
@@ -452,7 +426,6 @@ fn run_one(
         };
         run_on(cfg, &mut lane.scratch, inst, seed, history)
     } else {
-        lane.last = LastInstance::Boxed;
         let inst = lane
             .boxed
             .insert(setup::build(cfg.algorithm, &cfg.inputs, seed));
@@ -585,30 +558,20 @@ impl SimRun {
     /// arrays, backup regions) — for visualization and debugging.
     /// `None` before the first run.
     pub fn memory(&self) -> Option<&SimMemory> {
-        match self.lane.last {
-            LastInstance::None => None,
-            LastInstance::Lean => self.lane.lean.as_ref().map(|inst| &inst.mem),
-            LastInstance::Boxed => self.lane.boxed.as_ref().map(|inst| &inst.mem),
-        }
+        let lean = self.lane.lean.as_ref().map(|inst| &inst.mem);
+        lean.or_else(|| self.lane.boxed.as_ref().map(|inst| &inst.mem))
     }
 
     /// Per-process protocol rounds as the last run left them (including
     /// undecided processes, which [`RunReport::decision_rounds`] omits).
     /// `None` before the first run.
     pub fn rounds(&self) -> Option<Vec<usize>> {
-        match self.lane.last {
-            LastInstance::None => None,
-            LastInstance::Lean => self
-                .lane
-                .lean
-                .as_ref()
-                .map(|inst| inst.procs.iter().map(|p| p.round()).collect()),
-            LastInstance::Boxed => self
-                .lane
-                .boxed
-                .as_ref()
-                .map(|inst| inst.procs.iter().map(|p| p.round()).collect()),
-        }
+        let lean = self.lane.lean.as_ref();
+        let rounds = lean.map(|inst| inst.procs.iter().map(|p| p.round()).collect());
+        rounds.or_else(|| {
+            let boxed = self.lane.boxed.as_ref();
+            boxed.map(|inst| inst.procs.iter().map(|p| p.round()).collect())
+        })
     }
 }
 
@@ -1074,16 +1037,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "requires the noisy schedule")]
-    fn faults_without_timing_panics() {
-        let _ = Sim::new(Algorithm::Lean)
-            .inputs(setup::half_and_half(2))
-            .adversary(|_| RoundRobin::new())
-            .faults(FailureModel::Random { per_op: 0.1 })
-            .build();
-    }
-
-    #[test]
     #[should_panic(expected = "names at most MAX_PID + 1 = 16777216 processes")]
     fn noisy_schedule_refuses_more_processes_than_its_event_key_names() {
         // Pid 2^24 would read back from the event key as pid 0.
@@ -1120,22 +1073,5 @@ mod tests {
             .build()
             .run(4);
         assert_eq!(replaced, clean, "the second spec must replace the first");
-    }
-
-    #[test]
-    fn faults_fold_into_the_timing_model() {
-        let inputs = setup::alternating(4);
-        let a = Sim::new(Algorithm::Lean)
-            .inputs(inputs.clone())
-            .timing(exp_timing())
-            .faults(FailureModel::Random { per_op: 0.9 })
-            .build()
-            .run(9);
-        let b = Sim::new(Algorithm::Lean)
-            .inputs(inputs)
-            .timing(exp_timing().with_failures(FailureModel::Random { per_op: 0.9 }))
-            .build()
-            .run(9);
-        assert_eq!(a, b);
     }
 }

@@ -52,8 +52,7 @@ fn fault_free_backends_agree_across_the_noisy_matrix() {
                 let sim = || {
                     Sim::new(alg)
                         .inputs(setup::half_and_half(8))
-                        .timing(exp_timing())
-                        .faults(failures)
+                        .timing(exp_timing().with_failures(failures))
                 };
                 let (plain, wrapped) = plain_and_wrapped(sim, seed);
                 assert_eq!(plain, wrapped, "{alg:?} × {failures:?} × seed {seed}");

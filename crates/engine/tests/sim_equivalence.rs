@@ -72,16 +72,12 @@ fn noisy_builder_matches_internals_across_the_matrix() {
         for failures in failure_models() {
             for record in [false, true] {
                 let inputs = setup::half_and_half(8);
-                let timing = exp_timing();
-                let mut sim = Sim::new(alg)
-                    .inputs(inputs.clone())
-                    .timing(timing.clone())
-                    .faults(failures);
+                let timing = exp_timing().with_failures(failures);
+                let mut sim = Sim::new(alg).inputs(inputs.clone()).timing(timing.clone());
                 if record {
                     sim = sim.record_history();
                 }
                 let mut sim = sim.build();
-                let timing = timing.with_failures(failures);
                 for seed in 0..3 {
                     let built = sim.run(seed);
                     let mut legacy_history = Vec::new();

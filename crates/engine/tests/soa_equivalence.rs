@@ -1,5 +1,5 @@
-//! The SoA engine's oracle-pinning suite: the optimized driver (SoA
-//! scratch, with or without an empty value-fault spec) must produce
+//! The optimized engine's oracle-pinning suite: the optimized driver
+//! (with or without an empty value-fault spec) must produce
 //! **byte identical** [`nc_engine::RunReport`]s to the naive BinaryHeap
 //! baseline (`nc_engine::baseline`, the untouched seed implementation)
 //! across the full scenario matrix — algorithms × noise distributions ×
@@ -65,7 +65,7 @@ fn assert_matches_oracle(
 /// The headline matrix: every algorithm × every Figure 1 noise
 /// distribution, run to completion and to first decision.
 #[test]
-fn algorithms_by_noise_by_queue_match_oracle() {
+fn algorithms_by_noise_match_oracle() {
     for alg in algorithms() {
         for (_, noise) in Noise::figure1_suite() {
             let timing = TimingModel::figure1(noise);
@@ -92,7 +92,7 @@ fn algorithms_by_noise_by_queue_match_oracle() {
 /// Random halting failures (exercises the general loop's stale-event
 /// drain and the failure-RNG stream order).
 #[test]
-fn random_failures_by_queue_match_oracle() {
+fn random_failures_match_oracle() {
     let exponential = Noise::Exponential { mean: 1.0 };
     for (noise, per_op) in [
         (exponential, 0.01),
@@ -113,13 +113,51 @@ fn random_failures_by_queue_match_oracle() {
     }
 }
 
+/// Runs `(alg, inputs, timing, seed)` to completion under the crash
+/// adversary `make` builds, recording histories, through the optimized
+/// engine and the oracle, and asserts equal reports and equal
+/// histories.
+fn assert_crashes_match_oracle(
+    alg: Algorithm,
+    inputs: &[Bit],
+    timing: &TimingModel,
+    seed: u64,
+    make: fn() -> Box<dyn CrashAdversary>,
+) {
+    let mut scratch = EngineScratch::new();
+    let mut inst_opt = setup::build(alg, inputs, seed);
+    let mut inst_ref = setup::build(alg, inputs, seed);
+    let (mut crash_opt, mut crash_ref) = (make(), make());
+    let (mut hist_opt, mut hist_ref) = (Vec::new(), Vec::new());
+    let limits = Limits::run_to_completion();
+    let optimized = drive_noisy(
+        &mut scratch,
+        &mut inst_opt,
+        timing,
+        seed,
+        limits,
+        Some(crash_opt.as_mut()),
+        Some(&mut hist_opt),
+    );
+    let oracle = run_noisy_with_baseline(
+        &mut inst_ref,
+        timing,
+        seed,
+        limits,
+        Some(crash_ref.as_mut()),
+        Some(&mut hist_ref),
+    );
+    let case = format!("{alg:?} × crash × {timing:?} × seed {seed}");
+    assert_eq!(optimized, oracle, "{case}");
+    assert_eq!(hist_opt, hist_ref, "history diverged: {case}");
+}
+
 /// Adaptive and scripted crash adversaries, with histories compared
 /// event by event.
 #[test]
-fn crash_adversaries_by_queue_match_oracle() {
+fn crash_adversaries_match_oracle() {
     let timing = TimingModel::figure1(Noise::Exponential { mean: 1.0 });
-    type MakeCrash = fn() -> Box<dyn CrashAdversary>;
-    let adversaries: [MakeCrash; 3] = [
+    let adversaries: [fn() -> Box<dyn CrashAdversary>; 3] = [
         || Box::new(LeaderKiller::new(3, 2)),
         || Box::new(CrashScript::new(vec![(0, 1), (2, 5)])),
         || Box::new(CrashScript::new(vec![(1, 3)])),
@@ -127,32 +165,39 @@ fn crash_adversaries_by_queue_match_oracle() {
     for make in adversaries {
         for seed in 0..3 {
             let inputs = setup::half_and_half(6);
-            let mut scratch = EngineScratch::new();
-            let mut inst_opt = setup::build(Algorithm::Lean, &inputs, seed);
-            let mut inst_ref = setup::build(Algorithm::Lean, &inputs, seed);
-            let mut crash_opt = make();
-            let mut crash_ref = make();
-            let mut hist_opt = Vec::new();
-            let mut hist_ref = Vec::new();
-            let optimized = drive_noisy(
-                &mut scratch,
-                &mut inst_opt,
-                &timing,
-                seed,
-                Limits::run_to_completion(),
-                Some(crash_opt.as_mut()),
-                Some(&mut hist_opt),
-            );
-            let oracle = run_noisy_with_baseline(
-                &mut inst_ref,
-                &timing,
-                seed,
-                Limits::run_to_completion(),
-                Some(crash_ref.as_mut()),
-                Some(&mut hist_ref),
-            );
-            assert_eq!(optimized, oracle, "crash × seed {seed}");
-            assert_eq!(hist_opt, hist_ref, "history diverged, seed {seed}");
+            assert_crashes_match_oracle(Algorithm::Lean, &inputs, &timing, seed, make);
+        }
+    }
+}
+
+/// Delay policies that read the operation index, on every algorithm and
+/// on both loops. Fault-free runs take `loop_fast`, which derives the
+/// index from the protocol's `ops_completed()`; random failures, and a
+/// crash adversary with history, take the shared step loop, which
+/// derives it from its own step count.
+#[test]
+fn op_index_delays_match_oracle_on_both_loops() {
+    for delay in [
+        DelayPolicy::Periodic {
+            period: 3,
+            extra: 0.5,
+        },
+        DelayPolicy::SaveAndSpend { m: 0.5, period: 4 },
+    ] {
+        let timing = TimingModel::figure1(Noise::Exponential { mean: 1.0 }).with_delay(delay);
+        let failing = timing
+            .clone()
+            .with_failures(FailureModel::Random { per_op: 0.05 });
+        for alg in algorithms() {
+            let inputs = setup::half_and_half(6);
+            for seed in 0..2 {
+                let limits = Limits::run_to_completion();
+                assert_matches_oracle(alg, &inputs, &timing, seed, limits);
+                assert_matches_oracle(alg, &inputs, &failing, seed, limits);
+                assert_crashes_match_oracle(alg, &inputs, &timing, seed, || {
+                    Box::new(LeaderKiller::new(2, 1))
+                });
+            }
         }
     }
 }
@@ -161,7 +206,7 @@ fn crash_adversaries_by_queue_match_oracle() {
 /// times. None turns on failures, crashes or history, so all run the
 /// fast loop, which draws each delay by the next operation's kind.
 #[test]
-fn general_loop_configs_by_queue_match_oracle() {
+fn fast_loop_timing_configs_match_oracle() {
     let configs = [
         TimingModel {
             start: StartTimes::dithered(),

@@ -33,8 +33,10 @@ fn main() {
         let inputs = setup::half_and_half(n);
         let mut sim = Sim::new(Algorithm::Lean)
             .inputs(inputs.clone())
-            .timing(TimingModel::figure1(Noise::Exponential { mean: 1.0 }))
-            .faults(FailureModel::Random { per_op: h })
+            .timing(
+                TimingModel::figure1(Noise::Exponential { mean: 1.0 })
+                    .with_failures(FailureModel::Random { per_op: h }),
+            )
             .build();
         let mut decided = 0;
         let mut died = 0;

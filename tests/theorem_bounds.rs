@@ -52,8 +52,10 @@ fn theorem12_with_random_failures() {
     let inputs = setup::half_and_half(32);
     let decided: usize = Sim::new(Algorithm::Lean)
         .inputs(inputs.clone())
-        .timing(TimingModel::figure1(Noise::Exponential { mean: 1.0 }))
-        .faults(FailureModel::Random { per_op: 0.01 })
+        .timing(
+            TimingModel::figure1(Noise::Exponential { mean: 1.0 })
+                .with_failures(FailureModel::Random { per_op: 0.01 }),
+        )
         .trials(trials)
         .map(|report| {
             report.check_safety(&inputs).unwrap();
