@@ -15,7 +15,7 @@
 //!   schedule × target-selection rule × trigger threshold, each point
 //!   deterministic from a seed via [`nc_sched::rng::trial_seed`] with
 //!   [`nc_sched::rng::salts::STRATEGY`].
-//! * [`tournament`] — [`Tournament`], the grid/beam-search harness that
+//! * [`tournament`] — [`Tournament`], the grid-search harness that
 //!   sweeps a family over `TrialSet` fan-out and reports the
 //!   empirically worst-case round count, byte-identical at every
 //!   worker/lane count.

@@ -1,4 +1,4 @@
-//! The strategy-search tournament: grid/beam search over a
+//! The strategy-search tournament: a grid search over a
 //! [`StrategyFamily`], scoring each point by the rounds it forces.
 //!
 //! Scoring runs lean-consensus on split inputs (the hard case) under
@@ -30,8 +30,7 @@ pub struct StrategyScore {
     pub point: StrategyPoint,
     /// `point.label()`, precomputed for tables.
     pub label: String,
-    /// Trials this score aggregates (beam refinement re-scores the
-    /// leaders at a higher count).
+    /// Trials this score aggregates.
     pub trials: u64,
     /// Mean forced round across trials — the ranking metric.
     pub mean_round: f64,
@@ -131,7 +130,7 @@ impl Tournament {
     }
 
     /// Scores a single point under an explicit point seed and trial
-    /// count — the primitive both searches are built from.
+    /// count — the primitive [`Tournament::sweep`] is built from.
     pub fn score_at(&self, point: StrategyPoint, point_seed: u64, trials: u64) -> StrategyScore {
         let reports = Sim::new(Algorithm::Lean)
             .inputs(setup::half_and_half(self.n))
@@ -178,30 +177,6 @@ impl Tournament {
             })
             .collect();
         TournamentResult { scores }
-    }
-
-    /// Beam search: a full grid pass at the base trial budget, then the
-    /// top `width` points re-scored at `refine_factor ×` the trials to
-    /// sharpen the leaders' means. The refined scores replace the
-    /// coarse ones in the returned result (their `trials` field records
-    /// the deeper count).
-    pub fn beam(
-        &self,
-        family: &StrategyFamily,
-        width: usize,
-        refine_factor: u64,
-    ) -> TournamentResult {
-        let points = family.points();
-        let mut result = self.sweep(family);
-        let order = result.ranked();
-        for &j in order.iter().take(width) {
-            result.scores[j] = self.score_at(
-                points[j],
-                trial_seed(self.seed0, j as u64, salts::STRATEGY),
-                self.trials * refine_factor.max(1),
-            );
-        }
-        result
     }
 }
 
@@ -255,21 +230,5 @@ mod tests {
             let (a, b) = (&result.scores[w[0]], &result.scores[w[1]]);
             assert!(a.mean_round >= b.mean_round);
         }
-    }
-
-    #[test]
-    fn beam_refines_leaders_at_higher_trials() {
-        let t = small();
-        let refined = t.beam(&tiny_family(), 1, 4);
-        let deeper: Vec<&StrategyScore> =
-            refined.scores.iter().filter(|s| s.trials == 12).collect();
-        assert_eq!(deeper.len(), 1);
-        // Unrefined points keep their coarse scores.
-        assert_eq!(
-            refined.scores.iter().filter(|s| s.trials == 3).count(),
-            refined.scores.len() - 1
-        );
-        // And the beam itself is deterministic.
-        assert_eq!(refined, t.beam(&tiny_family(), 1, 4));
     }
 }

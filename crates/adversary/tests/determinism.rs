@@ -1,6 +1,6 @@
 //! The tournament's determinism contract: results are a pure function
 //! of `(family, n, trials, seed0, max_ops)` — byte-identical at every
-//! worker-thread count, for both the grid sweep and the beam search.
+//! worker-thread count.
 //! This is the adversary-plane edition of the engine's
 //! serial-vs-parallel suite (`crates/bench/tests/determinism.rs`).
 
@@ -25,22 +25,6 @@ fn sweep_is_bitwise_identical_serial_vs_parallel() {
             "sweep diverged at {threads} workers"
         );
     }
-}
-
-#[test]
-fn beam_is_bitwise_identical_serial_vs_parallel() {
-    let family = StrategyFamily::standard();
-    let reference = tournament(1).beam(&family, 3, 4);
-    assert_eq!(
-        reference,
-        tournament(4).beam(&family, 3, 4),
-        "beam search diverged between serial and 4 workers"
-    );
-    // Refined leaders carry the deeper trial count.
-    assert_eq!(
-        reference.scores.iter().filter(|s| s.trials == 16).count(),
-        3
-    );
 }
 
 #[test]

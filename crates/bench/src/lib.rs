@@ -18,12 +18,12 @@
 //! committed golden CSVs (`tests/golden_repro.rs`).
 //!
 //! Engine-driven trial sweeps go through [`nc_engine::sim::TrialSet`]
-//! (which owns scratch pooling and worker fan-out);
-//! the [`par_trials`] / [`par_trial_chunks`] helpers here cover the
-//! non-engine sweeps (renewal races, message-passing runs). In both,
-//! **parallelism is per-call state**: every sweep takes its own worker
-//! count, there is no process-global thread knob, and results are
-//! bit-for-bit identical at every worker count.
+//! (which owns scratch pooling and worker fan-out); the [`par_trials`]
+//! helper here covers the non-engine sweeps (renewal races,
+//! message-passing runs). In both, **parallelism is per-call state**:
+//! every sweep takes its own worker count, there is no process-global
+//! thread knob, and results are bit-for-bit identical at every worker
+//! count.
 //!
 //! The engine perf gate is the separate `bench_engine` binary.
 
@@ -41,6 +41,8 @@ pub use nc_engine::sim::{par_spans, resolve_threads};
 
 /// Runs `trials` independent trial computations across `threads`
 /// workers (0 = all cores), returning the results **in trial order**.
+/// Trials are split into contiguous spans by [`par_spans`], the same
+/// chunked fan-out that powers `TrialSet` sweeps.
 ///
 /// Determinism contract: `f` must be a pure function of its trial index
 /// (all experiment trials are — each derives its own seed from the
@@ -51,27 +53,7 @@ where
     T: Send,
     F: Fn(u64) -> T + Sync,
 {
-    par_trial_chunks(threads, trials, || (), |(), t| f(t))
-}
-
-/// [`par_trials`] with per-worker reusable state: trials are split into
-/// contiguous spans (by [`par_spans`], the same chunked fan-out that
-/// powers `TrialSet` sweeps), each span gets a fresh `init()` value
-/// that its trials mutate serially. Results come back in trial order.
-///
-/// The same determinism contract applies: the state is scratch memory,
-/// so span boundaries (and therefore the worker count) must not affect
-/// any result.
-pub fn par_trial_chunks<S, T, Init, F>(threads: usize, trials: u64, init: Init, f: F) -> Vec<T>
-where
-    T: Send,
-    Init: Fn() -> S + Sync,
-    F: Fn(&mut S, u64) -> T + Sync,
-{
-    par_spans(threads, trials, |lo, hi| {
-        let mut state = init();
-        (lo..hi).map(|t| f(&mut state, t)).collect()
-    })
+    par_spans(threads, trials, |lo, hi| (lo..hi).map(&f).collect())
 }
 
 /// The paper's Figure 1 x-axis: 1, 2, 5 per decade, from 1 to `max_n`.
@@ -197,25 +179,6 @@ mod tests {
             assert_eq!(par_trials(threads, 1000, |t| t * t), serial, "{threads}");
         }
         assert!(par_trials(4, 0, |t| t).is_empty());
-    }
-
-    #[test]
-    fn par_trial_chunks_state_is_per_chunk_scratch_only() {
-        // The per-chunk state must not leak into results: a counter that
-        // workers mutate still yields a pure function of the trial index
-        // as long as f ignores it for its output.
-        for threads in [1usize, 4] {
-            let out = par_trial_chunks(
-                threads,
-                257,
-                || 0u64,
-                |acc, t| {
-                    *acc += 1;
-                    t + 1
-                },
-            );
-            assert_eq!(out, (1..=257u64).collect::<Vec<_>>());
-        }
     }
 
     #[test]

@@ -196,17 +196,22 @@ impl LeanConsensus {
         }
     }
 
-    /// The round in which this process decided, if it has.
-    ///
-    /// A process decides during its current round, so this equals
-    /// [`Protocol::round`] after decision.
-    pub fn decision_round(&self) -> Option<usize> {
-        self.hot.is_decided().then_some(self.hot.round())
+    /// The frontier bit `b` whose read of `a_b[r]` is the pending
+    /// operation; `None` when the write or the final read is pending, or
+    /// once decided. The variants hook their one changed rule here.
+    pub(crate) fn pending_frontier(&self) -> Option<Bit> {
+        match self.hot.phase {
+            PH_READ_A0 => Some(Bit::Zero),
+            PH_READ_A1 => Some(Bit::One),
+            _ => None,
+        }
     }
 
-    /// The shared-memory layout this instance runs against.
-    pub fn layout(&self) -> RaceLayout {
-        self.layout
+    /// Replaces the preference; the pending write and final read follow
+    /// it. Only sound where Lemmas 2–4 allow the change (the local-coin
+    /// variant's doubly-set frontier).
+    pub(crate) fn set_preference(&mut self, b: Bit) {
+        self.hot.pref = b.index() as u8;
     }
 }
 
@@ -345,7 +350,7 @@ mod tests {
             }
             assert_eq!(decision, Some(input));
             assert_eq!(p.ops_completed(), 8);
-            assert_eq!(p.decision_round(), Some(2));
+            assert_eq!(p.round(), 2);
         }
     }
 
@@ -390,7 +395,7 @@ mod tests {
             let (mut mem, _, mut procs) =
                 setup(&[Bit::Zero, Bit::One, Bit::Zero, Bit::One, Bit::One]);
             run_random_interleave(&mut procs, &mut mem, seed, 2_000_000).unwrap();
-            let rounds: Vec<usize> = procs.iter().map(|p| p.decision_round().unwrap()).collect();
+            let rounds: Vec<usize> = procs.iter().map(|p| p.round()).collect();
             let lo = *rounds.iter().min().unwrap();
             let hi = *rounds.iter().max().unwrap();
             assert!(hi - lo <= 1, "decision rounds spread {lo}..{hi}");
@@ -527,9 +532,11 @@ mod tests {
     fn input_accessor_and_display() {
         let (_, layout, _) = setup(&[]);
         let p = LeanConsensus::new(layout, Bit::One);
-        assert_eq!(p.layout(), layout);
         assert!(p.to_string().contains("round=1"));
-        assert_eq!(p.decision_round(), None);
+        assert_eq!(
+            p.status(),
+            Status::Pending(Op::Read(layout.slot(Bit::Zero, 1)))
+        );
     }
 
     #[test]

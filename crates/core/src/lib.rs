@@ -27,16 +27,20 @@
 //!   unchanged under the discrete-event engine, the hybrid
 //!   uniprocessor driver, and native threads.
 //! * [`LeanConsensus`] — the paper's algorithm, operation-exact.
-//! * [`SkippingLean`] — the "optimized" variant §4 warns against
-//!   (skips provably redundant operations), kept for the ablation
-//!   experiment showing the paradox: skipping ops *slows termination*.
-//! * [`RandomizedLean`] — a local-coin variant: identical to
-//!   lean-consensus except that a process seeing **both** frontier bits
-//!   set re-randomizes its preference (the only placement of local
-//!   randomness that preserves Lemmas 2–4; see the module docs for why
-//!   an all-zero-frontier coin is genuinely unsafe, and why local coins
-//!   cannot defeat lockstep schedules — that takes a shared coin, i.e.
-//!   the `nc-backup` protocol).
+//! * Two variants, each one rule over a [`LeanConsensus`] it holds:
+//!   the variant runs the paper's round unchanged and acts only after
+//!   the frontier reads.
+//!   * [`SkippingLean`] — the "optimized" variant §4 warns against
+//!     (skips provably redundant operations), kept for the ablation
+//!     experiment showing the paradox: skipping ops *slows
+//!     termination*.
+//!   * [`RandomizedLean`] — a local-coin variant: identical to
+//!     lean-consensus except that a process seeing **both** frontier
+//!     bits set re-randomizes its preference (the only placement of
+//!     local randomness that preserves Lemmas 2–4; see the module docs
+//!     for why an all-zero-frontier coin is genuinely unsafe, and why
+//!     local coins cannot defeat lockstep schedules — that takes a
+//!     shared coin, i.e. the `nc-backup` protocol).
 //! * [`BoundedLean`] — the §8 combined protocol: lean-consensus through
 //!   round `r_max`, then hand the current preference to a bounded-space
 //!   backup protocol (any [`Protocol`] with validity).

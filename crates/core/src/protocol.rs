@@ -204,12 +204,12 @@ pub fn run_round_robin<P: Protocol>(
     loop {
         let mut all_decided = true;
         for p in procs.iter_mut() {
+            if steps == max_steps && p.status().decision().is_none() {
+                return None;
+            }
             if step(p, mem).is_none() {
                 all_decided = false;
                 steps += 1;
-                if steps > max_steps {
-                    return None;
-                }
             }
         }
         if all_decided {
@@ -363,6 +363,7 @@ mod tests {
         let mut mem = SimMemory::new();
         let mut procs = vec![Forever, Forever];
         assert_eq!(run_round_robin(&mut procs, &mut mem, 50), None);
+        assert_eq!(mem.ops_executed(), 50, "the cap bounds executed operations");
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! the one place it is safe: when a process observes **both** frontier
 //! bits `a0[r]` and `a1[r]` set — a true tie, where the deterministic
 //! algorithm keeps its current preference — the randomized variant
-//! re-draws its preference uniformly.
+//! re-draws its preference uniformly. It holds a [`LeanConsensus`] and
+//! changes only that one rule.
 //!
 //! Why this is safe: safety (§5) only constrains preference *changes
 //! toward an unset side*. When both `a_b[r]` bits are set, Lemma 2
@@ -38,33 +39,21 @@ use std::fmt;
 use rand::rngs::SmallRng;
 use rand::RngExt;
 
-use nc_memory::{Bit, Op, RaceLayout, Word};
+use nc_memory::{Bit, RaceLayout, Word};
 
+use crate::lean::LeanConsensus;
 use crate::protocol::{Protocol, Status};
-
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum Phase {
-    ReadA0,
-    ReadA1 { a0_set: bool },
-    Write,
-    ReadPrevRival,
-    Done(Bit),
-}
 
 /// Lean-consensus with a local coin on tied frontiers.
 ///
-/// Identical operation sequence to [`crate::LeanConsensus`] (four
-/// operations per round); only the preference rule on a doubly-set
-/// frontier differs.
+/// Identical operation sequence to [`LeanConsensus`] (four operations
+/// per round); only the preference rule on a doubly-set frontier
+/// differs.
 #[derive(Clone, Debug)]
 pub struct RandomizedLean {
-    layout: RaceLayout,
-    input: Bit,
-    preference: Bit,
-    round: usize,
-    phase: Phase,
-    ops: u64,
-    coin_flips: u64,
+    lean: LeanConsensus,
+    /// Whether this round's read of `a0[r]` returned a set bit.
+    a0_set: bool,
     rng: SmallRng,
 }
 
@@ -73,104 +62,44 @@ impl RandomizedLean {
     /// its own coin stream.
     pub fn new(layout: RaceLayout, input: Bit, rng: SmallRng) -> Self {
         RandomizedLean {
-            layout,
-            input,
-            preference: input,
-            round: 1,
-            phase: Phase::ReadA0,
-            ops: 0,
-            coin_flips: 0,
+            lean: LeanConsensus::new(layout, input),
+            a0_set: false,
             rng,
         }
-    }
-
-    /// The input bit this process started with.
-    pub fn input(&self) -> Bit {
-        self.input
-    }
-
-    /// The round in which this process decided, if it has.
-    pub fn decision_round(&self) -> Option<usize> {
-        matches!(self.phase, Phase::Done(_)).then_some(self.round)
-    }
-
-    /// How many local coins this process has flipped.
-    pub fn coin_flips(&self) -> u64 {
-        self.coin_flips
     }
 }
 
 impl Protocol for RandomizedLean {
     fn status(&self) -> Status {
-        let one: Word = Bit::One.word();
-        match self.phase {
-            Phase::ReadA0 => Status::Pending(Op::Read(self.layout.slot(Bit::Zero, self.round))),
-            Phase::ReadA1 { .. } => {
-                Status::Pending(Op::Read(self.layout.slot(Bit::One, self.round)))
-            }
-            Phase::Write => Status::Pending(Op::Write(
-                self.layout.slot(self.preference, self.round),
-                one,
-            )),
-            Phase::ReadPrevRival => Status::Pending(Op::Read(
-                self.layout.slot(self.preference.rival(), self.round - 1),
-            )),
-            Phase::Done(b) => Status::Decided(b),
-        }
+        self.lean.status()
     }
 
     fn advance(&mut self, read_value: Option<Word>) {
-        self.ops += 1;
-        match self.phase {
-            Phase::ReadA0 => {
-                let v = read_value.expect("pending read of a0[r] requires a value");
-                self.phase = Phase::ReadA1 { a0_set: v != 0 };
+        let frontier = self.lean.pending_frontier();
+        self.lean.advance(read_value);
+        let set = read_value.is_some_and(|v| v != 0);
+        match frontier {
+            Some(Bit::Zero) => self.a0_set = set,
+            // The one deviation from the paper's algorithm: re-randomize
+            // on a tied, fully-set frontier.
+            Some(Bit::One) if self.a0_set && set => {
+                let coin = Bit::from(self.rng.random::<bool>());
+                self.lean.set_preference(coin);
             }
-            Phase::ReadA1 { a0_set } => {
-                let a1_set = read_value.expect("pending read of a1[r] requires a value") != 0;
-                match (a0_set, a1_set) {
-                    (true, false) => self.preference = Bit::Zero,
-                    (false, true) => self.preference = Bit::One,
-                    (true, true) => {
-                        // The one deviation from the paper's algorithm:
-                        // re-randomize on a tied, fully-set frontier.
-                        self.coin_flips += 1;
-                        self.preference = Bit::from(self.rng.random::<bool>());
-                    }
-                    (false, false) => {}
-                }
-                self.phase = Phase::Write;
-            }
-            Phase::Write => {
-                assert!(
-                    read_value.is_none(),
-                    "pending write must not receive a read value"
-                );
-                self.phase = Phase::ReadPrevRival;
-            }
-            Phase::ReadPrevRival => {
-                let v = read_value.expect("pending read of a_(1-p)[r-1] requires a value");
-                if v == 0 {
-                    self.phase = Phase::Done(self.preference);
-                } else {
-                    self.round += 1;
-                    self.phase = Phase::ReadA0;
-                }
-            }
-            Phase::Done(_) => panic!("advance called on a decided process"),
+            _ => {}
         }
     }
 
     fn round(&self) -> usize {
-        self.round
+        self.lean.round()
     }
 
     fn preference(&self) -> Bit {
-        self.preference
+        self.lean.preference()
     }
 
     fn ops_completed(&self) -> u64 {
-        self.ops
+        self.lean.ops_completed()
     }
 }
 
@@ -178,8 +107,9 @@ impl fmt::Display for RandomizedLean {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "randomized-lean(pref={}, round={}, flips={})",
-            self.preference, self.round, self.coin_flips
+            "randomized-lean(pref={}, round={})",
+            self.preference(),
+            self.round()
         )
     }
 }
@@ -188,7 +118,7 @@ impl fmt::Display for RandomizedLean {
 mod tests {
     use super::*;
     use crate::protocol::{run_round_robin, step};
-    use nc_memory::SimMemory;
+    use nc_memory::{Op, SimMemory};
     use nc_sched_test_rng::rng;
 
     /// Tiny local helper: deterministic rngs without depending on
@@ -202,6 +132,11 @@ mod tests {
         }
     }
 
+    /// Process `i`'s coin stream under `seed`.
+    fn coin(seed: u64, i: usize) -> SmallRng {
+        rng(seed ^ ((i as u64 + 1) * 1000))
+    }
+
     fn setup(inputs: &[Bit], seed: u64) -> (SimMemory, RaceLayout, Vec<RandomizedLean>) {
         let mut mem = SimMemory::new();
         let layout = RaceLayout::at_base(0);
@@ -209,7 +144,7 @@ mod tests {
         let procs = inputs
             .iter()
             .enumerate()
-            .map(|(i, &b)| RandomizedLean::new(layout, b, rng(seed ^ ((i as u64 + 1) * 1000))))
+            .map(|(i, &b)| RandomizedLean::new(layout, b, coin(seed, i)))
             .collect();
         (mem, layout, procs)
     }
@@ -225,7 +160,8 @@ mod tests {
             }
             assert_eq!(d, Some(input));
             assert_eq!(p.ops_completed(), 8);
-            assert_eq!(p.coin_flips(), 0, "no ties for a solo process");
+            assert_eq!(p.round(), 2);
+            assert_eq!(p.rng, coin(1, 0), "no ties for a solo process");
         }
     }
 
@@ -249,7 +185,9 @@ mod tests {
         // substitute for environment noise or a shared coin.
         let (mut mem, _, mut procs) = setup(&[Bit::Zero, Bit::One, Bit::Zero, Bit::One], 5);
         assert_eq!(run_round_robin(&mut procs, &mut mem, 50_000), None);
-        assert!(procs.iter().all(|p| p.coin_flips() == 0));
+        for (i, p) in procs.iter().enumerate() {
+            assert_eq!(p.rng, coin(5, i), "P{i} drew a coin");
+        }
     }
 
     #[test]
@@ -294,8 +232,16 @@ mod tests {
             let mut p = RandomizedLean::new(layout, Bit::Zero, rng(seed));
             step(&mut p, &mut mem);
             step(&mut p, &mut mem);
-            assert_eq!(p.coin_flips(), 1);
-            seen.insert(p.preference());
+            // Exactly one draw, and the pending write follows it.
+            let mut expected = rng(seed);
+            let drawn = Bit::from(expected.random::<bool>());
+            assert_eq!(p.rng, expected);
+            assert_eq!(p.preference(), drawn);
+            assert_eq!(
+                p.status(),
+                Status::Pending(Op::Write(layout.slot(drawn, 1), 1))
+            );
+            seen.insert(drawn);
         }
         assert_eq!(seen.len(), 2, "coin never produced one of the outcomes");
     }
@@ -308,15 +254,17 @@ mod tests {
         step(&mut p, &mut mem);
         step(&mut p, &mut mem);
         assert_eq!(p.preference(), Bit::One);
-        assert_eq!(p.coin_flips(), 0);
+        assert_eq!(p.rng, rng(3), "a single set bit draws no coin");
     }
 
     #[test]
     fn accessors_and_display() {
         let (_, layout, _) = setup(&[], 0);
         let p = RandomizedLean::new(layout, Bit::One, rng(0));
-        assert_eq!(p.input(), Bit::One);
-        assert_eq!(p.decision_round(), None);
+        assert_eq!(
+            (p.round(), p.preference(), p.ops_completed()),
+            (1, Bit::One, 0)
+        );
         assert!(p.to_string().contains("randomized-lean"));
     }
 }

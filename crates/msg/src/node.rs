@@ -1067,6 +1067,7 @@ mod tests {
         // Decision at round 2 proves the sentinel read returned 1 at
         // round 1 (otherwise lean would have decided at round 1, which
         // is impossible by construction).
-        assert_eq!(nodes[0].machine.decision_round(), Some(2));
+        assert_eq!(nodes[0].machine.status().decision(), Some(Bit::Zero));
+        assert_eq!(nodes[0].machine.round(), 2);
     }
 }
