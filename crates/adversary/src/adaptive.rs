@@ -48,7 +48,7 @@ impl BudgetedAdversary {
     /// `stream_rng(run_seed, 0, salts::ADVERSARY)`, so the oblivious
     /// point reproduces [`nc_sched::adversary::RandomInterleave`] on
     /// the same stream pick-for-pick.
-    pub fn new(point: StrategyPoint, run_seed: u64) -> Self {
+    pub(crate) fn new(point: StrategyPoint, run_seed: u64) -> Self {
         BudgetedAdversary {
             point,
             base: stream_rng(run_seed, 0, salts::ADVERSARY),
@@ -58,11 +58,6 @@ impl BudgetedAdversary {
             primed: false,
             last_round: 0,
         }
-    }
-
-    /// The strategy point this adversary executes.
-    pub fn point(&self) -> &StrategyPoint {
-        &self.point
     }
 
     /// Total tokens granted by the budget schedule so far.

@@ -5,17 +5,17 @@
 //! against the worst case is only as tight as the strongest adversary
 //! anyone has actually fielded. This crate fields them:
 //!
-//! * [`adaptive`] — [`BudgetedAdversary`], the budget-limited schedule
+//! * `adaptive` — [`BudgetedAdversary`], the budget-limited schedule
 //!   adversary that *reacts* to the observed race
 //!   ([`nc_sched::adversary::ProcView`]): stall the current leader's
 //!   lane, hoard noise budget and dump it when a process is about to
 //!   decide, ambush round boundaries, or step the most-behind process
 //!   whenever the lead is large, as its [`StrategyPoint`] says.
-//! * [`strategy`] — the parameterized [`StrategyFamily`]: budget
+//! * `strategy` — the parameterized [`StrategyFamily`]: budget
 //!   schedule × target-selection rule × trigger threshold, each point
 //!   deterministic from a seed via [`nc_sched::rng::trial_seed`] with
 //!   [`nc_sched::rng::salts::STRATEGY`].
-//! * [`tournament`] — [`Tournament`], the grid-search harness that
+//! * `tournament` — [`Tournament`], the grid-search harness that
 //!   sweeps a family over `TrialSet` fan-out and reports the
 //!   empirically worst-case round count, byte-identical at every
 //!   worker/lane count.
@@ -30,10 +30,12 @@
 //! statement rather than a tautology.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
+#![forbid(unsafe_code)]
 
-pub mod adaptive;
-pub mod strategy;
-pub mod tournament;
+mod adaptive;
+mod strategy;
+mod tournament;
 
 pub use adaptive::BudgetedAdversary;
 pub use strategy::{BudgetSchedule, StrategyFamily, StrategyPoint, TargetRule};

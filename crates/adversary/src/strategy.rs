@@ -101,13 +101,13 @@ impl StrategyPoint {
     }
 
     /// Whether this is the oblivious (never-intervening) point.
-    pub fn is_oblivious(&self) -> bool {
+    pub(crate) fn is_oblivious(&self) -> bool {
         self.budget.is_none()
     }
 
     /// A short stable label for tables and reports, e.g.
     /// `stall-leader/round4/k1` or `oblivious`.
-    pub fn label(&self) -> String {
+    pub(crate) fn label(&self) -> String {
         match self.budget {
             None => "oblivious".into(),
             Some(BudgetSchedule::Constant(b)) => {
@@ -140,7 +140,11 @@ pub struct StrategyFamily {
 
 impl StrategyFamily {
     /// Builds a family from explicit axes.
-    pub fn new(budgets: Vec<BudgetSchedule>, rules: Vec<TargetRule>, triggers: Vec<u32>) -> Self {
+    pub(crate) fn new(
+        budgets: Vec<BudgetSchedule>,
+        rules: Vec<TargetRule>,
+        triggers: Vec<u32>,
+    ) -> Self {
         StrategyFamily {
             budgets,
             rules,

@@ -51,7 +51,7 @@ pub struct TournamentResult {
 impl TournamentResult {
     /// Indices ranked strongest-first: by mean forced round descending,
     /// then worst round descending, then family order.
-    pub fn ranked(&self) -> Vec<usize> {
+    pub(crate) fn ranked(&self) -> Vec<usize> {
         let mut order: Vec<usize> = (0..self.scores.len()).collect();
         order.sort_by(|&a, &b| {
             let (sa, sb) = (&self.scores[a], &self.scores[b]);
@@ -129,14 +129,14 @@ impl Tournament {
         self
     }
 
-    /// Scores a single point under an explicit point seed and trial
-    /// count — the primitive [`Tournament::sweep`] is built from.
-    pub fn score_at(&self, point: StrategyPoint, point_seed: u64, trials: u64) -> StrategyScore {
+    /// Scores a single point under an explicit point seed at the
+    /// tournament's trial budget.
+    fn score_at(&self, point: StrategyPoint, point_seed: u64) -> StrategyScore {
         let reports = Sim::new(Algorithm::Lean)
             .inputs(setup::half_and_half(self.n))
             .adversary(move |run_seed| point.build(run_seed))
             .limits(Limits::first_decision().with_max_ops(self.max_ops))
-            .trials(trials)
+            .trials(self.trials)
             .seed_fn(move |t| trial_seed(point_seed, t, salts::STRATEGY))
             .threads(self.threads)
             .reports();
@@ -154,7 +154,7 @@ impl Tournament {
         StrategyScore {
             point,
             label: point.label(),
-            trials,
+            trials: self.trials,
             mean_round: sum as f64 / reports.len().max(1) as f64,
             worst_round: worst,
             capped,
@@ -169,11 +169,7 @@ impl Tournament {
             .into_iter()
             .enumerate()
             .map(|(j, point)| {
-                self.score_at(
-                    point,
-                    trial_seed(self.seed0, j as u64, salts::STRATEGY),
-                    self.trials,
-                )
+                self.score_at(point, trial_seed(self.seed0, j as u64, salts::STRATEGY))
             })
             .collect();
         TournamentResult { scores }

@@ -7,7 +7,7 @@
 
 use proptest::prelude::*;
 
-use nc_adversary::{BudgetSchedule, BudgetedAdversary, StrategyPoint, TargetRule};
+use nc_adversary::{BudgetSchedule, StrategyPoint, TargetRule};
 use nc_engine::adversarial::drive_adversarial;
 use nc_engine::{setup, Algorithm, Limits, RunOutcome};
 use nc_sched::adversary::{Adversary, NoCrashes, ProcView, RandomInterleave};
@@ -116,7 +116,7 @@ proptest! {
         // views must still only produce enabled picks or None.
         let (rounds, steps) = state;
         let n = enabled.len();
-        let mut adv = BudgetedAdversary::new(point, seed);
+        let mut adv = point.build(seed);
         for _ in 0..20 {
             let view = ProcView {
                 enabled: &enabled,

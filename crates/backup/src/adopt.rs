@@ -44,7 +44,7 @@ use crate::layout::BackupLayout;
 
 /// The outcome of an adopt-commit proposal.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum AcOutcome {
+pub(crate) enum AcOutcome {
     /// The object *committed* `v`: the caller may decide `v` (everyone
     /// else is guaranteed to hold `v` after passing this object).
     Commit(Bit),
@@ -54,15 +54,10 @@ pub enum AcOutcome {
 
 impl AcOutcome {
     /// The carried value, committed or adopted.
-    pub fn value(self) -> Bit {
+    pub(crate) fn value(self) -> Bit {
         match self {
             AcOutcome::Commit(v) | AcOutcome::Adopt(v) => v,
         }
-    }
-
-    /// Whether this outcome is a commit.
-    pub fn is_commit(self) -> bool {
-        matches!(self, AcOutcome::Commit(_))
     }
 }
 
@@ -77,21 +72,11 @@ impl fmt::Display for AcOutcome {
 
 /// What an embedded sub-machine wants next: an operation, or its result.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum SubStatus<T> {
+pub(crate) enum SubStatus<T> {
     /// The sub-machine wants this operation executed.
     Pending(Op),
     /// The sub-machine has finished with this outcome.
     Done(T),
-}
-
-impl<T: Copy> SubStatus<T> {
-    /// The outcome, if finished.
-    pub fn outcome(self) -> Option<T> {
-        match self {
-            SubStatus::Done(t) => Some(t),
-            SubStatus::Pending(_) => None,
-        }
-    }
 }
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -107,7 +92,7 @@ enum Phase {
 /// One process's proposal to one round's adopt-commit object, as a
 /// resumable sub-machine (3–4 operations).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct AdoptCommit {
+pub(crate) struct AdoptCommit {
     layout: BackupLayout,
     round: usize,
     proposal: Bit,
@@ -116,7 +101,7 @@ pub struct AdoptCommit {
 
 impl AdoptCommit {
     /// Starts a proposal of `proposal` to round `round`'s object.
-    pub fn new(layout: BackupLayout, round: usize, proposal: Bit) -> Self {
+    pub(crate) fn new(layout: BackupLayout, round: usize, proposal: Bit) -> Self {
         AdoptCommit {
             layout,
             round,
@@ -126,7 +111,7 @@ impl AdoptCommit {
     }
 
     /// The machine's pending operation or outcome.
-    pub fn status(&self) -> SubStatus<AcOutcome> {
+    pub(crate) fn status(&self) -> SubStatus<AcOutcome> {
         let v = self.proposal;
         let rival = v.rival();
         match self.phase {
@@ -152,7 +137,7 @@ impl AdoptCommit {
     ///
     /// Panics if the machine is already done or the result shape doesn't
     /// match the pending operation.
-    pub fn advance(&mut self, read_value: Option<Word>) {
+    pub(crate) fn advance(&mut self, read_value: Option<Word>) {
         let v = self.proposal;
         match self.phase {
             Phase::WritePresent => {
@@ -227,7 +212,13 @@ mod tests {
                 .filter(|&i| matches!(acs[i].status(), SubStatus::Pending(_)))
                 .collect();
             if pending.is_empty() {
-                return acs.iter().map(|a| a.status().outcome().unwrap()).collect();
+                return acs
+                    .iter()
+                    .map(|a| match a.status() {
+                        SubStatus::Done(o) => o,
+                        SubStatus::Pending(op) => panic!("pending {op}"),
+                    })
+                    .collect();
             }
             let raw = schedule.get(cursor).copied().unwrap_or(cursor);
             cursor += 1;
@@ -286,15 +277,16 @@ mod tests {
             AdoptCommit::new(layout, 1, Bit::One),
         ];
         let outcomes = drive_interleaved(acs, &mut mem, &[0, 1, 0, 1, 0, 1, 0, 1]);
-        assert!(outcomes.iter().all(|o| !o.is_commit()), "{outcomes:?}");
+        assert!(
+            outcomes.iter().all(|o| !matches!(o, AcOutcome::Commit(_))),
+            "{outcomes:?}"
+        );
     }
 
     #[test]
     fn outcome_accessors() {
         assert_eq!(AcOutcome::Commit(Bit::One).value(), Bit::One);
         assert_eq!(AcOutcome::Adopt(Bit::Zero).value(), Bit::Zero);
-        assert!(AcOutcome::Commit(Bit::Zero).is_commit());
-        assert!(!AcOutcome::Adopt(Bit::Zero).is_commit());
         assert_eq!(AcOutcome::Commit(Bit::One).to_string(), "commit 1");
         assert_eq!(AcOutcome::Adopt(Bit::Zero).to_string(), "adopt 0");
     }
@@ -330,7 +322,7 @@ mod tests {
             // Coherence.
             let committed: Vec<Bit> = outcomes
                 .iter()
-                .filter(|o| o.is_commit())
+                .filter(|o| matches!(o, AcOutcome::Commit(_)))
                 .map(|o| o.value())
                 .collect();
             if let Some(&v) = committed.first() {
@@ -342,7 +334,7 @@ mod tests {
             }
             // Convergence.
             if proposals.iter().all(|&b| b == proposals[0]) {
-                prop_assert!(outcomes.iter().all(|o| o.is_commit()));
+                prop_assert!(outcomes.iter().all(|o| matches!(o, AcOutcome::Commit(_))));
             }
         }
     }

@@ -47,13 +47,12 @@ enum Phase {
 
 /// One process's pass through one round's conciliator.
 #[derive(Clone, Debug)]
-pub struct Conciliator {
+pub(crate) struct Conciliator {
     layout: BackupLayout,
     round: usize,
     pid: usize,
     input: Bit,
     rng: Option<SmallRng>,
-    coin_flips: u64,
     phase: Phase,
 }
 
@@ -62,25 +61,25 @@ impl Conciliator {
     ///
     /// The RNG seeds the shared-coin fallback (consumed only if the
     /// fallback is reached).
-    pub fn new(layout: BackupLayout, round: usize, pid: usize, input: Bit, rng: SmallRng) -> Self {
+    pub(crate) fn new(
+        layout: BackupLayout,
+        round: usize,
+        pid: usize,
+        input: Bit,
+        rng: SmallRng,
+    ) -> Self {
         Conciliator {
             layout,
             round,
             pid,
             input,
             rng: Some(rng),
-            coin_flips: 0,
             phase: Phase::WriteSeen,
         }
     }
 
-    /// Whether this process fell through to the shared coin.
-    pub fn used_coin(&self) -> bool {
-        self.coin_flips > 0 || matches!(self.phase, Phase::Coin(_))
-    }
-
     /// The machine's pending operation or outcome.
-    pub fn status(&self) -> SubStatus<Bit> {
+    pub(crate) fn status(&self) -> SubStatus<Bit> {
         match &self.phase {
             Phase::WriteSeen => {
                 SubStatus::Pending(Op::Write(self.layout.seen(self.round, self.input), 1))
@@ -98,7 +97,7 @@ impl Conciliator {
     /// # Panics
     ///
     /// Panics if the machine is done or the result shape mismatches.
-    pub fn advance(&mut self, read_value: Option<Word>) {
+    pub(crate) fn advance(&mut self, read_value: Option<Word>) {
         match &mut self.phase {
             Phase::WriteSeen => {
                 assert!(read_value.is_none(), "write takes no result");
@@ -116,7 +115,6 @@ impl Conciliator {
             }
             Phase::Coin(coin) => {
                 coin.advance(read_value);
-                self.coin_flips = coin.flips();
                 if let SubStatus::Done(b) = coin.status() {
                     self.phase = Phase::Done(b);
                 }
@@ -160,7 +158,7 @@ mod tests {
             let before = mem.ops_executed();
             assert_eq!(drive(&mut c, &mut mem), v);
             assert_eq!(mem.ops_executed() - before, 2);
-            assert!(!c.used_coin());
+            assert!(c.rng.is_some(), "the coin never ran");
         }
     }
 
@@ -197,7 +195,7 @@ mod tests {
             // At most one early exit side: if both skipped the coin they
             // must have the same output value.
             let early: Vec<Bit> = (0..2)
-                .filter(|&i| !procs[i].used_coin())
+                .filter(|&i| procs[i].rng.is_some())
                 .map(|i| outs[i].unwrap())
                 .collect();
             if early.len() == 2 {
@@ -255,7 +253,10 @@ mod tests {
         assert_eq!(drive(&mut first, &mut mem), Bit::Zero);
         let mut late = Conciliator::new(layout, 1, 1, Bit::One, rng(1));
         let _ = drive(&mut late, &mut mem);
-        assert!(late.used_coin(), "late rival must fall through to the coin");
+        assert!(
+            late.rng.is_none(),
+            "late rival must fall through to the coin"
+        );
     }
 
     #[test]

@@ -56,18 +56,13 @@ impl BackupLayout {
     }
 
     /// Number of processes this layout serves.
-    pub const fn n(&self) -> usize {
+    pub(crate) const fn n(&self) -> usize {
         self.n
-    }
-
-    /// Size of the round-slot pool.
-    pub const fn rounds(&self) -> usize {
-        self.rounds
     }
 
     /// The random-walk exit threshold used by this instance's coins:
     /// `3n` (see [`crate::coin`]).
-    pub const fn coin_threshold(&self) -> i64 {
+    pub(crate) const fn coin_threshold(&self) -> i64 {
         3 * self.n as i64
     }
 
@@ -78,17 +73,17 @@ impl BackupLayout {
     }
 
     /// Adopt-commit `present[v]` flag for `round`.
-    pub fn present(&self, round: usize, v: Bit) -> Addr {
+    pub(crate) fn present(&self, round: usize, v: Bit) -> Addr {
         self.slot_base(round).plus(v.index())
     }
 
     /// Adopt-commit `committed[v]` flag for `round`.
-    pub fn committed(&self, round: usize, v: Bit) -> Addr {
+    pub(crate) fn committed(&self, round: usize, v: Bit) -> Addr {
         self.slot_base(round).plus(2 + v.index())
     }
 
     /// Conciliator `seen[v]` flag for `round`.
-    pub fn seen(&self, round: usize, v: Bit) -> Addr {
+    pub(crate) fn seen(&self, round: usize, v: Bit) -> Addr {
         self.slot_base(round).plus(4 + v.index())
     }
 
@@ -97,7 +92,7 @@ impl BackupLayout {
     /// # Panics
     ///
     /// Panics if `pid >= n`.
-    pub fn counter(&self, round: usize, pid: usize) -> Addr {
+    pub(crate) fn counter(&self, round: usize, pid: usize) -> Addr {
         assert!(pid < self.n, "pid {pid} out of range (n = {})", self.n);
         self.slot_base(round).plus(FIXED_PER_ROUND + pid)
     }
@@ -105,12 +100,12 @@ impl BackupLayout {
 
 /// Encodes a signed coin-counter value into a register word
 /// (two's-complement round trip).
-pub fn encode_counter(value: i64) -> Word {
+pub(crate) fn encode_counter(value: i64) -> Word {
     value as Word
 }
 
 /// Decodes a register word back into a signed coin-counter value.
-pub fn decode_counter(word: Word) -> i64 {
+pub(crate) fn decode_counter(word: Word) -> i64 {
     word as i64
 }
 
@@ -161,7 +156,7 @@ mod tests {
     fn accessors() {
         let l = layout(3, 2);
         assert_eq!(l.n(), 3);
-        assert_eq!(l.rounds(), 2);
+        assert_eq!(l.rounds, 2);
         assert_eq!(l.coin_threshold(), 9);
     }
 

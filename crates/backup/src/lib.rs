@@ -15,15 +15,15 @@
 //! [`BackupConsensus`] meets the contract with a three-layer design whose
 //! correctness argument is short enough to carry in the module docs:
 //!
-//! 1. **Adopt-commit objects** ([`adopt`]) — one per round. If any
+//! 1. **Adopt-commit objects** (`adopt`) — one per round. If any
 //!    process *commits* `v` in round `r`, every process that ever passes
 //!    round `r` walks away holding `v`; unanimous proposals always
 //!    commit.
-//! 2. **Conciliators** ([`conciliator`]) — one per round. Preserve
+//! 2. **Conciliators** (`conciliator`) — one per round. Preserve
 //!    unanimous inputs exactly; on mixed inputs, at most one value can
 //!    "win early", and everyone else falls through to a shared coin, so
 //!    all outputs agree with constant probability.
-//! 3. **Random-walk shared coin** ([`coin`]) — per-process ±1 counters,
+//! 3. **Random-walk shared coin** (`coin`) — per-process ±1 counters,
 //!    exit when the observed sum crosses `±3n` (the Aspnes '93 random
 //!    walk with a practical threshold).
 //!
@@ -36,7 +36,7 @@
 //!
 //! # Space
 //!
-//! Rounds live in a fixed pool of [`BackupLayout::rounds`] slots reused
+//! Rounds live in a fixed pool of round slots reused
 //! cyclically. Typical executions finish in 1–3 rounds; reuse only
 //! matters if an execution outlives the pool with a straggler more than
 //! a full pool-cycle behind, which requires a geometrically unlikely run
@@ -69,17 +69,15 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![warn(missing_debug_implementations)]
 #![forbid(unsafe_code)]
 
-pub mod adopt;
-pub mod coin;
-pub mod conciliator;
-pub mod layout;
-pub mod protocol;
+mod adopt;
+mod coin;
+mod conciliator;
+mod layout;
+mod protocol;
 
-pub use adopt::{AcOutcome, AdoptCommit};
-pub use coin::SharedCoin;
-pub use conciliator::Conciliator;
 pub use layout::BackupLayout;
 pub use protocol::BackupConsensus;

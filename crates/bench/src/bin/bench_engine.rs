@@ -21,7 +21,7 @@
 use std::io::Write as _;
 use std::time::Instant;
 
-use nc_bench::{arg, experiments::fig1};
+use nc_bench::{arg, experiments::fig1, reject_unknown_flags};
 use nc_engine::baseline::run_noisy_baseline;
 use nc_engine::sim::Sim;
 use nc_engine::{setup, Limits};
@@ -77,6 +77,7 @@ fn bench_sequential(n: usize, trials: u64) -> (f64, u64) {
 }
 
 fn main() {
+    reject_unknown_flags(&[], &["trials", "min-speedup", "out"]);
     let trials: u64 = arg("trials", 2000);
     let min_speedup: f64 = arg("min-speedup", 1.6);
     let out: String = arg("out", "BENCH_engine.json".to_string());

@@ -30,7 +30,8 @@
 //! `--out-dir DIR`, `--check DIR`, `--threads N`, `--journal-dir DIR`
 //! (scratch root for E20's on-disk commit journals — out-of-band
 //! state that never moves a CSV byte, so it composes with `--check`).
-//! Exit status is nonzero on unknown ids or golden drift.
+//! Exit status is nonzero on unknown ids or golden drift, and 2 on an
+//! unknown flag or a flag value that does not parse.
 
 use std::path::Path;
 use std::process::ExitCode;
@@ -40,9 +41,23 @@ use nc_bench::scenario::{
     by_id, catalogue_markdown, manifest_json, timings_json, Preset, RunCtx, RunRecord, Scenario,
     REGISTRY, SMOKE_SEED,
 };
-use nc_bench::{arg, flag};
+use nc_bench::{arg, flag, reject_unknown_flags};
 
 fn main() -> ExitCode {
+    reject_unknown_flags(
+        &["list", "markdown", "smoke"],
+        &[
+            "threads",
+            "scale",
+            "seed",
+            "out-dir",
+            "check",
+            "journal-dir",
+            "trials",
+            "size",
+            "only",
+        ],
+    );
     // Worker count for every scenario's sweeps (0 = all cores). This is
     // per-sweep state plumbed through `Scenario::run`, not a
     // process-global knob; it never affects any result.

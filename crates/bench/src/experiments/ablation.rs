@@ -28,7 +28,7 @@ use crate::table::{f2, Table};
 
 /// Registry entry: E9.
 #[derive(Clone, Copy, Debug)]
-pub struct SkipAblation;
+pub(crate) struct SkipAblation;
 
 impl Scenario for SkipAblation {
     fn spec(&self) -> Spec {
@@ -58,7 +58,7 @@ impl Scenario for SkipAblation {
 }
 
 /// Runs the skip-ops ablation.
-pub fn run(trials: u64, seed0: u64, threads: usize) -> Table {
+pub(crate) fn run(trials: u64, seed0: u64, threads: usize) -> Table {
     let mut table = Table::new(
         "E9 / §4 ablation: paper ops vs skip-ops variant (same seeds)",
         &[

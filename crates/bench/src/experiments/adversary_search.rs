@@ -28,7 +28,7 @@ use crate::table::{f2, f3, Table};
 
 /// Registry entry: E16.
 #[derive(Clone, Copy, Debug)]
-pub struct AdversarySearch;
+pub(crate) struct AdversarySearch;
 
 impl Scenario for AdversarySearch {
     fn spec(&self) -> Spec {
@@ -60,7 +60,7 @@ impl Scenario for AdversarySearch {
 
 /// The tournament sweep: powers of two from 4 to `max_n`, one full grid
 /// search per size, worst-adaptive means fitted against log2(n).
-pub fn run_search(max_n: usize, trials: u64, cap: u64, seed0: u64, threads: usize) -> Table {
+pub(crate) fn run_search(max_n: usize, trials: u64, cap: u64, seed0: u64, threads: usize) -> Table {
     let mut table = Table::new(
         format!(
             "E16 / adversary strategy search: forced first-decision round, grid sweep over \

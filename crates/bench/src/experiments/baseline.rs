@@ -24,7 +24,7 @@ use crate::table::{f2, Table};
 
 /// Registry entry: E10.
 #[derive(Clone, Copy, Debug)]
-pub struct Baselines;
+pub(crate) struct Baselines;
 
 impl Scenario for Baselines {
     fn spec(&self) -> Spec {
@@ -61,7 +61,7 @@ impl Scenario for Baselines {
 /// Runs the baseline comparison with the given lockstep operation cap
 /// (non-deciders stop there). Returns the noisy table and the lockstep
 /// table.
-pub fn run(trials: u64, lockstep_cap: u64, seed0: u64, threads: usize) -> (Table, Table) {
+pub(crate) fn run(trials: u64, lockstep_cap: u64, seed0: u64, threads: usize) -> (Table, Table) {
     let algs = [Algorithm::Lean, Algorithm::Randomized, Algorithm::Backup];
 
     let mut noisy = Table::new(

@@ -20,7 +20,7 @@ use crate::table::{f2, Table};
 
 /// Registry entry: E6.
 #[derive(Clone, Copy, Debug)]
-pub struct BoundedSpace;
+pub(crate) struct BoundedSpace;
 
 impl Scenario for BoundedSpace {
     fn spec(&self) -> Spec {
@@ -50,7 +50,7 @@ impl Scenario for BoundedSpace {
 }
 
 /// Runs the bounded-space experiment for `n` processes.
-pub fn run(n: usize, trials: u64, seed0: u64, threads: usize) -> Table {
+pub(crate) fn run(n: usize, trials: u64, seed0: u64, threads: usize) -> Table {
     let rec = recommended_r_max(n);
     let mut table = Table::new(
         format!("E6 / Theorem 15: bounded protocol, n = {n} (recommended r_max = {rec})"),

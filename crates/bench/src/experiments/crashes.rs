@@ -25,7 +25,7 @@ use crate::table::{f2, Table};
 
 /// Registry entry: E11.
 #[derive(Clone, Copy, Debug)]
-pub struct AdaptiveCrashes;
+pub(crate) struct AdaptiveCrashes;
 
 impl Scenario for AdaptiveCrashes {
     fn spec(&self) -> Spec {
@@ -55,7 +55,7 @@ impl Scenario for AdaptiveCrashes {
 }
 
 /// Runs the adaptive-crash experiment.
-pub fn run(n: usize, trials: u64, seed0: u64, threads: usize) -> Table {
+pub(crate) fn run(n: usize, trials: u64, seed0: u64, threads: usize) -> Table {
     let mut table = Table::new(
         format!("E11 / §10: adaptive leader-killer, n = {n} (flat rounds support the O(log n) conjecture)"),
         &[

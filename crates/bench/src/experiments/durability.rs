@@ -40,7 +40,7 @@ const SEGMENT_RECORDS: usize = 8;
 
 /// Registry entry: E20.
 #[derive(Clone, Copy, Debug)]
-pub struct Durability;
+pub(crate) struct Durability;
 
 impl Scenario for Durability {
     fn spec(&self) -> Spec {
@@ -178,7 +178,7 @@ fn tree_fnv64(tree: &[(String, Vec<u8>)]) -> u64 {
 /// One table: shard counts {1, 2, 4} × the three retention policies,
 /// each row double-run (uninterrupted vs killed-and-reopened) under
 /// `root`, which is wiped per variant.
-pub fn run_durability(
+pub(crate) fn run_durability(
     instances: u64,
     procs: usize,
     seed: u64,

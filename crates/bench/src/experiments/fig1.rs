@@ -95,7 +95,7 @@ pub fn point(noise: Noise, n: usize, trials: u64, seed0: u64, threads: usize) ->
 /// (plus a 95% CI half-width column each), and a trailing column
 /// counting skipped (never-decided) runs — always `0` for the paper's
 /// six distributions.
-pub fn run(max_n: usize, base_trials: u64, seed: u64, threads: usize) -> Table {
+pub(crate) fn run(max_n: usize, base_trials: u64, seed: u64, threads: usize) -> Table {
     let suite = Noise::figure1_suite();
     let mut columns: Vec<String> = vec!["n".into(), "trials".into()];
     for (name, _) in &suite {
@@ -128,7 +128,7 @@ pub fn run(max_n: usize, base_trials: u64, seed: u64, threads: usize) -> Table {
 
 /// Registry entry: E1, the paper's headline figure.
 #[derive(Clone, Copy, Debug)]
-pub struct Fig1;
+pub(crate) struct Fig1;
 
 impl Scenario for Fig1 {
     fn spec(&self) -> Spec {

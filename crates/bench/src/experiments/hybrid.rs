@@ -16,7 +16,7 @@ use crate::table::Table;
 
 /// Registry entry: E5.
 #[derive(Clone, Copy, Debug)]
-pub struct HybridQuantum;
+pub(crate) struct HybridQuantum;
 
 impl Scenario for HybridQuantum {
     fn spec(&self) -> Spec {
@@ -57,7 +57,7 @@ impl Scenario for HybridQuantum {
 /// to `max_quantum` with each run's operation budget capped at `op_cap`
 /// (runs the policy prevents from deciding — the preemptor below
 /// quantum 8 — stop there and report `all decided = false`).
-pub fn run(max_quantum: u32, op_cap: u64, seed0: u64) -> Table {
+pub(crate) fn run(max_quantum: u32, op_cap: u64, seed0: u64) -> Table {
     let mut table = Table::new(
         "E5 / Theorem 14: worst per-process ops on a hybrid-scheduled uniprocessor",
         &[

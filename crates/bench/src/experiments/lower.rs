@@ -19,7 +19,7 @@ use crate::table::{f2, f3, Table};
 
 /// Registry entry: E4.
 #[derive(Clone, Copy, Debug)]
-pub struct LowerBound;
+pub(crate) struct LowerBound;
 
 impl Scenario for LowerBound {
     fn spec(&self) -> Spec {
@@ -49,7 +49,7 @@ impl Scenario for LowerBound {
 }
 
 /// Runs the lower-bound experiment.
-pub fn run(trials: u64, seed0: u64, threads: usize) -> Table {
+pub(crate) fn run(trials: u64, seed0: u64, threads: usize) -> Table {
     let mut table = Table::new(
         "E4 / Theorem 13: two-point {1,2} noise (lower-bound construction)",
         &[

@@ -20,7 +20,7 @@ use crate::table::{f2, Table};
 
 /// Registry entry: E13.
 #[derive(Clone, Copy, Debug)]
-pub struct MessagePassing;
+pub(crate) struct MessagePassing;
 
 impl Scenario for MessagePassing {
     fn spec(&self) -> Spec {
@@ -56,7 +56,7 @@ impl Scenario for MessagePassing {
 /// Runs the message-passing experiment over cluster sizes up to
 /// `max_n` across `threads` workers. Returns the sweep table and the
 /// crash-tolerance table.
-pub fn run(trials: u64, max_n: usize, seed0: u64, threads: usize) -> (Table, Table) {
+pub(crate) fn run(trials: u64, max_n: usize, seed0: u64, threads: usize) -> (Table, Table) {
     let mut sweep = Table::new(
         "E13 / §10: lean-consensus over ABD registers on a noisy network",
         &[

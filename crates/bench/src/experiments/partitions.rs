@@ -37,7 +37,7 @@ use crate::table::{f2, f3, Table};
 
 /// Registry entry: E17.
 #[derive(Clone, Copy, Debug)]
-pub struct Partitions;
+pub(crate) struct Partitions;
 
 impl Scenario for Partitions {
     fn spec(&self) -> Spec {
@@ -135,7 +135,7 @@ fn base_cfg(n: usize, cap: u64) -> MsgConfig {
 }
 
 /// The loss × channel sweep.
-pub fn run_loss(n: usize, trials: u64, cap: u64, seed0: u64, threads: usize) -> Table {
+pub(crate) fn run_loss(n: usize, trials: u64, cap: u64, seed0: u64, threads: usize) -> Table {
     let mut table = Table::new(
         format!(
             "E17 / network faults: lean-over-ABD vs message loss, n = {n} \
@@ -181,7 +181,7 @@ pub fn run_loss(n: usize, trials: u64, cap: u64, seed0: u64, threads: usize) -> 
 /// The partition-duration sweep: the first ⌊n/2⌋ nodes are cut off
 /// during `[2, 2 + duration)`; recovery time = how long after heal the
 /// slowest minority node takes to decide.
-pub fn run_partitions(n: usize, trials: u64, cap: u64, seed0: u64, threads: usize) -> Table {
+pub(crate) fn run_partitions(n: usize, trials: u64, cap: u64, seed0: u64, threads: usize) -> Table {
     let mut table = Table::new(
         format!(
             "E17 / partitions: minority side (first {} of {n} nodes) cut during [2, 2+d); \
@@ -235,7 +235,7 @@ pub fn run_partitions(n: usize, trials: u64, cap: u64, seed0: u64, threads: usiz
 
 /// The mixed-deployment sweep: `k` nodes share one memory plane while
 /// the rest keep private replicas, under mild loss.
-pub fn run_mixed(n: usize, trials: u64, cap: u64, seed0: u64, threads: usize) -> Table {
+pub(crate) fn run_mixed(n: usize, trials: u64, cap: u64, seed0: u64, threads: usize) -> Table {
     let mut table = Table::new(
         format!(
             "E17 / mixed deployment: k of {n} nodes share one nc_memory plane \

@@ -17,7 +17,7 @@ use crate::table::{f2, f3, fstable, Table};
 /// Registry entry: E8 (the with-failures leg covers what the experiment
 /// index once split out as E12).
 #[derive(Clone, Copy, Debug)]
-pub struct RenewalRace;
+pub(crate) struct RenewalRace;
 
 impl Scenario for RenewalRace {
     fn spec(&self) -> Spec {
@@ -49,7 +49,7 @@ impl Scenario for RenewalRace {
 
 /// Runs the renewal-race experiment across `threads` workers. Returns
 /// the sweep table and the failures table.
-pub fn run(trials: u64, seed0: u64, threads: usize) -> (Table, Table) {
+pub(crate) fn run(trials: u64, seed0: u64, threads: usize) -> (Table, Table) {
     let mut sweep = Table::new(
         "E8 / Corollary 11: renewal race, lead c = 2, exp(1) round noise",
         &["n", "mean R", "ci95", "p50", "p95", "p99"],

@@ -16,7 +16,7 @@ use crate::table::{f2, f3, fstable, Table};
 
 /// Registry entry: E3.
 #[derive(Clone, Copy, Debug)]
-pub struct TerminationScaling;
+pub(crate) struct TerminationScaling;
 
 impl Scenario for TerminationScaling {
     fn spec(&self) -> Spec {
@@ -72,7 +72,7 @@ fn sweep_point(h: f64, n: usize, trials: u64, seed0: u64, threads: usize) -> (On
 
 /// Runs the termination-scaling experiment. Returns the sweep table and
 /// the tail table.
-pub fn run(trials: u64, seed0: u64, threads: usize) -> (Table, Table) {
+pub(crate) fn run(trials: u64, seed0: u64, threads: usize) -> (Table, Table) {
     let ns = [2usize, 8, 32, 128, 512];
     let hs = [0.0, 0.001, 0.01];
 

@@ -27,7 +27,7 @@ use crate::table::{f2, f3, Table};
 
 /// Registry entry: E19.
 #[derive(Clone, Copy, Debug)]
-pub struct ServiceLayer;
+pub(crate) struct ServiceLayer;
 
 impl Scenario for ServiceLayer {
     fn spec(&self) -> Spec {
@@ -59,7 +59,7 @@ impl Scenario for ServiceLayer {
 /// 64-bit FNV-1a over the reduced commit log's bytes — a stable,
 /// dependency-free fingerprint that makes shard-count invariance a
 /// visible CSV column instead of only a test assertion.
-pub fn fnv64(bytes: &[u8]) -> u64 {
+pub(crate) fn fnv64(bytes: &[u8]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
         hash ^= u64::from(b);
@@ -70,7 +70,7 @@ pub fn fnv64(bytes: &[u8]) -> u64 {
 
 /// Runs the same `instances`-instance request stream at shard counts
 /// 1, 2, and 4, one table row per shard count.
-pub fn run_shard_sweep(instances: u64, procs: usize, seed: u64, threads: usize) -> Table {
+pub(crate) fn run_shard_sweep(instances: u64, procs: usize, seed: u64, threads: usize) -> Table {
     let mut table = Table::new(
         format!(
             "E19 / consensus as a service: {instances} instances of {procs}-process \

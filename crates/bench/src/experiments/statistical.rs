@@ -18,7 +18,7 @@ use crate::table::{f2, f3, Table};
 
 /// Registry entry: E14.
 #[derive(Clone, Copy, Debug)]
-pub struct StatisticalAdversary;
+pub(crate) struct StatisticalAdversary;
 
 impl Scenario for StatisticalAdversary {
     fn spec(&self) -> Spec {
@@ -48,7 +48,7 @@ impl Scenario for StatisticalAdversary {
 }
 
 /// Runs the statistical-adversary experiment.
-pub fn run(trials: u64, seed0: u64, threads: usize) -> Table {
+pub(crate) fn run(trials: u64, seed0: u64, threads: usize) -> Table {
     let mut table = Table::new(
         "E14 / §10: save-and-spend statistical adversary (budget m = 1 per op)",
         &["burst period", "n", "mean first round", "ci95"],

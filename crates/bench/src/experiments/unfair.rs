@@ -16,7 +16,7 @@ use crate::table::{f2, Table};
 
 /// Registry entry: E7.
 #[derive(Clone, Copy, Debug)]
-pub struct Unfairness;
+pub(crate) struct Unfairness;
 
 impl Scenario for Unfairness {
     fn spec(&self) -> Spec {
@@ -82,7 +82,7 @@ fn overtakes(noise: Noise, ops: usize, seed: u64) -> OnlineStats {
 /// growth is headed: the distribution's truncated mean
 /// `Σ_{k≤K} 2^{-k} 2^{k²}` explodes, hence Theorem 1's infinite
 /// expected overtaking.
-pub fn run(ops: usize, seed0: u64) -> Table {
+pub(crate) fn run(ops: usize, seed0: u64) -> Table {
     let mut table = Table::new(
         "E7 / Theorem 1: ops by B between consecutive ops of A (growth with truncation => divergent expectation)",
         &[

@@ -16,7 +16,7 @@ use crate::table::Table;
 
 /// Registry entry: E2.
 #[derive(Clone, Copy, Debug)]
-pub struct ValidityCost;
+pub(crate) struct ValidityCost;
 
 impl Scenario for ValidityCost {
     fn spec(&self) -> Spec {
@@ -46,7 +46,7 @@ impl Scenario for ValidityCost {
 }
 
 /// Runs the validity-cost experiment.
-pub fn run(trials: u64, seed0: u64, threads: usize) -> Table {
+pub(crate) fn run(trials: u64, seed0: u64, threads: usize) -> Table {
     let mut table = Table::new(
         "E2 / Lemma 3: per-process ops with unanimous inputs (expect exactly 8 for lean)",
         &[

@@ -40,7 +40,7 @@ use crate::table::{f2, f3, Table};
 
 /// Registry entry: E15.
 #[derive(Clone, Copy, Debug)]
-pub struct ValueFaults;
+pub(crate) struct ValueFaults;
 
 impl Scenario for ValueFaults {
     fn spec(&self) -> Spec {
@@ -154,7 +154,7 @@ fn sweep_cell(
 
 /// The ε sweep: read bit-flips at increasing rates, split inputs for
 /// agreement/termination and unanimous inputs for validity.
-pub fn run_epsilon(n: usize, trials: u64, cap: u64, seed0: u64, threads: usize) -> Table {
+pub(crate) fn run_epsilon(n: usize, trials: u64, cap: u64, seed0: u64, threads: usize) -> Table {
     let mut table = Table::new(
         format!(
             "E15 / value faults: lean-consensus vs read bit-flip rate ε, n = {n} \
@@ -201,7 +201,7 @@ pub fn run_epsilon(n: usize, trials: u64, cap: u64, seed0: u64, threads: usize) 
 
 /// The stuck-register sweep: `k` frontier registers stuck (alternating
 /// one/zero up the rounds), transient noise off.
-pub fn run_stuck(n: usize, trials: u64, cap: u64, seed0: u64, threads: usize) -> Table {
+pub(crate) fn run_stuck(n: usize, trials: u64, cap: u64, seed0: u64, threads: usize) -> Table {
     let mut table = Table::new(
         format!(
             "E15 / value faults: lean-consensus vs stuck racing-array registers, n = {n} \

@@ -18,7 +18,7 @@
 //! committed golden CSVs (`tests/golden_repro.rs`).
 //!
 //! Engine-driven trial sweeps go through [`nc_engine::sim::TrialSet`]
-//! (which owns scratch pooling and worker fan-out); the [`par_trials`]
+//! (which owns scratch pooling and worker fan-out); the `par_trials`
 //! helper here covers the non-engine sweeps (renewal races,
 //! message-passing runs). In both, **parallelism is per-call state**:
 //! every sweep takes its own worker count, there is no process-global
@@ -28,16 +28,17 @@
 //! The engine perf gate is the separate `bench_engine` binary.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![warn(missing_debug_implementations)]
 #![forbid(unsafe_code)]
 
 pub mod experiments;
 pub mod scenario;
-pub mod table;
+mod table;
 
 pub use table::Table;
 
-pub use nc_engine::sim::{par_spans, resolve_threads};
+use nc_engine::sim::par_spans;
 
 /// Runs `trials` independent trial computations across `threads`
 /// workers (0 = all cores), returning the results **in trial order**.
@@ -48,7 +49,7 @@ pub use nc_engine::sim::{par_spans, resolve_threads};
 /// (all experiment trials are — each derives its own seed from the
 /// index), so the output is bit-for-bit identical to the serial loop
 /// `(0..trials).map(f)` for every worker count.
-pub fn par_trials<T, F>(threads: usize, trials: u64, f: F) -> Vec<T>
+pub(crate) fn par_trials<T, F>(threads: usize, trials: u64, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(u64) -> T + Sync,
@@ -57,7 +58,7 @@ where
 }
 
 /// The paper's Figure 1 x-axis: 1, 2, 5 per decade, from 1 to `max_n`.
-pub fn figure1_ns(max_n: usize) -> Vec<usize> {
+pub(crate) fn figure1_ns(max_n: usize) -> Vec<usize> {
     let mut ns = Vec::new();
     let mut decade = 1usize;
     'outer: loop {
@@ -83,7 +84,7 @@ pub fn figure1_ns(max_n: usize) -> Vec<usize> {
 /// small `n` gets many trials (up to `base`) and huge `n` still gets a
 /// statistically useful handful. `base` caps everything (so e.g.
 /// `--trials 5` runs 5 trials, not a panicking `clamp(30, 5)`).
-pub fn trials_for(n: usize, base: u64) -> u64 {
+pub(crate) fn trials_for(n: usize, base: u64) -> u64 {
     let budget = 40_000_000u64; // ~events per point at first-decision cutoff
     (budget / (n as u64 * 40).max(1)).max(30).min(base.max(1))
 }
@@ -107,6 +108,32 @@ pub fn arg<T: std::str::FromStr>(key: &str, default: T) -> T {
     })
 }
 
+/// Ends the process with status 2 and a message naming the first
+/// argument that is neither a bare flag in `bare` nor a flag in `valued`
+/// (which takes the argument after it as its value), so a mistyped flag
+/// is refused instead of silently ignored. Call it first in `main`.
+pub fn reject_unknown_flags(bare: &[&str], valued: &[&str]) {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(msg) = unknown_flag(&args, bare, valued) {
+        eprintln!("{msg}");
+        std::process::exit(2);
+    }
+}
+
+/// [`reject_unknown_flags`] over an explicit argument list (program
+/// name excluded): the message for the first unknown argument, if any.
+fn unknown_flag(args: &[String], bare: &[&str], valued: &[&str]) -> Option<String> {
+    let mut i = 0;
+    while i < args.len() {
+        match args[i].strip_prefix("--") {
+            Some(key) if bare.contains(&key) => i += 1,
+            Some(key) if valued.contains(&key) => i += 2,
+            _ => return Some(format!("{}: unknown flag", args[i])),
+        }
+    }
+    None
+}
+
 /// [`arg`] over an explicit argument list: `Ok(default)` when `--key`
 /// is absent, the parsed value after its first occurrence otherwise.
 fn parse_arg<T: std::str::FromStr>(args: &[String], key: &str, default: T) -> Result<T, String> {
@@ -125,6 +152,7 @@ fn parse_arg<T: std::str::FromStr>(args: &[String], key: &str, default: T) -> Re
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nc_engine::sim::resolve_threads;
 
     #[test]
     fn figure1_ns_matches_paper_grid() {
@@ -169,6 +197,27 @@ mod tests {
         assert_eq!(
             parse_arg(&args, "seed", 0u64),
             Err("--seed: missing value".to_string())
+        );
+    }
+
+    #[test]
+    fn unknown_flag_names_the_first_unread_argument() {
+        let (bare, valued) = (&["smoke"][..], &["only", "trials", "out-dir"][..]);
+        let ok = argv(&["--only", "E2", "--smoke", "--trials", "5", "--out-dir", "x"]);
+        assert_eq!(unknown_flag(&ok, bare, valued), None);
+        // A valued flag consumes its value, even one that looks like a flag.
+        assert_eq!(
+            unknown_flag(&argv(&["--out-dir", "--smoke"]), bare, valued),
+            None
+        );
+        let typo = argv(&["--only", "E2", "--smoke", "--trails", "5", "--out-dir", "x"]);
+        assert_eq!(
+            unknown_flag(&typo, bare, valued),
+            Some("--trails: unknown flag".to_string())
+        );
+        assert_eq!(
+            unknown_flag(&argv(&["E2"]), bare, valued),
+            Some("E2: unknown flag".to_string())
         );
     }
 

@@ -18,7 +18,7 @@ pub struct Table {
 
 impl Table {
     /// Creates an empty table.
-    pub fn new(title: impl Into<String>, columns: &[&str]) -> Self {
+    pub(crate) fn new(title: impl Into<String>, columns: &[&str]) -> Self {
         Table {
             title: title.into(),
             columns: columns.iter().map(|s| s.to_string()).collect(),
@@ -31,7 +31,7 @@ impl Table {
     /// # Panics
     ///
     /// Panics if the row's width differs from the header's.
-    pub fn push(&mut self, row: Vec<String>) {
+    pub(crate) fn push(&mut self, row: Vec<String>) {
         assert_eq!(
             row.len(),
             self.columns.len(),
@@ -120,7 +120,7 @@ impl fmt::Display for Table {
 ///   tiny negatives would otherwise leak `-0.00` into the bytes);
 /// * non-finite values render as `NaN` / `inf` / `-inf` regardless of
 ///   how the platform spells them elsewhere.
-pub fn fstable(x: f64, prec: usize) -> String {
+pub(crate) fn fstable(x: f64, prec: usize) -> String {
     if x.is_nan() {
         return "NaN".into();
     }
@@ -135,12 +135,12 @@ pub fn fstable(x: f64, prec: usize) -> String {
 }
 
 /// Formats a float with 3 decimal places (table cell helper).
-pub fn f3(x: f64) -> String {
+pub(crate) fn f3(x: f64) -> String {
     fstable(x, 3)
 }
 
 /// Formats a float with 2 decimal places (table cell helper).
-pub fn f2(x: f64) -> String {
+pub(crate) fn f2(x: f64) -> String {
     fstable(x, 2)
 }
 

@@ -75,23 +75,6 @@ where
         }
     }
 
-    /// Whether this process has switched to the backup protocol.
-    pub fn backup_engaged(&self) -> bool {
-        self.backup.is_some()
-    }
-
-    /// The round cutoff `r_max`.
-    pub fn r_max(&self) -> usize {
-        self.r_max
-    }
-
-    /// Registers (bits) of the `a0`/`a1` arrays this configuration can
-    /// ever touch: `2 · (r_max + 1)` including the sentinels — the
-    /// `O(log² n)` space bound of Theorem 15.
-    pub fn lean_space_words(&self) -> usize {
-        RaceLayout::words_for_rounds(self.r_max)
-    }
-
     fn maybe_switch(&mut self) {
         if self.backup.is_none()
             && self.lean.status().decision().is_none()
@@ -230,7 +213,7 @@ mod tests {
         let mut p = combined(layout, Bit::One, 10);
         while step(&mut p, &mut mem).is_none() {}
         assert_eq!(p.status().decision(), Some(Bit::One));
-        assert!(!p.backup_engaged());
+        assert!(p.backup.is_none());
         assert_eq!(p.ops_completed(), 8);
     }
 
@@ -248,7 +231,7 @@ mod tests {
             .collect();
         let decisions = run_round_robin(&mut procs, &mut mem, 100_000).unwrap();
         for p in &procs {
-            assert!(p.backup_engaged(), "lockstep must reach the cutoff");
+            assert!(p.backup.is_some(), "lockstep must reach the cutoff");
         }
         // Both engaged the backup with their held preferences; EchoBackup
         // echoes them, so decisions mirror inputs here (EchoBackup is NOT
@@ -294,12 +277,12 @@ mod tests {
             .collect();
         for _ in 0..12 {
             for p in procs.iter_mut() {
-                assert!(!p.backup_engaged());
+                assert!(p.backup.is_none());
                 step(p, &mut mem);
             }
         }
         for p in &procs {
-            assert!(p.backup_engaged());
+            assert!(p.backup.is_some());
             assert_eq!(p.round(), 3 + 1); // r_max + backup round 1
         }
     }
@@ -310,8 +293,8 @@ mod tests {
         let layout = RaceLayout::at_base(0);
         layout.install_sentinels(&mut mem);
         let p = combined(layout, Bit::Zero, 7);
-        assert_eq!(p.lean_space_words(), 16);
-        assert_eq!(p.r_max(), 7);
+        assert_eq!(RaceLayout::words_for_rounds(p.r_max), 16);
+        assert_eq!(p.r_max, 7);
     }
 
     #[test]

@@ -21,8 +21,8 @@
 //! # What this crate provides
 //!
 //! * [`Protocol`] — the step-machine interface every protocol in the
-//!   workspace implements: expose the pending shared-memory [`Op`],
-//!   consume its result, and step fused against the
+//!   workspace implements: expose the pending shared-memory
+//!   [`Op`](nc_memory::Op), consume its result, and step fused against the
 //!   [`nc_memory::SimMemory`] word store. One implementation runs
 //!   unchanged under the discrete-event engine, the hybrid
 //!   uniprocessor driver, and native threads.
@@ -75,17 +75,18 @@
 //! what the paper's noise assumption rules out.)
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![warn(missing_debug_implementations)]
 #![forbid(unsafe_code)]
 
 pub mod bounded;
 pub mod id;
 pub mod invariants;
-pub mod lean;
+mod lean;
 pub mod protocol;
-pub mod randomized;
-pub mod skipping;
-pub mod threaded;
+mod randomized;
+mod skipping;
+mod threaded;
 
 pub use bounded::BoundedLean;
 pub use id::IdConsensus;
@@ -95,4 +96,4 @@ pub use randomized::RandomizedLean;
 pub use skipping::SkippingLean;
 pub use threaded::{Decision, NativeConsensus, RoundLimitError};
 
-pub use nc_memory::{Bit, Op, Word};
+pub use nc_memory::Bit;

@@ -127,7 +127,7 @@ mod tests {
         use rand::rngs::SmallRng;
         use rand::SeedableRng;
 
-        pub fn rng(seed: u64) -> SmallRng {
+        pub(super) fn rng(seed: u64) -> SmallRng {
             SmallRng::seed_from_u64(seed)
         }
     }

@@ -24,7 +24,7 @@ use crate::protocol::{Protocol, Status};
 /// Default round limit for native runs. Real schedulers decide races in
 /// a handful of rounds (Θ(log n) expected); 4096 rounds is astronomically
 /// beyond that while still bounding memory to 8 KiB of flags.
-pub const DEFAULT_ROUND_LIMIT: usize = 4096;
+pub(crate) const DEFAULT_ROUND_LIMIT: usize = 4096;
 
 /// The outcome of a successful native consensus.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -117,7 +117,7 @@ impl NativeConsensus {
     /// # Panics
     ///
     /// Panics if `round_limit < 2`.
-    pub fn with_round_limit(round_limit: usize) -> Self {
+    pub(crate) fn with_round_limit(round_limit: usize) -> Self {
         assert!(round_limit >= 2, "round limit must be at least 2");
         let words = RaceLayout::words_for_rounds(round_limit + 1);
         let segments = words.div_ceil(nc_memory::atomic::SEGMENT_WORDS).max(1);
@@ -131,11 +131,6 @@ impl NativeConsensus {
             layout,
             round_limit,
         }
-    }
-
-    /// The configured round limit.
-    pub fn round_limit(&self) -> usize {
-        self.round_limit
     }
 
     /// Proposes `input` and participates until decision.
@@ -271,7 +266,7 @@ mod tests {
     #[test]
     fn display_and_debug() {
         let c = NativeConsensus::with_round_limit(16);
-        assert_eq!(c.round_limit(), 16);
+        assert_eq!(c.round_limit, 16);
         assert!(format!("{c:?}").contains("NativeConsensus"));
         let d = Decision {
             value: Bit::One,

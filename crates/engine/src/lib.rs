@@ -79,6 +79,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![warn(missing_debug_implementations)]
 #![forbid(unsafe_code)]
 
@@ -89,7 +90,7 @@ pub mod baseline;
 mod drive;
 pub mod hybrid;
 pub mod noisy;
-pub mod report;
+mod report;
 pub mod setup;
 pub mod sim;
 

@@ -582,10 +582,13 @@ mod tests {
         // One process starts at 0, others 1000 time units later: the
         // early process decides alone at round 2 (adaptivity: work
         // depends on contention, not n).
-        let timing = exp_timing().with_start(StartTimes::Staggered {
-            gap: 1000.0,
-            dither: 0.0,
-        });
+        let timing = TimingModel {
+            start: StartTimes::Staggered {
+                gap: 1000.0,
+                dither: 0.0,
+            },
+            ..exp_timing()
+        };
         let inputs = vec![Bit::One, Bit::Zero, Bit::Zero];
         let mut inst = setup::build(Algorithm::Lean, &inputs, 4);
         let report = run_noisy(&mut inst, &timing, 4, Limits::run_to_completion());
@@ -807,11 +810,17 @@ mod tests {
 
         #[test]
         fn staggered_and_explicit_starts() {
-            let staggered = exp_timing().with_start(StartTimes::Staggered {
-                gap: 100.0,
-                dither: 0.5,
-            });
-            let explicit = exp_timing().with_start(StartTimes::Explicit(vec![3.0, 0.0, 7.0]));
+            let staggered = TimingModel {
+                start: StartTimes::Staggered {
+                    gap: 100.0,
+                    dither: 0.5,
+                },
+                ..exp_timing()
+            };
+            let explicit = TimingModel {
+                start: StartTimes::Explicit(vec![3.0, 0.0, 7.0]),
+                ..exp_timing()
+            };
             for seed in 0..3 {
                 assert_equivalent(
                     Algorithm::Lean,

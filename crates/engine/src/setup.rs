@@ -65,13 +65,6 @@ pub struct Instance<P = Box<dyn Protocol>> {
     pub procs: Vec<P>,
 }
 
-impl<P: Protocol> Instance<P> {
-    /// Number of processes.
-    pub fn n(&self) -> usize {
-        self.procs.len()
-    }
-}
-
 impl Instance<LeanConsensus> {
     /// Re-initializes this instance in place for a fresh trial with
     /// `inputs` — equivalent to [`build_lean`] but reusing every
@@ -257,7 +250,7 @@ mod tests {
         ] {
             for input in Bit::BOTH {
                 let mut inst = build(alg, &[input], 7);
-                assert_eq!(inst.n(), 1);
+                assert_eq!(inst.procs.len(), 1);
                 let decisions = run_round_robin(&mut inst.procs, &mut inst.mem, 1_000_000)
                     .unwrap_or_else(|| panic!("{alg:?} solo did not decide"));
                 assert_eq!(decisions, vec![input], "{alg:?} validity");

@@ -220,12 +220,13 @@ fn fast_loop_timing_configs_match_oracle() {
             ),
             failures: FailureModel::None,
         },
-        TimingModel::figure1(Noise::Uniform { lo: 0.0, hi: 2.0 }).with_start(
-            StartTimes::Staggered {
+        TimingModel {
+            start: StartTimes::Staggered {
                 gap: 50.0,
                 dither: 0.25,
             },
-        ),
+            ..TimingModel::figure1(Noise::Uniform { lo: 0.0, hi: 2.0 })
+        },
         TimingModel::figure1(Noise::Geometric { p: 0.5 })
             .with_delay(DelayPolicy::SaveAndSpend { m: 0.5, period: 4 }),
     ];

@@ -32,7 +32,7 @@ pub const SEGMENT_WORDS: usize = 1024;
 /// Default maximum number of segments (4096 segments × 1024 words ≈ 4.2M
 /// registers ≈ 2.1M lean-consensus rounds — far beyond the `O(log n)`
 /// rounds the paper proves, and far beyond any plausible run).
-pub const DEFAULT_MAX_SEGMENTS: usize = 4096;
+pub(crate) const DEFAULT_MAX_SEGMENTS: usize = 4096;
 
 /// A lock-free growable array of atomic 64-bit registers.
 ///
@@ -57,7 +57,7 @@ pub struct SegArray {
 
 impl SegArray {
     /// Creates an array with the default capacity
-    /// ([`DEFAULT_MAX_SEGMENTS`] segments).
+    /// (`DEFAULT_MAX_SEGMENTS` segments).
     pub fn new() -> Self {
         Self::with_max_segments(DEFAULT_MAX_SEGMENTS)
     }
@@ -76,12 +76,12 @@ impl SegArray {
     }
 
     /// Total number of addressable registers.
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.segments.len() * SEGMENT_WORDS
     }
 
     /// Number of segments that have been materialised so far.
-    pub fn allocated_segments(&self) -> usize {
+    pub(crate) fn allocated_segments(&self) -> usize {
         self.segments.iter().filter(|s| s.get().is_some()).count()
     }
 
@@ -105,7 +105,7 @@ impl SegArray {
     /// # Panics
     ///
     /// Panics if `index >= capacity()`.
-    pub fn register(&self, index: usize) -> &AtomicU64 {
+    pub(crate) fn register(&self, index: usize) -> &AtomicU64 {
         &self.segment(index / SEGMENT_WORDS)[index % SEGMENT_WORDS]
     }
 

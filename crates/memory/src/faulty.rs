@@ -121,13 +121,11 @@ impl FaultSpec {
 }
 
 /// The fault state of a [`crate::SimMemory`] that has been given a
-/// [`FaultSpec`]: the spec, its seeded stream, and the injection count.
+/// [`FaultSpec`]: the spec and its seeded stream.
 #[derive(Clone, Debug)]
 pub(crate) struct FaultPlane {
     spec: FaultSpec,
     rng: SmallRng,
-    /// Writes dropped and reads flipped since the last arming.
-    pub(crate) injected: u64,
 }
 
 impl FaultPlane {
@@ -135,14 +133,12 @@ impl FaultPlane {
         FaultPlane {
             spec,
             rng: SmallRng::seed_from_u64(0),
-            injected: 0,
         }
     }
 
     /// Re-derives the fault stream from `seed` for the coming run.
     pub(crate) fn arm(&mut self, seed: u64) {
         self.rng = SmallRng::seed_from_u64(splitmix64(seed ^ FAULT_STREAM_SALT));
-        self.injected = 0;
     }
 
     /// The stuck value for `addr`, if that register is stuck. Last
@@ -169,7 +165,6 @@ impl FaultPlane {
         // spec (deterministic either way: the draw sequence is a pure
         // function of the executed op sequence and the spec).
         if self.spec.read_flip > 0.0 && self.rng.random::<f64>() < self.spec.read_flip {
-            self.injected += 1;
             return stored ^ 1;
         }
         stored
@@ -182,7 +177,6 @@ impl FaultPlane {
             return true;
         }
         if self.spec.write_drop > 0.0 && self.rng.random::<f64>() < self.spec.write_drop {
-            self.injected += 1;
             return true;
         }
         false
@@ -212,7 +206,6 @@ mod tests {
             assert_eq!(faulty.read(Addr::new(i % 5)), plain.read(Addr::new(i % 5)));
         }
         assert_eq!(faulty.ops_executed(), plain.ops_executed());
-        assert_eq!(faulty.faults_injected(), 0);
     }
 
     #[test]
@@ -225,7 +218,6 @@ mod tests {
             plain.write(Addr::new(i), 1);
             assert_eq!(faulty.read(Addr::new(i / 2)), plain.read(Addr::new(i / 2)));
         }
-        assert_eq!(faulty.faults_injected(), 0);
     }
 
     #[test]
@@ -272,7 +264,6 @@ mod tests {
             0,
             "dropped writes never grow the store"
         );
-        assert_eq!(mem.faults_injected(), 1);
     }
 
     #[test]
@@ -294,7 +285,6 @@ mod tests {
                 mem.write(Addr::new(i % 11), 1);
                 out.push(mem.read(Addr::new(i % 13)));
             }
-            out.push(mem.faults_injected());
             out
         };
         assert_eq!(run(9), run(9));
@@ -306,9 +296,8 @@ mod tests {
         let mut mem = faulty(FaultSpec::new().write_drop(1.0));
         mem.arm_faults(3);
         mem.write(Addr::new(0), 5); // dropped
-        assert_eq!(mem.faults_injected(), 1);
+        assert_eq!(mem.peek(Addr::new(0)), 0);
         mem.reset();
-        assert_eq!(mem.faults_injected(), 0);
         assert_eq!(mem.ops_executed(), 0);
         mem.write(Addr::new(0), 5); // disarmed: lands
         assert_eq!(mem.exec(Op::Read(Addr::new(0))), Some(5));

@@ -23,7 +23,7 @@ pub struct Region {
 
 impl Region {
     /// Creates a region starting at `base` covering `len` registers.
-    pub const fn new(base: Addr, len: usize) -> Self {
+    pub(crate) const fn new(base: Addr, len: usize) -> Self {
         Region { base, len }
     }
 
@@ -42,42 +42,10 @@ impl Region {
         self.len == 0
     }
 
-    /// The `i`-th register of the region.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= len`.
-    pub fn at(self, i: usize) -> Addr {
-        assert!(
-            i < self.len,
-            "region index {i} out of bounds (len {})",
-            self.len
-        );
-        self.base.plus(i)
-    }
-
     /// Whether `addr` falls inside this region.
     pub fn contains(self, addr: Addr) -> bool {
         let o = addr.offset();
         o >= self.base.offset() && o < self.base.offset() + self.len
-    }
-
-    /// Splits the region in two at `mid`: the first `mid` registers and the
-    /// remainder.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mid > len`.
-    pub fn split_at(self, mid: usize) -> (Region, Region) {
-        assert!(
-            mid <= self.len,
-            "split point {mid} beyond region length {}",
-            self.len
-        );
-        (
-            Region::new(self.base, mid),
-            Region::new(self.base.plus(mid), self.len - mid),
-        )
     }
 }
 
@@ -168,32 +136,9 @@ mod tests {
         assert_eq!(r.base(), Addr::new(10));
         assert_eq!(r.len(), 4);
         assert!(!r.is_empty());
-        assert_eq!(r.at(0), Addr::new(10));
-        assert_eq!(r.at(3), Addr::new(13));
+        assert!(r.contains(Addr::new(10)) && r.contains(Addr::new(13)));
+        assert!(!r.contains(Addr::new(9)) && !r.contains(Addr::new(14)));
         assert!(Region::new(Addr::new(0), 0).is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn region_at_out_of_bounds_panics() {
-        Region::new(Addr::new(0), 2).at(2);
-    }
-
-    #[test]
-    fn region_split() {
-        let r = Region::new(Addr::new(10), 10);
-        let (a, b) = r.split_at(3);
-        assert_eq!(a, Region::new(Addr::new(10), 3));
-        assert_eq!(b, Region::new(Addr::new(13), 7));
-        let (c, d) = r.split_at(0);
-        assert!(c.is_empty());
-        assert_eq!(d.len(), 10);
-    }
-
-    #[test]
-    #[should_panic(expected = "beyond region length")]
-    fn region_split_beyond_len_panics() {
-        Region::new(Addr::new(0), 2).split_at(3);
     }
 
     #[test]

@@ -9,17 +9,17 @@
 //! This crate provides everything the rest of the workspace needs to talk
 //! about that memory:
 //!
-//! * [`types`] — the vocabulary: process ids ([`Pid`]), addresses
+//! * `types` — the vocabulary: process ids ([`Pid`]), addresses
 //!   ([`Addr`]), register values ([`Word`]), binary preferences ([`Bit`]),
 //!   and pending operations ([`Op`]).
-//! * [`sim`] — [`SimMemory`], the one word store: a growable,
+//! * `sim` — [`SimMemory`], the one word store: a growable,
 //!   zero-initialised simulated address space with region allocation,
 //!   used by the discrete-event engine. All locations behave as atomic
 //!   read/write registers under the interleaving semantics.
-//! * [`faulty`] — [`FaultSpec`], deterministic seeded value faults
+//! * `faulty` — [`FaultSpec`], deterministic seeded value faults
 //!   (stuck-at registers, write drops, read bit-flips) that a
 //!   [`SimMemory`] injects once given a spec and armed.
-//! * [`history`] — recorded operation histories ([`Event`]) and a checker
+//! * `history` — recorded operation histories ([`Event`]) and a checker
 //!   ([`check_register_semantics`]) that validates a history against the
 //!   sequential register specification (every read returns the most recent
 //!   write).
@@ -27,7 +27,7 @@
 //!   registers backed by real `std::sync::atomic` words, used by the
 //!   native thread runner. This is the "infinite array" of the paper,
 //!   realised as lazily-allocated fixed-size segments.
-//! * [`layout`] — address-space layouts: [`RaceLayout`] interleaves the
+//! * `layout` — address-space layouts: [`RaceLayout`] interleaves the
 //!   paper's two unbounded bit arrays `a0`/`a1` into one growable space,
 //!   and [`Region`] hands out disjoint address ranges for protocol
 //!   composition (lean-consensus + backup in the bounded protocol of §8).
@@ -49,15 +49,16 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![warn(missing_debug_implementations)]
 #![forbid(unsafe_code)]
 
 pub mod atomic;
-pub mod faulty;
-pub mod history;
-pub mod layout;
-pub mod sim;
-pub mod types;
+mod faulty;
+mod history;
+mod layout;
+mod sim;
+mod types;
 
 pub use atomic::SegArray;
 pub use faulty::FaultSpec;

@@ -88,9 +88,6 @@ impl SimMemory {
         self.next_region = 0;
         self.ops_executed = 0;
         self.armed = false;
-        if let Some(faults) = &mut self.faults {
-            faults.injected = 0;
-        }
     }
 
     /// Gives this memory the value faults of `spec`, replacing any
@@ -102,7 +99,7 @@ impl SimMemory {
     }
 
     /// Arms the value faults for the coming run, deriving their stream
-    /// from `seed` and clearing [`SimMemory::faults_injected`]. Call it
+    /// from `seed`. Call it
     /// after the setup writes, so initial state is never faulted. A
     /// no-op on a memory without a spec.
     pub fn arm_faults(&mut self, seed: u64) {
@@ -110,13 +107,6 @@ impl SimMemory {
             faults.arm(seed);
             self.armed = true;
         }
-    }
-
-    /// Stochastic faults (dropped writes + flipped reads) injected since
-    /// the last [`SimMemory::arm_faults`]. Stuck-at masking is not
-    /// counted (it is not an event — the register is simply broken).
-    pub fn faults_injected(&self) -> u64 {
-        self.faults.as_ref().map_or(0, |faults| faults.injected)
     }
 
     /// Reserves a fresh region of `len` registers, disjoint from every

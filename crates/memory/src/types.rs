@@ -35,11 +35,6 @@ impl Pid {
         Pid(id)
     }
 
-    /// Returns the raw id.
-    pub const fn get(self) -> u32 {
-        self.0
-    }
-
     /// Returns the id as a `usize`, suitable for indexing per-process
     /// vectors.
     pub const fn index(self) -> usize {
@@ -63,7 +58,7 @@ impl From<u32> for Pid {
 ///
 /// Addresses index a flat, conceptually unbounded, zero-initialised
 /// address space (see [`crate::sim::SimMemory`]). Layouts
-/// ([`crate::layout`]) carve this space into the structures the protocols
+/// (`crate::layout`) carve this space into the structures the protocols
 /// need.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct Addr(usize);
@@ -207,13 +202,6 @@ pub enum Op {
 }
 
 impl Op {
-    /// The address this operation touches.
-    pub const fn addr(self) -> Addr {
-        match self {
-            Op::Read(a) | Op::Write(a, _) => a,
-        }
-    }
-
     /// The kind of this operation (read or write), without its operands.
     pub const fn kind(self) -> OpKind {
         match self {
@@ -258,7 +246,6 @@ mod tests {
     #[test]
     fn pid_roundtrip_and_display() {
         let p = Pid::new(42);
-        assert_eq!(p.get(), 42);
         assert_eq!(p.index(), 42);
         assert_eq!(p.to_string(), "P42");
         assert_eq!(Pid::from(7u32), Pid::new(7));
@@ -322,8 +309,6 @@ mod tests {
     fn op_accessors() {
         let r = Op::Read(Addr::new(4));
         let w = Op::Write(Addr::new(9), 2);
-        assert_eq!(r.addr(), Addr::new(4));
-        assert_eq!(w.addr(), Addr::new(9));
         assert_eq!(r.kind(), OpKind::Read);
         assert_eq!(w.kind(), OpKind::Write);
         assert_eq!(r.to_string(), "read @4");

@@ -38,7 +38,7 @@ pub struct Partition {
 
 impl Partition {
     /// Whether the link `a <-> b` is cut at time `t`.
-    pub fn cuts(&self, a: u32, b: u32, t: f64) -> bool {
+    pub(crate) fn cuts(&self, a: u32, b: u32, t: f64) -> bool {
         if t < self.start || t >= self.end {
             return false;
         }
@@ -152,16 +152,6 @@ impl NetFaultSpec {
         self
     }
 
-    /// Sets the per-message duplication rate (builder-style).
-    pub fn with_duplication(mut self, duplicate: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&duplicate),
-            "duplication must be in [0,1]"
-        );
-        self.duplicate = duplicate;
-        self
-    }
-
     /// Adds a partition window cutting `side` off from the rest during
     /// `[start, end)` (builder-style).
     pub fn with_partition(mut self, start: f64, end: f64, side: Vec<u32>) -> Self {
@@ -171,25 +161,25 @@ impl NetFaultSpec {
     }
 
     /// Whether this spec injects nothing at all.
-    pub fn is_none(&self) -> bool {
+    pub(crate) fn is_none(&self) -> bool {
         self.loss == 0.0 && self.duplicate == 0.0 && self.partitions.is_empty()
     }
 
     /// Whether the recovery plane (retry timers + gossip) should be
     /// armed: any fault that can strand an ABD phase waiting forever.
-    pub fn needs_recovery(&self) -> bool {
+    pub(crate) fn needs_recovery(&self) -> bool {
         !self.is_none()
     }
 
     /// Whether the link `a <-> b` is cut at time `t` by any window.
-    pub fn cuts(&self, a: u32, b: u32, t: f64) -> bool {
+    pub(crate) fn cuts(&self, a: u32, b: u32, t: f64) -> bool {
         self.partitions.iter().any(|p| p.cuts(a, b, t))
     }
 
     /// Whether some partition window is in effect at time `t` (used to
     /// classify an undecided run as partition-starved rather than a
     /// plain cap hit).
-    pub fn partition_active(&self, t: f64) -> bool {
+    pub(crate) fn partition_active(&self, t: f64) -> bool {
         self.partitions.iter().any(|p| p.start <= t && t < p.end)
     }
 
@@ -203,7 +193,7 @@ impl NetFaultSpec {
     /// reporting clean-network results. Out-of-range ids and duplicates
     /// within `side` are tolerated (ignored / deduplicated) as long as
     /// the *effective* side is a proper non-empty subset.
-    pub fn validate(&self, n: usize) -> Result<(), NetFaultError> {
+    pub(crate) fn validate(&self, n: usize) -> Result<(), NetFaultError> {
         for (index, p) in self.partitions.iter().enumerate() {
             p.validate(index, n)?;
         }
@@ -213,7 +203,7 @@ impl NetFaultSpec {
 
 /// Retry/timeout and gossip configuration for the recovery plane.
 ///
-/// Only consulted when the fault spec [`NetFaultSpec::needs_recovery`];
+/// Only consulted when the fault spec `NetFaultSpec::needs_recovery`;
 /// a fault-free run schedules no timers and no gossip, keeping the
 /// pristine path byte-identical.
 #[derive(Clone, Copy, PartialEq, Debug)]
@@ -243,14 +233,6 @@ impl Default for RecoverySpec {
     }
 }
 
-impl RecoverySpec {
-    /// Disables gossip, leaving only retry timers (builder-style).
-    pub fn without_gossip(mut self) -> Self {
-        self.gossip_mult = 0.0;
-        self
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -260,7 +242,11 @@ mod tests {
         assert!(NetFaultSpec::none().is_none());
         assert!(!NetFaultSpec::none().needs_recovery());
         assert!(!NetFaultSpec::none().with_loss(0.1).is_none());
-        assert!(!NetFaultSpec::none().with_duplication(0.1).is_none());
+        assert!(!NetFaultSpec {
+            duplicate: 0.1,
+            ..NetFaultSpec::none()
+        }
+        .is_none());
         assert!(!NetFaultSpec::none()
             .with_partition(0.0, 1.0, vec![0])
             .is_none());

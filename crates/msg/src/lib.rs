@@ -13,20 +13,20 @@
 //!
 //! This crate provides:
 //!
-//! * [`proto`] — the wire protocol: timestamped values, read/write
+//! * `proto` — the wire protocol: timestamped values, read/write
 //!   query/reply/put/ack messages plus anti-entropy gossip
 //!   ([`proto::Payload`]).
 //! * [`node`] — one node = one replica (hosting a share of every
 //!   register) + one ABD client + one unchanged
 //!   [`nc_core::LeanConsensus`] step machine driving it. Quorums count
 //!   **distinct** replicas, phases are resendable, and a subset of nodes
-//!   can serve replica duties out of a shared [`node::SharedPlane`]
+//!   can serve replica duties out of a shared `node::SharedPlane`
 //!   (one replica held in common, for mixed deployments).
-//! * [`faults`] — the deterministic network-fault plane: seeded message
+//! * `faults` — the deterministic network-fault plane: seeded message
 //!   loss, duplication, and timed partition schedules
 //!   ([`faults::NetFaultSpec`]), with retry/timeout and gossip tuning
 //!   ([`faults::RecoverySpec`]).
-//! * [`sim`] — a discrete-event network simulator: every message suffers
+//! * `sim` — a discrete-event network simulator: every message suffers
 //!   an i.i.d. noisy delay (any [`nc_sched::Noise`]); nodes may crash,
 //!   messages may be lost/duplicated/cut by a partition; retry timers
 //!   and gossip keep the run live through the faults; the run ends when
@@ -35,7 +35,7 @@
 //! # Example
 //!
 //! ```
-//! use nc_msg::sim::{run_message_passing, MsgConfig};
+//! use nc_msg::{run_message_passing, MsgConfig};
 //! use nc_sched::Noise;
 //!
 //! let cfg = MsgConfig::new(5, Noise::Exponential { mean: 1.0 });
@@ -46,14 +46,15 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![warn(missing_debug_implementations)]
 #![forbid(unsafe_code)]
 
-pub mod faults;
+mod faults;
 pub mod node;
-pub mod proto;
-pub mod sim;
+mod proto;
+mod sim;
 
 pub use faults::{NetFaultError, NetFaultSpec, Partition, RecoverySpec};
-pub use proto::{Payload, Stamp};
+pub use proto::{OpId, Payload, Stamp};
 pub use sim::{run_message_passing, Channel, MsgConfig, MsgConfigError, MsgReport, Outcome};

@@ -15,18 +15,18 @@
 //!   phase tracks responders in a bitmask, so retransmitted or
 //!   network-duplicated replies can never fake a majority.
 //! * **Resendable phases.** Every phase keeps enough state to rebroadcast
-//!   its request verbatim ([`Node::resend`], same operation id); replicas
+//!   its request verbatim (`Node::resend`, same operation id); replicas
 //!   are idempotent (highest-stamp-wins puts, re-replies deduplicated by
 //!   the mask), so the simulator's retry timers make the client survive
 //!   message loss and partitions.
-//! * **Gossip / anti-entropy.** [`Node::gossip`] pushes the node's
+//! * **Gossip / anti-entropy.** `Node::gossip` pushes the node's
 //!   decision plus one drip-fed replica entry to a round-robin peer; an
 //!   undecided receiver adopts an incoming decision outright (safe by
 //!   agreement of the underlying protocol) and merges entries under the
 //!   highest-stamp rule — after a partition heals, the minority side
 //!   catches up instead of stalling.
 //!
-//! Nodes may also share a memory plane ([`SharedPlane`], one replica
+//! Nodes may also share a memory plane (`SharedPlane`, one replica
 //! held in common): plane members serve replica duties out of one
 //! store, modelling mixed shared-memory/message deployments.
 //! Merging replicas is safe — replica state is a join-semilattice under
@@ -75,14 +75,14 @@ pub struct Outgoing {
 /// stamp loses leaves no entry behind here, while a private replica
 /// keeps a `(Stamp::ZERO, 0)` entry that gossip's drip counts.
 #[derive(Debug)]
-pub struct SharedPlane {
+pub(crate) struct SharedPlane {
     entries: Vec<(Addr, Stamp, Word)>,
 }
 
 impl SharedPlane {
     /// Creates a plane pre-seeded with `sentinels` (same stamping rule
     /// as [`Node::new`]).
-    pub fn new(sentinels: &[(Addr, Word)]) -> Rc<RefCell<Self>> {
+    pub(crate) fn new(sentinels: &[(Addr, Word)]) -> Rc<RefCell<Self>> {
         let mut plane = SharedPlane {
             entries: Vec::with_capacity(sentinels.len()),
         };
@@ -293,7 +293,7 @@ impl Node {
     /// The sentinels `a0[0] = a1[0] = 1` are pre-seeded into the local
     /// replica of every node (initial state, exactly like the
     /// shared-memory runs install them before the first step). They get
-    /// a stamp above [`Stamp::ZERO`] so quorum replies carrying them
+    /// a stamp above `Stamp::ZERO` so quorum replies carrying them
     /// outrank a reader's "never heard anything" initial best — with the
     /// zero stamp, the seeded 1 would tie with the default 0 and lose,
     /// and lean-consensus would (unsoundly) decide at round 1.
@@ -311,7 +311,7 @@ impl Node {
 
     /// Creates node `id` of `n` whose replica duties are served out of
     /// `plane` (a shared word store; the plane carries the sentinels).
-    pub fn new_shared(id: u32, n: u32, input: Bit, plane: Rc<RefCell<SharedPlane>>) -> Self {
+    pub(crate) fn new_shared(id: u32, n: u32, input: Bit, plane: Rc<RefCell<SharedPlane>>) -> Self {
         Self::with_store(id, n, input, ReplicaStore::Shared(plane))
     }
 
@@ -332,11 +332,6 @@ impl Node {
         }
     }
 
-    /// This node's id.
-    pub fn id(&self) -> u32 {
-        self.id
-    }
-
     /// The decision: the lean machine's, or one adopted from gossip.
     pub fn decision(&self) -> Option<Bit> {
         self.machine.status().decision().or(self.adopted)
@@ -348,12 +343,12 @@ impl Node {
     }
 
     /// Whether an ABD phase is in flight (waiting on quorum replies).
-    pub fn awaiting(&self) -> bool {
+    pub(crate) fn awaiting(&self) -> bool {
         self.phase != ClientPhase::Idle
     }
 
     /// The phase epoch (see the field doc; used by retry timers).
-    pub fn epoch(&self) -> u64 {
+    pub(crate) fn epoch(&self) -> u64 {
         self.epoch
     }
 
@@ -435,7 +430,7 @@ impl Node {
     /// replies already collected keep counting; replicas re-reply
     /// idempotently and the `heard` mask deduplicates). Returns `false`
     /// when idle.
-    pub fn resend(&mut self, out: &mut Vec<Outgoing>) -> bool {
+    pub(crate) fn resend(&mut self, out: &mut Vec<Outgoing>) -> bool {
         let op = self.current_op_id();
         let payload = match self.phase {
             ClientPhase::Idle => return false,
@@ -461,7 +456,7 @@ impl Node {
     /// node's decision (if any) plus one replica entry, cycling through
     /// the replica so repeated rounds converge state. Returns the chosen
     /// peer.
-    pub fn gossip(&mut self, out: &mut Vec<Outgoing>) -> u32 {
+    pub(crate) fn gossip(&mut self, out: &mut Vec<Outgoing>) -> u32 {
         // Round-robin peer selection, skipping self (n = 1 degenerates
         // to self-gossip, which is harmless).
         self.gossip_peer = (self.gossip_peer + 1) % self.n;

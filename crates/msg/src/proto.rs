@@ -29,13 +29,13 @@ pub struct Stamp {
 impl Stamp {
     /// The initial stamp of every register (value 0, "written" by
     /// nobody).
-    pub const ZERO: Stamp = Stamp {
+    pub(crate) const ZERO: Stamp = Stamp {
         counter: 0,
         writer: 0,
     };
 
     /// The successor stamp for a write by `writer`.
-    pub fn next_for(self, writer: u32) -> Stamp {
+    pub(crate) fn next_for(self, writer: u32) -> Stamp {
         Stamp {
             counter: self.counter + 1,
             writer,
@@ -132,22 +132,6 @@ pub enum Payload {
     },
 }
 
-impl Payload {
-    /// The operation id this message belongs to (`None` for gossip,
-    /// which is not tied to any client operation).
-    pub fn op_id(&self) -> Option<OpId> {
-        match *self {
-            Payload::ReadQ { op, .. }
-            | Payload::ReadR { op, .. }
-            | Payload::WriteQ { op, .. }
-            | Payload::WriteR { op, .. }
-            | Payload::Put { op, .. }
-            | Payload::Ack { op, .. } => Some(op),
-            Payload::Gossip { .. } => None,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -204,47 +188,5 @@ mod tests {
             .to_string(),
             "3.1"
         );
-    }
-
-    #[test]
-    fn payload_op_id_extraction() {
-        let op = OpId { node: 2, seq: 5 };
-        let msgs = [
-            Payload::ReadQ {
-                op,
-                addr: Addr::new(0),
-            },
-            Payload::ReadR {
-                op,
-                from: 1,
-                stamp: Stamp::ZERO,
-                value: 0,
-            },
-            Payload::WriteQ {
-                op,
-                addr: Addr::new(1),
-            },
-            Payload::WriteR {
-                op,
-                from: 1,
-                stamp: Stamp::ZERO,
-            },
-            Payload::Put {
-                op,
-                addr: Addr::new(2),
-                stamp: Stamp::ZERO,
-                value: 1,
-            },
-            Payload::Ack { op, from: 1 },
-        ];
-        for m in msgs {
-            assert_eq!(m.op_id(), Some(op));
-        }
-        let gossip = Payload::Gossip {
-            from: 0,
-            decision: Some(Bit::One),
-            entry: None,
-        };
-        assert_eq!(gossip.op_id(), None);
     }
 }

@@ -82,12 +82,12 @@ pub struct MsgConfig {
     /// Network-fault injection (default: none).
     pub faults: NetFaultSpec,
     /// Retry/gossip tuning; only consulted when `faults` injects
-    /// something (see [`NetFaultSpec::needs_recovery`]).
+    /// something (see `NetFaultSpec::needs_recovery`).
     pub recovery: RecoverySpec,
     /// Broadcast expansion model (default: unicast).
     pub channel: Channel,
     /// Nodes whose replica duties are served out of one shared
-    /// [`SharedPlane`] (one replica held in common): a mixed
+    /// `SharedPlane` (one replica held in common): a mixed
     /// shared-memory/message deployment. `None` or empty = all private.
     pub shared_plane: Option<Vec<u32>>,
 }
@@ -152,7 +152,7 @@ impl MsgConfig {
     /// Checks the whole configuration, returning the first problem
     /// found: a zero-node deployment, an `inputs` vector whose length is
     /// not `n`, a crash plan that would destroy the majority quorum, a
-    /// degenerate partition shape ([`NetFaultSpec::validate`]), or — when
+    /// degenerate partition shape (`NetFaultSpec::validate`), or — when
     /// the faults arm the recovery plane — a retry timeout or backoff
     /// that is not finite and positive.
     ///
@@ -867,7 +867,7 @@ mod tests {
         assert!(matches!(
             degenerate.validate(),
             Err(MsgConfigError::Faults(
-                crate::NetFaultError::EmptyWindow { .. }
+                crate::faults::NetFaultError::EmptyWindow { .. }
             ))
         ));
     }
@@ -1001,7 +1001,10 @@ mod tests {
         // the emulation correct (agreement + validity).
         let cfg = MsgConfig::new(4, Noise::Exponential { mean: 1.0 })
             .with_inputs(vec![Bit::One; 4])
-            .with_faults(NetFaultSpec::none().with_duplication(1.0));
+            .with_faults(NetFaultSpec {
+                duplicate: 1.0,
+                ..NetFaultSpec::none()
+            });
         let report = run_message_passing(&cfg, 11);
         assert_eq!(report.outcome, Outcome::Decided);
         assert!(report.duplicated > 0);

@@ -17,7 +17,7 @@ use std::collections::BinaryHeap;
 
 use nc_memory::{Bit, RaceLayout, Word};
 use nc_msg::node::{Dest, Node, Outgoing};
-use nc_msg::sim::{run_message_passing, Channel, MsgConfig, MsgReport, Outcome};
+use nc_msg::{run_message_passing, Channel, MsgConfig, MsgReport, Outcome};
 use nc_msg::{NetFaultSpec, Payload, RecoverySpec};
 use nc_sched::rng::salts;
 use nc_sched::{stream_rng, Noise};
@@ -182,7 +182,11 @@ fn faultless_config_is_byte_identical_to_the_prefault_simulator() {
         for seed in 0..3u64 {
             for n in [4usize, 5] {
                 let cfg = MsgConfig::new(n, delay);
-                assert!(cfg.faults.is_none(), "default config must be fault-free");
+                assert_eq!(
+                    cfg.faults,
+                    NetFaultSpec::none(),
+                    "default config must be fault-free"
+                );
                 assert_matches_oracle(&cfg, seed, &format!("{name} n={n} seed={seed}"));
             }
         }
@@ -242,8 +246,10 @@ fn unhealed_partition_is_reported_as_starvation_not_cap_noise() {
 #[test]
 fn loss_and_duplication_together_still_agree() {
     for seed in 0..3u64 {
-        let cfg = MsgConfig::new(5, Noise::Exponential { mean: 1.0 })
-            .with_faults(NetFaultSpec::none().with_loss(0.10).with_duplication(0.10));
+        let cfg = MsgConfig::new(5, Noise::Exponential { mean: 1.0 }).with_faults(NetFaultSpec {
+            duplicate: 0.10,
+            ..NetFaultSpec::none().with_loss(0.10)
+        });
         let report = run_message_passing(&cfg, seed);
         assert_eq!(report.outcome, Outcome::Decided, "seed {seed}");
         assert!(report.lost > 0 && report.duplicated > 0, "seed {seed}");
@@ -260,7 +266,10 @@ fn retry_only_recovery_heals_without_gossip() {
     for seed in 0..3u64 {
         let cfg = MsgConfig::new(5, Noise::Exponential { mean: 1.0 })
             .with_faults(NetFaultSpec::none().with_loss(0.05))
-            .with_recovery(RecoverySpec::default().without_gossip());
+            .with_recovery(RecoverySpec {
+                gossip_mult: 0.0,
+                ..RecoverySpec::default()
+            });
         let report = run_message_passing(&cfg, seed);
         assert_eq!(report.outcome, Outcome::Decided, "seed {seed}");
         assert_eq!(report.gossip, 0, "gossip was disabled");
@@ -283,12 +292,12 @@ fn broadcast_channel_with_partition_heals_too() {
 #[test]
 fn faulty_runs_are_deterministic_in_cfg_and_seed() {
     let cfg = MsgConfig::new(5, Noise::Uniform { lo: 0.0, hi: 2.0 })
-        .with_faults(
-            NetFaultSpec::none()
+        .with_faults(NetFaultSpec {
+            duplicate: 0.05,
+            ..NetFaultSpec::none()
                 .with_loss(0.08)
-                .with_duplication(0.05)
-                .with_partition(3.0, 25.0, vec![0, 4]),
-        )
+                .with_partition(3.0, 25.0, vec![0, 4])
+        })
         .with_shared_plane(vec![1, 2]);
     let a = run_message_passing(&cfg, 13);
     let b = run_message_passing(&cfg, 13);
@@ -368,7 +377,10 @@ fn fault_streams_are_pinned() {
         (Channel::Unicast, NetFaultSpec::none().with_loss(0.2)),
         (
             Channel::Unicast,
-            NetFaultSpec::none().with_loss(0.1).with_duplication(0.2),
+            NetFaultSpec {
+                duplicate: 0.2,
+                ..NetFaultSpec::none().with_loss(0.1)
+            },
         ),
         (
             Channel::Unicast,

@@ -203,11 +203,6 @@ impl Script {
     pub fn new(script: Vec<usize>) -> Self {
         Script { script, cursor: 0 }
     }
-
-    /// How many script entries remain unconsumed.
-    pub fn remaining(&self) -> usize {
-        self.script.len() - self.cursor
-    }
 }
 
 impl Adversary for Script {
@@ -303,11 +298,6 @@ impl LeaderKiller {
             trigger_lead: trigger_lead.max(1),
             crashed: Vec::new(),
         }
-    }
-
-    /// Ids crashed so far, in crash order.
-    pub fn crashed(&self) -> &[usize] {
-        &self.crashed
     }
 }
 
@@ -471,7 +461,7 @@ mod tests {
         let steps = [0; 3];
         let v = view(&enabled, &round, &steps);
         assert_eq!(adv.next(v), Some(2));
-        assert_eq!(adv.remaining(), 2);
+        assert_eq!(adv.script.len() - adv.cursor, 2);
         assert_eq!(adv.next(v), Some(0));
         assert_eq!(adv.next(v), Some(1));
         assert_eq!(adv.next(v), None);
@@ -524,7 +514,7 @@ mod tests {
         let round = [5, 3, 2];
         let steps = [20, 12, 8];
         assert_eq!(adv.crash_now(view(&enabled, &round, &steps)), vec![0]);
-        assert_eq!(adv.crashed(), &[0]);
+        assert_eq!(adv.crashed, [0]);
     }
 
     #[test]

@@ -35,17 +35,18 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![warn(missing_debug_implementations)]
 #![forbid(unsafe_code)]
 
 pub mod adversary;
 pub mod hybrid;
-pub mod noise;
+mod noise;
 pub mod queue;
 pub mod rng;
 pub mod select;
-pub mod timing;
-pub mod tree;
+mod timing;
+mod tree;
 
 pub use adversary::{Adversary, CrashAdversary, ProcView};
 pub use hybrid::{HybridPolicy, HybridSpec, HybridView};

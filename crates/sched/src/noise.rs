@@ -24,7 +24,7 @@ use nc_memory::OpKind;
 /// Cap on `k` for [`Noise::Pathological`]: `2^{30²} = 2^{900}` is the
 /// largest representable step before `2^{k²}` overflows `f64`
 /// (`2^{31²} = 2^{961}` still fits but leaves no headroom for sums).
-pub const PATHOLOGICAL_MAX_K: u32 = 30;
+pub(crate) const PATHOLOGICAL_MAX_K: u32 = 30;
 
 /// A non-negative delay distribution for operation noise `X_ij`.
 ///
@@ -107,7 +107,7 @@ pub enum Noise {
     /// tail mass collapses onto `2^{max_k²}`). Its expectation diverges;
     /// even the truncated version has astronomically heavy tails.
     Pathological {
-        /// Truncation point; clamped to [`PATHOLOGICAL_MAX_K`].
+        /// Truncation point; clamped to `PATHOLOGICAL_MAX_K`.
         max_k: u32,
     },
 }
@@ -150,14 +150,6 @@ impl Noise {
     /// lower bound of Theorem 13.
     pub const fn theorem13() -> Noise {
         Noise::TwoPoint { lo: 1.0, hi: 2.0 }
-    }
-
-    /// Theorem 1's heavy-tailed unfairness distribution at the default
-    /// truncation.
-    pub const fn pathological() -> Noise {
-        Noise::Pathological {
-            max_k: PATHOLOGICAL_MAX_K,
-        }
     }
 
     /// Draws one delay.
@@ -337,7 +329,7 @@ impl OpNoise {
     }
 
     /// The distribution applied to operations of kind `kind`.
-    pub const fn for_kind(&self, kind: OpKind) -> &Noise {
+    pub(crate) const fn for_kind(&self, kind: OpKind) -> &Noise {
         match kind {
             OpKind::Read => &self.read,
             OpKind::Write => &self.write,
@@ -380,6 +372,11 @@ mod tests {
     use super::*;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
+
+    /// Theorem 1's distribution at the default truncation.
+    const PATHOLOGICAL: Noise = Noise::Pathological {
+        max_k: PATHOLOGICAL_MAX_K,
+    };
 
     fn rng() -> SmallRng {
         SmallRng::seed_from_u64(0xC0FFEE)
@@ -526,7 +523,7 @@ mod tests {
 
     #[test]
     fn pathological_support_is_powers() {
-        let noise = Noise::pathological();
+        let noise = PATHOLOGICAL;
         let mut r = rng();
         for _ in 0..10_000 {
             let x = noise.sample(&mut r);
@@ -541,7 +538,7 @@ mod tests {
 
     #[test]
     fn pathological_mean_diverges() {
-        assert_eq!(Noise::pathological().mean(), None);
+        assert_eq!(PATHOLOGICAL.mean(), None);
         // Truncated means grow without bound in the truncation point:
         // E[X | k <= K] >= 2^{-K} 2^{K²} = 2^{K² - K}, monotone in K.
         // Check the partial series Σ_{k<=K} 2^{-k} 2^{k²} is strictly
@@ -561,7 +558,7 @@ mod tests {
         assert_eq!(Noise::Exponential { mean: 2.5 }.timeout_hint(), 2.5);
         assert_eq!(Noise::Uniform { lo: 0.0, hi: 2.0 }.timeout_hint(), 1.0);
         // No finite/known mean => the fixed fallback.
-        assert_eq!(Noise::pathological().timeout_hint(), 4.0);
+        assert_eq!(PATHOLOGICAL.timeout_hint(), 4.0);
         assert_eq!(
             Noise::TruncatedNormal {
                 mean: 1.0,
@@ -630,7 +627,7 @@ mod tests {
                 hi: 2.0,
             },
             Noise::Constant { value: 1.0 },
-            Noise::pathological(),
+            PATHOLOGICAL,
         ];
         for noise in cases {
             let mut a = rng();
@@ -651,7 +648,7 @@ mod tests {
             Noise::Exponential { mean: 1.0 }.to_string(),
             "exponential(1)"
         );
-        assert_eq!(Noise::pathological().to_string(), "pathological(k<=30)");
+        assert_eq!(PATHOLOGICAL.to_string(), "pathological(k<=30)");
         assert_eq!(
             Noise::TruncatedNormal {
                 mean: 1.0,

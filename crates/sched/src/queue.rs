@@ -31,13 +31,11 @@
 //! implementations can never change simulation results (pinned by the
 //! equivalence tests against the naive `BinaryHeap` driver).
 
-use std::cmp::Ordering;
-
 /// Fan-out of the heap. Four 16-byte events fill one cache line.
 const ARITY: usize = 4;
 
 /// Bits of the low key word reserved for the process id.
-pub const PID_BITS: u32 = 24;
+pub(crate) const PID_BITS: u32 = 24;
 
 /// Maximum process id an [`Event`] can carry (`2^24 - 1` ≈ 16.7M).
 pub const MAX_PID: u32 = (1 << PID_BITS) - 1;
@@ -45,11 +43,12 @@ pub const MAX_PID: u32 = (1 << PID_BITS) - 1;
 /// Maximum sequence number an [`Event`] can carry (`2^40 - 1` ≈ 1.1e12
 /// scheduled events per run — two orders of magnitude above the default
 /// operation budget).
-pub const MAX_SEQ: u64 = (1 << (64 - PID_BITS)) - 1;
+pub(crate) const MAX_SEQ: u64 = (1 << (64 - PID_BITS)) - 1;
 
 /// A scheduled simulation event: process [`Event::pid`]'s next operation
-/// occurs at simulated time [`Event::time`]; [`Event::seq`] is the
-/// insertion sequence number used for deterministic tie-breaking.
+/// occurs at simulated time [`Event::time`]; the `seq` given to
+/// [`Event::new`] is the insertion sequence number used for
+/// deterministic tie-breaking.
 ///
 /// Stored as a 16-byte integer sort key — see [the module docs](self)
 /// for why. Construct with [`Event::new`] and read fields through the
@@ -106,34 +105,22 @@ impl Event {
         unmap_time(self.time_key)
     }
 
-    /// The insertion sequence number.
-    #[inline]
-    pub fn seq(&self) -> u64 {
-        self.seq_pid >> PID_BITS
-    }
-
     /// The owning process id.
     #[inline]
     pub fn pid(&self) -> u32 {
         (self.seq_pid & MAX_PID as u64) as u32
     }
 
-    /// The full 128-bit sort key: `(time, seq, pid)` lexicographic.
-    #[inline]
-    pub(crate) fn key(&self) -> u128 {
-        ((self.time_key as u128) << 64) | self.seq_pid as u128
-    }
-
-    /// The engine's total event order: `(time, seq)` lexicographic with
-    /// `total_cmp` semantics on time.
+    /// The full 128-bit sort key: `(time, seq, pid)` lexicographic, the
+    /// engine's total event order.
     ///
     /// Totality (the property the engine's determinism rests on): the
     /// time map preserves `total_cmp`'s total order bit-for-bit, and the
     /// unique `seq` breaks every remaining tie, so distinct queued
     /// events never compare `Equal`.
     #[inline]
-    pub fn key_cmp(&self, other: &Event) -> Ordering {
-        self.key().cmp(&other.key())
+    pub(crate) fn key(&self) -> u128 {
+        ((self.time_key as u128) << 64) | self.seq_pid as u128
     }
 }
 
@@ -158,28 +145,11 @@ pub struct EventQueue {
 }
 
 impl EventQueue {
-    /// An empty queue.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// An empty queue with room for `cap` events before reallocating.
     pub fn with_capacity(cap: usize) -> Self {
         EventQueue {
             heap: Vec::with_capacity(cap),
         }
-    }
-
-    /// Number of queued events.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether the queue is empty.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
     }
 
     /// Removes all events, keeping the allocation (for reuse across
@@ -336,17 +306,17 @@ mod tests {
         ] {
             let e = Event::new(t, 123, 45);
             assert_eq!(e.time().to_bits(), t.to_bits(), "time {t}");
-            assert_eq!(e.seq(), 123);
+            assert_eq!(e.seq_pid >> PID_BITS, 123);
             assert_eq!(e.pid(), 45);
         }
         let e = Event::new(7.0, MAX_SEQ, MAX_PID);
-        assert_eq!(e.seq(), MAX_SEQ);
+        assert_eq!(e.seq_pid >> PID_BITS, MAX_SEQ);
         assert_eq!(e.pid(), MAX_PID);
     }
 
     #[test]
     fn pops_in_time_order() {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::default();
         for (i, t) in [5.0, 1.0, 3.0, 2.0, 4.0].iter().enumerate() {
             q.push(ev(*t, i as u64));
         }
@@ -356,18 +326,20 @@ mod tests {
 
     #[test]
     fn equal_times_break_by_seq() {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::default();
         q.push(ev(1.0, 7));
         q.push(ev(1.0, 3));
         q.push(ev(1.0, 5));
-        let seqs: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|e| e.seq()).collect();
+        let seqs: Vec<u64> = std::iter::from_fn(|| q.pop())
+            .map(|e| e.seq_pid >> PID_BITS)
+            .collect();
         assert_eq!(seqs, vec![3, 5, 7]);
     }
 
     #[test]
     fn replace_top_equals_pop_then_push() {
-        let mut a = EventQueue::new();
-        let mut b = EventQueue::new();
+        let mut a = EventQueue::default();
+        let mut b = EventQueue::default();
         for (i, t) in [9.0, 2.0, 7.0, 4.0, 6.0, 3.0].iter().enumerate() {
             a.push(ev(*t, i as u64));
             b.push(ev(*t, i as u64));
@@ -391,14 +363,14 @@ mod tests {
         }
         let cap = q.heap.capacity();
         q.clear();
-        assert!(q.is_empty());
+        assert!(q.heap.is_empty());
         assert_eq!(q.heap.capacity(), cap);
     }
 
     #[test]
     #[should_panic(expected = "replace_top on empty queue")]
     fn replace_top_empty_panics() {
-        EventQueue::new().replace_top(ev(1.0, 1));
+        EventQueue::default().replace_top(ev(1.0, 1));
     }
 
     proptest! {
@@ -413,18 +385,19 @@ mod tests {
                 .iter()
                 .map(|&(bits, seq)| Event::new(f64::from_bits(bits), seq, 0))
                 .collect();
+            let seq = |e: &Event| e.seq_pid >> PID_BITS;
             for a in &evs {
-                prop_assert_eq!(a.key_cmp(a), std::cmp::Ordering::Equal);
+                prop_assert_eq!(a.key().cmp(&a.key()), std::cmp::Ordering::Equal);
                 for b in &evs {
-                    prop_assert_eq!(a.key_cmp(b), b.key_cmp(a).reverse());
+                    prop_assert_eq!(a.key().cmp(&b.key()), b.key().cmp(&a.key()).reverse());
                     let reference = a
                         .time()
                         .total_cmp(&b.time())
-                        .then_with(|| a.seq().cmp(&b.seq()));
-                    prop_assert_eq!(a.key_cmp(b), reference);
+                        .then_with(|| seq(a).cmp(&seq(b)));
+                    prop_assert_eq!(a.key().cmp(&b.key()), reference);
                     // Distinct seqs never tie, even at bit-equal times.
-                    if a.seq() != b.seq() {
-                        prop_assert!(a.key_cmp(b) != std::cmp::Ordering::Equal);
+                    if seq(a) != seq(b) {
+                        prop_assert!(a.key().cmp(&b.key()) != std::cmp::Ordering::Equal);
                     }
                 }
             }
@@ -437,7 +410,7 @@ mod tests {
             times in proptest::collection::vec(0.0f64..100.0, 1..60),
             replacements in proptest::collection::vec(0.0f64..100.0, 0..30),
         ) {
-            let mut q = EventQueue::new();
+            let mut q = EventQueue::default();
             let mut model: Vec<Event> = Vec::new();
             let mut seq = 0u64;
             for &t in &times {
@@ -447,13 +420,13 @@ mod tests {
                 model.push(e);
             }
             for &t in &replacements {
-                model.sort_by(|a, b| a.key_cmp(b));
+                model.sort_by_key(Event::key);
                 let e = ev(t, seq);
                 seq += 1;
                 q.replace_top(e);
                 model[0] = e;
             }
-            model.sort_by(|a, b| a.key_cmp(b));
+            model.sort_by_key(Event::key);
             let popped: Vec<Event> = std::iter::from_fn(|| q.pop()).collect();
             prop_assert_eq!(popped, model);
         }
@@ -464,12 +437,12 @@ mod tests {
         fn push_pop_interleave_matches_model(
             ops in proptest::collection::vec((any::<bool>(), 0.0f64..50.0), 1..80),
         ) {
-            let mut q = EventQueue::new();
+            let mut q = EventQueue::default();
             let mut model: Vec<Event> = Vec::new();
             let mut seq = 0u64;
             for &(is_pop, t) in &ops {
                 if is_pop {
-                    model.sort_by(|a, b| a.key_cmp(b));
+                    model.sort_by_key(Event::key);
                     let expect = if model.is_empty() { None } else { Some(model.remove(0)) };
                     prop_assert_eq!(q.pop(), expect);
                 } else {
@@ -479,7 +452,7 @@ mod tests {
                     model.push(e);
                 }
             }
-            model.sort_by(|a, b| a.key_cmp(b));
+            model.sort_by_key(Event::key);
             let drained: Vec<Event> = std::iter::from_fn(|| q.pop()).collect();
             prop_assert_eq!(drained, model);
         }

@@ -18,15 +18,15 @@
 ///
 /// Engine-free: the engine always runs on the heap. perfbench's
 /// `sched.hold_ns` is the only caller of the cut.
-pub const TREE_MIN_N: usize = 4096;
+pub(crate) const TREE_MIN_N: usize = 4096;
 
 /// Which hold queue a caller should time.
 ///
-/// The default (`Auto`) applies the [`TREE_MIN_N`] size heuristic; the
+/// The default (`Auto`) applies the `TREE_MIN_N` size heuristic; the
 /// forced variants pick one queue whatever the size.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum QueuePolicy {
-    /// Pick by process count: heap below [`TREE_MIN_N`], tree at or
+    /// Pick by process count: heap below `TREE_MIN_N`, tree at or
     /// above it.
     #[default]
     Auto,
@@ -48,7 +48,7 @@ pub enum QueueKind {
 
 impl QueuePolicy {
     /// Resolves the policy for `n` processes: `Auto` cuts over from the
-    /// heap to the tree at [`TREE_MIN_N`].
+    /// heap to the tree at `TREE_MIN_N`.
     #[inline]
     pub fn kind_for(self, n: usize) -> QueueKind {
         match self {

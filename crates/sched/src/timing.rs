@@ -75,7 +75,7 @@ impl Default for StartTimes {
 }
 
 /// The adversary's per-operation delays `Δ_ij`, bounded by the model
-/// constant `M` ([`DelayPolicy::bound_m`]).
+/// constant `M`.
 ///
 /// These are the *deterministic* part of the schedule — the paper's
 /// analysis must hold for every choice here, so the experiment suite
@@ -141,21 +141,6 @@ impl DelayPolicy {
             }
         }
     }
-
-    /// The model constant `M`: an upper bound on every `Δ_ij` this policy
-    /// produces. For [`DelayPolicy::SaveAndSpend`] this is the burst
-    /// size — note that policy deliberately respects only the §10
-    /// *statistical* constraint `Σ_{j≤r} Δ_ij ≤ r·m`, not a useful
-    /// per-operation bound.
-    pub fn bound_m(&self) -> f64 {
-        match self {
-            DelayPolicy::None => 0.0,
-            DelayPolicy::Constant { delta } => *delta,
-            DelayPolicy::Periodic { extra, .. } => *extra,
-            DelayPolicy::PerProcess(deltas) => deltas.iter().copied().fold(0.0, f64::max),
-            DelayPolicy::SaveAndSpend { m, period } => *m * (*period).max(1) as f64,
-        }
-    }
 }
 
 /// Random halting failures: `H_ij = ∞` with probability `h(n)` per
@@ -195,14 +180,6 @@ impl FailureModel {
                 );
                 per_op > 0.0 && rng.random::<f64>() < per_op
             }
-        }
-    }
-
-    /// The per-operation halting probability.
-    pub fn per_op(&self) -> f64 {
-        match *self {
-            FailureModel::None => 0.0,
-            FailureModel::Random { per_op } => per_op,
         }
     }
 }
@@ -254,12 +231,6 @@ impl TimingModel {
     /// Replaces the delay policy (builder-style).
     pub fn with_delay(mut self, delay: DelayPolicy) -> Self {
         self.delay = delay;
-        self
-    }
-
-    /// Replaces the start-time policy (builder-style).
-    pub fn with_start(mut self, start: StartTimes) -> Self {
-        self.start = start;
         self
     }
 
@@ -355,23 +326,26 @@ mod tests {
         // And the budget is actually spent (bursts of period·m).
         assert_eq!(policy.delta(0, 8), 4.0);
         assert_eq!(policy.delta(0, 7), 0.0);
-        assert_eq!(policy.bound_m(), 4.0);
     }
 
     #[test]
     fn delay_policies_respect_bound_m() {
+        // Each policy with its model constant `M`; for SaveAndSpend that
+        // is the burst size `m · period`.
         let policies = [
-            DelayPolicy::None,
-            DelayPolicy::Constant { delta: 0.5 },
-            DelayPolicy::Periodic {
-                period: 3,
-                extra: 2.0,
-            },
-            DelayPolicy::PerProcess(vec![0.1, 0.9, 0.4]),
-            DelayPolicy::SaveAndSpend { m: 0.5, period: 4 },
+            (DelayPolicy::None, 0.0),
+            (DelayPolicy::Constant { delta: 0.5 }, 0.5),
+            (
+                DelayPolicy::Periodic {
+                    period: 3,
+                    extra: 2.0,
+                },
+                2.0,
+            ),
+            (DelayPolicy::PerProcess(vec![0.1, 0.9, 0.4]), 0.9),
+            (DelayPolicy::SaveAndSpend { m: 0.5, period: 4 }, 2.0),
         ];
-        for policy in policies {
-            let m = policy.bound_m();
+        for (policy, m) in policies {
             for pid in 0..5 {
                 for op in 1..20u64 {
                     let d = policy.delta(pid, op);
@@ -414,8 +388,6 @@ mod tests {
         let halts = (0..n).filter(|_| fm.halts(&mut r)).count();
         let frac = halts as f64 / n as f64;
         assert!((frac - 0.1).abs() < 0.01, "halt fraction {frac}");
-        assert_eq!(fm.per_op(), 0.1);
-        assert_eq!(FailureModel::None.per_op(), 0.0);
     }
 
     #[test]
@@ -459,15 +431,11 @@ mod tests {
     #[test]
     fn builders_replace_fields() {
         let m = TimingModel::default()
-            .with_start(StartTimes::Staggered {
-                gap: 1.0,
-                dither: 0.0,
-            })
             .with_delay(DelayPolicy::Constant { delta: 0.5 })
             .with_failures(FailureModel::Random { per_op: 0.01 });
-        assert_eq!(m.delay.bound_m(), 0.5);
-        assert_eq!(m.failures.per_op(), 0.01);
-        assert!(matches!(m.start, StartTimes::Staggered { .. }));
+        assert_eq!(m.delay, DelayPolicy::Constant { delta: 0.5 });
+        assert_eq!(m.failures, FailureModel::Random { per_op: 0.01 });
+        assert_eq!(m.start, TimingModel::default().start);
     }
 
     #[test]

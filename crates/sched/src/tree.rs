@@ -60,7 +60,7 @@ const EMPTY: u128 = u128::MAX;
 ///
 /// ```
 /// use nc_sched::queue::Event;
-/// use nc_sched::tree::EventTree;
+/// use nc_sched::EventTree;
 ///
 /// let mut q = EventTree::new();
 /// q.reset(2);
@@ -229,7 +229,9 @@ mod tests {
         q.set(Event::new(1.0, 7, 0));
         q.set(Event::new(1.0, 3, 1));
         q.set(Event::new(1.0, 5, 2));
-        let seqs: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|e| e.seq()).collect();
+        let seqs: Vec<u64> = std::iter::from_fn(|| q.pop())
+            .map(|e| e.seq_pid >> crate::queue::PID_BITS)
+            .collect();
         assert_eq!(seqs, vec![3, 5, 7]);
     }
 
@@ -309,7 +311,7 @@ mod tests {
             let n = starts.len();
             let mut tree = EventTree::new();
             tree.reset(n);
-            let mut heap = EventQueue::new();
+            let mut heap = EventQueue::default();
             let mut seq = 0u64;
             for (pid, &t) in starts.iter().enumerate() {
                 let e = Event::new(t, seq, pid as u32);
@@ -355,7 +357,7 @@ mod tests {
                     .iter()
                     .flatten()
                     .copied()
-                    .min_by(|a, b| a.key_cmp(b));
+                    .min_by_key(|e| e.key());
                 prop_assert_eq!(tree.peek(), expect);
                 prop_assert_eq!(tree.len(), model.iter().flatten().count());
             }

@@ -57,11 +57,11 @@ use nc_memory::Bit;
 use crate::CommitFact;
 
 /// Magic leading every segment file.
-pub const SEGMENT_MAGIC: [u8; 8] = *b"NCJRNL01";
+pub(crate) const SEGMENT_MAGIC: [u8; 8] = *b"NCJRNL01";
 /// Bytes in a segment header.
-pub const HEADER_LEN: usize = 16;
+pub(crate) const HEADER_LEN: usize = 16;
 /// Bytes in one journal record.
-pub const RECORD_LEN: usize = 32;
+pub(crate) const RECORD_LEN: usize = 32;
 /// Default records per segment ([`crate::ServiceConfigBuilder`] can
 /// override; small capacities are useful to exercise segment rolls).
 pub const DEFAULT_SEGMENT_RECORDS: usize = 256;
@@ -138,7 +138,7 @@ const CRC64_TABLE: [u64; 256] = {
 
 /// CRC-64/XZ (reflected, poly `0x42F0E1EBA9EA3693`), one table lookup
 /// per byte — no dependency.
-pub fn crc64(bytes: &[u8]) -> u64 {
+pub(crate) fn crc64(bytes: &[u8]) -> u64 {
     let mut crc = !0u64;
     for &b in bytes {
         crc = CRC64_TABLE[((crc ^ u64::from(b)) & 0xFF) as usize] ^ (crc >> 8);
@@ -147,7 +147,7 @@ pub fn crc64(bytes: &[u8]) -> u64 {
 }
 
 /// Serializes one fact into its fixed-width record.
-pub fn encode_record(fact: &CommitFact) -> [u8; RECORD_LEN] {
+pub(crate) fn encode_record(fact: &CommitFact) -> [u8; RECORD_LEN] {
     let mut rec = [0u8; RECORD_LEN];
     rec[0..8].copy_from_slice(&fact.id.to_le_bytes());
     rec[8..12].copy_from_slice(&(fact.round as u32).to_le_bytes());
@@ -164,7 +164,7 @@ pub fn encode_record(fact: &CommitFact) -> [u8; RECORD_LEN] {
 
 /// Deserializes one record; `None` means the CRC or a field encoding
 /// is invalid (a torn or corrupt record).
-pub fn decode_record(rec: &[u8; RECORD_LEN]) -> Option<CommitFact> {
+pub(crate) fn decode_record(rec: &[u8; RECORD_LEN]) -> Option<CommitFact> {
     let stored = u64::from_le_bytes(rec[24..32].try_into().unwrap());
     if crc64(&rec[..24]) != stored {
         return None;
@@ -187,7 +187,7 @@ pub fn decode_record(rec: &[u8; RECORD_LEN]) -> Option<CommitFact> {
 }
 
 /// The file name of segment `index`.
-pub fn segment_name(index: u64) -> String {
+pub(crate) fn segment_name(index: u64) -> String {
     format!("seg-{index:08}.log")
 }
 
@@ -437,7 +437,7 @@ impl JournalWriter {
     /// [`append`](Self::append) per fact, and an empty batch writes
     /// nothing. After an error the facts up to some prefix may be on
     /// disk; the writer should not be appended to again.
-    pub fn append_batch(&mut self, facts: &[CommitFact]) -> Result<(), JournalError> {
+    pub(crate) fn append_batch(&mut self, facts: &[CommitFact]) -> Result<(), JournalError> {
         let mut rest = facts;
         while !rest.is_empty() {
             if self.in_segment == self.segment_records {
@@ -467,17 +467,12 @@ impl JournalWriter {
     }
 
     /// Total facts durable across all segments.
-    pub fn len(&self) -> u64 {
+    pub(crate) fn len(&self) -> u64 {
         self.segment * self.segment_records as u64 + self.in_segment as u64
     }
 
-    /// Whether the journal holds no facts yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Segments on disk (the current, possibly partial, one included).
-    pub fn segments(&self) -> u64 {
+    pub(crate) fn segments(&self) -> u64 {
         self.segment + 1
     }
 }
@@ -592,7 +587,7 @@ mod tests {
                     let (batch, tail) = rest.split_at(split.min(rest.len()));
                     w.append_batch(batch).unwrap();
                     rest = tail;
-                    if !w.is_empty() && w.len() % cap as u64 == 0 {
+                    if w.len() > 0 && w.len() % cap as u64 == 0 {
                         // A full segment: an empty batch must not roll.
                         w.append_batch(&[]).unwrap();
                         assert!(!batched.0.join(segment_name(w.segments())).exists());

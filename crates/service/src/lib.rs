@@ -35,7 +35,7 @@
 //!   and, when a `journal_dir` is configured, to the shard's on-disk
 //!   [`journal`] segments *before* the fact is published. Each shard
 //!   writes its whole batch in one group commit
-//!   ([`JournalWriter::append_batch`]: one write per segment touched).
+//!   (`JournalWriter::append_batch`: one write per segment touched).
 //!   The byte format is deterministic: a service killed mid-batch and
 //!   reopened from its journal directory produces journals and a
 //!   reduced log **byte-identical** to an uninterrupted run (pinned by
@@ -75,6 +75,10 @@
 //! assert_eq!(svc.drain_completions().len(), 4);
 //! ```
 
+#![warn(missing_docs)]
+#![warn(unreachable_pub)]
+#![forbid(unsafe_code)]
+
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
@@ -87,7 +91,7 @@ use nc_sched::{Noise, TimingModel};
 
 pub mod journal;
 pub mod loadgen;
-pub mod retention;
+mod retention;
 
 pub use journal::{JournalError, JournalReader, JournalWriter};
 pub use retention::Retention;
@@ -172,8 +176,6 @@ pub struct ServiceConfigBuilder {
     procs: usize,
     shards: usize,
     seed: u64,
-    timing: TimingModel,
-    limits: Limits,
     retention: Retention,
     journal_dir: Option<PathBuf>,
     segment_records: usize,
@@ -195,18 +197,6 @@ impl ServiceConfigBuilder {
     /// Sets the service seed (default 0).
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Sets the timing model (default exponential(1) Figure 1 noise).
-    pub fn timing(mut self, timing: TimingModel) -> Self {
-        self.timing = timing;
-        self
-    }
-
-    /// Sets the per-instance run limits (default run-to-completion).
-    pub fn limits(mut self, limits: Limits) -> Self {
-        self.limits = limits;
         self
     }
 
@@ -249,8 +239,8 @@ impl ServiceConfigBuilder {
             procs: self.procs,
             shards: self.shards,
             seed: self.seed,
-            timing: self.timing,
-            limits: self.limits,
+            timing: TimingModel::figure1(Noise::Exponential { mean: 1.0 }),
+            limits: Limits::run_to_completion(),
             retention: self.retention,
             journal: self.journal_dir.map(|dir| JournalSpec {
                 dir,
@@ -270,8 +260,6 @@ impl ServiceConfig {
             procs: 0,
             shards: 1,
             seed: 0,
-            timing: TimingModel::figure1(Noise::Exponential { mean: 1.0 }),
-            limits: Limits::run_to_completion(),
             retention: Retention::KeepAll,
             journal_dir: None,
             segment_records: journal::DEFAULT_SEGMENT_RECORDS,
@@ -298,7 +286,7 @@ pub struct CommitFact {
 impl CommitFact {
     /// The canonical one-line serialization (`id,value,round,ops`);
     /// `value` is `0`, `1`, or `-` for undecided.
-    pub fn encode(&self) -> String {
+    pub(crate) fn encode(&self) -> String {
         let v = match self.value {
             Some(Bit::Zero) => "0",
             Some(Bit::One) => "1",
@@ -310,7 +298,7 @@ impl CommitFact {
 
 /// Canonical serialization of a journal slice: one [`CommitFact::encode`]
 /// line per fact, in slice order.
-pub fn encode_log(facts: &[CommitFact]) -> String {
+pub(crate) fn encode_log(facts: &[CommitFact]) -> String {
     let mut out = String::with_capacity(facts.len() * 16);
     for fact in facts {
         out.push_str(&fact.encode());
@@ -325,18 +313,6 @@ pub fn encode_log(facts: &[CommitFact]) -> String {
 pub struct Ticket {
     id: u64,
     shard: usize,
-}
-
-impl Ticket {
-    /// The instance this ticket tracks.
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
-    /// The shard the instance lives on.
-    pub fn shard(&self) -> usize {
-        self.shard
-    }
 }
 
 /// Where an instance stands, as answered by [`NcService::status`] and
@@ -618,13 +594,8 @@ impl NcService {
         Ok(svc)
     }
 
-    /// The configuration this service was built with.
-    pub fn config(&self) -> &ServiceConfig {
-        &self.cfg
-    }
-
     /// The shard instance `id` lives on.
-    pub fn shard_of(&self, id: u64) -> usize {
+    pub(crate) fn shard_of(&self, id: u64) -> usize {
         (id % self.cfg.shards as u64) as usize
     }
 
@@ -858,7 +829,7 @@ mod tests {
     }
 
     fn fill(svc: &mut NcService, id: u64) {
-        let procs = svc.config().procs;
+        let procs = svc.cfg.procs;
         for p in 0..procs {
             svc.submit(id, Bit::from((id + p as u64).is_multiple_of(2)))
                 .unwrap();
@@ -926,7 +897,7 @@ mod tests {
     fn front_door_lifecycle() {
         let mut svc = NcService::new(cfg(3, 2, 5));
         assert_eq!(svc.status(9), InstanceStatus::Unknown);
-        assert_eq!(svc.submit(9, Bit::One).map(|t| t.shard()), Ok(1));
+        assert_eq!(svc.submit(9, Bit::One).map(|t| t.shard), Ok(1));
         assert_eq!(svc.status(9), InstanceStatus::Accepting { got: 1, need: 3 });
         svc.submit(9, Bit::Zero).unwrap();
         assert_eq!(svc.status(9), InstanceStatus::Accepting { got: 2, need: 3 });
@@ -956,7 +927,7 @@ mod tests {
     fn submit_poll_drain_lifecycle() {
         let mut svc = NcService::new(cfg(3, 2, 5));
         let t = svc.submit(4, Bit::One).unwrap();
-        assert_eq!((t.id(), t.shard()), (4, 0));
+        assert_eq!((t.id, t.shard), (4, 0));
         assert_eq!(svc.poll(t), InstanceStatus::Accepting { got: 1, need: 3 });
         svc.submit(4, Bit::Zero).unwrap();
         let t3 = svc.submit(4, Bit::One).unwrap();
@@ -1061,13 +1032,13 @@ mod tests {
     fn op_budget_exhaustion_closes_the_instance_undecided() {
         // A starvation-tight budget cannot decide; the instance must
         // still close with a `value: None` fact instead of wedging.
-        let cfg = ServiceConfig::builder()
+        let mut cfg = ServiceConfig::builder()
             .procs(4)
             .shards(1)
             .seed(2)
-            .limits(Limits::run_to_completion().with_max_ops(4))
             .build()
             .unwrap();
+        cfg.limits = Limits::run_to_completion().with_max_ops(4);
         let mut svc = NcService::new(cfg);
         fill(&mut svc, 0);
         let fresh = svc.run_ready(1);

@@ -35,7 +35,7 @@ pub enum Retention {
 
 impl Retention {
     /// The residency cap, if the policy has one.
-    pub fn cap(&self) -> Option<usize> {
+    pub(crate) fn cap(&self) -> Option<usize> {
         match self {
             Retention::KeepAll => None,
             Retention::DecidedCap(k) | Retention::Lru(k) => Some(*k),

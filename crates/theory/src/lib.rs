@@ -8,13 +8,13 @@
 //! directly — independent of the consensus algorithm — along with the
 //! numeric lemmas and the statistics the experiment harness reports:
 //!
-//! * [`race`] — the delayed renewal race
+//! * `race` — the delayed renewal race
 //!   `S'_ir = Δ_i0 + Σ (Δ_ij + X_ij + H_ij)`, with the winner-by-`c`
 //!   detection of Theorem 10 and the halting failures of §3.1.2.
-//! * [`bounds`] — Lemma 5's `−x ln x` lower bound on the probability
+//! * `bounds` — Lemma 5's `−x ln x` lower bound on the probability
 //!   that exactly one of a set of independent events occurs, with an
 //!   exact evaluator to compare against.
-//! * [`stats`] — Welford online statistics, quantiles, 95% confidence
+//! * `stats` — Welford online statistics, quantiles, 95% confidence
 //!   intervals, and least-squares fits of `y = a + b·log₂ n` (the shape
 //!   every `Θ(log n)` claim is checked against).
 //!
@@ -22,8 +22,7 @@
 //!
 //! ```
 //! use nc_sched::Noise;
-//! use nc_theory::race::{run_race, RaceConfig, RaceOutcome};
-//! use nc_theory::stats::OnlineStats;
+//! use nc_theory::{run_race, OnlineStats, RaceConfig, RaceOutcome};
 //!
 //! let cfg = RaceConfig::new(64, 2, Noise::Exponential { mean: 1.0 });
 //! let mut rounds = OnlineStats::new();
@@ -36,13 +35,14 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![warn(missing_debug_implementations)]
 #![forbid(unsafe_code)]
 
-pub mod bounds;
-pub mod race;
-pub mod stats;
+mod bounds;
+mod race;
+mod stats;
 
-pub use bounds::{lemma5_bound, prob_exactly_one};
+pub use bounds::{lemma5_bound, prob_exactly_one, prob_none};
 pub use race::{run_race, RaceConfig, RaceOutcome};
 pub use stats::{fit_log2, quantile, LogFit, OnlineStats};

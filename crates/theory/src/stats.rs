@@ -70,12 +70,12 @@ impl OnlineStats {
     }
 
     /// Sample standard deviation.
-    pub fn sample_sd(&self) -> f64 {
+    pub(crate) fn sample_sd(&self) -> f64 {
         self.sample_var().sqrt()
     }
 
     /// Standard error of the mean.
-    pub fn stderr(&self) -> f64 {
+    pub(crate) fn stderr(&self) -> f64 {
         if self.n == 0 {
             0.0
         } else {
@@ -88,34 +88,9 @@ impl OnlineStats {
         1.96 * self.stderr()
     }
 
-    /// Smallest observation (`∞` when empty).
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
     /// Largest observation (`-∞` when empty).
     pub fn max(&self) -> f64 {
         self.max
-    }
-
-    /// Merges another accumulator into this one (parallel reduction).
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = *other;
-            return;
-        }
-        let n1 = self.n as f64;
-        let n2 = other.n as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.n += other.n;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 }
 
@@ -165,13 +140,6 @@ pub struct LogFit {
     pub slope: f64,
     /// The coefficient of determination on the transformed axis.
     pub r2: f64,
-}
-
-impl LogFit {
-    /// The fitted value at `n`.
-    pub fn predict(&self, n: f64) -> f64 {
-        self.intercept + self.slope * n.log2()
-    }
 }
 
 impl fmt::Display for LogFit {
@@ -243,7 +211,7 @@ mod tests {
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.sample_var(), 0.0);
         assert_eq!(s.stderr(), 0.0);
-        assert_eq!(s.min(), f64::INFINITY);
+        assert_eq!(s.min, f64::INFINITY);
         assert_eq!(s.max(), f64::NEG_INFINITY);
     }
 
@@ -253,7 +221,7 @@ mod tests {
         s.push(7.0);
         assert_eq!(s.mean(), 7.0);
         assert_eq!(s.sample_var(), 0.0);
-        assert_eq!(s.min(), 7.0);
+        assert_eq!(s.min, 7.0);
         assert_eq!(s.max(), 7.0);
     }
 
@@ -268,41 +236,10 @@ mod tests {
         let var = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / (xs.len() - 1) as f64;
         assert!((s.mean() - mean).abs() < 1e-12);
         assert!((s.sample_var() - var).abs() < 1e-12);
-        assert_eq!(s.min(), 1.0);
+        assert_eq!(s.min, 1.0);
         assert_eq!(s.max(), 9.0);
         assert!(s.ci95() > 0.0);
         assert!(s.to_string().contains("n=8"));
-    }
-
-    #[test]
-    fn merge_equals_sequential() {
-        let xs: Vec<f64> = (0..50).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut all = OnlineStats::new();
-        for &x in &xs {
-            all.push(x);
-        }
-        let mut a = OnlineStats::new();
-        let mut b = OnlineStats::new();
-        for (i, &x) in xs.iter().enumerate() {
-            if i % 2 == 0 {
-                a.push(x)
-            } else {
-                b.push(x)
-            }
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), all.count());
-        assert!((a.mean() - all.mean()).abs() < 1e-10);
-        assert!((a.sample_var() - all.sample_var()).abs() < 1e-9);
-        assert_eq!(a.min(), all.min());
-        assert_eq!(a.max(), all.max());
-        // Merging into/from empty.
-        let mut e = OnlineStats::new();
-        e.merge(&all);
-        assert_eq!(e.count(), all.count());
-        let before = all;
-        all.merge(&OnlineStats::new());
-        assert_eq!(all.count(), before.count());
     }
 
     #[test]
@@ -336,7 +273,6 @@ mod tests {
         assert!((fit.intercept - 3.0).abs() < 1e-9);
         assert!((fit.slope - 0.5).abs() < 1e-9);
         assert!((fit.r2 - 1.0).abs() < 1e-9);
-        assert!((fit.predict(64.0) - 6.0).abs() < 1e-9);
         assert!(fit.to_string().contains("log2"));
     }
 
@@ -367,7 +303,7 @@ mod tests {
             for &x in &xs {
                 s.push(x);
             }
-            prop_assert!(s.mean() >= s.min() - 1e-9);
+            prop_assert!(s.mean() >= s.min - 1e-9);
             prop_assert!(s.mean() <= s.max() + 1e-9);
             prop_assert!(s.sample_var() >= 0.0);
         }
