@@ -30,16 +30,17 @@
 //! `--out-dir DIR`, `--check DIR`, `--threads N`, `--journal-dir DIR`
 //! (scratch root for E20's on-disk commit journals — out-of-band
 //! state that never moves a CSV byte, so it composes with `--check`).
-//! Exit status is nonzero on unknown ids or golden drift, and 2 on an
-//! unknown flag or a flag value that does not parse.
+//! Exit status is nonzero on an unknown id, an `--only` list naming no
+//! id, or golden drift, and 2 on an unknown flag or a flag value that
+//! does not parse.
 
 use std::path::Path;
 use std::process::ExitCode;
 use std::time::Instant;
 
 use nc_bench::scenario::{
-    by_id, catalogue_markdown, manifest_json, timings_json, Preset, RunCtx, RunRecord, Scenario,
-    REGISTRY, SMOKE_SEED,
+    catalogue_markdown, manifest_json, select, timings_json, Preset, RunCtx, RunRecord, REGISTRY,
+    SMOKE_SEED,
 };
 use nc_bench::{arg, flag, reject_unknown_flags};
 
@@ -125,20 +126,12 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    let selected: Vec<&'static dyn Scenario> = match arg::<String>("only", String::new()) {
-        ids if ids.is_empty() => REGISTRY.to_vec(),
-        ids => {
-            let mut picked = Vec::new();
-            for id in ids.split(',').map(str::trim).filter(|s| !s.is_empty()) {
-                match by_id(id) {
-                    Some(sc) => picked.push(sc),
-                    None => {
-                        eprintln!("unknown scenario id {id:?}; try --list");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            picked
+    let only = flag("only").then(|| arg::<String>("only", String::new()));
+    let selected = match select(only.as_deref()) {
+        Ok(selected) => selected,
+        Err(msg) => {
+            eprintln!("{msg}");
+            return ExitCode::FAILURE;
         }
     };
 

@@ -98,7 +98,7 @@ pub(crate) fn run(trials: u64, seed0: u64, threads: usize) -> Table {
             let measure = |alg: Algorithm| {
                 Sim::new(alg)
                     .inputs(inputs.clone())
-                    .timing(timing.clone())
+                    .timing(timing)
                     .trials(trials)
                     .seed0(seed0)
                     .seed_stride(23)

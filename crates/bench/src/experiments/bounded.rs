@@ -77,7 +77,7 @@ pub(crate) fn run(n: usize, trials: u64, seed0: u64, threads: usize) -> Table {
         let mut ops = OnlineStats::new();
         let results = Sim::new(Algorithm::Bounded { r_max })
             .inputs(inputs.clone())
-            .timing(timing.clone())
+            .timing(timing)
             .trials(trials)
             .seed0(seed0)
             .seed_stride(17)

@@ -73,7 +73,7 @@ pub(crate) fn run(n: usize, trials: u64, seed0: u64, threads: usize) -> Table {
         let inputs = setup::half_and_half(n);
         let results = Sim::new(Algorithm::Lean)
             .inputs(inputs.clone())
-            .timing(timing.clone())
+            .timing(timing)
             .crash_adversary(move |_| LeaderKiller::new(f, 1))
             .trials(trials)
             .seed0(seed0)

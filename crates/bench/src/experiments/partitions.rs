@@ -252,10 +252,9 @@ pub(crate) fn run_mixed(n: usize, trials: u64, cap: u64, seed0: u64, threads: us
     );
     for (i, &k) in [0usize, 2, n].iter().enumerate() {
         let k = k.min(n);
-        let mut cfg = base_cfg(n, cap).with_faults(NetFaultSpec::none().with_loss(0.05));
-        if k > 0 {
-            cfg = cfg.with_shared_plane((0..k as u32).collect());
-        }
+        let cfg = base_cfg(n, cap)
+            .with_faults(NetFaultSpec::none().with_loss(0.05))
+            .with_shared_plane((0..k as u32).collect());
         let salt = 200 + i as u64;
         let (stats, _) = sweep_cell(&cfg, trials, seed0, salt, threads);
         table.push(vec![

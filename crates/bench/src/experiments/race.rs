@@ -56,7 +56,7 @@ pub(crate) fn run(trials: u64, seed0: u64, threads: usize) -> (Table, Table) {
     );
     let mut points = Vec::new();
     for &n in &[2usize, 8, 32, 128, 512, 2048] {
-        let cfg = RaceConfig::new(n, 2, Noise::Exponential { mean: 1.0 });
+        let cfg = RaceConfig::new(n, Noise::Exponential { mean: 1.0 });
         let outcomes = par_trials(threads, trials, |t| run_race(&cfg, seed0 + t * 7));
         let mut stats = OnlineStats::new();
         let mut rounds = Vec::new();
@@ -94,7 +94,7 @@ pub(crate) fn run(trials: u64, seed0: u64, threads: usize) -> (Table, Table) {
         &["h per round", "winners", "extinctions", "mean winning R"],
     );
     for &h in &[0.0, 0.01, 0.05, 0.2, 0.5] {
-        let cfg = RaceConfig::new(64, 2, Noise::Exponential { mean: 1.0 }).with_halt_prob(h);
+        let cfg = RaceConfig::new(64, Noise::Exponential { mean: 1.0 }).with_halt_prob(h);
         let outcomes = par_trials(threads, trials, |t| run_race(&cfg, seed0 + 50_000 + t * 13));
         let mut winners = 0u64;
         let mut extinct = 0u64;

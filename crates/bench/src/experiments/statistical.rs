@@ -57,8 +57,7 @@ pub(crate) fn run(trials: u64, seed0: u64, threads: usize) -> Table {
         let delay = DelayPolicy::SaveAndSpend { m: 1.0, period };
         let mut points = Vec::new();
         for &n in &[4usize, 16, 64, 256] {
-            let timing =
-                TimingModel::figure1(Noise::Exponential { mean: 1.0 }).with_delay(delay.clone());
+            let timing = TimingModel::figure1(Noise::Exponential { mean: 1.0 }).with_delay(delay);
             let mut rounds = OnlineStats::new();
             for r in Sim::new(Algorithm::Lean)
                 .inputs(setup::half_and_half(n))

@@ -166,11 +166,31 @@ pub const REGISTRY: &[&dyn Scenario] = &[
 ];
 
 /// Looks up a scenario by id (case-insensitive).
-pub fn by_id(id: &str) -> Option<&'static dyn Scenario> {
+fn by_id(id: &str) -> Option<&'static dyn Scenario> {
     REGISTRY
         .iter()
         .copied()
         .find(|s| s.spec().id.eq_ignore_ascii_case(id))
+}
+
+/// Resolves `repro --only`'s comma-separated id list (`None` when the
+/// flag is absent: the whole registry) to the scenarios to run, in the
+/// order given. Refuses an unknown id, and a list that names no id at
+/// all (`--only ,`), which would run nothing and pass any golden check.
+pub fn select(only: Option<&str>) -> Result<Vec<&'static dyn Scenario>, String> {
+    let Some(list) = only else {
+        return Ok(REGISTRY.to_vec());
+    };
+    let picked = list
+        .split(',')
+        .map(str::trim)
+        .filter(|id| !id.is_empty())
+        .map(|id| by_id(id).ok_or_else(|| format!("unknown scenario id {id:?}; try --list")))
+        .collect::<Result<Vec<_>, _>>()?;
+    if picked.is_empty() {
+        return Err(format!("--only {list:?} names no scenario id; try --list"));
+    }
+    Ok(picked)
 }
 
 /// Renders the registry as the complete `docs/experiments.md` document
@@ -375,6 +395,24 @@ mod tests {
         assert_eq!(by_id("e7").unwrap().spec().id, "E7");
         assert_eq!(by_id("E14").unwrap().spec().id, "E14");
         assert!(by_id("E12").is_none(), "E12 is folded into E8");
+    }
+
+    #[test]
+    fn select_refuses_unknown_ids_and_lists_naming_none() {
+        let ids = |only| -> Vec<&str> {
+            let picked = select(only).unwrap();
+            picked.iter().map(|sc| sc.spec().id).collect()
+        };
+        assert_eq!(ids(None).len(), REGISTRY.len());
+        assert_eq!(ids(Some(" e7, E1 ,")), ["E7", "E1"]);
+        assert_eq!(
+            select(Some("E1,E12")).err().unwrap(),
+            "unknown scenario id \"E12\"; try --list"
+        );
+        for empty in ["", ",", " , "] {
+            let err = select(Some(empty)).err().unwrap();
+            assert!(err.contains("names no scenario id"), "{empty:?}: {err}");
+        }
     }
 
     #[test]

@@ -75,7 +75,7 @@ fn parallel_sweep_reports_match_baseline_engine_exactly() {
     let inputs = setup::half_and_half(10);
     let parallel = Sim::new(setup::Algorithm::Lean)
         .inputs(inputs.clone())
-        .timing(timing.clone())
+        .timing(timing)
         .limits(Limits::first_decision())
         .trials(32)
         .seed0(1000)
@@ -99,7 +99,7 @@ fn builder_lean_fast_path_matches_baseline_boxed_instances() {
     let inputs = setup::half_and_half(16);
     let mut sim = Sim::new(setup::Algorithm::Lean)
         .inputs(inputs.clone())
-        .timing(timing.clone())
+        .timing(timing)
         .limits(Limits::first_decision())
         .build();
     for seed in 0..16u64 {

@@ -84,7 +84,6 @@
 #![forbid(unsafe_code)]
 
 pub mod adversarial;
-#[cfg(any(test, feature = "baseline"))]
 #[path = "noisy_baseline.rs"]
 pub mod baseline;
 mod drive;

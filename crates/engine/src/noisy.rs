@@ -57,11 +57,11 @@
 use rand::rngs::SmallRng;
 
 use nc_core::{Protocol, Status};
-use nc_memory::{Event, Op, OpKind};
+use nc_memory::{Event, Op};
 use nc_sched::adversary::CrashAdversary;
 use nc_sched::queue::Event as QueuedEvent;
 use nc_sched::rng::salts;
-use nc_sched::{stream_rng, EventQueue, FailureModel, TimingModel};
+use nc_sched::{start_time, stream_rng, EventQueue, FailureModel, TimingModel};
 
 use crate::drive::{self, Ending, Pick, Procs};
 use crate::report::{Limits, RunOutcome, RunReport};
@@ -123,21 +123,14 @@ impl EngineScratch {
     }
 }
 
-/// The time of `pid`'s operation number `op_index` (1-based), of kind
-/// `kind`, when its previous operation (or its start) happened at
-/// `clock`: `clock + (Δ_ij + X_ij)`, drawing `X_ij` from the process's
-/// own noise stream `rng`.
+/// The time of a process's operation number `op_index` (1-based) when
+/// its previous operation (or its start) happened at `clock`:
+/// `clock + (Δ_ij + X_ij)`, drawing `X_ij` from the process's own noise
+/// stream `rng`.
 #[inline]
-fn next_time(
-    timing: &TimingModel,
-    rng: &mut SmallRng,
-    pid: usize,
-    op_index: u64,
-    kind: OpKind,
-    clock: f64,
-) -> f64 {
-    let x = timing.noise.sample(kind, rng);
-    clock + (timing.delay.delta(pid, op_index) + x)
+fn next_time(timing: &TimingModel, rng: &mut SmallRng, op_index: u64, clock: f64) -> f64 {
+    let x = timing.noise.sample(rng);
+    clock + (timing.delay.delta(op_index) + x)
 }
 
 /// The fully general single-trial driver beneath the [`crate::sim`]
@@ -248,7 +241,7 @@ impl Pick for Timed<'_> {
     /// own stream draws), consuming the failure stream first and the
     /// noise stream second (matching the naive driver's stream order
     /// exactly).
-    fn pending(&mut self, pid: usize, op: Op, op_index: u64) -> bool {
+    fn pending(&mut self, pid: usize, _op: Op, op_index: u64) -> bool {
         let stepping = std::mem::take(&mut self.stepping);
         let halts = self
             .rng_failure
@@ -267,11 +260,9 @@ impl Pick for Timed<'_> {
                 .expect("the stepped event is queued")
                 .time()
         } else {
-            let mut rng_start = stream_rng(self.seed, pid as u64, salts::START);
-            self.timing.start_for(pid, &mut rng_start)
+            start_time(&mut stream_rng(self.seed, pid as u64, salts::START))
         };
-        let rng = &mut self.rng_noise[pid];
-        let time = next_time(self.timing, rng, pid, op_index, op.kind(), clock);
+        let time = next_time(self.timing, &mut self.rng_noise[pid], op_index, clock);
         self.seq += 1;
         let event = QueuedEvent::new(time, self.seq, pid as u32);
         if stepping {
@@ -329,10 +320,10 @@ fn loop_fast<P: Protocol>(
                     }
                 }
             }
-            Status::Pending(op) => {
+            Status::Pending(_) => {
                 // The hold operation: reschedule the same process in place.
                 let op_index = p.ops_completed() + 1;
-                let next = next_time(timing, &mut rng_noise[pid], pid, op_index, op.kind(), time);
+                let next = next_time(timing, &mut rng_noise[pid], op_index, time);
                 seq += 1;
                 queue.replace_top(QueuedEvent::new(next, seq, pid as u32));
             }
@@ -350,7 +341,7 @@ mod tests {
     use crate::setup::{self, Algorithm};
     use nc_memory::{check_register_semantics_from, Bit};
     use nc_sched::adversary::{CrashScript, LeaderKiller};
-    use nc_sched::{DelayPolicy, FailureModel, Noise, StartTimes};
+    use nc_sched::{DelayPolicy, FailureModel, Noise};
     use std::collections::HashMap;
 
     fn exp_timing() -> TimingModel {
@@ -420,15 +411,11 @@ mod tests {
 
     #[test]
     fn constant_noise_lockstep_hits_op_cap() {
-        // Degenerate (constant) noise + simultaneous starts = lockstep:
-        // the run must NOT terminate (it exhausts its op budget). This is
-        // the model assumption failing, as the paper predicts.
-        let timing = TimingModel {
-            start: StartTimes::Simultaneous { dither: 1e-9 },
-            delay: DelayPolicy::None,
-            noise: nc_sched::OpNoise::same(Noise::Constant { value: 1.0 }),
-            failures: FailureModel::None,
-        };
+        // Degenerate (constant) noise + the common dithered start =
+        // lockstep: the run must NOT terminate (it exhausts its op
+        // budget). This is the model assumption failing, as the paper
+        // predicts.
+        let timing = TimingModel::figure1(Noise::Constant { value: 1.0 });
         let inputs = setup::alternating(4);
         let mut inst = setup::build(Algorithm::Lean, &inputs, 3);
         let report = run_noisy(
@@ -578,41 +565,13 @@ mod tests {
     }
 
     #[test]
-    fn staggered_starts_let_the_early_bird_win() {
-        // One process starts at 0, others 1000 time units later: the
-        // early process decides alone at round 2 (adaptivity: work
-        // depends on contention, not n).
-        let timing = TimingModel {
-            start: StartTimes::Staggered {
-                gap: 1000.0,
-                dither: 0.0,
-            },
-            ..exp_timing()
-        };
-        let inputs = vec![Bit::One, Bit::Zero, Bit::Zero];
-        let mut inst = setup::build(Algorithm::Lean, &inputs, 4);
-        let report = run_noisy(&mut inst, &timing, 4, Limits::run_to_completion());
-        assert_eq!(report.outcome, RunOutcome::AllDecided);
-        assert_eq!(report.decisions[0], Some(Bit::One));
-        assert_eq!(report.decision_rounds[0], Some(2));
-        assert_eq!(report.agreement_value(), Some(Bit::One));
-        report.check_safety(&inputs).unwrap();
-    }
-
-    #[test]
     fn scratch_reuse_is_stateless_across_trials() {
         // Interleave very different trials through one scratch and check
         // each against a fresh-scratch run. The last four share one n:
         // the failure streams come and go with the failure model, and
-        // per-kind noise takes the fast loop.
+        // the delayed model takes the fast loop.
         let mut scratch = EngineScratch::new();
-        let per_kind = TimingModel {
-            noise: nc_sched::OpNoise::per_kind(
-                Noise::Exponential { mean: 1.0 },
-                Noise::Uniform { lo: 0.0, hi: 2.0 },
-            ),
-            ..exp_timing()
-        };
+        let delayed = exp_timing().with_delay(DelayPolicy::SaveAndSpend { m: 0.5, period: 4 });
         let configs: Vec<(usize, u64, TimingModel)> = vec![
             (1, 7, exp_timing()),
             (
@@ -634,7 +593,7 @@ mod tests {
                 exp_timing().with_failures(FailureModel::Random { per_op: 0.1 }),
             ),
             (8, 13, exp_timing()),
-            (8, 14, per_kind),
+            (8, 14, delayed),
         ];
         for (n, seed, timing) in configs {
             let inputs = setup::half_and_half(n);
@@ -715,21 +674,11 @@ mod tests {
         }
 
         #[test]
-        fn with_per_kind_noise_and_delays() {
-            // Per-kind distributions draw by the next op's kind;
-            // adversarial delays exercise DelayPolicy. Both must match.
-            let timing = TimingModel {
-                start: StartTimes::dithered(),
-                delay: DelayPolicy::Periodic {
-                    period: 3,
-                    extra: 0.5,
-                },
-                noise: nc_sched::OpNoise::per_kind(
-                    Noise::Exponential { mean: 1.0 },
-                    Noise::Uniform { lo: 0.0, hi: 2.0 },
-                ),
-                failures: FailureModel::None,
-            };
+        fn with_save_and_spend_delays() {
+            // Adversarial delays read the operation index; they must
+            // match.
+            let timing = TimingModel::figure1(Noise::Uniform { lo: 0.0, hi: 2.0 })
+                .with_delay(DelayPolicy::SaveAndSpend { m: 0.5, period: 3 });
             for seed in 0..4 {
                 assert_equivalent(
                     Algorithm::Lean,
@@ -762,12 +711,7 @@ mod tests {
 
         #[test]
         fn op_cap_and_lockstep() {
-            let timing = TimingModel {
-                start: StartTimes::Simultaneous { dither: 1e-9 },
-                delay: DelayPolicy::None,
-                noise: nc_sched::OpNoise::same(Noise::Constant { value: 1.0 }),
-                failures: FailureModel::None,
-            };
+            let timing = TimingModel::figure1(Noise::Constant { value: 1.0 });
             assert_equivalent(
                 Algorithm::Lean,
                 &setup::alternating(4),
@@ -805,37 +749,6 @@ mod tests {
                 );
                 assert_eq!(optimized, naive, "seed {seed}");
                 assert_eq!(hist_a, hist_b, "histories diverged at seed {seed}");
-            }
-        }
-
-        #[test]
-        fn staggered_and_explicit_starts() {
-            let staggered = TimingModel {
-                start: StartTimes::Staggered {
-                    gap: 100.0,
-                    dither: 0.5,
-                },
-                ..exp_timing()
-            };
-            let explicit = TimingModel {
-                start: StartTimes::Explicit(vec![3.0, 0.0, 7.0]),
-                ..exp_timing()
-            };
-            for seed in 0..3 {
-                assert_equivalent(
-                    Algorithm::Lean,
-                    &setup::half_and_half(5),
-                    &staggered,
-                    seed,
-                    Limits::run_to_completion(),
-                );
-                assert_equivalent(
-                    Algorithm::Lean,
-                    &setup::alternating(3),
-                    &explicit,
-                    seed,
-                    Limits::run_to_completion(),
-                );
             }
         }
     }

@@ -4,11 +4,9 @@
 //! This is the straightforward implementation: a
 //! `std::collections::BinaryHeap` event queue paying a full pop + push
 //! per event, per-trial construction of every `ProcState` and RNG
-//! stream, and one `Noise::sample` dispatch per event. It is **not**
-//! compiled into normal builds — only under `cfg(test)` (for the
-//! equivalence suite pinning the optimized engine to it bit-for-bit) and
-//! under the `baseline` feature (for the speedup gate of `nc-bench`'s
-//! `bench_engine`).
+//! stream, and one `Noise::sample` dispatch per event. The equivalence
+//! suites pin the optimized engine to it bit-for-bit, and `nc-bench`'s
+//! `bench_engine` gates the engine's speedup against it.
 //!
 //! Keep this file boring. Its value is being obviously correct and
 //! obviously naive.
@@ -22,7 +20,7 @@ use nc_core::{Protocol as _, Status};
 use nc_memory::Event;
 use nc_sched::adversary::{CrashAdversary, ProcView};
 use nc_sched::rng::salts;
-use nc_sched::{stream_rng, TimingModel};
+use nc_sched::{start_time, stream_rng, TimingModel};
 
 use crate::report::{Limits, RunOutcome, RunReport};
 use crate::setup::Instance;
@@ -99,7 +97,7 @@ pub fn run_noisy_with_baseline(
             ProcState {
                 rng_noise: stream_rng(seed, pid as u64, salts::NOISE),
                 rng_failure: stream_rng(seed, pid as u64, salts::FAILURE),
-                clock: timing.start_for(pid, &mut rng_start),
+                clock: start_time(&mut rng_start),
                 next_op: 1,
                 halted: false,
                 decided: false,
@@ -212,7 +210,7 @@ fn schedule_next(
     timing: &TimingModel,
     seq: &mut u64,
 ) {
-    let Status::Pending(op) = inst.procs[pid].status() else {
+    let Status::Pending(_) = inst.procs[pid].status() else {
         return;
     };
     let state = &mut states[pid];
@@ -225,7 +223,7 @@ fn schedule_next(
             rng_failure,
             ..
         } = &mut *state;
-        timing.op_increment(pid, op_index, op.kind(), rng_noise, rng_failure)
+        timing.op_increment(op_index, rng_noise, rng_failure)
     };
     match increment {
         None => {

@@ -3,8 +3,7 @@
 //! and the same run with an armed empty [`FaultSpec`] must produce
 //! **byte identical** [`nc_engine::RunReport`]s across algorithms ×
 //! schedules × failure models. (`tests/soa_equivalence.rs` additionally
-//! pins the empty-spec store to the naive oracle under
-//! `--features baseline`.)
+//! pins the empty-spec store to the naive oracle.)
 //!
 //! With faults *enabled*, the requirement becomes determinism: a
 //! faulted run is a pure function of its seed — bit-identical fault

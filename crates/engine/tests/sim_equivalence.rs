@@ -8,7 +8,7 @@
 //! schedules, and the crash-adversary hooks.
 //!
 //! Together with `tests/soa_equivalence.rs` (internals vs the naive
-//! oracle, `--features baseline`) this closes the chain
+//! oracle) this closes the chain
 //! `baseline == drive internals == builder`, so neither the API
 //! cutover nor the deletion of the deprecated `run_*` wrappers can
 //! move a single golden CSV. `drive_adversarial` and `drive_hybrid`
@@ -73,7 +73,7 @@ fn noisy_builder_matches_internals_across_the_matrix() {
             for record in [false, true] {
                 let inputs = setup::half_and_half(8);
                 let timing = exp_timing().with_failures(failures);
-                let mut sim = Sim::new(alg).inputs(inputs.clone()).timing(timing.clone());
+                let mut sim = Sim::new(alg).inputs(inputs.clone()).timing(timing);
                 if record {
                     sim = sim.record_history();
                 }
@@ -115,7 +115,7 @@ fn trialset_matches_internal_sequential_runs() {
         let timing = TimingModel::figure1(Noise::Uniform { lo: 0.0, hi: 2.0 });
         let reports = Sim::new(alg)
             .inputs(inputs.clone())
-            .timing(timing.clone())
+            .timing(timing)
             .limits(Limits::first_decision())
             .trials(13)
             .seed0(400)

@@ -1,17 +1,11 @@
 //! The optimized engine's oracle-pinning suite: the optimized driver
 //! (with or without an empty value-fault spec) must produce
 //! **byte identical** [`nc_engine::RunReport`]s to the naive BinaryHeap
-//! baseline (`nc_engine::baseline`, the untouched seed implementation)
+//! baseline (`nc_engine::baseline`, the seed implementation)
 //! across the full scenario matrix — algorithms × noise distributions ×
-//! crash adversaries × failure models × delay policies.
-//!
-//! Runs only with the `baseline` feature (which compiles the oracle
-//! into the library): `cargo test -p nc-engine --features baseline`.
-//! Workspace-level `cargo test --workspace` also enables it through
-//! `nc-bench`'s feature unification; CI carries an explicit
-//! `--features baseline` leg so the suite can never silently vanish.
+//! crash adversaries × failure models × delay policies. The oracle is
+//! part of every build, so `cargo test -p nc-engine` runs this suite.
 
-#![cfg(feature = "baseline")]
 // This suite pins the public drive internals against the oracle; their
 // equivalence to the `sim::Sim` builder is pinned separately by
 // `tests/sim_equivalence.rs`, so the chain
@@ -23,7 +17,7 @@ use nc_engine::sim::Sim;
 use nc_engine::{setup, Algorithm, EngineScratch, Limits, RunReport};
 use nc_memory::{Bit, FaultSpec};
 use nc_sched::adversary::{CrashAdversary, CrashScript, LeaderKiller};
-use nc_sched::{DelayPolicy, FailureModel, Noise, StartTimes, TimingModel};
+use nc_sched::{DelayPolicy, FailureModel, Noise, TimingModel};
 use proptest::prelude::*;
 
 fn algorithms() -> [Algorithm; 5] {
@@ -177,17 +171,10 @@ fn crash_adversaries_match_oracle() {
 /// derives it from its own step count.
 #[test]
 fn op_index_delays_match_oracle_on_both_loops() {
-    for delay in [
-        DelayPolicy::Periodic {
-            period: 3,
-            extra: 0.5,
-        },
-        DelayPolicy::SaveAndSpend { m: 0.5, period: 4 },
-    ] {
+    for period in [3, 4] {
+        let delay = DelayPolicy::SaveAndSpend { m: 0.5, period };
         let timing = TimingModel::figure1(Noise::Exponential { mean: 1.0 }).with_delay(delay);
-        let failing = timing
-            .clone()
-            .with_failures(FailureModel::Random { per_op: 0.05 });
+        let failing = timing.with_failures(FailureModel::Random { per_op: 0.05 });
         for alg in algorithms() {
             let inputs = setup::half_and_half(6);
             for seed in 0..2 {
@@ -202,33 +189,16 @@ fn op_index_delays_match_oracle_on_both_loops() {
     }
 }
 
-/// Per-kind noise, adversarial delay policies, and non-default start
-/// times. None turns on failures, crashes or history, so all run the
-/// fast loop, which draws each delay by the next operation's kind.
+/// Save-and-spend delays on tie-heavy noise: integer-valued draws plus
+/// integer bursts keep many processes' clocks a dither apart. None turns
+/// on failures, crashes or history, so all run the fast loop.
 #[test]
 fn fast_loop_timing_configs_match_oracle() {
     let configs = [
-        TimingModel {
-            start: StartTimes::dithered(),
-            delay: DelayPolicy::Periodic {
-                period: 3,
-                extra: 0.5,
-            },
-            noise: nc_sched::OpNoise::per_kind(
-                Noise::Exponential { mean: 1.0 },
-                Noise::Uniform { lo: 0.0, hi: 2.0 },
-            ),
-            failures: FailureModel::None,
-        },
-        TimingModel {
-            start: StartTimes::Staggered {
-                gap: 50.0,
-                dither: 0.25,
-            },
-            ..TimingModel::figure1(Noise::Uniform { lo: 0.0, hi: 2.0 })
-        },
         TimingModel::figure1(Noise::Geometric { p: 0.5 })
             .with_delay(DelayPolicy::SaveAndSpend { m: 0.5, period: 4 }),
+        TimingModel::figure1(Noise::theorem13())
+            .with_delay(DelayPolicy::SaveAndSpend { m: 0.5, period: 2 }),
     ];
     for timing in &configs {
         for seed in 0..2 {
@@ -264,8 +234,7 @@ fn large_n_matches_oracle() {
 /// The value-fault plane against the oracle: the builder with an
 /// armed empty spec must match the naive `SimMemory` baseline
 /// bit for bit across algorithms. (`tests/memory_planes.rs`
-/// carries the oracle-free half of this matrix so it also runs without
-/// `--features baseline`.)
+/// carries the oracle-free half of this matrix.)
 #[test]
 fn fault_free_wrapper_matches_oracle_across_matrix() {
     let timing = TimingModel::figure1(Noise::Uniform { lo: 0.0, hi: 2.0 });
@@ -273,7 +242,7 @@ fn fault_free_wrapper_matches_oracle_across_matrix() {
         let inputs = setup::half_and_half(7);
         let wrapped = Sim::new(alg)
             .inputs(inputs.clone())
-            .timing(timing.clone())
+            .timing(timing)
             .value_faults(FaultSpec::new())
             .trials(4)
             .seed0(60)

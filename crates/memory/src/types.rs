@@ -220,8 +220,7 @@ impl fmt::Display for Op {
     }
 }
 
-/// The type of a shared-memory operation, used to pick the per-type noise
-/// distribution `F_π` of the noisy-scheduling model (§3.1 of the paper).
+/// The type of a shared-memory operation: a read or a write.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum OpKind {
     /// A register read.

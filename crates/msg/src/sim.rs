@@ -88,8 +88,9 @@ pub struct MsgConfig {
     pub channel: Channel,
     /// Nodes whose replica duties are served out of one shared
     /// `SharedPlane` (one replica held in common): a mixed
-    /// shared-memory/message deployment. `None` or empty = all private.
-    pub shared_plane: Option<Vec<u32>>,
+    /// shared-memory/message deployment. Empty = every node keeps a
+    /// private replica.
+    pub shared_plane: Vec<u32>,
 }
 
 impl MsgConfig {
@@ -104,7 +105,7 @@ impl MsgConfig {
             faults: NetFaultSpec::none(),
             recovery: RecoverySpec::default(),
             channel: Channel::Unicast,
-            shared_plane: None,
+            shared_plane: Vec::new(),
         }
     }
 
@@ -145,7 +146,7 @@ impl MsgConfig {
 
     /// Puts `nodes` on one shared memory plane (builder-style).
     pub fn with_shared_plane(mut self, nodes: Vec<u32>) -> Self {
-        self.shared_plane = Some(nodes);
+        self.shared_plane = nodes;
         self
     }
 
@@ -418,8 +419,7 @@ pub fn run_message_passing(cfg: &MsgConfig, seed: u64) -> MsgReport {
         (layout.slot(Bit::Zero, 0), 1),
         (layout.slot(Bit::One, 0), 1),
     ];
-    let plane_members = cfg.shared_plane.clone().unwrap_or_default();
-    let plane = if plane_members.is_empty() {
+    let plane = if cfg.shared_plane.is_empty() {
         None
     } else {
         Some(SharedPlane::new(&sentinels))
@@ -429,7 +429,7 @@ pub fn run_message_passing(cfg: &MsgConfig, seed: u64) -> MsgReport {
         .iter()
         .enumerate()
         .map(|(i, &b)| match &plane {
-            Some(plane) if plane_members.contains(&(i as u32)) => {
+            Some(plane) if cfg.shared_plane.contains(&(i as u32)) => {
                 Node::new_shared(i as u32, cfg.n as u32, b, std::rc::Rc::clone(plane))
             }
             _ => Node::new(i as u32, cfg.n as u32, b, &sentinels),

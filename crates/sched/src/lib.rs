@@ -6,11 +6,12 @@
 //! that the discrete-event engine (`nc-engine`) consumes:
 //!
 //! * **Noisy scheduling** (§3.1): process `i`'s `j`-th operation occurs at
-//!   `S_ij = Δ_i0 + Σ_{k≤j} (Δ_ik + X_ik + H_ik)` where the adversary
-//!   picks the start times `Δ_i0` ([`StartTimes`]), bounded delays
-//!   `Δ_ij ≤ M` ([`DelayPolicy`]), and the noise distribution of the
-//!   i.i.d. `X_ij` ([`Noise`], [`OpNoise`]); `H_ij ∈ {0, ∞}` models random
-//!   halting failures ([`FailureModel`]). [`TimingModel`] bundles the four.
+//!   `S_ij = Δ_i0 + Σ_{k≤j} (Δ_ik + X_ik + H_ik)`. Every process starts
+//!   at a dithered time 0 ([`start_time`]); the adversary picks the
+//!   delays `Δ_ij` ([`DelayPolicy`]) and the noise distribution of the
+//!   i.i.d. `X_ij`, one for reads and writes alike ([`Noise`]);
+//!   `H_ij ∈ {0, ∞}` models random halting failures ([`FailureModel`]).
+//!   [`TimingModel`] bundles the last three.
 //! * **Hybrid quantum + priority scheduling** (§3.2, §7): a uniprocessor
 //!   with a pre-emptive scheduler; [`hybrid`] defines the legality rules
 //!   (who may run next) and adversarial/benign pick policies.
@@ -50,9 +51,9 @@ mod tree;
 
 pub use adversary::{Adversary, CrashAdversary, ProcView};
 pub use hybrid::{HybridPolicy, HybridSpec, HybridView};
-pub use noise::{Noise, OpNoise};
+pub use noise::Noise;
 pub use queue::{Event as QueuedEvent, EventQueue};
 pub use rng::stream_rng;
-pub use timing::{DelayPolicy, FailureModel, StartTimes, TimingModel};
+pub use timing::{start_time, DelayPolicy, FailureModel, TimingModel};
 // Engine-free: perfbench's `sched.hold_ns` times it at large n.
 pub use tree::EventTree;

@@ -19,8 +19,6 @@ use std::fmt;
 
 use rand::{Rng, RngExt};
 
-use nc_memory::OpKind;
-
 /// Cap on `k` for [`Noise::Pathological`]: `2^{30²} = 2^{900}` is the
 /// largest representable step before `2^{k²}` overflows `f64`
 /// (`2^{31²} = 2^{961}` still fits but leaves no headroom for sums).
@@ -303,50 +301,6 @@ impl fmt::Display for Noise {
     }
 }
 
-/// Per-operation-type noise: the model allows a distinct distribution
-/// `F_π` for each operation type π (read or write).
-///
-/// Most experiments use the same distribution for both; the constructor
-/// [`OpNoise::same`] covers that case.
-#[derive(Clone, Copy, PartialEq, Debug)]
-pub struct OpNoise {
-    read: Noise,
-    write: Noise,
-}
-
-impl OpNoise {
-    /// One distribution for both operation types.
-    pub const fn same(noise: Noise) -> Self {
-        OpNoise {
-            read: noise,
-            write: noise,
-        }
-    }
-
-    /// Distinct distributions per type.
-    pub const fn per_kind(read: Noise, write: Noise) -> Self {
-        OpNoise { read, write }
-    }
-
-    /// The distribution applied to operations of kind `kind`.
-    pub(crate) const fn for_kind(&self, kind: OpKind) -> &Noise {
-        match kind {
-            OpKind::Read => &self.read,
-            OpKind::Write => &self.write,
-        }
-    }
-
-    /// Draws a delay for an operation of kind `kind`.
-    pub fn sample<R: Rng>(&self, kind: OpKind, rng: &mut R) -> f64 {
-        self.for_kind(kind).sample(rng)
-    }
-
-    /// Whether either per-type distribution is degenerate.
-    pub fn is_degenerate(&self) -> bool {
-        self.read.is_degenerate() || self.write.is_degenerate()
-    }
-}
-
 fn sample_exponential<R: Rng>(rng: &mut R, mean: f64) -> f64 {
     // Inverse CDF; 1 - u in (0, 1] avoids ln(0).
     let u: f64 = rng.random();
@@ -586,24 +540,6 @@ mod tests {
             let x = noise.sample(&mut r);
             assert!(x == 1.0 || x == 2.0);
         }
-    }
-
-    #[test]
-    fn op_noise_same_and_per_kind() {
-        let same = OpNoise::same(Noise::Exponential { mean: 1.0 });
-        assert_eq!(same.for_kind(OpKind::Read), same.for_kind(OpKind::Write));
-        let split = OpNoise::per_kind(
-            Noise::Constant { value: 1.0 },
-            Noise::Uniform { lo: 0.0, hi: 1.0 },
-        );
-        assert!(split.is_degenerate()); // read side is constant
-        assert_eq!(
-            split.for_kind(OpKind::Read),
-            &Noise::Constant { value: 1.0 }
-        );
-        let mut r = rng();
-        assert_eq!(split.sample(OpKind::Read, &mut r), 1.0);
-        assert!(split.sample(OpKind::Write, &mut r) < 1.0);
     }
 
     #[test]

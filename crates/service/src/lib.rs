@@ -404,7 +404,7 @@ impl Shard {
         Shard {
             runner: Sim::new(Algorithm::Lean)
                 .inputs(vec![Bit::Zero; cfg.procs])
-                .timing(cfg.timing.clone())
+                .timing(cfg.timing)
                 .limits(cfg.limits)
                 .build(),
             ready: Vec::new(),

@@ -24,7 +24,7 @@
 //! use nc_sched::Noise;
 //! use nc_theory::{run_race, OnlineStats, RaceConfig, RaceOutcome};
 //!
-//! let cfg = RaceConfig::new(64, 2, Noise::Exponential { mean: 1.0 });
+//! let cfg = RaceConfig::new(64, Noise::Exponential { mean: 1.0 });
 //! let mut rounds = OnlineStats::new();
 //! for seed in 0..100 {
 //!     if let RaceOutcome::Winner { round, .. } = run_race(&cfg, seed) {

@@ -14,7 +14,9 @@
 //! with lead `c` at round `r + c`** if it finishes round `r + c` before
 //! any rival finishes round `r` — for lean-consensus, `c = 2` means the
 //! winner can decide (Theorem 12 invokes Corollary 11 with exactly
-//! `c = 2`).
+//! `c = 2`). The race here runs the setting experiment E8 measures:
+//! every racer starts at a dithered time 0, no adversarial delay, and
+//! lead `c = 2`.
 //!
 //! [`run_race`] simulates the race directly (no shared memory, no
 //! protocol), which lets experiment E8 measure Corollary 11 — expected
@@ -23,43 +25,37 @@
 use rand::RngExt;
 
 use nc_sched::rng::salts;
-use nc_sched::{stream_rng, DelayPolicy, Noise, StartTimes};
+use nc_sched::{start_time, stream_rng, Noise};
+
+/// The lead `c` in rounds a winner needs: lean-consensus decides with
+/// `c = 2`.
+const LEAD: usize = 2;
+
+/// Give up after this many rounds. This guards degenerate (constant)
+/// noise; the theory predicts `O(log n)`, so it is astronomically
+/// generous.
+const MAX_ROUNDS: usize = 10_000;
 
 /// Configuration of one renewal race.
 #[derive(Clone, PartialEq, Debug)]
 pub struct RaceConfig {
     /// Number of racers.
     pub n: usize,
-    /// Required lead `c` in rounds (lean-consensus needs 2).
-    pub lead: usize,
     /// Per-round noise distribution `X_ij` (the model folds the four
     /// per-operation noises of one round into one sample; §6 notes this
     /// abstraction loses no adversary power).
     pub noise: Noise,
-    /// Adversarial per-round delays `Δ_ij ≤ M`.
-    pub delay: DelayPolicy,
-    /// Start times `Δ_i0`.
-    pub starts: StartTimes,
     /// Per-round halting probability `h(n)`.
     pub halt_prob: f64,
-    /// Give up after this many rounds (guards degenerate configurations;
-    /// the theory predicts `O(log n)` so the default of 10 000 is
-    /// astronomically generous).
-    pub max_rounds: usize,
 }
 
 impl RaceConfig {
-    /// A race with the given size, lead, and noise; no adversarial
-    /// delays, dithered simultaneous starts, no failures.
-    pub fn new(n: usize, lead: usize, noise: Noise) -> Self {
+    /// A race with the given size and noise; no failures.
+    pub fn new(n: usize, noise: Noise) -> Self {
         RaceConfig {
             n,
-            lead,
             noise,
-            delay: DelayPolicy::None,
-            starts: StartTimes::dithered(),
             halt_prob: 0.0,
-            max_rounds: 10_000,
         }
     }
 
@@ -73,7 +69,7 @@ impl RaceConfig {
 /// How a race ended.
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub enum RaceOutcome {
-    /// `pid` finished round `round + lead` before any live rival
+    /// `pid` finished round `round + 2` before any live rival
     /// finished `round` (Corollary 11's first disjunct). `round` is the
     /// `R` of Corollary 11.
     Winner {
@@ -98,32 +94,28 @@ pub enum RaceOutcome {
 ///
 /// # Panics
 ///
-/// Panics if `cfg.n == 0` or `cfg.lead == 0`.
+/// Panics if `cfg.n == 0`.
 pub fn run_race(cfg: &RaceConfig, seed: u64) -> RaceOutcome {
     assert!(cfg.n > 0, "race needs at least one racer");
-    assert!(cfg.lead > 0, "lead must be positive");
     let n = cfg.n;
 
     let mut rngs: Vec<_> = (0..n)
         .map(|i| stream_rng(seed, i as u64, salts::NOISE))
         .collect();
     let mut clocks: Vec<f64> = (0..n)
-        .map(|i| {
-            let mut r = stream_rng(seed, i as u64, salts::START);
-            cfg.starts.start_for(i, &mut r)
-        })
+        .map(|i| start_time(&mut stream_rng(seed, i as u64, salts::START)))
         .collect();
     let mut fail_rngs: Vec<_> = (0..n)
         .map(|i| stream_rng(seed, i as u64, salts::FAILURE))
         .collect();
     let mut alive = vec![true; n];
 
-    // finish[r % window][i] = S'_i,r ; we need rounds back to r - lead.
-    let window = cfg.lead + 1;
+    // finish[r % window][i] = S'_i,r ; we need rounds back to r - LEAD.
+    let window = LEAD + 1;
     let mut finish: Vec<Vec<f64>> = vec![vec![f64::INFINITY; n]; window];
     let mut last_live_round = 0usize;
 
-    for round in 1..=cfg.max_rounds {
+    for round in 1..=MAX_ROUNDS {
         let slot = round % window;
         for i in 0..n {
             if !alive[i] {
@@ -135,7 +127,7 @@ pub fn run_race(cfg: &RaceConfig, seed: u64) -> RaceOutcome {
                 finish[slot][i] = f64::INFINITY;
                 continue;
             }
-            clocks[i] += cfg.delay.delta(i, round as u64) + cfg.noise.sample(&mut rngs[i]);
+            clocks[i] += cfg.noise.sample(&mut rngs[i]);
             finish[slot][i] = clocks[i];
             last_live_round = round;
         }
@@ -147,10 +139,10 @@ pub fn run_race(cfg: &RaceConfig, seed: u64) -> RaceOutcome {
         }
 
         // Winner check: does some i have S'_{i,round} below every
-        // rival's S'_{i',round-lead}? (Rivals that halted before
-        // finishing round-lead count as +∞ — a dead rival can't block.)
-        if round > cfg.lead {
-            let base_slot = (round - cfg.lead) % window;
+        // rival's S'_{i',round-LEAD}? (Rivals that halted before
+        // finishing round-LEAD count as +∞ — a dead rival can't block.)
+        if round > LEAD {
+            let base_slot = (round - LEAD) % window;
             let base = &finish[base_slot];
             // Two smallest rival baselines.
             let mut min1 = f64::INFINITY;
@@ -173,7 +165,7 @@ pub fn run_race(cfg: &RaceConfig, seed: u64) -> RaceOutcome {
                 if finish[slot][i] < rival_best {
                     return RaceOutcome::Winner {
                         pid: i,
-                        round: round - cfg.lead,
+                        round: round - LEAD,
                     };
                 }
             }
@@ -189,7 +181,7 @@ mod tests {
 
     #[test]
     fn solo_racer_wins_immediately() {
-        let cfg = RaceConfig::new(1, 2, Noise::Exponential { mean: 1.0 });
+        let cfg = RaceConfig::new(1, Noise::Exponential { mean: 1.0 });
         match run_race(&cfg, 0) {
             RaceOutcome::Winner { pid, round } => {
                 assert_eq!(pid, 0);
@@ -202,7 +194,7 @@ mod tests {
     #[test]
     fn races_end_for_all_figure1_distributions() {
         for (name, noise) in Noise::figure1_suite() {
-            let cfg = RaceConfig::new(16, 2, noise);
+            let cfg = RaceConfig::new(16, noise);
             for seed in 0..10 {
                 let out = run_race(&cfg, seed);
                 assert!(
@@ -215,15 +207,16 @@ mod tests {
 
     #[test]
     fn constant_noise_with_identical_starts_never_ends() {
-        let mut cfg = RaceConfig::new(4, 2, Noise::Constant { value: 1.0 });
-        cfg.starts = StartTimes::Simultaneous { dither: 0.0 };
-        cfg.max_rounds = 500;
+        // The dithered starts lie within 1e-8 of each other, identical at
+        // the race's resolution: under constant noise no racer ever gains
+        // a round on another, so the race runs into its round cap.
+        let cfg = RaceConfig::new(4, Noise::Constant { value: 1.0 });
         assert_eq!(run_race(&cfg, 3), RaceOutcome::RoundCapReached);
     }
 
     #[test]
     fn all_halting_racers_all_die() {
-        let cfg = RaceConfig::new(4, 2, Noise::Exponential { mean: 1.0 }).with_halt_prob(1.0);
+        let cfg = RaceConfig::new(4, Noise::Exponential { mean: 1.0 }).with_halt_prob(1.0);
         match run_race(&cfg, 1) {
             RaceOutcome::AllDied { last_round } => assert_eq!(last_round, 0),
             other => panic!("expected AllDied, got {other:?}"),
@@ -232,7 +225,7 @@ mod tests {
 
     #[test]
     fn moderate_failures_still_produce_winners_or_extinction() {
-        let cfg = RaceConfig::new(8, 2, Noise::Exponential { mean: 1.0 }).with_halt_prob(0.05);
+        let cfg = RaceConfig::new(8, Noise::Exponential { mean: 1.0 }).with_halt_prob(0.05);
         for seed in 0..20 {
             let out = run_race(&cfg, seed);
             assert!(
@@ -248,7 +241,7 @@ mod tests {
         // b > 0 and shallow growth. Fit over three decades.
         let mut points = Vec::new();
         for &n in &[4usize, 16, 64, 256] {
-            let cfg = RaceConfig::new(n, 2, Noise::Exponential { mean: 1.0 });
+            let cfg = RaceConfig::new(n, Noise::Exponential { mean: 1.0 });
             let mut stats = OnlineStats::new();
             for seed in 0..60 {
                 if let RaceOutcome::Winner { round: r, .. } = run_race(&cfg, seed) {
@@ -273,7 +266,7 @@ mod tests {
         // Corollary 11: Pr[R > k] <= exp(-⌊k / O(log n)⌋). Empirically
         // the 99th percentile should be within a small multiple of the
         // mean.
-        let cfg = RaceConfig::new(32, 2, Noise::Uniform { lo: 0.0, hi: 2.0 });
+        let cfg = RaceConfig::new(32, Noise::Uniform { lo: 0.0, hi: 2.0 });
         let mut rounds: Vec<f64> = Vec::new();
         for seed in 0..300 {
             if let RaceOutcome::Winner { round: r, .. } = run_race(&cfg, seed) {
@@ -290,33 +283,13 @@ mod tests {
 
     #[test]
     fn determinism() {
-        let cfg = RaceConfig::new(8, 2, Noise::Geometric { p: 0.5 });
+        let cfg = RaceConfig::new(8, Noise::Geometric { p: 0.5 });
         assert_eq!(run_race(&cfg, 42), run_race(&cfg, 42));
-    }
-
-    #[test]
-    fn adversarial_delays_do_not_stop_the_race() {
-        let cfg = RaceConfig {
-            delay: DelayPolicy::Periodic {
-                period: 3,
-                extra: 5.0,
-            },
-            ..RaceConfig::new(8, 2, Noise::Exponential { mean: 1.0 })
-        };
-        for seed in 0..10 {
-            assert!(matches!(run_race(&cfg, seed), RaceOutcome::Winner { .. }));
-        }
     }
 
     #[test]
     #[should_panic(expected = "at least one racer")]
     fn zero_racers_panics() {
-        run_race(&RaceConfig::new(0, 2, Noise::Exponential { mean: 1.0 }), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "lead must be positive")]
-    fn zero_lead_panics() {
-        run_race(&RaceConfig::new(2, 0, Noise::Exponential { mean: 1.0 }), 0);
+        run_race(&RaceConfig::new(0, Noise::Exponential { mean: 1.0 }), 0);
     }
 }

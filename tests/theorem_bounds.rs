@@ -128,7 +128,7 @@ fn theorem15_bounded_costs_constant_factor() {
     let total_ops = |alg: Algorithm| {
         Sim::new(alg)
             .inputs(inputs.clone())
-            .timing(timing.clone())
+            .timing(timing)
             .trials(trials)
             .map(|report| {
                 report.check_safety(&inputs).unwrap();
@@ -157,7 +157,7 @@ fn theorem15_bounded_costs_constant_factor() {
 fn corollary11_race_statistics() {
     let mut points = Vec::new();
     for &n in &[4usize, 16, 64, 256] {
-        let cfg = RaceConfig::new(n, 2, Noise::Uniform { lo: 0.0, hi: 2.0 });
+        let cfg = RaceConfig::new(n, Noise::Uniform { lo: 0.0, hi: 2.0 });
         let mut stats = OnlineStats::new();
         for seed in 0..80 {
             match run_race(&cfg, seed) {
@@ -182,7 +182,7 @@ fn ablation_skipping_is_slower_in_rounds() {
     let first_rounds = |alg: Algorithm| {
         Sim::new(alg)
             .inputs(setup::half_and_half(n))
-            .timing(timing.clone())
+            .timing(timing)
             .limits(Limits::first_decision())
             .trials(trials)
             .map(|report| report.first_decision_round.unwrap() as f64)
