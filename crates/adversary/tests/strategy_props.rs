@@ -5,14 +5,48 @@
 //! granted, and preserves the protocol's safety properties on whatever
 //! state the run reaches.
 
+use std::sync::{Arc, Mutex};
+
 use proptest::prelude::*;
 
-use nc_adversary::{BudgetSchedule, StrategyPoint, TargetRule};
-use nc_engine::adversarial::drive_adversarial;
-use nc_engine::{setup, Algorithm, Limits, RunOutcome};
-use nc_sched::adversary::{Adversary, NoCrashes, ProcView, RandomInterleave};
+use nc_adversary::{BudgetSchedule, BudgetedAdversary, StrategyPoint, TargetRule};
+use nc_engine::sim::Sim;
+use nc_engine::{setup, Algorithm, Limits, RunOutcome, RunReport};
+use nc_sched::adversary::{Adversary, ProcView, RandomInterleave};
 use nc_sched::rng::salts;
 use nc_sched::stream_rng;
+
+/// A budgeted adversary that copies its `(granted, spent)` budget out
+/// after every pick, so a test can read it once the run that built it
+/// is over.
+struct Metered {
+    inner: BudgetedAdversary,
+    budget: Arc<Mutex<(u64, u64)>>,
+}
+
+impl Adversary for Metered {
+    fn next(&mut self, view: ProcView<'_>) -> Option<usize> {
+        let pick = self.inner.next(view);
+        *self.budget.lock().unwrap() = (self.inner.granted(), self.inner.spent());
+        pick
+    }
+}
+
+/// Runs `n` lean processes on half-and-half inputs under the adversary
+/// `make` builds from the run seed, to the first decision or 5 000
+/// operations.
+fn run_adversary<A: Adversary + 'static>(
+    n: usize,
+    seed: u64,
+    make: impl Fn(u64) -> A + Send + Sync + 'static,
+) -> RunReport {
+    Sim::new(Algorithm::Lean)
+        .inputs(setup::half_and_half(n))
+        .adversary(make)
+        .limits(Limits::first_decision().with_max_ops(5_000))
+        .build()
+        .run(seed)
+}
 
 fn budget_strategy() -> impl Strategy<Value = Option<BudgetSchedule>> {
     prop_oneof![
@@ -50,16 +84,14 @@ proptest! {
         n in 2usize..=8,
         seed in 0u64..1000,
     ) {
-        let inputs = setup::half_and_half(n);
-        let mut inst = setup::build(Algorithm::Lean, &inputs, seed);
-        let mut adv = point.build(seed);
-        let report = drive_adversarial(
-            &mut inst,
-            &mut adv,
-            &mut NoCrashes,
-            Limits::first_decision().with_max_ops(5_000),
-        );
-        // Valid picks: drive_adversarial panics on a disabled pick, so
+        let budget = Arc::new(Mutex::new((0, 0)));
+        let meter = Arc::clone(&budget);
+        let report = run_adversary(n, seed, move |seed| Metered {
+            inner: point.build(seed),
+            budget: Arc::clone(&meter),
+        });
+        let (granted, spent) = *budget.lock().unwrap();
+        // Valid picks: the engine panics on a disabled pick, so
         // reaching here at all is the validity assertion. The schedule
         // source never runs dry (processes stay enabled until decision
         // or cap), so only these two outcomes exist:
@@ -68,13 +100,13 @@ proptest! {
             RunOutcome::FirstDecision | RunOutcome::OpCapReached
         ));
         // Budget-respecting: every override cost a granted token.
-        prop_assert!(adv.spent() <= adv.granted());
+        prop_assert!(spent <= granted);
         if point.budget.is_none() {
-            prop_assert_eq!(adv.granted(), 0);
-            prop_assert_eq!(adv.spent(), 0);
+            prop_assert_eq!(granted, 0);
+            prop_assert_eq!(spent, 0);
         }
         // Safety holds on whatever state the run reached.
-        report.check_safety(&inputs).unwrap();
+        report.check_safety(&setup::half_and_half(n)).unwrap();
         // The progress telemetry the tournament scores is coherent.
         prop_assert!(report.max_round >= 1);
         if let Some(first) = report.first_decision_round {
@@ -91,14 +123,10 @@ proptest! {
         // RandomInterleave on the same stream produce identical
         // RunReports, which is what makes the tournament's baseline an
         // apples-to-apples comparison.
-        let inputs = setup::half_and_half(n);
-        let limits = Limits::first_decision().with_max_ops(5_000);
-        let mut inst_a = setup::build(Algorithm::Lean, &inputs, seed);
-        let mut a = StrategyPoint::oblivious().build(seed);
-        let report_a = drive_adversarial(&mut inst_a, &mut a, &mut NoCrashes, limits);
-        let mut inst_b = setup::build(Algorithm::Lean, &inputs, seed);
-        let mut b = RandomInterleave::new(stream_rng(seed, 0, salts::ADVERSARY));
-        let report_b = drive_adversarial(&mut inst_b, &mut b, &mut NoCrashes, limits);
+        let report_a = run_adversary(n, seed, |seed| StrategyPoint::oblivious().build(seed));
+        let report_b = run_adversary(n, seed, |seed| {
+            RandomInterleave::new(stream_rng(seed, 0, salts::ADVERSARY))
+        });
         prop_assert_eq!(report_a, report_b);
     }
 

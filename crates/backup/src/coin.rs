@@ -19,8 +19,9 @@
 //!   process scanning later can only observe a different *sign* after the
 //!   walk travels `Ω(n)` further; standard martingale bounds give a
 //!   constant probability `δ` that every process sees the same sign.
-//!   The experiments measure `δ` empirically (EXPERIMENTS.md) rather
-//!   than re-deriving the constant.
+//!   The experiments measure the coin's cost empirically (the lockstep
+//!   columns of E6 and E10, where only the shared coin ends a run)
+//!   rather than re-deriving the constant.
 //!
 //! The counters are fixed in number (`n` per round slot) and 64-bit wide;
 //! see the crate docs for the bounded-space caveat versus Aspnes '93.

@@ -7,7 +7,7 @@
 //! skip-ops variant on identical seeds: rounds and simulated *time* to
 //! first decision, and total operations to full completion.
 //!
-//! Measured nuance (see EXPERIMENTS.md): in **rounds** — the metric of
+//! Measured nuance (E9 at its full preset): in **rounds** — the metric of
 //! the paper's own Figure 1 — the prediction holds for the continuous
 //! distributions at scale (skip is slower for exponential/uniform at
 //! n ≥ 64), but *reverses* for the two-point distribution, where

@@ -13,11 +13,12 @@
 //!
 //! The table reports, per `n`, the oblivious baseline's mean forced
 //! round next to the strongest adaptive strategy's label and score, and
-//! closes with a `fit_log2` row over the worst-adaptive means: the
-//! empirically worst searched strategy still grows like O(log n), which
-//! is the paper's claim under adaptive scheduling (§10). The runner
-//! asserts at every `n` that the worst adaptive strategy forces at least
-//! the oblivious baseline's mean round, the whole point of searching.
+//! closes, when it has two sizes or more, with a `fit_log2` row over the
+//! worst-adaptive means: the empirically worst searched strategy still
+//! grows like O(log n), which is the paper's claim under adaptive
+//! scheduling (§10). The runner asserts at every `n` that the worst
+//! adaptive strategy forces at least the oblivious baseline's mean
+//! round, the whole point of searching.
 
 use nc_adversary::{StrategyFamily, Tournament};
 use nc_sched::rng::{salts, trial_seed};
@@ -59,7 +60,8 @@ impl Scenario for AdversarySearch {
 }
 
 /// The tournament sweep: powers of two from 4 to `max_n`, one full grid
-/// search per size, worst-adaptive means fitted against log2(n).
+/// search per size, worst-adaptive means fitted against log2(n) when
+/// there are at least two sizes.
 pub(crate) fn run_search(max_n: usize, trials: u64, cap: u64, seed0: u64, threads: usize) -> Table {
     let mut table = Table::new(
         format!(
@@ -114,15 +116,29 @@ pub(crate) fn run_search(max_n: usize, trials: u64, cap: u64, seed0: u64, thread
         n *= 2;
         idx += 1;
     }
-    let fit = fit_log2(&points);
-    table.push(vec![
-        "fit".into(),
-        String::new(),
-        "worst-adaptive mean".into(),
-        format!("{} + {}*log2(n)", f3(fit.intercept), f3(fit.slope)),
-        format!("R^2 = {}", f3(fit.r2)),
-        String::new(),
-        String::new(),
-    ]);
+    if points.len() >= 2 {
+        let fit = fit_log2(&points);
+        table.push(vec![
+            "fit".into(),
+            String::new(),
+            "worst-adaptive mean".into(),
+            format!("{} + {}*log2(n)", f3(fit.intercept), f3(fit.slope)),
+            format!("R^2 = {}", f3(fit.r2)),
+            String::new(),
+            String::new(),
+        ]);
+    }
     table
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn one_size_has_no_fit_row() {
+        let table = run_search(4, 2, 20_000, 1, 1);
+        assert_eq!(table.rows.len(), 1);
+        assert_eq!(table.rows[0][0], "4");
+    }
 }

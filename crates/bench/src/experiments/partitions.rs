@@ -180,7 +180,8 @@ pub(crate) fn run_loss(n: usize, trials: u64, cap: u64, seed0: u64, threads: usi
 
 /// The partition-duration sweep: the first ⌊n/2⌋ nodes are cut off
 /// during `[2, 2 + duration)`; recovery time = how long after heal the
-/// slowest minority node takes to decide.
+/// slowest minority node takes to decide. With no minority to cut
+/// (n = 1) only the duration-0 row is run.
 pub(crate) fn run_partitions(n: usize, trials: u64, cap: u64, seed0: u64, threads: usize) -> Table {
     let mut table = Table::new(
         format!(
@@ -198,7 +199,12 @@ pub(crate) fn run_partitions(n: usize, trials: u64, cap: u64, seed0: u64, thread
         ],
     );
     let side: Vec<u32> = (0..(n / 2) as u32).collect();
-    for (i, &duration) in [0.0, 10.0, 30.0, 60.0].iter().enumerate() {
+    let durations: &[f64] = if side.is_empty() {
+        &[0.0]
+    } else {
+        &[0.0, 10.0, 30.0, 60.0]
+    };
+    for (i, &duration) in durations.iter().enumerate() {
         let heal = 2.0 + duration;
         let mut faults = NetFaultSpec::none();
         if duration > 0.0 {
@@ -267,4 +273,16 @@ pub(crate) fn run_mixed(n: usize, trials: u64, cap: u64, seed0: u64, threads: us
         ]);
     }
     table
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn one_node_has_no_minority_to_cut() {
+        let table = run_partitions(1, 2, 120_000, 1, 1);
+        assert_eq!(table.rows.len(), 1);
+        assert_eq!(table.rows[0][0], f2(0.0));
+    }
 }

@@ -10,9 +10,8 @@
 //!
 //! Two preset tiers per scenario:
 //!
-//! * **full** — the CI-sized defaults the old `repro_all` binary used
-//!   (the deleted standalone binaries defaulted ~2× higher; multiply
-//!   with `--scale` for paper-grade runs);
+//! * **full** — CI-sized defaults (multiply with `--scale` for
+//!   paper-grade runs);
 //! * **smoke** — a tiny fixed-seed configuration (seconds for the whole
 //!   suite, even in debug builds) whose CSVs are committed under
 //!   `crates/bench/tests/golden/` and byte-compared by

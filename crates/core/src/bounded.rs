@@ -33,8 +33,9 @@ use crate::protocol::{Protocol, Status};
 ///
 /// Theorem 15 wants `r_max = T · c · log n` with `T = O(log n)`; the
 /// constants here are implementation-chosen so that (per the measured
-/// tail of Theorem 12, see EXPERIMENTS.md) the backup fires with
-/// vanishing probability at every `n` the experiments touch.
+/// tail of Theorem 12, experiment E3's `termination_tail.csv`) the
+/// backup fires with vanishing probability at every `n` the experiments
+/// touch.
 pub fn recommended_r_max(n: usize) -> usize {
     let log = (usize::BITS - n.saturating_add(1).leading_zeros()) as usize; // ⌈log₂(n+1)⌉
     ((log + 2) * (log + 2)).max(9)

@@ -15,28 +15,25 @@ use crate::setup::Instance;
 
 /// The adversarial driver beneath [`crate::sim::Sim::adversary`]: runs
 /// an instance under a schedule chosen step-by-step by `adversary`,
-/// with an adaptive crash adversary consulted after every executed
-/// operation (pass [`nc_sched::adversary::NoCrashes`] for none).
+/// with the adaptive crash adversary, if any, consulted after every
+/// executed operation.
 ///
 /// The adversary is consulted before every operation with the current
 /// view (enabled flags, rounds, step counts) and must name an enabled
 /// process; returning `None` ends the run with
 /// [`RunOutcome::ScheduleExhausted`].
 ///
-/// Prefer [`crate::sim::Sim`] — this internal is exported so the
-/// equivalence suites can pin the builder against it directly.
-///
 /// # Panics
 ///
 /// Panics if the adversary names a disabled process (an adversary
 /// implementation bug).
-pub fn drive_adversarial<P: Protocol>(
+pub(crate) fn drive_adversarial<P: Protocol>(
     inst: &mut Instance<P>,
     adversary: &mut dyn Adversary,
-    crash: &mut dyn CrashAdversary,
+    crash: Option<&mut dyn CrashAdversary>,
     limits: Limits,
 ) -> RunReport {
-    drive::run(inst, &mut Untimed(adversary), limits, Some(crash), None)
+    drive::run(inst, &mut Untimed(adversary), limits, crash, None)
 }
 
 /// An untimed schedule: the adversary names every step.
@@ -57,14 +54,12 @@ impl Pick for Untimed<'_> {
 }
 
 #[cfg(test)]
-// These unit tests pin the drive_adversarial internal directly (the
-// builder side is pinned by tests/sim_equivalence.rs).
 mod tests {
     use super::*;
     use crate::setup::{self, Algorithm};
     use nc_memory::Bit;
     use nc_sched::adversary::{
-        AntiLeader, LeaderKiller, NoCrashes, RandomInterleave, RoundRobin, Script, Solo,
+        AntiLeader, LeaderKiller, RandomInterleave, RoundRobin, Script, Solo,
     };
     use nc_sched::stream_rng;
 
@@ -75,7 +70,7 @@ mod tests {
         adversary: &mut dyn Adversary,
         limits: Limits,
     ) -> RunReport {
-        drive_adversarial(inst, adversary, &mut NoCrashes, limits)
+        drive_adversarial(inst, adversary, None, limits)
     }
 
     #[test]
@@ -166,7 +161,7 @@ mod tests {
         let report = drive_adversarial(
             &mut inst,
             &mut RoundRobin::new(),
-            &mut crash,
+            Some(&mut crash),
             Limits::run_to_completion(),
         );
         assert_eq!(report.outcome, RunOutcome::AllHalted);
@@ -186,7 +181,7 @@ mod tests {
             let report = drive_adversarial(
                 &mut inst,
                 &mut adv,
-                &mut killer,
+                Some(&mut killer),
                 Limits::run_to_completion(),
             );
             assert_eq!(report.outcome, RunOutcome::AllDecided, "seed {seed}");

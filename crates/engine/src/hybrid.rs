@@ -18,28 +18,20 @@ use crate::report::{Limits, RunOutcome, RunReport};
 use crate::setup::Instance;
 
 /// The hybrid-uniprocessor driver beneath [`crate::sim::Sim::hybrid`]:
-/// runs an instance on a hybrid-scheduled uniprocessor.
-///
-/// Prefer [`crate::sim::Sim`] — this internal is exported so the
-/// equivalence suites can pin the builder against it directly.
+/// runs an instance on a hybrid-scheduled uniprocessor. `spec` must be
+/// sized for the instance's process count, which [`crate::sim::Sim::build`]
+/// checks.
 ///
 /// # Panics
 ///
-/// Panics if `spec` is sized for a different process count than the
-/// instance, or if the policy picks an illegal process.
-pub fn drive_hybrid<P: Protocol>(
+/// Panics if the policy picks an illegal process.
+pub(crate) fn drive_hybrid<P: Protocol>(
     inst: &mut Instance<P>,
     spec: &HybridSpec,
     policy: &mut dyn HybridPolicy,
     limits: Limits,
 ) -> RunReport {
     let n = inst.procs.len();
-    assert_eq!(
-        spec.len(),
-        n,
-        "spec is for {} processes, instance has {n}",
-        spec.len()
-    );
     let mut uniprocessor = Uniprocessor {
         spec,
         policy,
@@ -105,8 +97,6 @@ impl Pick for Uniprocessor<'_> {
 }
 
 #[cfg(test)]
-// These unit tests pin the drive_hybrid internal directly (the builder
-// side is pinned by tests/sim_equivalence.rs).
 mod tests {
     use super::*;
     use crate::setup::{self, Algorithm};
@@ -251,18 +241,5 @@ mod tests {
         );
         assert_eq!(report.decisions, vec![Some(Bit::One)]);
         assert_eq!(report.ops, vec![8]);
-    }
-
-    #[test]
-    #[should_panic(expected = "spec is for")]
-    fn mismatched_spec_panics() {
-        let mut inst = setup::build(Algorithm::Lean, &[Bit::One], 0);
-        let spec = HybridSpec::uniform(3, 8);
-        drive_hybrid(
-            &mut inst,
-            &spec,
-            &mut BenignHybrid,
-            Limits::run_to_completion(),
-        );
     }
 }

@@ -30,15 +30,12 @@
 //! and [`report::RunReport`] is the common result type, with the paper's
 //! safety lemmas checkable via [`report::RunReport::check_safety`].
 //!
-//! Beneath the builder sit the public drive internals
-//! ([`noisy::drive_noisy`], [`adversarial::drive_adversarial`],
-//! [`hybrid::drive_hybrid`]); each schedule only picks the next process,
-//! and one shared step loop does the rest (executing, recording,
-//! deciding, cutoffs, crashes, the report) — the noisy model's
-//! common-case `loop_fast` aside. `tests/sim_equivalence.rs` pins the
-//! builder bit-for-bit against them. (The pre-builder `run_*` wrappers,
-//! deprecated since the `Sim` redesign, are gone — see the migration
-//! table in `docs/engine-internals.md`.)
+//! The builder is the engine's only way to run a schedule. Beneath it,
+//! each schedule only picks the next process, and one crate-private
+//! step loop does the rest (executing, recording, deciding, cutoffs,
+//! crashes, the report) — the noisy model's common-case `loop_fast`
+//! aside. `tests/soa_equivalence.rs` pins the builder bit-for-bit
+//! against the naive oracle in [`baseline`].
 //!
 //! # Example: one Figure 1 data point
 //!
@@ -83,17 +80,16 @@
 #![warn(missing_debug_implementations)]
 #![forbid(unsafe_code)]
 
-pub mod adversarial;
+mod adversarial;
 #[path = "noisy_baseline.rs"]
 pub mod baseline;
 mod drive;
-pub mod hybrid;
+mod hybrid;
 pub mod noisy;
 mod report;
 pub mod setup;
 pub mod sim;
 
-pub use noisy::EngineScratch;
 pub use report::{Limits, RunOutcome, RunReport};
 pub use setup::{build, half_and_half, Algorithm, Instance};
 pub use sim::{Sim, SimRun, TrialSet};

@@ -12,7 +12,9 @@
 //!
 //! The driver also applies adaptive crash adversaries (§10's non-random
 //! failures) after every operation, and can record the full operation
-//! history for the register-semantics checker.
+//! history for the register-semantics checker. It is crate-private:
+//! [`crate::sim::Sim::timing`] runs it, and this module exports only
+//! perfbench's [`NOISE_BATCH`].
 //!
 //! # Throughput design
 //!
@@ -41,7 +43,7 @@
 //!    scheduled, so the values consumed are exactly the naive driver's.
 //!    A lean process on the fast path costs 64 bytes besides its queued
 //!    event: the 32-byte noise stream and the 32-byte `LeanConsensus`.
-//! 3. **Reusable [`EngineScratch`]** — the event queue and the RNG
+//! 3. **Reusable `EngineScratch`** — the event queue and the RNG
 //!    streams are allocated once and re-seeded across trials, so a
 //!    fast-loop sweep's steady state allocates only its `RunReport`s.
 //!
@@ -73,7 +75,8 @@ use crate::setup::Instance;
 pub const NOISE_BATCH: usize = 16;
 
 /// Reusable engine working memory: the event queue and each process's
-/// noise and failure streams.
+/// noise and failure streams. The default scratch is empty; its buffers
+/// grow to the first trial's size and are reused from then on.
 ///
 /// Constructing these per trial is pure allocator churn at sweep scale;
 /// a [`crate::sim::SimRun`] keeps one `EngineScratch` (and a
@@ -81,7 +84,7 @@ pub const NOISE_BATCH: usize = 16;
 /// every trial. Reuse never leaks state between trials: every stream is
 /// re-seeded from the trial's own seed, and the queue is cleared.
 #[derive(Default)]
-pub struct EngineScratch {
+pub(crate) struct EngineScratch {
     queue: EventQueue,
     rng_noise: Vec<SmallRng>,
     /// Empty when the timing model has no failures: nothing draws
@@ -89,21 +92,7 @@ pub struct EngineScratch {
     rng_failure: Vec<SmallRng>,
 }
 
-impl std::fmt::Debug for EngineScratch {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EngineScratch")
-            .field("capacity", &self.rng_noise.capacity())
-            .finish()
-    }
-}
-
 impl EngineScratch {
-    /// An empty scratch; buffers grow to the first trial's size and are
-    /// reused from then on.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Re-seeds every stream for a fresh `n`-process trial. Streams are
     /// keyed by `(seed, pid, salt)` alone, so reusing the allocations is
     /// not observable.
@@ -133,10 +122,9 @@ fn next_time(timing: &TimingModel, rng: &mut SmallRng, op_index: u64, clock: f64
     clock + (timing.delay.delta(op_index) + x)
 }
 
-/// The fully general single-trial driver beneath the [`crate::sim`]
-/// builder API: runs one instance under the noisy-scheduling model with
-/// scratch reuse, an optional crash adversary, and optional history
-/// recording.
+/// The noisy driver beneath [`crate::sim::Sim::timing`]: runs one
+/// instance under the noisy-scheduling model with scratch reuse, an
+/// optional crash adversary, and optional history recording.
 ///
 /// `seed` drives the noise, failure, and start-time streams (independent
 /// of the instance's protocol-coin streams, which were fixed at build
@@ -149,11 +137,7 @@ fn next_time(timing: &TimingModel, rng: &mut SmallRng, op_index: u64, clock: f64
 /// processes have decided or halted, when the first decision happens (if
 /// `limits.stop_at_first_decision`), or when the operation budget runs
 /// out.
-///
-/// Prefer [`crate::sim::Sim`] — this is the internal the builder (and
-/// the equivalence suites pinning it) drive; it is exported so those
-/// suites can compare the two layers directly.
-pub fn drive_noisy<P: Protocol>(
+pub(crate) fn drive_noisy<P: Protocol>(
     scratch: &mut EngineScratch,
     inst: &mut Instance<P>,
     timing: &TimingModel,
@@ -333,9 +317,8 @@ fn loop_fast<P: Protocol>(
 }
 
 #[cfg(test)]
-// These unit tests pin the drive_* internals directly (they stay
-// bit-identical to the builder, which tests/sim_equivalence.rs checks
-// from the other side).
+// These unit tests drive `drive_noisy` directly; the builder above it is
+// pinned to the naive oracle by tests/soa_equivalence.rs.
 mod tests {
     use super::*;
     use crate::setup::{self, Algorithm};
@@ -356,7 +339,7 @@ mod tests {
         seed: u64,
         limits: Limits,
     ) -> RunReport {
-        let mut scratch = EngineScratch::new();
+        let mut scratch = EngineScratch::default();
         drive_noisy(&mut scratch, inst, timing, seed, limits, None, None)
     }
 
@@ -380,7 +363,7 @@ mod tests {
         crash: Option<&mut dyn CrashAdversary>,
         history: Option<&mut Vec<Event>>,
     ) -> RunReport {
-        let mut scratch = EngineScratch::new();
+        let mut scratch = EngineScratch::default();
         drive_noisy(&mut scratch, inst, timing, seed, limits, crash, history)
     }
 
@@ -570,7 +553,7 @@ mod tests {
         // each against a fresh-scratch run. The last four share one n:
         // the failure streams come and go with the failure model, and
         // the delayed model takes the fast loop.
-        let mut scratch = EngineScratch::new();
+        let mut scratch = EngineScratch::default();
         let delayed = exp_timing().with_delay(DelayPolicy::SaveAndSpend { m: 0.5, period: 4 });
         let configs: Vec<(usize, u64, TimingModel)> = vec![
             (1, 7, exp_timing()),
@@ -608,148 +591,6 @@ mod tests {
             );
             let fresh = run_noisy(&mut inst_b, &timing, seed, Limits::run_to_completion());
             assert_eq!(reused, fresh, "n={n} seed={seed}");
-        }
-    }
-
-    /// The optimized engine must be **bit-for-bit identical** to the
-    /// naive BinaryHeap baseline: same streams consumed in the same
-    /// per-process order, same (unique) event order, so same reports.
-    /// (The full scenario-matrix differential suite lives in
-    /// `tests/soa_equivalence.rs`.)
-    mod baseline_equivalence {
-        use super::*;
-        use crate::baseline::{run_noisy_baseline, run_noisy_with_baseline};
-
-        fn assert_equivalent(
-            alg: Algorithm,
-            inputs: &[Bit],
-            timing: &TimingModel,
-            seed: u64,
-            limits: Limits,
-        ) {
-            let mut inst_a = setup::build(alg, inputs, seed);
-            let mut inst_b = setup::build(alg, inputs, seed);
-            let optimized = run_noisy(&mut inst_a, timing, seed, limits);
-            let naive = run_noisy_baseline(&mut inst_b, timing, seed, limits);
-            assert_eq!(optimized, naive, "{alg:?} {timing:?} seed {seed}");
-        }
-
-        #[test]
-        fn figure1_suite_all_seeds() {
-            for (_, noise) in Noise::figure1_suite() {
-                let timing = TimingModel::figure1(noise);
-                for seed in 0..4 {
-                    assert_equivalent(
-                        Algorithm::Lean,
-                        &setup::half_and_half(12),
-                        &timing,
-                        seed,
-                        Limits::run_to_completion(),
-                    );
-                    assert_equivalent(
-                        Algorithm::Lean,
-                        &setup::half_and_half(40),
-                        &timing,
-                        seed,
-                        Limits::first_decision(),
-                    );
-                }
-            }
-        }
-
-        #[test]
-        fn with_random_failures() {
-            for per_op in [0.01, 0.2, 0.9] {
-                let timing = exp_timing().with_failures(FailureModel::Random { per_op });
-                for seed in 0..4 {
-                    assert_equivalent(
-                        Algorithm::Lean,
-                        &setup::half_and_half(8),
-                        &timing,
-                        seed,
-                        Limits::run_to_completion(),
-                    );
-                }
-            }
-        }
-
-        #[test]
-        fn with_save_and_spend_delays() {
-            // Adversarial delays read the operation index; they must
-            // match.
-            let timing = TimingModel::figure1(Noise::Uniform { lo: 0.0, hi: 2.0 })
-                .with_delay(DelayPolicy::SaveAndSpend { m: 0.5, period: 3 });
-            for seed in 0..4 {
-                assert_equivalent(
-                    Algorithm::Lean,
-                    &setup::half_and_half(10),
-                    &timing,
-                    seed,
-                    Limits::run_to_completion(),
-                );
-            }
-        }
-
-        #[test]
-        fn all_algorithms() {
-            for alg in [
-                Algorithm::Lean,
-                Algorithm::Skipping,
-                Algorithm::Randomized,
-                Algorithm::Bounded { r_max: 10 },
-                Algorithm::Backup,
-            ] {
-                assert_equivalent(
-                    alg,
-                    &setup::half_and_half(6),
-                    &exp_timing(),
-                    42,
-                    Limits::run_to_completion(),
-                );
-            }
-        }
-
-        #[test]
-        fn op_cap_and_lockstep() {
-            let timing = TimingModel::figure1(Noise::Constant { value: 1.0 });
-            assert_equivalent(
-                Algorithm::Lean,
-                &setup::alternating(4),
-                &timing,
-                3,
-                Limits::run_to_completion().with_max_ops(50_000),
-            );
-        }
-
-        #[test]
-        fn with_crash_adversary_and_history() {
-            for seed in 0..4 {
-                let inputs = setup::half_and_half(6);
-                let mut inst_a = setup::build(Algorithm::Lean, &inputs, seed);
-                let mut inst_b = setup::build(Algorithm::Lean, &inputs, seed);
-                let mut killer_a = LeaderKiller::new(3, 2);
-                let mut killer_b = LeaderKiller::new(3, 2);
-                let mut hist_a = Vec::new();
-                let mut hist_b = Vec::new();
-                let optimized = run_noisy_with(
-                    &mut inst_a,
-                    &exp_timing(),
-                    seed,
-                    Limits::run_to_completion(),
-                    Some(&mut killer_a),
-                    Some(&mut hist_a),
-                );
-                let naive = run_noisy_with_baseline(
-                    &mut inst_b,
-                    &exp_timing(),
-                    seed,
-                    Limits::run_to_completion(),
-                    Some(&mut killer_b),
-                    Some(&mut hist_b),
-                );
-                assert_eq!(optimized, naive, "seed {seed}");
-                assert_eq!(hist_a, hist_b, "histories diverged at seed {seed}");
-            }
         }
     }
 }

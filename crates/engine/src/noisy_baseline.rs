@@ -67,9 +67,7 @@ struct ProcState {
     decided: bool,
 }
 
-/// [`crate::noisy::drive_noisy`] without crash/history hooks, naive
-/// edition. Identical observable
-/// behavior, unoptimized implementation.
+/// [`run_noisy_with_baseline`] without a crash adversary or history.
 pub fn run_noisy_baseline(
     inst: &mut Instance,
     timing: &TimingModel,
@@ -79,7 +77,9 @@ pub fn run_noisy_baseline(
     run_noisy_with_baseline(inst, timing, seed, limits, None, None)
 }
 
-/// [`crate::noisy::drive_noisy`], naive edition.
+/// The noisy schedule of [`crate::sim::Sim::timing`], naive edition:
+/// identical observable behavior, including the crash adversary's
+/// hook and the recorded history, from an unoptimized implementation.
 pub fn run_noisy_with_baseline(
     inst: &mut Instance,
     timing: &TimingModel,

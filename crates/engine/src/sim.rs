@@ -1,13 +1,6 @@
 //! The composable simulation API: one typed builder for every
-//! execution model, plus the [`TrialSet`] sweep layer.
-//!
-//! Historically each scheduling model had its own fan of entry points
-//! (`run_noisy`, `run_noisy_scratch`, `run_noisy_with`, … — deleted
-//! once all callers migrated), and every new capability — scratch
-//! reuse, crash adversaries, history recording — added another
-//! positional `Option<&mut dyn …>` to every signature. [`Sim`]
-//! replaces that fan with one builder over the public drive internals
-//! ([`crate::noisy::drive_noisy`] and friends):
+//! execution model, plus the [`TrialSet`] sweep layer. [`Sim`] is the
+//! engine's only way to run a schedule:
 //!
 //! * pick an [`Algorithm`] and inputs,
 //! * pick exactly one **schedule** — [`Sim::timing`] (the noisy model,
@@ -25,10 +18,11 @@
 //!
 //! New workloads become *configuration*, not new function signatures.
 //!
-//! The handle owns every piece of reusable state: an [`EngineScratch`],
-//! the monomorphized `Instance<LeanConsensus>` fast path (rebuilt in
-//! place for [`Algorithm::Lean`] under every schedule — no allocation
-//! per run), and the history buffer. [`TrialSet`] additionally owns the
+//! The handle owns every piece of reusable state: the engine scratch
+//! (the event queue and the per-process streams), the monomorphized
+//! `Instance<LeanConsensus>` fast path (rebuilt in place for
+//! [`Algorithm::Lean`] under every schedule — no allocation per run),
+//! and the history buffer. [`TrialSet`] additionally owns the
 //! sweep machinery: per-worker scratch pooling and the thread fan-out —
 //! **parallelism is per-call state**, not a process-global knob, so two
 //! sweeps with different worker counts can run concurrently without
@@ -36,8 +30,8 @@
 //!
 //! Determinism: a trial's report is a pure function of
 //! `(configuration, seed)` — bit-for-bit identical at every thread
-//! count, and identical to a direct call into the drive internal the
-//! builder wraps (pinned by `tests/sim_equivalence.rs`).
+//! count, and under [`Sim::timing`] identical to the naive oracle
+//! [`crate::baseline`] (pinned by `tests/soa_equivalence.rs`).
 //!
 //! # Example: one Figure 1 data point
 //!
@@ -65,7 +59,7 @@ use std::sync::Mutex;
 
 use nc_core::{LeanConsensus, Protocol};
 use nc_memory::{Bit, Event, FaultSpec, SimMemory};
-use nc_sched::adversary::{Adversary, CrashAdversary, NoCrashes};
+use nc_sched::adversary::{Adversary, CrashAdversary};
 use nc_sched::hybrid::{HybridPolicy, HybridSpec};
 use nc_sched::queue::MAX_PID;
 use nc_sched::rng::{salts, trial_seed};
@@ -412,7 +406,8 @@ fn run_one(
         // The monomorphized instance: the protocol inlines into the
         // step loops, and the instance is rebuilt in place (lean is
         // deterministic, so the build ignores the seed). Bit-identical
-        // to the boxed build — pinned by tests/sim_equivalence.rs.
+        // to the boxed build the oracle runs — pinned by
+        // tests/soa_equivalence.rs.
         let inst = match &mut lane.lean {
             Some(inst) => {
                 inst.rebuild(&cfg.inputs);
@@ -451,12 +446,7 @@ fn run_on<P: Protocol>(
         }
         Schedule::Adversarial(make_adv) => {
             let mut adv = make_adv(seed);
-            adversarial::drive_adversarial(
-                inst,
-                &mut *adv,
-                crash.unwrap_or(&mut NoCrashes),
-                cfg.limits,
-            )
+            adversarial::drive_adversarial(inst, &mut *adv, crash, cfg.limits)
         }
         Schedule::Hybrid(spec, make_policy) => {
             let mut policy = make_policy(seed);
@@ -1043,6 +1033,15 @@ mod tests {
         let _ = Sim::new(Algorithm::Lean)
             .inputs(vec![Bit::Zero; MAX_PID as usize + 2])
             .timing(exp_timing())
+            .build();
+    }
+
+    #[test]
+    #[should_panic(expected = "hybrid spec is for 3 processes, inputs have 1")]
+    fn mismatched_spec_panics() {
+        let _ = Sim::new(Algorithm::Lean)
+            .inputs([Bit::One])
+            .hybrid(HybridSpec::uniform(3, 8), |_| WritePreemptor)
             .build();
     }
 

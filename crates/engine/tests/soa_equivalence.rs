@@ -1,20 +1,20 @@
-//! The optimized engine's oracle-pinning suite: the optimized driver
-//! (with or without an empty value-fault spec) must produce
-//! **byte identical** [`nc_engine::RunReport`]s to the naive BinaryHeap
-//! baseline (`nc_engine::baseline`, the seed implementation)
-//! across the full scenario matrix — algorithms × noise distributions ×
-//! crash adversaries × failure models × delay policies. The oracle is
-//! part of every build, so `cargo test -p nc-engine` runs this suite.
+//! The engine's oracle-pinning suite: every noisy configuration run
+//! through the [`Sim`] builder must produce **byte identical**
+//! [`nc_engine::RunReport`]s, and when it records them identical
+//! operation histories, to the naive BinaryHeap driver
+//! (`nc_engine::baseline`, the seed implementation) across the full
+//! scenario matrix — algorithms × noise distributions × crash
+//! adversaries × failure models × delay policies × the lockstep op cap ×
+//! an empty value-fault spec, at small and large n. Each configuration
+//! is built once and run across its seeds, so the pooled scratch and the
+//! in-place lean rebuild are pinned along with the drivers. The oracle
+//! is part of every build, so `cargo test -p nc-engine` runs this suite.
 
-// This suite pins the public drive internals against the oracle; their
-// equivalence to the `sim::Sim` builder is pinned separately by
-// `tests/sim_equivalence.rs`, so the chain
-// baseline == drive internals == builder stays closed.
+use std::ops::Range;
 
 use nc_engine::baseline::{run_noisy_baseline, run_noisy_with_baseline};
-use nc_engine::noisy::drive_noisy;
 use nc_engine::sim::Sim;
-use nc_engine::{setup, Algorithm, EngineScratch, Limits, RunReport};
+use nc_engine::{setup, Algorithm, Limits, RunOutcome, RunReport};
 use nc_memory::{Bit, FaultSpec};
 use nc_sched::adversary::{CrashAdversary, CrashScript, LeaderKiller};
 use nc_sched::{DelayPolicy, FailureModel, Noise, TimingModel};
@@ -30,30 +30,81 @@ fn algorithms() -> [Algorithm; 5] {
     ]
 }
 
-/// Runs `(alg, inputs, timing, seed, limits)` through the optimized
-/// engine and asserts the report equals the baseline's.
+/// A fresh crash adversary for one run.
+type MakeCrash = fn() -> Box<dyn CrashAdversary>;
+
+/// Builds `(alg, inputs, timing, limits)` once, runs it for every seed
+/// in `seeds`, and asserts each report equals the oracle's on a fresh
+/// instance. Returns the reports.
 fn assert_matches_oracle(
     alg: Algorithm,
     inputs: &[Bit],
     timing: &TimingModel,
-    seed: u64,
+    seeds: Range<u64>,
     limits: Limits,
-) -> RunReport {
-    let mut scratch = EngineScratch::new();
-    let mut inst_opt = setup::build(alg, inputs, seed);
-    let mut inst_ref = setup::build(alg, inputs, seed);
-    let optimized = drive_noisy(
-        &mut scratch,
-        &mut inst_opt,
-        timing,
-        seed,
-        limits,
-        None,
-        None,
-    );
-    let oracle = run_noisy_baseline(&mut inst_ref, timing, seed, limits);
-    assert_eq!(optimized, oracle, "{alg:?} × {timing:?} × seed {seed}");
-    optimized
+) -> Vec<RunReport> {
+    let mut sim = Sim::new(alg)
+        .inputs(inputs)
+        .timing(*timing)
+        .limits(limits)
+        .build();
+    seeds
+        .map(|seed| {
+            let built = sim.run(seed);
+            let mut inst = setup::build(alg, inputs, seed);
+            let oracle = run_noisy_baseline(&mut inst, timing, seed, limits);
+            assert_eq!(built, oracle, "{alg:?} × {timing:?} × seed {seed}");
+            built
+        })
+        .collect()
+}
+
+/// Builds `(alg, inputs, timing)` once with history recording and the
+/// crash adversary `make` builds (if any), runs it to completion for
+/// every seed in `seeds`, and asserts equal reports and histories, event
+/// by event, against the oracle.
+fn assert_history_matches_oracle(
+    alg: Algorithm,
+    inputs: &[Bit],
+    timing: &TimingModel,
+    seeds: Range<u64>,
+    make: Option<MakeCrash>,
+) {
+    let limits = Limits::run_to_completion();
+    let mut sim = Sim::new(alg)
+        .inputs(inputs)
+        .timing(*timing)
+        .record_history();
+    if let Some(make) = make {
+        sim = sim.crash_adversary(move |_| make());
+    }
+    let mut sim = sim.build();
+    for seed in seeds {
+        let built = sim.run(seed);
+        let mut inst = setup::build(alg, inputs, seed);
+        let mut crash = make.map(|make| make());
+        let mut history = Vec::new();
+        let oracle = run_noisy_with_baseline(
+            &mut inst,
+            timing,
+            seed,
+            limits,
+            crash
+                .as_mut()
+                .map(|c| c.as_mut() as &mut dyn CrashAdversary),
+            Some(&mut history),
+        );
+        let case = format!(
+            "{alg:?} × crash={} × {timing:?} × seed {seed}",
+            make.is_some()
+        );
+        assert_eq!(built, oracle, "{case}");
+        assert_eq!(
+            sim.history(),
+            history.as_slice(),
+            "history diverged: {case}"
+        );
+    }
 }
 
 /// The headline matrix: every algorithm × every Figure 1 noise
@@ -63,22 +114,10 @@ fn algorithms_by_noise_match_oracle() {
     for alg in algorithms() {
         for (_, noise) in Noise::figure1_suite() {
             let timing = TimingModel::figure1(noise);
-            for seed in 0..2 {
-                assert_matches_oracle(
-                    alg,
-                    &setup::half_and_half(8),
-                    &timing,
-                    seed,
-                    Limits::run_to_completion(),
-                );
-                assert_matches_oracle(
-                    alg,
-                    &setup::alternating(6),
-                    &timing,
-                    seed,
-                    Limits::first_decision(),
-                );
-            }
+            let to_end = Limits::run_to_completion();
+            assert_matches_oracle(alg, &setup::half_and_half(8), &timing, 0..2, to_end);
+            let first = Limits::first_decision();
+            assert_matches_oracle(alg, &setup::alternating(6), &timing, 0..2, first);
         }
     }
 }
@@ -95,55 +134,14 @@ fn random_failures_match_oracle() {
         (Noise::Uniform { lo: 0.0, hi: 2.0 }, 0.05),
     ] {
         let timing = TimingModel::figure1(noise).with_failures(FailureModel::Random { per_op });
-        for seed in 0..3 {
-            assert_matches_oracle(
-                Algorithm::Lean,
-                &setup::half_and_half(8),
-                &timing,
-                seed,
-                Limits::run_to_completion(),
-            );
-        }
+        assert_matches_oracle(
+            Algorithm::Lean,
+            &setup::half_and_half(8),
+            &timing,
+            0..3,
+            Limits::run_to_completion(),
+        );
     }
-}
-
-/// Runs `(alg, inputs, timing, seed)` to completion under the crash
-/// adversary `make` builds, recording histories, through the optimized
-/// engine and the oracle, and asserts equal reports and equal
-/// histories.
-fn assert_crashes_match_oracle(
-    alg: Algorithm,
-    inputs: &[Bit],
-    timing: &TimingModel,
-    seed: u64,
-    make: fn() -> Box<dyn CrashAdversary>,
-) {
-    let mut scratch = EngineScratch::new();
-    let mut inst_opt = setup::build(alg, inputs, seed);
-    let mut inst_ref = setup::build(alg, inputs, seed);
-    let (mut crash_opt, mut crash_ref) = (make(), make());
-    let (mut hist_opt, mut hist_ref) = (Vec::new(), Vec::new());
-    let limits = Limits::run_to_completion();
-    let optimized = drive_noisy(
-        &mut scratch,
-        &mut inst_opt,
-        timing,
-        seed,
-        limits,
-        Some(crash_opt.as_mut()),
-        Some(&mut hist_opt),
-    );
-    let oracle = run_noisy_with_baseline(
-        &mut inst_ref,
-        timing,
-        seed,
-        limits,
-        Some(crash_ref.as_mut()),
-        Some(&mut hist_ref),
-    );
-    let case = format!("{alg:?} × crash × {timing:?} × seed {seed}");
-    assert_eq!(optimized, oracle, "{case}");
-    assert_eq!(hist_opt, hist_ref, "history diverged: {case}");
 }
 
 /// Adaptive and scripted crash adversaries, with histories compared
@@ -151,16 +149,28 @@ fn assert_crashes_match_oracle(
 #[test]
 fn crash_adversaries_match_oracle() {
     let timing = TimingModel::figure1(Noise::Exponential { mean: 1.0 });
-    let adversaries: [fn() -> Box<dyn CrashAdversary>; 3] = [
+    let adversaries: [MakeCrash; 3] = [
         || Box::new(LeaderKiller::new(3, 2)),
         || Box::new(CrashScript::new(vec![(0, 1), (2, 5)])),
         || Box::new(CrashScript::new(vec![(1, 3)])),
     ];
     for make in adversaries {
-        for seed in 0..3 {
-            let inputs = setup::half_and_half(6);
-            assert_crashes_match_oracle(Algorithm::Lean, &inputs, &timing, seed, make);
-        }
+        let inputs = setup::half_and_half(6);
+        assert_history_matches_oracle(Algorithm::Lean, &inputs, &timing, 0..3, Some(make));
+    }
+}
+
+/// History recording without a crash adversary, on every algorithm,
+/// with and without random failures: recording alone moves a run off
+/// the fast loop onto the shared step loop.
+#[test]
+fn history_without_crashes_matches_oracle() {
+    let timing = TimingModel::figure1(Noise::Exponential { mean: 1.0 });
+    let failing = timing.with_failures(FailureModel::Random { per_op: 0.05 });
+    for alg in algorithms() {
+        let inputs = setup::half_and_half(8);
+        assert_history_matches_oracle(alg, &inputs, &timing, 0..3, None);
+        assert_history_matches_oracle(alg, &inputs, &failing, 0..3, None);
     }
 }
 
@@ -177,14 +187,16 @@ fn op_index_delays_match_oracle_on_both_loops() {
         let failing = timing.with_failures(FailureModel::Random { per_op: 0.05 });
         for alg in algorithms() {
             let inputs = setup::half_and_half(6);
-            for seed in 0..2 {
-                let limits = Limits::run_to_completion();
-                assert_matches_oracle(alg, &inputs, &timing, seed, limits);
-                assert_matches_oracle(alg, &inputs, &failing, seed, limits);
-                assert_crashes_match_oracle(alg, &inputs, &timing, seed, || {
-                    Box::new(LeaderKiller::new(2, 1))
-                });
-            }
+            let limits = Limits::run_to_completion();
+            assert_matches_oracle(alg, &inputs, &timing, 0..2, limits);
+            assert_matches_oracle(alg, &inputs, &failing, 0..2, limits);
+            assert_history_matches_oracle(
+                alg,
+                &inputs,
+                &timing,
+                0..2,
+                Some(|| Box::new(LeaderKiller::new(2, 1))),
+            );
         }
     }
 }
@@ -201,15 +213,33 @@ fn fast_loop_timing_configs_match_oracle() {
             .with_delay(DelayPolicy::SaveAndSpend { m: 0.5, period: 2 }),
     ];
     for timing in &configs {
-        for seed in 0..2 {
-            assert_matches_oracle(
-                Algorithm::Lean,
-                &setup::half_and_half(9),
-                timing,
-                seed,
-                Limits::run_to_completion(),
-            );
-        }
+        assert_matches_oracle(
+            Algorithm::Lean,
+            &setup::half_and_half(9),
+            timing,
+            0..2,
+            Limits::run_to_completion(),
+        );
+    }
+}
+
+/// Constant noise keeps every process in lockstep, so no run decides:
+/// the operation cap must end the run at the same operation, with the
+/// same report, as the oracle's.
+#[test]
+fn lockstep_op_cap_matches_oracle() {
+    let timing = TimingModel::figure1(Noise::Constant { value: 1.0 });
+    let limits = Limits::run_to_completion().with_max_ops(50_000);
+    let reports = assert_matches_oracle(
+        Algorithm::Lean,
+        &setup::alternating(4),
+        &timing,
+        2..4,
+        limits,
+    );
+    for report in reports {
+        assert_eq!(report.outcome, RunOutcome::OpCapReached);
+        assert_eq!(report.total_ops, 50_000);
     }
 }
 
@@ -220,21 +250,21 @@ fn fast_loop_timing_configs_match_oracle() {
 fn large_n_matches_oracle() {
     let timing = TimingModel::figure1(Noise::Uniform { lo: 0.0, hi: 2.0 });
     for n in [4096, 8192] {
-        let report = assert_matches_oracle(
+        let reports = assert_matches_oracle(
             Algorithm::Lean,
             &setup::half_and_half(n),
             &timing,
-            1,
+            1..2,
             Limits::first_decision(),
         );
-        assert!(report.first_decision_round.is_some(), "n = {n}");
+        assert!(reports[0].first_decision_round.is_some(), "n = {n}");
     }
 }
 
-/// The value-fault plane against the oracle: the builder with an
-/// armed empty spec must match the naive `SimMemory` baseline
-/// bit for bit across algorithms. (`tests/memory_planes.rs`
-/// carries the oracle-free half of this matrix.)
+/// The value-fault plane against the oracle: a `TrialSet` sweep with an
+/// armed empty spec must match the naive `SimMemory` baseline bit for
+/// bit across algorithms. (`tests/memory_planes.rs` carries the
+/// oracle-free half of this matrix.)
 #[test]
 fn fault_free_wrapper_matches_oracle_across_matrix() {
     let timing = TimingModel::figure1(Noise::Uniform { lo: 0.0, hi: 2.0 });
@@ -261,8 +291,8 @@ fn fault_free_wrapper_matches_oracle_across_matrix() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Random process counts and seeds: the optimized driver's
-    /// `RunReport` must equal the oracle's, `max_round` included.
+    /// Random process counts and seeds: the builder's `RunReport` must
+    /// equal the oracle's, `max_round` included.
     #[test]
     fn random_n_and_seed_match_oracle(
         seed in 0u64..1000,
@@ -273,18 +303,12 @@ proptest! {
         let mut inst_ref = setup::build(Algorithm::Lean, &inputs, seed);
         let oracle = run_noisy_baseline(&mut inst_ref, &timing, seed, Limits::run_to_completion());
 
-        let mut scratch = EngineScratch::new();
-        let mut inst = setup::build(Algorithm::Lean, &inputs, seed);
-        let optimized = drive_noisy(
-            &mut scratch,
-            &mut inst,
-            &timing,
-            seed,
-            Limits::run_to_completion(),
-            None,
-            None,
-        );
-        prop_assert_eq!(optimized.max_round, oracle.max_round, "max_round diverged");
-        prop_assert_eq!(optimized, oracle);
+        let built = Sim::new(Algorithm::Lean)
+            .inputs(inputs)
+            .timing(timing)
+            .build()
+            .run(seed);
+        prop_assert_eq!(built.max_round, oracle.max_round, "max_round diverged");
+        prop_assert_eq!(built, oracle);
     }
 }

@@ -65,4 +65,4 @@ pub use faulty::FaultSpec;
 pub use history::{check_register_semantics, check_register_semantics_from, Event, HistoryError};
 pub use layout::{RaceLayout, Region};
 pub use sim::SimMemory;
-pub use types::{Addr, Bit, Op, OpKind, Pid, Word};
+pub use types::{Addr, Bit, Op, Pid, Word};

@@ -201,39 +201,11 @@ pub enum Op {
     Write(Addr, Word),
 }
 
-impl Op {
-    /// The kind of this operation (read or write), without its operands.
-    pub const fn kind(self) -> OpKind {
-        match self {
-            Op::Read(_) => OpKind::Read,
-            Op::Write(_, _) => OpKind::Write,
-        }
-    }
-}
-
 impl fmt::Display for Op {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Op::Read(a) => write!(f, "read {a}"),
             Op::Write(a, w) => write!(f, "write {a} <- {w}"),
-        }
-    }
-}
-
-/// The type of a shared-memory operation: a read or a write.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub enum OpKind {
-    /// A register read.
-    Read,
-    /// A register write.
-    Write,
-}
-
-impl fmt::Display for OpKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            OpKind::Read => f.write_str("read"),
-            OpKind::Write => f.write_str("write"),
         }
     }
 }
@@ -308,15 +280,7 @@ mod tests {
     fn op_accessors() {
         let r = Op::Read(Addr::new(4));
         let w = Op::Write(Addr::new(9), 2);
-        assert_eq!(r.kind(), OpKind::Read);
-        assert_eq!(w.kind(), OpKind::Write);
         assert_eq!(r.to_string(), "read @4");
         assert_eq!(w.to_string(), "write @9 <- 2");
-    }
-
-    #[test]
-    fn op_kind_display() {
-        assert_eq!(OpKind::Read.to_string(), "read");
-        assert_eq!(OpKind::Write.to_string(), "write");
     }
 }

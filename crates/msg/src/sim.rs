@@ -820,7 +820,7 @@ mod tests {
         // ATTENUATES the environment noise (order-statistic
         // concentration): the race stays tied longer than in raw shared
         // memory, so rounds are higher — but still bounded and
-        // terminating. Documented in EXPERIMENTS.md (E13).
+        // terminating. Experiment E13 measures it.
         let cfg = MsgConfig::new(9, Noise::Exponential { mean: 1.0 });
         for seed in 0..5 {
             let report = run_message_passing(&cfg, seed);

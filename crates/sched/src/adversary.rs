@@ -264,16 +264,6 @@ impl<C: CrashAdversary + ?Sized> CrashAdversary for Box<C> {
     }
 }
 
-/// Never crashes anyone.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NoCrashes;
-
-impl CrashAdversary for NoCrashes {
-    fn crash_now(&mut self, _view: ProcView<'_>) -> Vec<usize> {
-        Vec::new()
-    }
-}
-
 /// The adaptive leader-killer: whenever some enabled process's round
 /// exceeds every other enabled process's round by at least
 /// `trigger_lead`, crash it — up to a budget of `f` crashes.
@@ -495,16 +485,6 @@ mod tests {
         assert_eq!(adv.next(view(&enabled, &round, &steps)), Some(1));
         let enabled = [true, false];
         assert_eq!(adv.next(view(&enabled, &round, &steps)), Some(0));
-    }
-
-    #[test]
-    fn no_crashes_is_inert() {
-        let enabled = [true];
-        let round = [5];
-        let steps = [20];
-        assert!(NoCrashes
-            .crash_now(view(&enabled, &round, &steps))
-            .is_empty());
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! | [`core`] | `nc-core` | lean-consensus + variants, [`core::Protocol`], native runner |
 //! | [`memory`] | `nc-memory` | the [`SimMemory`] word store with seeded value faults, atomic arrays, history checker |
 //! | [`sched`] | `nc-sched` | noise distributions, timing model, adversaries, hybrid scheduling |
-//! | [`engine`] | `nc-engine` | noisy / adversarial / hybrid drivers, run reports |
+//! | [`engine`] | `nc-engine` | the [`Sim`] builder: noisy / adversarial / hybrid schedules, run reports, the naive oracle |
 //! | [`backup`] | `nc-backup` | bounded-space randomized backup consensus (§8) |
 //! | [`theory`] | `nc-theory` | renewal races (Theorem 10), Lemma 5, statistics |
 //! | [`msg`] | `nc-msg` | §10 extension: ABD register emulation over noisy channels |
