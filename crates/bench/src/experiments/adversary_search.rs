@@ -59,9 +59,9 @@ impl Scenario for AdversarySearch {
     }
 }
 
-/// The tournament sweep: powers of two from 4 to `max_n`, one full grid
-/// search per size, worst-adaptive means fitted against log2(n) when
-/// there are at least two sizes.
+/// The tournament sweep: powers of two from 4 to `max_n` (`max_n` alone
+/// when it is below 4), one full grid search per size, worst-adaptive
+/// means fitted against log2(n) when there are at least two sizes.
 pub(crate) fn run_search(max_n: usize, trials: u64, cap: u64, seed0: u64, threads: usize) -> Table {
     let mut table = Table::new(
         format!(
@@ -81,7 +81,7 @@ pub(crate) fn run_search(max_n: usize, trials: u64, cap: u64, seed0: u64, thread
     );
     let family = StrategyFamily::standard();
     let mut points = Vec::new();
-    let mut n = 4usize;
+    let mut n = max_n.clamp(1, 4);
     let mut idx = 0u64;
     while n <= max_n {
         let result = Tournament::new(n)
@@ -137,8 +137,11 @@ mod tests {
 
     #[test]
     fn one_size_has_no_fit_row() {
-        let table = run_search(4, 2, 20_000, 1, 1);
-        assert_eq!(table.rows.len(), 1);
-        assert_eq!(table.rows[0][0], "4");
+        // Below 4, the sweep runs `max_n` alone.
+        for max_n in 1..=4 {
+            let table = run_search(max_n, 2, 20_000, 1, 1);
+            assert_eq!(table.rows.len(), 1, "max_n = {max_n}");
+            assert_eq!(table.rows[0][0], max_n.to_string());
+        }
     }
 }

@@ -53,10 +53,14 @@ impl Scenario for MessagePassing {
     }
 }
 
-/// Runs the message-passing experiment over cluster sizes up to
-/// `max_n` across `threads` workers. Returns the sweep table and the
-/// crash-tolerance table.
+/// Runs the message-passing experiment over the cluster sizes 3, 5 and
+/// 9 up to `max_n` (`max_n` alone when it is below 3) across `threads`
+/// workers. Returns the sweep table and the crash-tolerance table.
 pub(crate) fn run(trials: u64, max_n: usize, seed0: u64, threads: usize) -> (Table, Table) {
+    let mut sizes: Vec<usize> = [3, 5, 9].into_iter().filter(|&n| n <= max_n).collect();
+    if sizes.is_empty() {
+        sizes.push(max_n);
+    }
     let mut sweep = Table::new(
         "E13 / §10: lean-consensus over ABD registers on a noisy network",
         &[
@@ -79,7 +83,7 @@ pub(crate) fn run(trials: u64, max_n: usize, seed0: u64, threads: usize) -> (Tab
             },
         ),
     ] {
-        for &n in [3usize, 5, 9].iter().filter(|&&n| n <= max_n) {
+        for &n in &sizes {
             let mut rounds = OnlineStats::new();
             let mut deliveries = OnlineStats::new();
             let mut times = OnlineStats::new();
@@ -117,10 +121,9 @@ pub(crate) fn run(trials: u64, max_n: usize, seed0: u64, threads: usize) -> (Tab
         "E13 crash tolerance: minority crashes mid-run (ABD quorums carry on)",
         &["n", "crashed", "live agreement", "mean max round"],
     );
-    for &(n, crash_count) in [(3usize, 1usize), (5, 2), (9, 4)]
-        .iter()
-        .filter(|&&(n, _)| n <= max_n)
-    {
+    for &n in &sizes {
+        // The largest minority: ABD's quorums outlive it.
+        let crash_count = (n - 1) / 2;
         let mut rounds = OnlineStats::new();
         let mut agree = true;
         for t in 0..trials {
@@ -146,4 +149,20 @@ pub(crate) fn run(trials: u64, max_n: usize, seed0: u64, threads: usize) -> (Tab
         ]);
     }
     (sweep, crash_table)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn sizes_below_the_grid_run_max_n_alone() {
+        for max_n in [1, 2] {
+            let (sweep, crashes) = run(1, max_n, 1, 1);
+            assert_eq!(sweep.rows.len(), 3, "one row per delay distribution");
+            assert!(sweep.rows.iter().all(|row| row[1] == max_n.to_string()));
+            assert_eq!(crashes.rows.len(), 1);
+            assert_eq!(crashes.rows[0][..2], [max_n.to_string(), "0".to_string()]);
+        }
+    }
 }

@@ -256,8 +256,11 @@ pub(crate) fn run_mixed(n: usize, trials: u64, cap: u64, seed0: u64, threads: us
             "mean retries",
         ],
     );
-    for (i, &k) in [0usize, 2, n].iter().enumerate() {
-        let k = k.min(n);
+    // Plane sizes 0, 2 and n, each once (two coincide at n ≤ 2); cell
+    // i's salt is 200 + i.
+    let mut sizes = vec![0, 2.min(n), n];
+    sizes.dedup();
+    for (i, &k) in sizes.iter().enumerate() {
         let cfg = base_cfg(n, cap)
             .with_faults(NetFaultSpec::none().with_loss(0.05))
             .with_shared_plane((0..k as u32).collect());
@@ -278,6 +281,15 @@ pub(crate) fn run_mixed(n: usize, trials: u64, cap: u64, seed0: u64, threads: us
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn small_deployments_list_each_plane_size_once() {
+        for (n, want) in [(1, ["0", "1"]), (2, ["0", "2"])] {
+            let table = run_mixed(n, 2, 120_000, 1, 1);
+            let sizes: Vec<&str> = table.rows.iter().map(|row| row[0].as_str()).collect();
+            assert_eq!(sizes, want, "n = {n}");
+        }
+    }
 
     #[test]
     fn one_node_has_no_minority_to_cut() {

@@ -160,15 +160,10 @@ impl NetFaultSpec {
         self
     }
 
-    /// Whether this spec injects nothing at all.
-    pub(crate) fn is_none(&self) -> bool {
-        self.loss == 0.0 && self.duplicate == 0.0 && self.partitions.is_empty()
-    }
-
     /// Whether the recovery plane (retry timers + gossip) should be
     /// armed: any fault that can strand an ABD phase waiting forever.
     pub(crate) fn needs_recovery(&self) -> bool {
-        !self.is_none()
+        self.loss != 0.0 || self.duplicate != 0.0 || !self.partitions.is_empty()
     }
 
     /// Whether the link `a <-> b` is cut at time `t` by any window.
@@ -239,17 +234,16 @@ mod tests {
 
     #[test]
     fn none_is_none() {
-        assert!(NetFaultSpec::none().is_none());
         assert!(!NetFaultSpec::none().needs_recovery());
-        assert!(!NetFaultSpec::none().with_loss(0.1).is_none());
-        assert!(!NetFaultSpec {
+        assert!(NetFaultSpec::none().with_loss(0.1).needs_recovery());
+        assert!(NetFaultSpec {
             duplicate: 0.1,
             ..NetFaultSpec::none()
         }
-        .is_none());
-        assert!(!NetFaultSpec::none()
+        .needs_recovery());
+        assert!(NetFaultSpec::none()
             .with_partition(0.0, 1.0, vec![0])
-            .is_none());
+            .needs_recovery());
     }
 
     #[test]

@@ -13,9 +13,9 @@
 //!
 //! This crate provides:
 //!
-//! * `proto` — the wire protocol: timestamped values, read/write
-//!   query/reply/put/ack messages plus anti-entropy gossip
-//!   ([`proto::Payload`]).
+//! * `proto` — the wire protocol: timestamped values, the
+//!   query/reply/put/ack messages that reads and writes share, plus
+//!   anti-entropy gossip ([`proto::Payload`]).
 //! * [`node`] — one node = one replica (hosting a share of every
 //!   register) + one ABD client + one unchanged
 //!   [`nc_core::LeanConsensus`] step machine driving it. Quorums count

@@ -4,21 +4,22 @@
 //! it has seen per address, in a `Vec` sorted by address), an ABD client
 //! executing one emulated register operation at a time, and an unchanged
 //! [`nc_core::LeanConsensus`] step machine. Whenever the lean machine
-//! surfaces a pending [`nc_memory::Op`], the client turns it into the
-//! two-phase ABD exchange; when the quorum answers, the machine is
-//! advanced — the step-machine design means lean-consensus itself never
-//! learns it left shared memory.
+//! surfaces a pending [`nc_memory::Op`], the client runs it as ABD's two
+//! quorum round trips, a query and a put, which reads and writes share;
+//! when the put's quorum answers, the machine is advanced — the
+//! step-machine design means lean-consensus itself never learns it left
+//! shared memory.
 //!
 //! Three robustness mechanisms ride on top of the classic emulation:
 //!
-//! * **Distinct-quorum counting.** Replies carry the replica id and each
-//!   phase tracks responders in a bitmask, so retransmitted or
+//! * **Distinct-quorum counting.** Replies carry the replica id and the
+//!   client marks responders in a bitset, so retransmitted or
 //!   network-duplicated replies can never fake a majority.
 //! * **Resendable phases.** Every phase keeps enough state to rebroadcast
 //!   its request verbatim (`Node::resend`, same operation id); replicas
 //!   are idempotent (highest-stamp-wins puts, re-replies deduplicated by
-//!   the mask), so the simulator's retry timers make the client survive
-//!   message loss and partitions.
+//!   the bitset), so the simulator's retry timers make the client
+//!   survive message loss and partitions.
 //! * **Gossip / anti-entropy.** `Node::gossip` pushes the node's
 //!   decision plus one drip-fed replica entry to a round-robin peer; an
 //!   undecided receiver adopts an incoming decision outright (safe by
@@ -63,202 +64,61 @@ pub struct Outgoing {
     pub payload: Payload,
 }
 
+/// One replica entry: a register's address, stamp and value.
+type Entry = (Addr, Stamp, Word);
+
 /// A replica shared by a subset of nodes, modelling a mixed
 /// shared-memory/message deployment.
 ///
-/// It stores the same `(address, stamp, value)` entries, sorted by
-/// address, as a private replica. Plane members hand out and absorb
-/// `(stamp, value)` pairs through the same highest-stamp-wins rule, so
-/// a `Put` applied by one member is instantly visible to every member —
-/// the plane is the join of its members' replicas, which the ABD
-/// emulation tolerates by construction. One rule differs: a put whose
-/// stamp loses leaves no entry behind here, while a private replica
-/// keeps a `(Stamp::ZERO, 0)` entry that gossip's drip counts.
-#[derive(Debug)]
-pub(crate) struct SharedPlane {
-    entries: Vec<(Addr, Stamp, Word)>,
-}
+/// It holds the same `(address, stamp, value)` entries, sorted by
+/// address, as a private replica, under the same highest-stamp-wins
+/// `put`, so a `Put` applied by one member is instantly visible to every
+/// member — the plane is the join of its members' replicas, which the
+/// ABD emulation tolerates by construction. One rule differs: a put
+/// whose stamp loses leaves no entry behind here, while a private
+/// replica keeps a `(Stamp::ZERO, 0)` entry that gossip's drip counts.
+pub(crate) type SharedPlane = Rc<RefCell<Vec<Entry>>>;
 
-impl SharedPlane {
-    /// Creates a plane pre-seeded with `sentinels` (same stamping rule
-    /// as [`Node::new`]).
-    pub(crate) fn new(sentinels: &[(Addr, Word)]) -> Rc<RefCell<Self>> {
-        let mut plane = SharedPlane {
-            entries: Vec::with_capacity(sentinels.len()),
-        };
-        for &(addr, value) in sentinels {
-            plane.put(addr, Stamp::ZERO.next_for(0), value);
-        }
-        Rc::new(RefCell::new(plane))
+/// A replica holding only `sentinels`, each stamped just above
+/// `Stamp::ZERO` (see [`Node::new`]).
+pub(crate) fn seeded(sentinels: &[(Addr, Word)]) -> SharedPlane {
+    let mut entries = Vec::with_capacity(sentinels.len());
+    for &(addr, value) in sentinels {
+        put(&mut entries, addr, Stamp::ZERO.next_for(0), value, true);
     }
-
-    fn put(&mut self, addr: Addr, stamp: Stamp, value: Word) {
-        match self.entries.binary_search_by_key(&addr, |e| e.0) {
-            Ok(i) if stamp > self.entries[i].1 => self.entries[i] = (addr, stamp, value),
-            Err(i) if stamp > Stamp::ZERO => self.entries.insert(i, (addr, stamp, value)),
-            _ => {}
-        }
-    }
+    Rc::new(RefCell::new(entries))
 }
 
-/// The node's replica state: private, or a shared plane.
-#[derive(Debug)]
-enum ReplicaStore {
-    /// A private replica: `(address, stamp, value)` entries sorted by
-    /// address, so lookups binary-search and gossip's drip (entry
-    /// `k % len`) walks them in address order — a pure function of the
-    /// replica's contents, as run reproducibility needs. It holds one
-    /// entry per address it has seen, so any [`Addr`] a caller passes
-    /// costs one entry, not an array reaching up to that address.
-    Private(Vec<(Addr, Stamp, Word)>),
-    /// A plane shared with other nodes.
-    Shared(Rc<RefCell<SharedPlane>>),
-}
-
-/// Index of `addr`'s entry in a sorted private replica, inserting
-/// `(addr, Stamp::ZERO, 0)` there first if it has none. A put whose
-/// stamp loses still leaves that entry behind, and gossip's drip
-/// counts it.
-fn entry_index(entries: &mut Vec<(Addr, Stamp, Word)>, addr: Addr) -> usize {
-    entries
-        .binary_search_by_key(&addr, |e| e.0)
-        .unwrap_or_else(|i| {
-            entries.insert(i, (addr, Stamp::ZERO, 0));
-            i
-        })
-}
-
-/// `addr`'s `(stamp, value)` in sorted `entries`; `(Stamp::ZERO, 0)`
-/// when it has no entry.
-fn lookup(entries: &[(Addr, Stamp, Word)], addr: Addr) -> (Stamp, Word) {
+/// Highest-stamp-wins put of `(stamp, value)` at `addr` into sorted
+/// `entries`. An address with no entry reads as `(Stamp::ZERO, 0)`; a
+/// put that does not beat that leaves the zero entry behind when
+/// `keep_losers` is set (a private replica, whose gossip drip counts
+/// it), and nothing otherwise (a shared plane).
+fn put(entries: &mut Vec<Entry>, addr: Addr, stamp: Stamp, value: Word, keep_losers: bool) {
     match entries.binary_search_by_key(&addr, |e| e.0) {
-        Ok(i) => (entries[i].1, entries[i].2),
-        Err(_) => (Stamp::ZERO, 0),
+        Ok(i) if stamp > entries[i].1 => entries[i] = (addr, stamp, value),
+        Err(i) if stamp > Stamp::ZERO => entries.insert(i, (addr, stamp, value)),
+        Err(i) if keep_losers => entries.insert(i, (addr, Stamp::ZERO, 0)),
+        _ => {}
     }
 }
 
-/// Gossip's drip: entry `k % len` of sorted `entries`, or `None` when
-/// there are none.
-fn nth_entry(entries: &[(Addr, Stamp, Word)], k: usize) -> Option<(Addr, Stamp, Word)> {
-    (!entries.is_empty()).then(|| entries[k % entries.len()])
-}
-
-impl ReplicaStore {
-    fn get(&self, addr: Addr) -> (Stamp, Word) {
-        match self {
-            ReplicaStore::Private(entries) => lookup(entries, addr),
-            ReplicaStore::Shared(plane) => lookup(&plane.borrow().entries, addr),
-        }
-    }
-
-    fn put(&mut self, addr: Addr, stamp: Stamp, value: Word) {
-        match self {
-            ReplicaStore::Private(entries) => {
-                let i = entry_index(entries, addr);
-                if stamp > entries[i].1 {
-                    entries[i] = (addr, stamp, value);
-                }
-            }
-            ReplicaStore::Shared(plane) => plane.borrow_mut().put(addr, stamp, value),
-        }
-    }
-
-    fn nth_entry(&self, k: usize) -> Option<(Addr, Stamp, Word)> {
-        match self {
-            ReplicaStore::Private(entries) => nth_entry(entries, k),
-            ReplicaStore::Shared(plane) => nth_entry(&plane.borrow().entries, k),
-        }
-    }
-}
-
-/// Distinct-replica reply mask: which replicas the in-flight phase has
-/// heard from. The inline `u128` covers n ≤ 128 with zero allocation
-/// (the overwhelmingly common case); larger configurations spill to a
-/// boxed word vector sized once per phase, so oversize deployments work
-/// instead of panicking a worker thread.
-#[derive(Clone, Debug, PartialEq)]
-enum Heard {
-    /// n ≤ 128: one inline mask word.
-    Inline(u128),
-    /// n > 128: `⌈n / 64⌉` mask words.
-    Spilled(Box<[u64]>),
-}
-
-impl Heard {
-    /// An empty mask sized for an `n`-node deployment.
-    fn for_n(n: u32) -> Self {
-        if n <= 128 {
-            Heard::Inline(0)
-        } else {
-            Heard::Spilled(vec![0u64; n.div_ceil(64) as usize].into_boxed_slice())
-        }
-    }
-
-    /// Records a reply from replica `from`; returns `false` when that
-    /// replica was already counted (duplicate / retransmitted reply).
-    fn insert(&mut self, from: u32) -> bool {
-        match self {
-            Heard::Inline(mask) => {
-                let bit = 1u128 << from;
-                if *mask & bit != 0 {
-                    return false;
-                }
-                *mask |= bit;
-                true
-            }
-            Heard::Spilled(words) => {
-                let (word, bit) = ((from / 64) as usize, 1u64 << (from % 64));
-                if words[word] & bit != 0 {
-                    return false;
-                }
-                words[word] |= bit;
-                true
-            }
-        }
-    }
-
-    /// Number of distinct replicas heard from.
-    fn count(&self) -> u32 {
-        match self {
-            Heard::Inline(mask) => mask.count_ones(),
-            Heard::Spilled(words) => words.iter().map(|w| w.count_ones()).sum(),
-        }
-    }
-}
-
-/// What the ABD client is currently doing. Every waiting phase tracks
-/// the distinct replicas heard from (`heard`, a bitmask) and carries
-/// enough state to rebroadcast its request verbatim on a retry timeout.
-#[derive(Clone, Debug, PartialEq)]
+/// What the ABD client is doing. A read and a write run the same two
+/// round trips, and each waiting phase carries enough state to
+/// rebroadcast its request verbatim on a retry timeout.
+#[derive(Clone, Copy, Debug, PartialEq)]
 enum ClientPhase {
     /// No operation in flight (lean machine decided, or about to start).
     Idle,
-    /// Read phase 1: collecting `ReadR` replies.
-    ReadQuery {
-        addr: Addr,
-        heard: Heard,
-        best: (Stamp, Word),
-    },
-    /// Read phase 2 (write-back): collecting `Ack`s; will return `value`.
-    ReadBack {
+    /// Round trip 1: collecting `Reply`s; `write` holds a write's value.
+    Query { addr: Addr, write: Option<Word> },
+    /// Round trip 2: collecting `Ack`s for `(stamp, value)`; a read then
+    /// returns `value`.
+    Put {
         addr: Addr,
         stamp: Stamp,
         value: Word,
-        heard: Heard,
-    },
-    /// Write phase 1: collecting `WriteR` stamps.
-    WriteQuery {
-        addr: Addr,
-        value: Word,
-        heard: Heard,
-        best: Stamp,
-    },
-    /// Write phase 2: collecting `Ack`s.
-    WritePut {
-        addr: Addr,
-        stamp: Stamp,
-        value: Word,
-        heard: Heard,
+        read: bool,
     },
 }
 
@@ -268,13 +128,31 @@ pub struct Node {
     id: u32,
     n: u32,
     machine: LeanConsensus,
-    replica: ReplicaStore,
+    /// The replica: `(address, stamp, value)` entries sorted by address,
+    /// so lookups binary-search and gossip's drip (entry `k % len`)
+    /// walks them in address order — a pure function of the replica's
+    /// contents, as run reproducibility needs. It holds one entry per
+    /// address it has seen, so any [`Addr`] a caller passes costs one
+    /// entry, not an array reaching up to that address. Plane members
+    /// hold one `SharedPlane` in common; a private replica has the same
+    /// type, with this node its only holder.
+    replica: SharedPlane,
+    /// The `keep_losers` rule of every put into `replica`: set for a
+    /// private replica, clear for a shared plane.
+    keep_losers: bool,
     phase: ClientPhase,
     /// Bumped on every phase transition; the simulator's retry timers
     /// carry the epoch they were armed for, so a stale timer (the phase
     /// it guarded already completed) dies silently.
     epoch: u64,
     op_seq: u64,
+    /// The replicas the in-flight phase has heard from, one bit per
+    /// node in `n.div_ceil(64)` words sized once, at construction.
+    heard: Vec<u64>,
+    /// How many bits of `heard` are set.
+    replies: u32,
+    /// The freshest `(stamp, value)` the in-flight query has heard.
+    best: (Stamp, Word),
     /// Decision adopted from gossip (the local machine may still be
     /// mid-run; [`Node::decision`] prefers whichever exists).
     adopted: Option<Bit>,
@@ -282,8 +160,6 @@ pub struct Node {
     gossip_entry: usize,
     /// Emulated register operations completed (= lean-consensus ops).
     pub ops_done: u64,
-    /// Messages this node has sent.
-    pub msgs_sent: u64,
 }
 
 impl Node {
@@ -298,37 +174,35 @@ impl Node {
     /// zero stamp, the seeded 1 would tie with the default 0 and lose,
     /// and lean-consensus would (unsoundly) decide at round 1.
     ///
-    /// Any `n ≥ 1` is supported: the quorum mask keeps an inline `u128`
-    /// fast path for n ≤ 128 and spills to a heap-backed bitset above.
+    /// Any `n ≥ 1` is supported: the reply bitset takes `n.div_ceil(64)`
+    /// words, allocated here once.
     pub fn new(id: u32, n: u32, input: Bit, sentinels: &[(Addr, Word)]) -> Self {
-        let mut replica = Vec::with_capacity(sentinels.len());
-        for &(addr, value) in sentinels {
-            let i = entry_index(&mut replica, addr);
-            replica[i] = (addr, Stamp::ZERO.next_for(0), value);
-        }
-        Self::with_store(id, n, input, ReplicaStore::Private(replica))
+        Self::with_replica(id, n, input, seeded(sentinels), true)
     }
 
     /// Creates node `id` of `n` whose replica duties are served out of
     /// `plane` (a shared word store; the plane carries the sentinels).
-    pub(crate) fn new_shared(id: u32, n: u32, input: Bit, plane: Rc<RefCell<SharedPlane>>) -> Self {
-        Self::with_store(id, n, input, ReplicaStore::Shared(plane))
+    pub(crate) fn new_shared(id: u32, n: u32, input: Bit, plane: SharedPlane) -> Self {
+        Self::with_replica(id, n, input, plane, false)
     }
 
-    fn with_store(id: u32, n: u32, input: Bit, replica: ReplicaStore) -> Self {
+    fn with_replica(id: u32, n: u32, input: Bit, replica: SharedPlane, keep_losers: bool) -> Self {
         Node {
             id,
             n,
             machine: LeanConsensus::new(nc_memory::RaceLayout::at_base(0), input),
             replica,
+            keep_losers,
             phase: ClientPhase::Idle,
             epoch: 0,
             op_seq: 0,
+            heard: vec![0; n.div_ceil(64) as usize],
+            replies: 0,
+            best: (Stamp::ZERO, 0),
             adopted: None,
             gossip_peer: id,
             gossip_entry: 0,
             ops_done: 0,
-            msgs_sent: 0,
         }
     }
 
@@ -352,94 +226,102 @@ impl Node {
         self.epoch
     }
 
+    /// Enters `phase`, forgetting every reply the last phase heard.
     fn set_phase(&mut self, phase: ClientPhase) {
         self.phase = phase;
         self.epoch += 1;
+        self.heard.fill(0);
+        self.replies = 0;
+        self.best = (Stamp::ZERO, 0);
     }
 
-    fn quorum(&self) -> u32 {
-        self.n / 2 + 1
-    }
-
-    fn broadcast(&mut self, payload: Payload, out: &mut Vec<Outgoing>) {
-        out.push(Outgoing {
-            from: self.id,
-            to: Dest::All,
-            payload,
-        });
-        self.msgs_sent += self.n as u64;
-    }
-
-    fn reply(&mut self, to: u32, payload: Payload, out: &mut Vec<Outgoing>) {
-        out.push(Outgoing {
-            from: self.id,
-            to: Dest::One(to),
-            payload,
-        });
-        self.msgs_sent += 1;
-    }
-
-    fn fresh_op(&mut self) -> OpId {
+    /// Enters `phase` under a fresh operation id and broadcasts its
+    /// request.
+    fn start(&mut self, phase: ClientPhase, out: &mut Vec<Outgoing>) {
         self.op_seq += 1;
+        self.set_phase(phase);
+        self.resend(out);
+    }
+
+    /// The in-flight phase's operation id (`op_seq` moves on per phase).
+    fn op_id(&self) -> OpId {
         OpId {
             node: self.id,
             seq: self.op_seq,
         }
     }
 
-    fn current_op_id(&self) -> OpId {
-        OpId {
-            node: self.id,
-            seq: self.op_seq,
+    /// Counts replica `from`'s answer to `op` toward the in-flight
+    /// phase's quorum. Returns `false`, counting nothing, when `op` is
+    /// stale or `from` already counted (a duplicated or retransmitted
+    /// reply).
+    fn hear(&mut self, op: OpId, from: u32) -> bool {
+        let (word, bit) = ((from / 64) as usize, 1u64 << (from % 64));
+        if op != self.op_id() || self.heard[word] & bit != 0 {
+            return false;
         }
+        self.heard[word] |= bit;
+        self.replies += 1;
+        true
+    }
+
+    fn send(&self, to: Dest, payload: Payload, out: &mut Vec<Outgoing>) {
+        out.push(Outgoing {
+            from: self.id,
+            to,
+            payload,
+        });
+    }
+
+    /// `addr`'s `(stamp, value)` in the replica; `(Stamp::ZERO, 0)` when
+    /// it has no entry.
+    fn lookup(&self, addr: Addr) -> (Stamp, Word) {
+        let entries = self.replica.borrow();
+        match entries.binary_search_by_key(&addr, |e| e.0) {
+            Ok(i) => (entries[i].1, entries[i].2),
+            Err(_) => (Stamp::ZERO, 0),
+        }
+    }
+
+    /// Puts `(stamp, value)` at `addr` into the replica (see `put`).
+    fn store(&self, addr: Addr, stamp: Stamp, value: Word) {
+        let mut entries = self.replica.borrow_mut();
+        put(&mut entries, addr, stamp, value, self.keep_losers);
+    }
+
+    /// Gossip's drip: the next replica entry, round-robin over the
+    /// sorted entries (`None` while there are none).
+    fn drip(&mut self) -> Option<Entry> {
+        let entries = self.replica.borrow();
+        let entry = (!entries.is_empty()).then(|| entries[self.gossip_entry % entries.len()]);
+        self.gossip_entry = self.gossip_entry.wrapping_add(1);
+        entry
     }
 
     /// Starts the next emulated operation if the machine is pending and
-    /// the client idle. Returns `true` if messages were emitted.
-    pub fn kick(&mut self, out: &mut Vec<Outgoing>) -> bool {
+    /// the client idle.
+    pub fn kick(&mut self, out: &mut Vec<Outgoing>) {
         if self.phase != ClientPhase::Idle || self.adopted.is_some() {
-            return false;
+            return;
         }
-        match self.machine.status() {
-            Status::Decided(_) => false,
-            Status::Pending(Op::Read(addr)) => {
-                let op = self.fresh_op();
-                self.set_phase(ClientPhase::ReadQuery {
-                    addr,
-                    heard: Heard::for_n(self.n),
-                    best: (Stamp::ZERO, 0),
-                });
-                self.broadcast(Payload::ReadQ { op, addr }, out);
-                true
-            }
-            Status::Pending(Op::Write(addr, value)) => {
-                let op = self.fresh_op();
-                self.set_phase(ClientPhase::WriteQuery {
-                    addr,
-                    value,
-                    heard: Heard::for_n(self.n),
-                    best: Stamp::ZERO,
-                });
-                self.broadcast(Payload::WriteQ { op, addr }, out);
-                true
-            }
-        }
+        let (addr, write) = match self.machine.status() {
+            Status::Decided(_) => return,
+            Status::Pending(Op::Read(addr)) => (addr, None),
+            Status::Pending(Op::Write(addr, value)) => (addr, Some(value)),
+        };
+        self.start(ClientPhase::Query { addr, write }, out);
     }
 
     /// Rebroadcasts the in-flight phase's request (same operation id —
     /// replies already collected keep counting; replicas re-reply
-    /// idempotently and the `heard` mask deduplicates). Returns `false`
+    /// idempotently and the `heard` bitset deduplicates). Sends nothing
     /// when idle.
-    pub(crate) fn resend(&mut self, out: &mut Vec<Outgoing>) -> bool {
-        let op = self.current_op_id();
+    pub(crate) fn resend(&self, out: &mut Vec<Outgoing>) {
+        let op = self.op_id();
         let payload = match self.phase {
-            ClientPhase::Idle => return false,
-            ClientPhase::ReadQuery { addr, .. } => Payload::ReadQ { op, addr },
-            ClientPhase::WriteQuery { addr, .. } => Payload::WriteQ { op, addr },
-            ClientPhase::ReadBack {
-                addr, stamp, value, ..
-            }
-            | ClientPhase::WritePut {
+            ClientPhase::Idle => return,
+            ClientPhase::Query { addr, .. } => Payload::Query { op, addr },
+            ClientPhase::Put {
                 addr, stamp, value, ..
             } => Payload::Put {
                 op,
@@ -448,30 +330,30 @@ impl Node {
                 value,
             },
         };
-        self.broadcast(payload, out);
-        true
+        self.send(Dest::All, payload, out);
     }
 
     /// Emits one anti-entropy push to the next round-robin peer: the
     /// node's decision (if any) plus one replica entry, cycling through
-    /// the replica so repeated rounds converge state. Returns the chosen
-    /// peer.
-    pub(crate) fn gossip(&mut self, out: &mut Vec<Outgoing>) -> u32 {
+    /// the replica so repeated rounds converge state.
+    pub(crate) fn gossip(&mut self, out: &mut Vec<Outgoing>) {
         // Round-robin peer selection, skipping self (n = 1 degenerates
         // to self-gossip, which is harmless).
         self.gossip_peer = (self.gossip_peer + 1) % self.n;
         if self.gossip_peer == self.id && self.n > 1 {
             self.gossip_peer = (self.gossip_peer + 1) % self.n;
         }
-        let entry = self.replica.nth_entry(self.gossip_entry);
-        self.gossip_entry = self.gossip_entry.wrapping_add(1);
+        self.push_gossip(self.gossip_peer, out);
+    }
+
+    /// Sends `to` the node's decision (if any) and the next drip entry.
+    fn push_gossip(&mut self, to: u32, out: &mut Vec<Outgoing>) {
         let payload = Payload::Gossip {
             from: self.id,
             decision: self.decision(),
-            entry,
+            entry: self.drip(),
         };
-        self.reply(self.gossip_peer, payload, out);
-        self.gossip_peer
+        self.send(Dest::One(to), payload, out);
     }
 
     /// Handles one delivered message (replica duties + client progress),
@@ -479,24 +361,15 @@ impl Node {
     pub fn on_message(&mut self, payload: Payload, out: &mut Vec<Outgoing>) {
         match payload {
             // ----- replica side -----
-            Payload::ReadQ { op, addr } => {
-                let (stamp, value) = self.replica.get(addr);
-                let from = self.id;
-                self.reply(
-                    op.node,
-                    Payload::ReadR {
-                        op,
-                        from,
-                        stamp,
-                        value,
-                    },
-                    out,
-                );
-            }
-            Payload::WriteQ { op, addr } => {
-                let (stamp, _) = self.replica.get(addr);
-                let from = self.id;
-                self.reply(op.node, Payload::WriteR { op, from, stamp }, out);
+            Payload::Query { op, addr } => {
+                let (stamp, value) = self.lookup(addr);
+                let reply = Payload::Reply {
+                    op,
+                    from: self.id,
+                    stamp,
+                    value,
+                };
+                self.send(Dest::One(op.node), reply, out);
             }
             Payload::Put {
                 op,
@@ -504,115 +377,50 @@ impl Node {
                 stamp,
                 value,
             } => {
-                self.replica.put(addr, stamp, value);
-                let from = self.id;
-                self.reply(op.node, Payload::Ack { op, from }, out);
+                self.store(addr, stamp, value);
+                self.send(Dest::One(op.node), Payload::Ack { op, from: self.id }, out);
             }
 
             // ----- client side -----
-            Payload::ReadR {
+            Payload::Reply {
                 op,
                 from,
                 stamp,
                 value,
             } => {
-                if !self.current_op(op) {
+                let ClientPhase::Query { addr, write } = self.phase else {
+                    return;
+                };
+                if !self.hear(op, from) {
                     return;
                 }
-                if let ClientPhase::ReadQuery { addr, heard, best } = &mut self.phase {
-                    if !heard.insert(from) {
-                        return; // duplicate / retransmitted reply
-                    }
-                    if stamp > best.0 {
-                        *best = (stamp, value);
-                    }
-                    if heard.count() > self.n / 2 {
-                        // Phase 2: write back the freshest (stamp, value).
-                        let (stamp, value) = *best;
-                        let addr = *addr;
-                        let op = self.fresh_op();
-                        self.set_phase(ClientPhase::ReadBack {
-                            addr,
-                            stamp,
-                            value,
-                            heard: Heard::for_n(self.n),
-                        });
-                        self.broadcast(
-                            Payload::Put {
-                                op,
-                                addr,
-                                stamp,
-                                value,
-                            },
-                            out,
-                        );
-                    }
+                if stamp > self.best.0 {
+                    self.best = (stamp, value);
                 }
-            }
-            Payload::WriteR { op, from, stamp } => {
-                if !self.current_op(op) {
-                    return;
-                }
-                if let ClientPhase::WriteQuery {
-                    addr,
-                    value,
-                    heard,
-                    best,
-                } = &mut self.phase
-                {
-                    if !heard.insert(from) {
-                        return;
-                    }
-                    if stamp > *best {
-                        *best = stamp;
-                    }
-                    if heard.count() > self.n / 2 {
-                        let addr = *addr;
-                        let value = *value;
-                        let stamp = best.next_for(self.id);
-                        let op = self.fresh_op();
-                        self.set_phase(ClientPhase::WritePut {
-                            addr,
-                            stamp,
-                            value,
-                            heard: Heard::for_n(self.n),
-                        });
-                        self.broadcast(
-                            Payload::Put {
-                                op,
-                                addr,
-                                stamp,
-                                value,
-                            },
-                            out,
-                        );
-                    }
+                if self.replies > self.n / 2 {
+                    // Round trip 2: a read writes back the freshest
+                    // (stamp, value); a write puts its own value under
+                    // the next stamp.
+                    let (stamp, value) = match write {
+                        None => self.best,
+                        Some(value) => (self.best.0.next_for(self.id), value),
+                    };
+                    let read = write.is_none();
+                    let put = ClientPhase::Put {
+                        addr,
+                        stamp,
+                        value,
+                        read,
+                    };
+                    self.start(put, out);
                 }
             }
             Payload::Ack { op, from } => {
-                if !self.current_op(op) {
+                let ClientPhase::Put { value, read, .. } = self.phase else {
                     return;
-                }
-                let quorum = self.quorum();
-                match &mut self.phase {
-                    ClientPhase::ReadBack { heard, value, .. } => {
-                        if !heard.insert(from) {
-                            return;
-                        }
-                        if heard.count() >= quorum {
-                            let v = *value;
-                            self.finish_op(Some(v), out);
-                        }
-                    }
-                    ClientPhase::WritePut { heard, .. } => {
-                        if !heard.insert(from) {
-                            return;
-                        }
-                        if heard.count() >= quorum {
-                            self.finish_op(None, out);
-                        }
-                    }
-                    _ => {}
+                };
+                if self.hear(op, from) && self.replies > self.n / 2 {
+                    self.finish_op(read.then_some(value), out);
                 }
             }
 
@@ -623,7 +431,7 @@ impl Node {
                 entry,
             } => {
                 if let Some((addr, stamp, value)) = entry {
-                    self.replica.put(addr, stamp, value);
+                    self.store(addr, stamp, value);
                 }
                 match (decision, self.decision()) {
                     (Some(d), None) => {
@@ -632,28 +440,13 @@ impl Node {
                         self.adopted = Some(d);
                         self.set_phase(ClientPhase::Idle);
                     }
-                    (None, Some(_)) => {
-                        // Push-pull: an undecided peer asked — answer
-                        // with our decision (and an entry of our own).
-                        let entry = self.replica.nth_entry(self.gossip_entry);
-                        self.gossip_entry = self.gossip_entry.wrapping_add(1);
-                        let payload = Payload::Gossip {
-                            from: self.id,
-                            decision: self.decision(),
-                            entry,
-                        };
-                        self.reply(from, payload, out);
-                    }
+                    // Push-pull: an undecided peer asked — answer with
+                    // our decision (and an entry of our own).
+                    (None, Some(_)) => self.push_gossip(from, out),
                     _ => {}
                 }
             }
         }
-    }
-
-    /// Whether `op` belongs to the in-flight client phase (the client
-    /// bumps `op_seq` per phase, so the current id is always `op_seq`).
-    fn current_op(&self, op: OpId) -> bool {
-        op.node == self.id && op.seq == self.op_seq
     }
 
     fn finish_op(&mut self, read_value: Option<Word>, out: &mut Vec<Outgoing>) {
@@ -722,6 +515,21 @@ mod tests {
         }
     }
 
+    fn stamp(counter: u64, writer: u32) -> Stamp {
+        Stamp { counter, writer }
+    }
+
+    /// Replica `from`'s reply of `(stamp, value)` to `node`'s in-flight
+    /// query.
+    fn reply(node: &Node, from: u32, stamp: Stamp, value: Word) -> Payload {
+        Payload::Reply {
+            op: node.op_id(),
+            from,
+            stamp,
+            value,
+        }
+    }
+
     #[test]
     fn solo_node_decides_its_input_via_quorum_of_one() {
         for input in Bit::BOTH {
@@ -774,7 +582,7 @@ mod tests {
         // Nodes 0 and 1 share a plane; node 2 is message-only. The mixed
         // deployment must still reach agreement under scrambled delivery.
         for scramble in 1..=5u64 {
-            let plane = SharedPlane::new(&sentinels());
+            let plane = seeded(&sentinels());
             let inputs = [Bit::Zero, Bit::One, Bit::One];
             let mut nodes = vec![
                 Node::new_shared(0, 3, inputs[0], Rc::clone(&plane)),
@@ -791,7 +599,7 @@ mod tests {
                 "scramble {scramble}: {decisions:?}"
             );
             assert!(
-                plane.borrow().entries.len() > sentinels().len(),
+                plane.borrow().len() > sentinels().len(),
                 "members wrote through the plane"
             );
         }
@@ -803,14 +611,7 @@ mod tests {
         let mut out = Vec::new();
         let addr = Addr::new(5);
         let op = OpId { node: 1, seq: 1 };
-        let newer = Stamp {
-            counter: 2,
-            writer: 1,
-        };
-        let older = Stamp {
-            counter: 1,
-            writer: 1,
-        };
+        let (newer, older) = (stamp(2, 1), stamp(1, 1));
         node.on_message(
             Payload::Put {
                 op,
@@ -829,7 +630,7 @@ mod tests {
             },
             &mut out,
         );
-        assert_eq!(node.replica.get(addr), (newer, 7));
+        assert_eq!(node.lookup(addr), (newer, 7));
         // Both puts were acked regardless.
         let acks = out
             .iter()
@@ -840,16 +641,17 @@ mod tests {
 
     #[test]
     fn losing_puts_still_leave_an_entry_for_gossip() {
-        // ReadBack phases write back zero stamps. A private replica
-        // keeps each such address at the zero stamp, in address order,
-        // and gossip's drip (entry k mod len) counts it; a shared plane
-        // keeps no entry for a put that loses, so its drip stays empty.
+        // A read's put writes back a zero stamp when its quorum holds
+        // nothing newer. A private replica keeps each such address at
+        // the zero stamp, in address order, and gossip's drip (entry k
+        // mod len) counts it; a shared plane keeps no entry for a put
+        // that loses, so its drip stays empty.
         let five = Some((Addr::new(5), Stamp::ZERO, 0));
         let nine = Some((Addr::new(9), Stamp::ZERO, 0));
         let nodes = [
             (Node::new(0, 2, Bit::Zero, &[]), vec![five, nine, five]),
             (
-                Node::new_shared(0, 2, Bit::Zero, SharedPlane::new(&[])),
+                Node::new_shared(0, 2, Bit::Zero, seeded(&[])),
                 vec![None; 3],
             ),
         ];
@@ -865,31 +667,43 @@ mod tests {
                 };
                 node.on_message(put, &mut out);
             }
-            let drip: Vec<_> = (0..3).map(|k| node.replica.nth_entry(k)).collect();
+            let drip: Vec<_> = (0..3).map(|_| node.drip()).collect();
             assert_eq!(drip, want);
         }
     }
 
     #[test]
     fn stale_replies_are_ignored() {
+        // A reply or an ack under any op id but the in-flight phase's
+        // counts toward no quorum, even from a replica not yet heard.
         let mut node = Node::new(0, 3, Bit::One, &sentinels());
         let mut out = Vec::new();
-        node.kick(&mut out); // starts read of a0[1], op_seq = 1
+        node.kick(&mut out); // starts the read of a0[1], op_seq = 1
         let stale = OpId { node: 0, seq: 99 };
-        node.on_message(
-            Payload::ReadR {
+        for from in [1, 2] {
+            let reply = Payload::Reply {
                 op: stale,
-                from: 1,
-                stamp: Stamp {
-                    counter: 9,
-                    writer: 9,
-                },
+                from,
+                stamp: stamp(9, 9),
                 value: 1,
-            },
-            &mut out,
-        );
-        // Phase must still be the original query with no replicas heard.
-        assert!(matches!(&node.phase, ClientPhase::ReadQuery { heard, .. } if heard.count() == 0));
+            };
+            node.on_message(reply, &mut out);
+        }
+        assert!(matches!(node.phase, ClientPhase::Query { .. }));
+        assert_eq!((node.replies, node.best), (0, (Stamp::ZERO, 0)));
+        // The query's own replies move it on to the put; a stale ack,
+        // here one carrying the query's now-finished op id, does not.
+        let query = node.op_id();
+        node.on_message(reply(&node, 1, Stamp::ZERO, 0), &mut out);
+        node.on_message(reply(&node, 2, Stamp::ZERO, 0), &mut out);
+        assert!(matches!(node.phase, ClientPhase::Put { .. }));
+        for op in [query, stale] {
+            for from in [1, 2] {
+                node.on_message(Payload::Ack { op, from }, &mut out);
+            }
+        }
+        assert!(matches!(node.phase, ClientPhase::Put { .. }));
+        assert_eq!((node.replies, node.ops_done), (0, 0));
     }
 
     #[test]
@@ -899,30 +713,77 @@ mod tests {
         let mut node = Node::new(0, 3, Bit::One, &sentinels());
         let mut out = Vec::new();
         node.kick(&mut out);
-        let op = node.current_op_id();
-        let reply = Payload::ReadR {
-            op,
-            from: 1,
-            stamp: Stamp::ZERO,
-            value: 0,
-        };
-        node.on_message(reply, &mut out);
-        node.on_message(reply, &mut out);
+        let first = reply(&node, 1, Stamp::ZERO, 0);
+        node.on_message(first, &mut out);
+        node.on_message(first, &mut out);
         assert!(
-            matches!(node.phase, ClientPhase::ReadQuery { .. }),
+            matches!(node.phase, ClientPhase::Query { .. }),
             "duplicate reply advanced the phase"
         );
         // A reply from a second replica completes the majority.
-        node.on_message(
-            Payload::ReadR {
-                op,
-                from: 2,
-                stamp: Stamp::ZERO,
-                value: 0,
-            },
-            &mut out,
-        );
-        assert!(matches!(node.phase, ClientPhase::ReadBack { .. }));
+        node.on_message(reply(&node, 2, Stamp::ZERO, 0), &mut out);
+        assert!(matches!(node.phase, ClientPhase::Put { read: true, .. }));
+    }
+
+    #[test]
+    fn a_read_puts_back_the_freshest_reply() {
+        // n = 5: the quorum is three replies. The freshest of them, not
+        // the first, is what the read writes back and then returns.
+        let mut node = Node::new(0, 5, Bit::One, &sentinels());
+        let mut out = Vec::new();
+        node.kick(&mut out);
+        let ClientPhase::Query { addr, write: None } = node.phase else {
+            panic!("lean's first op is a read, got {:?}", node.phase);
+        };
+        for (from, counter, value) in [(3, 1, 4), (1, 7, 9), (4, 2, 5)] {
+            node.on_message(reply(&node, from, stamp(counter, from), value), &mut out);
+        }
+        let want = ClientPhase::Put {
+            addr,
+            stamp: stamp(7, 1),
+            value: 9,
+            read: true,
+        };
+        assert_eq!(node.phase, want);
+    }
+
+    #[test]
+    fn a_write_puts_its_value_under_the_next_stamp() {
+        // Lean's third op is a write. Its put carries the highest stamp
+        // in the query's reply quorum, moved on under the writer's id,
+        // and the writer's own value; the replies' values are ignored.
+        let mut node = Node::new(2, 5, Bit::One, &sentinels());
+        let mut out = Vec::new();
+        node.kick(&mut out);
+        for _ in 0..4 {
+            // Each read's two round trips hear three empty replicas.
+            let op = node.op_id();
+            for from in [0, 1, 3] {
+                let answer = match node.phase {
+                    ClientPhase::Query { .. } => reply(&node, from, Stamp::ZERO, 0),
+                    _ => Payload::Ack { op, from },
+                };
+                node.on_message(answer, &mut out);
+            }
+        }
+        assert_eq!(node.ops_done, 2);
+        let ClientPhase::Query {
+            addr,
+            write: Some(value),
+        } = node.phase
+        else {
+            panic!("lean's third op is a write, got {:?}", node.phase);
+        };
+        for (from, counter) in [(4, 3), (0, 5), (1, 4)] {
+            node.on_message(reply(&node, from, stamp(counter, from), 7), &mut out);
+        }
+        let want = ClientPhase::Put {
+            addr,
+            stamp: stamp(6, 2),
+            value,
+            read: false,
+        };
+        assert_eq!(node.phase, want);
     }
 
     #[test]
@@ -933,13 +794,15 @@ mod tests {
         let original = out[0];
         out.clear();
         let epoch = node.epoch();
-        assert!(node.resend(&mut out));
-        assert_eq!(out[0], original, "resend must repeat the same request");
+        node.resend(&mut out);
+        assert_eq!(out, [original], "resend must repeat the same request");
         assert_eq!(node.epoch(), epoch, "resend must not bump the epoch");
         // Idle nodes have nothing to resend.
         let mut idle = Node::new(1, 3, Bit::One, &sentinels());
         idle.adopted = Some(Bit::One);
-        assert!(!idle.resend(&mut Vec::new()));
+        out.clear();
+        idle.resend(&mut out);
+        assert!(out.is_empty());
     }
 
     #[test]
@@ -959,7 +822,7 @@ mod tests {
         );
         assert_eq!(node.decision(), Some(Bit::Zero), "adopted the decision");
         assert!(!node.awaiting(), "in-flight phase abandoned");
-        assert_eq!(node.replica.get(Addr::new(9)), (Stamp::ZERO.next_for(2), 1));
+        assert_eq!(node.lookup(Addr::new(9)), (Stamp::ZERO.next_for(2), 1));
         // A decided node answers an undecided gossiper (push-pull).
         out.clear();
         node.on_message(
@@ -985,10 +848,13 @@ mod tests {
     fn gossip_cycles_peers_and_entries() {
         let mut node = Node::new(1, 4, Bit::One, &sentinels());
         let mut out = Vec::new();
-        let peers: Vec<u32> = (0..6).map(|_| node.gossip(&mut out)).collect();
-        assert!(peers.iter().all(|&p| p != 1), "never gossips to self");
-        let distinct: std::collections::BTreeSet<u32> = peers.iter().copied().collect();
-        assert_eq!(distinct.len(), 3, "cycles through all peers");
+        for _ in 0..6 {
+            node.gossip(&mut out);
+        }
+        let peers: Vec<Dest> = out.iter().map(|o| o.to).collect();
+        assert!(!peers.contains(&Dest::One(1)), "never gossips to self");
+        let want = [2, 3, 0, 2, 3, 0].map(Dest::One);
+        assert_eq!(peers, want, "cycles through all peers");
         // Entries drip round-robin over the (sorted) replica.
         let entries: Vec<Addr> = out
             .iter()
@@ -1006,50 +872,40 @@ mod tests {
     }
 
     #[test]
-    fn heard_mask_inline_and_spilled_agree() {
-        // The spilled representation must behave exactly like the
-        // inline mask: idempotent inserts, exact distinct counts.
-        for n in [1u32, 64, 128, 129, 130, 192, 257] {
-            let mut heard = Heard::for_n(n);
-            if n <= 128 {
-                assert!(matches!(heard, Heard::Inline(0)));
-            } else {
-                assert!(matches!(&heard, Heard::Spilled(w) if w.len() == n.div_ceil(64) as usize));
-            }
+    fn reply_bitset_dedups_and_counts_at_every_n() {
+        // One bitset serves every n: inserts are idempotent and counts
+        // exact across the word boundaries at 64, 128 and 256.
+        for n in [1u32, 64, 65, 128, 129, 257] {
+            let mut node = Node::new(0, n, Bit::One, &sentinels());
+            assert_eq!(node.heard.len(), n.div_ceil(64) as usize);
+            let op = node.op_id();
             for id in 0..n {
-                assert!(heard.insert(id), "first insert of {id} (n = {n})");
-                assert!(!heard.insert(id), "duplicate insert of {id} (n = {n})");
-                assert_eq!(heard.count(), id + 1);
+                assert!(node.hear(op, id), "first insert of {id} (n = {n})");
+                assert!(!node.hear(op, id), "duplicate insert of {id} (n = {n})");
+                assert_eq!(node.replies, id + 1);
             }
+            assert_eq!(node.heard.iter().map(|w| w.count_ones()).sum::<u32>(), n);
         }
     }
 
     #[test]
     fn oversize_deployment_spills_mask_and_still_dedups() {
         // Regression for the old `assert!(n <= 128)`: n = 129 must
-        // construct, and replica 128's reply must land in the spilled
-        // mask's second word without shadowing replica 64 (which shares
-        // its bit index mod 64).
+        // construct, and replica 128's reply must land in the bitset's
+        // third word without shadowing replica 64 (which shares its bit
+        // index mod 64).
         let mut node = Node::new(0, 129, Bit::One, &sentinels());
         let mut out = Vec::new();
         node.kick(&mut out);
-        let op = node.current_op_id();
         for from in [64u32, 128, 128] {
-            node.on_message(
-                Payload::ReadR {
-                    op,
-                    from,
-                    stamp: Stamp::ZERO,
-                    value: 0,
-                },
-                &mut out,
-            );
+            node.on_message(reply(&node, from, Stamp::ZERO, 0), &mut out);
         }
         assert!(
-            matches!(&node.phase, ClientPhase::ReadQuery { heard, .. } if heard.count() == 2),
+            matches!(node.phase, ClientPhase::Query { .. }) && node.replies == 2,
             "expected 2 distinct replicas counted, phase = {:?}",
             node.phase
         );
+        assert_eq!(node.heard, [0, 1, 1]);
     }
 
     #[test]

@@ -5,13 +5,17 @@
 //! which makes concurrent writes totally ordered and the emulation
 //! multi-writer safe.
 //!
-//! * **Read(addr)**: send `ReadQ` to all; collect a majority of `ReadR`;
-//!   take the maximum stamp; *write back* that (stamp, value) with `Put`
-//!   to a majority; return the value. (The write-back is what upgrades
-//!   regular to atomic — a later read can't see an older value.)
-//! * **Write(addr, v)**: send `WriteQ` to all; collect a majority of
-//!   `WriteR` stamps; pick `counter = max + 1`, `writer = self`; `Put`
-//!   the new (stamp, v) to a majority; done.
+//! A read and a write are the same two quorum round trips:
+//!
+//! 1. **Query**: send `Query` to all; collect a majority of `Reply`s,
+//!    each a replica's (stamp, value); keep the maximum stamp.
+//! 2. **Put**: send `Put` with a (stamp, value) to all; collect a
+//!    majority of `Ack`s.
+//!
+//! A read puts back the freshest (stamp, value) it saw and returns that
+//! value (the write-back is what upgrades regular to atomic: a later
+//! read can't see an older value). A write ignores the replied values
+//! and puts its own value under `counter = max + 1`, `writer = self`.
 
 use std::fmt;
 
@@ -63,14 +67,14 @@ pub struct OpId {
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub enum Payload {
     /// Client → replica: what is your (stamp, value) for `addr`?
-    ReadQ {
+    Query {
         /// Operation id for reply matching.
         op: OpId,
-        /// Register being read.
+        /// Register being read or written.
         addr: Addr,
     },
-    /// Replica → client: my copy of `addr`.
-    ReadR {
+    /// Replica → client: my copy of the queried register.
+    Reply {
         /// Operation id echoed.
         op: OpId,
         /// The replying replica (quorums count **distinct** replicas, so
@@ -78,27 +82,11 @@ pub enum Payload {
         from: u32,
         /// Register stamp at the replica.
         stamp: Stamp,
-        /// Register value at the replica.
+        /// Register value at the replica (a write ignores it).
         value: Word,
     },
-    /// Client → replica: what is your stamp for `addr`? (write phase 1)
-    WriteQ {
-        /// Operation id for reply matching.
-        op: OpId,
-        /// Register being written.
-        addr: Addr,
-    },
-    /// Replica → client: my stamp for the queried register.
-    WriteR {
-        /// Operation id echoed.
-        op: OpId,
-        /// The replying replica (see [`Payload::ReadR::from`]).
-        from: u32,
-        /// Register stamp at the replica.
-        stamp: Stamp,
-    },
     /// Client → replica: adopt (stamp, value) for `addr` if newer
-    /// (read write-back and write phase 2 share this message).
+    /// (a read's write-back and a write's new value alike).
     Put {
         /// Operation id for ack matching.
         op: OpId,
@@ -113,7 +101,7 @@ pub enum Payload {
     Ack {
         /// Operation id echoed.
         op: OpId,
-        /// The acking replica (see [`Payload::ReadR::from`]).
+        /// The acking replica (see [`Payload::Reply::from`]).
         from: u32,
     },
     /// Anti-entropy push between peers: the sender's decision (if any)

@@ -27,14 +27,14 @@
 //! Pending events — deliveries, retry timers and gossip ticks — wait in
 //! the engine's [`EventQueue`], a 4-ary heap of 16-byte integer keys
 //! `(time, seq, slot)`; the event bodies sit in a slab the `slot` field
-//! indexes, so sifts never move them. Every event takes a fresh `seq`
-//! when it is scheduled, so no two keys tie and the pop order is exactly
-//! `(time by total_cmp, seq)`, whatever the slot — the order the
-//! pre-fault oracle in `tests/net_faults.rs` implements with a plain
-//! `BinaryHeap`. Equal times are common under two-point, constant or
-//! geometric delays, so `seq` is part of the behaviour: a unicast copy
-//! takes its `seq` before the cut and loss checks, and each duplicate,
-//! retry timer and gossip tick takes its own (pinned by
+//! indexes, so sifts never move them. The agenda gives every event the
+//! next `seq` when it is scheduled, so no two keys tie and the pop order
+//! is exactly `(time by total_cmp, scheduling order)`, whatever the
+//! slot — the order the pre-fault oracle in `tests/net_faults.rs`
+//! implements with a plain `BinaryHeap`. Equal times are common under
+//! two-point, constant or geometric delays, so the scheduling order is
+//! part of the behaviour: each copy, duplicate, retry timer and gossip
+//! tick is scheduled the moment it is drawn (pinned by
 //! `fault_streams_are_pinned` in the same file).
 
 use nc_memory::{Bit, RaceLayout, Word};
@@ -44,7 +44,7 @@ use nc_sched::{stream_rng, EventQueue, Noise, QueuedEvent};
 use rand::RngExt;
 
 use crate::faults::{NetFaultError, NetFaultSpec, RecoverySpec};
-use crate::node::{Dest, Node, Outgoing, SharedPlane};
+use crate::node::{seeded, Dest, Node, Outgoing};
 use crate::proto::Payload;
 
 /// How a [`Dest::All`] send is expanded into the network.
@@ -322,19 +322,22 @@ enum Event {
 
 /// The pending events of one run: `(time, seq, slot)` keys in an
 /// [`EventQueue`] (the key's `pid` field carries the slot), and the
-/// bodies in `bodies`, a slab recycled through the `free` list. Callers
-/// pass a fresh `seq` to every push, so the slot never decides the pop
-/// order (see the module docs).
+/// bodies in `bodies`, a slab recycled through the `free` list. Every
+/// push takes the next `seq`, so the slot never decides the pop order
+/// (see the module docs).
 #[derive(Debug, Default)]
 struct Agenda {
     queue: EventQueue,
     bodies: Vec<Event>,
     free: Vec<u32>,
+    /// The tie-break key of the latest push.
+    seq: u64,
 }
 
 impl Agenda {
-    /// Schedules `event` at `time` with tie-break key `seq`.
-    fn push(&mut self, time: f64, seq: u64, event: Event) {
+    /// Schedules `event` at `time` under the next tie-break key.
+    fn push(&mut self, time: f64, event: Event) {
+        self.seq += 1;
         let slot = match self.free.pop() {
             Some(slot) => {
                 self.bodies[slot as usize] = event;
@@ -349,7 +352,27 @@ impl Agenda {
                 (self.bodies.len() - 1) as u32
             }
         };
-        self.queue.push(QueuedEvent::new(time, seq, slot));
+        self.queue.push(QueuedEvent::new(time, self.seq, slot));
+    }
+
+    /// Schedules delivery of `payload` to node `to` at `time`.
+    fn send(&mut self, time: f64, to: u32, payload: Payload) {
+        self.push(time, Event::Msg { to, payload });
+    }
+
+    /// Arms a retry timer at `time` for node `i`'s current phase if it
+    /// is waiting and no timer chain guards this epoch yet; `armed` is
+    /// the epoch the node's latest chain guards.
+    fn arm(&mut self, time: f64, i: usize, node: &Node, armed: &mut u64) {
+        if node.awaiting() && *armed != node.epoch() {
+            *armed = node.epoch();
+            let timer = Event::Timeout {
+                node: i as u32,
+                epoch: *armed,
+                attempt: 0,
+            };
+            self.push(time, timer);
+        }
     }
 
     /// Removes the earliest event, returning its time and body.
@@ -358,34 +381,6 @@ impl Agenda {
         let slot = key.pid();
         self.free.push(slot);
         Some((key.time(), self.bodies[slot as usize]))
-    }
-}
-
-/// Arms a retry timer for node `i`'s current phase if recovery is on,
-/// the node is waiting, and no timer chain guards this epoch yet.
-#[allow(clippy::too_many_arguments)]
-fn arm_timer(
-    i: usize,
-    nodes: &[Node],
-    alive: &[bool],
-    armed_epoch: &mut [u64],
-    queue: &mut Agenda,
-    seq: &mut u64,
-    clock: f64,
-    timeout0: f64,
-) {
-    if alive[i] && nodes[i].awaiting() && armed_epoch[i] != nodes[i].epoch() {
-        armed_epoch[i] = nodes[i].epoch();
-        *seq += 1;
-        queue.push(
-            clock + timeout0,
-            *seq,
-            Event::Timeout {
-                node: i as u32,
-                epoch: armed_epoch[i],
-                attempt: 0,
-            },
-        );
     }
 }
 
@@ -422,7 +417,7 @@ pub fn run_message_passing(cfg: &MsgConfig, seed: u64) -> MsgReport {
     let plane = if cfg.shared_plane.is_empty() {
         None
     } else {
-        Some(SharedPlane::new(&sentinels))
+        Some(seeded(&sentinels))
     };
     let mut nodes: Vec<Node> = cfg
         .inputs
@@ -442,7 +437,6 @@ pub fn run_message_passing(cfg: &MsgConfig, seed: u64) -> MsgReport {
     let mut gossip_rng = stream_rng(seed, 0, salts::GOSSIP);
 
     let mut queue = Agenda::default();
-    let mut seq = 0u64;
     let mut clock = 0.0f64;
     let mut sent = 0u64;
     let mut lost = 0u64;
@@ -463,27 +457,13 @@ pub fn run_message_passing(cfg: &MsgConfig, seed: u64) -> MsgReport {
         node.kick(&mut outbox);
     }
     if recovery_on {
-        for i in 0..cfg.n {
-            arm_timer(
-                i,
-                &nodes,
-                &alive,
-                &mut armed_epoch,
-                &mut queue,
-                &mut seq,
-                clock,
-                timeout0,
-            );
+        for (i, node) in nodes.iter().enumerate() {
+            queue.arm(clock + timeout0, i, node, &mut armed_epoch[i]);
         }
         if gossip_interval > 0.0 {
             for node in 0..cfg.n as u32 {
                 let jitter: f64 = gossip_rng.random();
-                seq += 1;
-                queue.push(
-                    gossip_interval * (1.0 + jitter),
-                    seq,
-                    Event::GossipTick { node },
-                );
+                queue.push(gossip_interval * (1.0 + jitter), Event::GossipTick { node });
             }
         }
     }
@@ -503,13 +483,9 @@ pub fn run_message_passing(cfg: &MsgConfig, seed: u64) -> MsgReport {
                 // whole broadcast; partitions still cut per link.
                 let delay = cfg.delay.sample(&mut rng);
                 let lose_all = cfg.faults.loss > 0.0 && fault_rng.random::<f64>() < cfg.faults.loss;
-                let dup_all =
-                    cfg.faults.duplicate > 0.0 && fault_rng.random::<f64>() < cfg.faults.duplicate;
-                let dup_delay = if dup_all {
-                    cfg.delay.sample(&mut fault_rng)
-                } else {
-                    0.0
-                };
+                let dup_delay = (cfg.faults.duplicate > 0.0
+                    && fault_rng.random::<f64>() < cfg.faults.duplicate)
+                    .then(|| cfg.delay.sample(&mut fault_rng));
                 for to in 0..cfg.n as u32 {
                     sent += 1;
                     if cfg.faults.cuts(out.from, to, clock) {
@@ -520,26 +496,10 @@ pub fn run_message_passing(cfg: &MsgConfig, seed: u64) -> MsgReport {
                         lost += 1;
                         continue;
                     }
-                    seq += 1;
-                    queue.push(
-                        clock + delay,
-                        seq,
-                        Event::Msg {
-                            to,
-                            payload: out.payload,
-                        },
-                    );
-                    if dup_all {
+                    queue.send(clock + delay, to, out.payload);
+                    if let Some(dup_delay) = dup_delay {
                         duplicated += 1;
-                        seq += 1;
-                        queue.push(
-                            clock + dup_delay,
-                            seq,
-                            Event::Msg {
-                                to,
-                                payload: out.payload,
-                            },
-                        );
+                        queue.send(clock + dup_delay, to, out.payload);
                     }
                 }
                 continue;
@@ -550,7 +510,6 @@ pub fn run_message_passing(cfg: &MsgConfig, seed: u64) -> MsgReport {
             };
             for to in recipients {
                 let delay = cfg.delay.sample(&mut rng);
-                seq += 1;
                 sent += 1;
                 if cfg.faults.cuts(out.from, to, clock) {
                     cut += 1;
@@ -560,26 +519,11 @@ pub fn run_message_passing(cfg: &MsgConfig, seed: u64) -> MsgReport {
                     lost += 1;
                     continue;
                 }
-                queue.push(
-                    clock + delay,
-                    seq,
-                    Event::Msg {
-                        to,
-                        payload: out.payload,
-                    },
-                );
+                queue.send(clock + delay, to, out.payload);
                 if cfg.faults.duplicate > 0.0 && fault_rng.random::<f64>() < cfg.faults.duplicate {
                     duplicated += 1;
                     let dup_delay = cfg.delay.sample(&mut fault_rng);
-                    seq += 1;
-                    queue.push(
-                        clock + dup_delay,
-                        seq,
-                        Event::Msg {
-                            to,
-                            payload: out.payload,
-                        },
-                    );
+                    queue.send(clock + dup_delay, to, out.payload);
                 }
             }
         }
@@ -620,16 +564,7 @@ pub fn run_message_passing(cfg: &MsgConfig, seed: u64) -> MsgReport {
                         decide_times[i] = Some(clock);
                     }
                     if recovery_on {
-                        arm_timer(
-                            i,
-                            &nodes,
-                            &alive,
-                            &mut armed_epoch,
-                            &mut queue,
-                            &mut seq,
-                            clock,
-                            timeout0,
-                        );
+                        queue.arm(clock + timeout0, i, &nodes[i], &mut armed_epoch[i]);
                     }
                 }
             }
@@ -647,10 +582,8 @@ pub fn run_message_passing(cfg: &MsgConfig, seed: u64) -> MsgReport {
                     nodes[i].resend(&mut outbox);
                     let exp = (attempt + 1).min(cfg.recovery.max_backoff_exp);
                     let backoff = timeout0 * cfg.recovery.backoff.powi(exp as i32);
-                    seq += 1;
                     queue.push(
                         clock + backoff,
-                        seq,
                         Event::Timeout {
                             node,
                             epoch,
@@ -665,10 +598,8 @@ pub fn run_message_passing(cfg: &MsgConfig, seed: u64) -> MsgReport {
                     nodes[i].gossip(&mut outbox);
                     gossip_sent += 1;
                     let jitter: f64 = gossip_rng.random();
-                    seq += 1;
                     queue.push(
                         clock + gossip_interval * (0.75 + 0.5 * jitter),
-                        seq,
                         Event::GossipTick { node },
                     );
                 }
@@ -839,8 +770,8 @@ mod tests {
     #[test]
     fn oversize_deployment_decides_without_panicking() {
         // Regression: n = 129 used to hit `assert!(n <= 128)` in the
-        // node's quorum bitmask; the spilled mask must now carry a full
-        // unanimous run to a decision.
+        // node's quorum bitmask; the reply bitset, three words here, must
+        // carry a full unanimous run to a decision.
         let cfg =
             MsgConfig::new(129, Noise::Exponential { mean: 1.0 }).with_inputs(vec![Bit::One; 129]);
         assert_eq!(cfg.validate(), Ok(()));
