@@ -19,7 +19,11 @@
 //!   `trial_seed(service_seed, id, salts::SERVICE)` — the REQUIRED
 //!   derivation, making each instance's schedule noise an independent
 //!   stream that depends only on the service seed and the instance id,
-//!   never on sharding or arrival order.
+//!   never on sharding or arrival order. A resident instance costs one
+//!   24-byte map entry (its id and a 16-byte slot): an open instance
+//!   names a chunk of `procs` proposals in its shard's arena, which the
+//!   shard reads in place and frees after the batch that decides it,
+//!   and a decided one keeps its fact without the id.
 //! * **Batched stepping.** Each shard owns one reusable
 //!   [`nc_engine::sim::SimRun`] handle and drives its ready list
 //!   through it ([`SimRun::run_with_inputs`]).
@@ -44,6 +48,8 @@
 //!   instances stay resident in the table; evicted ids keep answering
 //!   [`NcService::status`] as [`InstanceStatus::Evicted`] out of the
 //!   compact journal index, so eviction never shrinks the API surface.
+//!   `DecidedCap` keeps its residents in a FIFO ring, and each publish
+//!   evicts at most one instance.
 //!
 //! The canonical **reduced log** ([`NcService::reduced_log`], the
 //! id-sorted merge of all shard journals) is byte-identical regardless
@@ -80,12 +86,13 @@
 #![forbid(unsafe_code)]
 
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::path::PathBuf;
 
 use nc_engine::sim::{Sim, SimRun};
 use nc_engine::{Algorithm, Limits};
 use nc_memory::Bit;
+use nc_sched::queue::MAX_PID;
 use nc_sched::rng::{salts, trial_seed};
 use nc_sched::{Noise, TimingModel};
 
@@ -146,6 +153,14 @@ pub enum ServiceConfigError {
     /// `segment_records` was zero: a journal segment must hold at
     /// least one record.
     ZeroSegmentRecords,
+    /// `procs` exceeded the processes the engine's noisy schedule can
+    /// name ([`nc_sched::queue::MAX_PID`] + 1).
+    TooManyProcs {
+        /// The refused process count.
+        procs: usize,
+        /// The largest process count an instance can run.
+        max: usize,
+    },
 }
 
 impl std::fmt::Display for ServiceConfigError {
@@ -159,11 +174,18 @@ impl std::fmt::Display for ServiceConfigError {
             ServiceConfigError::ZeroSegmentRecords => {
                 write!(f, "journal segment_records must be >= 1")
             }
+            ServiceConfigError::TooManyProcs { procs, max } => {
+                write!(f, "procs must be <= {max}, got {procs}")
+            }
         }
     }
 }
 
 impl std::error::Error for ServiceConfigError {}
+
+/// The most processes one instance can run: the engine's noisy
+/// schedule names at most `MAX_PID + 1` of them.
+const MAX_PROCS: usize = MAX_PID as usize + 1;
 
 /// Validating builder for [`ServiceConfig`], mirroring the
 /// `nc_engine::sim::Sim` idiom: set the knobs, then [`build`] checks
@@ -182,7 +204,7 @@ pub struct ServiceConfigBuilder {
 }
 
 impl ServiceConfigBuilder {
-    /// Sets the processes per instance (required, ≥ 1).
+    /// Sets the processes per instance (required, 1 to 2^24).
     pub fn procs(mut self, procs: usize) -> Self {
         self.procs = procs;
         self
@@ -225,6 +247,12 @@ impl ServiceConfigBuilder {
     pub fn build(self) -> Result<ServiceConfig, ServiceConfigError> {
         if self.procs == 0 {
             return Err(ServiceConfigError::ZeroProcs);
+        }
+        if self.procs > MAX_PROCS {
+            return Err(ServiceConfigError::TooManyProcs {
+                procs: self.procs,
+                max: MAX_PROCS,
+            });
         }
         if self.shards == 0 {
             return Err(ServiceConfigError::ZeroShards);
@@ -283,25 +311,19 @@ pub struct CommitFact {
     pub ops: u64,
 }
 
-impl CommitFact {
-    /// The canonical one-line serialization (`id,value,round,ops`);
-    /// `value` is `0`, `1`, or `-` for undecided.
-    pub(crate) fn encode(&self) -> String {
-        let v = match self.value {
-            Some(Bit::Zero) => "0",
-            Some(Bit::One) => "1",
-            None => "-",
-        };
-        format!("{},{},{},{}\n", self.id, v, self.round, self.ops)
-    }
-}
-
-/// Canonical serialization of a journal slice: one [`CommitFact::encode`]
-/// line per fact, in slice order.
-pub(crate) fn encode_log(facts: &[CommitFact]) -> String {
+/// Canonical serialization of a sequence of facts: one line
+/// `id,value,round,ops` per fact, in iteration order, where `value` is
+/// `0`, `1`, or `-` for undecided.
+pub(crate) fn encode_log<'a>(facts: impl ExactSizeIterator<Item = &'a CommitFact>) -> String {
+    use std::fmt::Write;
     let mut out = String::with_capacity(facts.len() * 16);
     for fact in facts {
-        out.push_str(&fact.encode());
+        let v = match fact.value {
+            Some(Bit::Zero) => '0',
+            Some(Bit::One) => '1',
+            None => '-',
+        };
+        writeln!(out, "{},{v},{},{}", fact.id, fact.round, fact.ops).expect("String writes");
     }
     out
 }
@@ -369,24 +391,35 @@ impl std::fmt::Display for ServiceError {
 
 impl std::error::Error for ServiceError {}
 
-/// One resident instance in the table.
+/// One resident instance in the table; the id is the table key.
 enum Slot {
-    /// Collecting proposals, in submission order.
-    Open(Vec<Bit>),
+    /// Collecting proposals: the first `got` of the `procs` bits of
+    /// chunk `chunk` in its shard's arena, in submission order.
+    Open { chunk: u32, got: u32 },
     /// Fully proposed, waiting on its shard's next batch.
     Queued,
-    /// Decided and still resident.
-    Decided(CommitFact),
+    /// Decided and still resident: its [`CommitFact`] minus the id,
+    /// with the round at the journal record's width.
+    Decided {
+        value: Option<Bit>,
+        round: u32,
+        ops: u64,
+    },
 }
 
-/// One shard: a pooled engine handle, the ready list it drains, and
-/// the append-only journal (in-memory always, on disk when configured)
-/// it feeds.
+/// One shard: a pooled engine handle, the proposal arena and ready
+/// list it drains, and the append-only journal (in-memory always, on
+/// disk when configured) it feeds.
 struct Shard {
     runner: SimRun,
-    /// Fully proposed instances and their inputs, in completion order
-    /// until [`Shard::drain`] sorts them by id.
-    ready: Vec<(u64, Vec<Bit>)>,
+    /// Proposals of this shard's open and queued instances, `procs`
+    /// bits per chunk.
+    arena: Vec<Bit>,
+    /// Arena chunks no instance holds.
+    free: Vec<u32>,
+    /// Fully proposed instances and their arena chunks, in completion
+    /// order until [`Shard::drain`] sorts them by id.
+    ready: Vec<(u64, u32)>,
     journal: Vec<CommitFact>,
     /// Journal prefix already reflected in the instance table.
     synced: usize,
@@ -407,6 +440,8 @@ impl Shard {
                 .timing(cfg.timing)
                 .limits(cfg.limits)
                 .build(),
+            arena: Vec::new(),
+            free: Vec::new(),
             ready: Vec::new(),
             journal: replayed,
             synced,
@@ -416,18 +451,32 @@ impl Shard {
         }
     }
 
+    /// Hands out a free arena chunk of `procs` bits, growing the arena
+    /// when none is free.
+    fn alloc(&mut self, procs: usize) -> u32 {
+        self.free.pop().unwrap_or_else(|| {
+            let chunk = self.arena.len() / procs;
+            self.arena.resize(self.arena.len() + procs, Bit::Zero);
+            u32::try_from(chunk).expect("fewer than 2^32 open instances per shard")
+        })
+    }
+
     /// Decides every ready instance through the pooled handle in id
-    /// order, appending one commit fact each, then writes the batch to
-    /// disk in one group commit when a journal writer is attached.
-    /// The sort makes a batch's journal order a pure function of the
-    /// ready set, not of the order proposals arrived in; ids in one
-    /// list are unique, so an unstable sort is exact.
-    fn drain(&mut self) {
+    /// order, reading its inputs in place from the arena and appending
+    /// one commit fact each, then frees the batch's chunks and writes
+    /// the batch to disk in one group commit when a journal writer is
+    /// attached. The sort makes a batch's journal order a pure function
+    /// of the ready set, not of the order proposals arrived in; ids in
+    /// one list are unique, so an unstable sort is exact.
+    fn drain(&mut self, procs: usize) {
         let start = self.journal.len();
         self.ready.sort_unstable_by_key(|&(id, _)| id);
-        for (id, inputs) in self.ready.drain(..) {
+        for &(id, chunk) in &self.ready {
             let seed = trial_seed(self.seed, id, salts::SERVICE);
-            let report = self.runner.run_with_inputs(seed, &inputs);
+            let at = chunk as usize * procs;
+            let report = self
+                .runner
+                .run_with_inputs(seed, &self.arena[at..at + procs]);
             self.journal.push(CommitFact {
                 id,
                 value: report.agreement_value(),
@@ -435,6 +484,8 @@ impl Shard {
                 ops: report.total_ops,
             });
         }
+        self.free
+            .extend(self.ready.drain(..).map(|(_, chunk)| chunk));
         if let Some(writer) = &mut self.writer {
             if let Err(e) = writer.append_batch(&self.journal[start..]) {
                 // Publish none of a batch that may not be durable.
@@ -509,9 +560,10 @@ impl NcService {
     ///
     /// # Panics
     ///
-    /// Panics if `cfg.procs == 0` or `cfg.shards == 0` (impossible for
-    /// a builder-produced config), or if journal replay fails — use
-    /// [`NcService::open`] to handle [`JournalError`] as a value.
+    /// Panics if `cfg.procs` is zero or above 2^24 or `cfg.shards == 0`
+    /// (impossible for a builder-produced config), or if journal replay
+    /// fails — use [`NcService::open`] to handle [`JournalError`] as a
+    /// value.
     pub fn new(cfg: ServiceConfig) -> Self {
         NcService::open(cfg).expect("journal replay failed")
     }
@@ -535,9 +587,13 @@ impl NcService {
     ///
     /// # Panics
     ///
-    /// Panics if `cfg.procs == 0` or `cfg.shards == 0`.
+    /// Panics if `cfg.procs` is zero or above 2^24 (the engine's
+    /// `MAX_PID + 1`), or if `cfg.shards == 0`.
     pub fn open(cfg: ServiceConfig) -> Result<Self, JournalError> {
-        assert!(cfg.procs >= 1, "need at least one process per instance");
+        assert!(
+            (1..=MAX_PROCS).contains(&cfg.procs),
+            "need 1 to {MAX_PROCS} processes per instance"
+        );
         assert!(cfg.shards >= 1, "need at least one shard");
         if let Some(spec) = &cfg.journal {
             // Every open creates all its shard directories, so a journal
@@ -613,19 +669,24 @@ impl NcService {
     /// evicted instance is refused (single-shot).
     pub fn submit(&mut self, id: u64, value: Bit) -> Result<Ticket, ServiceError> {
         let (need, shard) = (self.cfg.procs, self.shard_of(id));
+        let home = &mut self.shards[shard];
         let slot = match self.instances.entry(id) {
             Entry::Occupied(e) => e.into_mut(),
             Entry::Vacant(_) if self.evicted.contains_key(&id) => {
                 return Err(ServiceError::InstanceClosed { id });
             }
-            Entry::Vacant(e) => e.insert(Slot::Open(Vec::with_capacity(need))),
+            Entry::Vacant(e) => e.insert(Slot::Open {
+                chunk: home.alloc(need),
+                got: 0,
+            }),
         };
-        let Slot::Open(inputs) = slot else {
+        let Slot::Open { chunk, got } = slot else {
             return Err(ServiceError::InstanceClosed { id });
         };
-        inputs.push(value);
-        if inputs.len() == need {
-            self.shards[shard].ready.push((id, std::mem::take(inputs)));
+        home.arena[*chunk as usize * need + *got as usize] = value;
+        *got += 1;
+        if *got as usize == need {
+            home.ready.push((id, *chunk));
             *slot = Slot::Queued;
         }
         self.pending += 1;
@@ -638,12 +699,17 @@ impl NcService {
     /// never refreshes LRU recency (that is [`NcService::poll`]'s job).
     pub fn status(&self, id: u64) -> InstanceStatus {
         match self.instances.get(&id) {
-            Some(Slot::Open(inputs)) => InstanceStatus::Accepting {
-                got: inputs.len(),
+            Some(&Slot::Open { got, .. }) => InstanceStatus::Accepting {
+                got: got as usize,
                 need: self.cfg.procs,
             },
             Some(Slot::Queued) => InstanceStatus::Queued,
-            Some(Slot::Decided(fact)) => InstanceStatus::Decided(*fact),
+            Some(&Slot::Decided { value, round, ops }) => InstanceStatus::Decided(CommitFact {
+                id,
+                value,
+                round: round as usize,
+                ops,
+            }),
             None => match self.evicted.get(&id) {
                 Some(&(decided, round)) => InstanceStatus::Evicted { decided, round },
                 None => InstanceStatus::Unknown,
@@ -671,17 +737,24 @@ impl NcService {
     }
 
     /// Publishes one fact: table entry, completion buffer, retention
-    /// bookkeeping, and any eviction it forces.
+    /// bookkeeping, and the eviction it may force. The round is stored
+    /// at the `u32` width the journal record already keeps.
     fn publish(&mut self, fact: CommitFact) {
-        self.instances.insert(fact.id, Slot::Decided(fact));
+        let CommitFact {
+            id,
+            value,
+            round,
+            ops,
+        } = fact;
+        let round = round as u32;
+        self.instances
+            .insert(id, Slot::Decided { value, round, ops });
         self.completions.push(fact);
-        let mut evict = VecDeque::new();
-        self.tracker.admit(fact.id, &mut evict);
-        while let Some(victim) = evict.pop_front() {
-            let Some(Slot::Decided(f)) = self.instances.remove(&victim) else {
+        if let Some(victim) = self.tracker.admit(id) {
+            let Some(Slot::Decided { value, round, .. }) = self.instances.remove(&victim) else {
                 unreachable!("tracker admits only decided instances");
             };
-            self.evicted.insert(victim, (f.value, f.round as u32));
+            self.evicted.insert(victim, (value, round));
         }
     }
 
@@ -709,14 +782,15 @@ impl NcService {
         self.pending = 0;
         let ready: usize = self.shards.iter().map(|s| s.ready.len()).sum();
         let workers = fanout_workers(threads, self.shards.len(), self.cfg.procs * ready);
-        let per = self.shards.len().div_ceil(workers);
+        let (per, procs) = (self.shards.len().div_ceil(workers), self.cfg.procs);
+        let drain = move |shards: &mut [Shard]| shards.iter_mut().for_each(|s| s.drain(procs));
         std::thread::scope(|scope| {
             let mut chunks = self.shards.chunks_mut(per);
             let own = chunks.next().unwrap_or_default();
             let handles: Vec<_> = chunks
-                .map(|chunk| scope.spawn(move || chunk.iter_mut().for_each(Shard::drain)))
+                .map(|chunk| scope.spawn(move || drain(chunk)))
                 .collect();
-            own.iter_mut().for_each(Shard::drain);
+            drain(own);
             for handle in handles {
                 handle.join().expect("shard worker panicked");
             }
@@ -730,13 +804,9 @@ impl NcService {
             }
         }
         let mut fresh = Vec::new();
-        for s in 0..self.shards.len() {
-            let start = self.shards[s].synced;
-            let end = self.shards[s].journal.len();
-            for i in start..end {
-                fresh.push(self.shards[s].journal[i]);
-            }
-            self.shards[s].synced = end;
+        for shard in &mut self.shards {
+            fresh.extend_from_slice(&shard.journal[shard.synced..]);
+            shard.synced = shard.journal.len();
         }
         for fact in &fresh {
             self.publish(*fact);
@@ -756,7 +826,7 @@ impl NcService {
             Retention::KeepAll => self
                 .instances
                 .values()
-                .filter(|s| matches!(s, Slot::Decided(_)))
+                .filter(|s| matches!(s, Slot::Decided { .. }))
                 .count(),
             _ => self.tracker.resident(),
         }
@@ -791,7 +861,7 @@ impl NcService {
 
     /// Canonical bytes of shard `s`'s journal.
     pub fn commit_log_bytes(&self, s: usize) -> String {
-        encode_log(&self.shards[s].journal)
+        encode_log(self.shards[s].journal.iter())
     }
 
     /// The canonical reduced commit log: all shard journals merged and
@@ -800,13 +870,9 @@ impl NcService {
     /// kill-and-reopen through the on-disk journal — facts are
     /// immutable and the id-sorted union is their join.
     pub fn reduced_log(&self) -> String {
-        let mut facts: Vec<CommitFact> = self
-            .shards
-            .iter()
-            .flat_map(|s| s.journal.iter().copied())
-            .collect();
+        let mut facts: Vec<&CommitFact> = self.shards.iter().flat_map(|s| &s.journal).collect();
         facts.sort_unstable_by_key(|f| f.id);
-        encode_log(&facts)
+        encode_log(facts.into_iter())
     }
 
     /// Total commit facts across all shards.
@@ -861,6 +927,20 @@ mod tests {
                 .build(),
             Err(ServiceConfigError::ZeroSegmentRecords)
         ));
+        // The builder refuses more processes than the engine can name
+        // without building anything.
+        let max = MAX_PID as usize + 1;
+        assert_eq!(
+            ServiceConfig::builder().procs(max + 1).build().unwrap_err(),
+            ServiceConfigError::TooManyProcs {
+                procs: max + 1,
+                max
+            }
+        );
+        assert_eq!(
+            ServiceConfig::builder().procs(max).build().unwrap().procs,
+            max
+        );
         let built = ServiceConfig::builder()
             .procs(3)
             .shards(4)
@@ -979,7 +1059,7 @@ mod tests {
         assert_eq!(facts[0].value, Some(Bit::Zero));
         assert_eq!(facts[1].value, Some(Bit::One));
         // The reduced log is exactly these facts in id order.
-        assert_eq!(svc.reduced_log(), encode_log(&facts));
+        assert_eq!(svc.reduced_log(), encode_log(facts.iter()));
     }
 
     #[test]
@@ -1001,15 +1081,23 @@ mod tests {
             round: 3,
             ops: 120,
         };
-        assert_eq!(fact.encode(), "42,1,3,120\n");
+        assert_eq!(encode_log([fact].iter()), "42,1,3,120\n");
         let undecided = CommitFact {
             id: 7,
             value: None,
             round: 0,
             ops: 999,
         };
-        assert_eq!(undecided.encode(), "7,-,0,999\n");
-        assert_eq!(encode_log(&[fact, undecided]), "42,1,3,120\n7,-,0,999\n");
+        assert_eq!(encode_log([undecided].iter()), "7,-,0,999\n");
+        assert_eq!(
+            encode_log([fact, undecided].iter()),
+            "42,1,3,120\n7,-,0,999\n"
+        );
+    }
+
+    #[test]
+    fn table_slot_is_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<Slot>(), 16);
     }
 
     #[test]

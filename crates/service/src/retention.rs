@@ -47,9 +47,19 @@ impl Retention {
 /// victims. Commit order doubles as both the FIFO axis
 /// ([`Retention::DecidedCap`]) and the initial recency axis
 /// ([`Retention::Lru`]); only `Lru` ever refreshes.
+#[derive(Debug)]
+pub(crate) enum ResidencyTracker {
+    /// Tracks nothing: nothing is ever evicted.
+    KeepAll,
+    /// Resident ids in commit order, oldest first.
+    DecidedCap { cap: usize, fifo: VecDeque<u64> },
+    /// Resident ids by recency stamp.
+    Lru { cap: usize, order: LruOrder },
+}
+
+/// Recency order for [`Retention::Lru`].
 #[derive(Debug, Default)]
-pub(crate) struct ResidencyTracker {
-    policy: Retention,
+pub(crate) struct LruOrder {
     /// Monotone stamp source (commit order, refreshed by touches).
     next_stamp: u64,
     /// stamp -> id, ascending = eviction order.
@@ -58,50 +68,77 @@ pub(crate) struct ResidencyTracker {
     stamp_of: HashMap<u64, u64>,
 }
 
+impl LruOrder {
+    /// Gives `id` the newest stamp, dropping its old one if it had one.
+    fn stamp(&mut self, id: u64) {
+        let stamp = self.next_stamp;
+        self.next_stamp += 1;
+        if let Some(old) = self.stamp_of.insert(id, stamp) {
+            self.by_stamp.remove(&old);
+        }
+        self.by_stamp.insert(stamp, id);
+    }
+}
+
 impl ResidencyTracker {
     pub(crate) fn new(policy: Retention) -> Self {
-        ResidencyTracker {
-            policy,
-            ..Default::default()
+        match policy {
+            Retention::KeepAll => ResidencyTracker::KeepAll,
+            Retention::DecidedCap(cap) => ResidencyTracker::DecidedCap {
+                cap,
+                fifo: VecDeque::new(),
+            },
+            Retention::Lru(cap) => ResidencyTracker::Lru {
+                cap,
+                order: LruOrder::default(),
+            },
         }
     }
 
-    /// Number of decided instances currently resident.
+    /// Number of decided instances currently resident (0 under
+    /// `KeepAll`, which tracks nothing).
     pub(crate) fn resident(&self) -> usize {
-        self.by_stamp.len()
+        match self {
+            ResidencyTracker::KeepAll => 0,
+            ResidencyTracker::DecidedCap { fifo, .. } => fifo.len(),
+            ResidencyTracker::Lru { order, .. } => order.by_stamp.len(),
+        }
     }
 
-    /// Records `id` as a freshly decided resident and drains any
-    /// over-cap victims into `evict` (earliest stamp first).
-    pub(crate) fn admit(&mut self, id: u64, evict: &mut VecDeque<u64>) {
-        let Some(cap) = self.policy.cap() else {
-            return;
-        };
-        let stamp = self.next_stamp;
-        self.next_stamp += 1;
-        self.by_stamp.insert(stamp, id);
-        self.stamp_of.insert(id, stamp);
-        while self.by_stamp.len() > cap {
-            let (_, victim) = self.by_stamp.pop_first().expect("len > cap >= 0");
-            self.stamp_of.remove(&victim);
-            evict.push_back(victim);
+    /// Records `id` as a freshly decided resident and returns the
+    /// victim it forces out, if any. The tracker is at most `cap`
+    /// before the admission, so one admission evicts at most one id.
+    pub(crate) fn admit(&mut self, id: u64) -> Option<u64> {
+        match self {
+            ResidencyTracker::KeepAll => None,
+            ResidencyTracker::DecidedCap { cap, fifo } => {
+                fifo.push_back(id);
+                if fifo.len() > *cap {
+                    fifo.pop_front()
+                } else {
+                    None
+                }
+            }
+            ResidencyTracker::Lru { cap, order } => {
+                order.stamp(id);
+                if order.by_stamp.len() <= *cap {
+                    return None;
+                }
+                let (_, victim) = order.by_stamp.pop_first()?;
+                order.stamp_of.remove(&victim);
+                Some(victim)
+            }
         }
     }
 
     /// Refreshes `id`'s recency (LRU policy only; a no-op otherwise or
     /// when `id` is not resident).
     pub(crate) fn touch(&mut self, id: u64) {
-        if !matches!(self.policy, Retention::Lru(_)) {
-            return;
+        if let ResidencyTracker::Lru { order, .. } = self {
+            if order.stamp_of.contains_key(&id) {
+                order.stamp(id);
+            }
         }
-        let Some(old) = self.stamp_of.get(&id).copied() else {
-            return;
-        };
-        self.by_stamp.remove(&old);
-        let stamp = self.next_stamp;
-        self.next_stamp += 1;
-        self.by_stamp.insert(stamp, id);
-        self.stamp_of.insert(id, stamp);
     }
 }
 
@@ -109,50 +146,53 @@ impl ResidencyTracker {
 mod tests {
     use super::*;
 
-    fn drain(evict: &mut VecDeque<u64>) -> Vec<u64> {
-        evict.drain(..).collect()
-    }
-
     #[test]
     fn keep_all_never_evicts() {
         let mut t = ResidencyTracker::new(Retention::KeepAll);
-        let mut evict = VecDeque::new();
         for id in 0..100 {
-            t.admit(id, &mut evict);
+            assert_eq!(t.admit(id), None);
         }
-        assert!(evict.is_empty());
         assert_eq!(t.resident(), 0, "KeepAll tracks nothing");
     }
 
     #[test]
     fn decided_cap_evicts_fifo_in_commit_order() {
         let mut t = ResidencyTracker::new(Retention::DecidedCap(3));
-        let mut evict = VecDeque::new();
         for id in [10, 20, 30] {
-            t.admit(id, &mut evict);
+            assert_eq!(t.admit(id), None);
         }
-        assert!(evict.is_empty());
-        t.admit(40, &mut evict);
-        t.admit(50, &mut evict);
-        assert_eq!(drain(&mut evict), vec![10, 20]);
+        assert_eq!(t.admit(40), Some(10));
+        assert_eq!(t.admit(50), Some(20));
         assert_eq!(t.resident(), 3);
         // Touch is a no-op under DecidedCap: 30 is still next out.
         t.touch(30);
-        t.admit(60, &mut evict);
-        assert_eq!(drain(&mut evict), vec![30]);
+        assert_eq!(t.admit(60), Some(30));
     }
 
     #[test]
     fn lru_touch_rescues_the_polled_instance() {
         let mut t = ResidencyTracker::new(Retention::Lru(2));
-        let mut evict = VecDeque::new();
-        t.admit(1, &mut evict);
-        t.admit(2, &mut evict);
+        assert_eq!(t.admit(1), None);
+        assert_eq!(t.admit(2), None);
         t.touch(1); // 2 is now least recent
-        t.admit(3, &mut evict);
-        assert_eq!(drain(&mut evict), vec![2]);
+        assert_eq!(t.admit(3), Some(2));
         t.touch(999); // unknown id: no-op
-        t.admit(4, &mut evict);
-        assert_eq!(drain(&mut evict), vec![1]);
+        assert_eq!(t.admit(4), Some(1));
+        assert_eq!(t.resident(), 2);
+    }
+
+    #[test]
+    fn one_admission_evicts_at_most_one() {
+        // Past the cap, every admission evicts exactly one id and the
+        // resident count stays at the cap: one victim always suffices.
+        for policy in [Retention::DecidedCap(3), Retention::Lru(3)] {
+            let mut t = ResidencyTracker::new(policy);
+            for id in 0..20u64 {
+                t.touch(id / 2);
+                let victim = t.admit(id);
+                assert_eq!(victim.is_some(), id >= 3, "{policy:?} admitting {id}");
+                assert_eq!(t.resident(), (id as usize + 1).min(3), "{policy:?}");
+            }
+        }
     }
 }
