@@ -111,17 +111,16 @@ fn policies(instances: u64) -> [(String, Retention); 3] {
 }
 
 fn config(procs: usize, shards: usize, seed: u64, retention: Retention, dir: &Path) -> NcService {
-    NcService::new(
-        ServiceConfig::builder()
-            .procs(procs)
-            .shards(shards)
-            .seed(seed)
-            .retention(retention)
-            .journal_dir(dir)
-            .segment_records(SEGMENT_RECORDS)
-            .build()
-            .expect("static E20 config is valid"),
-    )
+    let cfg = ServiceConfig::builder()
+        .procs(procs)
+        .shards(shards)
+        .seed(seed)
+        .retention(retention)
+        .journal_dir(dir)
+        .segment_records(SEGMENT_RECORDS)
+        .build()
+        .expect("static E20 config is valid");
+    NcService::open(cfg).expect("open E20 journal")
 }
 
 /// Submits and decides instances `ids`, in batches of four.

@@ -93,7 +93,7 @@ pub(crate) fn run_shard_sweep(instances: u64, procs: usize, seed: u64, threads: 
             .seed(seed)
             .build()
             .expect("static E19 config is valid");
-        let mut svc = NcService::new(cfg);
+        let mut svc = NcService::open(cfg).expect("E19 has no journal to replay");
         for id in 0..instances {
             for value in loadgen::proposals_for(id, procs) {
                 svc.submit(id, value).expect("fresh instance ids");

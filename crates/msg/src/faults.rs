@@ -73,11 +73,20 @@ impl Partition {
     }
 }
 
-/// Why a [`NetFaultSpec`] is rejected for a given deployment — every
-/// variant is a degenerate shape that would silently act as a no-op cut
-/// (or never take effect at all) if the run proceeded.
+/// Why a [`NetFaultSpec`] is rejected for a given deployment — an
+/// impossible rate, or a degenerate partition shape that would silently
+/// act as a no-op cut (or never take effect at all) if the run
+/// proceeded.
 #[derive(Clone, PartialEq, Debug)]
 pub enum NetFaultError {
+    /// A loss or duplication rate outside `[0, 1]`, or NaN: it is no
+    /// probability, yet any nonzero value arms the recovery plane.
+    Rate {
+        /// The field: `"loss"` or `"duplicate"`.
+        field: &'static str,
+        /// Its value.
+        value: f64,
+    },
     /// A partition window with `start >= end` (or a negative start):
     /// no instant ever falls inside it, so it cuts nothing.
     EmptyWindow {
@@ -105,6 +114,9 @@ pub enum NetFaultError {
 impl std::fmt::Display for NetFaultError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            NetFaultError::Rate { field, value } => {
+                write!(f, "{field} rate {value} is not a probability in [0, 1]")
+            }
             NetFaultError::EmptyWindow { index, start, end } => write!(
                 f,
                 "partition {index}: empty window [{start}, {end}) cuts nothing (need 0 <= start < end)"
@@ -178,7 +190,9 @@ impl NetFaultSpec {
         self.partitions.iter().any(|p| p.start <= t && t < p.end)
     }
 
-    /// Rejects degenerate partition shapes for an `n`-node deployment.
+    /// Rejects a loss or duplication rate outside `[0, 1]` (NaN
+    /// included), then degenerate partition shapes for an `n`-node
+    /// deployment.
     ///
     /// Three shapes pass [`Partition::cuts`] without ever cutting a
     /// link — `start >= end`, a `side` naming no node in `0..n`, and a
@@ -189,6 +203,11 @@ impl NetFaultSpec {
     /// within `side` are tolerated (ignored / deduplicated) as long as
     /// the *effective* side is a proper non-empty subset.
     pub(crate) fn validate(&self, n: usize) -> Result<(), NetFaultError> {
+        for (field, value) in [("loss", self.loss), ("duplicate", self.duplicate)] {
+            if !(0.0..=1.0).contains(&value) {
+                return Err(NetFaultError::Rate { field, value });
+            }
+        }
         for (index, p) in self.partitions.iter().enumerate() {
             p.validate(index, n)?;
         }
@@ -284,6 +303,33 @@ mod tests {
     #[should_panic(expected = "loss must be in [0,1]")]
     fn invalid_loss_rejected() {
         let _ = NetFaultSpec::none().with_loss(1.5);
+    }
+
+    #[test]
+    fn validate_rejects_impossible_rates() {
+        let rate = |loss: f64, duplicate: f64| NetFaultSpec {
+            loss,
+            duplicate,
+            ..NetFaultSpec::none()
+        };
+        for (spec, field, value) in [
+            (rate(f64::NAN, 0.0), "loss", f64::NAN),
+            (rate(2.0, 0.0), "loss", 2.0),
+            (rate(-0.5, 0.0), "loss", -0.5),
+            (rate(0.0, 1.5), "duplicate", 1.5),
+            (rate(0.0, f64::NAN), "duplicate", f64::NAN),
+        ] {
+            match spec.validate(5) {
+                Err(NetFaultError::Rate { field: f, value: v }) => {
+                    assert_eq!(f, field);
+                    assert!(v == value || (v.is_nan() && value.is_nan()), "{v}");
+                }
+                other => panic!("{field} = {value} must be refused, got {other:?}"),
+            }
+        }
+        // The bounds themselves are probabilities.
+        assert_eq!(rate(0.0, 0.0).validate(5), Ok(()));
+        assert_eq!(rate(1.0, 1.0).validate(5), Ok(()));
     }
 
     #[test]

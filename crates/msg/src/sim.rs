@@ -225,7 +225,8 @@ pub enum MsgConfigError {
         /// Deployment size.
         n: usize,
     },
-    /// The fault plane holds a degenerate partition shape.
+    /// The fault plane holds an impossible rate or a degenerate
+    /// partition shape.
     Faults(NetFaultError),
     /// The faults arm the retry timers, but a [`RecoverySpec`] field
     /// that sets their gaps is not finite and positive: a timer would
@@ -801,6 +802,18 @@ mod tests {
                 crate::faults::NetFaultError::EmptyWindow { .. }
             ))
         ));
+
+        let lossy = MsgConfig::new(5, Noise::Exponential { mean: 1.0 }).with_faults(NetFaultSpec {
+            loss: 2.0,
+            ..NetFaultSpec::none()
+        });
+        assert_eq!(
+            lossy.validate(),
+            Err(MsgConfigError::Faults(crate::faults::NetFaultError::Rate {
+                field: "loss",
+                value: 2.0
+            }))
+        );
     }
 
     #[test]

@@ -19,11 +19,12 @@
 //!   `trial_seed(service_seed, id, salts::SERVICE)` — the REQUIRED
 //!   derivation, making each instance's schedule noise an independent
 //!   stream that depends only on the service seed and the instance id,
-//!   never on sharding or arrival order. A resident instance costs one
-//!   24-byte map entry (its id and a 16-byte slot): an open instance
-//!   names a chunk of `procs` proposals in its shard's arena, which the
-//!   shard reads in place and frees after the batch that decides it,
-//!   and a decided one keeps its fact without the id.
+//!   never on sharding or arrival order. An instance costs one 24-byte
+//!   map entry (its id and a 16-byte slot): an open instance names a
+//!   chunk of `procs` proposals in its shard's arena, which the shard
+//!   reads in place and frees after the batch that decides it, and a
+//!   decided or evicted one keeps its fact without the id. The table is
+//!   the only in-memory home of a fact.
 //! * **Batched stepping.** Each shard owns one reusable
 //!   [`nc_engine::sim::SimRun`] handle and drives its ready list
 //!   through it ([`SimRun::run_with_inputs`]).
@@ -34,28 +35,28 @@
 //!   ready proposals: a thread spawn costs 27–48 µs on a 2-core host,
 //!   several five-process instances' worth, so small open-loop batches
 //!   run on the calling thread and a large burst still fans out.
-//! * **Durable commit journals.** Deciding an instance appends an
-//!   immutable [`CommitFact`] to the shard's append-only journal —
-//!   and, when a `journal_dir` is configured, to the shard's on-disk
-//!   [`journal`] segments *before* the fact is published. Each shard
-//!   writes its whole batch in one group commit
-//!   (`JournalWriter::append_batch`: one write per segment touched).
-//!   The byte format is deterministic: a service killed mid-batch and
-//!   reopened from its journal directory produces journals and a
-//!   reduced log **byte-identical** to an uninterrupted run (pinned by
-//!   `tests/persistence.rs`).
+//! * **Durable commit journals.** Deciding an instance yields an
+//!   immutable [`CommitFact`]. When a `journal_dir` is configured, each
+//!   shard appends its batch of facts to its on-disk [`journal`]
+//!   segments in one group commit (`JournalWriter::append_batch`: one
+//!   write per segment touched) *before* any fact is published; the
+//!   shard holds the batch only until [`NcService::run_ready`]
+//!   publishes it into the table. The byte format is deterministic: a
+//!   service killed mid-batch and reopened from its journal directory
+//!   produces journals and a reduced log **byte-identical** to an
+//!   uninterrupted run (pinned by `tests/persistence.rs`).
 //! * **Instance retention.** [`Retention`] bounds how many decided
-//!   instances stay resident in the table; evicted ids keep answering
-//!   [`NcService::status`] as [`InstanceStatus::Evicted`] out of the
-//!   compact journal index, so eviction never shrinks the API surface.
-//!   `DecidedCap` keeps its residents in a FIFO ring, and each publish
-//!   evicts at most one instance.
+//!   instances stay resident; eviction turns a decided slot into an
+//!   evicted one in place, which keeps the fact and answers
+//!   [`NcService::status`] as [`InstanceStatus::Evicted`], so eviction
+//!   never shrinks the API surface. `DecidedCap` keeps its residents in
+//!   a FIFO ring, and each publish evicts at most one instance.
 //!
-//! The canonical **reduced log** ([`NcService::reduced_log`], the
-//! id-sorted merge of all shard journals) is byte-identical regardless
-//! of shard count, worker threads, batching, or crash-and-reopen —
-//! the same monotone-journal / deterministic-reduction contract the
-//! aura exemplar ships.
+//! The canonical **reduced log** ([`NcService::reduced_log`], every
+//! fact in the table sorted by id) is byte-identical regardless of
+//! shard count, worker threads, batching, eviction, or
+//! crash-and-reopen — the same monotone-journal /
+//! deterministic-reduction contract the aura exemplar ships.
 //!
 //! ```
 //! use nc_memory::Bit;
@@ -67,7 +68,7 @@
 //!     .seed(42)
 //!     .build()
 //!     .unwrap();
-//! let mut svc = NcService::new(cfg);
+//! let mut svc = NcService::open(cfg).expect("no journal to replay");
 //! let mut tickets = Vec::new();
 //! for id in 0..4u64 {
 //!     for p in 0..3 {
@@ -135,7 +136,7 @@ pub struct ServiceConfig {
     pub limits: Limits,
     /// Residency policy for decided instances.
     pub retention: Retention,
-    /// On-disk journal location; `None` keeps journals in memory only.
+    /// On-disk journal location; `None` writes no journal.
     pub journal: Option<JournalSpec>,
 }
 
@@ -228,8 +229,7 @@ impl ServiceConfigBuilder {
         self
     }
 
-    /// Enables the on-disk journal under `dir` (default: in-memory
-    /// journals only).
+    /// Enables the on-disk journal under `dir` (default: no journal).
     pub fn journal_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.journal_dir = Some(dir.into());
         self
@@ -257,7 +257,7 @@ impl ServiceConfigBuilder {
         if self.shards == 0 {
             return Err(ServiceConfigError::ZeroShards);
         }
-        if self.retention.cap() == Some(0) {
+        if let Retention::DecidedCap(0) | Retention::Lru(0) = self.retention {
             return Err(ServiceConfigError::ZeroRetentionCap);
         }
         if self.segment_records == 0 {
@@ -296,8 +296,8 @@ impl ServiceConfig {
 }
 
 /// The immutable record of one decided instance — the unit of the
-/// append-only shard journals. A fact is a pure function of
-/// `(service config, instance id, proposals)`.
+/// reduced log and of the append-only on-disk journals. A fact is a
+/// pure function of `(service config, instance id, proposals)`.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct CommitFact {
     /// The instance this fact decides.
@@ -314,9 +314,9 @@ pub struct CommitFact {
 /// Canonical serialization of a sequence of facts: one line
 /// `id,value,round,ops` per fact, in iteration order, where `value` is
 /// `0`, `1`, or `-` for undecided.
-pub(crate) fn encode_log<'a>(facts: impl ExactSizeIterator<Item = &'a CommitFact>) -> String {
+pub(crate) fn encode_log(facts: impl Iterator<Item = CommitFact>) -> String {
     use std::fmt::Write;
-    let mut out = String::with_capacity(facts.len() * 16);
+    let mut out = String::new();
     for fact in facts {
         let v = match fact.value {
             Some(Bit::Zero) => '0',
@@ -353,11 +353,11 @@ pub enum InstanceStatus {
     },
     /// Fully proposed, waiting on its shard's next batch.
     Queued,
-    /// Decided; the commit fact is in its shard's journal.
+    /// Decided and resident; the commit fact is in the reduced log.
     Decided(CommitFact),
-    /// Decided and evicted from the resident table under the
-    /// [`Retention`] policy; the full fact remains durable in the
-    /// shard journal, and the compact journal index answers here.
+    /// Decided and evicted under the [`Retention`] policy: the answer
+    /// drops the fact's id and op count, and the fact stays in the
+    /// reduced log (and in the on-disk journal when one is configured).
     Evicted {
         /// The decided value (`None` for an op-budget-exhausted
         /// instance, mirroring [`CommitFact::value`]).
@@ -391,16 +391,23 @@ impl std::fmt::Display for ServiceError {
 
 impl std::error::Error for ServiceError {}
 
-/// One resident instance in the table; the id is the table key.
+/// One instance in the table; the id is the table key.
 enum Slot {
     /// Collecting proposals: the first `got` of the `procs` bits of
     /// chunk `chunk` in its shard's arena, in submission order.
     Open { chunk: u32, got: u32 },
     /// Fully proposed, waiting on its shard's next batch.
     Queued,
-    /// Decided and still resident: its [`CommitFact`] minus the id,
-    /// with the round at the journal record's width.
+    /// Decided and resident: its [`CommitFact`] minus the id, with the
+    /// round at the journal record's width.
     Decided {
+        value: Option<Bit>,
+        round: u32,
+        ops: u64,
+    },
+    /// Decided and evicted under the [`Retention`] policy: the same
+    /// fact, answered as [`InstanceStatus::Evicted`].
+    Evicted {
         value: Option<Bit>,
         round: u32,
         ops: u64,
@@ -408,8 +415,7 @@ enum Slot {
 }
 
 /// One shard: a pooled engine handle, the proposal arena and ready
-/// list it drains, and the append-only journal (in-memory always, on
-/// disk when configured) it feeds.
+/// list it drains, and the on-disk journal it feeds when configured.
 struct Shard {
     runner: SimRun,
     /// Proposals of this shard's open and queued instances, `procs`
@@ -420,9 +426,9 @@ struct Shard {
     /// Fully proposed instances and their arena chunks, in completion
     /// order until [`Shard::drain`] sorts them by id.
     ready: Vec<(u64, u32)>,
-    journal: Vec<CommitFact>,
-    /// Journal prefix already reflected in the instance table.
-    synced: usize,
+    /// Facts decided by [`Shard::drain`] and not yet published by
+    /// [`NcService::run_ready`]'s serial post-pass.
+    batch: Vec<CommitFact>,
     writer: Option<JournalWriter>,
     /// First journal-append failure during a drain (drains run on
     /// worker threads; the error surfaces as a panic in `run_ready`'s
@@ -432,8 +438,7 @@ struct Shard {
 }
 
 impl Shard {
-    fn new(cfg: &ServiceConfig, writer: Option<JournalWriter>, replayed: Vec<CommitFact>) -> Self {
-        let synced = replayed.len();
+    fn new(cfg: &ServiceConfig, writer: Option<JournalWriter>) -> Self {
         Shard {
             runner: Sim::new(Algorithm::Lean)
                 .inputs(vec![Bit::Zero; cfg.procs])
@@ -443,8 +448,7 @@ impl Shard {
             arena: Vec::new(),
             free: Vec::new(),
             ready: Vec::new(),
-            journal: replayed,
-            synced,
+            batch: Vec::new(),
             writer,
             io_error: None,
             seed: cfg.seed,
@@ -462,14 +466,15 @@ impl Shard {
     }
 
     /// Decides every ready instance through the pooled handle in id
-    /// order, reading its inputs in place from the arena and appending
-    /// one commit fact each, then frees the batch's chunks and writes
-    /// the batch to disk in one group commit when a journal writer is
-    /// attached. The sort makes a batch's journal order a pure function
-    /// of the ready set, not of the order proposals arrived in; ids in
-    /// one list are unique, so an unstable sort is exact.
+    /// order, reading its inputs in place from the arena and adding one
+    /// commit fact each to the batch, then frees the batch's chunks and
+    /// writes the batch to disk in one group commit when a journal
+    /// writer is attached. The sort makes a batch's journal order a
+    /// pure function of the ready set, not of the order proposals
+    /// arrived in; ids in one list are unique, so an unstable sort is
+    /// exact.
     fn drain(&mut self, procs: usize) {
-        let start = self.journal.len();
+        let start = self.batch.len();
         self.ready.sort_unstable_by_key(|&(id, _)| id);
         for &(id, chunk) in &self.ready {
             let seed = trial_seed(self.seed, id, salts::SERVICE);
@@ -477,7 +482,7 @@ impl Shard {
             let report = self
                 .runner
                 .run_with_inputs(seed, &self.arena[at..at + procs]);
-            self.journal.push(CommitFact {
+            self.batch.push(CommitFact {
                 id,
                 value: report.agreement_value(),
                 round: report.first_decision_round.unwrap_or(0),
@@ -487,9 +492,9 @@ impl Shard {
         self.free
             .extend(self.ready.drain(..).map(|(_, chunk)| chunk));
         if let Some(writer) = &mut self.writer {
-            if let Err(e) = writer.append_batch(&self.journal[start..]) {
+            if let Err(e) = writer.append_batch(&self.batch[start..]) {
                 // Publish none of a batch that may not be durable.
-                self.journal.truncate(start);
+                self.batch.truncate(start);
                 self.io_error.get_or_insert(e);
             }
         }
@@ -541,11 +546,8 @@ fn fanout_workers(threads: usize, shards: usize, ready_proposals: usize) -> usiz
 /// architecture; [`ServiceConfig`] for the knobs.
 pub struct NcService {
     cfg: ServiceConfig,
-    /// Every resident instance: open, queued, or decided.
+    /// Every instance: open, queued, decided, or evicted.
     instances: HashMap<u64, Slot>,
-    /// Compact journal index for evicted instances:
-    /// `id -> (value, round)`.
-    evicted: HashMap<u64, (Option<Bit>, u32)>,
     /// Facts decided since the last [`NcService::drain_completions`].
     completions: Vec<CommitFact>,
     /// Proposals submitted since the last [`NcService::run_ready`].
@@ -571,12 +573,11 @@ impl NcService {
     /// Builds a service, replaying the on-disk journal when one is
     /// configured; journal problems come back as [`JournalError`].
     ///
-    /// Replayed facts repopulate the shard journals and the instance
-    /// table (then the [`Retention`] policy is applied to them in
-    /// canonical id order), so a reopened service continues exactly
-    /// where the durable log ends: a torn final record is truncated
-    /// and its instance simply runs again, reproducing the identical
-    /// fact.
+    /// Replayed facts repopulate the instance table in canonical id
+    /// order (the [`Retention`] policy applies to them in that order),
+    /// so a reopened service continues exactly where the durable log
+    /// ends: a torn final record is truncated and its instance simply
+    /// runs again, reproducing the identical fact.
     ///
     /// A journal written with more shards than `cfg.shards` is refused
     /// as [`JournalError::Corrupt`], naming the first shard directory
@@ -607,24 +608,22 @@ impl NcService {
             }
         }
         let mut shards = Vec::with_capacity(cfg.shards);
+        let mut replayed = Vec::new();
         for s in 0..cfg.shards {
-            let (writer, replayed) = match &cfg.journal {
+            let writer = match &cfg.journal {
                 Some(spec) => {
                     let dir = spec.dir.join(format!("shard-{s}"));
-                    let (writer, replayed) = JournalWriter::open(&dir, spec.segment_records)?;
-                    (Some(writer), replayed)
+                    let (writer, facts) = JournalWriter::open(&dir, spec.segment_records)?;
+                    replayed.extend(facts);
+                    Some(writer)
                 }
-                None => (None, Vec::new()),
+                None => None,
             };
-            shards.push(Shard::new(&cfg, writer, replayed));
+            shards.push(Shard::new(&cfg, writer));
         }
         // Publish replayed facts in canonical id order — the replayed
         // resident set is then a pure function of the durable facts,
         // independent of how the original run batched them.
-        let mut replayed: Vec<CommitFact> = shards
-            .iter()
-            .flat_map(|s| s.journal.iter().copied())
-            .collect();
         replayed.sort_unstable_by_key(|f| f.id);
         if let (Some(spec), Some(twice)) = (
             &cfg.journal,
@@ -639,7 +638,6 @@ impl NcService {
             tracker: ResidencyTracker::new(cfg.retention),
             cfg,
             instances: HashMap::new(),
-            evicted: HashMap::new(),
             completions: Vec::new(),
             pending: 0,
             shards,
@@ -672,9 +670,6 @@ impl NcService {
         let home = &mut self.shards[shard];
         let slot = match self.instances.entry(id) {
             Entry::Occupied(e) => e.into_mut(),
-            Entry::Vacant(_) if self.evicted.contains_key(&id) => {
-                return Err(ServiceError::InstanceClosed { id });
-            }
             Entry::Vacant(e) => e.insert(Slot::Open {
                 chunk: home.alloc(need),
                 got: 0,
@@ -695,8 +690,8 @@ impl NcService {
 
     /// Where instance `id` stands, looked up by id: the answer for ids
     /// without a [`Ticket`], such as those replayed from a journal.
-    /// Answers evicted ids from the journal index and — being `&self` —
-    /// never refreshes LRU recency (that is [`NcService::poll`]'s job).
+    /// Being `&self`, it never refreshes LRU recency (that is
+    /// [`NcService::poll`]'s job).
     pub fn status(&self, id: u64) -> InstanceStatus {
         match self.instances.get(&id) {
             Some(&Slot::Open { got, .. }) => InstanceStatus::Accepting {
@@ -710,10 +705,11 @@ impl NcService {
                 round: round as usize,
                 ops,
             }),
-            None => match self.evicted.get(&id) {
-                Some(&(decided, round)) => InstanceStatus::Evicted { decided, round },
-                None => InstanceStatus::Unknown,
+            Some(&Slot::Evicted { value, round, .. }) => InstanceStatus::Evicted {
+                decided: value,
+                round,
             },
+            None => InstanceStatus::Unknown,
         }
     }
 
@@ -737,24 +733,20 @@ impl NcService {
     }
 
     /// Publishes one fact: table entry, completion buffer, retention
-    /// bookkeeping, and the eviction it may force. The round is stored
+    /// bookkeeping, and the eviction it may force, which turns the
+    /// victim's slot into an evicted one in place. The round is stored
     /// at the `u32` width the journal record already keeps.
     fn publish(&mut self, fact: CommitFact) {
-        let CommitFact {
-            id,
-            value,
-            round,
-            ops,
-        } = fact;
-        let round = round as u32;
+        let (value, round, ops) = (fact.value, fact.round as u32, fact.ops);
         self.instances
-            .insert(id, Slot::Decided { value, round, ops });
+            .insert(fact.id, Slot::Decided { value, round, ops });
         self.completions.push(fact);
-        if let Some(victim) = self.tracker.admit(id) {
-            let Some(Slot::Decided { value, round, .. }) = self.instances.remove(&victim) else {
+        if let Some(victim) = self.tracker.admit(fact.id) {
+            let slot = self.instances.get_mut(&victim);
+            let Some(slot @ &mut Slot::Decided { value, round, ops }) = slot else {
                 unreachable!("tracker admits only decided instances");
             };
-            self.evicted.insert(victim, (value, round));
+            *slot = Slot::Evicted { value, round, ops };
         }
     }
 
@@ -805,8 +797,7 @@ impl NcService {
         }
         let mut fresh = Vec::new();
         for shard in &mut self.shards {
-            fresh.extend_from_slice(&shard.journal[shard.synced..]);
-            shard.synced = shard.journal.len();
+            fresh.append(&mut shard.batch);
         }
         for fact in &fresh {
             self.publish(*fact);
@@ -819,26 +810,24 @@ impl NcService {
         self.pending
     }
 
-    /// Decided instances currently resident in the table (equals
+    /// Decided instances not yet evicted (equals
     /// [`NcService::decided`] under [`Retention::KeepAll`]).
     pub fn resident_decided(&self) -> usize {
-        match self.cfg.retention {
-            Retention::KeepAll => self
-                .instances
-                .values()
-                .filter(|s| matches!(s, Slot::Decided { .. }))
-                .count(),
-            _ => self.tracker.resident(),
-        }
+        self.count(|slot| matches!(slot, Slot::Decided { .. }))
     }
 
-    /// Instances evicted from the resident table so far.
+    /// Instances evicted under the [`Retention`] policy so far.
     pub fn evicted_count(&self) -> usize {
-        self.evicted.len()
+        self.count(|slot| matches!(slot, Slot::Evicted { .. }))
+    }
+
+    /// Table slots that `keep` accepts (a scan of the table).
+    fn count(&self, keep: impl Fn(&Slot) -> bool) -> usize {
+        self.instances.values().filter(|slot| keep(slot)).count()
     }
 
     /// `(segments, bytes)` across all shard journals on disk, or
-    /// `None` when the service journals in memory only. Byte counts
+    /// `None` when the service writes no journal. Byte counts
     /// are derived from the fixed-width format, so they are
     /// deterministic for a given request stream.
     pub fn journal_footprint(&self) -> Option<(u64, u64)> {
@@ -854,30 +843,31 @@ impl NcService {
         Some((segments, bytes))
     }
 
-    /// Shard `s`'s append-only commit-fact journal.
-    pub fn commit_log(&self, s: usize) -> &[CommitFact] {
-        &self.shards[s].journal
-    }
-
-    /// Canonical bytes of shard `s`'s journal.
-    pub fn commit_log_bytes(&self, s: usize) -> String {
-        encode_log(self.shards[s].journal.iter())
-    }
-
-    /// The canonical reduced commit log: all shard journals merged and
-    /// sorted by instance id, serialized. Byte-identical for the same
-    /// request stream regardless of shard count, worker threads, or a
-    /// kill-and-reopen through the on-disk journal — facts are
-    /// immutable and the id-sorted union is their join.
+    /// The canonical reduced commit log: every published fact, resident
+    /// or evicted, sorted by instance id and serialized. Byte-identical
+    /// for the same request stream regardless of shard count, worker
+    /// threads, retention, or a kill-and-reopen through the on-disk
+    /// journal — facts are immutable and the id-sorted union is their
+    /// join.
     pub fn reduced_log(&self) -> String {
-        let mut facts: Vec<&CommitFact> = self.shards.iter().flat_map(|s| &s.journal).collect();
-        facts.sort_unstable_by_key(|f| f.id);
-        encode_log(facts.into_iter())
+        let mut ids: Vec<u64> = self.instances.keys().copied().collect();
+        ids.sort_unstable();
+        encode_log(ids.into_iter().filter_map(|id| match self.instances[&id] {
+            Slot::Decided { value, round, ops } | Slot::Evicted { value, round, ops } => {
+                Some(CommitFact {
+                    id,
+                    value,
+                    round: round as usize,
+                    ops,
+                })
+            }
+            Slot::Open { .. } | Slot::Queued => None,
+        }))
     }
 
-    /// Total commit facts across all shards.
+    /// Total commit facts published, resident or evicted.
     pub fn decided(&self) -> usize {
-        self.shards.iter().map(|s| s.journal.len()).sum()
+        self.resident_decided() + self.evicted_count()
     }
 }
 
@@ -1029,17 +1019,19 @@ mod tests {
 
     #[test]
     fn ready_list_is_decided_in_id_order() {
-        // Complete the instances in reverse id order: the shard journal
+        // Complete the instances in reverse id order: each shard's facts
         // must still come out id-sorted, because each batch sorts its
-        // ready list before deciding it.
-        let mut svc = NcService::new(cfg(2, 1, 3));
-        for id in (0..5u64).rev() {
+        // ready list before deciding it, and publishing goes by shard,
+        // then id.
+        let mut svc = NcService::new(cfg(2, 2, 3));
+        for id in (0..6u64).rev() {
             svc.submit(id, Bit::One).unwrap();
             svc.submit(id, Bit::Zero).unwrap();
         }
-        svc.run_ready(1);
-        let ids: Vec<u64> = svc.commit_log(0).iter().map(|f| f.id).collect();
-        assert_eq!(ids, vec![0, 1, 2, 3, 4]);
+        let fresh = svc.run_ready(1);
+        let ids: Vec<u64> = fresh.iter().map(|f| f.id).collect();
+        assert_eq!(ids, vec![0, 2, 4, 1, 3, 5]);
+        assert_eq!(svc.drain_completions(), fresh);
     }
 
     #[test]
@@ -1051,15 +1043,12 @@ mod tests {
             svc.submit(0, Bit::Zero).unwrap();
             svc.submit(1, Bit::One).unwrap();
         }
-        svc.run_ready(1);
-        let mut facts: Vec<CommitFact> = (0..2)
-            .flat_map(|s| svc.commit_log(s).iter().copied())
-            .collect();
-        facts.sort_unstable_by_key(|f| f.id);
+        let facts = svc.run_ready(1);
+        assert_eq!(facts.iter().map(|f| f.id).collect::<Vec<_>>(), [0, 1]);
         assert_eq!(facts[0].value, Some(Bit::Zero));
         assert_eq!(facts[1].value, Some(Bit::One));
         // The reduced log is exactly these facts in id order.
-        assert_eq!(svc.reduced_log(), encode_log(facts.iter()));
+        assert_eq!(svc.reduced_log(), encode_log(facts.into_iter()));
     }
 
     #[test]
@@ -1081,16 +1070,16 @@ mod tests {
             round: 3,
             ops: 120,
         };
-        assert_eq!(encode_log([fact].iter()), "42,1,3,120\n");
+        assert_eq!(encode_log([fact].into_iter()), "42,1,3,120\n");
         let undecided = CommitFact {
             id: 7,
             value: None,
             round: 0,
             ops: 999,
         };
-        assert_eq!(encode_log([undecided].iter()), "7,-,0,999\n");
+        assert_eq!(encode_log([undecided].into_iter()), "7,-,0,999\n");
         assert_eq!(
-            encode_log([fact, undecided].iter()),
+            encode_log([fact, undecided].into_iter()),
             "42,1,3,120\n7,-,0,999\n"
         );
     }
@@ -1104,15 +1093,16 @@ mod tests {
     fn journals_are_append_only_across_batches() {
         let mut svc = NcService::new(cfg(3, 1, 1));
         fill(&mut svc, 0);
-        svc.run_ready(1);
-        let after_first = svc.commit_log_bytes(0);
+        let first = svc.run_ready(1);
+        let after_first = svc.reduced_log();
         fill(&mut svc, 1);
-        svc.run_ready(1);
-        let after_second = svc.commit_log_bytes(0);
+        let second = svc.run_ready(1);
+        assert_eq!(second.iter().map(|f| f.id).collect::<Vec<_>>(), [1]);
         assert!(
-            after_second.starts_with(&after_first),
+            svc.reduced_log().starts_with(&after_first),
             "a later batch rewrote committed facts"
         );
+        assert_eq!(svc.status(0), InstanceStatus::Decided(first[0]));
         assert_eq!(svc.decided(), 2);
     }
 
@@ -1149,7 +1139,7 @@ mod tests {
         for id in 0..5u64 {
             fill(&mut svc, id);
         }
-        svc.run_ready(1);
+        let facts = svc.run_ready(1);
         assert_eq!(svc.decided(), 5);
         assert_eq!(svc.resident_decided(), 2);
         assert_eq!(svc.evicted_count(), 3);
@@ -1159,13 +1149,8 @@ mod tests {
                 InstanceStatus::Decided(_) => {}
                 InstanceStatus::Evicted { decided, round } => {
                     evicted_seen += 1;
-                    // The index must agree with the journal fact.
-                    let fact = svc
-                        .commit_log(svc.shard_of(id))
-                        .iter()
-                        .find(|f| f.id == id)
-                        .copied()
-                        .unwrap();
+                    // The answer must agree with the published fact.
+                    let fact = *facts.iter().find(|f| f.id == id).unwrap();
                     assert_eq!(decided, fact.value);
                     assert_eq!(round as usize, fact.round);
                     // Evicted is closed for proposals, like Decided.
@@ -1178,8 +1163,13 @@ mod tests {
             }
         }
         assert_eq!(evicted_seen, 3);
-        // The journals and reduced log keep every fact.
-        assert_eq!(svc.reduced_log().lines().count(), 5);
+        // Unknown is distinct from Evicted, and stays open.
+        assert_eq!(svc.status(99), InstanceStatus::Unknown);
+        assert!(svc.submit(99, Bit::One).is_ok(), "unknown ids stay open");
+        // The reduced log keeps every fact, evicted ones included.
+        let mut sorted = facts;
+        sorted.sort_unstable_by_key(|f| f.id);
+        assert_eq!(svc.reduced_log(), encode_log(sorted.into_iter()));
     }
 
     #[test]
@@ -1205,22 +1195,5 @@ mod tests {
         assert!(matches!(svc.status(0), InstanceStatus::Decided(_)));
         assert!(matches!(svc.status(1), InstanceStatus::Evicted { .. }));
         assert!(matches!(svc.status(2), InstanceStatus::Decided(_)));
-    }
-
-    #[test]
-    fn unknown_and_evicted_are_distinct() {
-        let cfg = ServiceConfig::builder()
-            .procs(2)
-            .shards(1)
-            .retention(Retention::DecidedCap(1))
-            .build()
-            .unwrap();
-        let mut svc = NcService::new(cfg);
-        fill(&mut svc, 0);
-        fill(&mut svc, 1);
-        svc.run_ready(1);
-        assert!(matches!(svc.status(0), InstanceStatus::Evicted { .. }));
-        assert_eq!(svc.status(99), InstanceStatus::Unknown);
-        assert!(svc.submit(99, Bit::One).is_ok(), "unknown ids stay open");
     }
 }

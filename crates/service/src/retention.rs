@@ -1,14 +1,13 @@
 //! Instance retention: how long decided instances stay resident in
-//! the shard tables.
+//! the instance table.
 //!
-//! A multi-shot service decides millions of instances; keeping every
-//! one in the in-memory table forever is the unbounded-growth bug the
-//! ROADMAP called out. [`Retention`] bounds residency: once an
-//! instance's commit fact is durable (appended to its shard journal),
-//! the table entry is *evictable* — `status()` keeps answering for
-//! evicted ids out of the compact journal index
-//! ([`crate::InstanceStatus::Evicted`]), so eviction is invisible to
-//! the API surface except for the cheaper answer shape.
+//! [`Retention`] bounds how many decided instances are *resident*:
+//! once an instance's commit fact is published (and, with an on-disk
+//! journal, durable), its table slot is *evictable*. Eviction turns the
+//! slot into an evicted one in place, which keeps the fact for the
+//! reduced log and answers `status()` as
+//! [`crate::InstanceStatus::Evicted`], so eviction is invisible to the
+//! API surface except for the cheaper answer shape.
 //!
 //! Eviction is deterministic: it happens in the serial publish pass of
 //! [`crate::NcService::run_ready`], in commit order, so the resident
@@ -17,11 +16,10 @@
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
-/// How long decided instances stay resident in the shard tables.
+/// How long decided instances stay resident in the instance table.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum Retention {
-    /// Never evict (the pre-durability behavior; table growth is
-    /// unbounded).
+    /// Never evict.
     #[default]
     KeepAll,
     /// Keep at most `k` decided instances resident, evicting the
@@ -31,16 +29,6 @@ pub enum Retention {
     /// recently *polled* first ([`crate::NcService::poll`] refreshes
     /// recency; `status()` stays `&self` and does not).
     Lru(usize),
-}
-
-impl Retention {
-    /// The residency cap, if the policy has one.
-    pub(crate) fn cap(&self) -> Option<usize> {
-        match self {
-            Retention::KeepAll => None,
-            Retention::DecidedCap(k) | Retention::Lru(k) => Some(*k),
-        }
-    }
 }
 
 /// Tracks which decided instances are resident and picks eviction
@@ -95,16 +83,6 @@ impl ResidencyTracker {
         }
     }
 
-    /// Number of decided instances currently resident (0 under
-    /// `KeepAll`, which tracks nothing).
-    pub(crate) fn resident(&self) -> usize {
-        match self {
-            ResidencyTracker::KeepAll => 0,
-            ResidencyTracker::DecidedCap { fifo, .. } => fifo.len(),
-            ResidencyTracker::Lru { order, .. } => order.by_stamp.len(),
-        }
-    }
-
     /// Records `id` as a freshly decided resident and returns the
     /// victim it forces out, if any. The tracker is at most `cap`
     /// before the admission, so one admission evicts at most one id.
@@ -150,9 +128,9 @@ mod tests {
     fn keep_all_never_evicts() {
         let mut t = ResidencyTracker::new(Retention::KeepAll);
         for id in 0..100 {
+            t.touch(id / 2);
             assert_eq!(t.admit(id), None);
         }
-        assert_eq!(t.resident(), 0, "KeepAll tracks nothing");
     }
 
     #[test]
@@ -163,7 +141,6 @@ mod tests {
         }
         assert_eq!(t.admit(40), Some(10));
         assert_eq!(t.admit(50), Some(20));
-        assert_eq!(t.resident(), 3);
         // Touch is a no-op under DecidedCap: 30 is still next out.
         t.touch(30);
         assert_eq!(t.admit(60), Some(30));
@@ -178,20 +155,25 @@ mod tests {
         assert_eq!(t.admit(3), Some(2));
         t.touch(999); // unknown id: no-op
         assert_eq!(t.admit(4), Some(1));
-        assert_eq!(t.resident(), 2);
+        // Two residents, 3 then 4: each admission evicts the older.
+        assert_eq!(t.admit(5), Some(3));
+        assert_eq!(t.admit(6), Some(4));
     }
 
     #[test]
     fn one_admission_evicts_at_most_one() {
-        // Past the cap, every admission evicts exactly one id and the
-        // resident count stays at the cap: one victim always suffices.
+        // Past the cap, every admission evicts exactly one resident id,
+        // so the residents stay at the cap: one victim always suffices.
         for policy in [Retention::DecidedCap(3), Retention::Lru(3)] {
             let mut t = ResidencyTracker::new(policy);
+            let mut resident = Vec::new();
             for id in 0..20u64 {
                 t.touch(id / 2);
+                resident.push(id);
                 let victim = t.admit(id);
                 assert_eq!(victim.is_some(), id >= 3, "{policy:?} admitting {id}");
-                assert_eq!(t.resident(), (id as usize + 1).min(3), "{policy:?}");
+                resident.retain(|&r| Some(r) != victim);
+                assert_eq!(resident.len(), (id as usize + 1).min(3), "{policy:?}");
             }
         }
     }

@@ -1,8 +1,9 @@
 //! The service-layer determinism contract:
 //!
-//! * per-shard commit journals do not depend on how many worker threads
-//!   drained the shards (1-vs-4 threads, byte-identical, on batches
-//!   large enough that `run_ready` really fans out),
+//! * the facts `run_ready` publishes, in publish order (by shard, then
+//!   id), do not depend on how many worker threads drained the shards
+//!   (1-vs-4 threads, on batches large enough that `run_ready` really
+//!   fans out),
 //! * the canonical reduced commit log does not depend on the shard
 //!   count either (1-vs-2-vs-4 shards, byte-identical),
 //! * and the REQUIRED `trial_seed` per-instance seed derivation never
@@ -30,7 +31,8 @@ const INSTANCES: u64 = FANNED + fans_over(2);
 
 /// Builds a service, feeds it the deterministic loadgen proposal
 /// stream, and decides everything with up to `threads` workers,
-/// batching `batch` instances between `run_ready` calls.
+/// batching `batch` instances between `run_ready` calls. Nothing drains
+/// the completions, so they hold every published fact in order.
 fn run_service(shards: usize, threads: usize, batch: u64) -> NcService {
     let cfg = ServiceConfig::builder()
         .procs(PROCS)
@@ -56,15 +58,15 @@ fn run_service(shards: usize, threads: usize, batch: u64) -> NcService {
 
 #[test]
 fn commit_logs_identical_1_vs_4_threads() {
-    let serial = run_service(4, 1, FANNED);
-    let fanned = run_service(4, 4, FANNED);
-    for s in 0..4 {
-        assert_eq!(
-            serial.commit_log_bytes(s),
-            fanned.commit_log_bytes(s),
-            "shard {s}: journal depends on worker-thread count"
-        );
-    }
+    let mut serial = run_service(4, 1, FANNED);
+    let mut fanned = run_service(4, 4, FANNED);
+    // Publish order is by shard, then id, so equal sequences mean every
+    // shard published the same facts in the same order.
+    assert_eq!(
+        serial.drain_completions(),
+        fanned.drain_completions(),
+        "published facts depend on worker-thread count"
+    );
     assert_eq!(serial.reduced_log(), fanned.reduced_log());
 }
 
@@ -83,12 +85,14 @@ fn reduced_log_identical_1_vs_4_shards() {
 fn batch_size_does_not_change_the_logs() {
     // Draining one instance at a time vs everything at once exercises
     // the pooled handle's reuse path; facts must not notice.
-    let fine = run_service(2, 1, 1);
-    let coarse = run_service(2, 1, INSTANCES);
+    let mut fine = run_service(2, 1, 1);
+    let mut coarse = run_service(2, 1, INSTANCES);
     assert_eq!(fine.reduced_log(), coarse.reduced_log());
-    for s in 0..2 {
-        assert_eq!(fine.commit_log_bytes(s), coarse.commit_log_bytes(s));
-    }
+    let (mut one, mut all) = (fine.drain_completions(), coarse.drain_completions());
+    // A stable sort by shard keeps each shard's publish order.
+    one.sort_by_key(|f| f.id % 2);
+    all.sort_by_key(|f| f.id % 2);
+    assert_eq!(one, all, "a shard's publish order depends on batching");
 }
 
 #[test]

@@ -13,13 +13,17 @@
 //!   reopen, its instance becomes re-runnable, and re-running it
 //!   restores the identical bytes,
 //! * replay repopulates `status()` for every durable fact, and the
-//!   retention policy applies across the reopen,
+//!   retention policy applies across the reopen: under `KeepAll`,
+//!   `DecidedCap(k)` and `Lru(k)` alike, a killed run reopens to the
+//!   uninterrupted bytes, and every fact is resident or evicted, with
+//!   `min(k, decided)` resident under a cap,
 //! * a reopen that would drop durable facts (fewer shards than the
 //!   journal was written with) or replay two facts for one instance is
 //!   refused with a `JournalError`, never opened.
 //!
 //! Proptests sweep the segment capacity (so kill points land on and
-//! around segment boundaries) and the torn-tail cut length.
+//! around segment boundaries), the retention policy and the torn-tail
+//! cut length.
 
 use std::path::{Path, PathBuf};
 
@@ -32,6 +36,9 @@ use proptest::prelude::*;
 const SEED: u64 = 41;
 const PROCS: usize = 5;
 const INSTANCES: u64 = 24;
+
+/// Kill-point cases: more in release (CI's service leg) than in debug.
+const KILL_CASES: u32 = if cfg!(debug_assertions) { 24 } else { 256 };
 
 /// Instances whose proposals reach `workers` × `FANOUT_MIN_PROPOSALS`:
 /// the smallest batch `run_ready` fans over `workers` workers.
@@ -76,6 +83,15 @@ fn cfg(shards: usize, dir: &Path, segment_records: usize) -> ServiceConfig {
         .unwrap()
 }
 
+/// A capped policy keeps exactly `min(k, decided)` resident (no poll
+/// ever reorders the victims here, so `Lru` evicts like `DecidedCap`).
+fn check_residency(svc: &NcService, retention: Retention) {
+    if let Retention::DecidedCap(k) | Retention::Lru(k) = retention {
+        let want = k.min(svc.decided());
+        assert_eq!(svc.resident_decided(), want, "{retention:?}");
+    }
+}
+
 /// Submits the deterministic loadgen stream for `ids` and decides it.
 fn feed(svc: &mut NcService, ids: std::ops::Range<u64>, threads: usize) {
     for id in ids {
@@ -108,19 +124,13 @@ fn journal_bytes(dir: &Path) -> Vec<(String, Vec<u8>)> {
 
 /// The uninterrupted reference: instances `0..instances` decided in
 /// batches of `batch`.
-fn uninterrupted(
-    shards: usize,
-    threads: usize,
-    dir: &Path,
-    segment_records: usize,
-    instances: u64,
-    batch: u64,
-) -> String {
-    let mut svc = NcService::new(cfg(shards, dir, segment_records));
+fn uninterrupted(cfg: &ServiceConfig, threads: usize, instances: u64, batch: u64) -> String {
+    let mut svc = NcService::new(cfg.clone());
     for start in (0..instances).step_by(batch as usize) {
         feed(&mut svc, start..(start + batch).min(instances), threads);
     }
     assert_eq!(svc.decided() as u64, instances);
+    check_residency(&svc, cfg.retention);
     svc.reduced_log()
 }
 
@@ -130,15 +140,13 @@ fn uninterrupted(
 /// same dir, re-submit everything not yet durable, and finish. Returns
 /// the final reduced log.
 fn killed_and_reopened(
-    shards: usize,
+    cfg: &ServiceConfig,
     threads: usize,
-    dir: &Path,
-    segment_records: usize,
     instances: u64,
     kill_after: u64,
 ) -> String {
     {
-        let mut svc = NcService::new(cfg(shards, dir, segment_records));
+        let mut svc = NcService::new(cfg.clone());
         feed(&mut svc, 0..kill_after, threads);
         // Submissions that never reached run_ready are not durable;
         // they vanish with the process.
@@ -147,12 +155,13 @@ fn killed_and_reopened(
         }
         // svc dropped here: the "kill". No flush, no shutdown hook.
     }
-    let mut svc = NcService::new(cfg(shards, dir, segment_records));
+    let mut svc = NcService::new(cfg.clone());
     assert_eq!(
         svc.decided() as u64,
         kill_after,
         "replay lost or invented facts"
     );
+    check_residency(&svc, cfg.retention);
     for id in 0..instances {
         match svc.status(id) {
             InstanceStatus::Decided(_) | InstanceStatus::Evicted { .. } => {}
@@ -161,6 +170,7 @@ fn killed_and_reopened(
         }
     }
     assert_eq!(svc.decided() as u64, instances);
+    check_residency(&svc, cfg.retention);
     svc.reduced_log()
 }
 
@@ -174,9 +184,9 @@ fn kill_and_reopen_is_byte_identical_across_shards_and_threads() {
         for threads in [1usize, 4] {
             let straight = TempDir::new(&format!("straight-{shards}-{threads}"));
             let killed = TempDir::new(&format!("killed-{shards}-{threads}"));
-            let want = uninterrupted(shards, threads, &straight.0, 4, AXIS_INSTANCES, AXIS_BATCH);
-            let got =
-                killed_and_reopened(shards, threads, &killed.0, 4, AXIS_INSTANCES, kill_after);
+            let at = |dir| cfg(shards, dir, 4);
+            let want = uninterrupted(&at(&straight.0), threads, AXIS_INSTANCES, AXIS_BATCH);
+            let got = killed_and_reopened(&at(&killed.0), threads, AXIS_INSTANCES, kill_after);
             assert_eq!(
                 want, got,
                 "reduced log diverged (shards={shards}, threads={threads})"
@@ -197,9 +207,9 @@ fn reduced_log_is_invariant_to_segment_capacity() {
     let a = TempDir::new("cap-1");
     let b = TempDir::new("cap-7");
     let c = TempDir::new("cap-big");
-    let log = uninterrupted(2, 1, &a.0, 1, INSTANCES, 6);
-    assert_eq!(log, uninterrupted(2, 1, &b.0, 7, INSTANCES, 6));
-    assert_eq!(log, uninterrupted(2, 1, &c.0, 1024, INSTANCES, 6));
+    let log = uninterrupted(&cfg(2, &a.0, 1), 1, INSTANCES, 6);
+    assert_eq!(log, uninterrupted(&cfg(2, &b.0, 7), 1, INSTANCES, 6));
+    assert_eq!(log, uninterrupted(&cfg(2, &c.0, 1024), 1, INSTANCES, 6));
 }
 
 #[test]
@@ -233,16 +243,10 @@ fn retention_applies_across_reopen() {
         let mut svc = NcService::new(base.clone());
         feed(&mut svc, 0..10, 1);
     }
-    let capped = ServiceConfig::builder()
-        .procs(PROCS)
-        .shards(2)
-        .seed(SEED)
-        .journal_dir(&dir.0)
-        .segment_records(4)
-        .retention(Retention::DecidedCap(3))
-        .build()
-        .unwrap();
-    let svc = NcService::new(capped);
+    let svc = NcService::new(ServiceConfig {
+        retention: Retention::DecidedCap(3),
+        ..base
+    });
     assert_eq!(svc.decided(), 10, "eviction must not lose journal facts");
     assert_eq!(svc.resident_decided(), 3);
     assert_eq!(svc.evicted_count(), 7);
@@ -339,13 +343,19 @@ fn failed_write_heals(shards: usize, threads: usize, blocked: usize, instances: 
     std::fs::remove_dir(&blocker).unwrap();
     let durable = JournalReader::replay(&shard_dir).unwrap().facts;
     assert_eq!(durable.len(), 2, "segment 0 was written before the roll");
-    for fact in svc.commit_log(blocked) {
-        assert!(
-            durable.contains(fact),
-            "fact {fact:?} published but not durable"
-        );
-    }
     assert!(svc.drain_completions().is_empty(), "a fact was published");
+    // The panic left the other shards' batches unpublished; one more
+    // (empty) round publishes whatever any shard still holds, and all
+    // of it must be durable in its home shard's journal.
+    let left = svc.run_ready(threads);
+    for id in 0..instances {
+        if let InstanceStatus::Decided(fact) = svc.status(id) {
+            let home = broken.0.join(format!("shard-{}", id % shards as u64));
+            let durable = JournalReader::replay(&home).unwrap().facts;
+            assert!(durable.contains(&fact), "{fact:?} published, not durable");
+            assert!(left.contains(&fact), "{fact:?} published by the failed run");
+        }
+    }
     drop(svc);
 
     let mut svc = NcService::new(cfg(shards, &broken.0, 2));
@@ -388,21 +398,29 @@ fn last_segment(shard_dir: &Path) -> PathBuf {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(KILL_CASES))]
 
     /// Kill points landing anywhere — including exactly on segment
     /// boundaries — replay to the identical bytes, for any small
-    /// segment capacity.
+    /// segment capacity and under every retention policy, and every
+    /// replayed fact is resident or evicted as the policy says.
     #[test]
     fn kill_point_and_segment_capacity_never_change_the_bytes(
         segment_records in 1usize..8,
         kill_after in 0u64..INSTANCES,
         shards in 1usize..4,
+        policy in (0u8..3, 1usize..4),
     ) {
+        let retention = match policy {
+            (0, _) => Retention::KeepAll,
+            (1, k) => Retention::DecidedCap(k),
+            (_, k) => Retention::Lru(k),
+        };
+        let retained = |dir| ServiceConfig { retention, ..cfg(shards, dir, segment_records) };
         let straight = TempDir::new("prop-straight");
         let killed = TempDir::new("prop-killed");
-        let want = uninterrupted(shards, 1, &straight.0, segment_records, INSTANCES, 6);
-        let got = killed_and_reopened(shards, 1, &killed.0, segment_records, INSTANCES, kill_after);
+        let want = uninterrupted(&retained(&straight.0), 1, INSTANCES, 6);
+        let got = killed_and_reopened(&retained(&killed.0), 1, INSTANCES, kill_after);
         prop_assert_eq!(want, got);
         prop_assert_eq!(journal_bytes(&straight.0), journal_bytes(&killed.0));
     }

@@ -1,10 +1,10 @@
 //! A model of the instance table. Random interleavings of `submit`
 //! (fresh ids, and repeats into open, closed and evicted ones),
-//! `run_ready(1 | 2)`, `poll`, `status` and `drain_completions` run
-//! under `KeepAll`, `DecidedCap(k)` and `Lru(k)`. Every answer, and
-//! after every step `resident_decided`, `evicted_count`,
-//! `submitted_pending` and the `status` of every id, is checked against
-//! a plain model kept here.
+//! `run_ready(1 | 2)`, `poll` (often of decided ids), `status` and
+//! `drain_completions` run under `KeepAll`, `DecidedCap(k)` and, most
+//! often, `Lru(k ≥ 2)`, where a poll reorders the victims. Every
+//! answer, and after every step every count, the reduced log and the
+//! `status` of every id, is checked against a plain model kept here.
 //!
 //! The model takes fact values from `run_ready`'s return and checks
 //! validity on them: each decided value is one of the instance's
@@ -31,8 +31,8 @@ const CASES: u32 = if cfg!(debug_assertions) { 64 } else { 1024 };
 enum Entry {
     Open(Vec<Bit>),
     Queued(Vec<Bit>),
-    Decided(CommitFact),
-    Evicted(Option<Bit>, u32),
+    /// Decided, and evicted when the flag is set.
+    Fact(CommitFact, bool),
 }
 
 struct Model {
@@ -40,11 +40,10 @@ struct Model {
     shards: u64,
     policy: Retention,
     table: HashMap<u64, Entry>,
-    /// Resident decided ids under a capped policy, next victim first:
-    /// commit order under `DecidedCap`, recency under `Lru`.
+    /// Resident decided ids, next victim first: commit order, which
+    /// polls refresh under `Lru`.
     resident: VecDeque<u64>,
     completions: Vec<CommitFact>,
-    evicted: usize,
     pending: usize,
 }
 
@@ -57,8 +56,11 @@ impl Model {
                 need: self.procs,
             },
             Some(Entry::Queued(_)) => InstanceStatus::Queued,
-            Some(Entry::Decided(fact)) => InstanceStatus::Decided(*fact),
-            Some(&Entry::Evicted(decided, round)) => InstanceStatus::Evicted { decided, round },
+            Some(&Entry::Fact(fact, false)) => InstanceStatus::Decided(fact),
+            Some(&Entry::Fact(fact, true)) => InstanceStatus::Evicted {
+                decided: fact.value,
+                round: fact.round as u32,
+            },
         }
     }
 
@@ -99,20 +101,18 @@ impl Model {
                 "fact {fact:?} breaks validity for proposals {props:?}"
             );
             assert!(fact.round >= 1 && fact.ops >= 1, "fact {fact:?}");
-            self.table.insert(fact.id, Entry::Decided(fact));
+            self.table.insert(fact.id, Entry::Fact(fact, false));
             self.completions.push(fact);
-            let Some(cap) = cap(self.policy) else {
+            self.resident.push_back(fact.id);
+            let (Retention::DecidedCap(cap) | Retention::Lru(cap)) = self.policy else {
                 continue;
             };
-            self.resident.push_back(fact.id);
             if self.resident.len() > cap {
                 let victim = self.resident.pop_front().expect("len > cap");
-                let Some(Entry::Decided(f)) = self.table.get(&victim) else {
+                let Some(Entry::Fact(_, evicted @ false)) = self.table.get_mut(&victim) else {
                     unreachable!("only decided ids are resident");
                 };
-                let evicted = Entry::Evicted(f.value, f.round as u32);
-                self.table.insert(victim, evicted);
-                self.evicted += 1;
+                *evicted = true;
             }
         }
         self.pending = 0;
@@ -127,18 +127,28 @@ impl Model {
         }
     }
 
-    fn resident_decided(&self) -> usize {
-        self.table
+    /// Every fact, evicted or not, in id order.
+    fn facts(&self) -> Vec<CommitFact> {
+        let mut facts: Vec<_> = self
+            .table
             .values()
-            .filter(|e| matches!(e, Entry::Decided(_)))
-            .count()
+            .filter_map(|e| match *e {
+                Entry::Fact(fact, _) => Some(fact),
+                Entry::Open(_) | Entry::Queued(_) => None,
+            })
+            .collect();
+        facts.sort_unstable_by_key(|f| f.id);
+        facts
     }
-}
 
-fn cap(policy: Retention) -> Option<usize> {
-    match policy {
-        Retention::KeepAll => None,
-        Retention::DecidedCap(k) | Retention::Lru(k) => Some(k),
+    /// The reduced log's documented format: one `id,value,round,ops`
+    /// line per fact, evicted or not, in id order, `-` for no value.
+    fn reduced_log(&self) -> String {
+        let line = |f: CommitFact| {
+            let value = f.value.map_or("-".into(), |b| b.to_string());
+            format!("{},{value},{},{}\n", f.id, f.round, f.ops)
+        };
+        self.facts().into_iter().map(line).collect()
     }
 }
 
@@ -146,7 +156,9 @@ fn cap(policy: Retention) -> Option<usize> {
 /// is `(kind, id, bit)`: kinds 0–3 submit `bit` to `id`, 4–5 run
 /// `run_ready` on one or (when `bit`) two threads, 6–7 poll `id`'s last
 /// ticket (`status` when it has none), 8 asks `status(id)`, 9 drains
-/// the completions.
+/// the completions, and 10–11 poll the ticket of the model's resident
+/// decided id number `id` (modulo their count, next victim first;
+/// `status(id)` when there is none).
 fn check(policy: Retention, shards: usize, procs: usize, ops: &[(u8, u64, bool)]) {
     let cfg = ServiceConfig::builder()
         .procs(procs)
@@ -163,12 +175,16 @@ fn check(policy: Retention, shards: usize, procs: usize, ops: &[(u8, u64, bool)]
         table: HashMap::new(),
         resident: VecDeque::new(),
         completions: Vec::new(),
-        evicted: 0,
         pending: 0,
     };
     let mut tickets: HashMap<u64, Ticket> = HashMap::new();
     for (step, &(kind, id, bit)) in ops.iter().enumerate() {
         let at = format!("step {step}: op ({kind}, {id}, {bit})");
+        let resident = model.resident.len();
+        let id = match kind {
+            10 | 11 if resident > 0 => model.resident[id as usize % resident],
+            _ => id,
+        };
         match kind {
             0..=3 => {
                 let got = svc.submit(id, Bit::from(bit));
@@ -181,7 +197,7 @@ fn check(policy: Retention, shards: usize, procs: usize, ops: &[(u8, u64, bool)]
                 let facts = svc.run_ready(if bit { 2 } else { 1 });
                 model.run_ready(&facts);
             }
-            6 | 7 => match tickets.get(&id) {
+            6 | 7 | 10 | 11 => match tickets.get(&id) {
                 Some(&ticket) => {
                     let got = svc.poll(ticket);
                     assert_eq!(got, model.status(id), "{at}");
@@ -198,9 +214,12 @@ fn check(policy: Retention, shards: usize, procs: usize, ops: &[(u8, u64, bool)]
                 "{at}"
             ),
         }
-        assert_eq!(svc.resident_decided(), model.resident_decided(), "{at}");
-        assert_eq!(svc.evicted_count(), model.evicted, "{at}");
+        let (decided, resident) = (model.facts().len(), model.resident.len());
+        assert_eq!(svc.decided(), decided, "{at}");
+        assert_eq!(svc.resident_decided(), resident, "{at}");
+        assert_eq!(svc.evicted_count(), decided - resident, "{at}");
         assert_eq!(svc.submitted_pending(), model.pending, "{at}");
+        assert_eq!(svc.reduced_log(), model.reduced_log(), "{at}");
         for id in 0..IDS {
             assert_eq!(svc.status(id), model.status(id), "{at}: status of {id}");
         }
@@ -212,14 +231,15 @@ proptest! {
 
     #[test]
     fn instance_table_matches_its_model(
-        setup in (0u8..3, 1usize..4, 1usize..3, 1usize..5),
-        ops in collection::vec((0u8..10, 0..IDS, any::<bool>()), 1..120),
+        setup in (0u8..5, 1usize..4, 1usize..3, 1usize..5),
+        ops in collection::vec((0u8..12, 0..IDS, any::<bool>()), 1..120),
     ) {
         let (policy, k, shards, procs) = setup;
         let policy = match policy {
             0 => Retention::KeepAll,
             1 => Retention::DecidedCap(k),
-            _ => Retention::Lru(k),
+            2 => Retention::Lru(k),
+            _ => Retention::Lru(k + 1),
         };
         check(policy, shards, procs, &ops);
     }
