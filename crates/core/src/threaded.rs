@@ -2,7 +2,13 @@
 //!
 //! The simulation substrate is for studying the model; this module is the
 //! deployable artifact: wait-free binary consensus for up to thousands of
-//! native threads over lock-free atomic arrays ([`nc_memory::SegArray`]).
+//! native threads over the paper's two arrays of atomic bits, held as
+//! one fixed array of [`AtomicBool`]s sized for the round limit.
+//!
+//! Every register access is one `SeqCst` load or store, so every
+//! execution is linearizable — the interleaving model the paper's safety
+//! proofs (§5) assume. The array is allocated once, at construction;
+//! [`NativeConsensus::propose`] allocates nothing and takes no lock.
 //!
 //! A real OS scheduler is, in the paper's terms, a noisy scheduler —
 //! cache misses, interrupts, and preemptions supply the `X_ij`. The
@@ -15,16 +21,22 @@
 
 use std::error::Error;
 use std::fmt;
+use std::sync::atomic::{AtomicBool, Ordering};
 
-use nc_memory::{Bit, Op, RaceLayout, SegArray};
+use nc_memory::{Bit, Op, RaceLayout, Word};
 
 use crate::lean::LeanConsensus;
 use crate::protocol::{Protocol, Status};
 
 /// Default round limit for native runs. Real schedulers decide races in
 /// a handful of rounds (Θ(log n) expected); 4096 rounds is astronomically
-/// beyond that while still bounding memory to 8 KiB of flags.
+/// beyond that while still bounding memory to 8 KiB of flags (one byte
+/// per register, 8 196 registers).
 pub(crate) const DEFAULT_ROUND_LIMIT: usize = 4096;
+
+/// Where the race's registers sit in the flag array: `a_b[r]` is flag
+/// `2r + b`.
+const LAYOUT: RaceLayout = RaceLayout::at_base(0);
 
 /// The outcome of a successful native consensus.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -100,8 +112,9 @@ impl Error for RoundLimitError {}
 /// assert!(decisions.iter().all(|&d| d == decisions[0]));
 /// ```
 pub struct NativeConsensus {
-    array: SegArray,
-    layout: RaceLayout,
+    /// The registers of rounds `0..=round_limit + 1`, laid out by
+    /// [`LAYOUT`]; lean only ever writes `1`, so one bit each.
+    flags: Box<[AtomicBool]>,
     round_limit: usize,
 }
 
@@ -120,31 +133,25 @@ impl NativeConsensus {
     pub(crate) fn with_round_limit(round_limit: usize) -> Self {
         assert!(round_limit >= 2, "round limit must be at least 2");
         let words = RaceLayout::words_for_rounds(round_limit + 1);
-        let segments = words.div_ceil(nc_memory::atomic::SEGMENT_WORDS).max(1);
-        let array = SegArray::with_max_segments(segments);
-        let layout = RaceLayout::at_base(0);
+        let mut flags: Box<[AtomicBool]> = (0..words).map(|_| AtomicBool::new(false)).collect();
         // Install the paper's sentinels a0[0] = a1[0] = 1.
-        array.store(layout.slot(Bit::Zero, 0).offset(), 1);
-        array.store(layout.slot(Bit::One, 0).offset(), 1);
-        NativeConsensus {
-            array,
-            layout,
-            round_limit,
+        for b in Bit::BOTH {
+            *flags[LAYOUT.slot(b, 0).offset()].get_mut() = true;
         }
+        NativeConsensus { flags, round_limit }
     }
 
     /// Proposes `input` and participates until decision.
     ///
-    /// Wait-free apart from the bounded-memory cutoff: the calling thread
-    /// performs at most `4 · round_limit` shared-memory operations
-    /// regardless of what other threads do.
+    /// Wait-free: the calling thread performs at most `4 · round_limit`
+    /// shared-memory operations regardless of what other threads do.
     ///
     /// # Errors
     ///
     /// Returns [`RoundLimitError`] if the round limit elapses without a
     /// decision (see the type's docs for when that can happen).
     pub fn propose(&self, input: Bit) -> Result<Decision, RoundLimitError> {
-        let mut machine = LeanConsensus::new(self.layout, input);
+        let mut machine = LeanConsensus::new(LAYOUT, input);
         loop {
             match machine.status() {
                 Status::Decided(value) => {
@@ -163,11 +170,12 @@ impl NativeConsensus {
                     }
                     match op {
                         Op::Read(addr) => {
-                            let v = self.array.load(addr.offset());
-                            machine.advance(Some(v));
+                            let set = self.flags[addr.offset()].load(Ordering::SeqCst);
+                            machine.advance(Some(Word::from(set)));
                         }
                         Op::Write(addr, value) => {
-                            self.array.store(addr.offset(), value);
+                            assert_eq!(value, 1, "lean-consensus writes only 1");
+                            self.flags[addr.offset()].store(true, Ordering::SeqCst);
                             machine.advance(None);
                         }
                     }
@@ -187,7 +195,7 @@ impl fmt::Debug for NativeConsensus {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("NativeConsensus")
             .field("round_limit", &self.round_limit)
-            .field("array", &self.array)
+            .field("flags", &self.flags.len())
             .finish()
     }
 }
@@ -195,6 +203,7 @@ impl fmt::Debug for NativeConsensus {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Barrier;
 
     #[test]
     fn solo_proposer_decides_own_input() {
@@ -285,5 +294,76 @@ mod tests {
     #[should_panic(expected = "round limit must be at least 2")]
     fn tiny_round_limit_panics() {
         NativeConsensus::with_round_limit(1);
+    }
+
+    /// With every flag set, both frontier bits are set in every round, so
+    /// a solo proposer never decides: it must run to the limit and stop
+    /// there without reading or writing past the end of the array.
+    #[test]
+    fn round_limit_is_reached_inside_the_array() {
+        for input in Bit::BOTH {
+            let c = NativeConsensus::with_round_limit(16);
+            for flag in c.flags.iter() {
+                flag.store(true, Ordering::SeqCst);
+            }
+            assert_eq!(
+                c.propose(input),
+                Err(RoundLimitError {
+                    limit: 16,
+                    preference: input,
+                })
+            );
+        }
+    }
+
+    /// Flags set by many threads are all visible afterwards — the
+    /// monotone write pattern lean-consensus relies on (only 0 -> 1
+    /// transitions on each register).
+    #[test]
+    fn concurrent_monotone_writes_are_all_visible() {
+        let c = NativeConsensus::new();
+        let threads = 8;
+        let per_thread = c.flags.len() / threads;
+        std::thread::scope(|s| {
+            for t in 0..threads {
+                let flags = &c.flags[t * per_thread..(t + 1) * per_thread];
+                s.spawn(move || {
+                    for flag in flags {
+                        flag.store(true, Ordering::SeqCst);
+                    }
+                });
+            }
+        });
+        for (idx, flag) in c.flags[..threads * per_thread].iter().enumerate() {
+            assert!(flag.load(Ordering::SeqCst), "flag {idx} lost its write");
+        }
+    }
+
+    /// A concurrent reader of a flag being set, once it sees it set,
+    /// keeps seeing it set (registers are atomic, not flickering). The
+    /// barrier starts the reader and the writer together, so the store
+    /// lands while the reader is polling.
+    #[test]
+    fn concurrent_reader_sees_monotone_flag() {
+        for _ in 0..20 {
+            let c = NativeConsensus::with_round_limit(2);
+            let flag = &c.flags[7];
+            let start = Barrier::new(2);
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    start.wait();
+                    let mut seen_set = false;
+                    for _ in 0..10_000 {
+                        let set = flag.load(Ordering::SeqCst);
+                        assert!(set || !seen_set, "flag reverted to 0");
+                        seen_set |= set;
+                    }
+                });
+                s.spawn(|| {
+                    start.wait();
+                    flag.store(true, Ordering::SeqCst);
+                });
+            });
+        }
     }
 }

@@ -4,8 +4,8 @@
 //! bits, `a0` and `a1`, prefixed with read-only sentinel cells
 //! `a0[0] = a1[0] = 1`. [`RaceLayout`] interleaves the two arrays into a
 //! single flat address space so that growth in the round number maps to
-//! growth in one dimension — which is exactly what both [`crate::sim::SimMemory`]
-//! and [`crate::atomic::SegArray`] provide.
+//! growth in one dimension — which is exactly what [`crate::sim::SimMemory`]
+//! provides, and what the native runner's fixed flag array is sized by.
 //!
 //! [`Region`] is the currency of composition: the §8 bounded protocol runs
 //! lean-consensus and a backup protocol side by side in one memory, each

@@ -23,10 +23,6 @@
 //!   ([`check_register_semantics`]) that validates a history against the
 //!   sequential register specification (every read returns the most recent
 //!   write).
-//! * [`atomic`] — [`SegArray`], a lock-free growable array of `u64`
-//!   registers backed by real `std::sync::atomic` words, used by the
-//!   native thread runner. This is the "infinite array" of the paper,
-//!   realised as lazily-allocated fixed-size segments.
 //! * `layout` — address-space layouts: [`RaceLayout`] interleaves the
 //!   paper's two unbounded bit arrays `a0`/`a1` into one growable space,
 //!   and [`Region`] hands out disjoint address ranges for protocol
@@ -53,14 +49,12 @@
 #![warn(missing_debug_implementations)]
 #![forbid(unsafe_code)]
 
-pub mod atomic;
 mod faulty;
 mod history;
 mod layout;
 mod sim;
 mod types;
 
-pub use atomic::SegArray;
 pub use faulty::FaultSpec;
 pub use history::{check_register_semantics, check_register_semantics_from, Event, HistoryError};
 pub use layout::{RaceLayout, Region};

@@ -158,8 +158,6 @@ pub struct Node {
     adopted: Option<Bit>,
     gossip_peer: u32,
     gossip_entry: usize,
-    /// Emulated register operations completed (= lean-consensus ops).
-    pub ops_done: u64,
 }
 
 impl Node {
@@ -202,7 +200,6 @@ impl Node {
             adopted: None,
             gossip_peer: id,
             gossip_entry: 0,
-            ops_done: 0,
         }
     }
 
@@ -214,6 +211,11 @@ impl Node {
     /// The lean machine's current round.
     pub fn round(&self) -> usize {
         self.machine.round()
+    }
+
+    /// Emulated register operations completed (= lean-consensus ops).
+    pub fn ops(&self) -> u64 {
+        self.machine.ops_completed()
     }
 
     /// Whether an ABD phase is in flight (waiting on quorum replies).
@@ -451,7 +453,6 @@ impl Node {
 
     fn finish_op(&mut self, read_value: Option<Word>, out: &mut Vec<Outgoing>) {
         self.set_phase(ClientPhase::Idle);
-        self.ops_done += 1;
         self.machine.advance(read_value);
         // Immediately start the next operation (the network delay model
         // lives on messages; per-op think time is optional and handled by
@@ -536,7 +537,7 @@ mod tests {
             let mut nodes = vec![Node::new(0, 1, input, &sentinels())];
             run_sync(&mut nodes, 10_000, 0);
             assert_eq!(nodes[0].decision(), Some(input));
-            assert_eq!(nodes[0].ops_done, 8, "lean still costs 8 emulated ops");
+            assert_eq!(nodes[0].ops(), 8, "lean still costs 8 emulated ops");
         }
     }
 
@@ -549,7 +550,7 @@ mod tests {
             run_sync(&mut nodes, 1_000_000, 0);
             for node in &nodes {
                 assert_eq!(node.decision(), Some(input));
-                assert_eq!(node.ops_done, 8);
+                assert_eq!(node.ops(), 8);
             }
         }
     }
@@ -703,7 +704,7 @@ mod tests {
             }
         }
         assert!(matches!(node.phase, ClientPhase::Put { .. }));
-        assert_eq!((node.replies, node.ops_done), (0, 0));
+        assert_eq!((node.replies, node.ops()), (0, 0));
     }
 
     #[test]
@@ -766,7 +767,7 @@ mod tests {
                 node.on_message(answer, &mut out);
             }
         }
-        assert_eq!(node.ops_done, 2);
+        assert_eq!(node.ops(), 2);
         let ClientPhase::Query {
             addr,
             write: Some(value),

@@ -621,7 +621,7 @@ pub fn run_message_passing(cfg: &MsgConfig, seed: u64) -> MsgReport {
     MsgReport {
         decisions: nodes.iter().map(|n| n.decision()).collect(),
         rounds: nodes.iter().map(|n| n.round()).collect(),
-        ops: nodes.iter().map(|n| n.ops_done).collect(),
+        ops: nodes.iter().map(|n| n.ops()).collect(),
         deliveries,
         sent,
         sim_time: clock,

@@ -143,7 +143,7 @@ fn oracle(cfg: &MsgConfig, seed: u64) -> OracleReport {
     OracleReport {
         decisions: nodes.iter().map(|n| n.decision()).collect(),
         rounds: nodes.iter().map(|n| n.round()).collect(),
-        ops: nodes.iter().map(|n| n.ops_done).collect(),
+        ops: nodes.iter().map(|n| n.ops()).collect(),
         deliveries,
         sent,
         sim_time: clock,

@@ -329,12 +329,11 @@ pub(crate) fn encode_log(facts: impl Iterator<Item = CommitFact>) -> String {
 }
 
 /// A submission receipt from [`NcService::submit`]: pass it to
-/// [`NcService::poll`] to track the instance without re-deriving its
-/// shard.
+/// [`NcService::poll`] to track the instance. It holds the instance's
+/// id, which `poll` looks up like [`NcService::status`] does.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Ticket {
     id: u64,
-    shard: usize,
 }
 
 /// Where an instance stands, as answered by [`NcService::status`] and
@@ -685,7 +684,7 @@ impl NcService {
             *slot = Slot::Queued;
         }
         self.pending += 1;
-        Ok(Ticket { id, shard })
+        Ok(Ticket { id })
     }
 
     /// Where instance `id` stands, looked up by id: the answer for ids
@@ -967,12 +966,16 @@ mod tests {
     fn front_door_lifecycle() {
         let mut svc = NcService::new(cfg(3, 2, 5));
         assert_eq!(svc.status(9), InstanceStatus::Unknown);
-        assert_eq!(svc.submit(9, Bit::One).map(|t| t.shard), Ok(1));
+        assert_eq!(svc.shard_of(9), 1);
+        assert_eq!(svc.submit(9, Bit::One).map(|t| t.id), Ok(9));
         assert_eq!(svc.status(9), InstanceStatus::Accepting { got: 1, need: 3 });
         svc.submit(9, Bit::Zero).unwrap();
         assert_eq!(svc.status(9), InstanceStatus::Accepting { got: 2, need: 3 });
         svc.submit(9, Bit::One).unwrap();
         assert_eq!(svc.status(9), InstanceStatus::Queued);
+        // Queued on its home shard, and only there.
+        assert_eq!(svc.shards[1].ready.first().map(|r| r.0), Some(9));
+        assert!(svc.shards[0].ready.is_empty());
         assert_eq!(
             svc.submit(9, Bit::One),
             Err(ServiceError::InstanceClosed { id: 9 })
@@ -997,7 +1000,7 @@ mod tests {
     fn submit_poll_drain_lifecycle() {
         let mut svc = NcService::new(cfg(3, 2, 5));
         let t = svc.submit(4, Bit::One).unwrap();
-        assert_eq!((t.id, t.shard), (4, 0));
+        assert_eq!((t.id, svc.shard_of(t.id)), (4, 0));
         assert_eq!(svc.poll(t), InstanceStatus::Accepting { got: 1, need: 3 });
         svc.submit(4, Bit::Zero).unwrap();
         let t3 = svc.submit(4, Bit::One).unwrap();

@@ -15,7 +15,7 @@
 //! | Module | Crate | Contents |
 //! |--------|-------|----------|
 //! | [`core`] | `nc-core` | lean-consensus + variants, [`core::Protocol`], native runner |
-//! | [`memory`] | `nc-memory` | the [`SimMemory`] word store with seeded value faults, atomic arrays, history checker |
+//! | [`memory`] | `nc-memory` | the [`SimMemory`] word store with seeded value faults, race layouts, history checker |
 //! | [`sched`] | `nc-sched` | noise distributions, timing model, adversaries, hybrid scheduling |
 //! | [`engine`] | `nc-engine` | the [`Sim`] builder: noisy / adversarial / hybrid schedules, run reports, the naive oracle |
 //! | [`backup`] | `nc-backup` | bounded-space randomized backup consensus (§8) |
@@ -96,7 +96,7 @@ pub use nc_core::{
     RoundLimitError, SkippingLean, Status,
 };
 pub use nc_engine::{Limits, RunOutcome, RunReport, Sim, SimRun, TrialSet};
-pub use nc_memory::{FaultSpec, Op, Pid, RaceLayout, SegArray, SimMemory, Word};
+pub use nc_memory::{FaultSpec, Op, Pid, RaceLayout, SimMemory, Word};
 pub use nc_sched::{Noise, TimingModel};
 pub use nc_service::{CommitFact, InstanceStatus, NcService, ServiceConfig};
 
